@@ -333,21 +333,12 @@ pub fn page_size_ablation() {
     );
 }
 
-/// Expose single measurements for tests/criterion.
+/// One pipeline measurement `(vt_ns, msgs)`, for the invariant tests.
 pub fn pipeline_once(nodes: usize, handoffs: usize, flush: bool) -> (u64, u64) {
     if flush {
         flush_pipeline(nodes, handoffs)
     } else {
         sema_pipeline(nodes, handoffs)
-    }
-}
-
-/// Expose single task-queue measurements for tests/criterion.
-pub fn taskqueue_once(nodes: usize, tasks: u32, flush: bool) -> (u64, u64) {
-    if flush {
-        flush_taskqueue(nodes, tasks)
-    } else {
-        condvar_taskqueue(nodes, tasks)
     }
 }
 

@@ -1,10 +1,8 @@
 //! Bench regression gate (see [`now_bench::regression`]): compare a
-//! fresh bench document against the committed baseline and exit
-//! non-zero when a deterministic measurement regressed past the
-//! threshold. The document shape is auto-detected: `BENCH_hetero.json`
-//! gates `vt_ns`/`msgs` growth, `BENCH_service.json` gates completed
-//! `jobs` shrinkage and `rejected` growth. Host time is
-//! machine-dependent and ignored in both shapes.
+//! fresh `BENCH_hetero.json`-shaped document against the committed
+//! baseline and exit non-zero when a deterministic measurement
+//! (`vt_ns`, `msgs`) grew past the threshold. Host time is
+//! machine-dependent and ignored.
 //!
 //! ```text
 //! bench_gate <baseline.json> <current.json> [--threshold <pct>]

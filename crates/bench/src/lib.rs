@@ -27,11 +27,6 @@
 //!   {uniform, one-2×-slow-node, bursty} on pi/dotprod/jacobi, in
 //!   virtual time and DSM messages (the regime beyond the paper's
 //!   dedicated machines)
-//! * [`service::service_sweep`] — cluster-pool service throughput: a
-//!   10k+ mixed job batch (closures + `.omp`, two weighted tenants)
-//!   through `now-service` pools of increasing size — jobs/sec and
-//!   p50/p99 host latency, plus a deterministic saturation cell for the
-//!   regression gate
 //!
 //! Run everything with `cargo run -p now-bench --release --bin paper_tables`.
 
@@ -43,7 +38,6 @@ pub mod hetero;
 pub mod micro;
 pub mod ompc;
 pub mod regression;
-pub mod service;
 pub mod smp;
 pub mod tables;
 pub mod tasking;

@@ -1,18 +1,10 @@
-//! Bench regression gate: diff two machine-readable bench documents and
-//! fail when the *deterministic* measurements regress. Two document
-//! shapes are understood, auto-detected from the document itself:
-//!
-//! * `BENCH_hetero.json` (see [`crate::hetero::rows_to_json`]) — rows
-//!   keyed by (kernel, scenario, schedule). Virtual time (`vt_ns`) and
-//!   message counts (`msgs`) are pure functions of the cost model, so
-//!   growth beyond tolerance is a real runtime regression; host
-//!   milliseconds (`host_ms`) are machine-dependent and **ignored**.
-//! * `BENCH_service.json` (see [`crate::service::rows_to_json`],
-//!   `"schema": "now-service-bench-v1"`) — rows keyed by (pool,
-//!   tenant). Completed `jobs` must not shrink and typed `rejected`
-//!   counts must not grow past tolerance (both deterministic under the
-//!   held-queue protocol); `jobs_per_sec` and the host-latency
-//!   percentiles are machine-dependent and **ignored**.
+//! Bench regression gate: diff two `BENCH_hetero.json`-shaped documents
+//! (see [`crate::hetero::rows_to_json`]) and fail when the
+//! *deterministic* measurements regress. Rows are keyed by (kernel,
+//! scenario, schedule). Virtual time (`vt_ns`) and message counts
+//! (`msgs`) are pure functions of the cost model, so growth beyond
+//! tolerance is a real runtime regression; host milliseconds
+//! (`host_ms`) are machine-dependent and **ignored**.
 //!
 //! CI runs the gate in an allowed-to-fail lane, so a legitimate
 //! cost-model change shows up as a visible red diff instead of blocking
@@ -21,9 +13,10 @@
 //! ```text
 //! cargo run -p now-bench --release --bin bench_gate -- \
 //!     BENCH_hetero.json BENCH_current.json --threshold 10
-//! cargo run -p now-bench --release --bin bench_gate -- \
-//!     BENCH_service.json BENCH_service_current.json --threshold 10
 //! ```
+//!
+//! The service's end-to-end numbers are measured and bounded by the
+//! `benchmark/` package (`BENCHMARK.json`), not here.
 
 use now_metrics::json::{parse, Json};
 use std::fmt::Write as _;
@@ -86,65 +79,13 @@ pub fn parse_rows(doc: &str) -> Result<Vec<BenchRow>, String> {
     Ok(out)
 }
 
-/// One measured cell of a `BENCH_service.json` document, keyed by
-/// (`pool`, `tenant`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceRow {
-    /// Pool size (number of warm clusters).
-    pub pool: u64,
-    /// Tenant name.
-    pub tenant: String,
-    /// Completed jobs — deterministic; must not shrink.
-    pub jobs: u64,
-    /// Typed admission rejects — deterministic; must not grow.
-    pub rejected: u64,
-}
-
-impl ServiceRow {
-    /// The row's identity within a document.
-    pub fn key(&self) -> (u64, &str) {
-        (self.pool, &self.tenant)
-    }
-}
-
-/// Parse a `BENCH_service.json`-shaped document into its rows.
-pub fn parse_service_rows(doc: &str) -> Result<Vec<ServiceRow>, String> {
-    let v = parse(doc)?;
-    let rows = v
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or("document has no \"rows\" array")?;
-    let mut out = Vec::with_capacity(rows.len());
-    for (i, r) in rows.iter().enumerate() {
-        let n = |name: &str| -> Result<u64, String> {
-            r.get(name)
-                .ok_or_else(|| format!("row {i} is missing \"{name}\""))?
-                .as_u64()
-                .ok_or_else(|| format!("row {i}: \"{name}\" is not an unsigned integer"))
-        };
-        let tenant = r
-            .get("tenant")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("row {i}: \"tenant\" is not a string"))?
-            .to_string();
-        out.push(ServiceRow {
-            pool: n("pool")?,
-            tenant,
-            jobs: n("jobs")?,
-            rejected: n("rejected")?,
-        });
-    }
-    Ok(out)
-}
-
 /// One detected regression: a deterministic measurement moved past the
 /// gate's tolerance in its bad direction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regression {
-    /// The offending row's key, rendered `kernel/scenario/schedule` or
-    /// `pool=N/tenant`.
+    /// The offending row's key, rendered `kernel/scenario/schedule`.
     pub cell: String,
-    /// Which measurement regressed (`vt_ns`, `msgs`, `jobs`, `rejected`).
+    /// Which measurement regressed (`vt_ns`, `msgs`).
     pub metric: &'static str,
     /// Baseline value.
     pub base: u64,
@@ -199,112 +140,21 @@ pub fn compare(baseline: &[BenchRow], current: &[BenchRow], threshold_pct: f64) 
     regressions
 }
 
-/// Compare a current service document against a baseline: every
-/// baseline (pool, tenant) cell must exist, completed `jobs` must not
-/// shrink by more than `threshold_pct` percent, and `rejected` must not
-/// grow by more than `threshold_pct` percent (a zero-reject baseline
-/// tolerates no rejects at all). Throughput and latency columns are
-/// machine-dependent and ignored.
-pub fn compare_service(
-    baseline: &[ServiceRow],
-    current: &[ServiceRow],
-    threshold_pct: f64,
-) -> Vec<Regression> {
-    let mut regressions = Vec::new();
-    for b in baseline {
-        let cell = format!("pool={}/{}", b.pool, b.tenant);
-        let Some(c) = current.iter().find(|c| c.key() == b.key()) else {
-            regressions.push(Regression {
-                cell,
-                metric: "missing",
-                base: 0,
-                now: 0,
-                pct: 0.0,
-            });
-            continue;
-        };
-        let pct = |base: u64, now: u64| -> f64 {
-            if base == 0 {
-                f64::INFINITY
-            } else {
-                (now as f64 / base as f64 - 1.0) * 100.0
-            }
-        };
-        let floor = b.jobs as f64 * (1.0 - threshold_pct / 100.0);
-        if (c.jobs as f64) < floor {
-            regressions.push(Regression {
-                cell: cell.clone(),
-                metric: "jobs",
-                base: b.jobs,
-                now: c.jobs,
-                pct: pct(b.jobs, c.jobs),
-            });
-        }
-        let limit = b.rejected as f64 * (1.0 + threshold_pct / 100.0);
-        if c.rejected as f64 > limit {
-            regressions.push(Regression {
-                cell: cell.clone(),
-                metric: "rejected",
-                base: b.rejected,
-                now: c.rejected,
-                pct: pct(b.rejected, c.rejected),
-            });
-        }
-    }
-    regressions
-}
-
-/// The document shapes the gate understands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DocShape {
-    Hetero,
-    Service,
-}
-
-fn doc_shape(doc: &str) -> Result<DocShape, String> {
-    let v = parse(doc)?;
-    match v.get("schema").and_then(Json::as_str) {
-        Some("now-service-bench-v1") => Ok(DocShape::Service),
-        Some(other) => Err(format!("unknown document schema {other:?}")),
-        None => Ok(DocShape::Hetero),
-    }
-}
-
-/// Run the whole gate on two documents: detect the shape, parse,
-/// compare, and render a human-readable report. `Ok` carries the
-/// all-clear summary, `Err` the list of regressions (or a parse
-/// failure). Both documents must have the same shape.
+/// Run the whole gate on two documents: parse, compare, and render a
+/// human-readable report. `Ok` carries the all-clear summary, `Err` the
+/// list of regressions (or a parse failure).
 pub fn gate(baseline_doc: &str, current_doc: &str, threshold_pct: f64) -> Result<String, String> {
-    let shape = doc_shape(baseline_doc).map_err(|e| format!("baseline: {e}"))?;
-    let cur_shape = doc_shape(current_doc).map_err(|e| format!("current: {e}"))?;
-    if shape != cur_shape {
-        return Err(format!(
-            "baseline is a {shape:?} document but current is {cur_shape:?}"
-        ));
-    }
-    let (cells, ignored, regressions) = match shape {
-        DocShape::Hetero => {
-            let base = parse_rows(baseline_doc).map_err(|e| format!("baseline: {e}"))?;
-            let cur = parse_rows(current_doc).map_err(|e| format!("current: {e}"))?;
-            (base.len(), "host_ms", compare(&base, &cur, threshold_pct))
-        }
-        DocShape::Service => {
-            let base = parse_service_rows(baseline_doc).map_err(|e| format!("baseline: {e}"))?;
-            let cur = parse_service_rows(current_doc).map_err(|e| format!("current: {e}"))?;
-            (
-                base.len(),
-                "host latency",
-                compare_service(&base, &cur, threshold_pct),
-            )
-        }
-    };
+    let base = parse_rows(baseline_doc).map_err(|e| format!("baseline: {e}"))?;
+    let cur = parse_rows(current_doc).map_err(|e| format!("current: {e}"))?;
+    let regressions = compare(&base, &cur, threshold_pct);
     if regressions.is_empty() {
         return Ok(format!(
-            "bench gate: {cells} cells within {threshold_pct}% of baseline ({ignored} ignored)"
+            "bench gate: {} cells within {threshold_pct}% of baseline (host_ms ignored)",
+            base.len()
         ));
     }
     let mut msg = format!(
-        "bench gate: {} regression(s) past {threshold_pct}% ({ignored} ignored):\n",
+        "bench gate: {} regression(s) past {threshold_pct}% (host_ms ignored):\n",
         regressions.len()
     );
     for r in &regressions {
@@ -406,93 +256,6 @@ mod tests {
         let no_vt = doc(&[("static", 1, 1)]).replace("\"vt_ns\"", "\"vtns\"");
         let err = gate(&no_vt, &no_vt, 10.0).unwrap_err();
         assert!(err.contains("missing \"vt_ns\""), "{err}");
-    }
-
-    fn service_doc(cells: &[(&str, u64, u64)]) -> String {
-        let rows: Vec<String> = cells
-            .iter()
-            .map(|(tenant, jobs, rejected)| {
-                format!(
-                    "{{\"pool\": 2, \"tenant\": \"{tenant}\", \"jobs\": {jobs}, \
-                     \"rejected\": {rejected}, \"jobs_per_sec\": 1234.5, \
-                     \"p50_host_ns\": 1000, \"p99_host_ns\": 9000}}"
-                )
-            })
-            .collect();
-        format!(
-            "{{\"schema\": \"now-service-bench-v1\", \"total_jobs\": 100, \"rows\": [{}]}}",
-            rows.join(", ")
-        )
-    }
-
-    #[test]
-    fn service_identical_documents_pass() {
-        let d = service_doc(&[("alice", 66, 0), ("bob", 34, 0), ("burst", 64, 32)]);
-        let report = gate(&d, &d, 10.0).unwrap();
-        assert!(report.contains("3 cells within"), "{report}");
-        assert!(report.contains("host latency ignored"), "{report}");
-    }
-
-    #[test]
-    fn service_completed_jobs_must_not_shrink() {
-        let base = service_doc(&[("alice", 100, 0)]);
-        let cur = service_doc(&[("alice", 80, 0)]); // -20%
-        let err = gate(&base, &cur, 10.0).unwrap_err();
-        assert!(err.contains("pool=2/alice: jobs 100 -> 80"), "{err}");
-        assert!(err.contains("-20.0%"), "{err}");
-        // A small dip within tolerance passes.
-        assert!(gate(&base, &service_doc(&[("alice", 95, 0)]), 10.0).is_ok());
-    }
-
-    #[test]
-    fn service_rejects_must_not_grow() {
-        let base = service_doc(&[("burst", 64, 32)]);
-        let cur = service_doc(&[("burst", 64, 48)]); // +50%
-        let err = gate(&base, &cur, 10.0).unwrap_err();
-        assert!(err.contains("rejected 32 -> 48"), "{err}");
-        // A zero-reject baseline tolerates no rejects at all.
-        let base0 = service_doc(&[("alice", 100, 0)]);
-        let err = gate(&base0, &service_doc(&[("alice", 100, 1)]), 10.0).unwrap_err();
-        assert!(err.contains("rejected 0 -> 1"), "{err}");
-        // Fewer rejects always pass.
-        assert!(gate(&base, &service_doc(&[("burst", 64, 0)]), 10.0).is_ok());
-    }
-
-    #[test]
-    fn service_host_latency_is_ignored() {
-        let base = service_doc(&[("alice", 100, 0)]);
-        let cur = base
-            .replace("\"jobs_per_sec\": 1234.5", "\"jobs_per_sec\": 1.5")
-            .replace("\"p99_host_ns\": 9000", "\"p99_host_ns\": 9000000");
-        assert!(gate(&base, &cur, 10.0).is_ok());
-    }
-
-    #[test]
-    fn mismatched_document_shapes_are_rejected() {
-        let hetero = doc(&[("static", 100, 10)]);
-        let service = service_doc(&[("alice", 100, 0)]);
-        let err = gate(&hetero, &service, 10.0).unwrap_err();
-        assert!(err.contains("Hetero") && err.contains("Service"), "{err}");
-        let bad = service.replace("now-service-bench-v1", "martian-v9");
-        assert!(gate(&bad, &bad, 10.0).unwrap_err().contains("martian-v9"));
-    }
-
-    #[test]
-    fn gate_accepts_the_committed_service_baseline() {
-        // The repo-root BENCH_service.json must stay parseable and
-        // self-consistent: the gate compares it against itself.
-        let doc = include_str!("../../../BENCH_service.json");
-        let report = gate(doc, doc, 10.0).unwrap();
-        assert!(report.contains("within 10% of baseline"), "{report}");
-        let rows = parse_service_rows(doc).unwrap();
-        // 2 pool sizes x (2 throughput tenants + 1 saturation cell).
-        assert!(rows.len() >= 6, "expected the full sweep, got {rows:?}");
-        let total: u64 = rows
-            .iter()
-            .filter(|r| r.tenant == "alice" || r.tenant == "bob")
-            .map(|r| r.jobs)
-            .sum();
-        assert!(total >= 20_000, "two 10k+ throughput cells, got {total}");
     }
 
     #[test]

@@ -187,9 +187,12 @@ mod tests {
         assert_eq!(rows.len(), TOPOLOGIES.len());
         assert!((rows[0].result - std::f64::consts::PI).abs() < 1e-7);
         // tpn = 1 is bit-identical to the pre-SMP runtime path: the same
-        // program through the one-job shim matches the 8×1 row's traffic.
-        let flat = ompc::run_source(PI, nomp::OmpConfig::paper(8)).unwrap();
-        assert_eq!(rows[0].msgs, flat.msgs, "n×1 path must be unchanged");
+        // program on a cluster built from the flat config matches the
+        // 8×1 row's traffic.
+        let flat = Cluster::from_config(nomp::OmpConfig::paper(8))
+            .run(&ompc::compile(PI).unwrap())
+            .unwrap();
+        assert_eq!(rows[0].msgs, flat.msgs(), "n×1 path must be unchanged");
     }
 
     #[test]

@@ -70,8 +70,8 @@ where
 // RunReport
 // ----------------------------------------------------------------------
 
-/// Everything one finished job reports (the unified replacement for the
-/// historical `RunOutcome`/`OmpOutcome` split).
+/// Everything one finished job reports: the one report type of this
+/// layer, for region closures and compiled `.omp` programs alike.
 #[derive(Debug)]
 pub struct RunReport<R> {
     /// The job's result payload.

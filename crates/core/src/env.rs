@@ -1,12 +1,13 @@
 //! The master-side OpenMP execution environment.
 
+use crate::cluster::{Cluster, Job, RunReport};
 use crate::config::{OmpConfig, Schedule};
 use crate::forloop::{LoopPlan, LoopShared};
 use crate::reduction::{RedOp, Reduce};
 use crate::thread::{OmpThread, RUNTIME_LOCK_BASE};
 use std::ops::{Deref, DerefMut, Range};
 use std::sync::Arc;
-use tmk::{RunOutcome, Tmk};
+use tmk::Tmk;
 
 /// The sequential (master) context of an OpenMP program.
 ///
@@ -48,25 +49,19 @@ impl<'t> Env<'t> {
 /// One-job shim over the [`Cluster`](crate::Cluster) session API —
 /// `Cluster::builder()…build()?.run(job)` is the primary way in, and a
 /// warm cluster amortizes bring-up over a stream of jobs.
-pub fn run<R, F>(cfg: OmpConfig, f: F) -> RunOutcome<R>
+pub fn run<R, F>(cfg: OmpConfig, f: F) -> RunReport<R>
 where
     R: Send + 'static,
     F: FnOnce(&mut Env<'_>) -> R + Send + 'static,
 {
-    let mut cluster = crate::cluster::Cluster::from_config(cfg);
+    let mut cluster = Cluster::from_config(cfg);
     let report = cluster
-        .run(crate::cluster::Job::new(f))
+        .run(Job::new(f))
         .expect("a freshly built cluster accepts a job");
-    // Explicit shutdown so a node-thread panic surfaces here, exactly as
-    // the historical one-shot runner propagated it.
+    // Explicit shutdown so a node-thread panic re-raises here with its
+    // own message instead of being swallowed by the cluster's drop.
     cluster.shutdown();
-    RunOutcome {
-        result: report.result,
-        vt_ns: report.vt_ns,
-        net: report.net,
-        dsm: report.dsm,
-        trace: report.trace,
-    }
+    report
 }
 
 impl Env<'_> {

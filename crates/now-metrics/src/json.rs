@@ -1,9 +1,11 @@
-//! A minimal JSON value type, parser and string escaper.
+//! The workspace's one JSON module: value type, parser, string escaper
+//! and number formatter.
 //!
-//! Shared by the metrics JSON validator and the bench regression gate
-//! (which diffs `BENCH_*.json` files). Hand-rolled because the
-//! workspace is dependency-free by policy; the subset implemented is
-//! exactly what this workspace's emitters produce.
+//! Everything that reads or writes JSON goes through here: the service's
+//! TCP door, the metrics and Chrome-trace validators, the bench
+//! regression gate, the `ompc` diagnostics emitter. Hand-rolled because
+//! the workspace is dependency-free by policy; the subset implemented
+//! is exactly what this workspace's emitters produce.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,6 +43,14 @@ impl Json {
         }
     }
 
+    /// The number, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
     /// The string value, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -58,10 +68,16 @@ impl Json {
     }
 }
 
-/// Parse a complete JSON document. Trailing non-whitespace is an error.
+/// Deepest `[`/`{` nesting [`parse`] accepts. The parser recurses once
+/// per level and its input comes off a socket, so the limit is what
+/// keeps a line of `[[[[…` from overflowing the handler's stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a complete JSON document. Trailing non-whitespace and nesting
+/// deeper than [`MAX_DEPTH`] are errors.
 pub fn parse(s: &str) -> Result<Json, String> {
     let b = s.as_bytes();
-    let mut p = Parser { b, i: 0 };
+    let mut p = Parser { b, i: 0, depth: 0 };
     p.ws();
     let v = p.value()?;
     p.ws();
@@ -89,9 +105,20 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Format `x` as a JSON number; JSON has no NaN or infinity, so
+/// non-finite values become `null`.
+pub fn num(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x}")
+    } else {
+        "null".to_string()
+    }
+}
+
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -121,8 +148,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -134,6 +161,19 @@ impl Parser<'_> {
                 self.i
             )),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.i
+            ));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -305,6 +345,24 @@ mod tests {
         for bad in ["{", "[1,]", "{\"a\":}", "tru", "\"abc", "{} x", "{'a':1}"] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).unwrap_err().contains("nesting"));
+        // Unclosed and far past the limit: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn num_is_always_valid_json() {
+        assert_eq!(num(2.5), "2.5");
+        assert_eq!(num(f64::NAN), "null");
+        assert_eq!(num(f64::INFINITY), "null");
+        assert_eq!(parse(&num(-1e300)).unwrap().as_f64(), Some(-1e300));
     }
 
     #[test]

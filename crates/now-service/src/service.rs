@@ -507,7 +507,8 @@ impl Shared {
             priority: req.priority,
             seq,
             submitted: now,
-            deadline: deadline.map(|d| now + d),
+            // A deadline past the end of `Instant`'s range never expires.
+            deadline: deadline.and_then(|d| now.checked_add(d)),
             deadline_req: deadline,
             work,
             done: tx,

@@ -25,13 +25,15 @@
 //!   protocol / idle, summing exactly to the job's total), a hot-page
 //!   table, per-loop chunk-claim histograms, and per-kind message
 //!   timelines.
-//! * [`validate_chrome_json`] — a dependency-free structural validator
-//!   for the emitted JSON (used by CI against real trace files).
+//! * [`validate_chrome_json`] — a structural validator for the emitted
+//!   JSON, on the shared `now_metrics::json` parser (used by CI against
+//!   real trace files).
 //!
 //! Timestamps are **virtual** nanoseconds from the job's start; the
 //! `host_ns` stamp (host nanoseconds since the sink was created) rides
 //! along for correlating simulation progress with wall time.
 
+use now_metrics::json::{escape, parse, Json};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -485,13 +487,13 @@ impl Trace {
                         format!(
                             "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{node},\"tid\":{lane},\
                              \"ts\":{ts:.3},\"dur\":{dur:.3},\"args\":{args}}}",
-                            json_escape(&name)
+                            escape(&name)
                         )
                     } else {
                         format!(
                             "{{\"name\":\"{}\",\"ph\":\"i\",\"pid\":{node},\"tid\":{lane},\
                              \"ts\":{ts:.3},\"s\":\"t\",\"args\":{args}}}",
-                            json_escape(&name)
+                            escape(&name)
                         )
                     };
                     push(&mut out, &mut first, &line);
@@ -501,22 +503,6 @@ impl Trace {
         out.push_str("\n]}\n");
         out
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Per-node virtual-time breakdown. The four components sum exactly to
@@ -765,232 +751,8 @@ fn bump_pair(v: &mut Vec<(u64, u64)>, key: u64) {
 }
 
 // ---------------------------------------------------------------------
-// Chrome trace-event JSON validation (dependency-free: the workspace is
-// offline, so this is a minimal hand-rolled parser, not serde).
+// Chrome trace-event JSON validation.
 // ---------------------------------------------------------------------
-
-/// A parsed JSON value (just enough structure for validation).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            b: s.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("JSON parse error at byte {}: {msg}", self.i)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", c as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected `{word}`")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        if self.b.get(self.i) == Some(&b'-') {
-            self.i += 1;
-        }
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| self.err("malformed number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.i) {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.b.get(self.i) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.i + 1..self.i + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.i += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.i += 1;
-                }
-                Some(&c) => {
-                    // Copy the raw UTF-8 byte run for this char.
-                    let ch_len = match c {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let bytes = self
-                        .b
-                        .get(self.i..self.i + ch_len)
-                        .ok_or_else(|| self.err("truncated UTF-8"))?;
-                    out.push_str(
-                        std::str::from_utf8(bytes).map_err(|_| self.err("invalid UTF-8"))?,
-                    );
-                    self.i += ch_len;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn document(&mut self) -> Result<Json, String> {
-        let v = self.value()?;
-        self.skip_ws();
-        if self.i != self.b.len() {
-            return Err(self.err("trailing data after document"));
-        }
-        Ok(v)
-    }
-}
 
 /// Validate a Chrome trace-event JSON document: well-formed JSON, the
 /// `{"traceEvents":[...]}` object form, every event carrying the fields
@@ -998,7 +760,7 @@ impl<'a> Parser<'a> {
 /// non-decreasing in file order. This is what CI runs against the JSON
 /// a traced `quickstart` emits.
 pub fn validate_chrome_json(s: &str) -> Result<(), String> {
-    let doc = Parser::new(s).document()?;
+    let doc = parse(s)?;
     let events = doc.get("traceEvents").ok_or("missing `traceEvents` key")?;
     let Json::Arr(events) = events else {
         return Err("`traceEvents` is not an array".into());
@@ -1019,9 +781,9 @@ pub fn validate_chrome_json(s: &str) -> Result<(), String> {
             .ok_or_else(|| at("missing string `ph`"))?;
         let pid = ev
             .get("pid")
-            .and_then(Json::as_num)
+            .and_then(Json::as_f64)
             .ok_or_else(|| at("missing numeric `pid`"))? as i64;
-        let tid = ev.get("tid").and_then(Json::as_num).unwrap_or(0.0) as i64;
+        let tid = ev.get("tid").and_then(Json::as_f64).unwrap_or(0.0) as i64;
         match ph {
             "M" => continue, // metadata carries no timestamp
             "X" | "i" | "B" | "E" | "C" => {}
@@ -1029,7 +791,7 @@ pub fn validate_chrome_json(s: &str) -> Result<(), String> {
         }
         let ts = ev
             .get("ts")
-            .and_then(Json::as_num)
+            .and_then(Json::as_f64)
             .ok_or_else(|| at("missing numeric `ts`"))?;
         if !ts.is_finite() || ts < 0.0 {
             return Err(at("non-finite or negative `ts`"));
@@ -1037,7 +799,7 @@ pub fn validate_chrome_json(s: &str) -> Result<(), String> {
         if ph == "X" {
             let dur = ev
                 .get("dur")
-                .and_then(Json::as_num)
+                .and_then(Json::as_f64)
                 .ok_or_else(|| at("`X` event missing numeric `dur`"))?;
             if !dur.is_finite() || dur < 0.0 {
                 return Err(at("non-finite or negative `dur`"));

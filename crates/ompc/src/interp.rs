@@ -174,7 +174,7 @@ enum Flow {
 // Program entry
 // ----------------------------------------------------------------------
 
-/// Everything `run` gives back to the embedder (see [`crate::OmpOutcome`]).
+/// Everything `run` gives back to the embedder (see [`crate::ProgramOutput`]).
 pub(crate) struct MasterOut {
     pub ret: f64,
     pub lines: Vec<String>,

@@ -43,10 +43,14 @@
 //!
 //! ## Example
 //!
-//! ```
-//! use nomp::OmpConfig;
+//! A [`Compiled`] program is a [`nomp::NowProgram`]: it runs on a
+//! [`nomp::Cluster`] like any region closure, and its measurements ride
+//! in the same [`nomp::RunReport`].
 //!
-//! let out = ompc::run_source(
+//! ```
+//! use nomp::{Cluster, OmpConfig};
+//!
+//! let prog = ompc::compile(
 //!     r#"
 //!     double pi;
 //!     int main() {
@@ -61,11 +65,13 @@
 //!         return 0;
 //!     }
 //!     "#,
-//!     OmpConfig::fast_test(2),
 //! )
 //! .unwrap();
-//! assert!((out.scalars["pi"] - std::f64::consts::PI).abs() < 1e-5);
-//! assert!(out.msgs > 0); // the translated program paid real DSM traffic
+//! let report = Cluster::from_config(OmpConfig::fast_test(2))
+//!     .run(&prog)
+//!     .unwrap();
+//! assert!((report.result.scalars["pi"] - std::f64::consts::PI).abs() < 1e-5);
+//! assert!(report.msgs() > 0); // the translated program paid real DSM traffic
 //! ```
 
 #![warn(missing_docs)]
@@ -87,7 +93,7 @@ pub use lints::{lints_to_json, Lint, LintCode, LintLevel};
 
 use interp::run_master;
 use ir::LProgram;
-use nomp::{Cluster, Env, Job, NowProgram, OmpConfig, RunReport, TmkStats};
+use nomp::{Env, Job, NowProgram};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -109,7 +115,7 @@ pub struct Compiled {
 /// All front-end errors — lexical, syntactic and semantic — come back as
 /// a spanned [`Diag`]; this function never panics. A [`Diag`] converts
 /// into [`nomp::NowError::Compile`], so `?` composes compile + run on a
-/// [`Cluster`] end to end.
+/// [`nomp::Cluster`] end to end.
 pub fn compile(src: &str) -> Result<Compiled, Diag> {
     let ast = parse::parse(src)?;
     let l = sema::lower(&ast)?;
@@ -175,8 +181,8 @@ impl Compiled {
 }
 
 /// Final state of a translated program: one job's result payload on a
-/// [`Cluster`] (measurements — virtual time, traffic, DSM counters —
-/// ride in the enclosing [`RunReport`]).
+/// [`nomp::Cluster`] (measurements — virtual time, traffic, DSM counters —
+/// ride in the enclosing [`nomp::RunReport`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramOutput {
     /// `main`'s return value.
@@ -228,76 +234,4 @@ impl NowProgram for &Compiled {
     fn into_job(self) -> Job<ProgramOutput> {
         self.clone().into_job()
     }
-}
-
-/// Result of executing a translated program.
-#[derive(Debug, Clone)]
-pub struct OmpOutcome {
-    /// `main`'s return value.
-    pub ret: f64,
-    /// Lines printed from sequential context (parallel-context prints go
-    /// to stdout with a `[t<id>]` prefix as they happen).
-    pub printed: Vec<String>,
-    /// Final values of all global scalars.
-    pub scalars: BTreeMap<String, f64>,
-    /// Final contents of all global arrays.
-    pub arrays: BTreeMap<String, Vec<f64>>,
-    /// Racing pairs from the dynamic checker (empty unless the program
-    /// was prepared with [`Compiled::check_races`]).
-    pub races: Vec<DataRace>,
-    /// Modeled run time in virtual nanoseconds.
-    pub vt_ns: u64,
-    /// Remote messages the program's DSM traffic needed.
-    pub msgs: u64,
-    /// Payload bytes on the wire.
-    pub bytes: u64,
-    /// DSM protocol event counters.
-    pub dsm: TmkStats,
-}
-
-impl OmpOutcome {
-    /// Modeled run time in virtual seconds.
-    pub fn vt_seconds(&self) -> f64 {
-        self.vt_ns as f64 / 1e9
-    }
-}
-
-impl OmpOutcome {
-    /// Repackage a cluster job's report as the historical outcome type.
-    fn from_report(report: RunReport<ProgramOutput>) -> OmpOutcome {
-        let msgs = report.msgs();
-        let bytes = report.bytes();
-        let m = report.result;
-        OmpOutcome {
-            ret: m.ret,
-            printed: m.printed,
-            scalars: m.scalars,
-            arrays: m.arrays,
-            races: m.races,
-            vt_ns: report.vt_ns,
-            msgs,
-            bytes,
-            dsm: report.dsm,
-        }
-    }
-}
-
-/// Run a compiled program on a fresh one-job cluster described by `cfg`.
-///
-/// Thin shim over the [`Cluster`] session API — pass the [`Compiled`]
-/// program to [`Cluster::run`] directly to reuse a warm cluster across
-/// programs.
-pub fn run_compiled(prog: &Compiled, cfg: OmpConfig) -> OmpOutcome {
-    let mut cluster = Cluster::from_config(cfg);
-    let report = cluster
-        .run(prog)
-        .expect("a freshly built cluster accepts a job");
-    cluster.shutdown(); // surface node-thread panics, as the one-shot runner always did
-    OmpOutcome::from_report(report)
-}
-
-/// [`compile`] + [`run_compiled`] in one step (one-job shim).
-pub fn run_source(src: &str, cfg: OmpConfig) -> Result<OmpOutcome, Diag> {
-    let prog = compile(src)?;
-    Ok(run_compiled(&prog, cfg))
 }

@@ -7,6 +7,7 @@
 //! [`std::fmt::Display`] and machine-readable through [`Lint::to_json`].
 
 use crate::diag::Span;
+use now_metrics::json::escape;
 use std::fmt;
 
 /// Stable identity of an analyzer check.
@@ -135,14 +136,14 @@ impl Lint {
             self.level,
             self.span.line,
             self.span.col,
-            json_escape(&self.msg),
+            escape(&self.msg),
         );
         if let Some((rs, label)) = &self.related {
             s.push_str(&format!(
                 ",\"related\":{{\"line\":{},\"col\":{},\"label\":\"{}\"}}",
                 rs.line,
                 rs.col,
-                json_escape(label)
+                escape(label)
             ));
         }
         s.push('}');
@@ -180,27 +181,12 @@ pub fn lints_to_json(lints: &[Lint]) -> String {
     s
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn json_escapes_and_renders() {
+    fn to_json_escapes_and_renders() {
         let l = Lint::new(LintCode::SharedWriteRace, Span::new(3, 7), "write to \"g\"")
             .with_related(Span::new(4, 1), "concurrent read");
         let j = l.to_json();

@@ -11,8 +11,17 @@
 //!   (the static lint is *confirmed* by an actual interleaving);
 //! - the analyzer never panics on generated programs.
 
-use nomp::OmpConfig;
+use nomp::{Cluster, OmpConfig};
 use ompc::{compile, compile_report, lints_to_json, promote_races, Lint, LintLevel};
+
+/// One program on a fresh `fast_test` cluster; the payload carries the
+/// dynamic checker's `races`.
+fn run_on(prog: &ompc::Compiled, nodes: usize) -> ompc::ProgramOutput {
+    Cluster::from_config(OmpConfig::fast_test(nodes))
+        .run(prog)
+        .expect("a fresh cluster accepts a job")
+        .result
+}
 
 fn fixture(rel: &str) -> String {
     let path = format!("{}/../../examples/omp/{rel}", env!("CARGO_MANIFEST_DIR"));
@@ -153,7 +162,7 @@ fn dynamic_checker_confirms_race_fixtures() {
     ];
     for &(file, line, col) in confirm {
         let prog = compile(&fixture(file)).unwrap().check_races(true);
-        let out = ompc::run_compiled(&prog, OmpConfig::fast_test(4));
+        let out = run_on(&prog, 4);
         assert!(!out.races.is_empty(), "{file}: no dynamic race observed");
         let hit = out.races.iter().any(|r| {
             let s = |sp: ompc::Span| (sp.line, sp.col);
@@ -186,7 +195,7 @@ fn dynamic_checker_silent_on_clean_programs() {
         "fib.omp",
     ] {
         let prog = compile(&fixture(file)).unwrap().check_races(true);
-        let out = ompc::run_compiled(&prog, OmpConfig::fast_test(4));
+        let out = run_on(&prog, 4);
         assert!(
             out.races.is_empty(),
             "{file}: false dynamic races {:?}",
@@ -200,7 +209,7 @@ fn dynamic_checker_silent_on_clean_programs() {
 #[test]
 fn race_checking_is_off_by_default() {
     let src = fixture("racy/team_incr.omp");
-    let out = ompc::run_compiled(&compile(&src).unwrap(), OmpConfig::fast_test(2));
+    let out = run_on(&compile(&src).unwrap(), 2);
     assert!(out.races.is_empty());
 }
 

@@ -1,11 +1,20 @@
 //! Feature-level execution tests: small programs exercising one
 //! construct each, cross-checked against hand-computed results.
 
-use nomp::{OmpConfig, Schedule};
+use nomp::{Cluster, OmpConfig, RunReport, Schedule};
+use ompc::ProgramOutput;
 
-fn run(src: &str, nodes: usize) -> ompc::OmpOutcome {
-    ompc::run_source(src, OmpConfig::fast_test(nodes))
-        .unwrap_or_else(|d| panic!("compile failed: {d}"))
+/// The program's final state after one run on a fresh `fast_test` cluster.
+fn run(src: &str, nodes: usize) -> ProgramOutput {
+    report(src, OmpConfig::fast_test(nodes)).result
+}
+
+/// The same, with the job's measurements.
+fn report(src: &str, cfg: OmpConfig) -> RunReport<ProgramOutput> {
+    let prog = ompc::compile(src).unwrap_or_else(|d| panic!("compile failed: {d}"));
+    Cluster::from_config(cfg)
+        .run(&prog)
+        .expect("a fresh cluster accepts a job")
 }
 
 #[test]
@@ -220,7 +229,7 @@ fn schedule_runtime_follows_the_config() {
     ] {
         let mut cfg = OmpConfig::fast_test(3);
         cfg.runtime_schedule = rs;
-        let out = ompc::run_source(src, cfg).unwrap();
+        let out = report(src, cfg).result;
         assert_eq!(out.scalars["s"], 4950.0, "{rs:?}");
     }
 }
@@ -266,11 +275,11 @@ fn regions_without_reachable_tasks_stay_plain() {
            for (int i = 0; i < 64; i = i + 1) { s = s + i; }\n\
            return 0;\n\
          }";
-    let a = run(plain, 4);
-    let b = run(with_unreachable_task, 4);
-    assert_eq!(a.scalars["s"], 2016.0);
-    assert_eq!(b.scalars["s"], 2016.0);
-    assert_eq!(a.msgs, b.msgs, "plain region paid task-scope overhead");
+    let a = report(plain, OmpConfig::fast_test(4));
+    let b = report(with_unreachable_task, OmpConfig::fast_test(4));
+    assert_eq!(a.result.scalars["s"], 2016.0);
+    assert_eq!(b.result.scalars["s"], 2016.0);
+    assert_eq!(a.msgs(), b.msgs(), "plain region paid task-scope overhead");
 
     // And a program mixing both kinds of region still works: the loop
     // region is plain, the task region schedules tasks.
@@ -297,9 +306,9 @@ fn regions_without_reachable_tasks_stay_plain() {
            }\n\
            return 0;\n\
          }";
-    let m = run(mixed, 4);
-    assert_eq!(m.scalars["s"], 2016.0);
-    assert_eq!(m.scalars["c"], 10.0);
+    let m = report(mixed, OmpConfig::fast_test(4));
+    assert_eq!(m.result.scalars["s"], 2016.0);
+    assert_eq!(m.result.scalars["c"], 10.0);
     assert!(m.dsm.tasks_executed >= 10);
 }
 

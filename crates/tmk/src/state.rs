@@ -534,6 +534,17 @@ impl NodeState {
             !self.needs_full_fetch(pid),
             "push-write to a GC-stale page must fault first"
         );
+        if meta.twin.is_some() {
+            // A notice applied by the service thread mid-interval took
+            // the page Write -> Invalid but kept its open twin (see
+            // `invalidate`). That twin is this interval's diff baseline
+            // and the page is already dirty: twinning again would drop
+            // the interval's earlier writes from the diff and list the
+            // page twice.
+            self.count(TmkOp::PushWrites, 1);
+            self.pages[pid].state = PageState::WritePush;
+            return;
+        }
         let target = if meta.unapplied.is_empty() && meta.readable() {
             PageState::Write
         } else {
@@ -754,6 +765,34 @@ mod tests {
         assert_eq!(meta.diffs.len(), 1);
         let d = &meta.diffs[&1];
         assert_eq!(d.data_bytes(), 1, "only byte 10 changed in interval 1");
+    }
+
+    #[test]
+    fn push_write_after_mid_interval_invalidate_keeps_the_open_twin() {
+        let mut st = mk(0, 2);
+        touch_write(&mut st, 0, 10, 7); // A, under the interval's twin
+        let rec = NoticeRec {
+            id: IntervalId { node: 1, seq: 1 },
+            vc_sum: 1,
+        };
+        st.invalidate(0, rec); // the service thread applies a remote notice
+        assert_eq!(st.pages[0].state, PageState::Invalid);
+        assert!(st.pages[0].twin.is_some(), "open twin survives");
+
+        st.start_write_push(0);
+        let r = st.page_range(0);
+        st.mem[r][20] = 9; // B
+        assert_eq!(st.pages[0].state, PageState::WritePush);
+        assert_eq!(st.dirty, vec![0], "dirty lists the page once");
+        assert_eq!(st.stats.twins_created, 1, "no second twin");
+
+        st.close_interval();
+        assert_eq!(st.pages[0].state, PageState::Invalid, "notice still owed");
+        let diffs = st.serve_diffs(0, &[1]);
+        let mut page = vec![0u8; st.cfg.page_size];
+        diffs[0].1.apply(&mut page);
+        assert_eq!((page[10], page[20]), (7, 9), "diff carries A and B");
+        assert_eq!(diffs[0].1.data_bytes(), 2);
     }
 
     #[test]

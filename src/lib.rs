@@ -54,7 +54,7 @@ pub mod prelude {
         NowProgram, OmpConfig, OmpThread, Profile, RedOp, RunReport, Schedule, SharedScalar,
         SharedVec, ThreadPrivate, Trace, TraceConfig,
     };
-    pub use tmk::{RunOutcome, Shareable, Tmk, TmkConfig};
+    pub use tmk::{Shareable, Tmk, TmkConfig};
 
     pub use now_service::{
         JobRequest, JobValue, Rejected, Service, ServiceConfig, ServiceHandle, ServiceReport,

@@ -1,18 +1,7 @@
 //! Cross-crate semantics tests of the OpenMP layer over the DSM: the
 //! directive behaviours the paper's §2–3 define.
 
-use nomp::{Cluster, Env, Job, OmpConfig, RedOp, RunReport, Schedule, ThreadPrivate};
-
-/// One-job run through the `Cluster` session API (these tests each need
-/// a differently shaped cluster, so they build one per job).
-fn run<R: Send + 'static>(
-    cfg: OmpConfig,
-    f: impl FnOnce(&mut Env<'_>) -> R + Send + 'static,
-) -> RunReport<R> {
-    Cluster::from_config(cfg)
-        .run(Job::new(f))
-        .expect("cluster job")
-}
+use nomp::{run, OmpConfig, RedOp, Schedule, ThreadPrivate};
 
 #[test]
 fn default_private_shared_explicit() {

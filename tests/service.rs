@@ -562,6 +562,27 @@ fn tcp_front_door_serves_submit_status_drain() {
     let r = send("not json");
     assert!(r.contains("\"error\":\"bad_json\""), "{r}");
 
+    // Hostile lines get a typed reply and the process keeps serving: a
+    // line nested far past the parser's limit (it used to overflow the
+    // handler's stack and abort), and deadlines past `Duration`'s and
+    // `Instant`'s range (they used to panic the handler / dispatcher).
+    let r = send(&"[".repeat(200_000));
+    assert!(r.contains("\"error\":\"bad_json\""), "{r}");
+    let r = send(r#"{"op":"submit","closure":"answer","deadline_ms":1e300}"#);
+    assert!(
+        r.contains("\"error\":\"bad_request\"") && r.contains("out of range"),
+        "{r}"
+    );
+    let r = send(r#"{"op":"submit","closure":"answer","deadline_ms":1e22,"wait":true}"#);
+    assert!(r.contains("\"value\":42"), "{r}");
+    {
+        let fresh = std::net::TcpStream::connect(front.addr()).expect("connect again");
+        (&fresh).write_all(b"{\"op\":\"status\"}\n").expect("write");
+        let mut reply = String::new();
+        BufReader::new(&fresh).read_line(&mut reply).expect("read");
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+    }
+
     // Status and metrics verbs.
     let r = send(r#"{"op":"status"}"#);
     assert!(
@@ -574,7 +595,7 @@ fn tcp_front_door_serves_submit_status_drain() {
     // Drain over the wire: stops admission, finishes in-flight work.
     let r = send(r#"{"op":"drain"}"#);
     assert!(
-        r.contains("\"drained\":true") && r.contains("\"completed\":2"),
+        r.contains("\"drained\":true") && r.contains("\"completed\":3"),
         "{r}"
     );
     let r = send(r#"{"op":"submit","closure":"answer"}"#);
