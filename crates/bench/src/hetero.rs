@@ -311,15 +311,16 @@ fn uniform_of<'a>(rows: &'a [HeteroRow], r: &HeteroRow) -> &'a HeteroRow {
         .expect("uniform baseline present")
 }
 
-/// Assert the sweep's invariants (see module docs). Panics with a
-/// description when one fails.
+/// Assert the sweep's invariants (see module docs) for every kernel that
+/// has rows. Panics with a description when one fails.
 pub fn check_rows(rows: &[HeteroRow]) {
     let cell = |k: &str, sc: Scenario, s: Schedule| -> &HeteroRow {
         rows.iter()
             .find(|r| r.kernel == k && r.scenario == sc && r.schedule == s)
             .expect("sweep cell present")
     };
-    for kernel in KERNELS {
+    let present = |k: &&str| rows.iter().any(|r| r.kernel == *k);
+    for kernel in KERNELS.into_iter().filter(present) {
         // Every cell computes the same answer.
         let native = native_reference(kernel);
         let tol = 1e-9 * native.abs().max(1.0);
@@ -433,40 +434,12 @@ mod tests {
                 rows.push(run_cell("pi", scenario, schedule, nodes));
             }
         }
-        let cell = |sc: Scenario, s: Schedule| -> &HeteroRow {
-            rows.iter()
-                .find(|r| r.scenario == sc && r.schedule == s)
-                .unwrap()
-        };
-        let native = native_reference("pi");
-        for r in &rows {
-            assert!(
-                (r.result - native).abs() <= 1e-9,
-                "{}/{}: wrong pi {}",
-                r.scenario.name(),
-                r.schedule,
-                r.result
-            );
-        }
-        let st = cell(Scenario::SlowNode, Schedule::Static);
-        let dy = cell(Scenario::SlowNode, Schedule::Dynamic(MIN_CHUNK));
-        for s in [Schedule::Adaptive(MIN_CHUNK), Schedule::Affinity] {
-            let r = cell(Scenario::SlowNode, s);
-            assert!(
-                r.vt_ns < st.vt_ns,
-                "{s} ({} ns) must beat static ({} ns) with a 2x-slow node",
-                r.vt_ns,
-                st.vt_ns
-            );
-            assert!(
-                r.msgs < dy.msgs,
-                "{s} ({} msgs) must pay fewer messages than dynamic ({})",
-                r.msgs,
-                dy.msgs
-            );
-        }
+        check_rows(&rows);
         // The slow node really slows static down vs its uniform baseline.
-        let st_uni = cell(Scenario::Uniform, Schedule::Static);
+        let slow_static =
+            |r: &&HeteroRow| (r.scenario, r.schedule) == (Scenario::SlowNode, Schedule::Static);
+        let st = rows.iter().find(slow_static).unwrap();
+        let st_uni = uniform_of(&rows, st);
         assert!(
             st.vt_ns as f64 > 1.25 * st_uni.vt_ns as f64,
             "2x-slow node must hurt static ({} vs uniform {})",

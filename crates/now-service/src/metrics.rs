@@ -48,6 +48,16 @@ impl TenantMetrics {
         }
     }
 
+    /// Total rejected submissions, all reasons — the one place the
+    /// reasons are summed (the snapshot and `status` both report it).
+    pub(crate) fn rejected(&self) -> u64 {
+        self.rejected_queue_full.get()
+            + self.rejected_draining.get()
+            + self.rejected_deadline.get()
+            + self.rejected_unknown.get()
+            + self.rejected_lint.get()
+    }
+
     fn snapshot(&self) -> TenantMetricsSnapshot {
         TenantMetricsSnapshot {
             name: self.name.clone(),
@@ -61,6 +71,7 @@ impl TenantMetrics {
             rejected_deadline: self.rejected_deadline.get(),
             rejected_unknown: self.rejected_unknown.get(),
             rejected_lint: self.rejected_lint.get(),
+            rejected: self.rejected(),
             queue_wait_host_ns: self.queue_wait_host_ns.snapshot(),
             service_host_ns: self.service_host_ns.snapshot(),
         }
@@ -140,6 +151,8 @@ pub struct TenantMetricsSnapshot {
     /// Submissions rejected because the static analyzer denied the
     /// program (`deny_races` admission policy).
     pub rejected_lint: u64,
+    /// All reasons, as summed by `TenantMetrics::rejected`.
+    rejected: u64,
     /// Host nanoseconds from admission to dispatch.
     pub queue_wait_host_ns: HistogramSnapshot,
     /// Host nanoseconds a job spent running on its cluster.
@@ -149,11 +162,7 @@ pub struct TenantMetricsSnapshot {
 impl TenantMetricsSnapshot {
     /// Total rejected submissions, all reasons.
     pub fn rejected(&self) -> u64 {
-        self.rejected_queue_full
-            + self.rejected_draining
-            + self.rejected_deadline
-            + self.rejected_unknown
-            + self.rejected_lint
+        self.rejected
     }
 }
 

@@ -642,10 +642,7 @@ impl Shared {
                         completed: m.completed.get(),
                         expired: m.expired.get(),
                         failed: m.failed.get(),
-                        rejected: m.rejected_queue_full.get()
-                            + m.rejected_draining.get()
-                            + m.rejected_deadline.get()
-                            + m.rejected_unknown.get(),
+                        rejected: m.rejected(),
                     }
                 })
                 .collect(),

@@ -13,9 +13,10 @@
 
 use crate::addr::{AllocTable, PageId};
 use crate::interval::IntervalId;
-use crate::metrics::{NodeMetrics, OpLat, TmkOp};
+use crate::metrics::{NodeMetrics, OpLat};
 use crate::protocol::{Msg, Region};
 use crate::state::NodeState;
+use crate::stats::TmkOp;
 use crossbeam::channel::Receiver;
 use now_net::Wire as _;
 use now_net::{ComputeMeter, Delivered, Endpoint, ThreadLane, VirtualClock};
@@ -246,29 +247,35 @@ impl Tmk {
         }
     }
 
-    /// Run a network-touching protocol operation under the usual
-    /// meter/gate/wire brackets, always recording its latency (virtual
-    /// and host) into the node's lifetime histograms for `lat`, and
-    /// additionally a `kind` trace span when tracing is armed. The
-    /// recorder only *reads* this thread's frontier before and after
-    /// the operation — it advances no clock — so neither metrics nor
-    /// tracing can change virtual time, statistics, or traffic.
+    /// Time `f` as one occurrence of the blocking op `lat`: always record
+    /// its latency (virtual and host) into the node's lifetime histograms,
+    /// plus its trace span when tracing is armed. `now` reads the virtual
+    /// frontier to stamp with (a lane parked inside [`Tmk::on_wire`] does
+    /// not move, so sites there pass the node clock). Only *reads* clocks,
+    /// so it cannot change virtual time, statistics, or traffic.
     #[inline]
-    fn traced_op(&mut self, kind: EventKind, lat: OpLat, a: u64, f: impl FnOnce(&mut Self)) {
-        self.metered(|s| {
-            let host0 = std::time::Instant::now();
-            let t0 = s.thread_vt();
-            s.on_wire(f);
-            let t1 = s.thread_vt();
-            s.metrics.observe(
-                lat,
-                t1.saturating_sub(t0),
-                host0.elapsed().as_nanos() as u64,
-            );
-            if s.ep.tracer().on() {
-                s.ep.tracer().span(kind, s.lane_tid, t0, t1, a, 0);
-            }
-        });
+    fn timed(&mut self, lat: OpLat, a: u64, now: fn(&Self) -> u64, f: impl FnOnce(&mut Self)) {
+        let host0 = std::time::Instant::now();
+        let t0 = now(self);
+        f(self);
+        let t1 = now(self);
+        self.metrics.observe(
+            lat,
+            t1.saturating_sub(t0),
+            host0.elapsed().as_nanos() as u64,
+        );
+        if self.ep.tracer().on() {
+            self.ep
+                .tracer()
+                .span(lat.event(), self.lane_tid, t0, t1, a, 0);
+        }
+    }
+
+    /// Run a network-touching protocol operation under the usual
+    /// meter/gate/wire brackets, [`Tmk::timed`] as `lat`.
+    #[inline]
+    fn traced_op(&mut self, lat: OpLat, a: u64, f: impl FnOnce(&mut Self)) {
+        self.metered(|s| s.timed(lat, a, Self::thread_vt, |s| s.on_wire(f)));
     }
 
     /// Bracket a network-touching protocol segment: the node clock (which
@@ -343,25 +350,9 @@ impl Tmk {
     /// overlaps (the request-aggregation effect of the compiler/runtime
     /// integration the paper cites as future work).
     pub(crate) fn fault_pages(&mut self, pids: &[PageId]) {
-        let host0 = std::time::Instant::now();
-        let t0 = self.thread_vt();
-        self.on_wire(|s| s.fault_pages_inner(pids));
-        let t1 = self.thread_vt();
-        self.metrics.observe(
-            OpLat::PageFault,
-            t1.saturating_sub(t0),
-            host0.elapsed().as_nanos() as u64,
-        );
-        if self.ep.tracer().on() {
-            self.ep.tracer().span(
-                EventKind::PageFault,
-                self.lane_tid,
-                t0,
-                t1,
-                pids.len() as u64,
-                0,
-            );
-        }
+        self.timed(OpLat::PageFault, pids.len() as u64, Self::thread_vt, |s| {
+            s.on_wire(|s| s.fault_pages_inner(pids))
+        });
     }
 
     fn fault_pages_inner(&mut self, pids: &[PageId]) {
@@ -479,9 +470,7 @@ impl Tmk {
              runtime's two-level barrier)"
         );
         let epoch = self.barrier_epoch;
-        self.traced_op(EventKind::BarrierWait, OpLat::Barrier, epoch as u64, |s| {
-            s.barrier_inner()
-        });
+        self.traced_op(OpLat::Barrier, epoch as u64, |s| s.barrier_inner());
     }
 
     fn barrier_inner(&mut self) {
@@ -525,21 +514,15 @@ impl Tmk {
             // under one lock tenure at the barrier manager, so every node
             // receives the identical clock and the GC round is scoped to
             // the same interval set cluster-wide — even if a manager
-            // node's own log has already grown past it.
-            let host0 = std::time::Instant::now();
-            let t0 = self.clock.now();
-            self.run_gc(epoch, &bundle.pvc);
-            let t1 = self.clock.now();
-            self.metrics.observe(
+            // node's own log has already grown past it. Stamped with the
+            // node clock: this runs inside the barrier's wire bracket,
+            // where the thread's lane is parked.
+            self.timed(
                 OpLat::Gc,
-                t1.saturating_sub(t0),
-                host0.elapsed().as_nanos() as u64,
+                epoch as u64,
+                |s| s.clock.now(),
+                |s| s.run_gc(epoch, &bundle.pvc),
             );
-            if self.ep.tracer().on() {
-                self.ep
-                    .tracer()
-                    .span(EventKind::Gc, self.lane_tid, t0, t1, epoch as u64, 0);
-            }
         }
     }
 
@@ -576,14 +559,14 @@ impl Tmk {
     /// the requester lacks. A manager-local acquire costs no network
     /// messages (self-sends are free).
     pub fn lock_acquire(&mut self, lock: u32) {
-        self.traced_op(EventKind::LockWait, OpLat::LockAcquire, lock as u64, |s| {
+        self.traced_op(OpLat::LockAcquire, lock as u64, |s| {
             s.lock_acquire_inner(lock)
         });
     }
 
     fn lock_acquire_inner(&mut self, lock: u32) {
         let (mgr, vc) = {
-            let mut st = self.state.lock();
+            let st = self.state.lock();
             assert!(
                 !st.held_locks.contains(&lock),
                 "recursive lock_acquire({lock})"
@@ -620,12 +603,9 @@ impl Tmk {
     /// notifies the manager, which passes the lock (and our new write
     /// notices) to the earliest waiter.
     pub fn lock_release(&mut self, lock: u32) {
-        self.traced_op(
-            EventKind::LockRelease,
-            OpLat::LockRelease,
-            lock as u64,
-            |s| s.lock_release_inner(lock),
-        );
+        self.traced_op(OpLat::LockRelease, lock as u64, |s| {
+            s.lock_release_inner(lock)
+        });
     }
 
     fn lock_release_inner(&mut self, lock: u32) {
@@ -660,7 +640,7 @@ impl Tmk {
     /// `sema_signal(S)`: release semantics; two messages (to the manager,
     /// plus its acknowledgment), independent of the node count.
     pub fn sema_signal(&mut self, sema: u32) {
-        self.traced_op(EventKind::SemaSignal, OpLat::SemaSignal, sema as u64, |s| {
+        self.traced_op(OpLat::SemaSignal, sema as u64, |s| {
             s.sema_signal_inner(sema)
         });
     }
@@ -689,9 +669,7 @@ impl Tmk {
     /// until a signal is available, then applies the consistency
     /// information the manager forwards.
     pub fn sema_wait(&mut self, sema: u32) {
-        self.traced_op(EventKind::SemaWait, OpLat::SemaWait, sema as u64, |s| {
-            s.sema_wait_inner(sema)
-        });
+        self.traced_op(OpLat::SemaWait, sema as u64, |s| s.sema_wait_inner(sema));
     }
 
     fn sema_wait_inner(&mut self, sema: u32) {
@@ -730,7 +708,7 @@ impl Tmk {
     /// `cond_wait(cond)` under `lock`: atomically release the lock and
     /// block until signaled; re-acquires the lock before returning.
     pub fn cond_wait(&mut self, lock: u32, cond: u32) {
-        self.traced_op(EventKind::CondWait, OpLat::CondWait, cond as u64, |s| {
+        self.traced_op(OpLat::CondWait, cond as u64, |s| {
             s.cond_wait_inner(lock, cond)
         });
     }
@@ -776,49 +754,39 @@ impl Tmk {
     /// `cond_signal(cond)` under `lock`: unblock one waiter (no effect if
     /// none — unlike a semaphore signal).
     pub fn cond_signal(&mut self, lock: u32, cond: u32) {
-        self.metered(|s| {
-            s.on_wire(|s| {
-                debug_assert!(
-                    s.state.lock().held_locks.contains(&lock),
-                    "cond_signal outside critical section {lock}"
-                );
-                s.state.lock().count(TmkOp::CondSignals, 1);
-                let mgr = s.state.lock().manager_of(lock);
-                let req_vt = s.clock.now();
-                s.ep.send(mgr, Msg::CondSignal { lock, cond, req_vt });
-                if s.ep.tracer().on() {
-                    s.ep.tracer().instant(
-                        EventKind::CondSignal,
-                        s.lane_tid,
-                        s.clock.now(),
-                        cond as u64,
-                        0,
-                    );
-                }
-            })
-        });
+        self.cond_notify(lock, cond, false);
     }
 
     /// `cond_broadcast(cond)` under `lock`: unblock all waiters.
     pub fn cond_broadcast(&mut self, lock: u32, cond: u32) {
+        self.cond_notify(lock, cond, true);
+    }
+
+    /// Move one waiter of `cond` (or, with `all`, every waiter) to the
+    /// lock queue: one fire-and-forget message to the lock's manager.
+    fn cond_notify(&mut self, lock: u32, cond: u32, all: bool) {
         self.metered(|s| {
             s.on_wire(|s| {
                 debug_assert!(
                     s.state.lock().held_locks.contains(&lock),
-                    "cond_broadcast outside critical section {lock}"
+                    "cond_signal/cond_broadcast outside critical section {lock}"
                 );
-                s.state.lock().count(TmkOp::CondBroadcasts, 1);
                 let mgr = s.state.lock().manager_of(lock);
                 let req_vt = s.clock.now();
-                s.ep.send(mgr, Msg::CondBroadcast { lock, cond, req_vt });
+                if all {
+                    s.count_op(TmkOp::CondBroadcasts, 1);
+                    s.ep.send(mgr, Msg::CondBroadcast { lock, cond, req_vt });
+                } else {
+                    s.count_op(TmkOp::CondSignals, 1);
+                    s.ep.send(mgr, Msg::CondSignal { lock, cond, req_vt });
+                }
                 if s.ep.tracer().on() {
-                    // b = 1 distinguishes a broadcast from a signal.
                     s.ep.tracer().instant(
                         EventKind::CondSignal,
                         s.lane_tid,
                         s.clock.now(),
                         cond as u64,
-                        1,
+                        all as u64, // b = 1 distinguishes a broadcast
                     );
                 }
             })
@@ -833,7 +801,7 @@ impl Tmk {
     /// threads. Costs 2(n−1) messages — the expense that motivates the
     /// paper's semaphore/condition-variable proposal.
     pub fn flush(&mut self) {
-        self.traced_op(EventKind::Flush, OpLat::Flush, 0, |s| s.flush_inner());
+        self.traced_op(OpLat::Flush, 0, |s| s.flush_inner());
     }
 
     fn flush_inner(&mut self) {
@@ -1053,14 +1021,13 @@ impl Tmk {
         self.lane.is_some()
     }
 
-    /// Bump a protocol statistic (for runtime layers built on top of the
+    /// Count a protocol event (for runtime layers built on top of the
     /// DSM — e.g. the OpenMP tasking scheduler — that surface their own
-    /// event counters through [`crate::TmkStats`]). Increments both the
-    /// per-job stats field and the node's lifetime metrics counter, so the
-    /// two views stay exactly reconciled. Bookkeeping only: runs off the
-    /// compute meter and touches no protocol state.
+    /// event counters through [`crate::TmkStats`]): a relaxed add on the
+    /// node's one counter for `op`. Bookkeeping only: runs off the compute
+    /// meter, takes no lock and touches no protocol state.
     pub fn count_op(&mut self, op: TmkOp, n: u64) {
-        self.state.lock().count(op, n);
+        self.metrics.op(op).add(n);
     }
 
     /// This node's lifetime metrics block (shared with the

@@ -66,9 +66,7 @@ pub use config::TmkConfig;
 pub use diff::{Diff, DiffRun};
 pub use interval::{IntervalId, IntervalInfo, NoticeBundle, VectorClock};
 pub use memory::{Shareable, SharedScalar, SharedVec};
-pub use metrics::{
-    MetricsRegistry, MetricsSnapshot, NodeMetrics, NodeMetricsSnapshot, OpLat, TmkOp,
-};
+pub use metrics::{MetricsRegistry, MetricsSnapshot, NodeMetrics, NodeMetricsSnapshot, OpLat};
 pub use now_metrics::{
     validate_json, validate_prometheus_text, Counter, Gauge, Histogram, HistogramSnapshot,
     NetMetricsSnapshot,
@@ -76,5 +74,5 @@ pub use now_metrics::{
 pub use now_net::StatsSnapshot;
 pub use now_trace::{EventKind, Profile, Trace, TraceConfig, TraceEvent};
 pub use page::PageState;
-pub use stats::TmkStats;
+pub use stats::{TmkOp, TmkStats};
 pub use system::{run_system, RunOutcome, System, SystemDown};

@@ -2,22 +2,22 @@
 //! registry owned by [`System`](crate::system::System), and snapshots
 //! with Prometheus / JSON export.
 //!
-//! Where `TmkStats` is a per-job delta (snapshotted and reset at every
-//! warm-cluster job boundary), the metrics here are *cluster-lifetime*
-//! aggregates: they accumulate across the whole job stream and add
-//! dimensions the per-job counters cannot express — latency
-//! distributions per op kind (virtual and host), jobs completed/failed,
-//! warm-reset durations, cumulative traffic, uptime.
+//! The metrics here are *cluster-lifetime* aggregates: they accumulate
+//! across the whole job stream and are never reset. The per-op counters
+//! are the only place a DSM op is counted — a per-job `TmkStats` is the
+//! difference of two readings of them, taken at consecutive job
+//! boundaries. Beyond those counts the registry adds dimensions a
+//! `TmkStats` cannot express — latency distributions per op kind
+//! (virtual and host), jobs completed/failed, warm-reset durations,
+//! cumulative traffic, uptime.
 //!
 //! Recording-path invariants (see DESIGN.md):
 //!
 //! - never advances a virtual clock, sends a message, or takes a lock;
 //! - no allocation: everything is preallocated at registry build;
-//! - every `TmkStats` increment goes through [`NodeState::count`]
-//!   (crate::state::NodeState::count), which bumps the stats field and
-//!   the matching lifetime counter in the same call — so lifetime
-//!   per-op counters reconcile *exactly* with the sum of per-job
-//!   `TmkStats` deltas, by construction.
+//! - one counter per op: every count site is a relaxed add on
+//!   [`NodeMetrics::op`], so lifetime per-op counters equal the sum of
+//!   per-job `TmkStats` deltas because the deltas are computed from them.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -25,139 +25,57 @@ use std::time::Instant;
 use now_metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, NetMetrics, NetMetricsSnapshot, PromText,
 };
+use now_trace::EventKind;
 
-use crate::stats::TmkStats;
+use crate::stats::{TmkOp, TmkStats};
 
-macro_rules! tmk_ops {
-    ($(($variant:ident, $field:ident)),* $(,)?) => {
-        /// One countable DSM/runtime protocol event, mirroring the
-        /// fields of [`TmkStats`] one-for-one. Every increment of a
-        /// stats field is paired with the same-named lifetime counter,
-        /// which is what makes snapshot/delta reconciliation exact.
+macro_rules! op_lats {
+    ($(($variant:ident, $label:literal, $event:ident, $doc:literal)),* $(,)?) => {
+        /// A blocking protocol operation whose latency is tracked as a
+        /// pair of histograms (virtual nanoseconds and host nanoseconds)
+        /// per node, and whose every occurrence is one trace span.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-        pub enum TmkOp {
+        pub enum OpLat {
             $(
-                #[doc = concat!("Counter for [`TmkStats::", stringify!($field), "`].")]
+                #[doc = $doc]
                 $variant,
             )*
         }
 
-        impl TmkOp {
-            /// Every op, in [`TmkStats`] field order.
-            pub const ALL: &'static [TmkOp] = &[$(TmkOp::$variant),*];
+        impl OpLat {
+            /// Every latency-tracked op.
+            pub const ALL: &'static [OpLat] = &[$(OpLat::$variant),*];
 
-            /// Number of ops.
-            pub const COUNT: usize = TmkOp::ALL.len();
+            /// Number of latency-tracked ops.
+            pub const COUNT: usize = OpLat::ALL.len();
 
-            /// The snake_case stats-field name (used as the `op` label).
+            /// The `op` label value.
             pub fn name(self) -> &'static str {
                 match self {
-                    $(TmkOp::$variant => stringify!($field)),*
+                    $(OpLat::$variant => $label),*
                 }
             }
 
-            /// Read the matching field of a [`TmkStats`].
-            pub fn read(self, s: &TmkStats) -> u64 {
+            /// The trace span kind recorded for this op.
+            pub fn event(self) -> EventKind {
                 match self {
-                    $(TmkOp::$variant => s.$field),*
-                }
-            }
-
-            /// Add `n` to the matching field of a [`TmkStats`].
-            pub fn add_to(self, s: &mut TmkStats, n: u64) {
-                match self {
-                    $(TmkOp::$variant => s.$field += n),*
+                    $(OpLat::$variant => EventKind::$event),*
                 }
             }
         }
     };
 }
 
-tmk_ops! {
-    (ReadFaults, read_faults),
-    (TwinsCreated, twins_created),
-    (DiffsCreated, diffs_created),
-    (DiffBytesCreated, diff_bytes_created),
-    (DiffsApplied, diffs_applied),
-    (Invalidations, invalidations),
-    (IntervalsClosed, intervals_closed),
-    (PageFetches, page_fetches),
-    (PageServes, page_serves),
-    (Barriers, barriers),
-    (LockAcquires, lock_acquires),
-    (LockAcquiresLocal, lock_acquires_local),
-    (SemaSignals, sema_signals),
-    (SemaWaits, sema_waits),
-    (CondWaits, cond_waits),
-    (CondSignals, cond_signals),
-    (CondBroadcasts, cond_broadcasts),
-    (Flushes, flushes),
-    (Forks, forks),
-    (GcRuns, gc_runs),
-    (PushWrites, push_writes),
-    (TasksSpawned, tasks_spawned),
-    (TasksExecuted, tasks_executed),
-    (TasksStolen, tasks_stolen),
-    (StealAttempts, steal_attempts),
-    (TaskOverflows, task_overflows),
-    (LoopSteals, loop_steals),
-}
-
-/// A blocking protocol operation whose latency is tracked as a pair of
-/// histograms (virtual nanoseconds and host nanoseconds) per node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpLat {
-    /// A page fault, from trap to data installed (may cover a batch).
-    PageFault,
-    /// A DSM barrier episode, arrival to departure.
-    Barrier,
-    /// A lock acquire, request to grant (or local fast path).
-    LockAcquire,
-    /// A lock release, including diff/interval bookkeeping.
-    LockRelease,
-    /// A semaphore signal round trip to the manager.
-    SemaSignal,
-    /// A semaphore wait, request to grant.
-    SemaWait,
-    /// A condition-variable wait, release to wakeup.
-    CondWait,
-    /// An OpenMP flush round.
-    Flush,
-    /// A diff garbage-collection round (inside a barrier).
-    Gc,
-}
-
-impl OpLat {
-    /// Every latency-tracked op.
-    pub const ALL: &'static [OpLat] = &[
-        OpLat::PageFault,
-        OpLat::Barrier,
-        OpLat::LockAcquire,
-        OpLat::LockRelease,
-        OpLat::SemaSignal,
-        OpLat::SemaWait,
-        OpLat::CondWait,
-        OpLat::Flush,
-        OpLat::Gc,
-    ];
-
-    /// Number of latency-tracked ops.
-    pub const COUNT: usize = OpLat::ALL.len();
-
-    /// The `op` label value.
-    pub fn name(self) -> &'static str {
-        match self {
-            OpLat::PageFault => "page_fault",
-            OpLat::Barrier => "barrier",
-            OpLat::LockAcquire => "lock_acquire",
-            OpLat::LockRelease => "lock_release",
-            OpLat::SemaSignal => "sema_signal",
-            OpLat::SemaWait => "sema_wait",
-            OpLat::CondWait => "cond_wait",
-            OpLat::Flush => "flush",
-            OpLat::Gc => "gc",
-        }
-    }
+op_lats! {
+    (PageFault, "page_fault", PageFault, "A page fault, from trap to data installed (may cover a batch)."),
+    (Barrier, "barrier", BarrierWait, "A DSM barrier episode, arrival to departure."),
+    (LockAcquire, "lock_acquire", LockWait, "A lock acquire, request to grant (or local fast path)."),
+    (LockRelease, "lock_release", LockRelease, "A lock release, including diff/interval bookkeeping."),
+    (SemaSignal, "sema_signal", SemaSignal, "A semaphore signal round trip to the manager."),
+    (SemaWait, "sema_wait", SemaWait, "A semaphore wait, request to grant."),
+    (CondWait, "cond_wait", CondWait, "A condition-variable wait, release to wakeup."),
+    (Flush, "flush", Flush, "An OpenMP flush round."),
+    (Gc, "gc", Gc, "A diff garbage-collection round (inside a barrier)."),
 }
 
 /// One node's lifetime metrics block. Shared (`Arc`) between the
@@ -306,6 +224,16 @@ impl MetricsRegistry {
         &self.net
     }
 
+    /// The op counters summed over all nodes: `TmkOp::COUNT × nodes`
+    /// relaxed loads, no histogram copies (the job-boundary reading).
+    pub(crate) fn op_totals(&self) -> TmkStats {
+        let mut s = TmkStats::default();
+        for op in TmkOp::ALL {
+            op.add_to(&mut s, self.nodes.iter().map(|m| m.op(*op).get()).sum());
+        }
+        s
+    }
+
     /// A consistent point-in-time copy of every metric.
     ///
     /// Safe to call between and during jobs: recording is relaxed
@@ -360,9 +288,9 @@ impl MetricsSnapshot {
 
     /// The cluster-total op counters reassembled as a [`TmkStats`].
     ///
-    /// Because every stats increment also bumps the lifetime counter,
-    /// this equals the sum of all per-job `TmkStats` deltas over the
-    /// cluster's job stream (plus any ops of a job currently running).
+    /// Per-job `TmkStats` are boundary deltas of these counters, so
+    /// this equals their sum over the cluster's job stream (plus any
+    /// ops of a job currently running).
     pub fn ops_as_stats(&self) -> TmkStats {
         let mut s = TmkStats::default();
         for op in TmkOp::ALL {
@@ -446,58 +374,57 @@ impl MetricsSnapshot {
             }
         }
 
-        p.family(
-            "now_op_vt_ns",
-            "Virtual-time latency of blocking protocol ops (cluster-merged).",
-            "histogram",
-        );
-        for op in OpLat::ALL {
-            p.histogram(
+        type Total = fn(&MetricsSnapshot, OpLat) -> HistogramSnapshot;
+        let lats: [(&str, &str, Total); 2] = [
+            (
                 "now_op_vt_ns",
-                &[("op", op.name())],
-                &self.lat_vt_total(*op),
-            );
-        }
-        p.family(
-            "now_op_host_ns",
-            "Host-time latency of blocking protocol ops (cluster-merged).",
-            "histogram",
-        );
-        for op in OpLat::ALL {
-            p.histogram(
+                "Virtual-time latency of blocking protocol ops (cluster-merged).",
+                Self::lat_vt_total,
+            ),
+            (
                 "now_op_host_ns",
-                &[("op", op.name())],
-                &self.lat_host_total(*op),
-            );
+                "Host-time latency of blocking protocol ops (cluster-merged).",
+                Self::lat_host_total,
+            ),
+        ];
+        for (family, help, total) in lats {
+            p.family(family, help, "histogram");
+            for op in OpLat::ALL {
+                p.histogram(family, &[("op", op.name())], &total(self, *op));
+            }
         }
 
-        p.family(
-            "now_smp_team_forks_total",
-            "SMP teams forked per node.",
-            "counter",
-        );
-        p.family(
-            "now_smp_local_barriers_total",
-            "Node-local two-level barrier episodes per node (one per thread).",
-            "counter",
-        );
-        p.family(
-            "now_loop_chunks_total",
-            "Loop chunks claimed per node.",
-            "counter",
-        );
-        p.family(
-            "now_loop_chunk_iters_total",
-            "Loop iterations across claimed chunks per node.",
-            "counter",
-        );
+        type Get = fn(&NodeMetricsSnapshot) -> u64;
+        let per_node: [(&str, &str, Get); 4] = [
+            (
+                "now_smp_team_forks_total",
+                "SMP teams forked per node.",
+                |n| n.team_forks,
+            ),
+            (
+                "now_smp_local_barriers_total",
+                "Node-local two-level barrier episodes per node (one per thread).",
+                |n| n.local_barriers,
+            ),
+            (
+                "now_loop_chunks_total",
+                "Loop chunks claimed per node.",
+                |n| n.chunks_claimed,
+            ),
+            (
+                "now_loop_chunk_iters_total",
+                "Loop iterations across claimed chunks per node.",
+                |n| n.chunk_iters,
+            ),
+        ];
+        for (family, help, _) in per_node {
+            p.family(family, help, "counter");
+        }
         for n in &self.nodes {
             let node = n.node.to_string();
-            let l = [("node", node.as_str())];
-            p.sample("now_smp_team_forks_total", &l, n.team_forks);
-            p.sample("now_smp_local_barriers_total", &l, n.local_barriers);
-            p.sample("now_loop_chunks_total", &l, n.chunks_claimed);
-            p.sample("now_loop_chunk_iters_total", &l, n.chunk_iters);
+            for (family, _, get) in per_node {
+                p.sample(family, &[("node", &node)], get(n));
+            }
         }
         p.family(
             "now_loop_chunk_len",
@@ -510,34 +437,32 @@ impl MetricsSnapshot {
         }
         p.histogram("now_loop_chunk_len", &[], &chunk_len);
 
-        p.family(
-            "now_net_send_msgs_total",
-            "Lifetime remote messages sent per node.",
-            "counter",
-        );
-        p.family(
-            "now_net_send_bytes_total",
-            "Lifetime wire bytes sent per node.",
-            "counter",
-        );
-        p.family(
-            "now_net_recv_msgs_total",
-            "Lifetime remote messages received per node.",
-            "counter",
-        );
-        p.family(
-            "now_net_recv_bytes_total",
-            "Lifetime wire bytes received per node.",
-            "counter",
-        );
-        for (id, ((sm, sb), (rm, rb))) in self.net.send.iter().zip(self.net.recv.iter()).enumerate()
-        {
+        let net_per_node = [
+            (
+                "now_net_send_msgs_total",
+                "Lifetime remote messages sent per node.",
+            ),
+            (
+                "now_net_send_bytes_total",
+                "Lifetime wire bytes sent per node.",
+            ),
+            (
+                "now_net_recv_msgs_total",
+                "Lifetime remote messages received per node.",
+            ),
+            (
+                "now_net_recv_bytes_total",
+                "Lifetime wire bytes received per node.",
+            ),
+        ];
+        for (family, help) in net_per_node {
+            p.family(family, help, "counter");
+        }
+        for (id, (&(sm, sb), &(rm, rb))) in self.net.send.iter().zip(&self.net.recv).enumerate() {
             let node = id.to_string();
-            let l = [("node", node.as_str())];
-            p.sample("now_net_send_msgs_total", &l, *sm);
-            p.sample("now_net_send_bytes_total", &l, *sb);
-            p.sample("now_net_recv_msgs_total", &l, *rm);
-            p.sample("now_net_recv_bytes_total", &l, *rb);
+            for ((family, _), v) in net_per_node.iter().zip([sm, sb, rm, rb]) {
+                p.sample(family, &[("node", &node)], v);
+            }
         }
 
         p.family(
@@ -554,26 +479,14 @@ impl MetricsSnapshot {
             if k.kind == "_other" && k.send_msgs == 0 && k.recv_msgs == 0 {
                 continue;
             }
-            p.sample(
-                "now_net_kind_msgs_total",
-                &[("kind", k.kind), ("dir", "send")],
-                k.send_msgs,
-            );
-            p.sample(
-                "now_net_kind_msgs_total",
-                &[("kind", k.kind), ("dir", "recv")],
-                k.recv_msgs,
-            );
-            p.sample(
-                "now_net_kind_bytes_total",
-                &[("kind", k.kind), ("dir", "send")],
-                k.send_bytes,
-            );
-            p.sample(
-                "now_net_kind_bytes_total",
-                &[("kind", k.kind), ("dir", "recv")],
-                k.recv_bytes,
-            );
+            for (family, dir, v) in [
+                ("now_net_kind_msgs_total", "send", k.send_msgs),
+                ("now_net_kind_msgs_total", "recv", k.recv_msgs),
+                ("now_net_kind_bytes_total", "send", k.send_bytes),
+                ("now_net_kind_bytes_total", "recv", k.recv_bytes),
+            ] {
+                p.sample(family, &[("kind", k.kind), ("dir", dir)], v);
+            }
         }
 
         p.finish()
@@ -738,28 +651,6 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
     use now_metrics::{validate_json, validate_prometheus_text};
-
-    #[test]
-    fn ops_mirror_tmkstats_exactly() {
-        // Every op maps to a distinct field, add_to/read round-trip,
-        // and a stats struct built from all ops merges like TmkStats.
-        let mut names = std::collections::BTreeSet::new();
-        let mut s = TmkStats::default();
-        for (i, op) in TmkOp::ALL.iter().enumerate() {
-            assert!(names.insert(op.name()), "duplicate op name {}", op.name());
-            op.add_to(&mut s, (i + 1) as u64);
-            assert_eq!(op.read(&s), (i + 1) as u64);
-        }
-        assert_eq!(TmkOp::COUNT, 27, "op table tracks TmkStats fields");
-        // A merged copy doubles every field — i.e. the enum covers all
-        // fields that merge() touches (a new TmkStats field without a
-        // TmkOp would make the reconciliation tests fail instead).
-        let mut doubled = s.clone();
-        doubled.merge(&s);
-        for op in TmkOp::ALL {
-            assert_eq!(op.read(&doubled), 2 * op.read(&s));
-        }
-    }
 
     #[test]
     fn registry_snapshot_exports_validate() {

@@ -208,22 +208,44 @@ pub enum Msg {
     /// to the worker loop like a fork, so it runs strictly after every
     /// preceding work item completes).
     ResetReq,
-    /// Slave's reply to [`Msg::ResetReq`], carrying the node's protocol
-    /// counters for the job that just finished (its state is fresh again
-    /// when this is sent).
-    ResetDone {
-        /// The node's per-job protocol event counts.
-        stats: crate::stats::TmkStats,
-    },
+    /// Slave's reply to [`Msg::ResetReq`]: its state is fresh again and
+    /// it will count no more protocol events for the finished job.
+    ResetDone,
     /// Service-thread fence: the sender's inbox is FIFO, so the matching
     /// [`Msg::SyncAck`] proves every message enqueued before this one has
     /// been handled (the master uses it to quiesce its own service thread
-    /// before snapshotting and resetting node state between jobs).
+    /// before reading the op counters and resetting node state between jobs).
     SyncReq,
     /// Reply to [`Msg::SyncReq`].
     SyncAck,
     /// Tear down the node's service loop.
     Shutdown,
+}
+
+/// Generates `Wire::{kind, kinds, kind_id}` from one ordered list of
+/// `(Variant, "label")` rows: a row's position is its `kind_id` and its
+/// slot in the lifetime per-kind traffic metrics.
+macro_rules! msg_kinds {
+    ($(($variant:ident, $label:literal)),* $(,)?) => {
+        fn kind(&self) -> &'static str {
+            match self {
+                $(Msg::$variant { .. } => $label),*
+            }
+        }
+
+        fn kinds() -> &'static [&'static str] {
+            &[$($label),*]
+        }
+
+        fn kind_id(&self) -> usize {
+            enum Id {
+                $($variant),*
+            }
+            match self {
+                $(Msg::$variant { .. } => Id::$variant as usize),*
+            }
+        }
+    };
 }
 
 impl Wire for Msg {
@@ -253,106 +275,38 @@ impl Wire for Msg {
             // Control-plane messages of the warm-cluster job boundary;
             // sent after a job's traffic snapshot and wiped by the
             // statistics reset, so the sizes never reach a report.
-            Msg::ResetReq | Msg::SyncReq | Msg::SyncAck => 4,
-            Msg::ResetDone { .. } => 4 + std::mem::size_of::<crate::stats::TmkStats>(),
+            Msg::ResetReq | Msg::ResetDone | Msg::SyncReq | Msg::SyncAck => 4,
             Msg::Shutdown => 4,
         }
     }
 
-    fn kind(&self) -> &'static str {
-        match self {
-            Msg::DiffReq { .. } => "diff_req",
-            Msg::DiffRep { .. } => "diff_rep",
-            Msg::PageReq { .. } => "page_req",
-            Msg::PageRep { .. } => "page_rep",
-            Msg::LockAcq { .. } => "lock_acq",
-            Msg::LockRelease { .. } => "lock_rel",
-            Msg::LockGrant { .. } => "lock_grant",
-            Msg::BarrierArrive { .. } => "barrier_arrive",
-            Msg::BarrierDepart { .. } => "barrier_depart",
-            Msg::SemaSignal { .. } => "sema_signal",
-            Msg::SemaAck { .. } => "sema_ack",
-            Msg::SemaWait { .. } => "sema_wait",
-            Msg::SemaGrant { .. } => "sema_grant",
-            Msg::CondWait { .. } => "cond_wait",
-            Msg::CondSignal { .. } => "cond_signal",
-            Msg::CondBroadcast { .. } => "cond_broadcast",
-            Msg::FlushNotice { .. } => "flush_notice",
-            Msg::FlushAck => "flush_ack",
-            Msg::Fork { .. } => "fork",
-            Msg::GcDone { .. } => "gc_done",
-            Msg::GcComplete { .. } => "gc_complete",
-            Msg::ResetReq => "reset_req",
-            Msg::ResetDone { .. } => "reset_done",
-            Msg::SyncReq => "sync_req",
-            Msg::SyncAck => "sync_ack",
-            Msg::Shutdown => "shutdown",
-        }
-    }
-
-    fn kinds() -> &'static [&'static str] {
-        // Must stay in sync with `kind`/`kind_id`: `kinds()[m.kind_id()]
-        // == m.kind()` for every message (asserted in tests). Sizes the
-        // lock-free per-kind slots of the lifetime traffic metrics.
-        &[
-            "diff_req",
-            "diff_rep",
-            "page_req",
-            "page_rep",
-            "lock_acq",
-            "lock_rel",
-            "lock_grant",
-            "barrier_arrive",
-            "barrier_depart",
-            "sema_signal",
-            "sema_ack",
-            "sema_wait",
-            "sema_grant",
-            "cond_wait",
-            "cond_signal",
-            "cond_broadcast",
-            "flush_notice",
-            "flush_ack",
-            "fork",
-            "gc_done",
-            "gc_complete",
-            "reset_req",
-            "reset_done",
-            "sync_req",
-            "sync_ack",
-            "shutdown",
-        ]
-    }
-
-    fn kind_id(&self) -> usize {
-        match self {
-            Msg::DiffReq { .. } => 0,
-            Msg::DiffRep { .. } => 1,
-            Msg::PageReq { .. } => 2,
-            Msg::PageRep { .. } => 3,
-            Msg::LockAcq { .. } => 4,
-            Msg::LockRelease { .. } => 5,
-            Msg::LockGrant { .. } => 6,
-            Msg::BarrierArrive { .. } => 7,
-            Msg::BarrierDepart { .. } => 8,
-            Msg::SemaSignal { .. } => 9,
-            Msg::SemaAck { .. } => 10,
-            Msg::SemaWait { .. } => 11,
-            Msg::SemaGrant { .. } => 12,
-            Msg::CondWait { .. } => 13,
-            Msg::CondSignal { .. } => 14,
-            Msg::CondBroadcast { .. } => 15,
-            Msg::FlushNotice { .. } => 16,
-            Msg::FlushAck => 17,
-            Msg::Fork { .. } => 18,
-            Msg::GcDone { .. } => 19,
-            Msg::GcComplete { .. } => 20,
-            Msg::ResetReq => 21,
-            Msg::ResetDone { .. } => 22,
-            Msg::SyncReq => 23,
-            Msg::SyncAck => 24,
-            Msg::Shutdown => 25,
-        }
+    msg_kinds! {
+        (DiffReq, "diff_req"),
+        (DiffRep, "diff_rep"),
+        (PageReq, "page_req"),
+        (PageRep, "page_rep"),
+        (LockAcq, "lock_acq"),
+        (LockRelease, "lock_rel"),
+        (LockGrant, "lock_grant"),
+        (BarrierArrive, "barrier_arrive"),
+        (BarrierDepart, "barrier_depart"),
+        (SemaSignal, "sema_signal"),
+        (SemaAck, "sema_ack"),
+        (SemaWait, "sema_wait"),
+        (SemaGrant, "sema_grant"),
+        (CondWait, "cond_wait"),
+        (CondSignal, "cond_signal"),
+        (CondBroadcast, "cond_broadcast"),
+        (FlushNotice, "flush_notice"),
+        (FlushAck, "flush_ack"),
+        (Fork, "fork"),
+        (GcDone, "gc_done"),
+        (GcComplete, "gc_complete"),
+        (ResetReq, "reset_req"),
+        (ResetDone, "reset_done"),
+        (SyncReq, "sync_req"),
+        (SyncAck, "sync_ack"),
+        (Shutdown, "shutdown"),
     }
 }
 
@@ -406,26 +360,6 @@ mod tests {
             diffs: vec![],
         };
         assert_ne!(a.kind(), b.kind());
-    }
-
-    #[test]
-    fn kind_id_indexes_the_kinds_table() {
-        let table = <Msg as Wire>::kinds();
-        let uniq: std::collections::BTreeSet<_> = table.iter().collect();
-        assert_eq!(uniq.len(), table.len(), "kind strings are distinct");
-        for m in [
-            Msg::DiffReq {
-                page: 1,
-                seqs: vec![],
-            },
-            Msg::FlushAck,
-            Msg::ResetReq,
-            Msg::SyncReq,
-            Msg::SyncAck,
-            Msg::Shutdown,
-        ] {
-            assert_eq!(table[m.kind_id()], m.kind(), "table row mismatch");
-        }
     }
 
     #[test]

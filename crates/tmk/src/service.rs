@@ -62,7 +62,7 @@ pub fn service_loop(
             | Msg::SemaAck { .. }
             | Msg::SemaGrant { .. }
             | Msg::FlushAck
-            | Msg::ResetDone { .. }
+            | Msg::ResetDone
             | Msg::SyncAck
             | Msg::GcComplete { .. } => {
                 let _ = to_app.send(d);

@@ -10,9 +10,9 @@ use crate::addr::{AllocTable, PageId};
 use crate::config::TmkConfig;
 use crate::diff::Diff;
 use crate::interval::{IntervalId, IntervalInfo, NoticeBundle, VectorClock};
-use crate::metrics::{NodeMetrics, TmkOp};
+use crate::metrics::NodeMetrics;
 use crate::page::{NoticeRec, PageMeta, PageState};
-use crate::stats::TmkStats;
+use crate::stats::TmkOp;
 use now_net::VirtualClock;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -139,12 +139,8 @@ pub struct NodeState {
     pub held_locks: std::collections::HashSet<u32>,
     /// Manager-role state.
     pub mgr: ManagerState,
-    /// Protocol event counters (per-job; snapshotted and zeroed at warm
-    /// job boundaries).
-    pub stats: TmkStats,
-    /// Cluster-lifetime metrics block (survives job-boundary resets).
-    /// Every stats increment goes through [`NodeState::count`], which
-    /// also bumps the matching lifetime counter here.
+    /// Cluster-lifetime metrics block (survives job-boundary resets);
+    /// holds the node's protocol event counters ([`NodeState::count`]).
     pub metrics: Arc<NodeMetrics>,
     /// Whether the caller currently mutating this state is the protocol
     /// service thread (charges CPU-timeline) or the application thread.
@@ -180,7 +176,6 @@ impl NodeState {
             gc_epoch: 0,
             held_locks: std::collections::HashSet::new(),
             mgr: ManagerState::default(),
-            stats: TmkStats::default(),
             metrics,
             in_service: false,
         }
@@ -188,8 +183,9 @@ impl NodeState {
 
     /// Wipe everything back to the just-built state (warm-cluster job
     /// boundary): pages, twins, diffs, vector clocks, interval logs,
-    /// manager queues and statistics. The shared allocation table and
-    /// virtual clock are reset separately by the cluster reset protocol.
+    /// and manager queues. The shared allocation table and virtual clock
+    /// are reset separately by the cluster reset protocol; the event
+    /// counters live in the lifetime metrics block and are never reset.
     pub fn reset(&mut self) {
         *self = NodeState::new(
             self.id,
@@ -200,14 +196,11 @@ impl NodeState {
         );
     }
 
-    /// Count `n` protocol events of kind `op`: bumps both the per-job
-    /// stats field and the same-named cluster-lifetime counter in one
-    /// call, so the lifetime counters reconcile exactly with the sum of
-    /// per-job stats deltas. Pure relaxed atomics on the metrics side —
-    /// no clocks, no locks, no allocation.
+    /// Count `n` protocol events of kind `op` on the node's one counter
+    /// for it (per-job statistics are boundary deltas of that counter).
+    /// A relaxed atomic add — no clocks, no locks, no allocation.
     #[inline]
-    pub fn count(&mut self, op: TmkOp, n: u64) {
-        op.add_to(&mut self.stats, n);
+    pub fn count(&self, op: TmkOp, n: u64) {
         self.metrics.op(op).add(n);
     }
 
@@ -784,7 +777,11 @@ mod tests {
         st.mem[r][20] = 9; // B
         assert_eq!(st.pages[0].state, PageState::WritePush);
         assert_eq!(st.dirty, vec![0], "dirty lists the page once");
-        assert_eq!(st.stats.twins_created, 1, "no second twin");
+        assert_eq!(
+            st.metrics.op(TmkOp::TwinsCreated).get(),
+            1,
+            "no second twin"
+        );
 
         st.close_interval();
         assert_eq!(st.pages[0].state, PageState::Invalid, "notice still owed");
@@ -800,10 +797,10 @@ mod tests {
         let mut st = mk(0, 2);
         touch_write(&mut st, 1, 0, 3);
         st.close_interval();
-        assert_eq!(st.stats.diffs_created, 0);
+        assert_eq!(st.metrics.op(TmkOp::DiffsCreated).get(), 0);
         let diffs = st.serve_diffs(1, &[1]);
         assert_eq!(diffs.len(), 1);
-        assert_eq!(st.stats.diffs_created, 1);
+        assert_eq!(st.metrics.op(TmkOp::DiffsCreated).get(), 1);
         assert!(diffs[0].1.data_bytes() == 1);
     }
 

@@ -25,16 +25,22 @@
 //! 1. the master sends [`Msg::ResetReq`] to every slave: routed to the
 //!    worker loop, it executes after all earlier work items, and after
 //!    the slave's service handled everything sent before it;
-//! 2. each slave snapshots its statistics, resets its node state, replies
-//!    [`Msg::ResetDone`] and zeroes its clock;
+//! 2. each slave resets its node state, replies [`Msg::ResetDone`] and
+//!    zeroes its clock;
 //! 3. the master fences its *own* service thread with a self-addressed
 //!    [`Msg::SyncReq`]/[`Msg::SyncAck`] round trip (its own releases are
-//!    fire-and-forget too), then resets its state, the shared allocation
-//!    table, the traffic counters and its clock.
+//!    fire-and-forget too), then reads every node's op counters, resets
+//!    its state, the shared allocation table, the traffic counters and
+//!    its clock.
 //!
-//! The job's statistics snapshot is taken *before* step 1, so per-job
-//! [`TmkStats`] and traffic numbers are exact deltas, unpolluted by the
-//! control messages of the reset itself.
+//! Protocol events are counted once, on each node's always-on
+//! [`NodeMetrics`](crate::NodeMetrics) counters, which no reset touches.
+//! Once the n−1 `ResetDone` and the `SyncAck` are in, no node will count
+//! again for the finished job (work items run in order and service
+//! inboxes are FIFO), so the master's reading there is exact and the
+//! job's [`TmkStats`] is that reading minus the previous boundary's. The
+//! job's traffic snapshot is taken *before* step 1, so it too is an exact
+//! delta, unpolluted by the control messages of the reset itself.
 
 use crate::addr::AllocTable;
 use crate::api::Tmk;
@@ -167,16 +173,8 @@ enum MasterCmd {
     Job(MasterJob),
 }
 
-struct JobDone {
-    result: Box<dyn Any + Send>,
-    vt_ns: u64,
-    net: StatsSnapshot,
-    dsm: TmkStats,
-    trace: Option<Trace>,
-}
-
 enum MasterReply {
-    Done(Box<JobDone>),
+    Done(Box<RunOutcome<Box<dyn Any + Send>>>),
     Panicked(Box<dyn Any + Send>),
 }
 
@@ -316,6 +314,8 @@ impl System {
             .name("tmk-app-0".into())
             .spawn(move || {
                 let mut tmk = master_tmk;
+                // The op-counter reading at the previous job boundary.
+                let mut ops_seen = TmkStats::default();
                 while let Ok(MasterCmd::Job(f)) = cmd_rx.recv() {
                     // The meter was created on the spawning thread (or ran
                     // through the previous job); re-arm it on this job.
@@ -330,19 +330,20 @@ impl System {
                         // observable): snapshot before the reset's own
                         // control messages.
                         let net = tmk.ep.stats();
-                        let (dsm, trace) = job_boundary_reset(&mut tmk, vt_ns, &registry);
-                        (result, vt_ns, net, dsm, trace)
+                        let (dsm, trace) =
+                            job_boundary_reset(&mut tmk, vt_ns, &registry, &mut ops_seen);
+                        RunOutcome {
+                            result,
+                            vt_ns,
+                            net,
+                            dsm,
+                            trace,
+                        }
                     }));
                     registry.jobs_in_flight.set(0);
                     match r {
-                        Ok((result, vt_ns, net, dsm, trace)) => {
-                            let _ = reply_tx.send(MasterReply::Done(Box::new(JobDone {
-                                result,
-                                vt_ns,
-                                net,
-                                dsm,
-                                trace,
-                            })));
+                        Ok(done) => {
+                            let _ = reply_tx.send(MasterReply::Done(Box::new(done)));
                         }
                         Err(e) => {
                             registry.jobs_failed.inc();
@@ -421,7 +422,7 @@ impl System {
         }
         match self.reply_rx.recv() {
             Ok(MasterReply::Done(done)) => {
-                let JobDone {
+                let RunOutcome {
                     result,
                     vt_ns,
                     net,
@@ -521,18 +522,19 @@ impl Drop for System {
     }
 }
 
-/// The job-boundary reset round (see the module docs): returns the sum of
-/// every node's per-job protocol statistics (plus the job's drained event
-/// trace, when tracing is armed) and leaves the whole cluster in the
+/// The job-boundary reset round (see the module docs): returns the
+/// cluster's protocol event counts since `ops_seen` (the previous
+/// boundary's reading, advanced to this one) plus the job's drained event
+/// trace, when tracing is armed, and leaves the whole cluster in the
 /// state a freshly built system would have.
 fn job_boundary_reset(
     tmk: &mut Tmk,
     vt_ns: u64,
     registry: &MetricsRegistry,
+    ops_seen: &mut TmkStats,
 ) -> (TmkStats, Option<Trace>) {
     let host0 = std::time::Instant::now();
     let n = tmk.nprocs();
-    let mut total = TmkStats::default();
     // Mark the job's end *before* the reset fan-out below records its own
     // control-message events, so the master lane's markers stay in
     // timestamp order (the reset round is stamped past `vt_ns` by design).
@@ -544,18 +546,20 @@ fn job_boundary_reset(
     }
     // Fence our own service thread: our fire-and-forget releases (and any
     // manager work addressed to node 0) are handled before this ack comes
-    // back, so the statistics snapshot below cannot race them.
+    // back, so the counter reading below cannot race them.
     tmk.ep.send(0, Msg::SyncReq);
-    let mut pending = n; // n-1 ResetDone + 1 SyncAck
-    while pending > 0 {
+    for _ in 0..n {
+        // n-1 ResetDone + 1 SyncAck
         let d = tmk.recv_reply();
-        match d.msg {
-            Msg::ResetDone { stats } => total.merge(&stats),
-            Msg::SyncAck => {}
-            other => panic!("expected ResetDone/SyncAck, got {}", other.kind()),
-        }
-        pending -= 1;
+        assert!(
+            matches!(d.msg, Msg::ResetDone | Msg::SyncAck),
+            "expected ResetDone/SyncAck, got {}",
+            d.msg.kind()
+        );
     }
+    let now = registry.op_totals();
+    let dsm = now.since(ops_seen);
+    *ops_seen = now;
     // Every node is quiescent (its reset events were recorded before its
     // ResetDone was sent), so the rings hold exactly the finished job:
     // drain them before anything below clears state for the next one.
@@ -577,11 +581,7 @@ fn job_boundary_reset(
     } else {
         None
     };
-    {
-        let mut st = tmk.state.lock();
-        total.merge(&st.stats);
-        st.reset();
-    }
+    tmk.state.lock().reset();
     // Order matters for determinism: node states are all fresh, so the
     // shared allocation table can restart at address 0; traffic counters
     // drop the reset round's own control messages; the clock starts the
@@ -599,7 +599,7 @@ fn job_boundary_reset(
     registry
         .reset_host_ns
         .record(host0.elapsed().as_nanos() as u64);
-    (total, trace)
+    (dsm, trace)
 }
 
 /// Build a DSM system of `cfg.nodes()` workstations, run `master_fn` on
@@ -661,20 +661,15 @@ fn worker_loop(mut tmk: Tmk, work_rx: Receiver<WorkItem>) {
             Ok(WorkItem::Reset) => {
                 // Job boundary: everything this node will ever do for the
                 // finished job is done (work items are processed in order
-                // and the service inbox is FIFO), so the counters are the
-                // job's exact per-node statistics.
+                // and the service inbox is FIFO), so once the master has
+                // our ResetDone it can read this node's op counters.
                 if tracer.on() {
                     // Recorded before the ResetDone send below, so the
                     // master's drain sees this node's full reset step.
                     tracer.instant(EventKind::Reset, 0, tmk.clock.now(), 0, 0);
                 }
-                let stats = {
-                    let mut st = tmk.state.lock();
-                    let stats = std::mem::take(&mut st.stats);
-                    st.reset();
-                    stats
-                };
-                tmk.ep.send(0, Msg::ResetDone { stats });
+                tmk.state.lock().reset();
+                tmk.ep.send(0, Msg::ResetDone);
                 // Zero the clock *after* the send charged it: the next
                 // job finds this node at t = 0, exactly like a cold start.
                 tmk.clock.reset();
@@ -958,18 +953,26 @@ mod tests {
     // ------------------------------------------------------------------
 
     /// A small deterministic job: parallel writes + a faulting reader.
+    ///
+    /// Every node writes a page of its own (512 `u64`s at the 4 KiB test
+    /// page size), so no application thread's fault count depends on
+    /// whether its service thread has already applied a peer's notices
+    /// for a page it is writing. Multiple writers on one page are covered
+    /// by `tests/dsm_consistency.rs` and `state.rs`'s unit tests; making
+    /// *that* case replay deterministically is ROADMAP item 1's job.
     fn job(tmk: &mut Tmk) -> Vec<u64> {
-        let v = tmk.malloc_vec::<u64>(256);
+        let n = tmk.nprocs();
+        let v = tmk.malloc_vec::<u64>(512 * n);
         tmk.parallel(0, move |t| {
             let me = t.proc_id();
-            let r = me * 64..(me + 1) * 64;
+            let r = me * 512..(me + 1) * 512;
             t.view_mut(&v, r, |c| {
                 for (i, x) in c.iter_mut().enumerate() {
                     *x = i as u64 + 1;
                 }
             });
         });
-        tmk.read_slice(&v, 0..256)
+        tmk.read_slice(&v, 0..512 * n)
     }
 
     #[test]

@@ -95,8 +95,8 @@ fn observing_metrics_is_bit_invisible_on_2x2() {
 }
 
 /// The acceptance bar: lifetime per-op counters reconcile *exactly* with
-/// the sum of per-job `TmkStats` deltas — both views are incremented by
-/// the same call, so not even one event may leak between them.
+/// the sum of per-job `TmkStats` deltas — each delta is the difference of
+/// two boundary readings of them, so no event may fall between jobs.
 #[test]
 fn lifetime_op_counters_reconcile_with_per_job_deltas() {
     let mut c = cluster(4, 1);

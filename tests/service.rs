@@ -191,6 +191,8 @@ fn deny_races_rejects_racy_omp_programs_at_admission() {
 
     let snap = service.metrics();
     assert_eq!(snap.tenants[0].rejected_lint, 1);
+    assert_eq!(snap.tenants[0].rejected(), 1);
+    assert_eq!(service.status().tenants[0].rejected, 1);
     assert_eq!(snap.tenants[0].admitted, 1);
     let summary = service.drain();
     assert_eq!(summary.completed, 1);
@@ -523,6 +525,7 @@ fn tcp_front_door_serves_submit_status_drain() {
         .tenant("a", 2)
         .tenant("b", 1)
         .closure("answer", || Box::new(|_: &mut Env<'_>| JobValue::Num(42.0)))
+        .deny_races(true)
         .build()
         .expect("service");
     let front = now_service::TcpFront::bind(service.handle(), "127.0.0.1:0").expect("bind");
@@ -561,6 +564,10 @@ fn tcp_front_door_serves_submit_status_drain() {
     assert!(r.contains("\"error\":\"bad_request\""), "{r}");
     let r = send("not json");
     assert!(r.contains("\"error\":\"bad_json\""), "{r}");
+    let r = send(
+        r#"{"op":"submit","omp":"double g; int main() {\n#pragma omp parallel\n{ g = g + 1.0; }\nreturn 0; }","tenant":"b"}"#,
+    );
+    assert!(r.contains("\"error\":\"lint\""), "{r}");
 
     // Hostile lines get a typed reply and the process keeps serving: a
     // line nested far past the parser's limit (it used to overflow the
@@ -587,6 +594,11 @@ fn tcp_front_door_serves_submit_status_drain() {
     let r = send(r#"{"op":"status"}"#);
     assert!(
         r.contains("\"pool\":1") && r.contains("\"name\":\"a\""),
+        "{r}"
+    );
+    // Tenant b's one rejection was a lint denial; `status` counts it.
+    assert!(
+        r.contains("\"name\":\"b\"") && r.ends_with("\"rejected\":1}]}\n"),
         "{r}"
     );
     let r = send(r#"{"op":"metrics"}"#);
