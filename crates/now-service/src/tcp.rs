@@ -21,11 +21,16 @@
 //! forget submit answers `{"ok":true,"id":N}` at admission; with
 //! `"wait":true` the reply additionally carries the job's outcome.
 //!
+//! Request lines are buffered as bytes and decoded once complete: a line
+//! that is not UTF-8 is answered `bad_request` and the connection keeps
+//! serving; a line longer than 4 MiB is answered `line_too_long` and the
+//! connection is closed.
+//!
 //! [`Service`]: crate::Service
 
 use crate::service::{JobError, JobRequest, JobValue, ServiceHandle, ServiceReport};
 use now_metrics::json::{escape, num, parse, Json};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -120,6 +125,20 @@ impl Drop for TcpFront {
     }
 }
 
+/// Longest request line the door buffers (the largest bundled `.omp`
+/// program is a few KB). A longer line gets one `line_too_long` reply
+/// and the connection is closed.
+const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// Send one reply line. Body and `'\n'` leave as two segments, so Nagle
+/// holds the second until the peer's delayed ACK of the first: ≈ 44 ms
+/// per reply over loopback (ROADMAP item 2a, with why it is still here).
+fn send_line(out: &mut TcpStream, reply: &str) -> bool {
+    let sent = out.write_all(reply.as_bytes()).is_ok() && out.write_all(b"\n").is_ok();
+    let _ = out.flush();
+    sent
+}
+
 fn serve_conn(sock: TcpStream, handle: ServiceHandle, stop: Arc<AtomicBool>) {
     let mut out = match sock.try_clone() {
         Ok(s) => s,
@@ -127,8 +146,9 @@ fn serve_conn(sock: TcpStream, handle: ServiceHandle, stop: Arc<AtomicBool>) {
     };
     // Poll reads so a connection left open by a quiet client cannot pin
     // shutdown: on timeout the loop rechecks the stop flag. A timeout
-    // mid-line leaves the partial line in `buf`; the next read_line
-    // call appends the rest.
+    // mid-line leaves the partial line in `buf` — as bytes, so a pause
+    // inside a multi-byte character loses nothing — and the next
+    // read_until call appends the rest.
     if sock
         .set_read_timeout(Some(Duration::from_millis(50)))
         .is_err()
@@ -136,21 +156,29 @@ fn serve_conn(sock: TcpStream, handle: ServiceHandle, stop: Arc<AtomicBool>) {
         return;
     }
     let mut reader = BufReader::new(sock);
-    let mut buf = String::new();
+    let mut buf: Vec<u8> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
-        match reader.read_line(&mut buf) {
+        let room = (MAX_LINE_BYTES + 1 - buf.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut buf) {
             Ok(0) => break,
-            Ok(_) => {
+            Ok(_) if buf.ends_with(b"\n") => {
                 let line = std::mem::take(&mut buf);
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let reply = handle_line(line.trim_end(), &handle);
-                if out.write_all(reply.as_bytes()).is_err() || out.write_all(b"\n").is_err() {
+                let reply = match std::str::from_utf8(&line) {
+                    Ok(l) if l.trim().is_empty() => continue,
+                    Ok(l) => handle_line(l.trim_end(), &handle),
+                    Err(_) => err_reply("bad_request", "request line is not valid UTF-8"),
+                };
+                if !send_line(&mut out, &reply) {
                     break;
                 }
-                let _ = out.flush();
             }
+            Ok(_) if buf.len() > MAX_LINE_BYTES => {
+                let detail = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                send_line(&mut out, &err_reply("line_too_long", &detail));
+                break;
+            }
+            // End of stream inside a line: the next read reports it.
+            Ok(_) => {}
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut => {}

@@ -11,6 +11,8 @@
 //! **everything is private unless it is explicitly a `Shared*` handle.**
 
 use crate::api::Tmk;
+use crate::page::{PageMeta, PageState};
+use crate::state::NodeState;
 use std::marker::PhantomData;
 use std::ops::Range;
 
@@ -133,6 +135,45 @@ fn copy_out<T: Shareable>(mem: &[u8], addr: usize, n: usize) -> Vec<T> {
     buf
 }
 
+/// Bytes of `[addr, addr + size_of::<T>())` in the local mirror if the
+/// mirror already covers them and every page under them passes `valid` —
+/// the stand-in for an access that does not trap. `None` is a miss (a
+/// mirror that lags a fresh allocation included: `sync_alloc` runs on the
+/// miss path).
+#[inline]
+fn valid_bytes<T>(
+    st: &mut NodeState,
+    addr: u64,
+    valid: impl Fn(&PageMeta) -> bool,
+) -> Option<&mut [u8]> {
+    let size = std::mem::size_of::<T>();
+    let pages = st.pages.get(st.alloc.pages_of_range(addr, size))?;
+    if !pages.iter().all(valid) {
+        return None;
+    }
+    st.mem.get_mut(addr as usize..addr as usize + size)
+}
+
+/// Load a `T` from valid pages (any readable state).
+#[inline]
+fn load_hit<T: Shareable>(st: &mut NodeState, addr: u64) -> Option<T> {
+    let src = valid_bytes::<T>(st, addr, PageMeta::readable)?;
+    // SAFETY: `src` is exactly size_of::<T>() bytes; T is POD, so any
+    // byte pattern is a value; the read is unaligned-safe.
+    Some(unsafe { std::ptr::read_unaligned(src.as_ptr() as *const T) })
+}
+
+/// Store a `T` into write-enabled pages (exactly `Write`: a twin is open,
+/// so the bytes reach this interval's diff; `WritePush` copies are stale
+/// outside their written bytes and take the miss path like a read).
+#[inline]
+fn store_hit<T: Shareable>(st: &mut NodeState, addr: u64, val: T) -> Option<()> {
+    let dst = valid_bytes::<T>(st, addr, |p| p.state == PageState::Write)?;
+    // SAFETY: `dst` is exactly size_of::<T>() bytes; unaligned-safe.
+    unsafe { std::ptr::write_unaligned(dst.as_mut_ptr() as *mut T, val) };
+    Some(())
+}
+
 fn copy_in<T: Shareable>(mem: &mut [u8], addr: usize, src: &[T]) {
     // SAFETY: destination range is in bounds; T is POD; no overlap.
     unsafe {
@@ -205,7 +246,7 @@ impl Tmk {
                         ok = false;
                         break;
                     }
-                    if st.pages[pid].state != crate::page::PageState::Write {
+                    if st.pages[pid].state != PageState::Write {
                         st.start_write(pid);
                     }
                 }
@@ -217,6 +258,36 @@ impl Tmk {
         }
     }
 
+    /// One element access: `hit`, else make the pages valid and retry.
+    ///
+    /// `hit` runs under one state lock and is the whole cost of an access
+    /// to valid pages — it stays on the compute meter (on the real system
+    /// a valid-page access is a plain load or store) and outside the node
+    /// gate (it performs no protocol operation; the state lock makes it
+    /// atomic), charging only the intra-node access cost to an SMP lane.
+    /// A miss is the access fault: `fault` runs off the meter and under
+    /// the gate through [`Tmk::metered`], which charges that access cost
+    /// itself, and the access is retried.
+    #[inline]
+    fn access<R>(
+        &mut self,
+        mut hit: impl FnMut(&mut NodeState) -> Option<R>,
+        fault: impl Fn(&mut Self),
+    ) -> R {
+        let first = hit(&mut self.state.lock());
+        if let Some(r) = first {
+            self.lane_advance(self.smp_access_ns);
+            return r;
+        }
+        loop {
+            self.metered(&fault);
+            let retry = hit(&mut self.state.lock());
+            if let Some(r) = retry {
+                return r;
+            }
+        }
+    }
+
     /// Read element `i`.
     pub fn read<T: Shareable>(&mut self, v: &SharedVec<T>, i: usize) -> T {
         assert!(
@@ -224,13 +295,11 @@ impl Tmk {
             "read index {i} out of bounds (len {})",
             v.len()
         );
-        self.metered(|s| {
-            let addr = v.addr_of(i);
-            let size = std::mem::size_of::<T>();
-            s.ensure_readable(addr, size);
-            let st = s.state.lock();
-            copy_out::<T>(&st.mem, addr as usize, 1)[0]
-        })
+        let addr = v.addr_of(i);
+        self.access(
+            |st| load_hit(st, addr),
+            |s| s.ensure_readable(addr, std::mem::size_of::<T>()),
+        )
     }
 
     /// Write element `i`.
@@ -240,14 +309,11 @@ impl Tmk {
             "write index {i} out of bounds (len {})",
             v.len()
         );
-        self.metered(|s| {
-            let addr = v.addr_of(i);
-            let size = std::mem::size_of::<T>();
-            s.ensure_writable(addr, size);
-            let mut st = s.state.lock();
-            let a = addr as usize;
-            copy_in(&mut st.mem, a, std::slice::from_ref(&val));
-        });
+        let addr = v.addr_of(i);
+        self.access(
+            |st| store_hit(st, addr, val),
+            |s| s.ensure_writable(addr, std::mem::size_of::<T>()),
+        )
     }
 
     /// Copy `range` out into a fresh vector.
@@ -384,6 +450,37 @@ mod tests {
         copy_in(&mut mem, 8, &vals);
         let out: Vec<f64> = copy_out(&mem, 8, 3);
         assert_eq!(out, vals);
+    }
+
+    #[test]
+    fn hits_need_a_covering_mirror_and_valid_pages() {
+        let cfg = crate::TmkConfig::fast_test(2);
+        let ps = cfg.page_size as u64;
+        let alloc = crate::AllocTable::new(cfg.page_shift());
+        let _ = alloc.alloc(2 * cfg.page_size);
+        let clock = now_net::VirtualClock::new();
+        let mut st = NodeState::new(0, cfg, alloc, clock, Default::default());
+        let straddler = ps - 4;
+        assert_eq!(load_hit::<u64>(&mut st, straddler), None, "mirror lags");
+        st.sync_alloc();
+        assert_eq!(load_hit::<u64>(&mut st, straddler), None, "unmapped");
+        st.pages[0].state = PageState::ReadOnly;
+        st.pages[1].state = PageState::Write;
+        assert_eq!(load_hit::<u64>(&mut st, straddler), Some(0));
+        assert_eq!(
+            store_hit(&mut st, straddler, 7u64),
+            None,
+            "page 0 has no twin"
+        );
+        assert_eq!(store_hit(&mut st, ps, 7u64), Some(()));
+        assert_eq!(load_hit::<u64>(&mut st, ps), Some(7));
+        st.pages[1].state = PageState::Invalid;
+        assert_eq!(
+            store_hit(&mut st, ps, 8u64),
+            None,
+            "invalidated mid-interval"
+        );
+        assert_eq!(load_hit::<u64>(&mut st, 2 * ps - 4), None, "past the end");
     }
 
     #[test]

@@ -214,6 +214,61 @@ fn same_job_twice_on_one_cluster_is_bit_identical() {
     }
 }
 
+/// Every thread maps and write-enables a page of its own, then makes
+/// `hits` (even) element reads and `hits` element writes to it: all of
+/// them accesses to a valid page, and they leave it as they found it, so
+/// the job's diffs do not depend on `hits`.
+fn hit_job(hits: u64) -> Job<Vec<u64>> {
+    Job::new(move |omp: &mut Env<'_>| {
+        const SLAB: usize = 512;
+        let nthreads = omp.num_threads();
+        let data = omp.malloc_vec::<u64>(nthreads * SLAB);
+        omp.parallel(move |t| {
+            let mine = t.thread_num() * SLAB;
+            let x = t.read(&data, mine);
+            t.write(&data, mine, x + 1);
+            let mut ones = 0;
+            for _ in 0..hits {
+                let bit = t.read(&data, mine + 1);
+                ones += bit;
+                t.write(&data, mine + 1, bit ^ 1);
+            }
+            assert_eq!(ones, hits / 2, "every store was seen by the next load");
+        });
+        omp.read_slice(&data, 0..nthreads * SLAB)
+    })
+}
+
+#[test]
+fn hits_cost_no_protocol_action_and_no_modeled_time() {
+    // A valid-page access is a load or a store: with measured compute
+    // scaled to zero, 10 000 of them per thread change no statistic and
+    // no message count, and no virtual time on one-thread nodes. On SMP
+    // nodes each keeps its intra-node access charge on the thread's lane
+    // — the same charge a miss pays — and nothing else.
+    const HITS: u64 = 10_000;
+    for (nodes, tpn) in [(4usize, 1usize), (2, 2)] {
+        let name = format!("{nodes}x{tpn}");
+        let mut cluster = det_builder(nodes, tpn).build().expect("valid cluster");
+        let without = cluster.run(hit_job(0)).expect("job without hits");
+        let with = cluster.run(hit_job(HITS)).expect("job with hits");
+        assert_eq!(with.result, without.result, "{name}: data");
+        assert_eq!(with.dsm, without.dsm, "{name}: TmkStats");
+        assert_eq!(with.net, without.net, "{name}: traffic");
+        // Lanes overlap whatever else the node clock was charged, so the
+        // job end moves by at most the charges one lane collected.
+        let grew = with.vt_ns - without.vt_ns;
+        let lane_charges = match tpn {
+            1 => 0,
+            _ => 2 * HITS * cluster.config().tmk.smp_access_ns,
+        };
+        assert!(
+            grew <= lane_charges && grew >= lane_charges / 2,
+            "{name}: virtual time grew {grew} ns against {lane_charges} ns of lane charges"
+        );
+    }
+}
+
 #[test]
 fn shim_run_equals_cluster_session_path() {
     // `nomp::run` is a one-job shim over the same session machinery.

@@ -536,10 +536,7 @@ fn tcp_front_door_serves_submit_status_drain() {
         let mut sock = &sock;
         sock.write_all(line.as_bytes()).expect("write");
         sock.write_all(b"\n").expect("write");
-        let mut reply = String::new();
-        reader.read_line(&mut reply).expect("read");
-        now_metrics::validate_json(reply.trim()).expect("reply is valid JSON");
-        reply
+        read_reply(&mut reader)
     };
 
     // A registered closure, awaited inline.
@@ -614,6 +611,86 @@ fn tcp_front_door_serves_submit_status_drain() {
     assert!(r.contains("\"error\":\"draining\""), "{r}");
 
     drop(sock);
+    front.shutdown();
+    service.drain();
+}
+
+/// An idle one-node service behind a loopback door, for the door tests.
+fn idle_door() -> (now_service::Service, now_service::TcpFront) {
+    let service = ServiceConfig::new()
+        .pool(1)
+        .cluster(det_builder(1))
+        .build()
+        .expect("service");
+    let front = now_service::TcpFront::bind(service.handle(), "127.0.0.1:0").expect("bind");
+    (service, front)
+}
+
+fn read_reply(reader: &mut impl BufRead) -> String {
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("read");
+    now_metrics::validate_json(reply.trim()).expect("reply is valid JSON");
+    reply
+}
+
+#[test]
+fn tcp_request_lines_are_framed_as_bytes() {
+    let (service, front) = idle_door();
+    let sock = std::net::TcpStream::connect(front.addr()).expect("connect");
+    let mut reader = BufReader::new(&sock);
+
+    // Two requests in one segment get two reply lines.
+    (&sock)
+        .write_all(b"{\"op\":\"status\"}\n{\"op\":\"warp\"}\n")
+        .expect("write");
+    assert!(read_reply(&mut reader).contains("\"pool\":1"));
+    assert!(read_reply(&mut reader).contains("\"error\":\"bad_request\""));
+
+    // A line split inside a two-byte character, around a pause longer
+    // than the door's read time-out, is still one request.
+    let line = "{\"op\":\"é\"}\n".as_bytes();
+    let cut = line.iter().position(|&b| b == 0xC3).expect("é lead byte") + 1;
+    (&sock).write_all(&line[..cut]).expect("write");
+    std::thread::sleep(Duration::from_millis(120));
+    (&sock).write_all(&line[cut..]).expect("write");
+    let r = read_reply(&mut reader);
+    assert!(r.contains("unknown op") && r.contains('é'), "{r}");
+
+    // Junk UTF-8 is answered, and the connection keeps serving.
+    (&sock).write_all(b"{\"op\":\"\xFF\"}\n").expect("write");
+    let r = read_reply(&mut reader);
+    assert!(
+        r.contains("\"error\":\"bad_request\"") && r.contains("UTF-8"),
+        "{r}"
+    );
+    (&sock).write_all(b"{\"op\":\"status\"}\n").expect("write");
+    assert!(read_reply(&mut reader).contains("\"ok\":true"));
+
+    front.shutdown();
+    service.drain();
+}
+
+#[test]
+fn tcp_overlong_lines_are_refused_and_the_front_stays_up() {
+    let (service, front) = idle_door();
+    let sock = std::net::TcpStream::connect(front.addr()).expect("connect");
+    // One byte past the door's 4 MiB line limit, and no newline.
+    (&sock)
+        .write_all(&vec![b'['; (4 << 20) + 1])
+        .expect("write");
+    let mut reader = BufReader::new(&sock);
+    let r = read_reply(&mut reader);
+    assert!(
+        r.contains("\"ok\":false") && r.contains("\"error\":\"line_too_long\""),
+        "{r}"
+    );
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).expect("closed"), 0, "{rest}");
+
+    let fresh = std::net::TcpStream::connect(front.addr()).expect("connect again");
+    (&fresh).write_all(b"{\"op\":\"status\"}\n").expect("write");
+    assert!(read_reply(&mut BufReader::new(&fresh)).contains("\"ok\":true"));
+
     front.shutdown();
     service.drain();
 }
