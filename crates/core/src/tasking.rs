@@ -795,6 +795,20 @@ mod tests {
     use super::*;
     use crate::config::OmpConfig;
     use crate::env::run;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// Hold a host thread until another one got somewhere, so a test's
+    /// race is decided by what it is about and not by host speed. Gives
+    /// up after 5 s: a broken runtime then fails the test's assertions
+    /// instead of hanging it.
+    fn yield_until(done: impl Fn() -> bool) {
+        let t0 = Instant::now();
+        while !done() && t0.elapsed() < Duration::from_secs(5) {
+            std::thread::yield_now();
+        }
+    }
 
     fn fib_scope(nodes: usize, sched: TaskSched, n: u64) -> (u64, tmk::TmkStats) {
         // Naive task-recursive Fibonacci: every call spawns its two
@@ -927,12 +941,17 @@ mod tests {
 
     #[test]
     fn overflow_runs_tasks_inline() {
-        let out = run(OmpConfig::fast_test(2), |omp| {
+        // The thief starts only once the spawner is through: a thief that
+        // keeps pace with the pushes would keep the two-slot deque from
+        // ever filling.
+        let spawned = Arc::new(AtomicBool::new(false));
+        let out = run(OmpConfig::fast_test(2), move |omp| {
             let acc = omp.malloc_scalar::<u64>(0);
             let cfg = TaskScopeConfig {
                 deque_capacity: 2,
                 ..Default::default()
             };
+            let spawned = spawned.clone();
             omp.task_scope(
                 cfg,
                 move |s| {
@@ -940,6 +959,9 @@ mod tests {
                         for _ in 0..16 {
                             s.task(TaskArgs::ab(1, 0));
                         }
+                        spawned.store(true, Ordering::SeqCst);
+                    } else {
+                        yield_until(|| spawned.load(Ordering::SeqCst));
                     }
                 },
                 move |s, t| {
@@ -1116,15 +1138,25 @@ mod tests {
 
     #[test]
     fn steals_spread_across_victims() {
-        // Each victim node seeds a batch of light tasks and then a long
+        // Each victim node seeds a batch of light tasks and then a
         // "blocker"; the victim's owner pops LIFO, so it sits on the
         // blocker while its light tasks stay stealable. Node 0 seeds
         // nothing and lives off steals: with backlog-ordered sweeps
         // (plus rotation on ties) they must come from more than one
         // victim — the convoy bug pinned every steal to one deque.
-        let out = run(OmpConfig::fast_test(4), |omp| {
+        //
+        // The race is decided by what the test is about, not by host
+        // speed: a barrier after seeding gives node 0 a current view of
+        // every backlog before its first sweep (without it a victim that
+        // seeds late stays "empty" in node 0's cached header until the
+        // others drain), and a blocker holds its owner until node 0 has
+        // run a few tasks.
+        const NODE0_TASKS: u64 = 6;
+        let node0_ran = Arc::new(AtomicU64::new(0));
+        let out = run(OmpConfig::fast_test(4), move |omp| {
             // origins[o] counts tasks of origin o executed by node 0.
             let origins = omp.malloc_vec::<u64>(4);
+            let node0_ran = node0_ran.clone();
             omp.task_scope(
                 TaskScopeConfig::default(),
                 move |s| {
@@ -1135,14 +1167,19 @@ mod tests {
                         }
                         s.task(TaskArgs::ab(me as u64, 1)); // the blocker
                     }
+                    s.th.barrier();
                 },
                 move |s, t| {
-                    let burn = if t.b == 1 { 20_000_000u64 } else { 20_000 };
-                    std::hint::black_box((0..burn).sum::<u64>());
+                    if t.b == 1 {
+                        yield_until(|| node0_ran.load(Ordering::SeqCst) >= NODE0_TASKS);
+                    } else {
+                        std::hint::black_box((0..20_000u64).sum::<u64>());
+                    }
                     if s.thread_num() == 0 {
                         let o = t.a as usize;
                         let v = s.read(&origins, o);
                         s.write(&origins, o, v + 1);
+                        node0_ran.fetch_add(1, Ordering::SeqCst);
                     }
                 },
             );

@@ -37,6 +37,7 @@
 
 #![warn(missing_docs)]
 
+use crossbeam::utils::Backoff;
 use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::HashMap;
@@ -227,16 +228,18 @@ impl Team {
         st.arrived += 1;
         self.bar_cv.notify_all();
         if local_tid == 0 {
+            let backoff = Backoff::new();
             while st.arrived < self.cfg.threads_per_node {
                 self.check_poison();
-                st = self.bar_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+                st = backoff.snooze_or_wait(&self.bar, &self.bar_cv, st, None);
             }
             Arrival::Representative(st.max_vt)
         } else {
             let gen = st.gen;
+            let backoff = Backoff::new();
             while st.gen == gen {
                 self.check_poison();
-                st = self.bar_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+                st = backoff.snooze_or_wait(&self.bar, &self.bar_cv, st, None);
             }
             Arrival::Departed(st.depart_vt)
         }
@@ -347,9 +350,10 @@ impl Team {
             return IdleOutcome::Agent;
         }
         let sleep_gen = p.gen;
+        let backoff = Backoff::new();
         while !p.done && p.gen == sleep_gen {
             self.check_poison();
-            p = self.park_cv.wait(p).unwrap_or_else(|e| e.into_inner());
+            p = backoff.snooze_or_wait(&self.park, &self.park_cv, p, None);
         }
         if p.done {
             return IdleOutcome::Done;

@@ -18,6 +18,7 @@ use crate::protocol::{Msg, Region};
 use crate::state::NodeState;
 use crate::stats::TmkOp;
 use crossbeam::channel::Receiver;
+use crossbeam::utils::Backoff;
 use now_net::Wire as _;
 use now_net::{ComputeMeter, Delivered, Endpoint, ThreadLane, VirtualClock};
 use now_trace::EventKind;
@@ -50,8 +51,11 @@ impl NodeGate {
     pub(crate) fn enter(&self) {
         let me = std::thread::current().id();
         let mut st = self.m.lock().unwrap_or_else(|e| e.into_inner());
+        // The waiting discipline of the channels (DESIGN.md §3, "host
+        // hand-offs"): yield and re-check before sleeping.
+        let backoff = Backoff::new();
         while st.owner.is_some() && st.owner != Some(me) {
-            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+            st = backoff.snooze_or_wait(&self.m, &self.cv, st, None);
         }
         st.owner = Some(me);
         st.depth += 1;

@@ -16,7 +16,6 @@ use now_net::{Delivered, Endpoint, Wire as _};
 use now_trace::{EventKind, SERVICE_LANE};
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Work shipped to a slave's application thread.
 pub enum WorkItem {
@@ -49,9 +48,7 @@ pub fn service_loop(
     work_tx: Sender<WorkItem>,
 ) {
     loop {
-        let Some(d) = ep.recv_timeout(Duration::from_millis(200)) else {
-            continue;
-        };
+        let d = ep.recv();
         match d.msg {
             // Responses: route to the blocked application thread, which
             // charges the arrival time itself.

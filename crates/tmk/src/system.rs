@@ -51,7 +51,10 @@ use crate::service::{service_loop, ForkJob, WorkItem};
 use crate::state::NodeState;
 use crate::stats::TmkStats;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use now_net::{ComputeMeter, Network, StatsSnapshot, TraceSink, Tracer, VirtualClock, Wire};
+use now_net::{
+    ComputeMeter, Delivered, Envelope, Network, StatsSnapshot, TraceSink, Tracer, VirtualClock,
+    Wire,
+};
 use now_trace::{EventKind, Trace};
 use parking_lot::Mutex;
 use std::any::Any;
@@ -100,6 +103,10 @@ impl std::error::Error for SystemDown {}
 pub(crate) struct SystemDiag {
     clocks: Vec<Arc<VirtualClock>>,
     states: Vec<Arc<Mutex<NodeState>>>,
+    /// Each node's network inbox (drained by its service thread) and
+    /// reply channel (drained by its application thread).
+    inboxes: Vec<Receiver<Envelope<Msg>>>,
+    app_rxs: Vec<Receiver<Delivered<Msg>>>,
     /// The trace sink, when tracing is armed: a watchdog abort then
     /// shows what each node was last *doing*, not just where it stands.
     sink: Option<Arc<TraceSink>>,
@@ -118,11 +125,18 @@ impl SystemDiag {
         use std::fmt::Write as _;
         let mut s = String::new();
         for (id, clock) in self.clocks.iter().enumerate() {
+            let (inbox, app_rx) = (&self.inboxes[id], &self.app_rxs[id]);
+            // Queued > 0 with parked > 0 that persists is a lost wake-up.
             let _ = write!(
                 s,
-                "  node {id}: vt={}ns cpu={}ns",
+                "  node {id}: vt={}ns cpu={}ns inbox{{queued={} parked={}}} \
+                 app_rx{{queued={} parked={}}}",
                 clock.now(),
-                clock.cpu_now()
+                clock.cpu_now(),
+                inbox.len(),
+                inbox.parked(),
+                app_rx.len(),
+                app_rx.parked(),
             );
             match self.states[id].try_lock() {
                 None => {
@@ -231,16 +245,18 @@ impl System {
                 metrics.node(id).clone(),
             ))));
         }
+        let (to_apps, app_rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
         let diag = Arc::new(SystemDiag {
             clocks,
             states: states.clone(),
+            inboxes: eps.iter().map(|ep| ep.inbox().clone()).collect(),
+            app_rxs: app_rxs.clone(),
             sink,
             metrics: metrics.clone(),
         });
 
-        for (id, ep) in eps.into_iter().enumerate() {
+        for (id, ((ep, to_app), app_rx)) in eps.into_iter().zip(to_apps).zip(app_rxs).enumerate() {
             let state = states[id].clone();
-            let (to_app, app_rx) = unbounded();
             let (work_tx, work_rx) = unbounded();
             {
                 let (ep, state) = (ep.clone(), state.clone());
@@ -709,6 +725,39 @@ mod tests {
         });
         assert_eq!(out.result, 42);
         assert_eq!(out.net.total_msgs(), 0, "single node never uses the wire");
+    }
+
+    #[test]
+    fn diag_dump_shows_queues_and_parked_receivers() {
+        let out = run_system(cfg(2), |tmk| {
+            let diag = tmk.diag.clone().expect("system handles carry diagnostics");
+            // With no traffic both service threads end up asleep on their
+            // inboxes; this thread is awake, so its reply channel is not.
+            let t0 = std::time::Instant::now();
+            loop {
+                let dump = diag.render();
+                let idle = dump.matches("inbox{queued=0 parked=1}").count();
+                if idle == 2 || t0.elapsed().as_secs() >= 5 {
+                    return dump;
+                }
+                std::thread::yield_now();
+            }
+        });
+        let node = |id: usize| {
+            let head = format!("  node {id}: ");
+            out.result
+                .lines()
+                .find(|l| l.starts_with(&head))
+                .unwrap_or_else(|| panic!("no line for node {id} in:\n{}", out.result))
+        };
+        for id in 0..2 {
+            assert!(
+                node(id).contains("inbox{queued=0 parked=1}"),
+                "{}",
+                node(id)
+            );
+        }
+        assert!(node(0).contains("app_rx{queued=0 parked=0}"), "{}", node(0));
     }
 
     #[test]
