@@ -1,11 +1,11 @@
 //! Translation overhead: the same pi-integration kernel as a translated
-//! `.omp` program (lexed, lowered and interpreted by `ompc`) versus the
-//! hand-written `nomp` closure version, on the paper cost model.
+//! `.omp` program (lexed, lowered and compiled to closures by `ompc`)
+//! versus the hand-written `nomp` closure version, on the paper cost model.
 //!
 //! Both versions perform the same parallel structure (one fork, a static
 //! work-shared loop, one locked reduction combine, the join barrier), so
 //! the message counts should be near-identical; the virtual-time gap is
-//! the interpreter's compute overhead, charged to the virtual clock by
+//! the translated code's compute overhead, charged to the virtual clock by
 //! the CPU meter exactly like application compute.
 
 use crate::fmt::{f2, print_table, secs};

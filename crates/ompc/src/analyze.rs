@@ -147,7 +147,7 @@ fn const_eval(e: &LExpr) -> Option<f64> {
     match e {
         LExpr::Num(v) => Some(*v),
         LExpr::Un(UnOp::Neg, a) => Some(-const_eval(a)?),
-        LExpr::Bin(op, a, b) => {
+        LExpr::Bin(op, a, b, _) => {
             let (a, b) = (const_eval(a)?, const_eval(b)?);
             match op {
                 BinOp::Add => Some(a + b),
@@ -172,7 +172,7 @@ fn expr_mentions_local(e: &LExpr) -> bool {
         LExpr::Local(_) => true,
         LExpr::Elem(_, idx, _) => expr_mentions_local(idx),
         LExpr::Un(_, a) => expr_mentions_local(a),
-        LExpr::Bin(_, a, b) => expr_mentions_local(a) || expr_mentions_local(b),
+        LExpr::Bin(_, a, b, _) => expr_mentions_local(a) || expr_mentions_local(b),
         // Calls and thread-dependent builtins are never invariant.
         LExpr::Call(..) => true,
         LExpr::Builtin(b, args) => {
@@ -191,7 +191,7 @@ fn classify_idx(e: &LExpr, loop_var: Option<u16>) -> Foot {
     if let Some(lv) = loop_var {
         match e {
             LExpr::Local(s) if *s == lv => return Foot::Affine(0),
-            LExpr::Bin(BinOp::Add, a, b) => {
+            LExpr::Bin(BinOp::Add, a, b, _) => {
                 if let (LExpr::Local(s), Some(c)) = (&**a, as_const_idx(b)) {
                     if *s == lv {
                         return Foot::Affine(c);
@@ -203,7 +203,7 @@ fn classify_idx(e: &LExpr, loop_var: Option<u16>) -> Foot {
                     }
                 }
             }
-            LExpr::Bin(BinOp::Sub, a, b) => {
+            LExpr::Bin(BinOp::Sub, a, b, _) => {
                 if let (LExpr::Local(s), Some(c)) = (&**a, as_const_idx(b)) {
                     if *s == lv {
                         return Foot::Affine(-c);
@@ -351,11 +351,11 @@ fn sum_expr(e: &LExpr, sums: &[FnSum], held: &mut Vec<(u32, (u32, u32))>, out: &
             sum_acc(out, *gid, false, classify_idx(idx, None), held, *span);
         }
         LExpr::Un(_, a) => sum_expr(a, sums, held, out),
-        LExpr::Bin(_, a, b) => {
+        LExpr::Bin(_, a, b, _) => {
             sum_expr(a, sums, held, out);
             sum_expr(b, sums, held, out);
         }
-        LExpr::Call(fid, args) => {
+        LExpr::Call(fid, args, _) => {
             for a in args {
                 sum_expr(a, sums, held, out);
             }
@@ -655,14 +655,14 @@ fn scan_spawns(stmts: &[LStmt], sums: &[FnSum], out: &mut BTreeSet<u16>) {
 
 fn scan_spawn_expr(e: &LExpr, sums: &[FnSum], out: &mut BTreeSet<u16>) {
     match e {
-        LExpr::Call(fid, args) => {
+        LExpr::Call(fid, args, _) => {
             for a in args {
                 scan_spawn_expr(a, sums, out);
             }
             out.extend(sums[*fid as usize].spawns.iter().copied());
         }
         LExpr::Un(_, a) | LExpr::Elem(_, a, _) => scan_spawn_expr(a, sums, out),
-        LExpr::Bin(_, a, b) => {
+        LExpr::Bin(_, a, b, _) => {
             scan_spawn_expr(a, sums, out);
             scan_spawn_expr(b, sums, out);
         }
@@ -874,11 +874,11 @@ impl Rw<'_> {
                 self.record(*gid, false, foot, *span);
             }
             LExpr::Un(_, a) => self.expr(a, allow_red),
-            LExpr::Bin(_, a, b) => {
+            LExpr::Bin(_, a, b, _) => {
                 self.expr(a, allow_red);
                 self.expr(b, allow_red);
             }
-            LExpr::Call(fid, args) => {
+            LExpr::Call(fid, args, _) => {
                 for a in args {
                     self.expr(a, allow_red);
                 }
@@ -1015,11 +1015,11 @@ impl Rw<'_> {
                     _ => (BinOp::Mul, BinOp::Div),
                 };
                 match val {
-                    LExpr::Bin(o, l, r) if *o == a => {
+                    LExpr::Bin(o, l, r, _) if *o == a => {
                         matches!(**l, LExpr::Local(s) if s == slot)
                             || matches!(**r, LExpr::Local(s) if s == slot)
                     }
-                    LExpr::Bin(o, l, _) if *o == b => {
+                    LExpr::Bin(o, l, _, _) if *o == b => {
                         matches!(**l, LExpr::Local(s) if s == slot)
                     }
                     _ => false,
@@ -1100,11 +1100,11 @@ fn collect_local_reads(e: &LExpr, out: &mut Vec<u16>) {
         LExpr::Local(s) => out.push(*s),
         LExpr::Elem(_, idx, _) => collect_local_reads(idx, out),
         LExpr::Un(_, a) => collect_local_reads(a, out),
-        LExpr::Bin(_, a, b) => {
+        LExpr::Bin(_, a, b, _) => {
             collect_local_reads(a, out);
             collect_local_reads(b, out);
         }
-        LExpr::Call(_, args) | LExpr::Builtin(_, args) => {
+        LExpr::Call(_, args, _) | LExpr::Builtin(_, args) => {
             for a in args {
                 collect_local_reads(a, out);
             }
@@ -1119,7 +1119,7 @@ fn expr_tainted(e: &LExpr, tainted: &HashSet<u16>) -> bool {
         LExpr::Local(s) => tainted.contains(s),
         LExpr::Elem(_, idx, _) => expr_tainted(idx, tainted),
         LExpr::Un(_, a) => expr_tainted(a, tainted),
-        LExpr::Bin(_, a, b) => expr_tainted(a, tainted) || expr_tainted(b, tainted),
+        LExpr::Bin(_, a, b, _) => expr_tainted(a, tainted) || expr_tainted(b, tainted),
         LExpr::Call(..) => false,
         LExpr::Builtin(b, args) => {
             matches!(b, Builtin::ThreadNum | Builtin::Wtime)
@@ -1378,14 +1378,14 @@ fn lock_order_lints(
 fn collect_calls(stmts: &[LStmt], out: &mut BTreeSet<u16>) {
     fn expr(e: &LExpr, out: &mut BTreeSet<u16>) {
         match e {
-            LExpr::Call(fid, args) => {
+            LExpr::Call(fid, args, _) => {
                 out.insert(*fid);
                 for a in args {
                     expr(a, out);
                 }
             }
             LExpr::Un(_, a) | LExpr::Elem(_, a, _) => expr(a, out),
-            LExpr::Bin(_, a, b) => {
+            LExpr::Bin(_, a, b, _) => {
                 expr(a, out);
                 expr(b, out);
             }
@@ -1465,13 +1465,13 @@ fn dead_critical_lints(p: &LProgram, sums: &[FnSum], par: &BTreeSet<u16>, lints:
         fn expr(e: &LExpr, sums: &[FnSum]) -> bool {
             match e {
                 LExpr::Global(..) | LExpr::Elem(..) => true,
-                LExpr::Call(fid, args) => {
+                LExpr::Call(fid, args, _) => {
                     sums[*fid as usize].has_shared
                         || !sums[*fid as usize].spawns.is_empty()
                         || args.iter().any(|a| expr(a, sums))
                 }
                 LExpr::Un(_, a) => expr(a, sums),
-                LExpr::Bin(_, a, b) => expr(a, sums) || expr(b, sums),
+                LExpr::Bin(_, a, b, _) => expr(a, sums) || expr(b, sums),
                 LExpr::Builtin(_, args) => args.iter().any(|a| expr(a, sums)),
                 _ => false,
             }

@@ -1,4 +1,5 @@
-//! The lowered, name-resolved IR the interpreter executes.
+//! The lowered, name-resolved IR the analyzer reads and [`crate::codegen`]
+//! compiles to closures.
 //!
 //! Produced by [`crate::sema`]. Every variable reference is resolved to
 //! either a *private frame slot* (`Local`) or a *shared DSM global*
@@ -111,8 +112,10 @@ pub(crate) enum LExpr {
     Global(u16, Span),
     Elem(u16, Box<LExpr>, Span),
     Un(UnOp, Box<LExpr>),
-    Bin(BinOp, Box<LExpr>, Box<LExpr>),
-    Call(u16, Vec<LExpr>),
+    /// The span is the operator's (runtime errors: `%` by zero).
+    Bin(BinOp, Box<LExpr>, Box<LExpr>, Span),
+    /// The span is the call's (runtime errors: call depth).
+    Call(u16, Vec<LExpr>, Span),
     Builtin(Builtin, Vec<LExpr>),
 }
 

@@ -6,10 +6,16 @@
 //! This crate reproduces that pipeline for a small C-like language:
 //!
 //! ```text
-//!   .omp source ──lex/parse──▶ AST ──classify+lower──▶ IR ──interpret──▶ nomp::Env
-//!                 (lex, parse)       (sema)                 (interp)     on the
-//!                                                                        simulated NOW
+//!   .omp source ──lex/parse──▶ AST ──classify+lower──▶ IR ──compile──▶ closures ──run──▶ nomp::Env
+//!                 (lex, parse)       (sema)                 (codegen)            (interp)  on the
+//!                                                                                          simulated NOW
 //! ```
+//!
+//! [`compile`] does all of it up to the closures: frame slots, global
+//! indices, operators, operand shapes, `int` truncation, constant
+//! sub-expressions and error spans are resolved once, so a run pays for
+//! the program's arithmetic and its DSM accesses, not for re-reading the
+//! IR.
 //!
 //! Translated programs execute through the same [`nomp`] runtime as the
 //! hand-written Rust applications, on the same simulated network — they
@@ -78,6 +84,7 @@
 
 mod analyze;
 mod ast;
+mod codegen;
 mod diag;
 mod dynrace;
 mod interp;
@@ -91,8 +98,8 @@ pub use diag::{Diag, Span};
 pub use dynrace::{DataRace, RaceAccess};
 pub use lints::{lints_to_json, Lint, LintCode, LintLevel};
 
+use codegen::Code;
 use interp::run_master;
-use ir::LProgram;
 use nomp::{Env, Job, NowProgram};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -104,13 +111,15 @@ pub const MAX_TASK_CAPTURES: usize = 3;
 /// A compiled `.omp` program, ready to run (cheaply cloneable).
 #[derive(Clone)]
 pub struct Compiled {
-    l: Arc<LProgram>,
+    /// The lowered IR (what the analyzer reads) and the closures compiled
+    /// from it, once (what a run executes).
+    code: Arc<Code>,
     /// Run the dynamic happens-before race checker during execution
     /// (see [`Compiled::check_races`]).
     dynamic_races: bool,
 }
 
-/// Parse, classify and lower an `.omp` source program.
+/// Parse, classify, lower and compile an `.omp` source program.
 ///
 /// All front-end errors — lexical, syntactic and semantic — come back as
 /// a spanned [`Diag`]; this function never panics. A [`Diag`] converts
@@ -120,7 +129,7 @@ pub fn compile(src: &str) -> Result<Compiled, Diag> {
     let ast = parse::parse(src)?;
     let l = sema::lower(&ast)?;
     Ok(Compiled {
-        l: Arc::new(l),
+        code: Arc::new(codegen::compile(l)),
         dynamic_races: false,
     })
 }
@@ -142,7 +151,7 @@ pub struct CompileReport {
 /// Compile and statically analyze a `.omp` program.
 pub fn compile_report(src: &str) -> Result<CompileReport, Diag> {
     let program = compile(src)?;
-    let lints = analyze::analyze(&program.l);
+    let lints = analyze::analyze(&program.code.l);
     Ok(CompileReport { program, lints })
 }
 
@@ -165,7 +174,7 @@ impl Compiled {
     /// findings, so clean programs — including every shipped example —
     /// produce an empty list.
     pub fn lints(&self) -> Vec<Lint> {
-        analyze::analyze(&self.l)
+        analyze::analyze(&self.code.l)
     }
 
     /// Enable (or disable) the dynamic happens-before race checker for
@@ -204,16 +213,20 @@ pub struct ProgramOutput {
 /// it through the same session API as handwritten region closures.
 ///
 /// Runtime errors in the translated program (out-of-bounds indexing,
-/// invalid array lengths, modulo by zero) panic with a spanned
-/// `ompc runtime error` message — the translated analogue of a segfault.
+/// invalid array lengths, modulo by zero, runaway recursion) panic with
+/// an `ompc runtime error at line L:C` message — the translated analogue
+/// of a segfault. Like any job panic it takes the job's cluster down; the
+/// `Compiled` itself holds no run state and can be submitted again.
 impl NowProgram for Compiled {
     type Output = ProgramOutput;
 
     fn into_job(self) -> Job<ProgramOutput> {
-        let l = self.l;
-        let check = self.dynamic_races;
+        let Compiled {
+            code,
+            dynamic_races,
+        } = self;
         Job::new(move |env: &mut Env<'_>| {
-            let m = run_master(&l, env, check);
+            let m = run_master(&code, env, dynamic_races);
             ProgramOutput {
                 ret: m.ret,
                 printed: m.lines,
@@ -233,5 +246,25 @@ impl NowProgram for &Compiled {
 
     fn into_job(self) -> Job<ProgramOutput> {
         self.clone().into_job()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `check_races` flips a flag on the handle; the IR and the code
+    /// compiled from it are the ones `compile` built.
+    #[test]
+    fn race_checked_and_plain_handles_share_one_compiled_program() {
+        let plain = compile("double g; int main() { g = 1.0; return 0; }").unwrap();
+        let (on, off) = (
+            plain.clone().check_races(true),
+            plain.clone().check_races(false),
+        );
+        for other in [&on, &off] {
+            assert!(Arc::ptr_eq(&plain.code, &other.code));
+        }
+        assert!(on.dynamic_races && !off.dynamic_races);
     }
 }

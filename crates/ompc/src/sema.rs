@@ -956,10 +956,11 @@ impl<'p> Sema<'p> {
             Some(Expr::Bin(ast::BinOp::Lt, v, hi, _)) if is_var(v, &var_name) => {
                 self.lower_expr(cx, hi)?
             }
-            Some(Expr::Bin(ast::BinOp::Le, v, hi, _)) if is_var(v, &var_name) => LExpr::Bin(
+            Some(Expr::Bin(ast::BinOp::Le, v, hi, span)) if is_var(v, &var_name) => LExpr::Bin(
                 ast::BinOp::Add,
                 Box::new(self.lower_expr(cx, hi)?),
                 Box::new(LExpr::Num(1.0)),
+                *span,
             ),
             _ => return Err(bad(cond_span, "condition must be `i < HI` or `i <= HI`")),
         };
@@ -1246,10 +1247,11 @@ impl<'p> Sema<'p> {
                 LExpr::Elem(g.gid, Box::new(self.lower_expr(cx, idx)?), *span)
             }
             Expr::Un(op, e, _) => LExpr::Un(*op, Box::new(self.lower_expr(cx, e)?)),
-            Expr::Bin(op, a, b, _) => LExpr::Bin(
+            Expr::Bin(op, a, b, span) => LExpr::Bin(
                 *op,
                 Box::new(self.lower_expr(cx, a)?),
                 Box::new(self.lower_expr(cx, b)?),
+                *span,
             ),
             Expr::Call(name, args, span) => {
                 let mut largs = Vec::new();
@@ -1293,7 +1295,7 @@ impl<'p> Sema<'p> {
                     if let Some(c) = cx.sync_ctx {
                         self.sync_calls.push((fid, *span, c));
                     }
-                    LExpr::Call(fid as u16, largs)
+                    LExpr::Call(fid as u16, largs, *span)
                 } else {
                     return Err(Diag::new(*span, format!("unknown function `{name}`")));
                 }
@@ -1376,11 +1378,11 @@ impl<'p> Sema<'p> {
             }
             LExpr::Elem(_, idx, _) => self.collect_expr(idx, limit, out),
             LExpr::Un(_, a) => self.collect_expr(a, limit, out),
-            LExpr::Bin(_, a, b) => {
+            LExpr::Bin(_, a, b, _) => {
                 self.collect_expr(a, limit, out);
                 self.collect_expr(b, limit, out);
             }
-            LExpr::Call(_, args) | LExpr::Builtin(_, args) => {
+            LExpr::Call(_, args, _) | LExpr::Builtin(_, args) => {
                 for a in args {
                     self.collect_expr(a, limit, out);
                 }

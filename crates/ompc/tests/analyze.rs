@@ -152,17 +152,30 @@ fn race_lints_carry_related_spans() {
 /// flagged access — the static finding is confirmed at runtime.
 #[test]
 fn dynamic_checker_confirms_race_fixtures() {
-    let confirm: &[(&str, u32, u32)] = &[
-        ("racy/team_incr.omp", 7, 9),
-        ("racy/ws_same_cell.omp", 7, 9),
-        ("racy/task_incr.omp", 13, 21),
-        ("racy/single_vs_team_read.omp", 11, 13),
-        ("racy/priv_escape_tid.omp", 10, 9),
-        ("racy/priv_escape_loopvar.omp", 10, 9),
+    // `needs_steal`: the eight one-line tasks of `task_incr` run on two
+    // threads only if a thief gets one before the spawner has drained its
+    // own deque. A run without a steal executed the fixture sequentially
+    // and has no race to observe, so it is not the run to judge.
+    let confirm: &[(&str, u32, u32, bool)] = &[
+        ("racy/team_incr.omp", 7, 9, false),
+        ("racy/ws_same_cell.omp", 7, 9, false),
+        ("racy/task_incr.omp", 13, 21, true),
+        ("racy/single_vs_team_read.omp", 11, 13, false),
+        ("racy/priv_escape_tid.omp", 10, 9, false),
+        ("racy/priv_escape_loopvar.omp", 10, 9, false),
     ];
-    for &(file, line, col) in confirm {
+    const STEAL_ATTEMPTS: usize = 20;
+    for &(file, line, col, needs_steal) in confirm {
         let prog = compile(&fixture(file)).unwrap().check_races(true);
-        let out = run_on(&prog, 4);
+        let out = (0..STEAL_ATTEMPTS)
+            .map(|_| {
+                Cluster::from_config(OmpConfig::fast_test(4))
+                    .run(&prog)
+                    .expect("a fresh cluster accepts a job")
+            })
+            .find(|report| !needs_steal || report.dsm.tasks_stolen > 0)
+            .unwrap_or_else(|| panic!("{file}: no task stolen in {STEAL_ATTEMPTS} runs"))
+            .result;
         assert!(!out.races.is_empty(), "{file}: no dynamic race observed");
         let hit = out.races.iter().any(|r| {
             let s = |sp: ompc::Span| (sp.line, sp.col);

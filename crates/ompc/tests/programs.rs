@@ -312,38 +312,313 @@ fn regions_without_reachable_tasks_stay_plain() {
     assert!(m.dsm.tasks_executed >= 10);
 }
 
+/// The message a translated program's run dies with.
+fn runtime_error(src: &'static str) -> String {
+    let err = std::panic::catch_unwind(|| run(src, 1)).expect_err("the program must panic");
+    err.downcast_ref::<String>().cloned().unwrap_or_default()
+}
+
 #[test]
 fn runaway_recursion_is_a_clean_runtime_error() {
-    let r = std::panic::catch_unwind(|| {
-        run(
-            "int f(int k) { return f(k) + 1; }\nint main() { return f(1); }",
-            1,
-        )
-    });
-    let err = r.expect_err("unbounded recursion must be caught");
-    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-    assert!(msg.contains("call depth exceeded"), "{msg}");
+    // The guard names the call that went too deep and its callee.
+    let msg = runtime_error("int f(int k) {\n  return f(k) + 1;\n}\nint main() { return f(1); }");
+    assert!(
+        msg.contains("ompc runtime error at line 2:10: call depth exceeded 256 calling `f`"),
+        "{msg}"
+    );
 }
 
 #[test]
 fn nan_index_is_rejected_not_wrapped_to_zero() {
-    let r = std::panic::catch_unwind(|| {
-        run(
-            "double a[4];\ndouble z;\nint main() { a[z / z] = 9.0; return 0; }",
-            1,
-        )
-    });
-    let err = r.expect_err("NaN index must be a runtime error");
-    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    let msg = runtime_error("double a[4];\ndouble z;\nint main() { a[z / z] = 9.0; return 0; }");
     assert!(msg.contains("out of bounds"), "{msg}");
 }
 
 #[test]
 fn runtime_error_is_a_spanned_panic() {
-    let r =
-        std::panic::catch_unwind(|| run("double a[4];\nint main() { a[9] = 1.0; return 0; }", 1));
-    let err = r.expect_err("out-of-bounds store must panic");
-    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    let msg = runtime_error("double a[4];\nint main() { a[9] = 1.0; return 0; }");
     assert!(msg.contains("ompc runtime error"), "{msg}");
     assert!(msg.contains("out of bounds"), "{msg}");
+}
+
+#[test]
+fn modulo_by_zero_names_the_operator() {
+    let msg = runtime_error("int z;\nint main() {\n  return 7 % z;\n}");
+    assert!(
+        msg.contains("ompc runtime error at line 3:12: modulo by zero"),
+        "{msg}"
+    );
+    // A constant zero divisor is still the program's error, raised when
+    // (and only if) the operation runs — never the compiler's.
+    let msg = runtime_error("int main() {\n  return 7 % 0;\n}");
+    assert!(msg.contains("at line 2:12: modulo by zero"), "{msg}");
+    assert_eq!(
+        run("int main() { if (0) { return 7 % 0; } return 1; }", 1).ret,
+        1.0
+    );
+}
+
+#[test]
+fn an_unwound_run_leaves_nothing_in_the_compiled_program() {
+    // 200 frames deep, then an out-of-bounds store. Were the call depth
+    // or the frame stack kept with the program instead of with the run,
+    // the second run would start 200 deep and die of the depth guard.
+    let prog = ompc::compile(
+        "double a[4];\n\
+         void dive(int k) { if (k > 0) { dive(k - 1); } else { a[9] = 1.0; } }\n\
+         int main() { dive(200); return 0; }",
+    )
+    .unwrap();
+    for round in 0..2 {
+        let p = prog.clone();
+        let err =
+            std::panic::catch_unwind(move || Cluster::from_config(OmpConfig::fast_test(1)).run(p))
+                .expect_err("the store must panic");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("out of bounds"), "round {round}: {msg}");
+    }
+}
+
+// ----------------------------------------------------------------------
+// The compile pass: every specialisation computes what Rust computes,
+// and every ordering rule of the source survives it.
+// ----------------------------------------------------------------------
+
+fn truth(b: bool) -> f64 {
+    f64::from(u8::from(b))
+}
+
+/// What `x OP y` is in the source language, computed by Rust.
+fn rust_bin(op: &str, x: f64, y: f64) -> f64 {
+    match op {
+        "+" => x + y,
+        "-" => x - y,
+        "*" => x * y,
+        "/" => x / y,
+        "%" => ((x.trunc() as i64) % (y.trunc() as i64)) as f64,
+        "==" => truth(x == y),
+        "!=" => truth(x != y),
+        "<" => truth(x < y),
+        "<=" => truth(x <= y),
+        ">" => truth(x > y),
+        ">=" => truth(x >= y),
+        "&&" => truth(x != 0.0 && y != 0.0),
+        "||" => truth(x != 0.0 || y != 0.0),
+        _ => unreachable!("{op}"),
+    }
+}
+
+#[test]
+fn every_operator_in_every_operand_shape_matches_rust() {
+    const OPS: [&str; 13] = [
+        "+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "&&", "||",
+    ];
+    const PAIRS: [(f64, f64); 6] = [
+        (7.5, -2.25),
+        (0.0, 3.0),
+        (-9.0, 4.0),
+        (5.0, 5.0),
+        (3.0, 0.0),
+        (1e10, 7.0),
+    ];
+    for op in OPS {
+        for (x, y) in PAIRS {
+            if op == "%" && y == 0.0 {
+                continue;
+            }
+            // An operand is a constant (`N`), a frame slot (`L`) or
+            // anything else (`E`: here a product, itself `L∘N`); all nine
+            // combinations compute the same `x OP y`.
+            let as_n = |v: f64| format!("({v:?})");
+            let forms =
+                |v: f64, local: &str| [as_n(v), local.to_string(), format!("({local} * 1.0)")];
+            let mut body = String::new();
+            let mut k = 0;
+            for l in forms(x, "a") {
+                for r in forms(y, "b") {
+                    // Once as an operand of something else (an element
+                    // store), once assigned to a `double` local, once to
+                    // an `int` local: the three things a specialised
+                    // closure can do with its value.
+                    body += &format!(
+                        "v[{k}] = {l} {op} {r};\n double d{k} = {l} {op} {r}; d[{k}] = d{k};\n \
+                         int t{k} = {l} {op} {r}; t[{k}] = t{k};\n"
+                    );
+                    k += 1;
+                }
+            }
+            let src = format!(
+                "double v[9]; double d[9]; double t[9];\n\
+                 int main() {{ double a = {x:?}; double b = {y:?};\n{body} return 0; }}"
+            );
+            let out = run(&src, 1);
+            let want = rust_bin(op, x, y);
+            for k in 0..9 {
+                let shape = ["N", "L", "E"];
+                let what = format!("{x:?} {op} {y:?} as {}∘{}", shape[k / 3], shape[k % 3]);
+                assert_eq!(
+                    out.arrays["v"][k].to_bits(),
+                    want.to_bits(),
+                    "{what}, value"
+                );
+                assert_eq!(
+                    out.arrays["d"][k].to_bits(),
+                    want.to_bits(),
+                    "{what}, double store"
+                );
+                assert_eq!(
+                    out.arrays["t"][k].to_bits(),
+                    want.trunc().to_bits(),
+                    "{what}, int store"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn unary_builtin_folded_and_truncating_forms_match_rust() {
+    let x = 2.75f64;
+    let out = run(
+        "double r[24];\n\
+         int gi; int ga[2];\n\
+         double pass(int k) { return k; }\n\
+         int main() {\n\
+           double a = 2.75; double z = 0.0;\n\
+           r[0] = -a; r[1] = !a; r[2] = !z; r[3] = -(a * 1.0); r[4] = !(z * 1.0);\n\
+           r[5] = -2.75; r[6] = !0.0; r[7] = !2.75;\n\
+           r[8] = sqrt(a); r[9] = fabs(-a); r[10] = floor(-a);\n\
+           r[11] = sin(a); r[12] = cos(a); r[13] = exp(a);\n\
+           r[14] = omp_get_thread_num() + 10 * omp_get_num_threads() + 100 * omp_get_num_procs();\n\
+           r[15] = omp_get_wtime() >= 0.0;\n\
+           r[16] = 2.0 * 3.0 + 4.0 / 8.0 - 1.0 / 3.0;\n\
+           r[17] = (10 % 4) * (1 < 2) + (3 >= 3) - (2 == 1) + (1 && 0) + (0 || 7);\n\
+           int li = 7.9; r[18] = li;\n\
+           li = 0.0 - 7.9; r[19] = li;\n\
+           gi = a * 3.0; r[20] = gi;\n\
+           ga[1] = 0.0 - a * 3.0; r[21] = ga[1];\n\
+           r[22] = pass(3.99) + pass(0.0 - a);\n\
+           r[23] = pass(-0.5);\n\
+           return 0;\n\
+         }",
+        3,
+    );
+    let want = [
+        -x,
+        0.0,
+        1.0,
+        -(x * 1.0),
+        1.0,
+        -2.75,
+        1.0,
+        0.0,
+        x.sqrt(),
+        x.abs(),
+        (-x).floor(),
+        x.sin(),
+        x.cos(),
+        x.exp(),
+        // Sequential context: thread 0, a team of 1, 3 processors.
+        0.0 + 10.0 * 1.0 + 100.0 * 3.0,
+        1.0,
+        2.0 * 3.0 + 4.0 / 8.0 - 1.0 / 3.0,
+        2.0 * 1.0 + 1.0 - 0.0 + 0.0 + 1.0,
+        7.0,
+        -7.0,
+        8.0,
+        -8.0,
+        3.0 + -2.0,
+        -0.0,
+    ];
+    for (k, w) in want.iter().enumerate() {
+        assert_eq!(
+            out.arrays["r"][k].to_bits(),
+            w.to_bits(),
+            "r[{k}]: {} vs {w}",
+            out.arrays["r"][k]
+        );
+    }
+    assert_eq!(out.scalars["gi"], 8.0);
+    assert_eq!(out.arrays["ga"][1], -8.0);
+}
+
+#[test]
+fn evaluation_order_and_short_circuit_are_the_sources() {
+    // `mark(id, ret)` appends `id` to `log` and returns `ret`: the log is
+    // the order in which calls actually ran.
+    let out = run(
+        "double log[16]; int n;\n\
+         double a[8]; double r[8]; double first[8]; int after;\n\
+         double mark(double id, double ret) { log[n] = id; n = n + 1; return ret; }\n\
+         double sub(double x, double y) { return x - y; }\n\
+         double first_over(double lim) {\n\
+           int k = 0;\n\
+           if (lim >= 0) {\n\
+             while (1) {\n\
+               if (k * k > lim) { return k; }\n\
+               k = k + 1;\n\
+             }\n\
+             after = 1;\n\
+           }\n\
+           after = 1;\n\
+           return 0 - 1;\n\
+         }\n\
+         int main() {\n\
+           double z = 0.0; double o = 1.0;\n\
+           r[0] = 0 && mark(1, 1);\n\
+           r[1] = z && mark(2, 1);\n\
+           r[2] = 1 || mark(3, 1);\n\
+           r[3] = o || mark(4, 1);\n\
+           r[4] = o && mark(5, 0);\n\
+           r[5] = z || mark(6, 5);\n\
+           a[mark(7, 2)] = mark(8, 9);\n\
+           r[6] = sub(mark(9, 10), mark(10, 4));\n\
+           r[7] = mark(11, 1) - mark(12, 2) * mark(13, 3);\n\
+           #pragma omp parallel for schedule(static)\n\
+           for (int i = 0; i < 8; i = i + 1) { first[i] = first_over(i * 10); }\n\
+           return n;\n\
+         }",
+        2,
+    );
+    // 1–4 were short-circuited away; everything else ran left to right,
+    // the index of an element store before its value.
+    let ran = [5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0];
+    assert_eq!(out.ret, ran.len() as f64);
+    assert_eq!(out.arrays["log"][..ran.len()], ran);
+    assert_eq!(out.arrays["r"], [0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 6.0, -5.0]);
+    assert_eq!(out.arrays["a"][2], 9.0);
+    // `return` from a `while` inside an `if`, in the callee of a
+    // work-shared loop body: the value gets out, nothing after it runs.
+    let want: Vec<f64> = (0..8)
+        .map(|i| (0..).find(|k| k * k > i * 10).unwrap() as f64)
+        .collect();
+    assert_eq!(out.arrays["first"], want);
+    assert_eq!(out.scalars["after"], 0.0);
+}
+
+#[test]
+fn one_compiled_program_serves_every_run_and_every_thread() {
+    fn shareable<T: Send + Sync>(_: &T) {}
+    let prog = ompc::compile(include_str!("../../../examples/omp/qsort.omp")).unwrap();
+    shareable(&prog);
+
+    let mut warm = Cluster::from_config(OmpConfig::fast_test(2));
+    let first = warm.run(&prog).expect("warm job").result;
+    assert_eq!(first.ret, 0.0, "sorted");
+    for _ in 0..2 {
+        assert_eq!(warm.run(&prog).expect("warm job").result, first);
+    }
+
+    let (a, b) = std::thread::scope(|s| {
+        let on_own_cluster = || {
+            Cluster::from_config(OmpConfig::fast_test(2))
+                .run(&prog)
+                .expect("cluster job")
+                .result
+        };
+        let (a, b) = (s.spawn(on_own_cluster), s.spawn(on_own_cluster));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_eq!(a, first);
+    assert_eq!(b, first);
 }
