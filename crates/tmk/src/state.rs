@@ -291,13 +291,25 @@ impl NodeState {
     /// Build the write-notice bundle for a receiver whose clock is
     /// (conservatively) `receiver_vc`: every interval we know that the
     /// receiver has not seen.
+    ///
+    /// The log is keyed `(node, seq)`, so writer `j`'s unseen intervals
+    /// are one range past `receiver_vc[j]`; visiting writers in ascending
+    /// order yields the log's own order. The cost is O(n + sent), not the
+    /// length of the log.
     pub fn bundle_for(&self, receiver_vc: &VectorClock) -> NoticeBundle {
-        let intervals = self
-            .interval_log
-            .iter()
-            .filter(|((node, seq), _)| !receiver_vc.covers(*node as usize, *seq))
-            .map(|(&(node, seq), info)| (IntervalId { node, seq }, info.clone()))
-            .collect();
+        debug_assert_eq!(receiver_vc.0.len(), self.n);
+        let mut intervals = Vec::new();
+        for (node, &seen) in receiver_vc.0.iter().enumerate() {
+            let node = node as u32;
+            let Some(first) = seen.checked_add(1) else {
+                continue; // the receiver has seen everything `node` can write
+            };
+            intervals.extend(
+                self.interval_log
+                    .range((node, first)..=(node, u32::MAX))
+                    .map(|(&(node, seq), info)| (IntervalId { node, seq }, info.clone())),
+            );
+        }
         NoticeBundle {
             intervals,
             vc: self.vc.clone(),
@@ -818,6 +830,97 @@ mod tests {
         assert_eq!(half.intervals[0].0, IntervalId { node: 0, seq: 2 });
         let none = st.bundle_for(&VectorClock(vec![2, 0, 0]));
         assert!(none.intervals.is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 300, ..Default::default() })]
+        #[test]
+        fn bundle_for_equals_the_whole_log_filter(
+            nodes in 2usize..6,
+            id in 0usize..6,
+            ops in proptest::collection::vec(0u32..1_000_000, 0..80),
+            clocks in proptest::collection::vec(0u32..1_000_000, 6 * 8),
+        ) {
+            let mut st = mk(id % nodes, nodes);
+            for &op in &ops {
+                let (kind, arg) = (op % 4, op / 4);
+                match kind {
+                    // Our own interval: contiguous seqs. Push-write, as
+                    // the page may hold notices from earlier bundles.
+                    0 => {
+                        let pid = arg as usize % 4;
+                        st.start_write_push(pid);
+                        let r = st.page_range(pid);
+                        st.mem[r][arg as usize % 64] ^= 1;
+                        st.close_interval();
+                    }
+                    // A peer's bundle: any writer, seqs with gaps and out
+                    // of order (duplicates and our own are skipped).
+                    1 | 2 => {
+                        let writer = arg % nodes as u32;
+                        let seq = 1 + (arg / 8) % 40;
+                        let bundle = NoticeBundle {
+                            intervals: vec![(
+                                IntervalId { node: writer, seq },
+                                IntervalInfo {
+                                    vc_sum: u64::from(arg % 97),
+                                    pages: vec![arg as usize % 4],
+                                },
+                            )],
+                            vc: VectorClock::zero(nodes),
+                            pvc: VectorClock::zero(nodes),
+                        };
+                        st.apply_bundle((st.id + 1) % nodes, &bundle);
+                    }
+                    // A GC round trims everything its snapshot covers.
+                    _ => {
+                        let upto = VectorClock(
+                            (0..nodes).map(|j| (arg >> (3 * j)) % 24).collect(),
+                        );
+                        st.apply_gc_complete(&BTreeMap::new(), &upto);
+                    }
+                }
+            }
+            let top = |j: usize| {
+                st.interval_log
+                    .range((j as u32, 0)..=(j as u32, u32::MAX))
+                    .next_back()
+                    .map_or(0, |(&(_, seq), _)| seq)
+            };
+            let mut receivers = vec![
+                VectorClock::zero(nodes),
+                VectorClock((0..nodes).map(top).collect()),
+                VectorClock(vec![u32::MAX; nodes]),
+            ];
+            // Mixed clocks: each component zero, just below / at the
+            // writer's newest logged seq, arbitrary, or u32::MAX.
+            for c in clocks.chunks_exact(nodes) {
+                receivers.push(VectorClock(
+                    c.iter()
+                        .enumerate()
+                        .map(|(j, &v)| match v % 5 {
+                            0 => 0,
+                            1 => top(j).saturating_sub(v / 5 % 3),
+                            2 => v / 5 % 45,
+                            3 => u32::MAX - v / 5 % 2,
+                            _ => top(j),
+                        })
+                        .collect(),
+                ));
+            }
+            for rvc in &receivers {
+                let oracle: Vec<_> = st
+                    .interval_log
+                    .iter()
+                    .filter(|((node, seq), _)| !rvc.covers(*node as usize, *seq))
+                    .map(|(&(node, seq), info)| (IntervalId { node, seq }, info.clone()))
+                    .collect();
+                let bundle = st.bundle_for(rvc);
+                proptest::prop_assert_eq!(&bundle.intervals, &oracle, "receiver {:?}", rvc);
+                proptest::prop_assert_eq!(&bundle.vc, &st.vc);
+                proptest::prop_assert_eq!(&bundle.pvc, &st.processed_vc);
+            }
+        }
     }
 
     #[test]
