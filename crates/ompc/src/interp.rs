@@ -231,7 +231,15 @@ pub(crate) fn run_master(code: &Arc<Code>, env: &mut Env<'_>, check_races: bool)
         });
         globals.push(match g.kind {
             LGlobalKind::Scalar { .. } => {
-                GSlot::Scalar(env.malloc_scalar(if g.trunc { v.trunc() } else { v }))
+                let v = if g.trunc { v.trunc() } else { v };
+                // Fresh shared memory is zero on every node: writing +0.0
+                // would only twin the page and send each node that reads
+                // the global first after an empty diff.
+                GSlot::Scalar(if v.to_bits() == 0 {
+                    SharedScalar::from_vec(env.malloc_vec(1))
+                } else {
+                    env.malloc_scalar(v)
+                })
             }
             LGlobalKind::Array { .. } => {
                 let n = v.trunc();

@@ -312,6 +312,25 @@ fn regions_without_reachable_tasks_stay_plain() {
     assert!(m.dsm.tasks_executed >= 10);
 }
 
+#[test]
+fn zero_initialized_globals_are_not_written() {
+    // Fresh shared memory is zero on every node, so a scalar global that
+    // starts at +0.0 costs no twin (and no node fetches an empty diff for
+    // it); -0.0 has other bits and is written like any other value.
+    let r = report(
+        "double zero;\n\
+         double also = 0.0;\n\
+         double neg = -0.0;\n\
+         double one = 1.0;\n\
+         int main() { return 0; }",
+        OmpConfig::fast_test(2),
+    );
+    let s = &r.result.scalars;
+    assert_eq!((s["zero"], s["also"], s["one"]), (0.0, 0.0, 1.0));
+    assert_eq!(s["neg"].to_bits(), (-0.0f64).to_bits());
+    assert_eq!(r.dsm.twins_created, 2, "only `neg` and `one` are written");
+}
+
 /// The message a translated program's run dies with.
 fn runtime_error(src: &'static str) -> String {
     let err = std::panic::catch_unwind(|| run(src, 1)).expect_err("the program must panic");

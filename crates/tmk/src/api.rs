@@ -341,8 +341,10 @@ impl Tmk {
     // ------------------------------------------------------------------
 
     /// Bring page `pid` up to date: fetch a post-GC full copy if our base
-    /// is stale, then fetch and apply diffs for all unapplied write
-    /// notices (in parallel from all writers), and make the page readable.
+    /// is stale, then fetch the diffs of all unapplied write notices from
+    /// the writers whose notices dominate them (one request per maximal
+    /// writer, all in flight at once), apply them, and make the page
+    /// readable.
     pub(crate) fn page_fault(&mut self, pid: PageId) {
         self.fault_pages(&[pid]);
     }
@@ -360,95 +362,101 @@ impl Tmk {
     }
 
     fn fault_pages_inner(&mut self, pids: &[PageId]) {
-        use std::collections::HashMap;
+        use std::collections::BTreeMap;
+        type Fetched = Vec<(IntervalId, Arc<crate::diff::Diff>)>;
+        // Which of `pids` needed remote data: each is one read fault,
+        // however many rounds it took.
+        let mut faulted = vec![false; pids.len()];
         loop {
             // Classify every page under one lock round.
             let mut full: Vec<(PageId, usize)> = Vec::new();
-            let mut fetch: Vec<(PageId, usize, Vec<u32>)> = Vec::new();
+            let mut round: Vec<(PageId, usize, Vec<IntervalId>)> = Vec::new();
             {
                 let mut st = self.state.lock();
                 st.sync_alloc();
-                for &pid in pids {
+                for (&pid, faulted) in pids.iter().zip(&mut faulted) {
                     if st.needs_full_fetch(pid) {
                         let owner = st.pages[pid].owner;
                         debug_assert_ne!(owner, self.id, "owner never full-fetches");
                         full.push((pid, owner));
                     } else if !st.pages[pid].unapplied.is_empty() {
-                        for (node, seqs) in st.fault_plan(pid) {
+                        for (node, ids) in st.fault_plan(pid) {
                             debug_assert_ne!(node, self.id, "own diffs are never missing");
-                            fetch.push((pid, node, seqs));
+                            round.push((pid, node, ids));
                         }
-                    } else if !st.pages[pid].readable() {
-                        st.finish_fault(pid);
+                    } else {
+                        if !st.pages[pid].readable() {
+                            st.finish_fault(pid);
+                        }
+                        continue;
                     }
+                    *faulted = true;
                 }
             }
-            if full.is_empty() && fetch.is_empty() {
-                return;
+            if full.is_empty() && round.is_empty() {
+                break;
             }
             for (pid, owner) in &full {
                 self.ep.send(*owner, Msg::PageReq { page: *pid });
             }
-            for (pid, node, seqs) in &fetch {
-                self.ep.send(
-                    *node,
-                    Msg::DiffReq {
-                        page: *pid,
-                        seqs: seqs.clone(),
-                    },
-                );
+            // Per page: every id planned for it, and the diffs arrived so
+            // far. A page is applied only once its whole set is here.
+            let mut by_page: BTreeMap<PageId, (Vec<IntervalId>, Fetched)> = BTreeMap::new();
+            for (pid, _, ids) in &round {
+                by_page.entry(*pid).or_default().0.extend(ids);
             }
-            let expected = full.len() + fetch.len();
-            let mut by_page: HashMap<PageId, Vec<(usize, u32, Arc<crate::diff::Diff>)>> =
-                HashMap::new();
-            for _ in 0..expected {
-                let d = self.recv_reply();
-                self.ep.charge_rx(&d);
-                let src = d.src;
-                match d.msg {
-                    Msg::DiffRep { page, diffs } => {
-                        let e = by_page.entry(page).or_default();
-                        for (seq, diff) in diffs {
-                            e.push((src, seq, diff));
-                        }
-                    }
-                    Msg::PageRep { page, epoch, bytes } => {
-                        self.state.lock().install_page(page, epoch, &bytes);
-                        if self.ep.tracer().on() {
-                            // Per-page fault marker (b != 0) for the
-                            // profile's hot-page table.
-                            self.ep.tracer().instant(
-                                EventKind::PageFault,
-                                self.lane_tid,
-                                self.clock.now(),
-                                page as u64,
-                                1,
-                            );
-                        }
-                    }
-                    other => panic!("expected DiffRep/PageRep, got {}", other.kind()),
+            // The first pass also collects the full-page replies.
+            let mut replies = full.len();
+            loop {
+                for (pid, node, ids) in round {
+                    replies += 1;
+                    self.ep.send(node, Msg::DiffReq { page: pid, ids });
                 }
+                for _ in 0..std::mem::take(&mut replies) {
+                    let d = self.recv_reply();
+                    self.ep.charge_rx(&d);
+                    match d.msg {
+                        Msg::DiffRep { page, diffs } => {
+                            by_page.entry(page).or_default().1.extend(diffs);
+                        }
+                        Msg::PageRep { page, epoch, bytes } => {
+                            self.state.lock().install_page(page, epoch, &bytes);
+                            if self.ep.tracer().on() {
+                                // Per-page fault marker (b != 0) for the
+                                // profile's hot-page table.
+                                self.ep.tracer().instant(
+                                    EventKind::PageFault,
+                                    self.lane_tid,
+                                    self.clock.now(),
+                                    page as u64,
+                                    1,
+                                );
+                            }
+                        }
+                        other => panic!("expected DiffRep/PageRep, got {}", other.kind()),
+                    }
+                }
+                // Short replies: ask the creators for what is still missing.
+                round = by_page
+                    .iter()
+                    .flat_map(|(&pid, (wanted, got))| {
+                        NodeState::missing_by_creator(wanted, got)
+                            .into_iter()
+                            .map(move |(node, ids)| (pid, node, ids))
+                    })
+                    .collect();
+                if round.is_empty() {
+                    break;
+                }
+                self.metrics
+                    .op(TmkOp::DiffRefetches)
+                    .add(round.len() as u64);
             }
             let tracing = self.ep.tracer().on();
             let mut st = self.state.lock();
-            for (page, fetched) in by_page {
-                st.count(TmkOp::ReadFaults, 1);
-                let items: Vec<(IntervalId, u64, Arc<crate::diff::Diff>)> = fetched
-                    .iter()
-                    .map(|(node, seq, diff)| {
-                        let vc_sum = st.interval_log[&(*node as u32, *seq)].vc_sum;
-                        (
-                            IntervalId {
-                                node: *node as u32,
-                                seq: *seq,
-                            },
-                            vc_sum,
-                            diff.clone(),
-                        )
-                    })
-                    .collect();
-                let ndiffs = items.len() as u64;
-                st.apply_fetched(page, items);
+            for (page, (_, fetched)) in by_page {
+                let ndiffs = fetched.len() as u64;
+                st.apply_fetched(page, fetched);
                 if tracing {
                     let t = self.clock.now();
                     let tr = self.ep.tracer();
@@ -459,6 +467,8 @@ impl Tmk {
                 }
             }
         }
+        let faults = faulted.iter().filter(|&&f| f).count() as u64;
+        self.metrics.op(TmkOp::ReadFaults).add(faults);
     }
 
     // ------------------------------------------------------------------
@@ -510,7 +520,7 @@ impl Tmk {
         assert_eq!(e, epoch, "barrier episode mismatch");
         {
             let mut st = self.state.lock();
-            st.apply_bundle(src, &bundle);
+            st.acquire(src, &bundle);
             st.count(TmkOp::Barriers, 1);
         }
         if gc {
@@ -599,7 +609,7 @@ impl Tmk {
         };
         debug_assert_eq!(l2, lock);
         let mut st = self.state.lock();
-        st.apply_bundle(src, &bundle);
+        st.acquire(src, &bundle);
         st.held_locks.insert(lock);
     }
 
@@ -701,7 +711,7 @@ impl Tmk {
         };
         debug_assert_eq!(granted, sema, "semaphore grant mismatch");
         let mut st = self.state.lock();
-        st.apply_bundle(src, &bundle);
+        st.acquire(src, &bundle);
         st.count(TmkOp::SemaWaits, 1);
     }
 
@@ -751,7 +761,7 @@ impl Tmk {
             panic!("expected LockGrant after cond_wait, got {}", d.msg.kind())
         };
         let mut st = self.state.lock();
-        st.apply_bundle(src, &bundle);
+        st.acquire(src, &bundle);
         st.held_locks.insert(lock);
     }
 

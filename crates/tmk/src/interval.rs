@@ -9,6 +9,7 @@
 //! for intervals the acquirer has not yet seen.
 
 use crate::addr::PageId;
+use std::sync::Arc;
 
 /// A vector timestamp: `vc[i]` = highest interval sequence number of node
 /// `i` whose write notices this node has seen.
@@ -68,8 +69,24 @@ pub struct IntervalId {
 pub struct IntervalInfo {
     /// Linearization key: the creating node's vector-clock sum at close.
     pub vc_sum: u64,
+    /// The vector timestamp that decides domination: what the creating
+    /// node's application thread had *acquired* when the interval closed
+    /// (see `NodeState::acquired`).
+    pub vc: VectorClock,
     /// Pages dirtied during the interval.
     pub pages: Vec<PageId>,
+}
+
+impl IntervalInfo {
+    /// Whether this interval's writer had acquired interval `id` when it
+    /// closed this one. A writer validates a page before writing it, so
+    /// it has normally applied `id`'s diff to every page both intervals
+    /// wrote — the exceptions are push-writes and notices acquired after
+    /// the writer's last access to the page in the interval.
+    #[inline]
+    pub fn dominates(&self, id: IntervalId) -> bool {
+        self.vc.covers(id.node as usize, id.seq)
+    }
 }
 
 /// A batch of write notices sent on a release→acquire edge, together with
@@ -87,8 +104,9 @@ pub struct IntervalInfo {
 /// overtaken, which surfaces as stale reads inside critical sections.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NoticeBundle {
-    /// Intervals the receiver has (presumably) not seen.
-    pub intervals: Vec<(IntervalId, IntervalInfo)>,
+    /// Intervals the receiver has (presumably) not seen. Records are
+    /// immutable once closed and shared, so a bundle holds references.
+    pub intervals: Vec<(IntervalId, Arc<IntervalInfo>)>,
     /// Sender's promise clock at send time; merged by the receiver after
     /// processing the notices.
     pub vc: VectorClock,
@@ -107,15 +125,15 @@ impl NoticeBundle {
         }
     }
 
-    /// Modeled wire size: both clocks + 12 bytes per interval header +
-    /// 4 bytes per page id.
+    /// Modeled wire size: both clocks + per interval a 12-byte header,
+    /// its vector timestamp and 4 bytes per page id.
     pub fn wire_bytes(&self) -> usize {
         self.vc.wire_bytes()
             + self.pvc.wire_bytes()
             + self
                 .intervals
                 .iter()
-                .map(|(_, info)| 12 + 4 * info.pages.len())
+                .map(|(_, info)| 12 + info.vc.wire_bytes() + 4 * info.pages.len())
                 .sum::<usize>()
     }
 
@@ -160,16 +178,32 @@ mod tests {
         let b = NoticeBundle {
             intervals: vec![(
                 IntervalId { node: 0, seq: 1 },
-                IntervalInfo {
+                Arc::new(IntervalInfo {
                     vc_sum: 1,
+                    vc: VectorClock(vec![1, 0, 0, 0]),
                     pages: vec![1, 2, 3],
-                },
+                }),
             )],
             vc: VectorClock::zero(4),
             pvc: VectorClock::zero(4),
         };
-        assert_eq!(b.wire_bytes(), 16 + 16 + 12 + 12);
+        assert_eq!(b.wire_bytes(), 16 + 16 + 12 + 16 + 12);
         assert_eq!(b.notice_count(), 3);
+    }
+
+    #[test]
+    fn domination_is_timestamp_coverage() {
+        let info = IntervalInfo {
+            vc_sum: 5,
+            vc: VectorClock(vec![2, 3, 0]),
+            pages: vec![0],
+        };
+        assert!(info.dominates(IntervalId { node: 1, seq: 2 }));
+        assert!(info.dominates(IntervalId { node: 0, seq: 1 }));
+        assert!(
+            !info.dominates(IntervalId { node: 2, seq: 1 }),
+            "concurrent"
+        );
     }
 
     proptest::proptest! {

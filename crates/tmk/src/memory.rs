@@ -104,7 +104,10 @@ impl<T> Clone for SharedScalar<T> {
 impl<T> Copy for SharedScalar<T> {}
 
 impl<T: Shareable> SharedScalar<T> {
-    pub(crate) fn from_vec(v: SharedVec<T>) -> Self {
+    /// The scalar stored in element 0 of `v` — from a fresh
+    /// [`Tmk::malloc_vec`] of one element, a zero scalar that costs no
+    /// write.
+    pub fn from_vec(v: SharedVec<T>) -> Self {
         SharedScalar { v }
     }
 

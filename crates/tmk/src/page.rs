@@ -46,9 +46,12 @@ pub struct PageMeta {
     /// Twin of the most recent *closed* interval whose diff has not been
     /// materialized yet (lazy diffing), with that interval's seq.
     pub pending: Option<(u32, Box<[u8]>)>,
-    /// Diffs this node created for this page, by interval seq — the cache
-    /// it serves `DiffReq`s from.
-    pub diffs: BTreeMap<u32, Arc<Diff>>,
+    /// Diffs this node holds for this page, by interval — the cache it
+    /// serves `DiffReq`s from: the diffs it created, plus the foreign
+    /// diffs it applied, retained (an `Arc` clone) so a later faulting
+    /// node can fetch a whole write chain from its last writer. Both
+    /// kinds are dropped at the GC that covers their interval.
+    pub diffs: BTreeMap<IntervalId, Arc<Diff>>,
     /// Write notices whose diffs are still missing locally.
     pub unapplied: Vec<NoticeRec>,
     /// Who owns the authoritative full copy of the current GC epoch.
@@ -87,9 +90,18 @@ impl PageMeta {
         matches!(self.state, PageState::Write | PageState::WritePush)
     }
 
-    /// Bytes of cached diff storage attributable to this page.
-    pub fn diff_storage_bytes(&self) -> usize {
-        self.diffs.values().map(|d| d.wire_bytes()).sum()
+    /// Bytes of the diffs node `me` created for this page (the GC
+    /// trigger input; retained foreign diffs do not count).
+    pub fn diff_storage_bytes(&self, me: u32) -> usize {
+        self.diffs
+            .range(
+                IntervalId { node: me, seq: 0 }..=IntervalId {
+                    node: me,
+                    seq: u32::MAX,
+                },
+            )
+            .map(|(_, d)| d.wire_bytes())
+            .sum()
     }
 }
 
@@ -103,7 +115,22 @@ mod tests {
         assert_eq!(p.state, PageState::Unmapped);
         assert!(!p.readable());
         assert!(p.twin.is_none() && p.pending.is_none());
-        assert_eq!(p.diff_storage_bytes(), 0);
+        assert_eq!(p.diff_storage_bytes(0), 0);
+    }
+
+    #[test]
+    fn diff_storage_counts_only_own_diffs() {
+        let mut p = PageMeta::new(0);
+        let d = Arc::new(Diff::create(&[0u8; 64], &[1u8; 64]));
+        p.diffs.insert(IntervalId { node: 1, seq: 3 }, d.clone());
+        assert_eq!(p.diff_storage_bytes(1), d.wire_bytes());
+        p.diffs.insert(IntervalId { node: 2, seq: 1 }, d.clone());
+        p.diffs.insert(IntervalId { node: 0, seq: 9 }, d.clone());
+        assert_eq!(
+            p.diff_storage_bytes(1),
+            d.wire_bytes(),
+            "retained diffs are free"
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::addr::PageId;
 use crate::diff::Diff;
-use crate::interval::{NoticeBundle, VectorClock};
+use crate::interval::{IntervalId, NoticeBundle, VectorClock};
 use now_net::Wire;
 use std::sync::Arc;
 
@@ -35,19 +35,23 @@ impl std::fmt::Debug for Region {
 /// All DSM protocol messages.
 #[derive(Debug, Clone)]
 pub enum Msg {
-    /// Fault handling: request the listed diffs of `page` from a writer.
+    /// Fault handling: request the listed diffs of `page` from a writer
+    /// whose interval dominates them.
     DiffReq {
         /// Faulted page.
         page: PageId,
-        /// Interval sequence numbers of the writer whose diffs are needed.
-        seqs: Vec<u32>,
+        /// Intervals whose diffs are needed: the receiver's own, and
+        /// other writers' it is expected to have applied and retained.
+        ids: Vec<IntervalId>,
     },
-    /// Writer's reply with the requested diffs.
+    /// Writer's reply with the requested diffs it holds. All of its own
+    /// are always there; a retained one it never applied is left out,
+    /// and the requester asks that interval's creator.
     DiffRep {
         /// Page the diffs belong to.
         page: PageId,
-        /// `(seq, diff)` pairs, one per requested interval.
-        diffs: Vec<(u32, Arc<Diff>)>,
+        /// `(interval, diff)` pairs, a subset of the requested ids.
+        diffs: Vec<(IntervalId, Arc<Diff>)>,
     },
     /// Post-GC cold fetch: request a full page copy from its owner.
     PageReq {
@@ -251,9 +255,9 @@ macro_rules! msg_kinds {
 impl Wire for Msg {
     fn wire_bytes(&self) -> usize {
         match self {
-            Msg::DiffReq { seqs, .. } => 12 + 4 * seqs.len(),
+            Msg::DiffReq { ids, .. } => 12 + 8 * ids.len(),
             Msg::DiffRep { diffs, .. } => {
-                8 + diffs.iter().map(|(_, d)| 4 + d.wire_bytes()).sum::<usize>()
+                8 + diffs.iter().map(|(_, d)| 8 + d.wire_bytes()).sum::<usize>()
             }
             Msg::PageReq { .. } => 12,
             Msg::PageRep { bytes, .. } => 16 + bytes.len(),
@@ -313,17 +317,18 @@ impl Wire for Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interval::{IntervalId, IntervalInfo};
+    use crate::interval::IntervalInfo;
 
     #[test]
     fn wire_sizes_scale_with_content() {
+        let id = |seq| IntervalId { node: 0, seq };
         let small = Msg::DiffReq {
             page: 1,
-            seqs: vec![1],
+            ids: vec![id(1)],
         };
         let big = Msg::DiffReq {
             page: 1,
-            seqs: vec![1, 2, 3, 4],
+            ids: (1..=4).map(id).collect(),
         };
         assert!(big.wire_bytes() > small.wire_bytes());
 
@@ -337,10 +342,11 @@ mod tests {
             bundle: NoticeBundle {
                 intervals: vec![(
                     IntervalId { node: 1, seq: 1 },
-                    IntervalInfo {
+                    Arc::new(IntervalInfo {
                         vc_sum: 1,
+                        vc: VectorClock(vec![0, 1, 0, 0, 0, 0, 0, 0]),
                         pages: vec![0, 1, 2, 3],
-                    },
+                    }),
                 )],
                 pvc: vc.clone(),
                 vc,
@@ -353,7 +359,7 @@ mod tests {
     fn kinds_are_distinct_for_key_messages() {
         let a = Msg::DiffReq {
             page: 0,
-            seqs: vec![],
+            ids: vec![],
         };
         let b = Msg::DiffRep {
             page: 0,

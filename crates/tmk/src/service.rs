@@ -99,11 +99,11 @@ fn handle_request(ep: &Endpoint<Msg>, state: &Arc<Mutex<NodeState>>, d: Delivere
     let svc_t0 = ep.service_rx(&d);
     let src = d.src;
     match d.msg {
-        Msg::DiffReq { page, seqs } => {
+        Msg::DiffReq { page, ids } => {
             let diffs = {
                 let mut st = state.lock();
                 st.in_service = true;
-                let r = st.serve_diffs(page, &seqs);
+                let r = st.serve_diffs(page, &ids);
                 st.in_service = false;
                 r
             };

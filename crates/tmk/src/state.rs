@@ -117,6 +117,14 @@ pub struct NodeState {
     /// clock — is what we report to managers as our knowledge, so bundles
     /// filtered against it can only omit notices we genuinely hold.
     pub processed_vc: VectorClock,
+    /// Acquired clock: what this node's application thread has acquired
+    /// (the clocks of the bundles it applied at lock, semaphore and
+    /// condition grants, barrier departures and forks), plus its own
+    /// intervals. Unlike `vc` it leaves out what the service thread
+    /// merged for this node's manager roles, which the application's
+    /// writes cannot have depended on. Closed intervals carry it as the
+    /// timestamp that decides domination.
+    pub acquired: VectorClock,
     /// Intervals logged out of order, ahead of the processed frontier
     /// (per source). Absorbed into `processed_vc` as gaps fill.
     pub ooo: Vec<std::collections::BTreeSet<u32>>,
@@ -125,7 +133,8 @@ pub struct NodeState {
     /// Pages twinned in the open interval.
     pub dirty: Vec<PageId>,
     /// Every interval we know about (ours and peers'), trimmed at GC.
-    pub interval_log: BTreeMap<(u32, u32), IntervalInfo>,
+    /// Records are shared with the bundles that carry them.
+    pub interval_log: BTreeMap<(u32, u32), Arc<IntervalInfo>>,
     /// Conservative estimate of each peer's vector clock (what we know
     /// they know) — used to filter notice bundles for manager-mediated
     /// releases (semaphores, flush, barrier arrival, fork).
@@ -167,6 +176,7 @@ impl NodeState {
             pages: Vec::new(),
             vc: VectorClock::zero(n),
             processed_vc: VectorClock::zero(n),
+            acquired: VectorClock::zero(n),
             ooo: vec![std::collections::BTreeSet::new(); n],
             next_seq: 1,
             dirty: Vec::new(),
@@ -254,7 +264,7 @@ impl NodeState {
         self.next_seq += 1;
         self.vc.0[self.id] = seq;
         self.processed_vc.0[self.id] = seq;
-        let vc_sum = self.vc.sum();
+        self.acquired.0[self.id] = seq;
         let dirty = std::mem::take(&mut self.dirty);
         for &pid in &dirty {
             let meta = &mut self.pages[pid];
@@ -280,10 +290,11 @@ impl NodeState {
         }
         self.interval_log.insert(
             (self.id as u32, seq),
-            IntervalInfo {
-                vc_sum,
+            Arc::new(IntervalInfo {
+                vc_sum: self.vc.sum(),
+                vc: self.acquired.clone(),
                 pages: dirty,
-            },
+            }),
         );
         self.count(TmkOp::IntervalsClosed, 1);
     }
@@ -355,6 +366,13 @@ impl NodeState {
         self.known_vc[from].merge(&bundle.pvc);
     }
 
+    /// The application thread's acquire: apply a grant's, departure's or
+    /// fork's bundle and acquire its clock (see `acquired`).
+    pub fn acquire(&mut self, from: usize, bundle: &NoticeBundle) {
+        self.apply_bundle(from, bundle);
+        self.acquired.merge(&bundle.vc);
+    }
+
     /// Advance the processed frontier for `node` past `seq`, absorbing any
     /// out-of-order intervals that now connect.
     fn note_processed(&mut self, node: u32, seq: u32) {
@@ -417,55 +435,97 @@ impl NodeState {
         let diff = Arc::new(Diff::create(&twin, current));
         self.diff_store_bytes += diff.wire_bytes() as u64;
         let data_bytes = diff.data_bytes() as u64;
-        meta.diffs.insert(seq, diff);
+        let id = IntervalId {
+            node: self.id as u32,
+            seq,
+        };
+        meta.diffs.insert(id, diff);
         self.count(TmkOp::DiffsCreated, 1);
         self.count(TmkOp::DiffBytesCreated, data_bytes);
         self.charge(self.cfg.diff_create_ns);
     }
 
-    /// Serve a `DiffReq`: return our diffs for the listed intervals of
-    /// `pid`, materializing the pending twin if it is among them.
-    pub fn serve_diffs(&mut self, pid: PageId, seqs: &[u32]) -> Vec<(u32, Arc<Diff>)> {
+    /// Serve a `DiffReq`: return the diffs of `pid` we hold for the listed
+    /// intervals, materializing the pending twin if it is among them. Our
+    /// own are always there; a foreign one is there if we applied (and so
+    /// retained) it, and is otherwise left out for the requester to fetch
+    /// from its creator.
+    pub fn serve_diffs(&mut self, pid: PageId, ids: &[IntervalId]) -> Vec<(IntervalId, Arc<Diff>)> {
         self.sync_alloc();
-        if let Some((pseq, _)) = self.pages[pid].pending {
-            if seqs.contains(&pseq) {
+        let me = self.id as u32;
+        if let Some((seq, _)) = self.pages[pid].pending {
+            if ids.contains(&IntervalId { node: me, seq }) {
                 self.materialize_pending(pid);
             }
         }
         let meta = &self.pages[pid];
-        seqs.iter()
-            .map(|s| {
-                let d = meta
-                    .diffs
-                    .get(s)
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "node {} asked for diff (page {pid}, seq {s}) it does not have — \
-                         GC/notice protocol invariant violated",
-                            self.id
-                        )
-                    })
-                    .clone();
-                (*s, d)
+        ids.iter()
+            .filter_map(|id| match meta.diffs.get(id) {
+                Some(d) => Some((*id, d.clone())),
+                None if id.node == me => panic!(
+                    "node {me} asked for its own diff (page {pid}, seq {}) it does not have — \
+                     GC/notice protocol invariant violated",
+                    id.seq
+                ),
+                None => None,
             })
             .collect()
     }
 
-    /// Group the unapplied notices of `pid` by writer: the fault plan.
-    /// Returns an empty vec when no fetches are needed.
-    pub fn fault_plan(&self, pid: PageId) -> Vec<(usize, Vec<u32>)> {
-        let mut by_node: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
-        for rec in &self.pages[pid].unapplied {
-            by_node
-                .entry(rec.id.node as usize)
-                .or_default()
-                .push(rec.id.seq);
+    /// The fault plan for `pid`: which writers to ask for which of the
+    /// page's missing diffs. Empty when nothing is missing.
+    ///
+    /// Only the writers of *maximal* notices are asked — those no other
+    /// unapplied notice dominates. Every other notice goes to its creator
+    /// when the creator is asked anyway, else to the latest maximal writer
+    /// that dominates it: that writer validated the page, applying the
+    /// diff, before it wrote. A lock chain over a page thus costs one
+    /// request, while truly concurrent writers (false sharing between two
+    /// barriers) are all asked in the same round.
+    pub fn fault_plan(&self, pid: PageId) -> Vec<(usize, Vec<IntervalId>)> {
+        let mut notices: Vec<&NoticeRec> = self.pages[pid].unapplied.iter().collect();
+        // A dominating interval has a strictly larger timestamp sum, so in
+        // descending order every notice meets its maximal dominators first.
+        notices.sort_unstable_by_key(|r| std::cmp::Reverse((r.vc_sum, r.id.node, r.id.seq)));
+        let mut maximal: Vec<(usize, &IntervalInfo)> = Vec::new();
+        let mut plan: BTreeMap<usize, Vec<IntervalId>> = BTreeMap::new();
+        for rec in notices {
+            let creator = rec.id.node as usize;
+            let target = if plan.contains_key(&creator) {
+                creator
+            } else if let Some(&(writer, _)) = maximal.iter().find(|(_, m)| m.dominates(rec.id)) {
+                writer
+            } else {
+                maximal.push((creator, &*self.interval_log[&(rec.id.node, rec.id.seq)]));
+                creator
+            };
+            plan.entry(target).or_default().push(rec.id);
         }
-        by_node.into_iter().collect()
+        plan.into_iter().collect()
     }
 
-    /// Apply fetched diffs for `pid` in happens-before (linear-extension)
-    /// order and clear the corresponding notices.
+    /// The re-request round of a fault: the ids of `wanted` that `got`
+    /// lacks (a dominating writer had not applied them — it push-wrote,
+    /// or the notice arrived while its twin was open), grouped by their
+    /// creator, who always holds its own diffs.
+    pub fn missing_by_creator(
+        wanted: &[IntervalId],
+        got: &[(IntervalId, Arc<Diff>)],
+    ) -> Vec<(usize, Vec<IntervalId>)> {
+        let mut plan: BTreeMap<usize, Vec<IntervalId>> = BTreeMap::new();
+        for id in wanted {
+            if !got.iter().any(|(g, _)| g == id) {
+                plan.entry(id.node as usize).or_default().push(*id);
+            }
+        }
+        plan.into_iter().collect()
+    }
+
+    /// Apply the fetched diffs of `pid` in happens-before (linear-extension)
+    /// order, clear their notices, and retain each diff to serve later
+    /// faulting nodes. Every diff must answer one of the page's notices,
+    /// and the caller passes a page's whole planned set at once: applying
+    /// part of it could land an earlier overlapping diff on a later one.
     ///
     /// Incoming diffs are applied to the page **and to any twins** (open
     /// or pending). Twins are the baselines future local diffs are encoded
@@ -475,25 +535,35 @@ impl NodeState {
     /// same range at a third node (intervals concurrent with ours order
     /// arbitrarily). Updating the twins keeps diffs precise: they contain
     /// exactly the bytes this node wrote (as real TreadMarks does).
-    pub fn apply_fetched(&mut self, pid: PageId, mut fetched: Vec<(IntervalId, u64, Arc<Diff>)>) {
-        fetched.sort_by_key(|(id, vc_sum, _)| (*vc_sum, id.node, id.seq));
+    pub fn apply_fetched(&mut self, pid: PageId, fetched: Vec<(IntervalId, Arc<Diff>)>) {
+        let meta = &self.pages[pid];
+        let mut fetched: Vec<(u64, IntervalId, Arc<Diff>)> = fetched
+            .into_iter()
+            .map(|(id, diff)| {
+                let rec = meta.unapplied.iter().find(|r| r.id == id);
+                let rec = rec.unwrap_or_else(|| panic!("fetched {id:?} for page {pid} unasked"));
+                (rec.vc_sum, id, diff)
+            })
+            .collect();
+        fetched.sort_by_key(|(vc_sum, id, _)| (*vc_sum, id.node, id.seq));
         let range = self.page_range(pid);
         let mut cost = 0u64;
-        for (id, _, diff) in &fetched {
+        for (_, id, diff) in fetched {
             diff.apply(&mut self.mem[range.clone()]);
-            {
-                let meta = &mut self.pages[pid];
-                if let Some(twin) = meta.twin.as_deref_mut() {
-                    diff.apply(twin);
-                }
-                if let Some((_, twin)) = meta.pending.as_mut() {
-                    diff.apply(twin);
-                }
-                meta.unapplied.retain(|r| r.id != *id);
-            }
             cost += self.cfg.diff_apply_base_ns
                 + self.cfg.diff_apply_per_byte_ns * diff.data_bytes() as u64;
+            let retained = diff.wire_bytes() as u64;
+            let meta = &mut self.pages[pid];
+            if let Some(twin) = meta.twin.as_deref_mut() {
+                diff.apply(twin);
+            }
+            if let Some((_, twin)) = meta.pending.as_mut() {
+                diff.apply(twin);
+            }
+            meta.unapplied.retain(|r| r.id != id);
+            meta.diffs.insert(id, diff);
             self.count(TmkOp::DiffsApplied, 1);
+            self.count(TmkOp::DiffBytesRetained, retained);
         }
         if cost > 0 {
             self.charge(cost);
@@ -641,21 +711,24 @@ impl NodeState {
             .collect()
     }
 
-    /// Drop diffs, pending twins, notices and interval-log entries covered
-    /// by the GC round's snapshot clock `upto`; re-base every affected
-    /// page. State from intervals *newer* than the snapshot — which can
-    /// already be present on manager nodes whose service thread keeps
-    /// applying bundles during the GC — is preserved: its notices stay
-    /// unapplied and its log entries stay available for later fetches.
-    /// (Locally created diffs and pending twins are always covered: this
-    /// node's application thread sits at the GC barrier, so it cannot have
-    /// opened a post-snapshot interval.)
+    /// Drop diffs (created and retained), pending twins, notices and
+    /// interval-log entries covered by the GC round's snapshot clock
+    /// `upto`; re-base every affected page. State from intervals *newer*
+    /// than the snapshot — which can already be present on manager nodes
+    /// whose service thread keeps applying bundles during the GC — is
+    /// preserved: its notices stay unapplied and its log entries and diffs
+    /// stay available for later fetches. (Locally created diffs and
+    /// pending twins are always covered: this node's application thread
+    /// sits at the GC barrier, so it cannot have opened a post-snapshot
+    /// interval. A covered interval wrote its pages, so every page holding
+    /// a covered diff is in `owners`.)
     pub fn apply_gc_complete(&mut self, owners: &BTreeMap<PageId, usize>, upto: &VectorClock) {
         self.gc_epoch += 1;
         let covered = |r: &NoticeRec| upto.covers(r.id.node as usize, r.id.seq);
         for (&pid, &owner) in owners {
             let meta = &mut self.pages[pid];
-            meta.diffs.clear();
+            meta.diffs
+                .retain(|id, _| !upto.covers(id.node as usize, id.seq));
             meta.pending = None;
             meta.owner = owner;
             debug_assert!(meta.twin.is_none(), "open twin across a barrier GC");
@@ -704,12 +777,13 @@ impl NodeState {
         for kv in &mut self.known_vc {
             kv.merge(upto);
         }
-        // Post-snapshot diffs (on pages outside the owner map) survive the
-        // GC; recount what is actually still cached.
+        // Post-snapshot diffs survive the GC; recount what is actually
+        // still cached.
+        let me = self.id as u32;
         self.diff_store_bytes = self
             .pages
             .iter()
-            .map(|m| m.diff_storage_bytes() as u64)
+            .map(|m| m.diff_storage_bytes(me) as u64)
             .sum();
         self.count(TmkOp::GcRuns, 1);
     }
@@ -768,7 +842,7 @@ mod tests {
         let meta = &st.pages[0];
         assert!(meta.pending.is_none(), "pending materialized at re-twin");
         assert_eq!(meta.diffs.len(), 1);
-        let d = &meta.diffs[&1];
+        let d = &meta.diffs[&IntervalId { node: 0, seq: 1 }];
         assert_eq!(d.data_bytes(), 1, "only byte 10 changed in interval 1");
     }
 
@@ -797,7 +871,7 @@ mod tests {
 
         st.close_interval();
         assert_eq!(st.pages[0].state, PageState::Invalid, "notice still owed");
-        let diffs = st.serve_diffs(0, &[1]);
+        let diffs = st.serve_diffs(0, &[IntervalId { node: 0, seq: 1 }]);
         let mut page = vec![0u8; st.cfg.page_size];
         diffs[0].1.apply(&mut page);
         assert_eq!((page[10], page[20]), (7, 9), "diff carries A and B");
@@ -810,7 +884,7 @@ mod tests {
         touch_write(&mut st, 1, 0, 3);
         st.close_interval();
         assert_eq!(st.metrics.op(TmkOp::DiffsCreated).get(), 0);
-        let diffs = st.serve_diffs(1, &[1]);
+        let diffs = st.serve_diffs(1, &[IntervalId { node: 0, seq: 1 }]);
         assert_eq!(diffs.len(), 1);
         assert_eq!(st.metrics.op(TmkOp::DiffsCreated).get(), 1);
         assert!(diffs[0].1.data_bytes() == 1);
@@ -862,10 +936,10 @@ mod tests {
                         let bundle = NoticeBundle {
                             intervals: vec![(
                                 IntervalId { node: writer, seq },
-                                IntervalInfo {
-                                    vc_sum: u64::from(arg % 97),
-                                    pages: vec![arg as usize % 4],
-                                },
+                                info(
+                                    &(0..nodes as u32).map(|j| (arg >> j) % 7).collect::<Vec<_>>(),
+                                    vec![arg as usize % 4],
+                                ),
                             )],
                             vc: VectorClock::zero(nodes),
                             pvc: VectorClock::zero(nodes),
@@ -923,6 +997,219 @@ mod tests {
         }
     }
 
+    /// The fault plan before domination, kept as the differential oracle:
+    /// one request to every writer with an unapplied notice.
+    fn per_writer_plan(st: &NodeState, pid: PageId) -> Vec<(usize, Vec<IntervalId>)> {
+        let mut by_node: BTreeMap<usize, Vec<IntervalId>> = BTreeMap::new();
+        for rec in &st.pages[pid].unapplied {
+            by_node
+                .entry(rec.id.node as usize)
+                .or_default()
+                .push(rec.id);
+        }
+        by_node.into_iter().collect()
+    }
+
+    /// A cluster of `NodeState`s driven by direct calls in place of
+    /// messages, faulting with the real plan or with the oracle's.
+    struct World {
+        nodes: Vec<NodeState>,
+        oracle: bool,
+        /// Last releaser of the one lock.
+        holder: usize,
+        /// Diff requests sent, one entry per fault.
+        requests: Vec<usize>,
+    }
+
+    /// Nodes in a [`World`]: with four, a faulting node can see two
+    /// concurrent writers plus a third whose notice only one of them
+    /// dominates — the case a wrong target choice shows up in.
+    const WORLD: usize = 4;
+
+    impl World {
+        fn new(oracle: bool) -> Self {
+            World {
+                nodes: (0..WORLD).map(|id| mk(id, WORLD)).collect(),
+                oracle,
+                holder: 0,
+                requests: Vec::new(),
+            }
+        }
+
+        /// Node `f` makes `pid` readable as `Tmk::fault_pages_inner` does:
+        /// a full copy if the base is lost, the plan's requests, creator
+        /// re-requests for short replies, then one apply of the page's
+        /// whole planned set.
+        fn fault(&mut self, f: usize, pid: PageId) {
+            let nodes = &mut self.nodes;
+            if nodes[f].needs_full_fetch(pid) {
+                let owner = nodes[f].pages[pid].owner;
+                let (epoch, bytes) = nodes[owner].serve_page(pid);
+                nodes[f].install_page(pid, epoch, &bytes);
+            }
+            let mut planned: Vec<IntervalId> =
+                nodes[f].pages[pid].unapplied.iter().map(|r| r.id).collect();
+            if planned.is_empty() {
+                if !nodes[f].pages[pid].readable() {
+                    nodes[f].finish_fault(pid);
+                }
+                return;
+            }
+            let mut round = if self.oracle {
+                per_writer_plan(&nodes[f], pid)
+            } else {
+                nodes[f].fault_plan(pid)
+            };
+            // Every foreign id goes to a writer one of whose notices here
+            // dominates it.
+            let log = &nodes[f].interval_log;
+            for (w, ids) in round.iter().filter(|_| !self.oracle) {
+                let mine = ids.iter().filter(|id| id.node as usize == *w);
+                for id in ids.iter().filter(|id| id.node as usize != *w) {
+                    let mut dominators = mine.clone().map(|m| &log[&(m.node, m.seq)]);
+                    assert!(dominators.any(|m| m.dominates(*id)), "{id:?} sent to {w}");
+                }
+            }
+            let mut got = Vec::new();
+            let mut requests = 0;
+            while !round.is_empty() {
+                for (w, ids) in round {
+                    assert_ne!(w, f, "a node never asks itself");
+                    requests += 1;
+                    got.extend(nodes[w].serve_diffs(pid, &ids));
+                }
+                round = NodeState::missing_by_creator(&planned, &got);
+            }
+            // Nothing partial: the page's whole set, each diff once.
+            let mut ids: Vec<IntervalId> = got.iter().map(|(id, _)| *id).collect();
+            ids.sort();
+            planned.sort();
+            assert_eq!(ids, planned, "applied set != planned set");
+            nodes[f].apply_fetched(pid, got);
+            assert!(nodes[f].pages[pid].unapplied.is_empty());
+            nodes[f].finish_fault(pid);
+            self.requests.push(requests);
+        }
+
+        /// Node `to` receives every notice node `from` holds that `to`
+        /// lacks: acquired by its application thread (a grant, a
+        /// departure) or only applied by its service thread (a release
+        /// reaching a manager, a flush notice).
+        fn deliver(&mut self, from: usize, to: usize, acquire: bool) {
+            let b = self.nodes[from].bundle_for(&self.nodes[to].processed_vc);
+            if acquire {
+                self.nodes[to].acquire(from, &b);
+            } else {
+                self.nodes[to].apply_bundle(from, &b);
+            }
+        }
+
+        fn write(&mut self, k: usize, pid: PageId, off: usize, val: u8) {
+            if !self.nodes[k].pages[pid].readable() {
+                self.fault(k, pid);
+            }
+            self.nodes[k].start_write(pid);
+            let r = self.nodes[k].page_range(pid);
+            self.nodes[k].mem[r][off] = val;
+        }
+
+        /// One step of a data-race-free program over pages 0 and 1: bytes
+        /// 0..16 of a page are written only under the lock, bytes
+        /// `16 * (k + 1)..` only by node `k`.
+        fn step(&mut self, op: u32) {
+            let (kind, arg) = (op % 6, op / 6);
+            let k = arg as usize % WORLD;
+            let pid = (arg as usize / WORLD) % 2;
+            let (off, val) = ((arg >> 4) as usize % 16, (arg >> 8) as u8 | 1);
+            match kind {
+                // Lock-protected write: acquire, validate, write, release.
+                0 => {
+                    if self.holder != k {
+                        self.deliver(self.holder, k, true);
+                    }
+                    self.write(k, pid, off, val);
+                    self.nodes[k].close_interval();
+                    self.holder = k;
+                }
+                // A write to the node's own slot, interval left open.
+                1 => self.write(k, pid, 16 * (k + 1) + off, val),
+                // The same without fetching (GC-stale pages fault first).
+                2 => {
+                    if self.nodes[k].needs_full_fetch(pid) {
+                        self.fault(k, pid);
+                    }
+                    self.nodes[k].start_write_push(pid);
+                    let r = self.nodes[k].page_range(pid);
+                    self.nodes[k].mem[r][16 * (k + 1) + off] = val;
+                }
+                // Notices arriving mid-interval, open twins and all.
+                3 => self.deliver((k + 1 + off % (WORLD - 1)) % WORLD, k, val % 4 == 1),
+                4 => {
+                    if !self.nodes[k].pages[pid].readable() {
+                        self.fault(k, pid);
+                    }
+                }
+                // Barrier: release everything, exchange all notices, and
+                // on every third one a GC round.
+                _ => {
+                    for node in &mut self.nodes {
+                        node.close_interval();
+                    }
+                    for (from, to) in (0..WORLD).flat_map(|a| (0..WORLD).map(move |b| (a, b))) {
+                        if from != to {
+                            self.deliver(from, to, true);
+                        }
+                    }
+                    if arg % 3 == 0 {
+                        let upto = self.nodes[0].processed_vc.clone();
+                        let owners = self.nodes[0].compute_gc_owners(&upto);
+                        for k in 0..WORLD {
+                            assert_eq!(self.nodes[k].processed_vc, upto);
+                            assert_eq!(self.nodes[k].compute_gc_owners(&upto), owners);
+                            for (&pid, _) in owners.iter().filter(|&(_, &o)| o == k) {
+                                self.fault(k, pid);
+                            }
+                        }
+                        for node in &mut self.nodes {
+                            node.apply_gc_complete(&owners, &upto);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    // The dominating-writer plan against the per-writer one, over lock
+    // chains, concurrent slot writes, push-writes, mid-interval notices
+    // and GC: identical page bytes and states after every step, never
+    // more requests per fault, no own-diff panic, and every fault applies
+    // its page's whole set at once (`World::fault`).
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 300, ..Default::default() })]
+        #[test]
+        fn dominated_fetch_matches_the_per_writer_plan(
+            ops in proptest::collection::vec(0u32..1_000_000, 0..120),
+        ) {
+            let (mut new, mut old) = (World::new(false), World::new(true));
+            for &op in &ops {
+                new.step(op);
+                old.step(op);
+                for (a, b) in new.nodes.iter().zip(&old.nodes) {
+                    proptest::prop_assert!(a.mem == b.mem, "node {} bytes after {:?}", a.id, op);
+                    for (pa, pb) in a.pages.iter().zip(&b.pages) {
+                        proptest::prop_assert_eq!(pa.state, pb.state);
+                        proptest::prop_assert_eq!(&pa.unapplied, &pb.unapplied);
+                    }
+                    proptest::prop_assert_eq!(a.diff_store_bytes, b.diff_store_bytes);
+                }
+            }
+            proptest::prop_assert_eq!(new.requests.len(), old.requests.len());
+            for (n, o) in new.requests.iter().zip(&old.requests) {
+                proptest::prop_assert!(n <= o, "{} requests where the oracle sent {}", n, o);
+            }
+        }
+    }
+
     #[test]
     fn apply_bundle_invalidates_and_merges() {
         let mut writer = mk(0, 2);
@@ -941,25 +1228,101 @@ mod tests {
         assert_eq!(reader.pages[2].unapplied.len(), 1);
     }
 
+    /// Log the interval `(node, seq)` with timestamp `vc` as a notice
+    /// against `pid`, as `apply_bundle` would.
+    fn notice(st: &mut NodeState, pid: PageId, node: u32, seq: u32, vc: &[u32]) -> IntervalId {
+        let id = IntervalId { node, seq };
+        let bundle = NoticeBundle {
+            intervals: vec![(id, info(vc, vec![pid]))],
+            vc: VectorClock::zero(st.n),
+            pvc: VectorClock::zero(st.n),
+        };
+        st.apply_bundle(node as usize, &bundle);
+        id
+    }
+
     #[test]
     fn fault_plan_groups_by_writer() {
+        // Two concurrent writers: each is asked, in one round, for its own.
         let mut st = mk(2, 3);
-        st.pages[0].unapplied = vec![
-            NoticeRec {
-                id: IntervalId { node: 0, seq: 1 },
-                vc_sum: 1,
-            },
-            NoticeRec {
-                id: IntervalId { node: 1, seq: 1 },
-                vc_sum: 1,
-            },
-            NoticeRec {
-                id: IntervalId { node: 0, seq: 2 },
-                vc_sum: 3,
-            },
-        ];
+        let a1 = notice(&mut st, 0, 0, 1, &[1, 0, 0]);
+        let b1 = notice(&mut st, 0, 1, 1, &[0, 1, 0]);
+        let a2 = notice(&mut st, 0, 0, 2, &[2, 0, 0]);
         let plan = st.fault_plan(0);
-        assert_eq!(plan, vec![(0, vec![1, 2]), (1, vec![1])]);
+        assert_eq!(plan, vec![(0, vec![a2, a1]), (1, vec![b1])]);
+    }
+
+    #[test]
+    fn fault_plan_asks_only_the_dominating_writer() {
+        // A lock chain 0 -> 1 -> 3 over page 0, plus node 1's older write:
+        // node 3's interval dominates all of them, so it alone is asked.
+        let mut st = mk(4, 5);
+        let a = notice(&mut st, 0, 0, 1, &[1, 0, 0, 0, 0]);
+        let b1 = notice(&mut st, 0, 1, 1, &[0, 1, 0, 0, 0]);
+        let b2 = notice(&mut st, 0, 1, 2, &[1, 2, 0, 0, 0]);
+        let d = notice(&mut st, 0, 3, 1, &[1, 2, 0, 1, 0]);
+        assert_eq!(st.fault_plan(0), vec![(3, vec![d, b2, b1, a])]);
+
+        // A concurrent writer on the same page joins the round; the chain
+        // still goes to its last writer, and the concurrent writer's own
+        // older interval goes to it.
+        let c1 = notice(&mut st, 0, 2, 1, &[0, 0, 1, 0, 0]);
+        let c2 = notice(&mut st, 0, 2, 2, &[0, 1, 2, 0, 0]);
+        let plan = st.fault_plan(0);
+        assert_eq!(plan, vec![(2, vec![c2, c1]), (3, vec![d, b2, b1, a])]);
+        assert!(st.fault_plan(1).is_empty(), "no notices, no plan");
+    }
+
+    #[test]
+    fn short_replies_are_refetched_from_creators() {
+        let d = Arc::new(Diff::create(&[0u8; 8], &[1u8; 8]));
+        let (a, b, c) = (
+            IntervalId { node: 0, seq: 1 },
+            IntervalId { node: 1, seq: 4 },
+            IntervalId { node: 1, seq: 5 },
+        );
+        let got = vec![(b, d.clone())];
+        assert_eq!(
+            NodeState::missing_by_creator(&[c, b, a], &got),
+            vec![(0, vec![a]), (1, vec![c])]
+        );
+        assert!(NodeState::missing_by_creator(&[b], &got).is_empty());
+    }
+
+    #[test]
+    fn serve_diffs_returns_retained_and_skips_unapplied_foreign_ids() {
+        // Node 0 writes; node 1 applies it, writes on top, and is asked
+        // for both: it serves its own diff and the retained one. Node 2's
+        // interval it never saw is left out, not a panic.
+        let mut a = mk(0, 3);
+        touch_write(&mut a, 0, 10, 1);
+        a.close_interval();
+        let mut b = mk(1, 3);
+        b.apply_bundle(0, &a.bundle_for(&VectorClock::zero(3)));
+        let ids: Vec<IntervalId> = b.pages[0].unapplied.iter().map(|r| r.id).collect();
+        let fetched = a.serve_diffs(0, &ids);
+        b.apply_fetched(0, fetched);
+        b.finish_fault(0);
+        assert_eq!(
+            b.metrics.op(TmkOp::DiffBytesRetained).get(),
+            b.pages[0].diffs[&ids[0]].wire_bytes() as u64
+        );
+        assert_eq!(b.diff_store_bytes, 0, "retained diffs are not GC storage");
+        touch_write(&mut b, 0, 20, 2);
+        b.close_interval();
+        let (own, foreign) = (IntervalId { node: 1, seq: 1 }, ids[0]);
+        let unseen = IntervalId { node: 2, seq: 1 };
+        let served = b.serve_diffs(0, &[own, foreign, unseen]);
+        let served_ids: Vec<IntervalId> = served.iter().map(|(id, _)| *id).collect();
+        assert_eq!(served_ids, vec![own, foreign]);
+        assert!(Arc::ptr_eq(&served[1].1, &a.pages[0].diffs[&foreign]));
+    }
+
+    #[test]
+    #[should_panic(expected = "asked for its own diff")]
+    fn serve_diffs_panics_on_a_missing_own_diff() {
+        let mut st = mk(0, 2);
+        st.serve_diffs(0, &[IntervalId { node: 0, seq: 7 }]);
     }
 
     #[test]
@@ -973,13 +1336,9 @@ mod tests {
         reader.apply_bundle(0, &bundle);
         let plan = reader.fault_plan(0);
         assert_eq!(plan.len(), 1);
-        let (node, seqs) = &plan[0];
+        let (node, ids) = &plan[0];
         assert_eq!(*node, 0);
-        let diffs = writer.serve_diffs(0, seqs);
-        let fetched = diffs
-            .into_iter()
-            .map(|(seq, d)| (IntervalId { node: 0, seq }, 1u64, d))
-            .collect();
+        let fetched = writer.serve_diffs(0, ids);
         reader.apply_fetched(0, fetched);
         reader.finish_fault(0);
         assert_eq!(reader.pages[0].state, PageState::ReadOnly);
@@ -1002,11 +1361,7 @@ mod tests {
         assert!(b.pages[0].twin.is_some(), "open twin survives invalidation");
         // b faults: fetches a's diff and applies it over its own copy.
         let plan = b.fault_plan(0);
-        let diffs = a.serve_diffs(0, &plan[0].1);
-        let fetched = diffs
-            .into_iter()
-            .map(|(s, d)| (IntervalId { node: 0, seq: s }, 1u64, d))
-            .collect();
+        let fetched = a.serve_diffs(0, &plan[0].1);
         b.apply_fetched(0, fetched);
         b.finish_fault(0);
         assert_eq!(b.pages[0].state, PageState::Write, "write twin restored");
@@ -1015,34 +1370,25 @@ mod tests {
         assert_eq!(b.mem[r][2000], 2, "local write preserved");
         // b's eventual diff contains its own write.
         b.close_interval();
-        let served = b.serve_diffs(0, &[1]);
+        let served = b.serve_diffs(0, &[IntervalId { node: 1, seq: 1 }]);
         assert!(served[0].1.data_bytes() >= 1);
+    }
+
+    fn info(vc: &[u32], pages: Vec<PageId>) -> Arc<IntervalInfo> {
+        let vc = VectorClock(vc.to_vec());
+        Arc::new(IntervalInfo {
+            vc_sum: vc.sum(),
+            vc,
+            pages,
+        })
     }
 
     #[test]
     fn gc_owner_is_last_writer_in_linear_order() {
         let mut st = mk(0, 3);
-        st.interval_log.insert(
-            (0, 1),
-            IntervalInfo {
-                vc_sum: 1,
-                pages: vec![0, 1],
-            },
-        );
-        st.interval_log.insert(
-            (1, 1),
-            IntervalInfo {
-                vc_sum: 5,
-                pages: vec![0],
-            },
-        );
-        st.interval_log.insert(
-            (2, 1),
-            IntervalInfo {
-                vc_sum: 3,
-                pages: vec![1],
-            },
-        );
+        st.interval_log.insert((0, 1), info(&[1, 0, 0], vec![0, 1]));
+        st.interval_log.insert((1, 1), info(&[2, 1, 2], vec![0]));
+        st.interval_log.insert((2, 1), info(&[1, 1, 1], vec![1]));
         let owners = st.compute_gc_owners(&VectorClock(vec![1, 1, 1]));
         assert_eq!(owners[&0], 1, "vc_sum 5 beats 1");
         assert_eq!(owners[&1], 2, "vc_sum 3 beats 1");
@@ -1055,28 +1401,10 @@ mod tests {
         // come out as if only snapshot-covered intervals existed, or nodes
         // would disagree about post-GC page owners.
         let mut st = mk(0, 3);
-        st.interval_log.insert(
-            (0, 1),
-            IntervalInfo {
-                vc_sum: 1,
-                pages: vec![0],
-            },
-        );
-        st.interval_log.insert(
-            (1, 1),
-            IntervalInfo {
-                vc_sum: 2,
-                pages: vec![0],
-            },
-        );
+        st.interval_log.insert((0, 1), info(&[1, 0, 0], vec![0]));
+        st.interval_log.insert((1, 1), info(&[1, 1, 0], vec![0]));
         // Premature: node 2's interval 1 arrived after the snapshot.
-        st.interval_log.insert(
-            (2, 1),
-            IntervalInfo {
-                vc_sum: 9,
-                pages: vec![0, 2],
-            },
-        );
+        st.interval_log.insert((2, 1), info(&[4, 4, 1], vec![0, 2]));
         let snapshot = VectorClock(vec![1, 1, 0]);
         let owners = st.compute_gc_owners(&snapshot);
         assert_eq!(owners[&0], 1, "premature interval must not win ownership");
@@ -1097,13 +1425,7 @@ mod tests {
             id: IntervalId { node: 0, seq: 1 },
             vc_sum: 1,
         }];
-        st.interval_log.insert(
-            (0, 1),
-            IntervalInfo {
-                vc_sum: 1,
-                pages: vec![0, 1],
-            },
-        );
+        st.interval_log.insert((0, 1), info(&[1, 0], vec![0, 1]));
         let owners = BTreeMap::from([(0, 0), (1, 0)]);
         st.apply_gc_complete(&owners, &VectorClock(vec![1, 0]));
         assert_eq!(st.gc_epoch, 1);
@@ -1126,20 +1448,8 @@ mod tests {
             id: IntervalId { node: 0, seq: 2 },
             vc_sum: 7,
         }];
-        st.interval_log.insert(
-            (0, 1),
-            IntervalInfo {
-                vc_sum: 1,
-                pages: vec![0],
-            },
-        );
-        st.interval_log.insert(
-            (0, 2),
-            IntervalInfo {
-                vc_sum: 7,
-                pages: vec![0],
-            },
-        );
+        st.interval_log.insert((0, 1), info(&[1, 0], vec![0]));
+        st.interval_log.insert((0, 2), info(&[2, 5], vec![0]));
         let owners = BTreeMap::from([(0usize, 0usize)]);
         st.apply_gc_complete(&owners, &VectorClock(vec![1, 0]));
         // The premature notice survives with its log entry, and the base

@@ -78,7 +78,8 @@ macro_rules! tmk_ops {
 }
 
 tmk_ops! {
-    (ReadFaults, read_faults, "Page faults that required fetching remote data."),
+    (ReadFaults, read_faults, "Pages that needed remote data (diffs or a full copy) to become \
+     readable, counted once per fault however many request rounds it took."),
     (TwinsCreated, twins_created, "Write accesses that created a twin."),
     (DiffsCreated, diffs_created, "Diffs encoded (lazily) from twins."),
     (DiffBytesCreated, diff_bytes_created, "Total changed bytes across created diffs."),
@@ -106,6 +107,10 @@ tmk_ops! {
     (TaskOverflows, task_overflows, "Tasks executed inline because the local deque was full."),
     (LoopSteals, loop_steals, "Affinity-scheduled loop chunks taken from another node's home \
      partition (remote rebalancing after the taker ran dry)."),
+    (DiffRefetches, diff_refetches, "Diff requests re-sent to an interval's creator because the \
+     dominating writer asked first had not applied that diff (its reply came back short)."),
+    (DiffBytesRetained, diff_bytes_retained, "Wire bytes of foreign diffs retained after applying \
+     them (served to later faulting nodes, dropped at GC; not GC-trigger storage)."),
 }
 
 #[cfg(test)]
@@ -160,7 +165,7 @@ mod tests {
             labels.split_whitespace().collect()
         }
         let ops: Vec<_> = TmkOp::ALL.iter().map(|op| op.name()).collect();
-        assert_eq!(TmkOp::COUNT, 27);
+        assert_eq!(TmkOp::COUNT, 29);
         assert_eq!(
             ops,
             pinned(
@@ -169,7 +174,7 @@ mod tests {
                  lock_acquires lock_acquires_local sema_signals sema_waits cond_waits \
                  cond_signals cond_broadcasts flushes forks gc_runs push_writes \
                  tasks_spawned tasks_executed tasks_stolen steal_attempts task_overflows \
-                 loop_steals"
+                 loop_steals diff_refetches diff_bytes_retained"
             )
         );
         let lats: Vec<_> = OpLat::ALL.iter().map(|op| op.name()).collect();

@@ -664,7 +664,7 @@ fn worker_loop(mut tmk: Tmk, work_rx: Receiver<WorkItem>) {
                 // updates.
                 tmk.clock.raise_to(arrival_vt);
                 tmk.clock.advance(handler_ns);
-                tmk.state.lock().apply_bundle(src, &bundle);
+                tmk.state.lock().acquire(src, &bundle);
                 if tracer.on() {
                     tracer.instant(EventKind::Fork, 0, tmk.clock.now(), src as u64, 0);
                 }
