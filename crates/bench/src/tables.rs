@@ -258,3 +258,38 @@ pub fn scale_sweep(base: &Campaign, scales: &[f64]) {
         &rows,
     );
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Table 2's shape: message passing sends fewer messages and fewer
+    /// bytes than either DSM version, on every application.
+    #[test]
+    fn mpi_sends_less_than_both_dsm_versions() {
+        let c = Campaign::quick();
+        assert_eq!(c.nodes, 4);
+        for app in APPS {
+            let [omp, tmkr, mpi] =
+                [VersionKind::Omp, VersionKind::Tmk, VersionKind::Mpi].map(|v| c.run(app, v));
+            for r in [&omp, &tmkr, &mpi] {
+                assert!(
+                    r.msgs > 0 && r.bytes > 0,
+                    "{app} {:?}: no traffic",
+                    r.version
+                );
+            }
+            for dsm in [&omp, &tmkr] {
+                assert!(
+                    mpi.msgs < dsm.msgs && mpi.bytes < dsm.bytes,
+                    "{app}: MPI {}/{} B vs {:?} {}/{} B",
+                    mpi.msgs,
+                    mpi.bytes,
+                    dsm.version,
+                    dsm.msgs,
+                    dsm.bytes
+                );
+            }
+        }
+    }
+}

@@ -10,7 +10,7 @@ use crate::config::{OmpConfig, Schedule};
 use crate::env::Env;
 use crate::error::NowError;
 use now_net::{ClusterLoad, LoadSpec};
-use tmk::{Profile, StatsSnapshot, System, TmkConfig, TmkStats, Trace, TraceConfig};
+use tmk::{NetMetricsSnapshot, Profile, System, TmkConfig, TmkStats, Trace, TraceConfig};
 
 /// Bound on simulated workstations (each node costs two host threads).
 const MAX_NODES: usize = 512;
@@ -84,7 +84,7 @@ pub struct RunReport<R> {
     pub dsm: TmkStats,
     /// Network traffic (messages/bytes, per node and per message kind) —
     /// an exact per-job delta.
-    pub net: StatsSnapshot,
+    pub net: NetMetricsSnapshot,
     /// Topology echo: simulated workstations.
     pub nodes: usize,
     /// Topology echo: application threads per workstation.
@@ -166,7 +166,6 @@ pub struct ClusterBuilder {
     trace: Option<TraceConfig>,
     load_seed: u64,
     load_model: Option<ClusterLoad>,
-    link_latency: Option<Vec<f64>>,
     schedule: Option<Schedule>,
     schedule_raw: Option<String>,
     default_dynamic_chunk: Option<usize>,
@@ -245,15 +244,6 @@ impl ClusterBuilder {
     /// [`speeds`](Self::speeds)/[`load`](Self::load)/[`load_seed`](Self::load_seed).
     pub fn load_model(mut self, load: ClusterLoad) -> Self {
         self.load_model = Some(load);
-        self
-    }
-
-    /// Per-node link-latency factors: a message between `a` and `b` pays
-    /// `max(factor[a], factor[b])` times the nominal one-way latency.
-    /// Must list exactly one finite factor ≥ 1 per node (or an empty
-    /// vector for uniform links).
-    pub fn link_latency(mut self, factors: Vec<f64>) -> Self {
-        self.link_latency = Some(factors);
         self
     }
 
@@ -367,24 +357,6 @@ impl ClusterBuilder {
         // whole model, so that check is the one that establishes the
         // invariant.)
         cfg.tmk.net.load = load;
-
-        // Link latencies.
-        if let Some(factors) = &self.link_latency {
-            if !factors.is_empty() && factors.len() != nodes {
-                return Err(NowError::InvalidLinkLatency(format!(
-                    "{} factor(s) for {nodes} node(s) — one per workstation (or none)",
-                    factors.len()
-                )));
-            }
-            for (i, &f) in factors.iter().enumerate() {
-                if !f.is_finite() || f < 1.0 {
-                    return Err(NowError::InvalidLinkLatency(format!(
-                        "node {i} factor {f} (expected a finite factor >= 1)"
-                    )));
-                }
-            }
-            cfg.tmk.net.link_latency = factors.clone();
-        }
 
         // Remaining DSM knobs; the topology stays pinned.
         for t in &self.tweaks {
@@ -670,20 +642,6 @@ mod tests {
                 .load_str("bogus:spec")
                 .validate(),
             Err(NowError::InvalidLoad(_))
-        ));
-        assert!(matches!(
-            Cluster::builder()
-                .nodes(2)
-                .link_latency(vec![1.0, 0.2])
-                .validate(),
-            Err(NowError::InvalidLinkLatency(_))
-        ));
-        assert!(matches!(
-            Cluster::builder()
-                .nodes(3)
-                .link_latency(vec![1.0])
-                .validate(),
-            Err(NowError::InvalidLinkLatency(_))
         ));
     }
 

@@ -90,9 +90,6 @@ pub enum NowError {
     /// A schedule spec (`runtime_schedule`, `OMP_SCHEDULE` string) failed
     /// to parse.
     InvalidSchedule(String),
-    /// Per-node link-latency factors are invalid (wrong length,
-    /// non-finite or non-positive factor).
-    InvalidLinkLatency(String),
     /// A DSM cost-model knob is invalid (e.g. a `.tmk(…)` tweak set a
     /// page size that is not a power of two).
     InvalidConfig(String),
@@ -128,7 +125,6 @@ impl fmt::Display for NowError {
             ),
             NowError::InvalidLoad(m) => write!(f, "invalid load model: {m}"),
             NowError::InvalidSchedule(m) => write!(f, "invalid schedule: {m}"),
-            NowError::InvalidLinkLatency(m) => write!(f, "invalid link latency factors: {m}"),
             NowError::InvalidConfig(m) => write!(f, "invalid configuration: {m}"),
             NowError::InvalidService(m) => write!(f, "invalid service configuration: {m}"),
             NowError::Compile(d) => write!(f, "compile error: {d}"),

@@ -105,7 +105,7 @@ pub use thread::{critical_id, OmpThread};
 // Re-export the substrate types applications touch directly, including
 // the heterogeneity model (per-node speeds + seeded load traces).
 pub use now_net::{ClusterLoad, LoadSpec, LoadTrace};
-pub use tmk::{Shareable, SharedScalar, SharedVec, StatsSnapshot, Tmk, TmkConfig, TmkStats};
+pub use tmk::{NetMetricsSnapshot, Shareable, SharedScalar, SharedVec, Tmk, TmkConfig, TmkStats};
 
 // The observability surface: virtual-time event traces and per-job
 // profiles (see [`RunReport::trace`] / [`RunReport::profile`] and

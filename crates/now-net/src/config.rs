@@ -60,11 +60,6 @@ pub struct NetworkConfig {
     /// (identical, dedicated machines) and adds no cost to the charge
     /// paths.
     pub load: ClusterLoad,
-    /// Optional per-node link-latency factors: the one-way latency of a
-    /// message between nodes `a` and `b` is multiplied by
-    /// `max(factor[a], factor[b])` (the slower attachment dominates the
-    /// path). Empty = uniform links; nodes beyond the vector are nominal.
-    pub link_latency: Vec<f64>,
 }
 
 impl NetworkConfig {
@@ -82,7 +77,6 @@ impl NetworkConfig {
             local_delivery_ns: 2_000,
             compute_scale: 240.0,
             load: ClusterLoad::uniform(),
-            link_latency: Vec::new(),
         }
     }
 
@@ -99,7 +93,6 @@ impl NetworkConfig {
             local_delivery_ns: 2_000,
             compute_scale: 240.0,
             load: ClusterLoad::uniform(),
-            link_latency: Vec::new(),
         }
     }
 
@@ -117,7 +110,6 @@ impl NetworkConfig {
             local_delivery_ns: 1,
             compute_scale: 1.0,
             load: ClusterLoad::uniform(),
-            link_latency: Vec::new(),
         }
     }
 
@@ -140,31 +132,6 @@ impl NetworkConfig {
     /// against the paper's platform characterization.
     pub fn model_rtt_ns(&self, payload: usize) -> u64 {
         2 * (self.send_overhead_ns + self.fly_time_ns(payload) + self.handler_ns)
-    }
-
-    /// The latency multiplier of the `a`↔`b` link: the slower endpoint's
-    /// attachment dominates the path. 1.0 on uniform networks.
-    #[inline]
-    pub fn link_factor(&self, a: usize, b: usize) -> f64 {
-        if self.link_latency.is_empty() {
-            return 1.0;
-        }
-        let f = |n: usize| self.link_latency.get(n).copied().unwrap_or(1.0);
-        f(a).max(f(b)).max(1.0)
-    }
-
-    /// [`NetworkConfig::fly_time_ns`] for a specific `src → dst` link:
-    /// the one-way latency is scaled by the link's factor; serialization
-    /// (a bandwidth property) is not.
-    #[inline]
-    pub fn fly_time_link_ns(&self, src: usize, dst: usize, payload: usize) -> u64 {
-        let factor = self.link_factor(src, dst);
-        let latency = if factor == 1.0 {
-            self.latency_ns
-        } else {
-            (self.latency_ns as f64 * factor).round() as u64
-        };
-        latency + self.wire_time_ns(payload)
     }
 }
 
@@ -203,33 +170,5 @@ mod tests {
     fn fly_time_includes_latency() {
         let cfg = NetworkConfig::paper_udp(2);
         assert!(cfg.fly_time_ns(0) >= cfg.latency_ns);
-    }
-
-    #[test]
-    fn uniform_link_factors_are_identity() {
-        let cfg = NetworkConfig::paper_udp(3);
-        assert_eq!(cfg.link_factor(0, 2), 1.0);
-        for p in [0usize, 64, 4096] {
-            assert_eq!(cfg.fly_time_link_ns(0, 2, p), cfg.fly_time_ns(p));
-        }
-    }
-
-    #[test]
-    fn slow_link_scales_latency_not_bandwidth() {
-        let mut cfg = NetworkConfig::paper_udp(3);
-        cfg.link_latency = vec![1.0, 3.0];
-        // The slower endpoint dominates, in both directions.
-        assert_eq!(cfg.link_factor(0, 1), 3.0);
-        assert_eq!(cfg.link_factor(1, 0), 3.0);
-        assert_eq!(
-            cfg.link_factor(0, 2),
-            1.0,
-            "nodes beyond the vec are nominal"
-        );
-        let expect = 3 * cfg.latency_ns + cfg.wire_time_ns(4096);
-        assert_eq!(cfg.fly_time_link_ns(1, 2, 4096), expect);
-        // Factors below 1.0 never speed a link up.
-        cfg.link_latency = vec![0.1, 0.1];
-        assert_eq!(cfg.link_factor(0, 1), 1.0);
     }
 }

@@ -13,8 +13,10 @@
 //!    paper's 200 MHz Pentium Pro ([`NetworkConfig::compute_scale`]);
 //!    messages advance it by a calibrated latency/bandwidth/handler model
 //!    ([`NetworkConfig`]). Reported run times and speedups are virtual.
-//! 2. **Exact traffic accounting.** Every remote message is counted with
-//!    its modeled payload size ([`NetStats`]), reproducing the message and
+//! 2. **Exact traffic accounting.** Every remote message is counted once,
+//!    with its modeled payload size, on the network's lifetime
+//!    [`NetMetrics`] ([`Endpoint::traffic`]). The difference of two
+//!    snapshots gives any window's traffic, reproducing the message and
 //!    megabyte columns of the paper's Table 2 by direct measurement.
 //!
 //! Higher layers — the `tmk` software DSM and the `nowmpi` message-passing
@@ -28,8 +30,7 @@
 //! application compute additionally dilates *host* execution pace
 //! ([`ComputeMeter::charge`]), so time-shared races (dynamic chunk
 //! claims, work stealing) unfold as on a real non-uniform cluster.
-//! [`NetworkConfig::link_latency`] optionally makes individual links
-//! slower. The same seed reproduces bit-identical load curves.
+//! The same seed reproduces bit-identical load curves.
 //!
 //! ```
 //! use now_net::{Network, NetworkConfig, Wire};
@@ -52,7 +53,6 @@ mod config;
 mod message;
 mod network;
 mod pod;
-mod stats;
 mod time;
 
 pub use config::NetworkConfig;
@@ -62,5 +62,4 @@ pub use network::{Endpoint, Network};
 pub use now_metrics::{NetMetrics, NetMetricsSnapshot};
 pub use now_trace::{TraceConfig, TraceSink, Tracer};
 pub use pod::Pod;
-pub use stats::{NetStats, StatsSnapshot};
 pub use time::{thread_cpu_ns, ComputeMeter, MeterPause, NodeSpeed, ThreadLane, VirtualClock};

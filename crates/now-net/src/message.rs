@@ -18,10 +18,10 @@ pub trait Wire: Send + 'static {
     }
 
     /// The full table of [`Wire::kind`] strings this type can produce,
-    /// used to size the lock-free per-kind metric slots. The default
+    /// used to size the lock-free per-kind traffic slots. The default
     /// (empty) table routes every message to the catch-all slot; a
-    /// protocol that wants per-kind lifetime metrics lists its kinds
-    /// here and implements [`Wire::kind_id`] as the matching index.
+    /// protocol that wants per-kind traffic lists its kinds here and
+    /// implements [`Wire::kind_id`] as the matching index.
     fn kinds() -> &'static [&'static str]
     where
         Self: Sized,

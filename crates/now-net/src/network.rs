@@ -4,13 +4,12 @@
 //! Topology: every node owns one MPMC inbox; every endpoint holds senders
 //! to all inboxes. A "message" is an in-process enum value — nothing is
 //! serialized — but each send pays the configured overheads on the virtual
-//! clocks and is counted against the traffic statistics, so timing and
+//! clocks and is counted on the network's traffic counters, so timing and
 //! Table 2-style traffic numbers come out as if the payload had crossed a
 //! real wire.
 
 use crate::config::NetworkConfig;
 use crate::message::{Delivered, Envelope, Wire};
-use crate::stats::{NetStats, StatsSnapshot};
 use crate::time::{NodeSpeed, VirtualClock};
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use now_metrics::NetMetrics;
@@ -30,28 +29,16 @@ impl Network {
     /// Build a network whose endpoints record message send/receive
     /// events on `sink` (per-node rings; `None` = tracing off, which is
     /// the plain [`Network::build`]). Recording only *reads* the virtual
-    /// clocks — timing, stats, and delivery are bit-identical either way.
+    /// clocks — timing, traffic counts, and delivery are bit-identical
+    /// either way.
     pub fn build_with_trace<M: Wire>(
         cfg: NetworkConfig,
         sink: Option<Arc<TraceSink>>,
     ) -> Vec<Endpoint<M>> {
-        Self::build_instrumented(cfg, sink, None)
-    }
-
-    /// Build a network whose endpoints additionally feed cluster-lifetime
-    /// traffic counters (never reset at job boundaries, unlike the
-    /// per-job [`NetStats`]). Recording is a few relaxed atomic adds per
-    /// remote message and never touches the virtual clocks; `None`
-    /// disables it with a single branch per send/receive.
-    pub fn build_instrumented<M: Wire>(
-        cfg: NetworkConfig,
-        sink: Option<Arc<TraceSink>>,
-        metrics: Option<Arc<NetMetrics>>,
-    ) -> Vec<Endpoint<M>> {
         let n = cfg.nodes;
         assert!(n >= 1, "network needs at least one node");
         let cfg = Arc::new(cfg);
-        let stats = Arc::new(NetStats::new(n));
+        let traffic = Arc::new(NetMetrics::new(n, M::kinds()));
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         for _ in 0..n {
@@ -72,12 +59,11 @@ impl Network {
                 clock: VirtualClock::with_speed(NodeSpeed::of(id, &cfg.load)),
                 senders: senders.clone(),
                 receiver,
-                stats: stats.clone(),
                 tracer: match &sink {
                     Some(s) => Tracer::new(s.clone(), id),
                     None => Tracer::off(),
                 },
-                metrics: metrics.clone(),
+                traffic: traffic.clone(),
             })
             .collect()
     }
@@ -94,9 +80,8 @@ pub struct Endpoint<M> {
     clock: Arc<VirtualClock>,
     senders: Arc<[Sender<Envelope<M>>]>,
     receiver: Receiver<Envelope<M>>,
-    stats: Arc<NetStats>,
     tracer: Tracer,
-    metrics: Option<Arc<NetMetrics>>,
+    traffic: Arc<NetMetrics>,
 }
 
 impl<M> Clone for Endpoint<M> {
@@ -107,9 +92,8 @@ impl<M> Clone for Endpoint<M> {
             clock: self.clock.clone(),
             senders: self.senders.clone(),
             receiver: self.receiver.clone(),
-            stats: self.stats.clone(),
             tracer: self.tracer.clone(),
-            metrics: self.metrics.clone(),
+            traffic: self.traffic.clone(),
         }
     }
 }
@@ -147,30 +131,27 @@ impl<M: Wire> Endpoint<M> {
         &self.tracer
     }
 
-    /// Shared traffic statistics for the whole network.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// Reset traffic statistics (all nodes).
-    pub fn reset_stats(&self) {
-        self.stats.reset();
+    /// The whole network's traffic counters, shared by every endpoint
+    /// and never reset: the traffic of a window is the difference of two
+    /// snapshots.
+    #[inline]
+    pub fn traffic(&self) -> &Arc<NetMetrics> {
+        &self.traffic
     }
 
     /// Send `msg` to node `dst`.
     ///
     /// Charges the sender's virtual CPU (`send_overhead_ns`, or
     /// `local_delivery_ns` for self-sends), stamps the envelope with the
-    /// post-charge clock, and records traffic statistics for remote sends.
+    /// post-charge clock, and counts a remote message as sent here and
+    /// received at `dst` as it enters `dst`'s inbox.
     pub fn send(&self, dst: usize, msg: M) {
         let bytes = msg.wire_bytes();
         let send_vt = if dst == self.id {
             self.clock.advance(self.cfg.local_delivery_ns)
         } else {
-            self.stats.record_send(self.id, msg.kind(), bytes);
-            if let Some(m) = &self.metrics {
-                m.record_send(self.id, msg.kind_id(), bytes as u64);
-            }
+            self.traffic
+                .record(self.id, dst, msg.kind_id(), bytes as u64);
             self.clock.advance(self.cfg.send_overhead_ns)
         };
         if self.tracer.on() {
@@ -225,7 +206,7 @@ impl<M: Wire> Endpoint<M> {
         let arrival_vt = if env.src == self.id {
             env.send_vt
         } else {
-            env.send_vt + self.cfg.fly_time_link_ns(env.src, self.id, env.wire_bytes)
+            env.send_vt + self.cfg.fly_time_ns(env.wire_bytes)
         };
         Delivered {
             src: env.src,
@@ -243,9 +224,6 @@ impl<M: Wire> Endpoint<M> {
         let cost = if d.src == self.id {
             self.cfg.local_delivery_ns
         } else {
-            if let Some(m) = &self.metrics {
-                m.record_recv(self.id, d.msg.kind_id(), d.wire_bytes as u64);
-            }
             self.cfg.handler_ns
         };
         let after = self.clock.advance(cost);
@@ -271,9 +249,6 @@ impl<M: Wire> Endpoint<M> {
         let cost = if d.src == self.id {
             self.cfg.local_delivery_ns
         } else {
-            if let Some(m) = &self.metrics {
-                m.record_recv(self.id, d.msg.kind_id(), d.wire_bytes as u64);
-            }
             self.cfg.handler_ns
         };
         let after = self.clock.service_advance(cost);
@@ -299,10 +274,8 @@ impl<M: Wire> Endpoint<M> {
         let send_vt = if dst == self.id {
             self.clock.service_advance(self.cfg.local_delivery_ns)
         } else {
-            self.stats.record_send(self.id, msg.kind(), bytes);
-            if let Some(m) = &self.metrics {
-                m.record_send(self.id, msg.kind_id(), bytes as u64);
-            }
+            self.traffic
+                .record(self.id, dst, msg.kind_id(), bytes as u64);
             self.clock.service_advance(self.cfg.send_overhead_ns)
         };
         if self.tracer.on() {
@@ -365,7 +338,8 @@ mod tests {
         let d = a.recv();
         assert_eq!(d.src, 0);
         assert_eq!(d.arrival_vt, a.cfg().local_delivery_ns);
-        assert_eq!(a.stats().total_msgs(), 0, "self-sends must not be counted");
+        let s = a.traffic().snapshot();
+        assert_eq!(s.total_msgs(), 0, "self-sends must not be counted");
     }
 
     #[test]
@@ -374,11 +348,13 @@ mod tests {
         eps[0].send(1, Blob(vec![0; 10]));
         eps[0].send(2, Blob(vec![0; 20]));
         eps[2].send(0, Blob(vec![0; 5]));
-        let s = eps[1].stats();
+        let s = eps[1].traffic().snapshot();
         assert_eq!(s.total_msgs(), 3);
         assert_eq!(s.total_bytes(), 35);
-        assert_eq!(s.msgs, vec![2, 0, 1]);
-        assert_eq!(s.per_kind["blob"], (3, 35));
+        assert_eq!(s.send, vec![(2, 30), (0, 0), (1, 5)]);
+        // `Blob` declares no kinds table: it lands in the catch-all slot.
+        let other = s.kind("_other").expect("catch-all slot");
+        assert_eq!((other.send_msgs, other.send_bytes), (3, 35));
     }
 
     #[test]

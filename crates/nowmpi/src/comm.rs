@@ -21,11 +21,13 @@ impl Wire for MpiMsg {
         self.envelope + self.bytes.len()
     }
     fn kind(&self) -> &'static str {
-        if self.tag <= COLLECTIVE_TAG_BASE {
-            "mpi_collective"
-        } else {
-            "mpi_pt2pt"
-        }
+        Self::kinds()[self.kind_id()]
+    }
+    fn kinds() -> &'static [&'static str] {
+        &["mpi_pt2pt", "mpi_collective"]
+    }
+    fn kind_id(&self) -> usize {
+        usize::from(self.tag <= COLLECTIVE_TAG_BASE)
     }
 }
 

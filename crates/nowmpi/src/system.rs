@@ -2,7 +2,7 @@
 
 use crate::comm::{MpiMsg, MpiRank};
 use crate::config::MpiConfig;
-use now_net::{Network, StatsSnapshot};
+use now_net::{NetMetricsSnapshot, Network};
 use std::sync::Arc;
 use std::thread;
 
@@ -13,8 +13,8 @@ pub struct MpiOutcome<R> {
     pub results: Vec<R>,
     /// The slowest rank's final virtual clock — the program's run time.
     pub vt_ns: u64,
-    /// Network traffic statistics.
-    pub net: StatsSnapshot,
+    /// Network traffic (messages/bytes, per rank and per message kind).
+    pub net: NetMetricsSnapshot,
 }
 
 impl<R> MpiOutcome<R> {
@@ -33,7 +33,7 @@ where
 {
     let eps = Network::build::<MpiMsg>(cfg.net.clone());
     let f = Arc::new(f);
-    let stats_ep = eps[0].clone();
+    let traffic = eps[0].traffic().clone();
     let handles: Vec<_> = eps
         .into_iter()
         .map(|ep| {
@@ -63,7 +63,7 @@ where
     MpiOutcome {
         results,
         vt_ns,
-        net: stats_ep.stats(),
+        net: traffic.snapshot(),
     }
 }
 
@@ -90,6 +90,24 @@ mod tests {
         });
         assert_eq!(out.results[0], 4.0);
         assert_eq!(out.net.total_msgs(), 2);
+    }
+
+    #[test]
+    fn traffic_splits_into_pt2pt_and_collective_kinds() {
+        let out = run_mpi(cfg(2), |mpi| {
+            if mpi.rank() == 0 {
+                mpi.send(1, 5, &[7u64]);
+            } else {
+                let _: Vec<u64> = mpi.recv(0, 5);
+            }
+            let mut data = vec![mpi.rank() as u32; 4];
+            mpi.bcast(0, &mut data);
+        });
+        let kind = |k| out.net.kind(k).expect("declared kind").send_msgs;
+        let (pt2pt, coll) = (kind("mpi_pt2pt"), kind("mpi_collective"));
+        assert_eq!((pt2pt, coll), (1, 1));
+        assert_eq!(pt2pt + coll, out.net.total_msgs());
+        assert_eq!(kind("_other"), 0);
     }
 
     #[test]

@@ -71,7 +71,6 @@ pub use now_metrics::{
     validate_json, validate_prometheus_text, Counter, Gauge, Histogram, HistogramSnapshot,
     NetMetricsSnapshot,
 };
-pub use now_net::StatsSnapshot;
 pub use now_trace::{EventKind, Profile, Trace, TraceConfig, TraceEvent};
 pub use page::PageState;
 pub use stats::{TmkOp, TmkStats};

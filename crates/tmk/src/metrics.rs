@@ -200,11 +200,12 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// A registry for `nodes` nodes whose wire type declares `kinds`.
-    pub fn new(nodes: usize, kinds: &'static [&'static str]) -> Self {
+    /// A registry for `nodes` nodes whose network counts its traffic
+    /// on `net`.
+    pub fn new(nodes: usize, net: Arc<NetMetrics>) -> Self {
         MetricsRegistry {
             nodes: (0..nodes).map(|_| Arc::new(NodeMetrics::new())).collect(),
-            net: Arc::new(NetMetrics::new(nodes, kinds)),
+            net,
             jobs_completed: Counter::new(),
             jobs_failed: Counter::new(),
             jobs_in_flight: Gauge::new(),
@@ -217,11 +218,6 @@ impl MetricsRegistry {
     /// One node's block (shared with that node's state and handles).
     pub fn node(&self, id: usize) -> &Arc<NodeMetrics> {
         &self.nodes[id]
-    }
-
-    /// The lifetime traffic block (shared with the network endpoints).
-    pub fn net(&self) -> &Arc<NetMetrics> {
-        &self.net
     }
 
     /// The op counters summed over all nodes: `TmkOp::COUNT × nodes`
@@ -624,8 +620,8 @@ impl MetricsSnapshot {
         s.push('\n');
         s.push_str(&format!(
             "net: sent {} msgs / {} B, received {} msgs / {} B\n",
-            self.net.total_send_msgs(),
-            self.net.total_send_bytes(),
+            self.net.total_msgs(),
+            self.net.total_bytes(),
             self.net.total_recv_msgs(),
             self.net.total_recv_bytes()
         ));
@@ -654,14 +650,15 @@ mod tests {
 
     #[test]
     fn registry_snapshot_exports_validate() {
-        let reg = MetricsRegistry::new(2, &["ping", "pong"]);
+        let net = Arc::new(NetMetrics::new(2, &["ping", "pong"]));
+        let reg = MetricsRegistry::new(2, net.clone());
         reg.node(0).op(TmkOp::Barriers).add(3);
         reg.node(1).op(TmkOp::ReadFaults).add(7);
         reg.node(0).observe(OpLat::Barrier, 1500, 9000);
         reg.node(1).chunk_len.record(64);
         reg.node(1).chunks_claimed.inc();
-        reg.net().record_send(0, 1, 40);
-        reg.net().record_recv(1, 1, 40);
+        net.record_send(0, 1, 40);
+        net.record_recv(1, 1, 40);
         reg.jobs_completed.inc();
         reg.job_vt_ns.record(123_456);
         reg.reset_host_ns.record(2_000);

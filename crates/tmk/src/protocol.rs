@@ -228,7 +228,7 @@ pub enum Msg {
 
 /// Generates `Wire::{kind, kinds, kind_id}` from one ordered list of
 /// `(Variant, "label")` rows: a row's position is its `kind_id` and its
-/// slot in the lifetime per-kind traffic metrics.
+/// slot in the network's per-kind traffic counters.
 macro_rules! msg_kinds {
     ($(($variant:ident, $label:literal)),* $(,)?) => {
         fn kind(&self) -> &'static str {

@@ -8,8 +8,8 @@
 //! between jobs: [`System::run_job`] executes one master function,
 //! reports its exact per-job statistics, and resets every node's DSM
 //! state (pages, twins, diffs, vector clocks, manager queues, the shared
-//! allocation table, the virtual clocks and the traffic counters) behind
-//! the job's final quiescence point, so a following job starts from the
+//! allocation table and the virtual clocks) behind the job's final
+//! quiescence point, so a following job starts from the
 //! bit-identical state a freshly built system would have. [`run_system`]
 //! remains as the one-job convenience wrapper.
 //!
@@ -29,18 +29,20 @@
 //!    zeroes its clock;
 //! 3. the master fences its *own* service thread with a self-addressed
 //!    [`Msg::SyncReq`]/[`Msg::SyncAck`] round trip (its own releases are
-//!    fire-and-forget too), then reads every node's op counters, resets
-//!    its state, the shared allocation table, the traffic counters and
-//!    its clock.
+//!    fire-and-forget too), then reads every node's op counters and the
+//!    traffic counters, and resets its state, the shared allocation table
+//!    and its clock.
 //!
 //! Protocol events are counted once, on each node's always-on
-//! [`NodeMetrics`](crate::NodeMetrics) counters, which no reset touches.
-//! Once the n−1 `ResetDone` and the `SyncAck` are in, no node will count
-//! again for the finished job (work items run in order and service
-//! inboxes are FIFO), so the master's reading there is exact and the
-//! job's [`TmkStats`] is that reading minus the previous boundary's. The
-//! job's traffic snapshot is taken *before* step 1, so it too is an exact
-//! delta, unpolluted by the control messages of the reset itself.
+//! [`NodeMetrics`](crate::NodeMetrics) counters, and remote messages
+//! once, on the network's [`NetMetrics`](now_net::NetMetrics); no reset
+//! touches either. Once the n−1 `ResetDone` and the `SyncAck` are in, no
+//! node will count again for the finished job (work items run in order
+//! and service inboxes are FIFO), so the master's reading there is exact
+//! and the job's [`TmkStats`] is that reading minus the previous
+//! boundary's. The job's traffic is the reading taken *before* step 1
+//! minus the previous boundary's, so it leaves out exactly the reset
+//! round: `2(n−1)` control messages per job.
 
 use crate::addr::AllocTable;
 use crate::api::Tmk;
@@ -52,8 +54,8 @@ use crate::state::NodeState;
 use crate::stats::TmkStats;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use now_net::{
-    ComputeMeter, Delivered, Envelope, Network, StatsSnapshot, TraceSink, Tracer, VirtualClock,
-    Wire,
+    ComputeMeter, Delivered, Envelope, NetMetricsSnapshot, Network, TraceSink, Tracer,
+    VirtualClock, Wire,
 };
 use now_trace::{EventKind, Trace};
 use parking_lot::Mutex;
@@ -70,7 +72,7 @@ pub struct RunOutcome<R> {
     /// The master's final virtual clock — the program's modeled run time.
     pub vt_ns: u64,
     /// Network traffic (messages/bytes, per node and per message kind).
-    pub net: StatsSnapshot,
+    pub net: NetMetricsSnapshot,
     /// DSM protocol event counts summed over all nodes.
     pub dsm: TmkStats,
     /// The job's drained event trace, when [`TmkConfig::trace`] armed
@@ -219,14 +221,10 @@ impl System {
         // Tracing (when armed) rides on the endpoints: every layer above
         // reaches the per-node rings through its endpoint's tracer.
         let sink = cfg.trace.map(|tc| TraceSink::new(n, tc));
+        let eps = Network::build_with_trace::<Msg>(cfg.net.clone(), sink.clone());
         // Lifetime metrics: one registry for the whole session, fed by
         // relaxed atomics from every layer. Never reset between jobs.
-        let metrics = Arc::new(MetricsRegistry::new(n, <Msg as Wire>::kinds()));
-        let eps = Network::build_instrumented::<Msg>(
-            cfg.net.clone(),
-            sink.clone(),
-            Some(metrics.net().clone()),
-        );
+        let metrics = Arc::new(MetricsRegistry::new(n, eps[0].traffic().clone()));
         let scale = cfg.net.compute_scale;
         let watchdog = cfg.watchdog;
 
@@ -330,8 +328,9 @@ impl System {
             .name("tmk-app-0".into())
             .spawn(move || {
                 let mut tmk = master_tmk;
-                // The op-counter reading at the previous job boundary.
+                // The counter readings at the previous job boundary.
                 let mut ops_seen = TmkStats::default();
+                let mut net_seen = tmk.ep.traffic().snapshot();
                 while let Ok(MasterCmd::Job(f)) = cmd_rx.recv() {
                     // The meter was created on the spawning thread (or ran
                     // through the previous job); re-arm it on this job.
@@ -341,13 +340,18 @@ impl System {
                         let result = f(&mut tmk);
                         tmk.meter.charge(&tmk.clock.clone());
                         let vt_ns = tmk.clock.now();
-                        // The job's traffic is complete here (all sends are
-                        // recorded at send time, before their effects are
-                        // observable): snapshot before the reset's own
-                        // control messages.
-                        let net = tmk.ep.stats();
-                        let (dsm, trace) =
-                            job_boundary_reset(&mut tmk, vt_ns, &registry, &mut ops_seen);
+                        // The job's traffic is complete here (every message
+                        // is recorded, on both sides, at send time, before
+                        // its effects are observable): read it before the
+                        // reset's own control messages.
+                        let net = tmk.ep.traffic().snapshot().since(&net_seen);
+                        let (dsm, trace) = job_boundary_reset(
+                            &mut tmk,
+                            vt_ns,
+                            &registry,
+                            &mut ops_seen,
+                            &mut net_seen,
+                        );
                         RunOutcome {
                             result,
                             vt_ns,
@@ -539,15 +543,16 @@ impl Drop for System {
 }
 
 /// The job-boundary reset round (see the module docs): returns the
-/// cluster's protocol event counts since `ops_seen` (the previous
-/// boundary's reading, advanced to this one) plus the job's drained event
-/// trace, when tracing is armed, and leaves the whole cluster in the
-/// state a freshly built system would have.
+/// cluster's protocol event counts since `ops_seen` plus the job's
+/// drained event trace, when tracing is armed, advances `ops_seen` and
+/// `net_seen` to this boundary's readings, and leaves the whole cluster
+/// in the state a freshly built system would have.
 fn job_boundary_reset(
     tmk: &mut Tmk,
     vt_ns: u64,
     registry: &MetricsRegistry,
     ops_seen: &mut TmkStats,
+    net_seen: &mut NetMetricsSnapshot,
 ) -> (TmkStats, Option<Trace>) {
     let host0 = std::time::Instant::now();
     let n = tmk.nprocs();
@@ -576,6 +581,7 @@ fn job_boundary_reset(
     let now = registry.op_totals();
     let dsm = now.since(ops_seen);
     *ops_seen = now;
+    *net_seen = tmk.ep.traffic().snapshot();
     // Every node is quiescent (its reset events were recorded before its
     // ResetDone was sent), so the rings hold exactly the finished job:
     // drain them before anything below clears state for the next one.
@@ -599,11 +605,9 @@ fn job_boundary_reset(
     };
     tmk.state.lock().reset();
     // Order matters for determinism: node states are all fresh, so the
-    // shared allocation table can restart at address 0; traffic counters
-    // drop the reset round's own control messages; the clock starts the
-    // next job at t = 0.
+    // shared allocation table can restart at address 0; the clock starts
+    // the next job at t = 0.
     tmk.alloc.reset();
-    tmk.ep.reset_stats();
     tmk.clock.reset();
     tmk.barrier_epoch = 0;
     tmk.in_region = false;
@@ -902,13 +906,8 @@ mod tests {
         assert_eq!(out.result, 1234);
         assert_eq!(out.dsm.flushes, 1);
         // 2(n-1) messages for the flush itself: 1 notice + 1 ack.
-        let k = out
-            .net
-            .per_kind
-            .get("flush_notice")
-            .copied()
-            .unwrap_or((0, 0));
-        assert_eq!(k.0, 1);
+        let k = out.net.kind("flush_notice").map_or(0, |k| k.send_msgs);
+        assert_eq!(k, 1);
     }
 
     #[test]

@@ -6,10 +6,7 @@
 use tmk::{run_system, TmkConfig, TmkOp};
 
 fn diff_reqs<R>(out: &tmk::RunOutcome<R>) -> u64 {
-    out.net
-        .per_kind
-        .get("diff_req")
-        .map_or(0, |&(msgs, _)| msgs)
+    out.net.kind("diff_req").map_or(0, |k| k.send_msgs)
 }
 
 #[test]

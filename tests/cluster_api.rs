@@ -58,19 +58,6 @@ fn every_builder_validation_failure_has_a_variant() {
         (Cluster::builder().runtime_schedule_str("affinity,2"), |e| {
             matches!(e, NowError::InvalidSchedule(_))
         }),
-        (Cluster::builder().nodes(2).link_latency(vec![1.0]), |e| {
-            matches!(e, NowError::InvalidLinkLatency(_))
-        }),
-        (
-            Cluster::builder().nodes(2).link_latency(vec![1.0, 0.5]),
-            |e| matches!(e, NowError::InvalidLinkLatency(_)),
-        ),
-        (
-            Cluster::builder()
-                .nodes(2)
-                .link_latency(vec![1.0, f64::INFINITY]),
-            |e| matches!(e, NowError::InvalidLinkLatency(_)),
-        ),
         (
             Cluster::builder().nodes(2).tmk(|t| t.page_size = 100),
             |e| matches!(e, NowError::InvalidConfig(_)),
@@ -98,7 +85,6 @@ fn valid_builders_pass_validation() {
         .speeds(vec![1.0, 0.5, 1.0, 0.8])
         .load_str("burst:40/10x3")
         .load_seed(7)
-        .link_latency(vec![1.0, 2.0, 1.0, 1.0])
         .runtime_schedule_str("adaptive,8")
         .default_dynamic_chunk(32)
         .validate()
@@ -119,7 +105,6 @@ proptest! {
         nodes in 0usize..100_000,
         tpn in 0usize..10_000,
         speeds in proptest::collection::vec(proptest::num::f64::ANY, 0..6),
-        lats in proptest::collection::vec(proptest::num::f64::ANY, 0..6),
         seed in 0u64..u64::MAX,
         sched_pick in 0usize..6,
         load_pick in 0usize..6,
@@ -133,7 +118,6 @@ proptest! {
             .threads_per_node(tpn)
             .fast_test()
             .speeds(speeds)
-            .link_latency(lats)
             .load_str(load)
             .load_seed(seed)
             .runtime_schedule_str(sched)

@@ -147,8 +147,8 @@ fn snapshots_are_monotone_across_a_warm_job_stream() {
                 op.name()
             );
         }
-        assert!(cur.net.total_send_msgs() >= prev.net.total_send_msgs());
-        assert!(cur.net.total_send_bytes() >= prev.net.total_send_bytes());
+        assert!(cur.net.total_msgs() >= prev.net.total_msgs());
+        assert!(cur.net.total_bytes() >= prev.net.total_bytes());
         assert!(cur.uptime_host_ns >= prev.uptime_host_ns);
     }
     let last = snaps.last().unwrap();
@@ -159,35 +159,66 @@ fn snapshots_are_monotone_across_a_warm_job_stream() {
     assert_eq!(last.reset_host_ns.count(), 3, "one warm reset per job");
 }
 
-/// The lifetime traffic view is richer than the per-job deltas: it also
-/// counts the job-boundary reset round's control messages, which the
-/// per-job snapshot is deliberately taken before. Exactly `n - 1`
-/// `reset_req` fan-out messages per job.
+/// Dynamic-schedule chunks whose body takes a critical section: lock
+/// and claim traffic on top of the static workload's page traffic.
+fn dynamic_critical_workload(omp: &mut Env<'_>) -> u64 {
+    let sum = omp.malloc_scalar::<u64>(0);
+    omp.parallel_for(Schedule::Dynamic(8), 0..64, move |t, i| {
+        t.critical_named("sum", |t| {
+            let s = sum.get(t);
+            sum.set(t, s + i as u64);
+        });
+    });
+    sum.get(omp)
+}
+
+/// Per-job traffic is a boundary delta of the lifetime counter, so the
+/// two differ by exactly the job-boundary reset rounds: `n - 1`
+/// `reset_req` fan-out messages and `n - 1` `reset_done` replies per job,
+/// in messages and in bytes.
 #[test]
 fn lifetime_traffic_covers_per_job_deltas_plus_reset_rounds() {
-    let nodes = 4;
-    let jobs = 3u64;
-    let mut c = cluster(nodes, 1);
-    let mut per_job_msgs = 0u64;
-    for _ in 0..jobs {
-        per_job_msgs += c.run(det_workload).expect("job runs").net.total_msgs();
+    fn check<R: Send + 'static>(nodes: usize, tpn: usize, job: fn(&mut Env<'_>) -> R) {
+        let name = format!("{nodes}x{tpn}");
+        let jobs = 4u64;
+        let mut c = cluster(nodes, tpn);
+        let (mut per_job_msgs, mut per_job_bytes) = (0u64, 0u64);
+        for _ in 0..jobs {
+            let out = c.run(job).expect("job runs");
+            per_job_msgs += out.msgs();
+            per_job_bytes += out.bytes();
+        }
+        let net = c.metrics().net;
+        let reset = net.kind("reset_req").expect("reset_req is a wire kind");
+        let done = net.kind("reset_done").expect("reset_done is a wire kind");
+        assert_eq!(
+            reset.send_msgs,
+            (nodes as u64 - 1) * jobs,
+            "{name}: one reset_req per slave per job"
+        );
+        assert_eq!(done.send_msgs, (nodes as u64 - 1) * jobs, "{name}");
+        assert_eq!(
+            net.total_msgs(),
+            per_job_msgs + reset.send_msgs + done.send_msgs,
+            "{name}: lifetime sends are the per-job deltas plus the reset rounds"
+        );
+        assert_eq!(
+            net.total_bytes(),
+            per_job_bytes + reset.send_bytes + done.send_bytes,
+            "{name}: lifetime bytes are the per-job deltas plus the reset rounds"
+        );
+        assert_eq!(
+            net.total_msgs() - per_job_msgs,
+            2 * (nodes as u64 - 1) * jobs,
+            "{name}"
+        );
+        // Application traffic dominates: the reconciliation above must not
+        // be comparing the reset rounds alone.
+        assert!(per_job_msgs > net.total_msgs() / 2, "{name}");
     }
-    let net = c.metrics().net;
-    assert!(
-        net.total_send_msgs() >= per_job_msgs,
-        "lifetime sends ({}) must cover the per-job deltas ({per_job_msgs})",
-        net.total_send_msgs()
-    );
-    let reset = net.kind("reset_req").expect("reset_req is a wire kind");
-    assert_eq!(
-        reset.send_msgs,
-        (nodes as u64 - 1) * jobs,
-        "one reset_req per slave per job"
-    );
-    let done = net.kind("reset_done").expect("reset_done is a wire kind");
-    assert_eq!(done.send_msgs, (nodes as u64 - 1) * jobs);
-    // Application traffic dominates: page/diff kinds show up too.
-    assert!(net.kind("diff_req").map_or(0, |k| k.send_msgs) > 0);
+    check(4, 1, det_workload);
+    check(4, 2, det_workload);
+    check(4, 1, dynamic_critical_workload);
 }
 
 /// The issue's export acceptance bar: `jacobi.omp` on a 4×2 SMP cluster
