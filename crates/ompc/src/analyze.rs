@@ -23,13 +23,16 @@
 //!   the whole team, one thread per iteration, thread 0 (`single`), or a
 //!   task instance. A plain team/per-iteration write to a fixed cell is
 //!   a race *with itself*.
-//! - **Function summaries**: accesses, acquired locks, spawned task
-//!   sites and barriers of each function, computed to a fixpoint so
-//!   recursion (`fib`, `qsort`) converges; instantiated at call sites
-//!   with the caller's held locks added.
+//! - **Summaries** ([`Sum`]): accesses, acquired locks, spawned task
+//!   sites, callees, prints and barriers of a block, callees included.
+//!   Each function's is computed to a fixpoint so recursion (`fib`,
+//!   `qsort`) converges, and is instantiated at call sites with the
+//!   caller's held locks added. Every "does this block touch shared
+//!   data / spawn / print / call …" question reads one; a region's
+//!   callees are the ones its walk instantiates.
 
 use crate::diag::Span;
-use crate::ir::{Builtin, LExpr, LPrint, LProgram, LRegion, LStmt, WsFor};
+use crate::ir::{visit_stmts, Builtin, LExpr, LProgram, LRegion, LStmt, WsFor};
 use crate::lints::{Lint, LintCode};
 use nomp::RedOp;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -39,25 +42,33 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 /// `Deny` happens at the reporting surface).
 pub(crate) fn analyze(p: &LProgram) -> Vec<Lint> {
     let sums = fn_summaries(p);
+    let task_sums: Vec<Sum> = p.tasks.iter().map(|t| block_sum(&t.body, &sums)).collect();
     let mut lints: Vec<Lint> = Vec::new();
     let mut edges: BTreeSet<LockEdge> = BTreeSet::new();
     let mut lock_names: BTreeMap<u32, Option<String>> = BTreeMap::new();
 
+    // Functions reachable from parallel context: called from a region
+    // (as its walk finds) or from any task body.
+    let mut par: BTreeSet<u16> = task_sums.iter().flat_map(|t| &t.callees).copied().collect();
     for r in &p.regions {
-        analyze_region(p, &sums, r, &mut lints, &mut edges, &mut lock_names);
+        par.extend(analyze_region(
+            p,
+            &sums,
+            &task_sums,
+            r,
+            &mut lints,
+            &mut edges,
+            &mut lock_names,
+        ));
     }
 
     // Lock-order edges inside functions reachable from parallel context
     // (sequential criticals are elided by the runtime — no deadlock).
-    let par = par_reachable(p);
     for &fid in &par {
-        for e in &sums[fid as usize].lock_edges {
-            edges.insert(*e);
-        }
+        edges.extend(&sums[fid as usize].lock_edges);
     }
     lock_order_lints(&edges, &lock_names, &mut lints);
-    dead_critical_lints(p, &sums, &par, &mut lints);
-    seq_critical_lints(p, &par, &mut lints);
+    fn_critical_lints(p, &sums, &par, &mut lints);
 
     // A private-escape finding at a span supersedes the plain race lint
     // the same store also triggers.
@@ -167,18 +178,12 @@ fn as_const_idx(e: &LExpr) -> Option<i64> {
 }
 
 fn expr_mentions_local(e: &LExpr) -> bool {
-    match e {
-        LExpr::Num(_) | LExpr::Global(..) => false,
-        LExpr::Local(_) => true,
-        LExpr::Elem(_, idx, _) => expr_mentions_local(idx),
-        LExpr::Un(_, a) => expr_mentions_local(a),
-        LExpr::Bin(_, a, b, _) => expr_mentions_local(a) || expr_mentions_local(b),
+    e.any(&|n| match n {
         // Calls and thread-dependent builtins are never invariant.
-        LExpr::Call(..) => true,
-        LExpr::Builtin(b, args) => {
-            matches!(b, Builtin::ThreadNum | Builtin::Wtime) || args.iter().any(expr_mentions_local)
-        }
-    }
+        LExpr::Local(_) | LExpr::Call(..) => Some(true),
+        LExpr::Builtin(Builtin::ThreadNum | Builtin::Wtime, _) => Some(true),
+        _ => None,
+    })
 }
 
 /// Classify an element index expression relative to the enclosing
@@ -239,28 +244,30 @@ struct SumAcc {
 /// while outer is held.
 type LockEdge = (u32, u32, (u32, u32), (u32, u32));
 
+/// What a block does, callees included.
 #[derive(Debug, Default, Clone, PartialEq)]
-struct FnSum {
+struct Sum {
     accs: BTreeSet<SumAcc>,
-    /// Task sites this function spawns (directly or via callees).
+    /// Task sites spawned (directly or via callees).
     spawns: BTreeSet<u16>,
     /// Critical sections acquired anywhere inside (lock, span).
     acquires: BTreeSet<(u32, (u32, u32))>,
     lock_edges: BTreeSet<LockEdge>,
+    /// Functions called, transitively.
+    callees: BTreeSet<u16>,
     has_barrier: bool,
-    has_shared: bool,
+    /// A `print` runs (directly or via callees).
+    prints: bool,
 }
 
-fn fn_summaries(p: &LProgram) -> Vec<FnSum> {
-    let mut sums = vec![FnSum::default(); p.funcs.len()];
+fn fn_summaries(p: &LProgram) -> Vec<Sum> {
+    let mut sums = vec![Sum::default(); p.funcs.len()];
     // Recursion converges because every field only grows and spans/gids
     // are finite.
     loop {
         let mut changed = false;
         for fid in 0..p.funcs.len() {
-            let mut cur = FnSum::default();
-            let mut held: Vec<(u32, (u32, u32))> = Vec::new();
-            sum_stmts(&p.funcs[fid].body, &sums, &mut held, &mut cur);
+            let cur = block_sum(&p.funcs[fid].body, &sums);
             if cur != sums[fid] {
                 sums[fid] = cur;
                 changed = true;
@@ -272,131 +279,92 @@ fn fn_summaries(p: &LProgram) -> Vec<FnSum> {
     }
 }
 
-fn sum_stmts(stmts: &[LStmt], sums: &[FnSum], held: &mut Vec<(u32, (u32, u32))>, out: &mut FnSum) {
+/// The summary of one block, given the functions' summaries. Region and
+/// task bodies are outlined, so a `parallel` or `task` statement
+/// contributes only its spawn.
+fn block_sum(stmts: &[LStmt], sums: &[Sum]) -> Sum {
+    let mut out = Sum::default();
+    sum_stmts(stmts, sums, &mut Vec::new(), &mut out);
+    out
+}
+
+fn sum_stmts(stmts: &[LStmt], sums: &[Sum], held: &mut Vec<(u32, (u32, u32))>, out: &mut Sum) {
     for s in stmts {
+        for e in s.exprs() {
+            sum_expr(e, sums, held, out);
+        }
         match s {
-            LStmt::SetLocal { val, .. } => sum_expr(val, sums, held, out),
-            LStmt::SetGlobal { gid, val, span, .. } => {
-                sum_expr(val, sums, held, out);
-                sum_acc(out, *gid, true, Foot::Scalar, held, *span);
+            LStmt::SetGlobal { gid, span, .. } => {
+                sum_acc(out, *gid, true, Foot::Scalar, held, *span)
             }
-            LStmt::SetElem {
-                gid,
-                idx,
-                val,
-                span,
-                ..
-            } => {
-                sum_expr(idx, sums, held, out);
-                sum_expr(val, sums, held, out);
-                sum_acc(out, *gid, true, classify_idx(idx, None), held, *span);
+            LStmt::SetElem { gid, idx, span, .. } => {
+                sum_acc(out, *gid, true, classify_idx(idx, None), held, *span)
             }
-            LStmt::If { cond, then_, else_ } => {
-                sum_expr(cond, sums, held, out);
-                sum_stmts(then_, sums, held, out);
-                sum_stmts(else_, sums, held, out);
-            }
-            LStmt::While { cond, body } => {
-                sum_expr(cond, sums, held, out);
-                sum_stmts(body, sums, held, out);
-            }
-            LStmt::Return(v) => {
-                if let Some(v) = v {
-                    sum_expr(v, sums, held, out);
-                }
-            }
-            LStmt::Expr(e) => sum_expr(e, sums, held, out),
-            LStmt::Print(parts) => {
-                for p in parts {
-                    if let LPrint::Val(e) = p {
-                        sum_expr(e, sums, held, out);
-                    }
-                }
-            }
-            // Regions are analyzed on their own; a function containing
-            // one is only callable from sequential context anyway.
-            LStmt::Parallel { .. } => {}
-            LStmt::WsFor(w) => {
-                sum_expr(&w.lo, sums, held, out);
-                sum_expr(&w.hi, sums, held, out);
-                sum_stmts(&w.body, sums, held, out);
-            }
-            LStmt::Single { body, .. } => sum_stmts(body, sums, held, out),
-            LStmt::Critical {
-                lock, body, span, ..
-            } => {
+            LStmt::Print(_) => out.prints = true,
+            LStmt::Critical { lock, span, .. } => {
                 for &(l, ls) in held.iter() {
                     out.lock_edges.insert((l, *lock, ls, sk(*span)));
                 }
                 out.acquires.insert((*lock, sk(*span)));
                 held.push((*lock, sk(*span)));
-                sum_stmts(body, sums, held, out);
-                held.pop();
             }
             LStmt::Barrier(_) => out.has_barrier = true,
             LStmt::Task { site } => {
                 out.spawns.insert(*site);
             }
-            LStmt::Taskwait => {}
+            _ => {}
+        }
+        for b in s.blocks() {
+            sum_stmts(b, sums, held, out);
+        }
+        if matches!(s, LStmt::Critical { .. }) {
+            held.pop();
         }
     }
 }
 
-fn sum_expr(e: &LExpr, sums: &[FnSum], held: &mut Vec<(u32, (u32, u32))>, out: &mut FnSum) {
-    match e {
-        LExpr::Num(_) | LExpr::Local(_) => {}
+fn sum_expr(e: &LExpr, sums: &[Sum], held: &[(u32, (u32, u32))], out: &mut Sum) {
+    e.visit(&mut |n| match n {
         LExpr::Global(gid, span) => sum_acc(out, *gid, false, Foot::Scalar, held, *span),
         LExpr::Elem(gid, idx, span) => {
-            sum_expr(idx, sums, held, out);
-            sum_acc(out, *gid, false, classify_idx(idx, None), held, *span);
+            sum_acc(out, *gid, false, classify_idx(idx, None), held, *span)
         }
-        LExpr::Un(_, a) => sum_expr(a, sums, held, out),
-        LExpr::Bin(_, a, b, _) => {
-            sum_expr(a, sums, held, out);
-            sum_expr(b, sums, held, out);
-        }
-        LExpr::Call(fid, args, _) => {
-            for a in args {
-                sum_expr(a, sums, held, out);
-            }
-            let callee = sums[*fid as usize].clone();
+        LExpr::Call(fid, ..) => {
+            let callee = &sums[*fid as usize];
             let cur: BTreeSet<u32> = held.iter().map(|&(l, _)| l).collect();
             for acc in &callee.accs {
                 let mut locks = acc.locks.clone();
-                locks.extend(cur.iter().copied());
+                locks.extend(&cur);
                 out.accs.insert(SumAcc {
                     locks,
                     ..acc.clone()
                 });
             }
-            out.spawns.extend(callee.spawns.iter().copied());
-            out.acquires.extend(callee.acquires.iter().copied());
-            out.lock_edges.extend(callee.lock_edges.iter().copied());
-            for &(l, ls) in held.iter() {
+            out.spawns.extend(&callee.spawns);
+            out.acquires.extend(&callee.acquires);
+            out.lock_edges.extend(&callee.lock_edges);
+            for &(l, ls) in held {
                 for &(m, ms) in &callee.acquires {
                     out.lock_edges.insert((l, m, ls, ms));
                 }
             }
+            out.callees.insert(*fid);
+            out.callees.extend(&callee.callees);
             out.has_barrier |= callee.has_barrier;
-            out.has_shared |= callee.has_shared;
+            out.prints |= callee.prints;
         }
-        LExpr::Builtin(_, args) => {
-            for a in args {
-                sum_expr(a, sums, held, out);
-            }
-        }
-    }
+        _ => {}
+    });
 }
 
 fn sum_acc(
-    out: &mut FnSum,
+    out: &mut Sum,
     gid: u16,
     write: bool,
     foot: Foot,
     held: &[(u32, (u32, u32))],
     span: Span,
 ) {
-    out.has_shared = true;
     out.accs.insert(SumAcc {
         gid,
         write,
@@ -473,7 +441,7 @@ struct SpawnCtx {
 
 struct Rw<'a> {
     p: &'a LProgram,
-    sums: &'a [FnSum],
+    sums: &'a [Sum],
     accs: Vec<Acc>,
     lints: &'a mut Vec<Lint>,
     edges: &'a mut BTreeSet<LockEdge>,
@@ -502,16 +470,21 @@ struct Rw<'a> {
     guards: Vec<u16>,
     privs: HashSet<u16>,
     tainted: HashSet<u16>,
+    /// Functions the walk calls, transitively.
+    callees: BTreeSet<u16>,
 }
 
+/// Walk one region and the task bodies it reaches; returns the functions
+/// they call, transitively.
 fn analyze_region(
     p: &LProgram,
-    sums: &[FnSum],
+    sums: &[Sum],
+    task_sums: &[Sum],
     r: &LRegion,
     lints: &mut Vec<Lint>,
     edges: &mut BTreeSet<LockEdge>,
     lock_names: &mut BTreeMap<u32, Option<String>>,
-) {
+) -> BTreeSet<u16> {
     let mut w = Rw {
         p,
         sums,
@@ -538,6 +511,7 @@ fn analyze_region(
         guards: Vec::new(),
         privs: r.privatized.iter().copied().collect(),
         tainted: HashSet::new(),
+        callees: BTreeSet::new(),
     };
     for rs in &r.reds {
         w.red_gids.push((rs.gid, rs.op, rs.span));
@@ -554,9 +528,7 @@ fn analyze_region(
         if !scanned.insert(site) {
             continue;
         }
-        let mut found: BTreeSet<u16> = BTreeSet::new();
-        scan_spawns(&p.tasks[site as usize].body, sums, &mut found);
-        for s2 in found {
+        for &s2 in &task_sums[site as usize].spawns {
             w.spawn_ctxs.entry(s2).or_default().push(SpawnCtx {
                 scope: None,
                 one: false,
@@ -612,67 +584,7 @@ fn analyze_region(
             );
         }
     }
-}
-
-fn scan_spawns(stmts: &[LStmt], sums: &[FnSum], out: &mut BTreeSet<u16>) {
-    for s in stmts {
-        match s {
-            LStmt::Task { site } => {
-                out.insert(*site);
-            }
-            LStmt::If { cond, then_, else_ } => {
-                scan_spawn_expr(cond, sums, out);
-                scan_spawns(then_, sums, out);
-                scan_spawns(else_, sums, out);
-            }
-            LStmt::While { cond, body } => {
-                scan_spawn_expr(cond, sums, out);
-                scan_spawns(body, sums, out);
-            }
-            LStmt::SetLocal { val, .. } | LStmt::SetGlobal { val, .. } => {
-                scan_spawn_expr(val, sums, out)
-            }
-            LStmt::SetElem { idx, val, .. } => {
-                scan_spawn_expr(idx, sums, out);
-                scan_spawn_expr(val, sums, out);
-            }
-            LStmt::Return(Some(e)) | LStmt::Expr(e) => scan_spawn_expr(e, sums, out),
-            LStmt::Print(parts) => {
-                for p in parts {
-                    if let LPrint::Val(e) = p {
-                        scan_spawn_expr(e, sums, out);
-                    }
-                }
-            }
-            LStmt::Single { body, .. } | LStmt::Critical { body, .. } => {
-                scan_spawns(body, sums, out)
-            }
-            LStmt::WsFor(w) => scan_spawns(&w.body, sums, out),
-            _ => {}
-        }
-    }
-}
-
-fn scan_spawn_expr(e: &LExpr, sums: &[FnSum], out: &mut BTreeSet<u16>) {
-    match e {
-        LExpr::Call(fid, args, _) => {
-            for a in args {
-                scan_spawn_expr(a, sums, out);
-            }
-            out.extend(sums[*fid as usize].spawns.iter().copied());
-        }
-        LExpr::Un(_, a) | LExpr::Elem(_, a, _) => scan_spawn_expr(a, sums, out),
-        LExpr::Bin(_, a, b, _) => {
-            scan_spawn_expr(a, sums, out);
-            scan_spawn_expr(b, sums, out);
-        }
-        LExpr::Builtin(_, args) => {
-            for a in args {
-                scan_spawn_expr(a, sums, out);
-            }
-        }
-        _ => {}
-    }
+    w.callees
 }
 
 impl Rw<'_> {
@@ -727,13 +639,15 @@ impl Rw<'_> {
             }
             LStmt::If { cond, then_, else_ } => {
                 self.expr(cond, None);
-                let mut cond_slots = Vec::new();
-                collect_local_reads(cond, &mut cond_slots);
-                let n = cond_slots.len();
-                self.guards.extend(cond_slots);
+                let n = self.guards.len();
+                cond.visit(&mut |e| {
+                    if let LExpr::Local(slot) = e {
+                        self.guards.push(*slot);
+                    }
+                });
                 self.stmts(then_);
                 self.stmts(else_);
-                self.guards.truncate(self.guards.len() - n);
+                self.guards.truncate(n);
             }
             LStmt::While { cond, body } => {
                 self.expr(cond, None);
@@ -741,17 +655,9 @@ impl Rw<'_> {
                 self.stmts(body);
                 self.while_depth -= 1;
             }
-            LStmt::Return(v) => {
-                if let Some(v) = v {
-                    self.expr(v, None);
-                }
-            }
-            LStmt::Expr(e) => self.expr(e, None),
-            LStmt::Print(parts) => {
-                for p in parts {
-                    if let LPrint::Val(e) = p {
-                        self.expr(e, None);
-                    }
+            LStmt::Return(_) | LStmt::Expr(_) | LStmt::Print(_) => {
+                for e in s.exprs() {
+                    self.expr(e, None);
                 }
             }
             LStmt::Parallel { .. } => {
@@ -763,21 +669,23 @@ impl Rw<'_> {
                 self.next_single += 1;
                 let old_single = self.single.replace(sid);
                 let old_mult = std::mem::replace(&mut self.mult, Mult::One);
-                let before = self.accs.len();
                 let lints_before = self.lints.len();
                 self.stmts(body);
                 self.single = old_single;
                 self.mult = old_mult;
                 self.phase += 1; // implied barrier
-                                 // A non-empty `single` around purely-private work changes
-                                 // only thread 0's private copies — almost certainly a
-                                 // shared/private confusion. (An *empty* single is a
-                                 // barrier idiom; a printing single is a print-once idiom;
-                                 // both stay silent.)
-                let touched = self.accs.len() > before
-                    || self.lints.len() > lints_before
-                    || body_spawns(body)
-                    || body_prints(body);
+
+                // A non-empty `single` around purely-private work changes
+                // only thread 0's private copies — almost certainly a
+                // shared/private confusion. (An *empty* single is a
+                // barrier idiom; a printing single is a print-once idiom;
+                // both stay silent. A body that already drew a finding is
+                // not reported twice.)
+                let b = block_sum(body, self.sums);
+                let touched = self.lints.len() > lints_before
+                    || !b.accs.is_empty()
+                    || !b.spawns.is_empty()
+                    || b.prints;
                 if !body.is_empty() && !touched {
                     self.lints.push(Lint::new(
                         LintCode::DeadSync,
@@ -799,20 +707,12 @@ impl Rw<'_> {
                     self.edges.insert((l, *lock, ls, sk(*span)));
                 }
                 self.locks.push((*lock, sk(*span)));
-                let before = self.accs.len();
                 let lints_before = self.lints.len();
                 self.stmts(body);
                 self.locks.pop();
-                let touched = self.accs.len() > before
-                    || self.lints.len() > lints_before
-                    || body_spawns(body);
-                if !touched {
-                    self.lints.push(Lint::new(
-                        LintCode::DeadSync,
-                        *span,
-                        "critical section protects no shared access — the lock round-trip \
-                         buys nothing",
-                    ));
+                // A body that already drew a finding is not reported twice.
+                if self.lints.len() == lints_before {
+                    self.lints.extend(dead_critical(body, *span, self.sums));
                 }
             }
             LStmt::Barrier(span) => {
@@ -860,8 +760,8 @@ impl Rw<'_> {
     }
 
     fn expr(&mut self, e: &LExpr, allow_red: Option<u16>) {
+        e.for_each_operand(|o| self.expr(o, allow_red));
         match e {
-            LExpr::Num(_) => {}
             LExpr::Local(slot) => self.check_red_slot_read(*slot, allow_red),
             LExpr::Global(gid, span) => {
                 if !self.check_red_gid(*gid, *span) {
@@ -869,26 +769,11 @@ impl Rw<'_> {
                 }
             }
             LExpr::Elem(gid, idx, span) => {
-                self.expr(idx, allow_red);
                 let foot = classify_idx(idx, self.loop_var);
                 self.record(*gid, false, foot, *span);
             }
-            LExpr::Un(_, a) => self.expr(a, allow_red),
-            LExpr::Bin(_, a, b, _) => {
-                self.expr(a, allow_red);
-                self.expr(b, allow_red);
-            }
-            LExpr::Call(fid, args, _) => {
-                for a in args {
-                    self.expr(a, allow_red);
-                }
-                self.instantiate(*fid);
-            }
-            LExpr::Builtin(_, args) => {
-                for a in args {
-                    self.expr(a, allow_red);
-                }
-            }
+            LExpr::Call(fid, ..) => self.instantiate(*fid),
+            LExpr::Num(_) | LExpr::Un(..) | LExpr::Bin(..) | LExpr::Builtin(..) => {}
         }
     }
 
@@ -896,6 +781,8 @@ impl Rw<'_> {
     fn instantiate(&mut self, fid: u16) {
         let sums = self.sums;
         let sum = &sums[fid as usize];
+        self.callees.insert(fid);
+        self.callees.extend(&sum.callees);
         let cur: BTreeSet<u32> = self.locks.iter().map(|&(l, _)| l).collect();
         let callee_accs: Vec<SumAcc> = sum.accs.iter().cloned().collect();
         let fname = self.p.funcs[fid as usize].name.clone();
@@ -1078,12 +965,11 @@ impl Rw<'_> {
         if !self.locks.is_empty() || self.single.is_some() {
             return;
         }
-        let mut reads = Vec::new();
-        collect_local_reads(val, &mut reads);
-        if reads
-            .iter()
-            .any(|s| self.privs.contains(s) && self.tainted.contains(s))
-        {
+        let (privs, tainted) = (&self.privs, &self.tainted);
+        if val.any(&|n| match n {
+            LExpr::Local(s) => Some(privs.contains(s) && tainted.contains(s)),
+            _ => None,
+        }) {
             self.lints.push(Lint::new(
                 LintCode::PrivateEscape,
                 span,
@@ -1095,58 +981,14 @@ impl Rw<'_> {
     }
 }
 
-fn collect_local_reads(e: &LExpr, out: &mut Vec<u16>) {
-    match e {
-        LExpr::Local(s) => out.push(*s),
-        LExpr::Elem(_, idx, _) => collect_local_reads(idx, out),
-        LExpr::Un(_, a) => collect_local_reads(a, out),
-        LExpr::Bin(_, a, b, _) => {
-            collect_local_reads(a, out);
-            collect_local_reads(b, out);
-        }
-        LExpr::Call(_, args, _) | LExpr::Builtin(_, args) => {
-            for a in args {
-                collect_local_reads(a, out);
-            }
-        }
-        LExpr::Num(_) | LExpr::Global(..) => {}
-    }
-}
-
+/// Does the value depend on the executing thread? A call's result is
+/// taken as not (its body is summarized, not evaluated).
 fn expr_tainted(e: &LExpr, tainted: &HashSet<u16>) -> bool {
-    match e {
-        LExpr::Num(_) | LExpr::Global(..) => false,
-        LExpr::Local(s) => tainted.contains(s),
-        LExpr::Elem(_, idx, _) => expr_tainted(idx, tainted),
-        LExpr::Un(_, a) => expr_tainted(a, tainted),
-        LExpr::Bin(_, a, b, _) => expr_tainted(a, tainted) || expr_tainted(b, tainted),
-        LExpr::Call(..) => false,
-        LExpr::Builtin(b, args) => {
-            matches!(b, Builtin::ThreadNum | Builtin::Wtime)
-                || args.iter().any(|a| expr_tainted(a, tainted))
-        }
-    }
-}
-
-fn body_spawns(stmts: &[LStmt]) -> bool {
-    stmts.iter().any(|s| match s {
-        LStmt::Task { .. } => true,
-        LStmt::If { then_, else_, .. } => body_spawns(then_) || body_spawns(else_),
-        LStmt::While { body, .. } => body_spawns(body),
-        LStmt::Single { body, .. } | LStmt::Critical { body, .. } => body_spawns(body),
-        LStmt::WsFor(w) => body_spawns(&w.body),
-        _ => false,
-    })
-}
-
-fn body_prints(stmts: &[LStmt]) -> bool {
-    stmts.iter().any(|s| match s {
-        LStmt::Print(_) => true,
-        LStmt::If { then_, else_, .. } => body_prints(then_) || body_prints(else_),
-        LStmt::While { body, .. } => body_prints(body),
-        LStmt::Single { body, .. } | LStmt::Critical { body, .. } => body_prints(body),
-        LStmt::WsFor(w) => body_prints(&w.body),
-        _ => false,
+    e.any(&|n| match n {
+        LExpr::Local(s) => Some(tainted.contains(s)),
+        LExpr::Call(..) => Some(false),
+        LExpr::Builtin(Builtin::ThreadNum | Builtin::Wtime, _) => Some(true),
+        _ => None,
     })
 }
 
@@ -1372,186 +1214,49 @@ fn lock_order_lints(
 }
 
 // ---------------------------------------------------------------------
-// Dead / sequential criticals (OMP206) and reachability
+// Dead / sequential criticals in functions (OMP206)
 // ---------------------------------------------------------------------
 
-fn collect_calls(stmts: &[LStmt], out: &mut BTreeSet<u16>) {
-    fn expr(e: &LExpr, out: &mut BTreeSet<u16>) {
-        match e {
-            LExpr::Call(fid, args, _) => {
-                out.insert(*fid);
-                for a in args {
-                    expr(a, out);
-                }
-            }
-            LExpr::Un(_, a) | LExpr::Elem(_, a, _) => expr(a, out),
-            LExpr::Bin(_, a, b, _) => {
-                expr(a, out);
-                expr(b, out);
-            }
-            LExpr::Builtin(_, args) => {
-                for a in args {
-                    expr(a, out);
-                }
-            }
-            _ => {}
-        }
-    }
-    for s in stmts {
-        match s {
-            LStmt::SetLocal { val, .. } | LStmt::SetGlobal { val, .. } => expr(val, out),
-            LStmt::SetElem { idx, val, .. } => {
-                expr(idx, out);
-                expr(val, out);
-            }
-            LStmt::If { cond, then_, else_ } => {
-                expr(cond, out);
-                collect_calls(then_, out);
-                collect_calls(else_, out);
-            }
-            LStmt::While { cond, body } => {
-                expr(cond, out);
-                collect_calls(body, out);
-            }
-            LStmt::Return(Some(e)) | LStmt::Expr(e) => expr(e, out),
-            LStmt::Print(parts) => {
-                for p in parts {
-                    if let LPrint::Val(e) = p {
-                        expr(e, out);
-                    }
-                }
-            }
-            LStmt::Single { body, .. } | LStmt::Critical { body, .. } => collect_calls(body, out),
-            LStmt::WsFor(w) => {
-                expr(&w.lo, out);
-                expr(&w.hi, out);
-                collect_calls(&w.body, out);
-            }
-            _ => {}
-        }
-    }
+/// OMP206 for a `critical` whose body touches no shared data and spawns
+/// no task, reached through calls included: the lock round-trip orders
+/// nothing.
+fn dead_critical(body: &[LStmt], span: Span, sums: &[Sum]) -> Option<Lint> {
+    let b = block_sum(body, sums);
+    (b.accs.is_empty() && b.spawns.is_empty()).then(|| {
+        Lint::new(
+            LintCode::DeadSync,
+            span,
+            "critical section protects no shared access — the lock round-trip buys nothing",
+        )
+    })
 }
 
-fn closure(p: &LProgram, seeds: BTreeSet<u16>) -> BTreeSet<u16> {
-    let mut seen = BTreeSet::new();
-    let mut stack: Vec<u16> = seeds.into_iter().collect();
-    while let Some(f) = stack.pop() {
-        if !seen.insert(f) {
+/// OMP206 on the criticals of functions (region and task bodies get
+/// theirs in the region walk). In a function reachable from parallel
+/// context a dead section is flagged; in one reachable only from
+/// sequential code every section is: a single thread runs there, and the
+/// runtime even elides the lock.
+fn fn_critical_lints(p: &LProgram, sums: &[Sum], par: &BTreeSet<u16>, lints: &mut Vec<Lint>) {
+    let seq = &sums[p.main_fn].callees;
+    for (fid, f) in (0u16..).zip(&p.funcs) {
+        let in_par = par.contains(&fid);
+        let in_seq = fid as usize == p.main_fn || seq.contains(&fid);
+        if !in_par && !in_seq {
             continue;
         }
-        let mut calls = BTreeSet::new();
-        collect_calls(&p.funcs[f as usize].body, &mut calls);
-        stack.extend(calls);
-    }
-    seen
-}
-
-/// Functions reachable from parallel context (region or task bodies).
-fn par_reachable(p: &LProgram) -> BTreeSet<u16> {
-    let mut seeds = BTreeSet::new();
-    for r in &p.regions {
-        collect_calls(&r.body, &mut seeds);
-    }
-    for t in &p.tasks {
-        collect_calls(&t.body, &mut seeds);
-    }
-    closure(p, seeds)
-}
-
-/// Criticals inside par-reachable functions whose bodies touch no
-/// shared data. (Region/task bodies are covered during the region walk.)
-fn dead_critical_lints(p: &LProgram, sums: &[FnSum], par: &BTreeSet<u16>, lints: &mut Vec<Lint>) {
-    fn touches_shared(stmts: &[LStmt], sums: &[FnSum]) -> bool {
-        fn expr(e: &LExpr, sums: &[FnSum]) -> bool {
-            match e {
-                LExpr::Global(..) | LExpr::Elem(..) => true,
-                LExpr::Call(fid, args, _) => {
-                    sums[*fid as usize].has_shared
-                        || !sums[*fid as usize].spawns.is_empty()
-                        || args.iter().any(|a| expr(a, sums))
-                }
-                LExpr::Un(_, a) => expr(a, sums),
-                LExpr::Bin(_, a, b, _) => expr(a, sums) || expr(b, sums),
-                LExpr::Builtin(_, args) => args.iter().any(|a| expr(a, sums)),
-                _ => false,
-            }
-        }
-        stmts.iter().any(|s| match s {
-            LStmt::SetGlobal { .. } | LStmt::SetElem { .. } | LStmt::Task { .. } => true,
-            LStmt::SetLocal { val, .. } => expr(val, sums),
-            LStmt::If { cond, then_, else_ } => {
-                expr(cond, sums) || touches_shared(then_, sums) || touches_shared(else_, sums)
-            }
-            LStmt::While { cond, body } => expr(cond, sums) || touches_shared(body, sums),
-            LStmt::Return(Some(e)) | LStmt::Expr(e) => expr(e, sums),
-            LStmt::Print(parts) => parts.iter().any(|p| match p {
-                LPrint::Val(e) => expr(e, sums),
-                LPrint::Str(_) => false,
-            }),
-            LStmt::Single { body, .. } | LStmt::Critical { body, .. } => touches_shared(body, sums),
-            LStmt::WsFor(w) => touches_shared(&w.body, sums),
-            _ => false,
-        })
-    }
-    fn walk(stmts: &[LStmt], sums: &[FnSum], lints: &mut Vec<Lint>) {
-        for s in stmts {
-            match s {
-                LStmt::Critical { body, span, .. } => {
-                    if !touches_shared(body, sums) {
-                        lints.push(Lint::new(
-                            LintCode::DeadSync,
-                            *span,
-                            "critical section protects no shared access — the lock \
-                             round-trip buys nothing",
-                        ));
-                    }
-                    walk(body, sums, lints);
-                }
-                LStmt::If { then_, else_, .. } => {
-                    walk(then_, sums, lints);
-                    walk(else_, sums, lints);
-                }
-                LStmt::While { body, .. } => walk(body, sums, lints),
-                LStmt::Single { body, .. } => walk(body, sums, lints),
-                LStmt::WsFor(w) => walk(&w.body, sums, lints),
-                _ => {}
-            }
-        }
-    }
-    for &fid in par {
-        walk(&p.funcs[fid as usize].body, sums, lints);
-    }
-}
-
-/// Criticals in purely sequential code: one thread runs there, the
-/// runtime even elides the lock — the construct is dead weight.
-fn seq_critical_lints(p: &LProgram, par: &BTreeSet<u16>, lints: &mut Vec<Lint>) {
-    let seq = closure(p, BTreeSet::from([p.main_fn as u16]));
-    fn walk(stmts: &[LStmt], lints: &mut Vec<Lint>) {
-        for s in stmts {
-            match s {
-                LStmt::Critical { body, span, .. } => {
+        visit_stmts(&f.body, &mut |s| {
+            if let LStmt::Critical { body, span, .. } = s {
+                if in_par {
+                    lints.extend(dead_critical(body, *span, sums));
+                } else {
                     lints.push(Lint::new(
                         LintCode::DeadSync,
                         *span,
                         "`critical` in sequential code: a single thread executes here, \
                          so the section orders nothing (the runtime elides the lock)",
                     ));
-                    walk(body, lints);
                 }
-                LStmt::If { then_, else_, .. } => {
-                    walk(then_, lints);
-                    walk(else_, lints);
-                }
-                LStmt::While { body, .. } => walk(body, lints),
-                _ => {}
             }
-        }
-    }
-    for &fid in &seq {
-        if par.contains(&fid) {
-            continue;
-        }
-        walk(&p.funcs[fid as usize].body, lints);
+        });
     }
 }

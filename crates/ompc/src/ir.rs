@@ -5,6 +5,11 @@
 //! either a *private frame slot* (`Local`) or a *shared DSM global*
 //! (`Global`/`Elem`) — the paper's Modification 1 made explicit in the
 //! instruction set: there is no way to express a shared stack variable.
+//!
+//! [`LExpr::for_each_operand`], [`LStmt::exprs`] and [`LStmt::blocks`]
+//! are the only enumeration of a node's children outside `codegen`: the
+//! analyzer's and `sema`'s walks are folds over them, so a new variant is
+//! listed here once and every pass sees its children.
 
 use crate::ast::{BinOp, SchedKind, UnOp};
 use crate::diag::Span;
@@ -215,4 +220,100 @@ pub(crate) struct WsFor {
     /// Interior loops also reset their shared chunk counter so the region
     /// can execute the loop again (costs one extra barrier).
     pub reset_after: bool,
+}
+
+impl LExpr {
+    /// Call `f` on each direct operand, in evaluation order. Internal
+    /// iteration, not an iterator: the region walker recurses through
+    /// this once per node, where a closure call inlines and a returned
+    /// iterator chain measurably did not.
+    pub(crate) fn for_each_operand<'a>(&'a self, mut f: impl FnMut(&'a LExpr)) {
+        match self {
+            LExpr::Num(_) | LExpr::Local(_) | LExpr::Global(..) => {}
+            LExpr::Elem(_, a, _) | LExpr::Un(_, a) => f(a),
+            LExpr::Bin(_, a, b, _) => {
+                f(a);
+                f(b);
+            }
+            LExpr::Call(_, args, _) | LExpr::Builtin(_, args) => args.iter().for_each(f),
+        }
+    }
+
+    /// Every node of this expression, pre-order.
+    pub(crate) fn visit<'a, F: FnMut(&'a LExpr)>(&'a self, f: &mut F) {
+        f(self);
+        self.for_each_operand(|o| o.visit(f));
+    }
+
+    /// Does some node satisfy `probe`? `probe` answers `Some(verdict)`
+    /// for a node it can judge without its operands (the walk does not
+    /// descend there), `None` to look at the operands instead.
+    pub(crate) fn any<P: Fn(&LExpr) -> Option<bool>>(&self, probe: &P) -> bool {
+        probe(self).unwrap_or_else(|| {
+            let mut hit = false;
+            self.for_each_operand(|o| hit = hit || o.any(probe));
+            hit
+        })
+    }
+}
+
+impl LStmt {
+    /// The expressions this statement evaluates itself (not those of
+    /// its nested blocks), in evaluation order.
+    pub(crate) fn exprs(&self) -> impl Iterator<Item = &LExpr> {
+        let (one, two, parts): (Option<&LExpr>, Option<&LExpr>, &[LPrint]) = match self {
+            LStmt::SetLocal { val, .. } | LStmt::SetGlobal { val, .. } | LStmt::Expr(val) => {
+                (Some(val), None, &[])
+            }
+            LStmt::SetElem { idx, val, .. } => (Some(idx), Some(val), &[]),
+            LStmt::If { cond, .. } | LStmt::While { cond, .. } => (Some(cond), None, &[]),
+            LStmt::Return(v) => (v.as_ref(), None, &[]),
+            LStmt::Print(parts) => (None, None, parts),
+            LStmt::WsFor(w) => (Some(&w.lo), Some(&w.hi), &[]),
+            LStmt::Parallel { .. }
+            | LStmt::Single { .. }
+            | LStmt::Critical { .. }
+            | LStmt::Barrier(_)
+            | LStmt::Task { .. }
+            | LStmt::Taskwait => (None, None, &[]),
+        };
+        let vals = parts.iter().filter_map(|p| match p {
+            LPrint::Val(e) => Some(e),
+            LPrint::Str(_) => None,
+        });
+        one.into_iter().chain(two).chain(vals)
+    }
+
+    /// The statement blocks nested directly in this statement. Region
+    /// and task bodies are outlined, so `Parallel` and `Task` have none.
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = &[LStmt]> {
+        let (one, two): (&[LStmt], &[LStmt]) = match self {
+            LStmt::If { then_, else_, .. } => (then_, else_),
+            LStmt::While { body, .. }
+            | LStmt::Single { body, .. }
+            | LStmt::Critical { body, .. } => (body, &[]),
+            LStmt::WsFor(w) => (&w.body, &[]),
+            LStmt::SetLocal { .. }
+            | LStmt::SetGlobal { .. }
+            | LStmt::SetElem { .. }
+            | LStmt::Return(_)
+            | LStmt::Expr(_)
+            | LStmt::Print(_)
+            | LStmt::Parallel { .. }
+            | LStmt::Barrier(_)
+            | LStmt::Task { .. }
+            | LStmt::Taskwait => (&[], &[]),
+        };
+        [one, two].into_iter()
+    }
+}
+
+/// Every statement of `stmts` and of the blocks nested in them, pre-order.
+pub(crate) fn visit_stmts<'a, F: FnMut(&'a LStmt)>(stmts: &'a [LStmt], f: &mut F) {
+    for s in stmts {
+        f(s);
+        for b in s.blocks() {
+            visit_stmts(b, f);
+        }
+    }
 }

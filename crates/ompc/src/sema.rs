@@ -796,10 +796,7 @@ impl<'p> Sema<'p> {
                 cx.in_task = was_task;
                 cx.sync_ctx = saved_ctx;
                 let body = body_res?;
-                let mut caps = Vec::new();
-                self.collect_free_locals(&body, start_slot, &mut caps);
-                caps.sort_unstable();
-                caps.dedup();
+                let caps = self.free_locals(&body, start_slot);
                 if caps.len() > MAX_TASK_CAPTURES {
                     return Err(Diag::new(
                         span,
@@ -1303,91 +1300,31 @@ impl<'p> Sema<'p> {
         })
     }
 
-    /// Frame slots below `limit` referenced anywhere in `stmts` — the
-    /// implicit firstprivate capture set of a task body.
-    fn collect_free_locals(&self, stmts: &[LStmt], limit: u16, out: &mut Vec<u16>) {
-        for s in stmts {
-            self.collect_stmt(s, limit, out);
-        }
-    }
-
-    fn collect_stmt(&self, s: &LStmt, limit: u16, out: &mut Vec<u16>) {
-        let mut cap = |slot: u16| {
-            if slot < limit {
-                out.push(slot);
-            }
-        };
-        match s {
-            LStmt::SetLocal { slot, val, .. } => {
-                cap(*slot);
-                self.collect_expr(val, limit, out);
-            }
-            LStmt::SetGlobal { val, .. } => self.collect_expr(val, limit, out),
-            LStmt::SetElem { idx, val, .. } => {
-                self.collect_expr(idx, limit, out);
-                self.collect_expr(val, limit, out);
-            }
-            LStmt::If { cond, then_, else_ } => {
-                self.collect_expr(cond, limit, out);
-                self.collect_free_locals(then_, limit, out);
-                self.collect_free_locals(else_, limit, out);
-            }
-            LStmt::While { cond, body } => {
-                self.collect_expr(cond, limit, out);
-                self.collect_free_locals(body, limit, out);
-            }
-            LStmt::Return(v) => {
-                if let Some(v) = v {
-                    self.collect_expr(v, limit, out);
-                }
-            }
-            LStmt::Expr(e) => self.collect_expr(e, limit, out),
-            LStmt::Print(parts) => {
-                for p in parts {
-                    if let LPrint::Val(e) = p {
-                        self.collect_expr(e, limit, out);
-                    }
-                }
-            }
-            LStmt::Single { body, .. } | LStmt::Critical { body, .. } => {
-                self.collect_free_locals(body, limit, out);
-            }
-            LStmt::WsFor(w) => {
-                self.collect_expr(&w.lo, limit, out);
-                self.collect_expr(&w.hi, limit, out);
-                self.collect_free_locals(&w.body, limit, out);
-            }
-            LStmt::Task { site } => {
+    /// Frame slots below `limit` referenced anywhere in `stmts`, sorted
+    /// and deduplicated — the implicit firstprivate capture set of a
+    /// task body.
+    fn free_locals(&self, stmts: &[LStmt], limit: u16) -> Vec<u16> {
+        let mut out = Vec::new();
+        visit_stmts(stmts, &mut |s| {
+            match s {
+                LStmt::SetLocal { slot, .. } => out.push(*slot),
                 // A nested task's captures are read from this frame at
                 // spawn time, so they are free here too.
-                for &slot in &self.tasks[*site as usize].caps {
-                    cap(slot);
-                }
+                LStmt::Task { site } => out.extend(&self.tasks[*site as usize].caps),
+                _ => {}
             }
-            LStmt::Parallel { .. } | LStmt::Barrier(_) | LStmt::Taskwait => {}
-        }
-    }
-
-    fn collect_expr(&self, e: &LExpr, limit: u16, out: &mut Vec<u16>) {
-        match e {
-            LExpr::Num(_) | LExpr::Global(..) => {}
-            LExpr::Local(slot) => {
-                if *slot < limit {
-                    out.push(*slot);
-                }
+            for e in s.exprs() {
+                e.visit(&mut |n| {
+                    if let LExpr::Local(slot) = n {
+                        out.push(*slot);
+                    }
+                });
             }
-            LExpr::Elem(_, idx, _) => self.collect_expr(idx, limit, out),
-            LExpr::Un(_, a) => self.collect_expr(a, limit, out),
-            LExpr::Bin(_, a, b, _) => {
-                self.collect_expr(a, limit, out);
-                self.collect_expr(b, limit, out);
-            }
-            LExpr::Call(_, args, _) | LExpr::Builtin(_, args) => {
-                for a in args {
-                    self.collect_expr(a, limit, out);
-                }
-            }
-        }
+        });
+        out.retain(|&slot| slot < limit);
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 }
 

@@ -113,6 +113,38 @@ fn clean_corpus_produces_no_lints() {
     }
 }
 
+/// A `critical` gets the same OMP206 verdict written inline in a region
+/// as inside a function the region calls: a shared write, a call that
+/// reads shared data and a call that spawns a task all keep it live; a
+/// private-only update is dead in both places.
+#[test]
+fn dead_critical_verdict_is_the_same_inline_and_in_a_callee() {
+    const PRELUDE: &str = "double g;\ndouble f(double v) { return v + g; }\n\
+        void spawner() {\n#pragma omp task\n{\n#pragma omp critical (red)\n\
+        { g = g + 1.0; }\n}\n}\n";
+    for (body, dead) in [
+        ("g = g + 1.0;", false),
+        ("x = f(x);", false),
+        ("spawner();", false),
+        ("x = x + 1.0;", true),
+    ] {
+        let crit = format!("double x = 0.0;\n#pragma omp critical\n{{ {body} }}\n");
+        let inline =
+            format!("{PRELUDE}int main() {{\n#pragma omp parallel\n{{\n{crit}}}\nreturn 0;\n}}");
+        let called = format!(
+            "{PRELUDE}void guarded() {{\n{crit}}}\n\
+             int main() {{\n#pragma omp parallel\n{{ guarded(); }}\nreturn 0;\n}}"
+        );
+        for src in [inline, called] {
+            let lints = compile_report(&src)
+                .unwrap_or_else(|d| panic!("{d}\n{src}"))
+                .lints;
+            let flagged = lints.iter().any(|l| l.code.code() == "OMP206");
+            assert_eq!(flagged, dead, "`{body}`: {lints:?}\n{src}");
+        }
+    }
+}
+
 /// `promote_races` raises exactly the race-class codes to `Deny`;
 /// structural findings stay warnings. JSON output carries the levels.
 #[test]
@@ -239,13 +271,13 @@ proptest::proptest! {
     #[test]
     fn analyzer_never_panics_on_generated_programs(
         clause in 0usize..6,
-        picks in proptest::collection::vec(0usize..18, 0..12),
+        picks in proptest::collection::vec(0usize..22, 0..12),
     ) {
         const CLAUSES: [&str; 6] = [
             "", " reduction(+:g)", " reduction(max:g)", " private(g)",
             " firstprivate(g)", " reduction(*:h)",
         ];
-        const STMTS: [&str; 18] = [
+        const STMTS: [&str; 22] = [
             "g = g + 1.0;",
             "g = 3.0;",
             "double x = g;",
@@ -264,11 +296,18 @@ proptest::proptest! {
             "double z = omp_get_wtime();",
             "#pragma omp task\n{ g = g + 1.0; }\n",
             "#pragma omp taskwait\n",
+            "spawner();",
+            "report();",
+            "#pragma omp single\n{ spawner(); }\n",
+            "#pragma omp critical (blue)\n{ spawner(); }\n",
         ];
         let body: String = picks.iter().map(|&i| format!("{}\n", STMTS[i])).collect();
         let src = format!(
             "double g;\ndouble h;\ndouble a[8];\n\
              double f(double v) {{ return v + g; }}\n\
+             void spawner() {{\n#pragma omp task\n{{\n#pragma omp critical (red)\n\
+             {{ h = h + 1.0; }}\n}}\n}}\n\
+             void report() {{ print(\"r\"); }}\n\
              int main() {{\n#pragma omp parallel{}\n{{\n{body}}}\nreturn 0;\n}}",
             CLAUSES[clause],
         );
