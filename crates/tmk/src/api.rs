@@ -314,6 +314,13 @@ impl Tmk {
         }
     }
 
+    /// Wait for the next protocol reply and charge its arrival.
+    fn reply(&self) -> Delivered<Msg> {
+        let d = self.recv_reply();
+        self.ep.charge_rx(&d);
+        d
+    }
+
     /// The protocol-wait watchdog fired: dump every node's channel/clock/
     /// protocol state (the evidence a lost-wakeup hang would otherwise
     /// destroy) and abort the run with a panic, which tears the cluster
@@ -413,9 +420,7 @@ impl Tmk {
                     self.ep.send(node, Msg::DiffReq { page: pid, ids });
                 }
                 for _ in 0..std::mem::take(&mut replies) {
-                    let d = self.recv_reply();
-                    self.ep.charge_rx(&d);
-                    match d.msg {
+                    match self.reply().msg {
                         Msg::DiffRep { page, diffs } => {
                             by_page.entry(page).or_default().1.extend(diffs);
                         }
@@ -493,10 +498,7 @@ impl Tmk {
         let (bundle, diff_bytes) = {
             let mut st = self.state.lock();
             st.close_interval();
-            let bundle = st.bundle_for(&st.known_vc[0]);
-            let pvc = st.processed_vc.clone();
-            st.note_sent_vc(0, &pvc);
-            (bundle, st.diff_store_bytes)
+            (st.release_to(0), st.diff_store_bytes)
         };
         self.ep.send(
             0,
@@ -506,8 +508,7 @@ impl Tmk {
                 diff_bytes,
             },
         );
-        let d = self.recv_reply();
-        self.ep.charge_rx(&d);
+        let d = self.reply();
         let src = d.src;
         let Msg::BarrierDepart {
             epoch: e,
@@ -554,8 +555,7 @@ impl Tmk {
             self.fault_pages(&mine);
         }
         self.ep.send(0, Msg::GcDone { epoch });
-        let d = self.recv_reply();
-        self.ep.charge_rx(&d);
+        let d = self.reply();
         let Msg::GcComplete { epoch: done_epoch } = d.msg else {
             panic!("expected GcComplete, got {}", d.msg.kind())
         };
@@ -592,25 +592,34 @@ impl Tmk {
             (st.manager_of(lock), st.processed_vc.clone())
         };
         let req_vt = self.clock.now();
-        self.ep.send(
-            mgr,
-            Msg::LockAcq {
-                lock,
-                requester: self.id,
-                vc,
-                req_vt,
-            },
-        );
-        let d = self.recv_reply();
-        self.ep.charge_rx(&d);
-        let src = d.src;
-        let Msg::LockGrant { lock: l2, bundle } = d.msg else {
-            panic!("expected LockGrant, got {}", d.msg.kind())
+        self.await_grant(mgr, Msg::LockAcq { lock, vc, req_vt }, lock, |st| {
+            st.held_locks.insert(lock);
+        });
+    }
+
+    /// Send `req` (a `LockAcq`, `SemaWait` or `CondWait`) to the manager
+    /// `mgr`, wait for its grant of lock or semaphore `id`, and acquire
+    /// the grant's bundle; `then` runs in the same node-state tenure.
+    fn await_grant(&mut self, mgr: usize, req: Msg, id: u32, then: impl FnOnce(&mut NodeState)) {
+        let want = match req {
+            Msg::SemaWait { .. } => "sema_grant",
+            _ => "lock_grant",
         };
-        debug_assert_eq!(l2, lock);
+        self.ep.send(mgr, req);
+        let d = self.reply();
+        let kind = d.msg.kind();
+        let bundle = match d.msg {
+            Msg::LockGrant { lock: g, bundle } | Msg::SemaGrant { sema: g, bundle }
+                if kind == want =>
+            {
+                debug_assert_eq!(g, id, "{kind} of another id");
+                bundle
+            }
+            _ => panic!("expected {want}, got {kind}"),
+        };
         let mut st = self.state.lock();
-        st.acquire(src, &bundle);
-        st.held_locks.insert(lock);
+        st.acquire(d.src, &bundle);
+        then(&mut st);
     }
 
     /// Release mutex `lock` (`Tmk_lock_release`): closes the interval and
@@ -631,10 +640,7 @@ impl Tmk {
             );
             st.close_interval();
             let mgr = st.manager_of(lock);
-            let bundle = st.bundle_for(&st.known_vc[mgr]);
-            let pvc = st.processed_vc.clone();
-            st.note_sent_vc(mgr, &pvc);
-            (mgr, bundle)
+            (mgr, st.release_to(mgr))
         };
         self.ep.send(mgr, Msg::LockRelease { lock, bundle });
     }
@@ -660,19 +666,15 @@ impl Tmk {
     }
 
     fn sema_signal_inner(&mut self, sema: u32) {
-        let mgr = sema as usize % self.n;
-        let bundle = {
+        let (mgr, bundle) = {
             let mut st = self.state.lock();
             st.close_interval();
-            let bundle = st.bundle_for(&st.known_vc[mgr]);
-            let pvc = st.processed_vc.clone();
-            st.note_sent_vc(mgr, &pvc);
             st.count(TmkOp::SemaSignals, 1);
-            bundle
+            let mgr = st.manager_of(sema);
+            (mgr, st.release_to(mgr))
         };
         self.ep.send(mgr, Msg::SemaSignal { sema, bundle });
-        let d = self.recv_reply();
-        self.ep.charge_rx(&d);
+        let d = self.reply();
         let Msg::SemaAck { sema: acked } = d.msg else {
             panic!("expected SemaAck, got {}", d.msg.kind())
         };
@@ -687,32 +689,14 @@ impl Tmk {
     }
 
     fn sema_wait_inner(&mut self, sema: u32) {
-        let mgr = sema as usize % self.n;
-        let vc = self.state.lock().processed_vc.clone();
-        let req_vt = self.clock.now();
-        self.ep.send(
-            mgr,
-            Msg::SemaWait {
-                sema,
-                requester: self.id,
-                vc,
-                req_vt,
-            },
-        );
-        let d = self.recv_reply();
-        self.ep.charge_rx(&d);
-        let src = d.src;
-        let Msg::SemaGrant {
-            sema: granted,
-            bundle,
-        } = d.msg
-        else {
-            panic!("expected SemaGrant, got {}", d.msg.kind())
+        let (mgr, vc) = {
+            let st = self.state.lock();
+            (st.manager_of(sema), st.processed_vc.clone())
         };
-        debug_assert_eq!(granted, sema, "semaphore grant mismatch");
-        let mut st = self.state.lock();
-        st.acquire(src, &bundle);
-        st.count(TmkOp::SemaWaits, 1);
+        let req_vt = self.clock.now();
+        self.await_grant(mgr, Msg::SemaWait { sema, vc, req_vt }, sema, |st| {
+            st.count(TmkOp::SemaWaits, 1)
+        });
     }
 
     // ------------------------------------------------------------------
@@ -735,34 +719,14 @@ impl Tmk {
                 "cond_wait without holding lock {lock}"
             );
             st.close_interval(); // the wait releases the lock
-            let mgr = st.manager_of(lock);
-            let bundle = st.bundle_for(&st.known_vc[mgr]);
-            let pvc = st.processed_vc.clone();
-            st.note_sent_vc(mgr, &pvc);
             st.count(TmkOp::CondWaits, 1);
-            (mgr, bundle)
+            let mgr = st.manager_of(lock);
+            (mgr, st.release_to(mgr))
         };
-        let req_vt = self.clock.now();
-        self.ep.send(
-            mgr,
-            Msg::CondWait {
-                lock,
-                cond,
-                requester: self.id,
-                bundle,
-                req_vt,
-            },
-        );
         // Blocked until a signal re-queues us for the critical section.
-        let d = self.recv_reply();
-        self.ep.charge_rx(&d);
-        let src = d.src;
-        let Msg::LockGrant { bundle, .. } = d.msg else {
-            panic!("expected LockGrant after cond_wait, got {}", d.msg.kind())
-        };
-        let mut st = self.state.lock();
-        st.acquire(src, &bundle);
-        st.held_locks.insert(lock);
+        self.await_grant(mgr, Msg::CondWait { lock, cond, bundle }, lock, |st| {
+            st.held_locks.insert(lock);
+        });
     }
 
     /// `cond_signal(cond)` under `lock`: unblock one waiter (no effect if
@@ -820,18 +784,13 @@ impl Tmk {
 
     fn flush_inner(&mut self) {
         let me = self.id;
-        let bundles: Vec<(usize, crate::interval::NoticeBundle)> = {
+        let bundles: Vec<_> = {
             let mut st = self.state.lock();
             st.close_interval();
             st.count(TmkOp::Flushes, 1);
-            let pvc = st.processed_vc.clone();
             (0..self.n)
                 .filter(|&p| p != me)
-                .map(|p| {
-                    let b = st.bundle_for(&st.known_vc[p]);
-                    st.note_sent_vc(p, &pvc);
-                    (p, b)
-                })
+                .map(|p| (p, st.release_to(p)))
                 .collect()
         };
         let expected = bundles.len();
@@ -839,8 +798,7 @@ impl Tmk {
             self.ep.send(peer, Msg::FlushNotice { bundle });
         }
         for _ in 0..expected {
-            let d = self.recv_reply();
-            self.ep.charge_rx(&d);
+            let d = self.reply();
             let Msg::FlushAck = d.msg else {
                 panic!("expected FlushAck, got {}", d.msg.kind())
             };
@@ -868,14 +826,7 @@ impl Tmk {
             let mut st = s.state.lock();
             st.close_interval();
             st.count(TmkOp::Forks, 1);
-            let pvc = st.processed_vc.clone();
-            let bundles: Vec<(usize, crate::interval::NoticeBundle)> = (1..s.n)
-                .map(|p| {
-                    let b = st.bundle_for(&st.known_vc[p]);
-                    st.note_sent_vc(p, &pvc);
-                    (p, b)
-                })
-                .collect();
+            let bundles: Vec<_> = (1..s.n).map(|p| (p, st.release_to(p))).collect();
             drop(st);
             // ...delivered to each slave as an acquire at region start.
             for (peer, bundle) in bundles {

@@ -14,14 +14,17 @@
 //!   have not seen and invalidate the named pages.
 //! * **Multiple-writer protocol** — on first write to a page in an
 //!   interval a *twin* is saved; on demand the twin is compared with the
-//!   page to encode a run-length *diff*. Faulting nodes fetch diffs from
-//!   all concurrent writers and apply them in happens-before order, so
-//!   falsely-shared pages never ping-pong.
-//! * **Synchronization** — centralized barrier manager; distributed lock
-//!   managers that forward acquires to the last holder; semaphores and
-//!   condition variables exactly as §5.3 of the paper (2 messages per
-//!   semaphore operation); OpenMP `flush` retained at its true cost of
-//!   2(n−1) messages for the ablation study.
+//!   page to encode a run-length *diff*. A faulting node asks only the
+//!   writers whose intervals no other missing one dominates (they applied
+//!   and kept the older diffs), and applies the diffs in happens-before
+//!   order, so falsely-shared pages never ping-pong.
+//! * **Synchronization** — centralized barrier manager; lock managers
+//!   statically assigned by id that queue contended acquires and grant
+//!   the lock at each release, in virtual-request-time order, with the
+//!   notices the acquirer lacks; semaphores (the same manager queue, with
+//!   banked signals) and condition variables exactly as §5.3 of the paper
+//!   (2 messages per semaphore operation); OpenMP `flush` retained at its
+//!   true cost of 2(n−1) messages for the ablation study.
 //! * **Diff garbage collection** — at barriers, when cached diff storage
 //!   grows past a threshold, page copies are validated by their last
 //!   writers and become new base copies.

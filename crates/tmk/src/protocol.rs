@@ -67,12 +67,11 @@ pub enum Msg {
         /// Page contents.
         bytes: Arc<[u8]>,
     },
-    /// Lock acquire request, sent to the lock's manager.
+    /// Lock acquire request, sent to the lock's manager (the requester
+    /// is the sender).
     LockAcq {
         /// Lock id.
         lock: u32,
-        /// Requesting node.
-        requester: usize,
         /// Requester's *processed* clock (grant bundles are filtered
         /// against it; filtering by the promise clock could omit notices
         /// still in flight to the requester on another channel).
@@ -130,12 +129,10 @@ pub enum Msg {
         /// Semaphore id.
         sema: u32,
     },
-    /// `sema_wait` request.
+    /// `sema_wait` request (the waiter is the sender).
     SemaWait {
         /// Semaphore id.
         sema: u32,
-        /// Waiting node.
-        requester: usize,
         /// Waiter's processed clock (grant filter, as for locks).
         vc: VectorClock,
         /// Waiter's virtual clock (grants go to the earliest waiter).
@@ -148,19 +145,15 @@ pub enum Msg {
         /// Notices the waiter lacks.
         bundle: NoticeBundle,
     },
-    /// `cond_wait`: releases the lock and enqueues the caller at the
-    /// lock's manager.
+    /// `cond_wait`: releases the lock and enqueues the caller (the
+    /// sender) at the lock's manager.
     CondWait {
         /// The critical section's lock.
         lock: u32,
         /// Condition variable id.
         cond: u32,
-        /// Waiting node.
-        requester: usize,
         /// Waiter's release information (its closed interval).
         bundle: NoticeBundle,
-        /// Waiter's virtual clock at the wait.
-        req_vt: u64,
     },
     /// `cond_signal`: move one waiter to the lock queue.
     CondSignal {

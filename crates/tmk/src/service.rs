@@ -10,7 +10,7 @@
 
 use crate::interval::{NoticeBundle, VectorClock};
 use crate::protocol::{Msg, Region};
-use crate::state::NodeState;
+use crate::state::{NodeState, SyncId};
 use crossbeam::channel::Sender;
 use now_net::{Delivered, Endpoint, Wire as _};
 use now_trace::{EventKind, SERVICE_LANE};
@@ -131,19 +131,11 @@ fn handle_request(ep: &Endpoint<Msg>, state: &Arc<Mutex<NodeState>>, d: Delivere
             };
             ep.send_service(src, Msg::PageRep { page, epoch, bytes });
         }
-        Msg::LockAcq {
-            lock,
-            requester,
-            vc,
-            req_vt,
-        } => {
-            let mut st = state.lock();
-            mgr_acquire(ep, &mut st, lock, requester, vc, req_vt);
+        Msg::LockAcq { lock, vc, req_vt } => {
+            mgr_wait(ep, &mut state.lock(), SyncId::Lock(lock), src, vc, req_vt);
         }
         Msg::LockRelease { lock, bundle } => {
-            let mut st = state.lock();
-            st.apply_bundle(src, &bundle);
-            mgr_release(ep, &mut st, lock);
+            mgr_signal(ep, &mut state.lock(), src, SyncId::Lock(lock), &bundle);
         }
         Msg::BarrierArrive {
             epoch,
@@ -162,86 +154,20 @@ fn handle_request(ep: &Endpoint<Msg>, state: &Arc<Mutex<NodeState>>, d: Delivere
             }
         }
         Msg::SemaSignal { sema, bundle } => {
-            let mut st = state.lock();
-            st.apply_bundle(src, &bundle);
-            let waiter = {
-                let entry = st.mgr.semas.entry(sema).or_default();
-                match entry.pop_earliest() {
-                    Some(w) => Some(w),
-                    None => {
-                        entry.count += 1;
-                        None
-                    }
-                }
-            };
-            if let Some((_, waiter, wvc)) = waiter {
-                let grant = st.bundle_for(&wvc);
-                let pvc_sent = st.processed_vc.clone();
-                st.note_sent_vc(waiter, &pvc_sent);
-                drop(st);
-                ep.send_service(
-                    waiter,
-                    Msg::SemaGrant {
-                        sema,
-                        bundle: grant,
-                    },
-                );
-            } else {
-                drop(st);
-            }
+            mgr_signal(ep, &mut state.lock(), src, SyncId::Sema(sema), &bundle);
             ep.send_service(src, Msg::SemaAck { sema });
         }
-        Msg::SemaWait {
-            sema,
-            requester,
-            vc,
-            req_vt,
-        } => {
-            let mut st = state.lock();
-            let grant_now = {
-                let entry = st.mgr.semas.entry(sema).or_default();
-                if entry.count > 0 {
-                    entry.count -= 1;
-                    true
-                } else {
-                    entry.waiters.push((req_vt, requester, vc.clone()));
-                    false
-                }
-            };
-            if grant_now {
-                let grant = st.bundle_for(&vc);
-                let pvc_sent = st.processed_vc.clone();
-                st.note_sent_vc(requester, &pvc_sent);
-                drop(st);
-                ep.send_service(
-                    requester,
-                    Msg::SemaGrant {
-                        sema,
-                        bundle: grant,
-                    },
-                );
-            }
+        Msg::SemaWait { sema, vc, req_vt } => {
+            mgr_wait(ep, &mut state.lock(), SyncId::Sema(sema), src, vc, req_vt);
         }
-        Msg::CondWait {
-            lock,
-            cond,
-            requester,
-            bundle,
-            req_vt,
-        } => {
-            // The wait releases the lock (possibly granting the next
-            // queued requester) and parks the caller on the condition
-            // variable.
+        Msg::CondWait { lock, cond, bundle } => {
+            // The wait parks the caller on the condition variable and
+            // releases the lock (possibly granting the next queued
+            // requester).
             let mut st = state.lock();
-            let wvc = bundle.pvc.clone();
-            st.apply_bundle(src, &bundle);
-            st.mgr
-                .conds
-                .entry((lock, cond))
-                .or_default()
-                .push_back((requester, wvc));
-            let _ = req_vt;
-            mgr_release(ep, &mut st, lock);
+            let waiters = st.mgr.conds.entry((lock, cond)).or_default();
+            waiters.push_back((src, bundle.pvc.clone()));
+            mgr_signal(ep, &mut st, src, SyncId::Lock(lock), &bundle);
         }
         Msg::CondSignal { lock, cond, req_vt } => {
             let mut st = state.lock();
@@ -249,7 +175,7 @@ fn handle_request(ep: &Endpoint<Msg>, state: &Arc<Mutex<NodeState>>, d: Delivere
             if let Some((w, wvc)) = waiter {
                 // The waiter re-contends for the critical section as of
                 // the signal.
-                mgr_acquire(ep, &mut st, lock, w, wvc, req_vt);
+                mgr_wait(ep, &mut st, SyncId::Lock(lock), w, wvc, req_vt);
             }
         }
         Msg::CondBroadcast { lock, cond, req_vt } => {
@@ -257,7 +183,7 @@ fn handle_request(ep: &Endpoint<Msg>, state: &Arc<Mutex<NodeState>>, d: Delivere
             loop {
                 let waiter = st.mgr.conds.entry((lock, cond)).or_default().pop_front();
                 match waiter {
-                    Some((w, wvc)) => mgr_acquire(ep, &mut st, lock, w, wvc, req_vt),
+                    Some((w, wvc)) => mgr_wait(ep, &mut st, SyncId::Lock(lock), w, wvc, req_vt),
                     None => break,
                 }
             }
@@ -287,56 +213,55 @@ fn handle_request(ep: &Endpoint<Msg>, state: &Arc<Mutex<NodeState>>, d: Delivere
     }
 }
 
-/// Manager-side acquire: grant immediately if free, else queue (granted
-/// later in virtual-request-time order).
-fn mgr_acquire(
+/// Manager-side wait (lock acquire, semaphore wait): grant at once if a
+/// permit is free, else queue (granted later in virtual-request-time
+/// order).
+fn mgr_wait(
     ep: &Endpoint<Msg>,
     st: &mut NodeState,
-    lock: u32,
+    obj: SyncId,
     requester: usize,
     vc: VectorClock,
     req_vt: u64,
 ) {
-    debug_assert_eq!(st.manager_of(lock), st.id, "acquire routed to non-manager");
-    let grant_now = {
-        let l = st.mgr.locks.entry(lock).or_default();
-        if l.held {
-            l.queue.push((req_vt, requester, vc.clone()));
-            false
-        } else {
-            l.held = true;
-            true
-        }
-    };
-    if grant_now {
-        let bundle = st.bundle_for(&vc);
-        let pvc_sent = st.processed_vc.clone();
-        st.note_sent_vc(requester, &pvc_sent);
-        ep.send_service(requester, Msg::LockGrant { lock, bundle });
+    let (SyncId::Lock(id) | SyncId::Sema(id)) = obj;
+    debug_assert_eq!(st.manager_of(id), st.id, "acquire routed to non-manager");
+    if st.mgr.queue(obj).wait(req_vt, requester, &vc) {
+        send_grant(ep, st, obj, requester, &vc);
     }
 }
 
-/// Manager-side release: hand the lock to the earliest queued requester,
-/// or mark it free.
-fn mgr_release(ep: &Endpoint<Msg>, st: &mut NodeState, lock: u32) {
-    debug_assert_eq!(st.manager_of(lock), st.id, "release routed to non-manager");
-    let next = {
-        let l = st.mgr.locks.entry(lock).or_default();
-        debug_assert!(l.held, "release of a free lock");
-        match l.pop_earliest() {
-            Some(w) => Some(w),
-            None => {
-                l.held = false;
-                None
-            }
-        }
-    };
-    if let Some((_, requester, vc)) = next {
-        let bundle = st.bundle_for(&vc);
-        let pvc_sent = st.processed_vc.clone();
-        st.note_sent_vc(requester, &pvc_sent);
-        ep.send_service(requester, Msg::LockGrant { lock, bundle });
+/// Manager-side signal (lock release, semaphore signal, condition wait):
+/// apply the releaser's bundle, then hand the permit to the earliest
+/// waiter or bank it.
+fn mgr_signal(
+    ep: &Endpoint<Msg>,
+    st: &mut NodeState,
+    src: usize,
+    obj: SyncId,
+    bundle: &NoticeBundle,
+) {
+    let (SyncId::Lock(id) | SyncId::Sema(id)) = obj;
+    debug_assert_eq!(st.manager_of(id), st.id, "release routed to non-manager");
+    st.apply_bundle(src, bundle);
+    let q = st.mgr.queue(obj);
+    debug_assert!(
+        matches!(obj, SyncId::Sema(_)) || q.permits == 0,
+        "release of a free lock"
+    );
+    if let Some((waiter, vc)) = q.signal() {
+        send_grant(ep, st, obj, waiter, &vc);
     }
+}
+
+/// Grant `obj` to `dst`, with the notices its clock `vc` lacks.
+fn send_grant(ep: &Endpoint<Msg>, st: &mut NodeState, obj: SyncId, dst: usize, vc: &VectorClock) {
+    let bundle = st.grant_to(dst, vc);
+    let grant = match obj {
+        SyncId::Lock(lock) => Msg::LockGrant { lock, bundle },
+        SyncId::Sema(sema) => Msg::SemaGrant { sema, bundle },
+    };
+    ep.send_service(dst, grant);
 }
 
 /// All nodes have arrived: merge complete, send departures (slaves first,
@@ -358,13 +283,11 @@ fn release_barrier(ep: &Endpoint<Msg>, st: &mut NodeState, epoch: u32) {
         .service_raise_to(std::mem::take(&mut st.mgr.barrier_last_arrive_vt));
     let mut departures: Vec<(usize, NoticeBundle)> = arrivals
         .into_iter()
-        .map(|(node, vc, _)| (node, st.bundle_for(&vc)))
+        .map(|(node, vc, _)| (node, st.grant_to(node, &vc)))
         .collect();
     // Deterministic order: descending node id, manager (node 0) last.
     departures.sort_by_key(|(node, _)| std::cmp::Reverse(*node));
-    let pvc_now = st.processed_vc.clone();
     for (node, bundle) in departures {
-        st.note_sent_vc(node, &pvc_now);
         ep.send_service(node, Msg::BarrierDepart { epoch, bundle, gc });
     }
 }

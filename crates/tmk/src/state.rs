@@ -17,54 +17,65 @@ use now_net::VirtualClock;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Manager-side state of one mutex lock.
+/// A manager-queued synchronisation object. A lock and a semaphore with
+/// the same id are different objects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SyncId {
+    /// Mutex lock.
+    Lock(u32),
+    /// Semaphore.
+    Sema(u32),
+}
+
+/// Manager-side state of one lock or semaphore: free permits and the
+/// nodes waiting for one. A lock is a semaphore whose one permit starts
+/// free.
 ///
-/// Queued requests are granted in **virtual-request-time order**: on the
-/// real platform the manager serves requests in network arrival order,
-/// and in a virtual-time simulation the request's virtual timestamp is
-/// the faithful stand-in for that (host-thread scheduling order is
-/// noise uncorrelated with simulated time).
-#[derive(Debug, Default)]
-pub struct MgrLock {
-    /// Some node currently holds the lock.
-    pub held: bool,
+/// Waiters are granted in **virtual-request-time order**: on the real
+/// platform the manager serves requests in network arrival order, and in
+/// a virtual-time simulation the request's virtual timestamp is the
+/// faithful stand-in for that (host-thread scheduling order is noise
+/// uncorrelated with simulated time).
+#[derive(Debug)]
+pub struct MgrQueue {
+    /// Permits free to take: signals not yet consumed, or 1 for a free
+    /// lock.
+    pub permits: u64,
     /// Waiting requests: (virtual request time, node, vector clock).
-    pub queue: Vec<(u64, usize, VectorClock)>,
-}
-
-impl MgrLock {
-    /// Remove and return the earliest (by virtual request time) waiter.
-    pub fn pop_earliest(&mut self) -> Option<(u64, usize, VectorClock)> {
-        let i = self
-            .queue
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (vt, node, _))| (*vt, *node))
-            .map(|(i, _)| i)?;
-        Some(self.queue.swap_remove(i))
-    }
-}
-
-/// Manager-side state of one semaphore.
-#[derive(Debug, Default)]
-pub struct SemaMgr {
-    /// Accumulated signals not yet consumed.
-    pub count: u64,
-    /// Blocked waiters: (virtual request time, node, vector clock);
-    /// granted in virtual-time order.
     pub waiters: Vec<(u64, usize, VectorClock)>,
 }
 
-impl SemaMgr {
-    /// Remove and return the earliest waiter.
-    pub fn pop_earliest(&mut self) -> Option<(u64, usize, VectorClock)> {
+impl MgrQueue {
+    /// A wait by `node`: take a free permit (`true`, grant now) or queue.
+    pub fn wait(&mut self, req_vt: u64, node: usize, vc: &VectorClock) -> bool {
+        if self.permits > 0 {
+            self.permits -= 1;
+            return true;
+        }
+        self.waiters.push((req_vt, node, vc.clone()));
+        false
+    }
+
+    /// A signal: hand the permit to the earliest waiter, returned with
+    /// its clock, or bank it.
+    pub fn signal(&mut self) -> Option<(usize, VectorClock)> {
+        let next = self.pop_earliest();
+        if next.is_none() {
+            self.permits += 1;
+        }
+        next
+    }
+
+    /// Remove the earliest waiter by `(req_vt, node)`.
+    fn pop_earliest(&mut self) -> Option<(usize, VectorClock)> {
         let i = self
             .waiters
             .iter()
             .enumerate()
             .min_by_key(|(_, (vt, node, _))| (*vt, *node))
             .map(|(i, _)| i)?;
-        Some(self.waiters.swap_remove(i))
+        let (_, node, vc) = self.waiters.swap_remove(i);
+        Some((node, vc))
     }
 }
 
@@ -84,12 +95,21 @@ pub struct ManagerState {
     pub gc_done: usize,
     /// A GC round is in flight.
     pub gc_in_progress: bool,
-    /// Manager-side lock queues.
-    pub locks: HashMap<u32, MgrLock>,
-    /// Semaphore states.
-    pub semas: HashMap<u32, SemaMgr>,
+    /// Lock and semaphore queues.
+    pub queues: HashMap<SyncId, MgrQueue>,
     /// Condition-variable wait queues, keyed by (lock, cond).
     pub conds: HashMap<(u32, u32), VecDeque<(usize, VectorClock)>>,
+}
+
+impl ManagerState {
+    /// The queue of `obj`, made on first use: a lock's one permit starts
+    /// free, a semaphore has none.
+    pub fn queue(&mut self, obj: SyncId) -> &mut MgrQueue {
+        self.queues.entry(obj).or_insert_with(|| MgrQueue {
+            permits: u64::from(matches!(obj, SyncId::Lock(_))),
+            waiters: Vec::new(),
+        })
+    }
 }
 
 /// All mutable per-node DSM state.
@@ -328,6 +348,23 @@ impl NodeState {
         }
     }
 
+    /// A release to `dst`: the bundle of every interval `dst` is not
+    /// known to hold. `dst` is then known to hold our processed clock,
+    /// which later bundles to it are filtered against.
+    pub fn release_to(&mut self, dst: usize) -> NoticeBundle {
+        let bundle = self.bundle_for(&self.known_vc[dst]);
+        self.known_vc[dst].merge(&self.processed_vc);
+        bundle
+    }
+
+    /// A grant to `dst`, whose request reported clock `vc`: as
+    /// [`NodeState::release_to`], filtered against `vc`.
+    pub fn grant_to(&mut self, dst: usize, vc: &VectorClock) -> NoticeBundle {
+        let bundle = self.bundle_for(vc);
+        self.known_vc[dst].merge(&self.processed_vc);
+        bundle
+    }
+
     /// Incorporate a received notice bundle (the acquire side of a
     /// release→acquire edge): log unseen intervals, invalidate their
     /// pages, and merge clocks. `from` is the sending node, whose
@@ -405,12 +442,6 @@ impl NodeState {
             PageState::WritePush => {}
             PageState::Invalid | PageState::Unmapped => {}
         }
-    }
-
-    /// Record that we sent `vc` (inside a bundle) to `dst`, so future
-    /// bundles to `dst` can be filtered against it.
-    pub fn note_sent_vc(&mut self, dst: usize, vc: &VectorClock) {
-        self.known_vc[dst].merge(vc);
     }
 
     // ---------------------------------------------------------------
@@ -1468,14 +1499,38 @@ mod tests {
     }
 
     #[test]
-    fn mgr_lock_grants_in_virtual_time_order() {
-        let mut l = MgrLock::default();
-        l.queue.push((500, 2, VectorClock::zero(3)));
-        l.queue.push((100, 1, VectorClock::zero(3)));
-        l.queue.push((300, 0, VectorClock::zero(3)));
-        assert_eq!(l.pop_earliest().map(|(t, n, _)| (t, n)), Some((100, 1)));
-        assert_eq!(l.pop_earliest().map(|(t, n, _)| (t, n)), Some((300, 0)));
-        assert_eq!(l.pop_earliest().map(|(t, n, _)| (t, n)), Some((500, 2)));
-        assert!(l.pop_earliest().is_none());
+    fn mgr_queue_grants_locks_and_semaphores_in_request_time_order() {
+        let mut mgr = ManagerState::default();
+        let vc = |node: usize| VectorClock(vec![node as u32 + 1, 0, 0, 0]);
+        // A lock's one permit starts free: the first acquire is granted
+        // at once, later ones queue.
+        let lock = mgr.queue(SyncId::Lock(7));
+        assert!(lock.wait(900, 4, &vc(4)));
+        for (req_vt, node) in [(500, 2), (300, 1), (100, 3), (300, 0)] {
+            assert!(!lock.wait(req_vt, node, &vc(node)));
+        }
+        // Releases grant by (req_vt, node): a tie on 300 goes to node 0.
+        let granted: Vec<_> = (0..4).map(|_| lock.signal()).collect();
+        let want = [3, 0, 1, 2].map(|node| Some((node, vc(node))));
+        assert_eq!(granted, want);
+        // A release with no waiter frees the lock; the next acquire is
+        // granted at once, and the one after queues.
+        assert_eq!(lock.signal(), None);
+        assert!(lock.wait(1000, 1, &vc(1)));
+        assert!(!lock.wait(1000, 2, &vc(2)));
+
+        // The semaphore of the same id is another queue, with no permit.
+        let sema = mgr.queue(SyncId::Sema(7));
+        assert!(!sema.wait(400, 1, &vc(1)));
+        assert!(!sema.wait(200, 2, &vc(2)));
+        assert_eq!(sema.signal(), Some((2, vc(2))));
+        assert_eq!(sema.signal(), Some((1, vc(1))));
+        // A signal with no waiter banks a permit, which the next wait
+        // takes at once.
+        assert_eq!((sema.signal(), sema.signal()), (None, None));
+        assert!(sema.wait(600, 0, &vc(0)));
+        assert!(sema.wait(700, 3, &vc(3)));
+        assert!(!sema.wait(800, 1, &vc(1)));
+        assert_eq!(mgr.queue(SyncId::Lock(7)).waiters.len(), 1);
     }
 }

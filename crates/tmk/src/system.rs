@@ -147,7 +147,7 @@ impl SystemDiag {
                 Some(st) => {
                     let _ = writeln!(
                         s,
-                        " pvc={:?} vc={:?} held_locks={:?} dirty={} mgr{{epoch={} arrivals={} gc_in_progress={} locks_queued={}}}",
+                        " pvc={:?} vc={:?} held_locks={:?} dirty={} mgr{{epoch={} arrivals={} gc_in_progress={} queued={}}}",
                         st.processed_vc.0,
                         st.vc.0,
                         st.held_locks,
@@ -155,7 +155,7 @@ impl SystemDiag {
                         st.mgr.barrier_epoch,
                         st.mgr.arrivals.len(),
                         st.mgr.gc_in_progress,
-                        st.mgr.locks.values().map(|l| l.queue.len()).sum::<usize>(),
+                        st.mgr.queues.values().map(|q| q.waiters.len()).sum::<usize>(),
                     );
                 }
             }
