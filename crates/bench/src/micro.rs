@@ -85,8 +85,15 @@ pub fn diff_fetch_ns(dirty_bytes: usize) -> u64 {
 }
 
 /// MPI empty-message round trip and large-transfer bandwidth (MB/s).
+///
+/// Host compute is not metered (`compute_scale = 0`), as in
+/// [`raw_rtt_ns`]: the round trip has no application work, only the
+/// meter's own clock reads between calls, and at the paper's ×240 scale
+/// those few host µs would double the figure and make it host noise.
 pub fn mpi_characteristics() -> (u64, f64) {
-    let out = nowmpi::run_mpi(MpiConfig::paper(2), |mpi| {
+    let mut cfg = MpiConfig::paper(2);
+    cfg.net.compute_scale = 0.0;
+    let out = nowmpi::run_mpi(cfg, |mpi| {
         if mpi.rank() == 0 {
             let t0 = mpi.now_ns();
             mpi.send(1, 1, &[0u8; 1]);

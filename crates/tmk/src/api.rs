@@ -15,7 +15,7 @@ use crate::addr::{AllocTable, PageId};
 use crate::interval::IntervalId;
 use crate::metrics::{NodeMetrics, OpLat};
 use crate::protocol::{Msg, Region};
-use crate::state::NodeState;
+use crate::state::{NodeState, SyncId};
 use crate::stats::TmkOp;
 use crossbeam::channel::Receiver;
 use crossbeam::utils::Backoff;
@@ -172,10 +172,7 @@ impl Tmk {
     /// This thread's virtual clock value in nanoseconds (the node clock,
     /// or this thread's lane in SMP-cluster mode).
     pub fn now_ns(&mut self) -> u64 {
-        self.metered(|s| match &s.lane {
-            Some(l) => l.now(),
-            None => s.clock.now(),
-        })
+        self.metered(|s| s.thread_vt())
     }
 
     /// Yield the host CPU briefly (used by busy-wait loops such as the
@@ -489,56 +486,23 @@ impl Tmk {
              runtime's two-level barrier)"
         );
         let epoch = self.barrier_epoch;
-        self.traced_op(OpLat::Barrier, epoch as u64, |s| s.barrier_inner());
-    }
-
-    fn barrier_inner(&mut self) {
-        let epoch = self.barrier_epoch;
         self.barrier_epoch += 1;
-        let (bundle, diff_bytes) = {
-            let mut st = self.state.lock();
-            st.close_interval();
-            (st.release_to(0), st.diff_store_bytes)
-        };
-        self.ep.send(
-            0,
-            Msg::BarrierArrive {
-                epoch,
-                bundle,
-                diff_bytes,
-            },
-        );
-        let d = self.reply();
-        let src = d.src;
-        let Msg::BarrierDepart {
-            epoch: e,
-            bundle,
-            gc,
-        } = d.msg
-        else {
-            panic!("expected BarrierDepart, got {}", d.msg.kind())
-        };
-        assert_eq!(e, epoch, "barrier episode mismatch");
-        {
-            let mut st = self.state.lock();
-            st.acquire(src, &bundle);
-            st.count(TmkOp::Barriers, 1);
-        }
-        if gc {
-            // The departure bundle's clock is the GC snapshot: it is built
-            // under one lock tenure at the barrier manager, so every node
-            // receives the identical clock and the GC round is scoped to
-            // the same interval set cluster-wide — even if a manager
-            // node's own log has already grown past it. Stamped with the
-            // node clock: this runs inside the barrier's wire bracket,
-            // where the thread's lane is parked.
-            self.timed(
-                OpLat::Gc,
-                epoch as u64,
-                |s| s.clock.now(),
-                |s| s.run_gc(epoch, &bundle.pvc),
-            );
-        }
+        self.traced_op(OpLat::Barrier, epoch as u64, |s| {
+            let (mgr, arrive) = s.state.lock().arrive_request(epoch);
+            s.ep.send(mgr, arrive);
+            let d = s.reply();
+            let gc = s.state.lock().on_depart(epoch, d.src, d.msg);
+            if let Some(upto) = gc {
+                // Stamped with the node clock: this runs inside the
+                // barrier's wire bracket, where the thread's lane is parked.
+                s.timed(
+                    OpLat::Gc,
+                    epoch as u64,
+                    |s| s.clock.now(),
+                    |s| s.run_gc(epoch, &upto),
+                );
+            }
+        });
     }
 
     /// Barrier-time diff garbage collection: validate the pages we own,
@@ -574,52 +538,17 @@ impl Tmk {
     /// messages (self-sends are free).
     pub fn lock_acquire(&mut self, lock: u32) {
         self.traced_op(OpLat::LockAcquire, lock as u64, |s| {
-            s.lock_acquire_inner(lock)
+            let req = s.state.lock().wait_request(SyncId::Lock(lock));
+            s.await_grant(SyncId::Lock(lock), req);
         });
     }
 
-    fn lock_acquire_inner(&mut self, lock: u32) {
-        let (mgr, vc) = {
-            let st = self.state.lock();
-            assert!(
-                !st.held_locks.contains(&lock),
-                "recursive lock_acquire({lock})"
-            );
-            st.count(TmkOp::LockAcquires, 1);
-            if st.manager_of(lock) == st.id {
-                st.count(TmkOp::LockAcquiresLocal, 1);
-            }
-            (st.manager_of(lock), st.processed_vc.clone())
-        };
-        let req_vt = self.clock.now();
-        self.await_grant(mgr, Msg::LockAcq { lock, vc, req_vt }, lock, |st| {
-            st.held_locks.insert(lock);
-        });
-    }
-
-    /// Send `req` (a `LockAcq`, `SemaWait` or `CondWait`) to the manager
-    /// `mgr`, wait for its grant of lock or semaphore `id`, and acquire
-    /// the grant's bundle; `then` runs in the same node-state tenure.
-    fn await_grant(&mut self, mgr: usize, req: Msg, id: u32, then: impl FnOnce(&mut NodeState)) {
-        let want = match req {
-            Msg::SemaWait { .. } => "sema_grant",
-            _ => "lock_grant",
-        };
+    /// Send `req` (a `LockAcq`, `SemaWait` or `CondWait`) to its manager,
+    /// wait for the grant of `obj` and acquire it.
+    fn await_grant(&mut self, obj: SyncId, (mgr, req): (usize, Msg)) {
         self.ep.send(mgr, req);
         let d = self.reply();
-        let kind = d.msg.kind();
-        let bundle = match d.msg {
-            Msg::LockGrant { lock: g, bundle } | Msg::SemaGrant { sema: g, bundle }
-                if kind == want =>
-            {
-                debug_assert_eq!(g, id, "{kind} of another id");
-                bundle
-            }
-            _ => panic!("expected {want}, got {kind}"),
-        };
-        let mut st = self.state.lock();
-        st.acquire(d.src, &bundle);
-        then(&mut st);
+        self.state.lock().on_grant(obj, d.src, d.msg);
     }
 
     /// Release mutex `lock` (`Tmk_lock_release`): closes the interval and
@@ -627,22 +556,9 @@ impl Tmk {
     /// notices) to the earliest waiter.
     pub fn lock_release(&mut self, lock: u32) {
         self.traced_op(OpLat::LockRelease, lock as u64, |s| {
-            s.lock_release_inner(lock)
+            let (mgr, req) = s.state.lock().signal_request(SyncId::Lock(lock), None);
+            s.ep.send(mgr, req);
         });
-    }
-
-    fn lock_release_inner(&mut self, lock: u32) {
-        let (mgr, bundle) = {
-            let mut st = self.state.lock();
-            assert!(
-                st.held_locks.remove(&lock),
-                "lock_release({lock}) without holding it"
-            );
-            st.close_interval();
-            let mgr = st.manager_of(lock);
-            (mgr, st.release_to(mgr))
-        };
-        self.ep.send(mgr, Msg::LockRelease { lock, bundle });
     }
 
     /// Run `f` while holding `lock` (critical-section sugar).
@@ -661,41 +577,23 @@ impl Tmk {
     /// plus its acknowledgment), independent of the node count.
     pub fn sema_signal(&mut self, sema: u32) {
         self.traced_op(OpLat::SemaSignal, sema as u64, |s| {
-            s.sema_signal_inner(sema)
+            let (mgr, req) = s.state.lock().signal_request(SyncId::Sema(sema), None);
+            s.ep.send(mgr, req);
+            let d = s.reply();
+            let Msg::SemaAck { sema: acked } = d.msg else {
+                panic!("expected SemaAck, got {}", d.msg.kind())
+            };
+            debug_assert_eq!(acked, sema, "semaphore ack mismatch");
         });
-    }
-
-    fn sema_signal_inner(&mut self, sema: u32) {
-        let (mgr, bundle) = {
-            let mut st = self.state.lock();
-            st.close_interval();
-            st.count(TmkOp::SemaSignals, 1);
-            let mgr = st.manager_of(sema);
-            (mgr, st.release_to(mgr))
-        };
-        self.ep.send(mgr, Msg::SemaSignal { sema, bundle });
-        let d = self.reply();
-        let Msg::SemaAck { sema: acked } = d.msg else {
-            panic!("expected SemaAck, got {}", d.msg.kind())
-        };
-        debug_assert_eq!(acked, sema, "semaphore ack mismatch");
     }
 
     /// `sema_wait(S)`: acquire semantics; blocks (without busy-waiting)
     /// until a signal is available, then applies the consistency
     /// information the manager forwards.
     pub fn sema_wait(&mut self, sema: u32) {
-        self.traced_op(OpLat::SemaWait, sema as u64, |s| s.sema_wait_inner(sema));
-    }
-
-    fn sema_wait_inner(&mut self, sema: u32) {
-        let (mgr, vc) = {
-            let st = self.state.lock();
-            (st.manager_of(sema), st.processed_vc.clone())
-        };
-        let req_vt = self.clock.now();
-        self.await_grant(mgr, Msg::SemaWait { sema, vc, req_vt }, sema, |st| {
-            st.count(TmkOp::SemaWaits, 1)
+        self.traced_op(OpLat::SemaWait, sema as u64, |s| {
+            let req = s.state.lock().wait_request(SyncId::Sema(sema));
+            s.await_grant(SyncId::Sema(sema), req);
         });
     }
 
@@ -707,25 +605,12 @@ impl Tmk {
     /// block until signaled; re-acquires the lock before returning.
     pub fn cond_wait(&mut self, lock: u32, cond: u32) {
         self.traced_op(OpLat::CondWait, cond as u64, |s| {
-            s.cond_wait_inner(lock, cond)
-        });
-    }
-
-    fn cond_wait_inner(&mut self, lock: u32, cond: u32) {
-        let (mgr, bundle) = {
-            let mut st = self.state.lock();
-            assert!(
-                st.held_locks.remove(&lock),
-                "cond_wait without holding lock {lock}"
-            );
-            st.close_interval(); // the wait releases the lock
-            st.count(TmkOp::CondWaits, 1);
-            let mgr = st.manager_of(lock);
-            (mgr, st.release_to(mgr))
-        };
-        // Blocked until a signal re-queues us for the critical section.
-        self.await_grant(mgr, Msg::CondWait { lock, cond, bundle }, lock, |st| {
-            st.held_locks.insert(lock);
+            let req = s
+                .state
+                .lock()
+                .signal_request(SyncId::Lock(lock), Some(cond));
+            // Blocked until a signal re-queues us for the critical section.
+            s.await_grant(SyncId::Lock(lock), req);
         });
     }
 
@@ -745,19 +630,8 @@ impl Tmk {
     fn cond_notify(&mut self, lock: u32, cond: u32, all: bool) {
         self.metered(|s| {
             s.on_wire(|s| {
-                debug_assert!(
-                    s.state.lock().held_locks.contains(&lock),
-                    "cond_signal/cond_broadcast outside critical section {lock}"
-                );
-                let mgr = s.state.lock().manager_of(lock);
-                let req_vt = s.clock.now();
-                if all {
-                    s.count_op(TmkOp::CondBroadcasts, 1);
-                    s.ep.send(mgr, Msg::CondBroadcast { lock, cond, req_vt });
-                } else {
-                    s.count_op(TmkOp::CondSignals, 1);
-                    s.ep.send(mgr, Msg::CondSignal { lock, cond, req_vt });
-                }
+                let (mgr, req) = s.state.lock().notify_request(lock, cond, all);
+                s.ep.send(mgr, req);
                 if s.ep.tracer().on() {
                     s.ep.tracer().instant(
                         EventKind::CondSignal,
@@ -1007,10 +881,7 @@ impl Tmk {
     /// (load-aware scheduling heuristics); runs off the meter and costs
     /// no messages — published load information, like published backlog.
     pub fn node_speed(&mut self, node: usize) -> f64 {
-        let t = match &self.lane {
-            Some(l) => l.now(),
-            None => self.clock.now(),
-        };
+        let t = self.thread_vt();
         self.state.lock().cfg.net.load.effective_speed(node, t)
     }
 }

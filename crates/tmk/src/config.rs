@@ -98,6 +98,20 @@ impl TmkConfig {
         }
     }
 
+    /// Fast-test variant whose virtual times are deterministic: measured
+    /// host compute contributes nothing and per-message CPU costs are
+    /// zero, so every timestamp is a pure function of the modeled
+    /// protocol costs.
+    #[cfg(test)]
+    pub(crate) fn deterministic(nodes: usize) -> Self {
+        let mut cfg = Self::fast_test(nodes);
+        cfg.net.compute_scale = 0.0;
+        cfg.net.send_overhead_ns = 0;
+        cfg.net.handler_ns = 0;
+        cfg.net.local_delivery_ns = 0;
+        cfg
+    }
+
     /// Fast-test variant with tiny pages, maximizing false sharing — a
     /// protocol stress configuration.
     pub fn stress_tiny_pages(nodes: usize) -> Self {

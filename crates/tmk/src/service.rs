@@ -2,10 +2,12 @@
 //!
 //! Real TreadMarks handles remote requests in a SIGIO handler that
 //! interrupts the computation; here a dedicated thread per node plays that
-//! role. It owns the network inbox: requests are handled in place (under
-//! the node-state mutex), responses are routed to the blocked application
-//! thread, fork messages are routed to the worker loop. The service thread
-//! never blocks on remote operations, which makes the protocol
+//! role. It owns the network inbox: responses are routed to the blocked
+//! application thread, fork messages to the worker loop, and requests to
+//! [`on_request`], a function of the node state and one message that
+//! returns the replies and grants to send. [`handle_request`] sends them,
+//! in order, while it still holds the node-state mutex. The service
+//! thread never blocks on remote operations, which makes the protocol
 //! deadlock-free by construction.
 
 use crate::interval::{NoticeBundle, VectorClock};
@@ -47,6 +49,7 @@ pub fn service_loop(
     to_app: Sender<Delivered<Msg>>,
     work_tx: Sender<WorkItem>,
 ) {
+    let mut out = Vec::new();
     loop {
         let d = ep.recv();
         match d.msg {
@@ -71,12 +74,6 @@ pub fn service_loop(
                 // has already been served above).
                 let _ = work_tx.send(WorkItem::Reset);
             }
-            Msg::SyncReq => {
-                // Fence for the sender: by FIFO, everything it enqueued
-                // before this message has been handled once it sees the
-                // ack (the master quiesces its own service this way).
-                ep.send_service(d.src, Msg::SyncAck);
-            }
             Msg::Fork { region, bundle } => {
                 let _ = work_tx.send(WorkItem::Run(ForkJob {
                     region,
@@ -90,144 +87,147 @@ pub fn service_loop(
                 break;
             }
             // Requests: handle here.
-            _ => handle_request(&ep, &state, d),
+            _ => handle_request(&ep, &state, d, &mut out),
         }
     }
 }
 
-fn handle_request(ep: &Endpoint<Msg>, state: &Arc<Mutex<NodeState>>, d: Delivered<Msg>) {
+/// Serve one request: charge its receipt to the service timeline, run
+/// [`on_request`] under the node-state mutex, and send what it returns,
+/// in order, before releasing the mutex.
+fn handle_request(
+    ep: &Endpoint<Msg>,
+    state: &Mutex<NodeState>,
+    d: Delivered<Msg>,
+    out: &mut Vec<(usize, Msg)>,
+) {
     let svc_t0 = ep.service_rx(&d);
-    let src = d.src;
-    match d.msg {
+    let mut st = state.lock();
+    on_request(&mut st, d.src, d.msg, d.arrival_vt, out);
+    if ep.tracer().on() {
+        if let [(_, Msg::DiffRep { page, diffs })] = out.as_slice() {
+            // Diff encodings materialize lazily while serving, so the
+            // creation cost shows up on the service track.
+            ep.tracer().span(
+                EventKind::DiffCreate,
+                SERVICE_LANE,
+                svc_t0,
+                ep.clock().service_now(),
+                *page as u64,
+                diffs.len() as u64,
+            );
+        }
+    }
+    for (dst, msg) in out.drain(..) {
+        ep.send_service(dst, msg);
+    }
+}
+
+/// Handle one protocol request `msg` from `src`, which arrived at
+/// `arrival_vt`: update `st`, charging its service timeline, and push the
+/// replies and grants to send onto `out`, in send order.
+pub(crate) fn on_request(
+    st: &mut NodeState,
+    src: usize,
+    msg: Msg,
+    arrival_vt: u64,
+    out: &mut Vec<(usize, Msg)>,
+) {
+    st.in_service = true;
+    match msg {
         Msg::DiffReq { page, ids } => {
-            let diffs = {
-                let mut st = state.lock();
-                st.in_service = true;
-                let r = st.serve_diffs(page, &ids);
-                st.in_service = false;
-                r
-            };
-            if ep.tracer().on() {
-                // Diff encodings materialize lazily while serving, so the
-                // creation cost shows up on the service track.
-                ep.tracer().span(
-                    EventKind::DiffCreate,
-                    SERVICE_LANE,
-                    svc_t0,
-                    ep.clock().service_now(),
-                    page as u64,
-                    diffs.len() as u64,
-                );
-            }
-            ep.send_service(src, Msg::DiffRep { page, diffs });
+            let diffs = st.serve_diffs(page, &ids);
+            out.push((src, Msg::DiffRep { page, diffs }));
         }
         Msg::PageReq { page } => {
-            let (epoch, bytes) = {
-                let mut st = state.lock();
-                st.in_service = true;
-                let r = st.serve_page(page);
-                st.in_service = false;
-                r
-            };
-            ep.send_service(src, Msg::PageRep { page, epoch, bytes });
+            let (epoch, bytes) = st.serve_page(page);
+            out.push((src, Msg::PageRep { page, epoch, bytes }));
         }
         Msg::LockAcq { lock, vc, req_vt } => {
-            mgr_wait(ep, &mut state.lock(), SyncId::Lock(lock), src, vc, req_vt);
+            mgr_wait(st, SyncId::Lock(lock), src, vc, req_vt, out);
         }
         Msg::LockRelease { lock, bundle } => {
-            mgr_signal(ep, &mut state.lock(), src, SyncId::Lock(lock), &bundle);
+            mgr_signal(st, src, SyncId::Lock(lock), &bundle, out);
         }
         Msg::BarrierArrive {
             epoch,
             bundle,
             diff_bytes,
         } => {
-            let mut st = state.lock();
             debug_assert_eq!(st.id, 0, "barrier manager is node 0");
             debug_assert_eq!(epoch, st.mgr.barrier_epoch, "barrier episode mismatch");
             let arrival_vc = bundle.pvc.clone();
             st.apply_bundle(src, &bundle);
             st.mgr.arrivals.push((src, arrival_vc, diff_bytes));
-            st.mgr.barrier_last_arrive_vt = st.mgr.barrier_last_arrive_vt.max(d.arrival_vt);
+            st.mgr.barrier_last_arrive_vt = st.mgr.barrier_last_arrive_vt.max(arrival_vt);
             if st.mgr.arrivals.len() == st.n {
-                release_barrier(ep, &mut st, epoch);
+                release_barrier(st, epoch, out);
             }
         }
         Msg::SemaSignal { sema, bundle } => {
-            mgr_signal(ep, &mut state.lock(), src, SyncId::Sema(sema), &bundle);
-            ep.send_service(src, Msg::SemaAck { sema });
+            mgr_signal(st, src, SyncId::Sema(sema), &bundle, out);
+            out.push((src, Msg::SemaAck { sema }));
         }
         Msg::SemaWait { sema, vc, req_vt } => {
-            mgr_wait(ep, &mut state.lock(), SyncId::Sema(sema), src, vc, req_vt);
+            mgr_wait(st, SyncId::Sema(sema), src, vc, req_vt, out);
         }
         Msg::CondWait { lock, cond, bundle } => {
             // The wait parks the caller on the condition variable and
             // releases the lock (possibly granting the next queued
             // requester).
-            let mut st = state.lock();
             let waiters = st.mgr.conds.entry((lock, cond)).or_default();
             waiters.push_back((src, bundle.pvc.clone()));
-            mgr_signal(ep, &mut st, src, SyncId::Lock(lock), &bundle);
+            mgr_signal(st, src, SyncId::Lock(lock), &bundle, out);
         }
-        Msg::CondSignal { lock, cond, req_vt } => {
-            let mut st = state.lock();
-            let waiter = st.mgr.conds.entry((lock, cond)).or_default().pop_front();
-            if let Some((w, wvc)) = waiter {
-                // The waiter re-contends for the critical section as of
-                // the signal.
-                mgr_wait(ep, &mut st, SyncId::Lock(lock), w, wvc, req_vt);
-            }
-        }
-        Msg::CondBroadcast { lock, cond, req_vt } => {
-            let mut st = state.lock();
-            loop {
-                let waiter = st.mgr.conds.entry((lock, cond)).or_default().pop_front();
-                match waiter {
-                    Some((w, wvc)) => mgr_wait(ep, &mut st, SyncId::Lock(lock), w, wvc, req_vt),
-                    None => break,
+        Msg::CondSignal { lock, cond, req_vt } | Msg::CondBroadcast { lock, cond, req_vt } => {
+            let all = matches!(msg, Msg::CondBroadcast { .. });
+            // The waiters re-contend for the critical section as of the
+            // signal.
+            while let Some((w, wvc)) = st.mgr.conds.entry((lock, cond)).or_default().pop_front() {
+                mgr_wait(st, SyncId::Lock(lock), w, wvc, req_vt, out);
+                if !all {
+                    break;
                 }
             }
         }
         Msg::FlushNotice { bundle } => {
-            let mut st = state.lock();
             st.apply_bundle(src, &bundle);
-            drop(st);
-            ep.send_service(src, Msg::FlushAck);
+            out.push((src, Msg::FlushAck));
         }
         Msg::GcDone { epoch } => {
-            let mut st = state.lock();
             debug_assert_eq!(st.id, 0, "GC coordinator is node 0");
             st.mgr.gc_done += 1;
             if st.mgr.gc_done == st.n {
                 st.mgr.gc_done = 0;
                 st.mgr.gc_in_progress = false;
-                drop(st);
                 // Highest node first, coordinator's own app thread last, so
                 // the master cannot race ahead of slave deliveries.
-                for k in (0..ep.nodes()).rev() {
-                    ep.send_service(k, Msg::GcComplete { epoch });
-                }
+                out.extend((0..st.n).rev().map(|k| (k, Msg::GcComplete { epoch })));
             }
         }
+        // Fence for the sender: by FIFO, everything it enqueued before
+        // this message has been handled once it sees the ack (the master
+        // quiesces its own service this way).
+        Msg::SyncReq => out.push((src, Msg::SyncAck)),
         other => unreachable!("service thread got unexpected message {:?}", other.kind()),
     }
+    st.in_service = false;
 }
 
 /// Manager-side wait (lock acquire, semaphore wait): grant at once if a
 /// permit is free, else queue (granted later in virtual-request-time
 /// order).
 fn mgr_wait(
-    ep: &Endpoint<Msg>,
     st: &mut NodeState,
     obj: SyncId,
     requester: usize,
     vc: VectorClock,
     req_vt: u64,
+    out: &mut Vec<(usize, Msg)>,
 ) {
-    let (SyncId::Lock(id) | SyncId::Sema(id)) = obj;
-    debug_assert_eq!(st.manager_of(id), st.id, "acquire routed to non-manager");
+    debug_assert_eq!(st.manager_of(obj), st.id, "acquire routed to non-manager");
     if st.mgr.queue(obj).wait(req_vt, requester, &vc) {
-        send_grant(ep, st, obj, requester, &vc);
+        send_grant(st, obj, requester, &vc, out);
     }
 }
 
@@ -235,14 +235,13 @@ fn mgr_wait(
 /// apply the releaser's bundle, then hand the permit to the earliest
 /// waiter or bank it.
 fn mgr_signal(
-    ep: &Endpoint<Msg>,
     st: &mut NodeState,
     src: usize,
     obj: SyncId,
     bundle: &NoticeBundle,
+    out: &mut Vec<(usize, Msg)>,
 ) {
-    let (SyncId::Lock(id) | SyncId::Sema(id)) = obj;
-    debug_assert_eq!(st.manager_of(id), st.id, "release routed to non-manager");
+    debug_assert_eq!(st.manager_of(obj), st.id, "release routed to non-manager");
     st.apply_bundle(src, bundle);
     let q = st.mgr.queue(obj);
     debug_assert!(
@@ -250,44 +249,465 @@ fn mgr_signal(
         "release of a free lock"
     );
     if let Some((waiter, vc)) = q.signal() {
-        send_grant(ep, st, obj, waiter, &vc);
+        send_grant(st, obj, waiter, &vc, out);
     }
 }
 
 /// Grant `obj` to `dst`, with the notices its clock `vc` lacks.
-fn send_grant(ep: &Endpoint<Msg>, st: &mut NodeState, obj: SyncId, dst: usize, vc: &VectorClock) {
+fn send_grant(
+    st: &mut NodeState,
+    obj: SyncId,
+    dst: usize,
+    vc: &VectorClock,
+    out: &mut Vec<(usize, Msg)>,
+) {
     let bundle = st.grant_to(dst, vc);
     let grant = match obj {
         SyncId::Lock(lock) => Msg::LockGrant { lock, bundle },
         SyncId::Sema(sema) => Msg::SemaGrant { sema, bundle },
     };
-    ep.send_service(dst, grant);
+    out.push((dst, grant));
 }
 
 /// All nodes have arrived: merge complete, send departures (slaves first,
 /// the manager's own application thread last).
-fn release_barrier(ep: &Endpoint<Msg>, st: &mut NodeState, epoch: u32) {
+fn release_barrier(st: &mut NodeState, epoch: u32, out: &mut Vec<(usize, Msg)>) {
     let total_diff_bytes: u64 = st.mgr.arrivals.iter().map(|(_, _, b)| *b).sum::<u64>();
     let gc = st.cfg.gc_every_barrier || total_diff_bytes > st.cfg.gc_threshold_bytes as u64;
-    if gc {
-        st.mgr.gc_in_progress = true;
-        st.mgr.gc_done = 0;
-    }
-    let arrivals = std::mem::take(&mut st.mgr.arrivals);
+    st.mgr.gc_in_progress = gc;
+    let mut arrivals = std::mem::take(&mut st.mgr.arrivals);
     st.mgr.barrier_epoch += 1;
     // No node departs before the last one arrived: the backlog cap may
     // have let the service cursor slip below a virtually-late arrival
     // that was processed early in host order, and departure stamps must
     // sit at or after every arrival.
-    ep.clock()
+    st.clock
         .service_raise_to(std::mem::take(&mut st.mgr.barrier_last_arrive_vt));
-    let mut departures: Vec<(usize, NoticeBundle)> = arrivals
-        .into_iter()
-        .map(|(node, vc, _)| (node, st.grant_to(node, &vc)))
-        .collect();
     // Deterministic order: descending node id, manager (node 0) last.
-    departures.sort_by_key(|(node, _)| std::cmp::Reverse(*node));
-    for (node, bundle) in departures {
-        ep.send_service(node, Msg::BarrierDepart { epoch, bundle, gc });
+    arrivals.sort_by_key(|(node, _, _)| std::cmp::Reverse(*node));
+    for (node, vc, _) in arrivals {
+        let bundle = st.grant_to(node, &vc);
+        out.push((node, Msg::BarrierDepart { epoch, bundle, gc }));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::addr::{AllocTable, PageId};
+    use crate::config::TmkConfig;
+    use crate::stats::{TmkOp, TmkStats};
+    use crate::system::run_system;
+    use now_net::VirtualClock;
+    use std::collections::{BTreeMap, VecDeque};
+
+    /// `n` fresh node states under the deterministic config, sharing one
+    /// allocated page (page 0).
+    fn cluster(n: usize) -> Vec<NodeState> {
+        let cfg = TmkConfig::deterministic(n);
+        let alloc = AllocTable::new(cfg.page_shift());
+        let _ = alloc.alloc(cfg.page_size);
+        (0..n)
+            .map(|id| {
+                let clock = VirtualClock::new();
+                let mut st =
+                    NodeState::new(id, cfg.clone(), alloc.clone(), clock, Default::default());
+                st.sync_alloc();
+                st
+            })
+            .collect()
+    }
+
+    // ------------------------------------------------------------------
+    // Every manager path as the `(dst, kind)` sequence it sends
+    // ------------------------------------------------------------------
+
+    /// Node 0 of four: the manager of lock 0, semaphore 0, the barrier
+    /// and the GC round.
+    fn manager() -> NodeState {
+        cluster(4).swap_remove(0)
+    }
+
+    /// Hand `msg` from `src` to `st`'s handler: what it sends, in order.
+    fn serve(st: &mut NodeState, src: usize, msg: Msg) -> Vec<(usize, &'static str)> {
+        let mut out = Vec::new();
+        on_request(st, src, msg, 0, &mut out);
+        out.iter().map(|(dst, m)| (*dst, m.kind())).collect()
+    }
+
+    fn bundle() -> NoticeBundle {
+        NoticeBundle::empty(VectorClock::zero(4))
+    }
+
+    fn acq(req_vt: u64) -> Msg {
+        let vc = VectorClock::zero(4);
+        Msg::LockAcq {
+            lock: 0,
+            vc,
+            req_vt,
+        }
+    }
+
+    fn rel() -> Msg {
+        Msg::LockRelease {
+            lock: 0,
+            bundle: bundle(),
+        }
+    }
+
+    fn cond_wait() -> Msg {
+        Msg::CondWait {
+            lock: 0,
+            cond: 0,
+            bundle: bundle(),
+        }
+    }
+
+    const NOTHING: [(usize, &str); 0] = [];
+
+    #[test]
+    fn a_free_lock_is_granted_at_once_and_a_busy_one_queues() {
+        let mut m = manager();
+        assert_eq!(serve(&mut m, 1, acq(5)), [(1, "lock_grant")]);
+        assert_eq!(serve(&mut m, 2, acq(3)), NOTHING);
+        assert_eq!(m.mgr.queue(SyncId::Lock(0)).waiters.len(), 1);
+    }
+
+    #[test]
+    fn a_release_grants_the_earliest_waiter_by_request_time_then_node() {
+        let mut m = manager();
+        assert_eq!(serve(&mut m, 1, acq(0)), [(1, "lock_grant")]);
+        for (node, req_vt) in [(3, 9), (2, 7), (0, 7)] {
+            assert_eq!(serve(&mut m, node, acq(req_vt)), NOTHING);
+        }
+        assert_eq!(serve(&mut m, 1, rel()), [(0, "lock_grant")]);
+        assert_eq!(serve(&mut m, 0, rel()), [(2, "lock_grant")]);
+        assert_eq!(serve(&mut m, 2, rel()), [(3, "lock_grant")]);
+        assert_eq!(serve(&mut m, 3, rel()), NOTHING);
+        assert_eq!(m.mgr.queue(SyncId::Lock(0)).permits, 1, "the lock is free");
+    }
+
+    #[test]
+    fn a_semaphore_signal_banks_a_permit_and_is_acked() {
+        let mut m = manager();
+        let wait = || Msg::SemaWait {
+            sema: 0,
+            vc: VectorClock::zero(4),
+            req_vt: 0,
+        };
+        let signal = || Msg::SemaSignal {
+            sema: 0,
+            bundle: bundle(),
+        };
+        assert_eq!(serve(&mut m, 1, signal()), [(1, "sema_ack")]);
+        assert_eq!(serve(&mut m, 2, wait()), [(2, "sema_grant")]);
+        assert_eq!(serve(&mut m, 3, wait()), NOTHING);
+        // A signal with a waiter grants it before acking the signaller.
+        assert_eq!(
+            serve(&mut m, 1, signal()),
+            [(3, "sema_grant"), (1, "sema_ack")]
+        );
+    }
+
+    #[test]
+    fn a_cond_wait_releases_the_lock_to_a_queued_acquirer() {
+        let mut m = manager();
+        assert_eq!(serve(&mut m, 1, acq(0)), [(1, "lock_grant")]);
+        assert_eq!(serve(&mut m, 2, acq(0)), NOTHING);
+        assert_eq!(serve(&mut m, 1, cond_wait()), [(2, "lock_grant")]);
+    }
+
+    #[test]
+    fn a_cond_signal_without_waiters_sends_nothing() {
+        let mut m = manager();
+        assert_eq!(serve(&mut m, 1, acq(0)), [(1, "lock_grant")]);
+        let signal = Msg::CondSignal {
+            lock: 0,
+            cond: 0,
+            req_vt: 0,
+        };
+        assert_eq!(serve(&mut m, 1, signal), NOTHING);
+        assert_eq!(serve(&mut m, 1, rel()), NOTHING);
+    }
+
+    #[test]
+    fn a_cond_broadcast_requeues_every_waiter_for_the_lock() {
+        let mut m = manager();
+        for node in [1, 2] {
+            assert_eq!(serve(&mut m, node, acq(0)), [(node, "lock_grant")]);
+            assert_eq!(serve(&mut m, node, cond_wait()), NOTHING);
+        }
+        assert_eq!(serve(&mut m, 3, acq(0)), [(3, "lock_grant")]);
+        let broadcast = Msg::CondBroadcast {
+            lock: 0,
+            cond: 0,
+            req_vt: 5,
+        };
+        assert_eq!(serve(&mut m, 3, broadcast), NOTHING);
+        assert_eq!(m.mgr.queue(SyncId::Lock(0)).waiters.len(), 2);
+        assert_eq!(serve(&mut m, 3, rel()), [(1, "lock_grant")]);
+        assert_eq!(serve(&mut m, 1, rel()), [(2, "lock_grant")]);
+        assert_eq!(serve(&mut m, 2, rel()), NOTHING);
+    }
+
+    #[test]
+    fn barrier_departures_go_out_highest_node_first_manager_last() {
+        let mut m = manager();
+        let arrive = || Msg::BarrierArrive {
+            epoch: 0,
+            bundle: bundle(),
+            diff_bytes: 0,
+        };
+        for node in [2, 0, 3] {
+            assert_eq!(serve(&mut m, node, arrive()), NOTHING);
+        }
+        let departures = serve(&mut m, 1, arrive());
+        let kind = "barrier_depart";
+        assert_eq!(departures, [(3, kind), (2, kind), (1, kind), (0, kind)]);
+        assert_eq!(m.mgr.barrier_epoch, 1);
+    }
+
+    #[test]
+    fn the_last_gc_done_completes_the_round_highest_node_first() {
+        let mut m = manager();
+        for node in [3, 0, 1] {
+            assert_eq!(serve(&mut m, node, Msg::GcDone { epoch: 0 }), NOTHING);
+        }
+        let done = serve(&mut m, 2, Msg::GcDone { epoch: 0 });
+        let kind = "gc_complete";
+        assert_eq!(done, [(3, kind), (2, kind), (1, kind), (0, kind)]);
+    }
+
+    #[test]
+    fn data_requests_flushes_and_fences_are_answered_to_the_sender() {
+        let mut m = manager();
+        let diff_req = Msg::DiffReq {
+            page: 0,
+            ids: vec![],
+        };
+        assert_eq!(serve(&mut m, 1, diff_req), [(1, "diff_rep")]);
+        assert_eq!(
+            serve(&mut m, 2, Msg::PageReq { page: 0 }),
+            [(2, "page_rep")]
+        );
+        let flush = Msg::FlushNotice { bundle: bundle() };
+        assert_eq!(serve(&mut m, 3, flush), [(3, "flush_ack")]);
+        assert_eq!(serve(&mut m, 0, Msg::SyncReq), [(0, "sync_ack")]);
+        assert!(!m.in_service, "in service only while handling");
+    }
+
+    // ------------------------------------------------------------------
+    // A whole program with no threads, against the threaded run
+    // ------------------------------------------------------------------
+
+    /// Nodes of the thread-free program.
+    const N: usize = 3;
+    /// Its lock, managed by node 1, which is not the barrier manager.
+    const LOCK: SyncId = SyncId::Lock(1);
+    /// Its shared page.
+    const PAGE: PageId = 0;
+
+    /// Remote messages by kind, summed `TmkStats`, and each node's final
+    /// page bytes.
+    type Outcome = (BTreeMap<&'static str, u64>, TmkStats, Vec<Vec<u8>>);
+
+    /// `N` nodes and the messages between them, driven with no threads:
+    /// requests go through [`on_request`], and replies and grants wait in
+    /// the addressee's inbox for its application half.
+    struct Sim {
+        nodes: Vec<NodeState>,
+        /// Requests in flight, in send order: `(src, dst, msg)`.
+        wire: VecDeque<(usize, usize, Msg)>,
+        inbox: Vec<VecDeque<(usize, Msg)>>,
+        /// Remote messages sent, by kind (self-sends are free, as on the
+        /// network).
+        sent: BTreeMap<&'static str, u64>,
+    }
+
+    impl Sim {
+        /// Count `msg` from `src` to `dst` as the network does: self-sends
+        /// are free.
+        fn count(&mut self, src: usize, dst: usize, msg: &Msg) {
+            if src != dst {
+                *self.sent.entry(msg.kind()).or_default() += 1;
+            }
+        }
+
+        /// Node `src`'s application half sends a request.
+        fn send(&mut self, src: usize, (dst, msg): (usize, Msg)) {
+            self.count(src, dst, &msg);
+            self.wire.push_back((src, dst, msg));
+        }
+
+        /// Handle every request in flight, in send order; everything a
+        /// handler sends is a reply or grant for an application half.
+        fn pump(&mut self) {
+            let mut out = Vec::new();
+            while let Some((src, dst, msg)) = self.wire.pop_front() {
+                on_request(&mut self.nodes[dst], src, msg, 0, &mut out);
+                for (to, reply) in out.drain(..) {
+                    self.count(dst, to, &reply);
+                    self.inbox[to].push_back((dst, reply));
+                }
+            }
+        }
+
+        /// Node `k`'s next reply.
+        fn reply(&mut self, k: usize) -> (usize, Msg) {
+            self.pump();
+            self.inbox[k].pop_front().expect("a reply is owed")
+        }
+
+        /// Node `k` makes the page readable as `Tmk::fault_pages` does:
+        /// the fault plan's requests, then one apply of what came back.
+        fn fault(&mut self, k: usize) {
+            let st = &mut self.nodes[k];
+            if !st.pages[PAGE].unapplied.is_empty() {
+                st.count(TmkOp::ReadFaults, 1);
+                let plan = st.fault_plan(PAGE);
+                let asked = plan.len();
+                for (w, ids) in plan {
+                    self.send(k, (w, Msg::DiffReq { page: PAGE, ids }));
+                }
+                let mut got = Vec::new();
+                for _ in 0..asked {
+                    let (_, Msg::DiffRep { diffs, .. }) = self.reply(k) else {
+                        panic!("expected DiffRep")
+                    };
+                    got.extend(diffs);
+                }
+                self.nodes[k].apply_fetched(PAGE, got);
+            }
+            self.nodes[k].finish_fault(PAGE);
+        }
+
+        /// Every node arrives at episode `epoch`, then takes its departure.
+        fn barrier(&mut self, epoch: u32) {
+            for k in 0..N {
+                let arrive = self.nodes[k].arrive_request(epoch);
+                self.send(k, arrive);
+            }
+            for k in 0..N {
+                let (src, depart) = self.reply(k);
+                let gc = self.nodes[k].on_depart(epoch, src, depart);
+                assert_eq!(gc, None, "no GC round");
+            }
+        }
+    }
+
+    /// The program: a lock chain in which each node writes byte `k` of
+    /// the page, a barrier, every node reads the page, the join barrier.
+    /// Also returns each node's `(vt, cpu)` clocks.
+    fn without_threads() -> (Outcome, Vec<(u64, u64)>) {
+        let mut sim = Sim {
+            nodes: cluster(N),
+            wire: VecDeque::new(),
+            inbox: vec![VecDeque::new(); N],
+            sent: BTreeMap::new(),
+        };
+        // Every node asks at once; the grants then pass down the queue.
+        for k in 0..N {
+            let req = sim.nodes[k].wait_request(LOCK);
+            sim.send(k, req);
+        }
+        sim.pump();
+        for _ in 0..N {
+            let k = (0..N).find(|&k| !sim.inbox[k].is_empty());
+            let k = k.expect("one node is granted the lock");
+            let (src, grant) = sim.inbox[k].pop_front().unwrap();
+            sim.nodes[k].on_grant(LOCK, src, grant);
+            if !sim.nodes[k].pages[PAGE].readable() {
+                sim.fault(k);
+            }
+            let st = &mut sim.nodes[k];
+            st.start_write(PAGE);
+            let page = st.page_range(PAGE);
+            st.mem[page][k] = k as u8 + 1;
+            let release = st.signal_request(LOCK, None);
+            sim.send(k, release);
+            sim.pump();
+        }
+        sim.barrier(0);
+        for k in 0..N {
+            if !sim.nodes[k].pages[PAGE].readable() {
+                sim.fault(k);
+            }
+        }
+        sim.barrier(1);
+        let mut stats = TmkStats::default();
+        for &op in TmkOp::ALL {
+            op.add_to(
+                &mut stats,
+                sim.nodes.iter().map(|st| st.metrics.op(op).get()).sum(),
+            );
+        }
+        let pages = sim
+            .nodes
+            .iter()
+            .map(|st| st.mem[st.page_range(PAGE)].to_vec());
+        let clocks = sim
+            .nodes
+            .iter()
+            .map(|st| (st.clock.now(), st.clock.cpu_now()));
+        ((sim.sent, stats, pages.collect()), clocks.collect())
+    }
+
+    /// The same program on the threaded system. Which node the manager
+    /// grants first is host order, but no count depends on it.
+    fn with_threads() -> Outcome {
+        let cfg = TmkConfig::deterministic(N);
+        let page_size = cfg.page_size;
+        let seen = Arc::new(Mutex::new(vec![Vec::new(); N]));
+        let pages = seen.clone();
+        let out = run_system(cfg, move |tmk| {
+            let v = tmk.malloc_vec::<u8>(page_size);
+            tmk.parallel(0, move |t| {
+                let k = t.proc_id();
+                t.lock_acquire(1);
+                t.write(&v, k, k as u8 + 1);
+                t.lock_release(1);
+                t.barrier();
+                pages.lock()[k] = t.read_slice(&v, 0..page_size);
+            });
+        });
+        let kinds = out.net.per_kind.iter().filter(|k| k.send_msgs > 0);
+        let sent = kinds.map(|k| (k.kind, k.send_msgs)).collect();
+        let pages = seen.lock().clone();
+        (sent, out.dsm, pages)
+    }
+
+    #[test]
+    fn a_lock_chain_and_barriers_run_without_threads_as_with_them() {
+        let first = without_threads();
+        assert_eq!(
+            first,
+            without_threads(),
+            "thread-free runs are bit-identical"
+        );
+        let (free, _) = first;
+        let (sent, stats, pages) = &free;
+        let want = [
+            ("barrier_arrive", 4),
+            ("barrier_depart", 4),
+            ("diff_rep", 4),
+            ("diff_req", 4),
+            ("lock_acq", 2),
+            ("lock_grant", 2),
+            ("lock_rel", 2),
+        ];
+        assert_eq!(sent, &BTreeMap::from(want));
+        assert_eq!(
+            (stats.read_faults, stats.diffs_created, stats.diffs_applied),
+            (4, 3, 6)
+        );
+        let mut page = vec![0; pages[0].len()];
+        page[..N].copy_from_slice(&[1, 2, 3]);
+        assert_eq!(pages, &vec![page; N]);
+
+        // The fork is all the threaded run adds.
+        let (mut sent, mut stats, pages) = with_threads();
+        assert_eq!((sent.remove("fork"), stats.forks), (Some(2), 1));
+        stats.forks = 0;
+        assert_eq!((sent, stats, pages), free);
     }
 }

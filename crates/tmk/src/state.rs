@@ -3,8 +3,10 @@
 //! One `NodeState` exists per simulated workstation, shared (behind a
 //! mutex) between the node's application thread and its protocol service
 //! thread. All protocol logic that does not require network I/O lives
-//! here; the blocking request/reply choreography lives in `api.rs` (app
-//! side) and `service.rs` (handler side).
+//! here. A synchronisation op is a request half that returns the message
+//! to send and a reply half that takes the answer; the service side is
+//! `service::on_request`, a function of this state and one message. What
+//! is left to `api.rs` and `service.rs` is sending, waiting and timing.
 
 use crate::addr::{AllocTable, PageId};
 use crate::config::TmkConfig;
@@ -12,8 +14,9 @@ use crate::diff::Diff;
 use crate::interval::{IntervalId, IntervalInfo, NoticeBundle, VectorClock};
 use crate::metrics::NodeMetrics;
 use crate::page::{NoticeRec, PageMeta, PageState};
+use crate::protocol::Msg;
 use crate::stats::TmkOp;
-use now_net::VirtualClock;
+use now_net::{VirtualClock, Wire as _};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -56,24 +59,14 @@ impl MgrQueue {
         false
     }
 
-    /// A signal: hand the permit to the earliest waiter, returned with
-    /// its clock, or bank it.
+    /// A signal: hand the permit to the earliest waiter by `(req_vt,
+    /// node)`, returned with its clock, or bank it.
     pub fn signal(&mut self) -> Option<(usize, VectorClock)> {
-        let next = self.pop_earliest();
-        if next.is_none() {
+        let waiters = self.waiters.iter().enumerate();
+        let Some((i, _)) = waiters.min_by_key(|(_, (vt, node, _))| (*vt, *node)) else {
             self.permits += 1;
-        }
-        next
-    }
-
-    /// Remove the earliest waiter by `(req_vt, node)`.
-    fn pop_earliest(&mut self) -> Option<(usize, VectorClock)> {
-        let i = self
-            .waiters
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (vt, node, _))| (*vt, *node))
-            .map(|(i, _)| i)?;
+            return None;
+        };
         let (_, node, vc) = self.waiters.swap_remove(i);
         Some((node, vc))
     }
@@ -244,9 +237,10 @@ impl NodeState {
         }
     }
 
-    /// Manager node for a lock or semaphore id.
+    /// Manager node of a lock or semaphore.
     #[inline]
-    pub fn manager_of(&self, id: u32) -> usize {
+    pub fn manager_of(&self, obj: SyncId) -> usize {
+        let (SyncId::Lock(id) | SyncId::Sema(id)) = obj;
         id as usize % self.n
     }
 
@@ -442,6 +436,133 @@ impl NodeState {
             PageState::WritePush => {}
             PageState::Invalid | PageState::Unmapped => {}
         }
+    }
+
+    // ---------------------------------------------------------------
+    // Synchronisation: the application thread's halves
+    // ---------------------------------------------------------------
+
+    /// The request half of a lock acquire or semaphore wait: the message
+    /// to `obj`'s manager, with our processed clock (the grant's filter)
+    /// and our virtual time (the grant order).
+    pub fn wait_request(&self, obj: SyncId) -> (usize, Msg) {
+        let mgr = self.manager_of(obj);
+        let (vc, req_vt) = (self.processed_vc.clone(), self.clock.now());
+        let msg = match obj {
+            SyncId::Lock(lock) => {
+                assert!(
+                    !self.held_locks.contains(&lock),
+                    "recursive lock_acquire({lock})"
+                );
+                self.count(TmkOp::LockAcquires, 1);
+                if mgr == self.id {
+                    self.count(TmkOp::LockAcquiresLocal, 1);
+                }
+                Msg::LockAcq { lock, vc, req_vt }
+            }
+            SyncId::Sema(sema) => Msg::SemaWait { sema, vc, req_vt },
+        };
+        (mgr, msg)
+    }
+
+    /// The request half of a release to `obj`'s manager: a lock release,
+    /// a semaphore signal, or, with `cond`, a wait on that condition
+    /// variable, which releases lock `obj`. Closes the interval and sends
+    /// the manager the notices it lacks.
+    pub fn signal_request(&mut self, obj: SyncId, cond: Option<u32>) -> (usize, Msg) {
+        if let SyncId::Lock(lock) = obj {
+            assert!(
+                self.held_locks.remove(&lock),
+                "release of lock {lock} without holding it"
+            );
+        }
+        self.close_interval();
+        let mgr = self.manager_of(obj);
+        let bundle = self.release_to(mgr);
+        let msg = match (obj, cond) {
+            (SyncId::Lock(lock), None) => Msg::LockRelease { lock, bundle },
+            (SyncId::Lock(lock), Some(cond)) => {
+                self.count(TmkOp::CondWaits, 1);
+                Msg::CondWait { lock, cond, bundle }
+            }
+            (SyncId::Sema(sema), None) => {
+                self.count(TmkOp::SemaSignals, 1);
+                Msg::SemaSignal { sema, bundle }
+            }
+            (SyncId::Sema(_), Some(_)) => unreachable!("a condition variable waits on a lock"),
+        };
+        (mgr, msg)
+    }
+
+    /// The reply half of a lock acquire, semaphore wait or condition
+    /// wait: check that `msg` grants `obj`, and acquire its bundle.
+    pub fn on_grant(&mut self, obj: SyncId, src: usize, msg: Msg) {
+        let bundle = match msg {
+            Msg::LockGrant { lock, bundle } if obj == SyncId::Lock(lock) => bundle,
+            Msg::SemaGrant { sema, bundle } if obj == SyncId::Sema(sema) => bundle,
+            other => panic!("expected a grant of {obj:?}, got {}", other.kind()),
+        };
+        self.acquire(src, &bundle);
+        match obj {
+            SyncId::Lock(lock) => {
+                self.held_locks.insert(lock);
+            }
+            SyncId::Sema(_) => self.count(TmkOp::SemaWaits, 1),
+        }
+    }
+
+    /// The request half of a condition signal (with `all`, a broadcast)
+    /// on `cond` under `lock`: the lock's manager moves the waiters to
+    /// the lock queue as of our virtual time.
+    pub fn notify_request(&self, lock: u32, cond: u32, all: bool) -> (usize, Msg) {
+        debug_assert!(
+            self.held_locks.contains(&lock),
+            "cond_signal/cond_broadcast outside critical section {lock}"
+        );
+        let req_vt = self.clock.now();
+        let msg = if all {
+            self.count(TmkOp::CondBroadcasts, 1);
+            Msg::CondBroadcast { lock, cond, req_vt }
+        } else {
+            self.count(TmkOp::CondSignals, 1);
+            Msg::CondSignal { lock, cond, req_vt }
+        };
+        (self.manager_of(SyncId::Lock(lock)), msg)
+    }
+
+    /// The request half of arriving at barrier episode `epoch`: close the
+    /// interval and release to the barrier manager, node 0.
+    pub fn arrive_request(&mut self, epoch: u32) -> (usize, Msg) {
+        self.close_interval();
+        let bundle = self.release_to(0);
+        let diff_bytes = self.diff_store_bytes;
+        (
+            0,
+            Msg::BarrierArrive {
+                epoch,
+                bundle,
+                diff_bytes,
+            },
+        )
+    }
+
+    /// The reply half of a barrier: check that `msg` departs `epoch`,
+    /// acquire its bundle, and return the GC snapshot clock when the
+    /// departure starts a GC round: the bundle's clock, which the manager
+    /// gives every node alike (one tenure builds all departures).
+    pub fn on_depart(&mut self, epoch: u32, src: usize, msg: Msg) -> Option<VectorClock> {
+        let Msg::BarrierDepart {
+            epoch: e,
+            bundle,
+            gc,
+        } = msg
+        else {
+            panic!("expected BarrierDepart, got {}", msg.kind())
+        };
+        assert_eq!(e, epoch, "barrier episode mismatch");
+        self.acquire(src, &bundle);
+        self.count(TmkOp::Barriers, 1);
+        gc.then_some(bundle.pvc)
     }
 
     // ---------------------------------------------------------------

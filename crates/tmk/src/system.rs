@@ -708,18 +708,6 @@ mod tests {
         TmkConfig::fast_test(n)
     }
 
-    /// Configuration whose virtual times are deterministic: measured host
-    /// compute contributes nothing and per-message CPU costs are zero, so
-    /// every timestamp is a pure function of the modeled protocol costs.
-    fn det_cfg(n: usize) -> TmkConfig {
-        let mut c = TmkConfig::fast_test(n);
-        c.net.compute_scale = 0.0;
-        c.net.send_overhead_ns = 0;
-        c.net.handler_ns = 0;
-        c.net.local_delivery_ns = 0;
-        c
-    }
-
     #[test]
     fn single_node_runs_master_only() {
         let out = run_system(cfg(1), |tmk| {
@@ -1040,7 +1028,7 @@ mod tests {
         // must report identical statistics, virtual times and traffic —
         // the reset leaves no residue and job streams replay
         // deterministically.
-        let mut sys = System::build(det_cfg(4));
+        let mut sys = System::build(TmkConfig::deterministic(4));
         let a = sys.run_job(job).unwrap();
         let b = sys.run_job(job).unwrap();
         assert_eq!(a.result, b.result);
@@ -1054,8 +1042,8 @@ mod tests {
     fn warm_job_equals_cold_run() {
         // Job N+1 on a warm system is bit-identical to a cold one-shot
         // run of the same job (fresh state, clocks at zero).
-        let cold = run_system(det_cfg(3), job);
-        let mut sys = System::build(det_cfg(3));
+        let cold = run_system(TmkConfig::deterministic(3), job);
+        let mut sys = System::build(TmkConfig::deterministic(3));
         let _first = sys.run_job(job).unwrap();
         let warm = sys.run_job(job).unwrap();
         assert_eq!(cold.result, warm.result);
