@@ -15,7 +15,7 @@ use crate::addr::{AllocTable, PageId};
 use crate::interval::IntervalId;
 use crate::metrics::{NodeMetrics, OpLat};
 use crate::protocol::{Msg, Region};
-use crate::state::{NodeState, SyncId};
+use crate::state::{NodeState, PageDiffs, SyncId};
 use crate::stats::TmkOp;
 use crossbeam::channel::Receiver;
 use crossbeam::utils::Backoff;
@@ -345,12 +345,13 @@ impl Tmk {
     // ------------------------------------------------------------------
 
     /// Bring page `pid` up to date: fetch a post-GC full copy if our base
-    /// is stale, then fetch the diffs of all unapplied write notices from
-    /// the writers whose notices dominate them (one request per maximal
-    /// writer, all in flight at once), apply them, and make the page
-    /// readable.
+    /// is stale, then fetch the diffs of the unapplied write notices that
+    /// a barrier did not deliver from the writers whose notices dominate
+    /// them (one request per maximal writer, all in flight at once),
+    /// apply them with the delivered ones, and make the page readable.
+    /// The page is subscribed to barrier updates from then on.
     pub(crate) fn page_fault(&mut self, pid: PageId) {
-        self.fault_pages(&[pid]);
+        self.fault_pages(&[pid], true);
     }
 
     /// Fault a batch of pages with all requests in flight concurrently —
@@ -358,23 +359,27 @@ impl Tmk {
     /// latency for the entire batch instead of one per page. Message
     /// counts are identical to faulting page by page; only waiting
     /// overlaps (the request-aggregation effect of the compiler/runtime
-    /// integration the paper cites as future work).
-    pub(crate) fn fault_pages(&mut self, pids: &[PageId]) {
+    /// integration the paper cites as future work). An application
+    /// fault `subscribe`s its pages to barrier updates; a GC validation
+    /// does not, as the application may never read them.
+    pub(crate) fn fault_pages(&mut self, pids: &[PageId], subscribe: bool) {
         self.timed(OpLat::PageFault, pids.len() as u64, Self::thread_vt, |s| {
-            s.on_wire(|s| s.fault_pages_inner(pids))
+            s.on_wire(|s| s.fault_pages_inner(pids, subscribe))
         });
     }
 
-    fn fault_pages_inner(&mut self, pids: &[PageId]) {
+    fn fault_pages_inner(&mut self, pids: &[PageId], subscribe: bool) {
         use std::collections::BTreeMap;
-        type Fetched = Vec<(IntervalId, Arc<crate::diff::Diff>)>;
         // Which of `pids` needed remote data: each is one read fault,
         // however many rounds it took.
         let mut faulted = vec![false; pids.len()];
         loop {
-            // Classify every page under one lock round.
+            // Classify every page under one lock round. Per page: every
+            // id requested for it, and the diffs here so far — held ones
+            // first. A page is applied only once its whole set is here.
             let mut full: Vec<(PageId, usize)> = Vec::new();
             let mut round: Vec<(PageId, usize, Vec<IntervalId>)> = Vec::new();
+            let mut by_page: BTreeMap<PageId, (Vec<IntervalId>, PageDiffs)> = BTreeMap::new();
             {
                 let mut st = self.state.lock();
                 st.sync_alloc();
@@ -384,8 +389,12 @@ impl Tmk {
                         debug_assert_ne!(owner, self.id, "owner never full-fetches");
                         full.push((pid, owner));
                     } else if !st.pages[pid].unapplied.is_empty() {
-                        for (node, ids) in st.fault_plan(pid) {
+                        let (held, plan) = st.fault_requests(pid);
+                        let page = by_page.entry(pid).or_default();
+                        page.1 = held;
+                        for (node, ids) in plan {
                             debug_assert_ne!(node, self.id, "own diffs are never missing");
+                            page.0.extend(&ids);
                             round.push((pid, node, ids));
                         }
                     } else {
@@ -394,20 +403,17 @@ impl Tmk {
                         }
                         continue;
                     }
+                    if subscribe {
+                        st.subscribed.insert(pid);
+                    }
                     *faulted = true;
                 }
             }
-            if full.is_empty() && round.is_empty() {
+            if full.is_empty() && by_page.is_empty() {
                 break;
             }
             for (pid, owner) in &full {
                 self.ep.send(*owner, Msg::PageReq { page: *pid });
-            }
-            // Per page: every id planned for it, and the diffs arrived so
-            // far. A page is applied only once its whole set is here.
-            let mut by_page: BTreeMap<PageId, (Vec<IntervalId>, Fetched)> = BTreeMap::new();
-            for (pid, _, ids) in &round {
-                by_page.entry(*pid).or_default().0.extend(ids);
             }
             // The first pass also collects the full-page replies.
             let mut replies = full.len();
@@ -516,7 +522,7 @@ impl Tmk {
             .map(|(&p, _)| p)
             .collect();
         if !mine.is_empty() {
-            self.fault_pages(&mine);
+            self.fault_pages(&mine, false);
         }
         self.ep.send(0, Msg::GcDone { epoch });
         let d = self.reply();

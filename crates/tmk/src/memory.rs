@@ -228,7 +228,7 @@ impl Tmk {
                 .collect()
         };
         if !need.is_empty() {
-            self.fault_pages(&need);
+            self.fault_pages(&need, true);
         }
     }
 

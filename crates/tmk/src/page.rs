@@ -90,6 +90,13 @@ impl PageMeta {
         matches!(self.state, PageState::Write | PageState::WritePush)
     }
 
+    /// The diffs a barrier delivered for notices still unapplied: held
+    /// until a fault applies them with the rest of the page's set.
+    pub fn held(&self) -> impl Iterator<Item = (IntervalId, &Arc<Diff>)> {
+        let held = self.unapplied.iter();
+        held.filter_map(|r| Some((r.id, self.diffs.get(&r.id)?)))
+    }
+
     /// Bytes of the diffs node `me` created for this page (the GC
     /// trigger input; retained foreign diffs do not count).
     pub fn diff_storage_bytes(&self, me: u32) -> usize {

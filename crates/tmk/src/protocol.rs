@@ -32,6 +32,10 @@ impl std::fmt::Debug for Region {
     }
 }
 
+/// A diff riding a barrier message: the page, the writing interval, and
+/// the writer's encoding of it.
+pub type Update = (PageId, IntervalId, Arc<Diff>);
+
 /// All DSM protocol messages.
 #[derive(Debug, Clone)]
 pub enum Msg {
@@ -107,6 +111,12 @@ pub enum Msg {
         bundle: NoticeBundle,
         /// Arriver's cached diff storage (GC trigger input).
         diff_bytes: u64,
+        /// Pages the arriver subscribes to (it took a read fault on
+        /// them), ascending.
+        subscribed: Vec<PageId>,
+        /// The arriver's diffs, since its last arrival, of the pages its
+        /// last departure published.
+        updates: Vec<Update>,
     },
     /// Barrier departure: an acquire delivering missing notices.
     BarrierDepart {
@@ -116,6 +126,12 @@ pub enum Msg {
         bundle: NoticeBundle,
         /// Run diff garbage collection before leaving the barrier.
         gc: bool,
+        /// Pages the other nodes subscribe to, ascending: the ones this
+        /// node attaches its writes of at its next arrival.
+        published: Vec<PageId>,
+        /// Other writers' diffs of this node's subscribed pages, for
+        /// intervals whose notices it lacks.
+        updates: Vec<Update>,
     },
     /// `sema_signal`: a release to the semaphore's manager.
     SemaSignal {
@@ -219,6 +235,16 @@ pub enum Msg {
     Shutdown,
 }
 
+/// Wire bytes of what rides a barrier message: a page list, 4 bytes a
+/// page, and attached diffs, each counted as a `DiffRep` entry.
+fn riders_wire_bytes(pages: &[PageId], updates: &[Update]) -> usize {
+    4 * pages.len()
+        + updates
+            .iter()
+            .map(|(_, _, d)| 8 + d.wire_bytes())
+            .sum::<usize>()
+}
+
 /// Generates `Wire::{kind, kinds, kind_id}` from one ordered list of
 /// `(Variant, "label")` rows: a row's position is its `kind_id` and its
 /// slot in the network's per-kind traffic counters.
@@ -257,8 +283,18 @@ impl Wire for Msg {
             Msg::LockAcq { vc, .. } => 12 + vc.wire_bytes(),
             Msg::LockRelease { bundle, .. } => 8 + bundle.wire_bytes(),
             Msg::LockGrant { bundle, .. } => 8 + bundle.wire_bytes(),
-            Msg::BarrierArrive { bundle, .. } => 16 + bundle.wire_bytes(),
-            Msg::BarrierDepart { bundle, .. } => 9 + bundle.wire_bytes(),
+            Msg::BarrierArrive {
+                bundle,
+                subscribed,
+                updates,
+                ..
+            } => 16 + bundle.wire_bytes() + riders_wire_bytes(subscribed, updates),
+            Msg::BarrierDepart {
+                bundle,
+                published,
+                updates,
+                ..
+            } => 9 + bundle.wire_bytes() + riders_wire_bytes(published, updates),
             Msg::SemaSignal { bundle, .. } => 8 + bundle.wire_bytes(),
             Msg::SemaAck { .. } => 8,
             Msg::SemaWait { vc, .. } => 12 + vc.wire_bytes(),
@@ -346,6 +382,33 @@ mod tests {
             },
         };
         assert!(full.wire_bytes() > empty.wire_bytes());
+
+        // A barrier message grows by 4 bytes a listed page and by each
+        // attached diff as a `DiffRep` entry would.
+        let diff = Arc::new(Diff::create(&[0u8; 64], &[1u8; 64]));
+        let updates = vec![(2, id(3), diff.clone()), (5, id(4), diff.clone())];
+        let riders = 4 * 3 + 2 * (8 + diff.wire_bytes());
+        let arrive = |subscribed: Vec<PageId>, updates: Vec<Update>| Msg::BarrierArrive {
+            epoch: 0,
+            bundle: NoticeBundle::empty(VectorClock::zero(8)),
+            diff_bytes: 0,
+            subscribed,
+            updates,
+        };
+        let bare = arrive(vec![], vec![]).wire_bytes();
+        assert_eq!(
+            arrive(vec![1, 2, 5], updates.clone()).wire_bytes(),
+            bare + riders
+        );
+        let depart = |published: Vec<PageId>, updates: Vec<Update>| Msg::BarrierDepart {
+            epoch: 0,
+            bundle: NoticeBundle::empty(VectorClock::zero(8)),
+            gc: false,
+            published,
+            updates,
+        };
+        let bare = depart(vec![], vec![]).wire_bytes();
+        assert_eq!(depart(vec![1, 2, 5], updates).wire_bytes(), bare + riders);
     }
 
     #[test]

@@ -10,13 +10,15 @@
 //! thread never blocks on remote operations, which makes the protocol
 //! deadlock-free by construction.
 
+use crate::addr::PageId;
 use crate::interval::{NoticeBundle, VectorClock};
 use crate::protocol::{Msg, Region};
-use crate::state::{NodeState, SyncId};
+use crate::state::{Arrival, NodeState, SyncId};
 use crossbeam::channel::Sender;
 use now_net::{Delivered, Endpoint, Wire as _};
 use now_trace::{EventKind, SERVICE_LANE};
 use parking_lot::Mutex;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Work shipped to a slave's application thread.
@@ -153,12 +155,18 @@ pub(crate) fn on_request(
             epoch,
             bundle,
             diff_bytes,
+            subscribed,
+            updates,
         } => {
             debug_assert_eq!(st.id, 0, "barrier manager is node 0");
             debug_assert_eq!(epoch, st.mgr.barrier_epoch, "barrier episode mismatch");
-            let arrival_vc = bundle.pvc.clone();
-            st.apply_bundle(src, &bundle);
-            st.mgr.arrivals.push((src, arrival_vc, diff_bytes));
+            st.mgr.arrivals.push(Arrival {
+                node: src,
+                bundle,
+                diff_bytes,
+                subscribed,
+            });
+            st.mgr.updates.extend(updates);
             st.mgr.barrier_last_arrive_vt = st.mgr.barrier_last_arrive_vt.max(arrival_vt);
             if st.mgr.arrivals.len() == st.n {
                 release_barrier(st, epoch, out);
@@ -271,11 +279,17 @@ fn send_grant(
 
 /// All nodes have arrived: merge complete, send departures (slaves first,
 /// the manager's own application thread last).
+///
+/// Each departure publishes the pages the other nodes subscribe to, and
+/// forwards every attached diff of a page its node subscribes to, other
+/// than the node's own. The node keeps only those whose notices it holds
+/// unapplied (`NodeState::on_depart`).
 fn release_barrier(st: &mut NodeState, epoch: u32, out: &mut Vec<(usize, Msg)>) {
-    let total_diff_bytes: u64 = st.mgr.arrivals.iter().map(|(_, _, b)| *b).sum::<u64>();
+    let total_diff_bytes: u64 = st.mgr.arrivals.iter().map(|a| a.diff_bytes).sum::<u64>();
     let gc = st.cfg.gc_every_barrier || total_diff_bytes > st.cfg.gc_threshold_bytes as u64;
     st.mgr.gc_in_progress = gc;
     let mut arrivals = std::mem::take(&mut st.mgr.arrivals);
+    let updates = std::mem::take(&mut st.mgr.updates);
     st.mgr.barrier_epoch += 1;
     // No node departs before the last one arrived: the backlog cap may
     // have let the service cursor slip below a virtually-late arrival
@@ -284,29 +298,51 @@ fn release_barrier(st: &mut NodeState, epoch: u32, out: &mut Vec<(usize, Msg)>) 
     st.clock
         .service_raise_to(std::mem::take(&mut st.mgr.barrier_last_arrive_vt));
     // Deterministic order: descending node id, manager (node 0) last.
-    arrivals.sort_by_key(|(node, _, _)| std::cmp::Reverse(*node));
-    for (node, vc, _) in arrivals {
-        let bundle = st.grant_to(node, &vc);
-        out.push((node, Msg::BarrierDepart { epoch, bundle, gc }));
+    arrivals.sort_by_key(|a| std::cmp::Reverse(a.node));
+    // The arrivals' notices are applied only now, with the manager's own
+    // application thread parked in the barrier: applied as each arrived,
+    // they would invalidate its pages mid-episode, and whether it then
+    // faulted before departing would depend on host timing.
+    for a in &arrivals {
+        st.apply_bundle(a.node, &a.bundle);
+    }
+    for a in &arrivals {
+        let bundle = st.grant_to(a.node, &a.bundle.pvc);
+        let others = arrivals.iter().filter(|b| b.node != a.node);
+        let published: BTreeSet<PageId> =
+            others.flat_map(|b| b.subscribed.iter().copied()).collect();
+        let updates = updates.iter().filter(|&&(pid, id, _)| {
+            id.node as usize != a.node && a.subscribed.binary_search(&pid).is_ok()
+        });
+        let depart = Msg::BarrierDepart {
+            epoch,
+            gc,
+            published: published.into_iter().collect(),
+            updates: updates.cloned().collect(),
+            bundle,
+        };
+        out.push((a.node, depart));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::{AllocTable, PageId};
+    use crate::addr::AllocTable;
     use crate::config::TmkConfig;
+    use crate::diff::Diff;
+    use crate::interval::{IntervalId, IntervalInfo};
     use crate::stats::{TmkOp, TmkStats};
     use crate::system::run_system;
     use now_net::VirtualClock;
     use std::collections::{BTreeMap, VecDeque};
 
-    /// `n` fresh node states under the deterministic config, sharing one
-    /// allocated page (page 0).
+    /// `n` fresh node states under the deterministic config, sharing
+    /// three allocated pages (pages 0 to 2).
     fn cluster(n: usize) -> Vec<NodeState> {
         let cfg = TmkConfig::deterministic(n);
         let alloc = AllocTable::new(cfg.page_shift());
-        let _ = alloc.alloc(cfg.page_size);
+        let _ = alloc.alloc(3 * cfg.page_size);
         (0..n)
             .map(|id| {
                 let clock = VirtualClock::new();
@@ -450,14 +486,103 @@ mod tests {
         assert_eq!(serve(&mut m, 2, rel()), NOTHING);
     }
 
+    /// A barrier arrival at episode 0: the arriver's processed clock
+    /// `pvc`, its intervals (`seq`, pages written), each written page's
+    /// diff attached, and its subscriptions.
+    fn arrive(
+        node: usize,
+        pvc: [u32; 4],
+        wrote: &[(u32, &[PageId])],
+        subscribed: &[PageId],
+    ) -> Msg {
+        let mut bundle = NoticeBundle::empty(VectorClock(pvc.to_vec()));
+        let mut updates = Vec::new();
+        for &(seq, pages) in wrote {
+            let id = IntervalId {
+                node: node as u32,
+                seq,
+            };
+            let mut vc = VectorClock(pvc.to_vec());
+            vc.0[node] = seq;
+            let info = IntervalInfo {
+                vc_sum: vc.sum(),
+                vc,
+                pages: pages.to_vec(),
+            };
+            bundle.intervals.push((id, Arc::new(info)));
+            let diff = Arc::new(Diff::create(&[0; 8], &[seq as u8; 8]));
+            updates.extend(pages.iter().map(|&pid| (pid, id, diff.clone())));
+        }
+        bundle.vc = bundle.pvc.clone();
+        Msg::BarrierArrive {
+            epoch: 0,
+            bundle,
+            diff_bytes: 0,
+            subscribed: subscribed.to_vec(),
+            updates,
+        }
+    }
+
+    /// A departure as `(dst, kind, published pages, attached (page, id)s)`.
+    type Departure = (usize, &'static str, Vec<PageId>, Vec<(PageId, IntervalId)>);
+
+    fn departures(st: &mut NodeState, src: usize, msg: Msg) -> Vec<Departure> {
+        let mut out = Vec::new();
+        on_request(st, src, msg, 0, &mut out);
+        let depart = |(dst, m): (usize, Msg)| {
+            let Msg::BarrierDepart {
+                published, updates, ..
+            } = &m
+            else {
+                panic!("expected a departure, got {}", m.kind())
+            };
+            let attached = updates.iter().map(|(pid, id, _)| (*pid, *id)).collect();
+            (dst, m.kind(), published.clone(), attached)
+        };
+        out.into_iter().map(depart).collect()
+    }
+
+    #[test]
+    fn a_departure_forwards_the_other_writers_diffs_of_its_subscribed_pages() {
+        let mut m = manager();
+        let id = |node, seq| IntervalId { node, seq };
+        // Node 1 wrote pages 0 and 1; node 2 had already acquired that
+        // interval (through a lock, say) and wrote page 0 after it; node 3
+        // wrote page 2, which nobody subscribes to.
+        let arrivals = [
+            (3, arrive(3, [0; 4], &[(1, &[2])], &[])),
+            (1, arrive(1, [0; 4], &[(1, &[0, 1])], &[0])),
+            (2, arrive(2, [0, 1, 0, 0], &[(1, &[0])], &[0])),
+        ];
+        for (node, msg) in arrivals {
+            assert_eq!(departures(&mut m, node, msg), []);
+        }
+        // The manager arrives last; the others' notices are applied
+        // only now, so its clock covers none of them.
+        let barrier = departures(&mut m, 0, arrive(0, [0; 4], &[], &[1]));
+        let kind = "barrier_depart";
+        let want = [
+            // Node 3 subscribes to nothing and gets nothing.
+            (3, kind, vec![0, 1], vec![]),
+            // Node 2 gets node 1's page-0 diff although it acquired that
+            // notice already (its `on_depart` keeps the diff only while
+            // the notice is unapplied), and never its own.
+            (2, kind, vec![0, 1], vec![(0, id(1, 1))]),
+            // Node 1 gets node 2's page-0 diff, never its own.
+            (1, kind, vec![0, 1], vec![(0, id(2, 1))]),
+            // The manager's own departure is a self-send like the rest;
+            // it publishes the others' subscriptions, not its own, and
+            // carries the diff of its page although its bundle is empty.
+            (0, kind, vec![0], vec![(1, id(1, 1))]),
+        ];
+        assert_eq!(barrier, want);
+        assert!(m.mgr.updates.is_empty(), "attachments live one episode");
+    }
+
     #[test]
     fn barrier_departures_go_out_highest_node_first_manager_last() {
         let mut m = manager();
-        let arrive = || Msg::BarrierArrive {
-            epoch: 0,
-            bundle: bundle(),
-            diff_bytes: 0,
-        };
+        let arrive = || arrive(0, [0; 4], &[], &[]);
         for node in [2, 0, 3] {
             assert_eq!(serve(&mut m, node, arrive()), NOTHING);
         }
@@ -559,17 +684,18 @@ mod tests {
         }
 
         /// Node `k` makes the page readable as `Tmk::fault_pages` does:
-        /// the fault plan's requests, then one apply of what came back.
+        /// subscribe, request what is not held, then one apply of the
+        /// held diffs and what came back.
         fn fault(&mut self, k: usize) {
             let st = &mut self.nodes[k];
             if !st.pages[PAGE].unapplied.is_empty() {
                 st.count(TmkOp::ReadFaults, 1);
-                let plan = st.fault_plan(PAGE);
+                st.subscribed.insert(PAGE);
+                let (mut got, plan) = st.fault_requests(PAGE);
                 let asked = plan.len();
                 for (w, ids) in plan {
                     self.send(k, (w, Msg::DiffReq { page: PAGE, ids }));
                 }
-                let mut got = Vec::new();
                 for _ in 0..asked {
                     let (_, Msg::DiffRep { diffs, .. }) = self.reply(k) else {
                         panic!("expected DiffRep")
@@ -596,8 +722,15 @@ mod tests {
     }
 
     /// The program: a lock chain in which each node writes byte `k` of
-    /// the page, a barrier, every node reads the page, the join barrier.
-    /// Also returns each node's `(vt, cpu)` clocks.
+    /// the page, a barrier, every node reads the page (its faults
+    /// subscribe it), a barrier, every node writes byte `8 + k`, a
+    /// barrier, every node reads the page again (the other writers'
+    /// diffs rode the barrier), the join barrier. Also returns each
+    /// node's `(vt, cpu)` clocks.
+    ///
+    /// In the threaded run the barrier manager's service thread takes the
+    /// others' arrivals while its application may still be writing; the
+    /// counts match only because it applies their notices at release.
     fn without_threads() -> (Outcome, Vec<(u64, u64)>) {
         let mut sim = Sim {
             nodes: cluster(N),
@@ -627,13 +760,25 @@ mod tests {
             sim.send(k, release);
             sim.pump();
         }
-        sim.barrier(0);
-        for k in 0..N {
-            if !sim.nodes[k].pages[PAGE].readable() {
-                sim.fault(k);
+        let read_all = |sim: &mut Sim| {
+            for k in 0..N {
+                if !sim.nodes[k].pages[PAGE].readable() {
+                    sim.fault(k);
+                }
             }
-        }
+        };
+        sim.barrier(0);
+        read_all(&mut sim);
         sim.barrier(1);
+        for k in 0..N {
+            let st = &mut sim.nodes[k];
+            st.start_write(PAGE);
+            let page = st.page_range(PAGE);
+            st.mem[page][8 + k] = k as u8 + 1;
+        }
+        sim.barrier(2);
+        read_all(&mut sim);
+        sim.barrier(3);
         let mut stats = TmkStats::default();
         for &op in TmkOp::ALL {
             op.add_to(
@@ -667,6 +812,10 @@ mod tests {
                 t.write(&v, k, k as u8 + 1);
                 t.lock_release(1);
                 t.barrier();
+                t.read_slice(&v, 0..page_size);
+                t.barrier();
+                t.write(&v, 8 + k, k as u8 + 1);
+                t.barrier();
                 pages.lock()[k] = t.read_slice(&v, 0..page_size);
             });
         });
@@ -686,9 +835,11 @@ mod tests {
         );
         let (free, _) = first;
         let (sent, stats, pages) = &free;
+        // The second reads' three faults send nothing: each finds the
+        // other writers' diffs held, delivered by barrier 2.
         let want = [
-            ("barrier_arrive", 4),
-            ("barrier_depart", 4),
+            ("barrier_arrive", 8),
+            ("barrier_depart", 8),
             ("diff_rep", 4),
             ("diff_req", 4),
             ("lock_acq", 2),
@@ -698,10 +849,11 @@ mod tests {
         assert_eq!(sent, &BTreeMap::from(want));
         assert_eq!(
             (stats.read_faults, stats.diffs_created, stats.diffs_applied),
-            (4, 3, 6)
+            (7, 6, 12)
         );
         let mut page = vec![0; pages[0].len()];
         page[..N].copy_from_slice(&[1, 2, 3]);
+        page[8..8 + N].copy_from_slice(&[1, 2, 3]);
         assert_eq!(pages, &vec![page; N]);
 
         // The fork is all the threaded run adds.

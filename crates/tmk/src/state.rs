@@ -14,11 +14,17 @@ use crate::diff::Diff;
 use crate::interval::{IntervalId, IntervalInfo, NoticeBundle, VectorClock};
 use crate::metrics::NodeMetrics;
 use crate::page::{NoticeRec, PageMeta, PageState};
-use crate::protocol::Msg;
+use crate::protocol::{Msg, Update};
 use crate::stats::TmkOp;
 use now_net::{VirtualClock, Wire as _};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
+
+/// A page's diffs by interval, as a fault holds or fetches them.
+pub type PageDiffs = Vec<(IntervalId, Arc<Diff>)>;
+
+/// A fault's requests: each writer to ask, with the ids asked of it.
+pub type FaultPlan = Vec<(usize, Vec<IntervalId>)>;
 
 /// A manager-queued synchronisation object. A lock and a semaphore with
 /// the same id are different objects.
@@ -72,14 +78,31 @@ impl MgrQueue {
     }
 }
 
+/// One node's arrival at the barrier, as the manager keeps it until the
+/// last one arrives.
+#[derive(Debug)]
+pub struct Arrival {
+    /// The arriving node.
+    pub node: usize,
+    /// Its release: the notices the manager applies once every node
+    /// has arrived, and its processed clock, the departure's filter.
+    pub bundle: NoticeBundle,
+    /// Its cached diff storage (GC trigger input).
+    pub diff_bytes: u64,
+    /// The pages it subscribes to, ascending.
+    pub subscribed: Vec<PageId>,
+}
+
 /// State for the manager roles this node plays (barrier manager on node
 /// 0, lock/semaphore managers by id modulo node count).
 #[derive(Debug, Default)]
 pub struct ManagerState {
     /// Current barrier episode.
     pub barrier_epoch: u32,
-    /// Arrived nodes for the episode: (node, vector clock, diff bytes).
-    pub arrivals: Vec<(usize, VectorClock, u64)>,
+    /// Arrived nodes for the episode.
+    pub arrivals: Vec<Arrival>,
+    /// Diffs the episode's arrivals attached, forwarded at departure.
+    pub updates: Vec<Update>,
     /// Virtually latest arrival of the episode: the release is pinned at
     /// or after this instant, whatever host order the arrivals were
     /// processed in.
@@ -159,6 +182,17 @@ pub struct NodeState {
     /// Locks this node's application thread currently holds (sanity
     /// checking only — the authoritative state lives at the managers).
     pub held_locks: std::collections::HashSet<u32>,
+    /// Barrier updates: the pages this node took a read fault on. A
+    /// subscription is sticky; it ends at the arrival after a departure
+    /// whose update for the page went unread.
+    pub subscribed: BTreeSet<PageId>,
+    /// The pages the other nodes subscribe to, as the last departure
+    /// published them (ascending): this node's next arrival attaches its
+    /// diffs of them.
+    pub published: Vec<PageId>,
+    /// Our last interval closed at or before the last arrival: later
+    /// ones are the next arrival's to attach.
+    pub arrived_seq: u32,
     /// Manager-role state.
     pub mgr: ManagerState,
     /// Cluster-lifetime metrics block (survives job-boundary resets);
@@ -198,6 +232,9 @@ impl NodeState {
             diff_store_bytes: 0,
             gc_epoch: 0,
             held_locks: std::collections::HashSet::new(),
+            subscribed: BTreeSet::new(),
+            published: Vec::new(),
+            arrived_seq: 0,
             mgr: ManagerState::default(),
             metrics,
             in_service: false,
@@ -531,36 +568,87 @@ impl NodeState {
     }
 
     /// The request half of arriving at barrier episode `epoch`: close the
-    /// interval and release to the barrier manager, node 0.
+    /// interval and release to the barrier manager, node 0. The arrival
+    /// carries our subscriptions, less the pages whose last delivered
+    /// update went unread, and our diffs of the published pages.
     pub fn arrive_request(&mut self, epoch: u32) -> (usize, Msg) {
         self.close_interval();
+        // A subscribed page still holding a delivered diff went unread
+        // since the last departure: a fault applies everything held, and
+        // a page whose subscription ended is delivered nothing more.
+        let pages = &self.pages;
+        self.subscribed
+            .retain(|&pid| pages[pid].held().next().is_none());
+        let updates = self.attach_updates();
         let bundle = self.release_to(0);
-        let diff_bytes = self.diff_store_bytes;
         (
             0,
             Msg::BarrierArrive {
                 epoch,
                 bundle,
-                diff_bytes,
+                diff_bytes: self.diff_store_bytes,
+                subscribed: self.subscribed.iter().copied().collect(),
+                updates,
             },
         )
     }
 
+    /// Our diffs of the published pages for the intervals closed since
+    /// the last arrival, materializing their pending twins.
+    fn attach_updates(&mut self) -> Vec<Update> {
+        let me = self.id as u32;
+        let first = std::mem::replace(&mut self.arrived_seq, self.next_seq - 1) + 1;
+        let published = &self.published;
+        let written: Vec<(PageId, IntervalId)> = self
+            .interval_log
+            .range((me, first)..=(me, u32::MAX))
+            .flat_map(|(&(node, seq), info)| {
+                let pages = info.pages.iter();
+                let pages = pages.filter(|pid| published.binary_search(pid).is_ok());
+                pages.map(move |&pid| (pid, IntervalId { node, seq }))
+            })
+            .collect();
+        let mut updates = Vec::with_capacity(written.len());
+        for (pid, id) in written {
+            if matches!(self.pages[pid].pending, Some((seq, _)) if seq == id.seq) {
+                self.materialize_pending(pid);
+            }
+            let diff = self.pages[pid].diffs[&id].clone();
+            self.count(TmkOp::DiffBytesAttached, diff.wire_bytes() as u64);
+            updates.push((pid, id, diff));
+        }
+        updates
+    }
+
     /// The reply half of a barrier: check that `msg` departs `epoch`,
-    /// acquire its bundle, and return the GC snapshot clock when the
-    /// departure starts a GC round: the bundle's clock, which the manager
-    /// gives every node alike (one tenure builds all departures).
+    /// acquire its bundle, hold the delivered diffs its notices ask for,
+    /// and return the GC snapshot clock when the departure starts a GC
+    /// round: the bundle's clock, which the manager gives every node
+    /// alike (one tenure builds all departures).
+    ///
+    /// A held diff waits in the page's `diffs` map, its notice still
+    /// unapplied and the page still invalid, until a fault applies it
+    /// with the rest of the page's set.
     pub fn on_depart(&mut self, epoch: u32, src: usize, msg: Msg) -> Option<VectorClock> {
         let Msg::BarrierDepart {
             epoch: e,
             bundle,
             gc,
+            published,
+            updates,
         } = msg
         else {
             panic!("expected BarrierDepart, got {}", msg.kind())
         };
         assert_eq!(e, epoch, "barrier episode mismatch");
         self.acquire(src, &bundle);
+        self.published = published;
+        for (pid, id, diff) in updates {
+            let meta = &mut self.pages[pid];
+            if meta.unapplied.iter().any(|r| r.id == id) {
+                meta.diffs.insert(id, diff);
+            }
+        }
         self.count(TmkOp::Barriers, 1);
         gc.then_some(bundle.pvc)
     }
@@ -634,7 +722,7 @@ impl NodeState {
     /// diff, before it wrote. A lock chain over a page thus costs one
     /// request, while truly concurrent writers (false sharing between two
     /// barriers) are all asked in the same round.
-    pub fn fault_plan(&self, pid: PageId) -> Vec<(usize, Vec<IntervalId>)> {
+    fn fault_plan(&self, pid: PageId) -> FaultPlan {
         let mut notices: Vec<&NoticeRec> = self.pages[pid].unapplied.iter().collect();
         // A dominating interval has a strictly larger timestamp sum, so in
         // descending order every notice meets its maximal dominators first.
@@ -656,14 +744,30 @@ impl NodeState {
         plan.into_iter().collect()
     }
 
+    /// A read fault's requests for `pid`: the diffs already held for its
+    /// unapplied notices (delivered at a barrier), and the fault plan
+    /// with the held ids removed, a request left empty dropped. The
+    /// fault applies both sets together.
+    pub fn fault_requests(&self, pid: PageId) -> (PageDiffs, FaultPlan) {
+        let held: PageDiffs = self.pages[pid]
+            .held()
+            .map(|(id, diff)| (id, diff.clone()))
+            .collect();
+        let mut plan = self.fault_plan(pid);
+        if !held.is_empty() {
+            for (_, ids) in &mut plan {
+                ids.retain(|id| !held.iter().any(|(h, _)| h == id));
+            }
+            plan.retain(|(_, ids)| !ids.is_empty());
+        }
+        (held, plan)
+    }
+
     /// The re-request round of a fault: the ids of `wanted` that `got`
     /// lacks (a dominating writer had not applied them — it push-wrote,
     /// or the notice arrived while its twin was open), grouped by their
     /// creator, who always holds its own diffs.
-    pub fn missing_by_creator(
-        wanted: &[IntervalId],
-        got: &[(IntervalId, Arc<Diff>)],
-    ) -> Vec<(usize, Vec<IntervalId>)> {
+    pub fn missing_by_creator(wanted: &[IntervalId], got: &[(IntervalId, Arc<Diff>)]) -> FaultPlan {
         let mut plan: BTreeMap<usize, Vec<IntervalId>> = BTreeMap::new();
         for id in wanted {
             if !got.iter().any(|(g, _)| g == id) {
@@ -1162,67 +1266,82 @@ mod tests {
         by_node.into_iter().collect()
     }
 
-    /// A cluster of `NodeState`s driven by direct calls in place of
-    /// messages, faulting with the real plan or with the oracle's.
+    /// A cluster of `NodeState`s driven by direct calls in place of the
+    /// application threads' messages; barriers run through the real
+    /// arrival, manager and departure halves.
     struct World {
         nodes: Vec<NodeState>,
-        oracle: bool,
+        /// Fault with the per-writer plan: the domination oracle.
+        per_writer: bool,
+        /// Strip the diffs attached to barrier arrivals in transit: the
+        /// pure-invalidate oracle.
+        strip: bool,
+        /// A barrier whose `arg` is a multiple of this runs a GC round.
+        gc_every: u32,
         /// Last releaser of the one lock.
         holder: usize,
+        /// Next barrier episode.
+        epoch: u32,
         /// Diff requests sent, one entry per fault.
         requests: Vec<usize>,
+        /// The page bytes every read returned, in order.
+        reads: Vec<Vec<u8>>,
     }
 
-    /// Nodes in a [`World`]: with four, a faulting node can see two
-    /// concurrent writers plus a third whose notice only one of them
-    /// dominates — the case a wrong target choice shows up in.
-    const WORLD: usize = 4;
-
     impl World {
-        fn new(oracle: bool) -> Self {
+        fn new(n: usize, per_writer: bool, strip: bool, gc_every: u32) -> Self {
             World {
-                nodes: (0..WORLD).map(|id| mk(id, WORLD)).collect(),
-                oracle,
+                nodes: (0..n).map(|id| mk(id, n)).collect(),
+                per_writer,
+                strip,
+                gc_every,
                 holder: 0,
+                epoch: 0,
                 requests: Vec::new(),
+                reads: Vec::new(),
             }
         }
 
         /// Node `f` makes `pid` readable as `Tmk::fault_pages_inner` does:
-        /// a full copy if the base is lost, the plan's requests, creator
-        /// re-requests for short replies, then one apply of the page's
-        /// whole planned set.
-        fn fault(&mut self, f: usize, pid: PageId) {
+        /// a full copy if the base is lost, the plan's requests for what
+        /// is not held, creator re-requests for short replies, then one
+        /// apply of the page's whole set, held diffs included. An
+        /// application fault subscribes the page, a GC validation does not.
+        fn fault(&mut self, f: usize, pid: PageId, subscribe: bool) {
             let nodes = &mut self.nodes;
-            if nodes[f].needs_full_fetch(pid) {
+            let full = nodes[f].needs_full_fetch(pid);
+            if full {
                 let owner = nodes[f].pages[pid].owner;
                 let (epoch, bytes) = nodes[owner].serve_page(pid);
                 nodes[f].install_page(pid, epoch, &bytes);
             }
             let mut planned: Vec<IntervalId> =
                 nodes[f].pages[pid].unapplied.iter().map(|r| r.id).collect();
+            if subscribe && (full || !planned.is_empty()) {
+                nodes[f].subscribed.insert(pid);
+            }
             if planned.is_empty() {
                 if !nodes[f].pages[pid].readable() {
                     nodes[f].finish_fault(pid);
                 }
                 return;
             }
-            let mut round = if self.oracle {
-                per_writer_plan(&nodes[f], pid)
+            let (mut got, mut round) = if self.per_writer {
+                (Vec::new(), per_writer_plan(&nodes[f], pid))
             } else {
-                nodes[f].fault_plan(pid)
+                nodes[f].fault_requests(pid)
             };
             // Every foreign id goes to a writer one of whose notices here
-            // dominates it.
+            // dominates it (held ids taken out after).
             let log = &nodes[f].interval_log;
-            for (w, ids) in round.iter().filter(|_| !self.oracle) {
+            let plan = nodes[f].fault_plan(pid);
+            for (w, ids) in plan.iter().filter(|_| !self.per_writer) {
                 let mine = ids.iter().filter(|id| id.node as usize == *w);
                 for id in ids.iter().filter(|id| id.node as usize != *w) {
                     let mut dominators = mine.clone().map(|m| &log[&(m.node, m.seq)]);
                     assert!(dominators.any(|m| m.dominates(*id)), "{id:?} sent to {w}");
                 }
             }
-            let mut got = Vec::new();
             let mut requests = 0;
             while !round.is_empty() {
                 for (w, ids) in round {
@@ -1244,9 +1363,9 @@ mod tests {
         }
 
         /// Node `to` receives every notice node `from` holds that `to`
-        /// lacks: acquired by its application thread (a grant, a
-        /// departure) or only applied by its service thread (a release
-        /// reaching a manager, a flush notice).
+        /// lacks: acquired by its application thread (a grant) or only
+        /// applied by its service thread (a release reaching a manager, a
+        /// flush notice).
         fn deliver(&mut self, from: usize, to: usize, acquire: bool) {
             let b = self.nodes[from].bundle_for(&self.nodes[to].processed_vc);
             if acquire {
@@ -1258,20 +1377,62 @@ mod tests {
 
         fn write(&mut self, k: usize, pid: PageId, off: usize, val: u8) {
             if !self.nodes[k].pages[pid].readable() {
-                self.fault(k, pid);
+                self.fault(k, pid, true);
             }
             self.nodes[k].start_write(pid);
             let r = self.nodes[k].page_range(pid);
             self.nodes[k].mem[r][off] = val;
         }
 
+        /// Every node arrives, the last arrival starting at `first`; the
+        /// manager's departures are taken; a GC round follows if the
+        /// manager calls one.
+        fn barrier(&mut self, first: usize, gc: bool) {
+            let n = self.nodes.len();
+            let epoch = self.epoch;
+            self.epoch += 1;
+            self.nodes[0].cfg.gc_every_barrier = gc;
+            let mut out = Vec::new();
+            for k in (0..n).map(|i| (first + i) % n) {
+                let (mgr, mut arrive) = self.nodes[k].arrive_request(epoch);
+                if let Msg::BarrierArrive { updates, .. } = &mut arrive {
+                    if self.strip {
+                        updates.clear();
+                    }
+                }
+                crate::service::on_request(&mut self.nodes[mgr], k, arrive, 0, &mut out);
+            }
+            assert_eq!(out.len(), n, "the last arrival releases everyone");
+            let mut snapshots = Vec::new();
+            for (k, depart) in out {
+                snapshots.extend(self.nodes[k].on_depart(epoch, 0, depart));
+            }
+            let Some(upto) = snapshots.first().cloned() else {
+                return;
+            };
+            assert_eq!(snapshots, vec![upto.clone(); n], "one snapshot for all");
+            let owners = self.nodes[0].compute_gc_owners(&upto);
+            for k in 0..n {
+                assert_eq!(self.nodes[k].processed_vc, upto);
+                assert_eq!(self.nodes[k].compute_gc_owners(&upto), owners);
+                for (&pid, _) in owners.iter().filter(|&(_, &o)| o == k) {
+                    self.fault(k, pid, false);
+                }
+            }
+            self.nodes[0].mgr.gc_in_progress = false;
+            for node in &mut self.nodes {
+                node.apply_gc_complete(&owners, &upto);
+            }
+        }
+
         /// One step of a data-race-free program over pages 0 and 1: bytes
         /// 0..16 of a page are written only under the lock, bytes
         /// `16 * (k + 1)..` only by node `k`.
         fn step(&mut self, op: u32) {
+            let n = self.nodes.len();
             let (kind, arg) = (op % 6, op / 6);
-            let k = arg as usize % WORLD;
-            let pid = (arg as usize / WORLD) % 2;
+            let k = arg as usize % n;
+            let pid = (arg as usize / n) % 2;
             let (off, val) = ((arg >> 4) as usize % 16, (arg >> 8) as u8 | 1);
             match kind {
                 // Lock-protected write: acquire, validate, write, release.
@@ -1288,77 +1449,92 @@ mod tests {
                 // The same without fetching (GC-stale pages fault first).
                 2 => {
                     if self.nodes[k].needs_full_fetch(pid) {
-                        self.fault(k, pid);
+                        self.fault(k, pid, true);
                     }
                     self.nodes[k].start_write_push(pid);
                     let r = self.nodes[k].page_range(pid);
                     self.nodes[k].mem[r][16 * (k + 1) + off] = val;
                 }
                 // Notices arriving mid-interval, open twins and all.
-                3 => self.deliver((k + 1 + off % (WORLD - 1)) % WORLD, k, val % 4 == 1),
+                3 => self.deliver((k + 1 + off % (n - 1)) % n, k, val % 4 == 1),
                 4 => {
                     if !self.nodes[k].pages[pid].readable() {
-                        self.fault(k, pid);
+                        self.fault(k, pid, true);
                     }
+                    let r = self.nodes[k].page_range(pid);
+                    self.reads.push(self.nodes[k].mem[r].to_vec());
                 }
-                // Barrier: release everything, exchange all notices, and
-                // on every third one a GC round.
-                _ => {
-                    for node in &mut self.nodes {
-                        node.close_interval();
-                    }
-                    for (from, to) in (0..WORLD).flat_map(|a| (0..WORLD).map(move |b| (a, b))) {
-                        if from != to {
-                            self.deliver(from, to, true);
-                        }
-                    }
-                    if arg % 3 == 0 {
-                        let upto = self.nodes[0].processed_vc.clone();
-                        let owners = self.nodes[0].compute_gc_owners(&upto);
-                        for k in 0..WORLD {
-                            assert_eq!(self.nodes[k].processed_vc, upto);
-                            assert_eq!(self.nodes[k].compute_gc_owners(&upto), owners);
-                            for (&pid, _) in owners.iter().filter(|&(_, &o)| o == k) {
-                                self.fault(k, pid);
-                            }
-                        }
-                        for node in &mut self.nodes {
-                            node.apply_gc_complete(&owners, &upto);
-                        }
-                    }
+                _ => self.barrier(k, arg % self.gc_every == 0),
+            }
+        }
+    }
+
+    /// Nodes in the domination proptest: with four, a faulting node can
+    /// see two concurrent writers plus a third whose notice only one of
+    /// them dominates — the case a wrong target choice shows up in.
+    const WORLD: usize = 4;
+
+    /// Run `ops` on `new` and `old` side by side: identical page bytes,
+    /// states and notices after every step, the same reads and faults,
+    /// and never more requests in a fault of `new`. With the same
+    /// transit, also the same diff storage.
+    fn differential(mut new: World, mut old: World, ops: &[u32]) {
+        for &op in ops {
+            new.step(op);
+            old.step(op);
+            for (a, b) in new.nodes.iter().zip(&old.nodes) {
+                proptest::prop_assert!(a.mem == b.mem, "node {} bytes after {:?}", a.id, op);
+                for (pa, pb) in a.pages.iter().zip(&b.pages) {
+                    proptest::prop_assert_eq!(pa.state, pb.state);
+                    proptest::prop_assert_eq!(&pa.unapplied, &pb.unapplied);
+                }
+                // Arrivals materialize the diffs of published pages, and
+                // a stripped run never drops a subscription.
+                if new.strip == old.strip {
+                    proptest::prop_assert_eq!(a.diff_store_bytes, b.diff_store_bytes);
                 }
             }
+        }
+        proptest::prop_assert!(new.reads == old.reads, "a read returned other bytes");
+        proptest::prop_assert_eq!(new.requests.len(), old.requests.len());
+        for (n, o) in new.requests.iter().zip(&old.requests) {
+            proptest::prop_assert!(n <= o, "{} requests where the oracle sent {}", n, o);
         }
     }
 
     // The dominating-writer plan against the per-writer one, over lock
     // chains, concurrent slot writes, push-writes, mid-interval notices
-    // and GC: identical page bytes and states after every step, never
-    // more requests per fault, no own-diff panic, and every fault applies
-    // its page's whole set at once (`World::fault`).
+    // and GC on every third barrier, updates stripped from both: no
+    // own-diff panic, and every fault applies its page's whole set at
+    // once (`World::fault`).
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig { cases: 300, ..Default::default() })]
         #[test]
         fn dominated_fetch_matches_the_per_writer_plan(
             ops in proptest::collection::vec(0u32..1_000_000, 0..120),
         ) {
-            let (mut new, mut old) = (World::new(false), World::new(true));
-            for &op in &ops {
-                new.step(op);
-                old.step(op);
-                for (a, b) in new.nodes.iter().zip(&old.nodes) {
-                    proptest::prop_assert!(a.mem == b.mem, "node {} bytes after {:?}", a.id, op);
-                    for (pa, pb) in a.pages.iter().zip(&b.pages) {
-                        proptest::prop_assert_eq!(pa.state, pb.state);
-                        proptest::prop_assert_eq!(&pa.unapplied, &pb.unapplied);
-                    }
-                    proptest::prop_assert_eq!(a.diff_store_bytes, b.diff_store_bytes);
-                }
-            }
-            proptest::prop_assert_eq!(new.requests.len(), old.requests.len());
-            for (n, o) in new.requests.iter().zip(&old.requests) {
-                proptest::prop_assert!(n <= o, "{} requests where the oracle sent {}", n, o);
-            }
+            let new = World::new(WORLD, false, true, 3);
+            let old = World::new(WORLD, true, true, 3);
+            differential(new, old, &ops);
+        }
+    }
+
+    // Barrier updates against the pure-invalidate protocol: the same
+    // programs on 2–4 nodes, GC at every barrier or every third, once
+    // with the diffs attached to arrivals and once with them stripped in
+    // transit. Held diffs change no byte read, and no fault asks more.
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 300, ..Default::default() })]
+        #[test]
+        fn barrier_updates_match_the_pure_invalidate_protocol(
+            n in 2usize..5,
+            every_third in 0u32..2,
+            ops in proptest::collection::vec(0u32..1_000_000, 0..160),
+        ) {
+            let gc_every = 1 + 2 * every_third;
+            let new = World::new(n, false, false, gc_every);
+            let old = World::new(n, false, true, gc_every);
+            differential(new, old, &ops);
         }
     }
 

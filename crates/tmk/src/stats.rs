@@ -111,6 +111,8 @@ tmk_ops! {
      dominating writer asked first had not applied that diff (its reply came back short)."),
     (DiffBytesRetained, diff_bytes_retained, "Wire bytes of foreign diffs retained after applying \
      them (served to later faulting nodes, dropped at GC; not GC-trigger storage)."),
+    (DiffBytesAttached, diff_bytes_attached, "Wire bytes of own diffs attached to barrier arrivals \
+     for pages other nodes subscribe to (the manager forwards them to those nodes)."),
 }
 
 #[cfg(test)]
@@ -165,7 +167,7 @@ mod tests {
             labels.split_whitespace().collect()
         }
         let ops: Vec<_> = TmkOp::ALL.iter().map(|op| op.name()).collect();
-        assert_eq!(TmkOp::COUNT, 29);
+        assert_eq!(TmkOp::COUNT, 30);
         assert_eq!(
             ops,
             pinned(
@@ -174,7 +176,7 @@ mod tests {
                  lock_acquires lock_acquires_local sema_signals sema_waits cond_waits \
                  cond_signals cond_broadcasts flushes forks gc_runs push_writes \
                  tasks_spawned tasks_executed tasks_stolen steal_attempts task_overflows \
-                 loop_steals diff_refetches diff_bytes_retained"
+                 loop_steals diff_refetches diff_bytes_retained diff_bytes_attached"
             )
         );
         let lats: Vec<_> = OpLat::ALL.iter().map(|op| op.name()).collect();
