@@ -346,10 +346,12 @@ impl Tmk {
 
     /// Bring page `pid` up to date: fetch a post-GC full copy if our base
     /// is stale, then fetch the diffs of the unapplied write notices that
-    /// a barrier did not deliver from the writers whose notices dominate
-    /// them (one request per maximal writer, all in flight at once),
-    /// apply them with the delivered ones, and make the page readable.
-    /// The page is subscribed to barrier updates from then on.
+    /// no barrier or lock grant delivered from the writers whose notices
+    /// dominate them (one request per maximal writer, all in flight at
+    /// once), apply them with the delivered ones, and make the page
+    /// readable.
+    /// The page is subscribed to barrier updates from then on, and in a
+    /// lock tenure to the updates of the lock acquired last.
     pub(crate) fn page_fault(&mut self, pid: PageId) {
         self.fault_pages(&[pid], true);
     }
@@ -360,8 +362,8 @@ impl Tmk {
     /// counts are identical to faulting page by page; only waiting
     /// overlaps (the request-aggregation effect of the compiler/runtime
     /// integration the paper cites as future work). An application
-    /// fault `subscribe`s its pages to barrier updates; a GC validation
-    /// does not, as the application may never read them.
+    /// fault `subscribe`s its pages to barrier and lock updates; a GC
+    /// validation does not, as the application may never read them.
     pub(crate) fn fault_pages(&mut self, pids: &[PageId], subscribe: bool) {
         self.timed(OpLat::PageFault, pids.len() as u64, Self::thread_vt, |s| {
             s.on_wire(|s| s.fault_pages_inner(pids, subscribe))
@@ -404,7 +406,7 @@ impl Tmk {
                         continue;
                     }
                     if subscribe {
-                        st.subscribed.insert(pid);
+                        st.subscribe(pid);
                     }
                     *faulted = true;
                 }

@@ -90,8 +90,9 @@ impl PageMeta {
         matches!(self.state, PageState::Write | PageState::WritePush)
     }
 
-    /// The diffs a barrier delivered for notices still unapplied: held
-    /// until a fault applies them with the rest of the page's set.
+    /// The diffs a barrier or lock grant delivered for notices still
+    /// unapplied: held until a fault applies them with the rest of the
+    /// page's set.
     pub fn held(&self) -> impl Iterator<Item = (IntervalId, &Arc<Diff>)> {
         let held = self.unapplied.iter();
         held.filter_map(|r| Some((r.id, self.diffs.get(&r.id)?)))

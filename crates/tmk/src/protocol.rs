@@ -32,8 +32,8 @@ impl std::fmt::Debug for Region {
     }
 }
 
-/// A diff riding a barrier message: the page, the writing interval, and
-/// the writer's encoding of it.
+/// A diff riding a barrier or lock message: the page, the writing
+/// interval, and the writer's encoding of it.
 pub type Update = (PageId, IntervalId, Arc<Diff>);
 
 /// All DSM protocol messages.
@@ -95,6 +95,12 @@ pub enum Msg {
         lock: u32,
         /// Releaser's new intervals + clock.
         bundle: NoticeBundle,
+        /// Pages the releaser subscribes to under this lock (it took a
+        /// read fault on them holding it), ascending.
+        subscribed: Vec<PageId>,
+        /// The releaser's diffs, for the interval this release closes, of
+        /// the pages its grant published.
+        updates: Vec<Update>,
     },
     /// Manager grants the lock, piggybacking consistency data.
     LockGrant {
@@ -102,6 +108,12 @@ pub enum Msg {
         lock: u32,
         /// Write notices the requester lacks.
         bundle: NoticeBundle,
+        /// Pages the other nodes subscribe to under this lock, ascending:
+        /// the ones the requester attaches its writes of at its release.
+        published: Vec<PageId>,
+        /// Other holders' diffs of the requester's subscribed pages, for
+        /// intervals in `bundle`.
+        updates: Vec<Update>,
     },
     /// Barrier arrival: a release to the centralized manager.
     BarrierArrive {
@@ -170,6 +182,11 @@ pub enum Msg {
         cond: u32,
         /// Waiter's release information (its closed interval).
         bundle: NoticeBundle,
+        /// As for [`Msg::LockRelease`]: the waiter's subscriptions under
+        /// the lock, ascending.
+        subscribed: Vec<PageId>,
+        /// As for [`Msg::LockRelease`]: its diffs of the published pages.
+        updates: Vec<Update>,
     },
     /// `cond_signal`: move one waiter to the lock queue.
     CondSignal {
@@ -235,8 +252,8 @@ pub enum Msg {
     Shutdown,
 }
 
-/// Wire bytes of what rides a barrier message: a page list, 4 bytes a
-/// page, and attached diffs, each counted as a `DiffRep` entry.
+/// Wire bytes of what rides a barrier or lock message: a page list, 4
+/// bytes a page, and attached diffs, each counted as a `DiffRep` entry.
 fn riders_wire_bytes(pages: &[PageId], updates: &[Update]) -> usize {
     4 * pages.len()
         + updates
@@ -281,8 +298,18 @@ impl Wire for Msg {
             Msg::PageReq { .. } => 12,
             Msg::PageRep { bytes, .. } => 16 + bytes.len(),
             Msg::LockAcq { vc, .. } => 12 + vc.wire_bytes(),
-            Msg::LockRelease { bundle, .. } => 8 + bundle.wire_bytes(),
-            Msg::LockGrant { bundle, .. } => 8 + bundle.wire_bytes(),
+            Msg::LockRelease {
+                bundle,
+                subscribed,
+                updates,
+                ..
+            } => 8 + bundle.wire_bytes() + riders_wire_bytes(subscribed, updates),
+            Msg::LockGrant {
+                bundle,
+                published,
+                updates,
+                ..
+            } => 8 + bundle.wire_bytes() + riders_wire_bytes(published, updates),
             Msg::BarrierArrive {
                 bundle,
                 subscribed,
@@ -299,7 +326,12 @@ impl Wire for Msg {
             Msg::SemaAck { .. } => 8,
             Msg::SemaWait { vc, .. } => 12 + vc.wire_bytes(),
             Msg::SemaGrant { bundle, .. } => 8 + bundle.wire_bytes(),
-            Msg::CondWait { bundle, .. } => 16 + bundle.wire_bytes(),
+            Msg::CondWait {
+                bundle,
+                subscribed,
+                updates,
+                ..
+            } => 16 + bundle.wire_bytes() + riders_wire_bytes(subscribed, updates),
             Msg::CondSignal { .. } | Msg::CondBroadcast { .. } => 12,
             Msg::FlushNotice { bundle } => 4 + bundle.wire_bytes(),
             Msg::FlushAck => 4,
@@ -365,6 +397,8 @@ mod tests {
         let empty = Msg::LockGrant {
             lock: 0,
             bundle: NoticeBundle::empty(vc.clone()),
+            published: vec![],
+            updates: vec![],
         };
         let full = Msg::LockGrant {
             lock: 0,
@@ -380,11 +414,13 @@ mod tests {
                 pvc: vc.clone(),
                 vc,
             },
+            published: vec![],
+            updates: vec![],
         };
         assert!(full.wire_bytes() > empty.wire_bytes());
 
-        // A barrier message grows by 4 bytes a listed page and by each
-        // attached diff as a `DiffRep` entry would.
+        // A barrier or lock message grows by 4 bytes a listed page and by
+        // each attached diff as a `DiffRep` entry would.
         let diff = Arc::new(Diff::create(&[0u8; 64], &[1u8; 64]));
         let updates = vec![(2, id(3), diff.clone()), (5, id(4), diff.clone())];
         let riders = 4 * 3 + 2 * (8 + diff.wire_bytes());
@@ -408,7 +444,41 @@ mod tests {
             updates,
         };
         let bare = depart(vec![], vec![]).wire_bytes();
-        assert_eq!(depart(vec![1, 2, 5], updates).wire_bytes(), bare + riders);
+        assert_eq!(
+            depart(vec![1, 2, 5], updates.clone()).wire_bytes(),
+            bare + riders
+        );
+        let release = |subscribed: Vec<PageId>, updates: Vec<Update>| Msg::LockRelease {
+            lock: 0,
+            bundle: NoticeBundle::empty(VectorClock::zero(8)),
+            subscribed,
+            updates,
+        };
+        let bare = release(vec![], vec![]).wire_bytes();
+        assert_eq!(
+            release(vec![1, 2, 5], updates.clone()).wire_bytes(),
+            bare + riders
+        );
+        let cond_wait = |subscribed: Vec<PageId>, updates: Vec<Update>| Msg::CondWait {
+            lock: 0,
+            cond: 0,
+            bundle: NoticeBundle::empty(VectorClock::zero(8)),
+            subscribed,
+            updates,
+        };
+        let bare = cond_wait(vec![], vec![]).wire_bytes();
+        assert_eq!(
+            cond_wait(vec![1, 2, 5], updates.clone()).wire_bytes(),
+            bare + riders
+        );
+        let grant = |published: Vec<PageId>, updates: Vec<Update>| Msg::LockGrant {
+            lock: 0,
+            bundle: NoticeBundle::empty(VectorClock::zero(8)),
+            published,
+            updates,
+        };
+        let bare = grant(vec![], vec![]).wire_bytes();
+        assert_eq!(grant(vec![1, 2, 5], updates).wire_bytes(), bare + riders);
     }
 
     #[test]

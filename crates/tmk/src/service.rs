@@ -148,7 +148,14 @@ pub(crate) fn on_request(
         Msg::LockAcq { lock, vc, req_vt } => {
             mgr_wait(st, SyncId::Lock(lock), src, vc, req_vt, out);
         }
-        Msg::LockRelease { lock, bundle } => {
+        Msg::LockRelease {
+            lock,
+            bundle,
+            subscribed,
+            updates,
+        } => {
+            let store = st.mgr.lock_updates.entry(lock).or_default();
+            store.keep(src, subscribed, updates);
             mgr_signal(st, src, SyncId::Lock(lock), &bundle, out);
         }
         Msg::BarrierArrive {
@@ -179,12 +186,20 @@ pub(crate) fn on_request(
         Msg::SemaWait { sema, vc, req_vt } => {
             mgr_wait(st, SyncId::Sema(sema), src, vc, req_vt, out);
         }
-        Msg::CondWait { lock, cond, bundle } => {
+        Msg::CondWait {
+            lock,
+            cond,
+            bundle,
+            subscribed,
+            updates,
+        } => {
             // The wait parks the caller on the condition variable and
             // releases the lock (possibly granting the next queued
             // requester).
             let waiters = st.mgr.conds.entry((lock, cond)).or_default();
             waiters.push_back((src, bundle.pvc.clone()));
+            let store = st.mgr.lock_updates.entry(lock).or_default();
+            store.keep(src, subscribed, updates);
             mgr_signal(st, src, SyncId::Lock(lock), &bundle, out);
         }
         Msg::CondSignal { lock, cond, req_vt } | Msg::CondBroadcast { lock, cond, req_vt } => {
@@ -261,7 +276,11 @@ fn mgr_signal(
     }
 }
 
-/// Grant `obj` to `dst`, with the notices its clock `vc` lacks.
+/// Grant `obj` to `dst`, with the notices its clock `vc` lacks. A lock
+/// grant also publishes the other nodes' subscriptions and forwards the
+/// kept diffs owed to `dst` ([`crate::state::LockUpdates::grant`]): those
+/// in its bundle, or all of them in a grant to this node, a free
+/// self-send whose clock covers every release this node has managed.
 fn send_grant(
     st: &mut NodeState,
     obj: SyncId,
@@ -271,7 +290,17 @@ fn send_grant(
 ) {
     let bundle = st.grant_to(dst, vc);
     let grant = match obj {
-        SyncId::Lock(lock) => Msg::LockGrant { lock, bundle },
+        SyncId::Lock(lock) => {
+            let seen = (dst != st.id).then_some(vc);
+            let store = st.mgr.lock_updates.entry(lock).or_default();
+            let (published, updates) = store.grant(dst, seen);
+            Msg::LockGrant {
+                lock,
+                bundle,
+                published,
+                updates,
+            }
+        }
         SyncId::Sema(sema) => Msg::SemaGrant { sema, bundle },
     };
     out.push((dst, grant));
@@ -332,6 +361,7 @@ mod tests {
     use crate::config::TmkConfig;
     use crate::diff::Diff;
     use crate::interval::{IntervalId, IntervalInfo};
+    use crate::protocol::Update;
     use crate::stats::{TmkOp, TmkStats};
     use crate::system::run_system;
     use now_net::VirtualClock;
@@ -384,10 +414,21 @@ mod tests {
         }
     }
 
+    /// An acquire of lock 0 by a node whose processed clock is `pvc`.
+    fn acq_at(pvc: [u32; 4]) -> Msg {
+        Msg::LockAcq {
+            lock: 0,
+            vc: VectorClock(pvc.to_vec()),
+            req_vt: 0,
+        }
+    }
+
     fn rel() -> Msg {
         Msg::LockRelease {
             lock: 0,
             bundle: bundle(),
+            subscribed: vec![],
+            updates: vec![],
         }
     }
 
@@ -396,6 +437,8 @@ mod tests {
             lock: 0,
             cond: 0,
             bundle: bundle(),
+            subscribed: vec![],
+            updates: vec![],
         }
     }
 
@@ -486,15 +529,14 @@ mod tests {
         assert_eq!(serve(&mut m, 2, rel()), NOTHING);
     }
 
-    /// A barrier arrival at episode 0: the arriver's processed clock
-    /// `pvc`, its intervals (`seq`, pages written), each written page's
-    /// diff attached, and its subscriptions.
-    fn arrive(
+    /// A release's bundle and attached diffs: the releaser's processed
+    /// clock `pvc` and its intervals (`seq`, pages written), each written
+    /// page's diff attached.
+    fn released(
         node: usize,
         pvc: [u32; 4],
         wrote: &[(u32, &[PageId])],
-        subscribed: &[PageId],
-    ) -> Msg {
+    ) -> (NoticeBundle, Vec<Update>) {
         let mut bundle = NoticeBundle::empty(VectorClock(pvc.to_vec()));
         let mut updates = Vec::new();
         for &(seq, pages) in wrote {
@@ -514,6 +556,18 @@ mod tests {
             updates.extend(pages.iter().map(|&pid| (pid, id, diff.clone())));
         }
         bundle.vc = bundle.pvc.clone();
+        (bundle, updates)
+    }
+
+    /// A barrier arrival at episode 0: [`released`]'s bundle and diffs,
+    /// and the arriver's subscriptions.
+    fn arrive(
+        node: usize,
+        pvc: [u32; 4],
+        wrote: &[(u32, &[PageId])],
+        subscribed: &[PageId],
+    ) -> Msg {
+        let (bundle, updates) = released(node, pvc, wrote);
         Msg::BarrierArrive {
             epoch: 0,
             bundle,
@@ -577,6 +631,91 @@ mod tests {
         ];
         assert_eq!(barrier, want);
         assert!(m.mgr.updates.is_empty(), "attachments live one episode");
+    }
+
+    /// A release of lock 0: [`released`]'s bundle and diffs, and the
+    /// releaser's subscriptions under the lock.
+    fn release(node: usize, wrote: &[(u32, &[PageId])], subscribed: &[PageId]) -> Msg {
+        let (bundle, updates) = released(node, [0; 4], wrote);
+        Msg::LockRelease {
+            lock: 0,
+            bundle,
+            subscribed: subscribed.to_vec(),
+            updates,
+        }
+    }
+
+    /// A grant as `(dst, kind, published pages, attached (page, id)s)`.
+    type Grant = (usize, &'static str, Vec<PageId>, Vec<(PageId, IntervalId)>);
+
+    fn grants(st: &mut NodeState, src: usize, msg: Msg) -> Vec<Grant> {
+        let mut out = Vec::new();
+        on_request(st, src, msg, 0, &mut out);
+        let grant = |(dst, m): (usize, Msg)| {
+            let Msg::LockGrant {
+                published, updates, ..
+            } = &m
+            else {
+                panic!("expected a grant, got {}", m.kind())
+            };
+            let attached = updates.iter().map(|(pid, id, _)| (*pid, *id)).collect();
+            (dst, m.kind(), published.clone(), attached)
+        };
+        out.into_iter().map(grant).collect()
+    }
+
+    #[test]
+    fn a_grant_forwards_the_kept_diffs_of_its_subscribed_pages_in_its_bundle() {
+        let mut m = manager();
+        let id = |node, seq| IntervalId { node, seq };
+        let kind = "lock_grant";
+        // Nodes 1 and 2 subscribe to page 0 under the lock, node 3 to
+        // pages 0 and 1. Nothing is written yet, so nothing is kept.
+        for (node, subscribed) in [(1, &[0][..]), (2, &[0]), (3, &[0, 1])] {
+            assert_eq!(grants(&mut m, node, acq(0)).len(), 1);
+            assert_eq!(grants(&mut m, node, release(node, &[], subscribed)), []);
+        }
+        // Node 1's grant publishes the others' union; its writes of both
+        // pages are kept for their subscribers (page 1: node 3 only).
+        let want = (1, kind, vec![0, 1], vec![]);
+        assert_eq!(grants(&mut m, 1, acq(0)), [want]);
+        assert_eq!(grants(&mut m, 1, release(1, &[(1, &[0, 1])], &[0])), []);
+        // Node 2 gets node 1's page-0 diff, not the page-1 one.
+        let want = (2, kind, vec![0, 1], vec![(0, id(1, 1))]);
+        assert_eq!(grants(&mut m, 2, acq(0)), [want]);
+        assert_eq!(grants(&mut m, 2, release(2, &[(1, &[0])], &[0])), []);
+        // Node 1 gets node 2's diff, never its own two, which stay kept
+        // for node 3.
+        let want = (1, kind, vec![0, 1], vec![(0, id(2, 1))]);
+        assert_eq!(grants(&mut m, 1, acq(0)), [want]);
+        assert_eq!(grants(&mut m, 1, release(1, &[], &[0])), []);
+        let kept = |m: &NodeState| m.mgr.lock_updates[&0].kept.len();
+        assert_eq!(kept(&m), 3);
+        // Node 3 acquired node 1's interval elsewhere: its clock covers
+        // it, so only node 2's diff is in its bundle. Every subscriber
+        // has now been granted past every kept diff: none is left.
+        let want = (3, kind, vec![0], vec![(0, id(2, 1))]);
+        assert_eq!(grants(&mut m, 3, acq_at([0, 1, 0, 0])), [want]);
+        assert_eq!(kept(&m), 0);
+    }
+
+    #[test]
+    fn a_grant_to_the_manager_forwards_every_diff_owed_to_it() {
+        let mut m = manager();
+        // The manager subscribes to page 0 under its lock; node 1 writes
+        // the page in its tenure.
+        assert_eq!(grants(&mut m, 0, acq(0)).len(), 1);
+        assert_eq!(grants(&mut m, 0, release(0, &[], &[0])), []);
+        assert_eq!(grants(&mut m, 1, acq(0)).len(), 1);
+        assert_eq!(grants(&mut m, 1, release(1, &[(1, &[0])], &[])), []);
+        // The release logged node 1's interval here, so the manager's own
+        // clock covers it; its free self-send carries the diff all the same.
+        assert!(m.processed_vc.covers(1, 1));
+        let pvc = m.processed_vc.0.clone().try_into().expect("four nodes");
+        let grant = grants(&mut m, 0, acq_at(pvc));
+        let id = IntervalId { node: 1, seq: 1 };
+        assert_eq!(grant, [(0, "lock_grant", vec![], vec![(0, id)])]);
+        assert_eq!(m.mgr.lock_updates[&0].kept.len(), 0);
     }
 
     #[test]
@@ -690,7 +829,7 @@ mod tests {
             let st = &mut self.nodes[k];
             if !st.pages[PAGE].unapplied.is_empty() {
                 st.count(TmkOp::ReadFaults, 1);
-                st.subscribed.insert(PAGE);
+                st.subscribe(PAGE);
                 let (mut got, plan) = st.fault_requests(PAGE);
                 let asked = plan.len();
                 for (w, ids) in plan {

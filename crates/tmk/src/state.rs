@@ -93,6 +93,81 @@ pub struct Arrival {
     pub subscribed: Vec<PageId>,
 }
 
+/// One lock's updates as its manager keeps them: who subscribes to what,
+/// and the diffs releases attached, until every subscriber of a diff's
+/// page has been granted past it.
+#[derive(Debug, Default)]
+pub struct LockUpdates {
+    /// Each node's pages under the lock, ascending, as its last release
+    /// reported them (absent when empty).
+    pub subscribed: BTreeMap<usize, Vec<PageId>>,
+    /// Attached diffs, each with the subscribers of its page not yet
+    /// granted the lock since it was attached.
+    pub kept: Vec<(Update, Vec<usize>)>,
+}
+
+impl LockUpdates {
+    /// A release by `src`: record its subscriptions, and keep each diff
+    /// it attached for the other nodes that subscribe to the diff's page.
+    pub fn keep(&mut self, src: usize, subscribed: Vec<PageId>, updates: Vec<Update>) {
+        if subscribed.is_empty() {
+            self.subscribed.remove(&src);
+        } else {
+            self.subscribed.insert(src, subscribed);
+        }
+        for update in updates {
+            let subscribes = |(&k, pages): (&usize, &Vec<PageId>)| {
+                (k != src && pages.binary_search(&update.0).is_ok()).then_some(k)
+            };
+            let owed: Vec<usize> = self.subscribed.iter().filter_map(subscribes).collect();
+            if !owed.is_empty() {
+                self.kept.push((update, owed));
+            }
+        }
+    }
+
+    /// The riders of a grant to `dst`: the pages the other nodes
+    /// subscribe to, and every kept diff owed to `dst` whose interval is
+    /// in the grant's bundle, meaning `seen`, the clock `dst`'s request
+    /// reported, does not cover it (`None`: every diff owed). Owed
+    /// means `dst` subscribes to the page, did not write the diff, and
+    /// has not been granted the lock since the diff was kept; a
+    /// subscription changes only at its node's release, so no other kept
+    /// diff meets the three. `dst` is then granted past every kept diff,
+    /// and one owed to nobody is dropped.
+    pub fn grant(&mut self, dst: usize, seen: Option<&VectorClock>) -> (Vec<PageId>, Vec<Update>) {
+        let others = self.subscribed.iter().filter(|&(&k, _)| k != dst);
+        let published: BTreeSet<PageId> = others.flat_map(|(_, p)| p.iter().copied()).collect();
+        let mut updates = Vec::new();
+        self.kept.retain_mut(|(update, owed)| {
+            if let Some(i) = owed.iter().position(|&k| k == dst) {
+                owed.swap_remove(i);
+                let id = update.1;
+                if !seen.is_some_and(|vc| vc.covers(id.node as usize, id.seq)) {
+                    updates.push(update.clone());
+                }
+            }
+            !owed.is_empty()
+        });
+        (published.into_iter().collect(), updates)
+    }
+}
+
+/// A lock's updates as one node sees them.
+#[derive(Debug, Default)]
+pub struct LockSubscription {
+    /// The pages this node took a read fault on while the lock was the
+    /// one it acquired last of those it held. Sticky; a page is dropped
+    /// at a release when the diffs this tenure's grant delivered for it
+    /// are still held.
+    pub subscribed: BTreeSet<PageId>,
+    /// The pages the other nodes subscribe to, as this tenure's grant
+    /// published them (ascending): the release attaches its diffs of them.
+    pub published: Vec<PageId>,
+    /// The diffs this tenure's grant delivered that the node holds.
+    pub delivered: Vec<(PageId, IntervalId)>,
+}
+
 /// State for the manager roles this node plays (barrier manager on node
 /// 0, lock/semaphore managers by id modulo node count).
 #[derive(Debug, Default)]
@@ -113,6 +188,8 @@ pub struct ManagerState {
     pub gc_in_progress: bool,
     /// Lock and semaphore queues.
     pub queues: HashMap<SyncId, MgrQueue>,
+    /// Lock-grant updates, by lock.
+    pub lock_updates: HashMap<u32, LockUpdates>,
     /// Condition-variable wait queues, keyed by (lock, cond).
     pub conds: HashMap<(u32, u32), VecDeque<(usize, VectorClock)>>,
 }
@@ -179,9 +256,12 @@ pub struct NodeState {
     pub diff_store_bytes: u64,
     /// GC epoch (incremented on GcComplete).
     pub gc_epoch: u32,
-    /// Locks this node's application thread currently holds (sanity
-    /// checking only — the authoritative state lives at the managers).
-    pub held_locks: std::collections::HashSet<u32>,
+    /// Locks this node's application thread currently holds, in
+    /// acquire order (the authoritative state lives at the managers): a
+    /// read fault subscribes its page to the last one.
+    pub held_locks: Vec<u32>,
+    /// Lock-grant updates: this node's subscriptions, by lock.
+    pub lock_subs: HashMap<u32, LockSubscription>,
     /// Barrier updates: the pages this node took a read fault on. A
     /// subscription is sticky; it ends at the arrival after a departure
     /// whose update for the page went unread.
@@ -231,7 +311,8 @@ impl NodeState {
             known_vc: vec![VectorClock::zero(n); n],
             diff_store_bytes: 0,
             gc_epoch: 0,
-            held_locks: std::collections::HashSet::new(),
+            held_locks: Vec::new(),
+            lock_subs: HashMap::new(),
             subscribed: BTreeSet::new(),
             published: Vec::new(),
             arrived_seq: 0,
@@ -505,22 +586,39 @@ impl NodeState {
     /// The request half of a release to `obj`'s manager: a lock release,
     /// a semaphore signal, or, with `cond`, a wait on that condition
     /// variable, which releases lock `obj`. Closes the interval and sends
-    /// the manager the notices it lacks.
+    /// the manager the notices it lacks; a lock release also carries our
+    /// subscriptions under the lock and our diffs of its published pages.
     pub fn signal_request(&mut self, obj: SyncId, cond: Option<u32>) -> (usize, Msg) {
         if let SyncId::Lock(lock) = obj {
-            assert!(
-                self.held_locks.remove(&lock),
-                "release of lock {lock} without holding it"
-            );
+            let held = self.held_locks.iter().rposition(|&l| l == lock);
+            let held = held.unwrap_or_else(|| panic!("release of lock {lock} without holding it"));
+            self.held_locks.remove(held);
         }
+        let first = self.next_seq;
         self.close_interval();
         let mgr = self.manager_of(obj);
         let bundle = self.release_to(mgr);
         let msg = match (obj, cond) {
-            (SyncId::Lock(lock), None) => Msg::LockRelease { lock, bundle },
-            (SyncId::Lock(lock), Some(cond)) => {
-                self.count(TmkOp::CondWaits, 1);
-                Msg::CondWait { lock, cond, bundle }
+            (SyncId::Lock(lock), cond) => {
+                let (subscribed, updates) = self.release_riders(lock, first);
+                match cond {
+                    None => Msg::LockRelease {
+                        lock,
+                        bundle,
+                        subscribed,
+                        updates,
+                    },
+                    Some(cond) => {
+                        self.count(TmkOp::CondWaits, 1);
+                        Msg::CondWait {
+                            lock,
+                            cond,
+                            bundle,
+                            subscribed,
+                            updates,
+                        }
+                    }
+                }
             }
             (SyncId::Sema(sema), None) => {
                 self.count(TmkOp::SemaSignals, 1);
@@ -531,21 +629,74 @@ impl NodeState {
         (mgr, msg)
     }
 
-    /// The reply half of a lock acquire, semaphore wait or condition
-    /// wait: check that `msg` grants `obj`, and acquire its bundle.
-    pub fn on_grant(&mut self, obj: SyncId, src: usize, msg: Msg) {
-        let bundle = match msg {
-            Msg::LockGrant { lock, bundle } if obj == SyncId::Lock(lock) => bundle,
-            Msg::SemaGrant { sema, bundle } if obj == SyncId::Sema(sema) => bundle,
-            other => panic!("expected a grant of {obj:?}, got {}", other.kind()),
-        };
-        self.acquire(src, &bundle);
-        match obj {
-            SyncId::Lock(lock) => {
-                self.held_locks.insert(lock);
-            }
-            SyncId::Sema(_) => self.count(TmkOp::SemaWaits, 1),
+    /// The riders of a release of `lock` whose intervals start at seq
+    /// `first`: our subscriptions under the lock, less the pages whose
+    /// diffs this tenure's grant delivered went unread, and our diffs of
+    /// the pages the grant published.
+    fn release_riders(&mut self, lock: u32, first: u32) -> (Vec<PageId>, Vec<Update>) {
+        let sub = self.lock_subs.entry(lock).or_default();
+        let pages = &self.pages;
+        let delivered = std::mem::take(&mut sub.delivered);
+        let unread = |&(pid, id): &(PageId, IntervalId)| pages[pid].held().any(|(h, _)| h == id);
+        for (pid, _) in delivered.into_iter().filter(unread) {
+            sub.subscribed.remove(&pid);
         }
+        let subscribed = sub.subscribed.iter().copied().collect();
+        let published = std::mem::take(&mut sub.published);
+        (subscribed, self.attach_updates(first, &published))
+    }
+
+    /// The reply half of a lock acquire, semaphore wait or condition
+    /// wait: check that `msg` grants `obj`, acquire its bundle, and hold
+    /// the delivered diffs of a lock grant as [`NodeState::on_depart`]
+    /// does.
+    pub fn on_grant(&mut self, obj: SyncId, src: usize, msg: Msg) {
+        match msg {
+            Msg::LockGrant {
+                lock,
+                bundle,
+                published,
+                updates,
+            } if obj == SyncId::Lock(lock) => {
+                self.acquire(src, &bundle);
+                let delivered = self.hold(updates);
+                let sub = self.lock_subs.entry(lock).or_default();
+                sub.published = published;
+                sub.delivered = delivered;
+                self.held_locks.push(lock);
+            }
+            Msg::SemaGrant { sema, bundle } if obj == SyncId::Sema(sema) => {
+                self.acquire(src, &bundle);
+                self.count(TmkOp::SemaWaits, 1);
+            }
+            other => panic!("expected a grant of {obj:?}, got {}", other.kind()),
+        }
+    }
+
+    /// A read fault on `pid`: subscribe it to barrier updates and, in a
+    /// lock tenure, to the updates of the lock acquired last.
+    pub fn subscribe(&mut self, pid: PageId) {
+        self.subscribed.insert(pid);
+        if let Some(&lock) = self.held_locks.last() {
+            let sub = self.lock_subs.entry(lock).or_default();
+            sub.subscribed.insert(pid);
+        }
+    }
+
+    /// Hold each delivered diff whose notice its page holds unapplied, in
+    /// the page's `diffs` map: nothing is applied and the page stays
+    /// invalid until a fault applies it with the rest of the page's set.
+    /// Returns the held `(page, interval)`s.
+    fn hold(&mut self, updates: Vec<Update>) -> Vec<(PageId, IntervalId)> {
+        let mut held = Vec::new();
+        for (pid, id, diff) in updates {
+            let meta = &mut self.pages[pid];
+            if meta.unapplied.iter().any(|r| r.id == id) {
+                meta.diffs.insert(id, diff);
+                held.push((pid, id));
+            }
+        }
+        held
     }
 
     /// The request half of a condition signal (with `all`, a broadcast)
@@ -579,7 +730,9 @@ impl NodeState {
         let pages = &self.pages;
         self.subscribed
             .retain(|&pid| pages[pid].held().next().is_none());
-        let updates = self.attach_updates();
+        let first = std::mem::replace(&mut self.arrived_seq, self.next_seq - 1) + 1;
+        let published = std::mem::take(&mut self.published);
+        let updates = self.attach_updates(first, &published);
         let bundle = self.release_to(0);
         (
             0,
@@ -593,12 +746,10 @@ impl NodeState {
         )
     }
 
-    /// Our diffs of the published pages for the intervals closed since
-    /// the last arrival, materializing their pending twins.
-    fn attach_updates(&mut self) -> Vec<Update> {
+    /// Our diffs of the `published` pages for our intervals from seq
+    /// `first` on, materializing their pending twins.
+    fn attach_updates(&mut self, first: u32, published: &[PageId]) -> Vec<Update> {
         let me = self.id as u32;
-        let first = std::mem::replace(&mut self.arrived_seq, self.next_seq - 1) + 1;
-        let published = &self.published;
         let written: Vec<(PageId, IntervalId)> = self
             .interval_log
             .range((me, first)..=(me, u32::MAX))
@@ -621,14 +772,10 @@ impl NodeState {
     }
 
     /// The reply half of a barrier: check that `msg` departs `epoch`,
-    /// acquire its bundle, hold the delivered diffs its notices ask for,
-    /// and return the GC snapshot clock when the departure starts a GC
-    /// round: the bundle's clock, which the manager gives every node
-    /// alike (one tenure builds all departures).
-    ///
-    /// A held diff waits in the page's `diffs` map, its notice still
-    /// unapplied and the page still invalid, until a fault applies it
-    /// with the rest of the page's set.
+    /// acquire its bundle, hold the delivered diffs its notices ask for
+    /// ([`NodeState::hold`]), and return the GC snapshot clock when the
+    /// departure starts a GC round: the bundle's clock, which the manager
+    /// gives every node alike (one tenure builds all departures).
     pub fn on_depart(&mut self, epoch: u32, src: usize, msg: Msg) -> Option<VectorClock> {
         let Msg::BarrierDepart {
             epoch: e,
@@ -643,12 +790,7 @@ impl NodeState {
         assert_eq!(e, epoch, "barrier episode mismatch");
         self.acquire(src, &bundle);
         self.published = published;
-        for (pid, id, diff) in updates {
-            let meta = &mut self.pages[pid];
-            if meta.unapplied.iter().any(|r| r.id == id) {
-                meta.diffs.insert(id, diff);
-            }
-        }
+        self.hold(updates);
         self.count(TmkOp::Barriers, 1);
         gc.then_some(bundle.pvc)
     }
@@ -745,9 +887,9 @@ impl NodeState {
     }
 
     /// A read fault's requests for `pid`: the diffs already held for its
-    /// unapplied notices (delivered at a barrier), and the fault plan
-    /// with the held ids removed, a request left empty dropped. The
-    /// fault applies both sets together.
+    /// unapplied notices (delivered at a barrier or lock grant), and the
+    /// fault plan with the held ids removed, a request left empty
+    /// dropped. The fault applies both sets together.
     pub fn fault_requests(&self, pid: PageId) -> (PageDiffs, FaultPlan) {
         let held: PageDiffs = self.pages[pid]
             .held()
@@ -1033,6 +1175,13 @@ impl NodeState {
         for kv in &mut self.known_vc {
             kv.merge(upto);
         }
+        // A kept lock diff the snapshot covers is applied or dropped
+        // everywhere, and no later grant's bundle holds its interval.
+        for store in self.mgr.lock_updates.values_mut() {
+            store
+                .kept
+                .retain(|((_, id, _), _)| !upto.covers(id.node as usize, id.seq));
+        }
         // Post-snapshot diffs survive the GC; recount what is actually
         // still cached.
         let me = self.id as u32;
@@ -1267,19 +1416,17 @@ mod tests {
     }
 
     /// A cluster of `NodeState`s driven by direct calls in place of the
-    /// application threads' messages; barriers run through the real
-    /// arrival, manager and departure halves.
+    /// application threads' messages; locks and barriers run through the
+    /// real request, manager and reply halves.
     struct World {
         nodes: Vec<NodeState>,
         /// Fault with the per-writer plan: the domination oracle.
         per_writer: bool,
-        /// Strip the diffs attached to barrier arrivals in transit: the
-        /// pure-invalidate oracle.
+        /// Strip the diffs attached to barrier arrivals and lock releases
+        /// in transit: the pure-invalidate oracle.
         strip: bool,
         /// A barrier whose `arg` is a multiple of this runs a GC round.
         gc_every: u32,
-        /// Last releaser of the one lock.
-        holder: usize,
         /// Next barrier episode.
         epoch: u32,
         /// Diff requests sent, one entry per fault.
@@ -1295,7 +1442,6 @@ mod tests {
                 per_writer,
                 strip,
                 gc_every,
-                holder: 0,
                 epoch: 0,
                 requests: Vec::new(),
                 reads: Vec::new(),
@@ -1318,7 +1464,7 @@ mod tests {
             let mut planned: Vec<IntervalId> =
                 nodes[f].pages[pid].unapplied.iter().map(|r| r.id).collect();
             if subscribe && (full || !planned.is_empty()) {
-                nodes[f].subscribed.insert(pid);
+                nodes[f].subscribe(pid);
             }
             if planned.is_empty() {
                 if !nodes[f].pages[pid].readable() {
@@ -1375,6 +1521,47 @@ mod tests {
             }
         }
 
+        /// Hand `msg` from `src` to its manager `mgr`'s handler, attached
+        /// diffs stripped in transit if the world strips them: what the
+        /// manager sends.
+        fn serve(&mut self, src: usize, (mgr, mut msg): (usize, Msg)) -> Vec<(usize, Msg)> {
+            if self.strip {
+                if let Msg::BarrierArrive { updates, .. }
+                | Msg::LockRelease { updates, .. }
+                | Msg::CondWait { updates, .. } = &mut msg
+                {
+                    updates.clear();
+                }
+            }
+            let mut out = Vec::new();
+            crate::service::on_request(&mut self.nodes[mgr], src, msg, 0, &mut out);
+            out
+        }
+
+        /// Take `grants` (one of `lock`, to a node that asked for it).
+        fn take_grants(&mut self, lock: u32, grants: Vec<(usize, Msg)>) {
+            let mgr = self.nodes[0].manager_of(SyncId::Lock(lock));
+            for (k, grant) in grants {
+                self.nodes[k].on_grant(SyncId::Lock(lock), mgr, grant);
+            }
+        }
+
+        /// Node `k` acquires `lock`, which is free.
+        fn acquire(&mut self, k: usize, lock: u32) {
+            let req = self.nodes[k].wait_request(SyncId::Lock(lock));
+            let grants = self.serve(k, req);
+            assert_eq!(grants.len(), 1, "a free lock is granted at once");
+            self.take_grants(lock, grants);
+        }
+
+        /// Node `k` releases `lock`, or with `cond` waits on it; a queued
+        /// node takes the grant.
+        fn release(&mut self, k: usize, lock: u32, cond: Option<u32>) {
+            let rel = self.nodes[k].signal_request(SyncId::Lock(lock), cond);
+            let grants = self.serve(k, rel);
+            self.take_grants(lock, grants);
+        }
+
         fn write(&mut self, k: usize, pid: PageId, off: usize, val: u8) {
             if !self.nodes[k].pages[pid].readable() {
                 self.fault(k, pid, true);
@@ -1394,13 +1581,8 @@ mod tests {
             self.nodes[0].cfg.gc_every_barrier = gc;
             let mut out = Vec::new();
             for k in (0..n).map(|i| (first + i) % n) {
-                let (mgr, mut arrive) = self.nodes[k].arrive_request(epoch);
-                if let Msg::BarrierArrive { updates, .. } = &mut arrive {
-                    if self.strip {
-                        updates.clear();
-                    }
-                }
-                crate::service::on_request(&mut self.nodes[mgr], k, arrive, 0, &mut out);
+                let arrive = self.nodes[k].arrive_request(epoch);
+                out.extend(self.serve(k, arrive));
             }
             assert_eq!(out.len(), n, "the last arrival releases everyone");
             let mut snapshots = Vec::new();
@@ -1426,8 +1608,8 @@ mod tests {
         }
 
         /// One step of a data-race-free program over pages 0 and 1: bytes
-        /// 0..16 of a page are written only under the lock, bytes
-        /// `16 * (k + 1)..` only by node `k`.
+        /// 0..16 of a page are written only under lock 0, bytes 96..112
+        /// only under lock 1, bytes `16 * (k + 1)..` only by node `k`.
         fn step(&mut self, op: u32) {
             let n = self.nodes.len();
             let (kind, arg) = (op % 6, op / 6);
@@ -1435,15 +1617,42 @@ mod tests {
             let pid = (arg as usize / n) % 2;
             let (off, val) = ((arg >> 4) as usize % 16, (arg >> 8) as u8 | 1);
             match kind {
-                // Lock-protected write: acquire, validate, write, release.
-                0 => {
-                    if self.holder != k {
-                        self.deliver(self.holder, k, true);
+                // Lock-protected writes: acquire, validate, write, release.
+                0 => match (arg >> 10) % 4 {
+                    // Under lock 0 or lock 1.
+                    0 | 1 => {
+                        let lock = (arg >> 10) % 2;
+                        self.acquire(k, lock);
+                        self.write(k, pid, 96 * lock as usize + off, val);
+                        self.release(k, lock, None);
                     }
-                    self.write(k, pid, off, val);
-                    self.nodes[k].close_interval();
-                    self.holder = k;
-                }
+                    // Under both, nested: the fault subscribes lock 1.
+                    2 => {
+                        self.acquire(k, 0);
+                        self.acquire(k, 1);
+                        self.write(k, pid, off, val);
+                        self.write(k, pid, 96 + off, val);
+                        self.release(k, 1, None);
+                        self.release(k, 0, None);
+                    }
+                    // A condition wait: `k` writes and waits; `j` takes the
+                    // lock, writes the other page, signals and releases,
+                    // which grants the lock back to `k`, who writes again.
+                    _ => {
+                        let j = (k + 1) % n;
+                        self.acquire(k, 0);
+                        self.write(k, pid, off, val);
+                        self.release(k, 0, Some(0));
+                        self.acquire(j, 0);
+                        self.write(j, 1 - pid, off, val);
+                        let (mgr, signal) = self.nodes[j].notify_request(0, 0, false);
+                        assert!(self.serve(j, (mgr, signal)).is_empty());
+                        self.release(j, 0, None);
+                        assert_eq!(self.nodes[k].held_locks, [0], "the grant came back");
+                        self.write(k, pid, (off + 1) % 16, val);
+                        self.release(k, 0, None);
+                    }
+                },
                 // A write to the node's own slot, interval left open.
                 1 => self.write(k, pid, 16 * (k + 1) + off, val),
                 // The same without fetching (GC-stale pages fault first).
@@ -1519,10 +1728,12 @@ mod tests {
         }
     }
 
-    // Barrier updates against the pure-invalidate protocol: the same
-    // programs on 2–4 nodes, GC at every barrier or every third, once
-    // with the diffs attached to arrivals and once with them stripped in
-    // transit. Held diffs change no byte read, and no fault asks more.
+    // Barrier and lock-grant updates against the pure-invalidate
+    // protocol: the same programs on 2–4 nodes (lock steps alone, nested
+    // and through a condition wait), GC at every barrier or every third,
+    // once with the diffs attached to arrivals and releases and once
+    // with them stripped in transit. Held diffs change no byte read, and
+    // no fault asks more.
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig { cases: 300, ..Default::default() })]
         #[test]

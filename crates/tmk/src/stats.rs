@@ -112,7 +112,8 @@ tmk_ops! {
     (DiffBytesRetained, diff_bytes_retained, "Wire bytes of foreign diffs retained after applying \
      them (served to later faulting nodes, dropped at GC; not GC-trigger storage)."),
     (DiffBytesAttached, diff_bytes_attached, "Wire bytes of own diffs attached to barrier arrivals \
-     for pages other nodes subscribe to (the manager forwards them to those nodes)."),
+     and lock releases for pages other nodes subscribe to (the manager forwards them to those \
+     nodes)."),
 }
 
 #[cfg(test)]

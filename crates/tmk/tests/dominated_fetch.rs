@@ -3,6 +3,8 @@
 //! chain, every concurrent writer in one round, and a re-request to the
 //! creator when a dominating writer never applied the diff (push-write).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use tmk::{run_system, TmkConfig, TmkOp};
 
 fn diff_reqs<R>(out: &tmk::RunOutcome<R>) -> u64 {
@@ -14,26 +16,51 @@ fn lock_chain_costs_one_request_per_fault() {
     // Four nodes take turns on one lock-protected counter: whoever faults
     // on its page finds the last holder's interval dominating every
     // missing notice, and that holder applied them all before writing.
-    let out = run_system(TmkConfig::fast_test(4), |tmk| {
+    // That is a node's first fault; it also subscribes the page to the
+    // lock, so every later one finds the chain's diffs held, delivered
+    // with the grant, and asks nobody (lock_updates.rs). A node whose
+    // tenures all follow its own never faults in the region, and the
+    // master's read after it faults unless the master held the lock last.
+    let faulted = Arc::new(AtomicU64::new(0));
+    let learners = faulted.clone();
+    let out = run_system(TmkConfig::fast_test(4), move |tmk| {
         let counter = tmk.malloc_scalar::<u64>(0);
+        let learners = learners.clone();
         tmk.parallel(0, move |t| {
+            let before = faults(t);
             for _ in 0..25 {
                 t.lock_acquire(1);
                 let c = counter.get(t);
                 counter.set(t, c + 1);
                 t.lock_release(1);
             }
+            if faults(t) > before {
+                learners.fetch_add(1, Ordering::Relaxed);
+            }
         });
-        counter.get(tmk)
+        let before = faults(tmk);
+        (counter.get(tmk), faults(tmk) - before)
     });
-    assert_eq!(out.result, 100);
-    assert!(out.dsm.read_faults > 0);
-    assert_eq!(diff_reqs(&out), out.dsm.read_faults, "{:?}", out.dsm);
+    let (count, last_read) = out.result;
+    let learners = faulted.load(Ordering::Relaxed);
+    assert_eq!(count, 100);
+    assert!(out.dsm.read_faults > learners + last_read);
+    assert_eq!(
+        diff_reqs(&out),
+        learners + last_read,
+        "one request per first fault and the last read: {:?}",
+        out.dsm
+    );
     assert_eq!(out.dsm.diff_refetches, 0);
     assert!(
         out.dsm.diff_bytes_retained > 0,
         "holders kept what they applied"
     );
+}
+
+/// Read faults the calling node has taken so far.
+fn faults(t: &tmk::Tmk) -> u64 {
+    t.metrics().op(TmkOp::ReadFaults).get()
 }
 
 #[test]
@@ -154,13 +181,7 @@ fn a_full_page_fetch_is_one_read_fault() {
                 t.write(&v, 3, 7);
             }
         });
-        let count = |t: &tmk::Tmk| {
-            let m = t.metrics();
-            (
-                m.op(TmkOp::ReadFaults).get(),
-                m.op(TmkOp::PageFetches).get(),
-            )
-        };
+        let count = |t: &tmk::Tmk| (faults(t), t.metrics().op(TmkOp::PageFetches).get());
         let before = count(tmk);
         let x = tmk.read(&v, 3);
         let after = count(tmk);
