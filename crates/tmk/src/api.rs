@@ -14,8 +14,8 @@
 use crate::addr::{AllocTable, PageId};
 use crate::interval::IntervalId;
 use crate::metrics::{NodeMetrics, OpLat};
-use crate::protocol::{Msg, Region};
-use crate::state::{NodeState, PageDiffs, SyncId};
+use crate::protocol::{Msg, PageDiffs, Region};
+use crate::state::{NodeState, SyncId};
 use crate::stats::TmkOp;
 use crossbeam::channel::Receiver;
 use crossbeam::utils::Backoff;
@@ -346,10 +346,13 @@ impl Tmk {
 
     /// Bring page `pid` up to date: fetch a post-GC full copy if our base
     /// is stale, then fetch the diffs of the unapplied write notices that
-    /// no barrier or lock grant delivered from the writers whose notices
-    /// dominate them (one request per maximal writer, all in flight at
-    /// once), apply them with the delivered ones, and make the page
-    /// readable.
+    /// no barrier, lock grant or earlier fault delivered from the writers
+    /// whose notices dominate them (one request per maximal writer, all
+    /// in flight at once), apply them with the delivered ones, and make
+    /// the page readable. Each request also asks for the page's
+    /// siblings, the other invalid pages the named intervals wrote
+    /// ([`NodeState::fault_requests`]), whose diffs are held for their
+    /// own faults.
     /// The page is subscribed to barrier updates from then on, and in a
     /// lock tenure to the updates of the lock acquired last.
     pub(crate) fn page_fault(&mut self, pid: PageId) {
@@ -358,12 +361,15 @@ impl Tmk {
 
     /// Fault a batch of pages with all requests in flight concurrently —
     /// a bulk access (e.g. reading a whole slab) pays one round-trip
-    /// latency for the entire batch instead of one per page. Message
-    /// counts are identical to faulting page by page; only waiting
-    /// overlaps (the request-aggregation effect of the compiler/runtime
-    /// integration the paper cites as future work). An application
-    /// fault `subscribe`s its pages to barrier and lock updates; a GC
-    /// validation does not, as the application may never read them.
+    /// latency for the entire batch instead of one per page, and each
+    /// writer is sent one request per round for all the pages it is
+    /// asked about, so a batch never sends more messages than faulting
+    /// its pages one by one would. This is at run time the request
+    /// aggregation of the compiler/runtime integration the paper cites
+    /// as future work, taken from the write notices instead of the
+    /// compiler. An application fault `subscribe`s its pages to barrier
+    /// and lock updates and asks for siblings; a GC validation does
+    /// neither, as the application may never read those pages.
     pub(crate) fn fault_pages(&mut self, pids: &[PageId], subscribe: bool) {
         self.timed(OpLat::PageFault, pids.len() as u64, Self::thread_vt, |s| {
             s.on_wire(|s| s.fault_pages_inner(pids, subscribe))
@@ -376,29 +382,23 @@ impl Tmk {
         // however many rounds it took.
         let mut faulted = vec![false; pids.len()];
         loop {
-            // Classify every page under one lock round. Per page: every
-            // id requested for it, and the diffs here so far — held ones
-            // first. A page is applied only once its whole set is here.
+            // Classify every page under one lock round. Per faulted page:
+            // every id requested for it, and the diffs here so far — held
+            // ones first. A page is applied only once its whole set is
+            // here; a sibling's diffs are held for a later fault.
             let mut full: Vec<(PageId, usize)> = Vec::new();
-            let mut round: Vec<(PageId, usize, Vec<IntervalId>)> = Vec::new();
             let mut by_page: BTreeMap<PageId, (Vec<IntervalId>, PageDiffs)> = BTreeMap::new();
-            {
+            let mut round = {
                 let mut st = self.state.lock();
                 st.sync_alloc();
+                let mut fetch = Vec::new();
                 for (&pid, faulted) in pids.iter().zip(&mut faulted) {
                     if st.needs_full_fetch(pid) {
                         let owner = st.pages[pid].owner;
                         debug_assert_ne!(owner, self.id, "owner never full-fetches");
                         full.push((pid, owner));
                     } else if !st.pages[pid].unapplied.is_empty() {
-                        let (held, plan) = st.fault_requests(pid);
-                        let page = by_page.entry(pid).or_default();
-                        page.1 = held;
-                        for (node, ids) in plan {
-                            debug_assert_ne!(node, self.id, "own diffs are never missing");
-                            page.0.extend(&ids);
-                            round.push((pid, node, ids));
-                        }
+                        fetch.push(pid);
                     } else {
                         if !st.pages[pid].readable() {
                             st.finish_fault(pid);
@@ -410,7 +410,20 @@ impl Tmk {
                     }
                     *faulted = true;
                 }
-            }
+                let (held, requests) = st.fault_requests(&fetch, subscribe);
+                for (pid, held) in held {
+                    by_page.insert(pid, (Vec::new(), held));
+                }
+                for (node, pages) in &requests {
+                    debug_assert_ne!(*node, self.id, "own diffs are never missing");
+                    for (pid, ids) in pages {
+                        if let Some((wanted, _)) = by_page.get_mut(pid) {
+                            wanted.extend(ids);
+                        }
+                    }
+                }
+                requests
+            };
             if full.is_empty() && by_page.is_empty() {
                 break;
             }
@@ -419,15 +432,22 @@ impl Tmk {
             }
             // The first pass also collects the full-page replies.
             let mut replies = full.len();
+            let mut siblings = Vec::new();
             loop {
-                for (pid, node, ids) in round {
+                for (node, pages) in round {
                     replies += 1;
-                    self.ep.send(node, Msg::DiffReq { page: pid, ids });
+                    self.ep.send(node, Msg::DiffReq { pages });
                 }
                 for _ in 0..std::mem::take(&mut replies) {
                     match self.reply().msg {
-                        Msg::DiffRep { page, diffs } => {
-                            by_page.entry(page).or_default().1.extend(diffs);
+                        Msg::DiffRep { pages } => {
+                            for (page, diffs) in pages {
+                                match by_page.get_mut(&page) {
+                                    Some((_, got)) => got.extend(diffs),
+                                    None => siblings
+                                        .extend(diffs.into_iter().map(|(id, d)| (page, id, d))),
+                                }
+                            }
                         }
                         Msg::PageRep { page, epoch, bytes } => {
                             self.state.lock().install_page(page, epoch, &bytes);
@@ -446,15 +466,13 @@ impl Tmk {
                         other => panic!("expected DiffRep/PageRep, got {}", other.kind()),
                     }
                 }
-                // Short replies: ask the creators for what is still missing.
-                round = by_page
-                    .iter()
-                    .flat_map(|(&pid, (wanted, got))| {
-                        NodeState::missing_by_creator(wanted, got)
-                            .into_iter()
-                            .map(move |(node, ids)| (pid, node, ids))
-                    })
-                    .collect();
+                // Short replies: ask the creators for what is still
+                // missing. A short sibling entry is left to its fault.
+                round = NodeState::missing_by_creator(
+                    by_page
+                        .iter()
+                        .map(|(&pid, (wanted, got))| (pid, &wanted[..], got)),
+                );
                 if round.is_empty() {
                     break;
                 }
@@ -464,6 +482,7 @@ impl Tmk {
             }
             let tracing = self.ep.tracer().on();
             let mut st = self.state.lock();
+            st.hold(siblings);
             for (page, (_, fetched)) in by_page {
                 let ndiffs = fetched.len() as u64;
                 st.apply_fetched(page, fetched);

@@ -36,26 +36,30 @@ impl std::fmt::Debug for Region {
 /// interval, and the writer's encoding of it.
 pub type Update = (PageId, IntervalId, Arc<Diff>);
 
+/// A page's diffs by interval, as a fault holds or fetches them.
+pub type PageDiffs = Vec<(IntervalId, Arc<Diff>)>;
+
 /// All DSM protocol messages.
 #[derive(Debug, Clone)]
 pub enum Msg {
-    /// Fault handling: request the listed diffs of `page` from a writer
-    /// whose interval dominates them.
+    /// Fault handling: request the listed diffs of each page from a
+    /// writer whose interval dominates them. One request per writer and
+    /// fault round carries the faulted pages and their siblings, the
+    /// other invalid pages the named intervals wrote.
     DiffReq {
-        /// Faulted page.
-        page: PageId,
-        /// Intervals whose diffs are needed: the receiver's own, and
-        /// other writers' it is expected to have applied and retained.
-        ids: Vec<IntervalId>,
+        /// Per page, the intervals whose diffs are needed: the receiver's
+        /// own, and other writers' it is expected to have applied and
+        /// retained.
+        pages: Vec<(PageId, Vec<IntervalId>)>,
     },
-    /// Writer's reply with the requested diffs it holds. All of its own
-    /// are always there; a retained one it never applied is left out,
-    /// and the requester asks that interval's creator.
+    /// Writer's reply with the requested diffs it holds, page by page in
+    /// request order. All of its own are always there; a retained one it
+    /// never applied is left out, and the requester asks that interval's
+    /// creator.
     DiffRep {
-        /// Page the diffs belong to.
-        page: PageId,
-        /// `(interval, diff)` pairs, a subset of the requested ids.
-        diffs: Vec<(IntervalId, Arc<Diff>)>,
+        /// Per page, `(interval, diff)` pairs, a subset of its requested
+        /// ids.
+        pages: Vec<(PageId, PageDiffs)>,
     },
     /// Post-GC cold fetch: request a full page copy from its owner.
     PageReq {
@@ -291,9 +295,22 @@ macro_rules! msg_kinds {
 impl Wire for Msg {
     fn wire_bytes(&self) -> usize {
         match self {
-            Msg::DiffReq { ids, .. } => 12 + 8 * ids.len(),
-            Msg::DiffRep { diffs, .. } => {
-                8 + diffs.iter().map(|(_, d)| 8 + d.wire_bytes()).sum::<usize>()
+            // A one-page message costs what the page alone did; each
+            // further page adds its 4-byte id and its entries.
+            Msg::DiffReq { pages } => {
+                8 + pages
+                    .iter()
+                    .map(|(_, ids)| 4 + 8 * ids.len())
+                    .sum::<usize>()
+            }
+            Msg::DiffRep { pages } => {
+                let entries = |diffs: &PageDiffs| {
+                    diffs.iter().map(|(_, d)| 8 + d.wire_bytes()).sum::<usize>()
+                };
+                4 + pages
+                    .iter()
+                    .map(|(_, diffs)| 4 + entries(diffs))
+                    .sum::<usize>()
             }
             Msg::PageReq { .. } => 12,
             Msg::PageRep { bytes, .. } => 16 + bytes.len(),
@@ -383,15 +400,25 @@ mod tests {
     #[test]
     fn wire_sizes_scale_with_content() {
         let id = |seq| IntervalId { node: 0, seq };
-        let small = Msg::DiffReq {
-            page: 1,
-            ids: vec![id(1)],
-        };
-        let big = Msg::DiffReq {
-            page: 1,
-            ids: (1..=4).map(id).collect(),
-        };
-        assert!(big.wire_bytes() > small.wire_bytes());
+        let req = |pages: Vec<(PageId, Vec<IntervalId>)>| Msg::DiffReq { pages }.wire_bytes();
+        assert_eq!(req(vec![(1, vec![id(1)])]), 12 + 8);
+        assert_eq!(req(vec![(1, (1..=4).map(id).collect())]), 12 + 8 * 4);
+        // Each further page adds 4 bytes plus its ids.
+        let three = vec![(1, vec![id(1)]), (2, vec![id(1), id(2)]), (5, vec![])];
+        assert_eq!(req(three), 12 + 8 + (4 + 8 * 2) + 4);
+
+        let diff = Arc::new(Diff::create(&[0u8; 64], &[1u8; 64]));
+        let entry = 8 + diff.wire_bytes();
+        let rep = |pages: Vec<(PageId, PageDiffs)>| Msg::DiffRep { pages }.wire_bytes();
+        assert_eq!(rep(vec![(1, vec![])]), 8);
+        assert_eq!(rep(vec![(1, vec![(id(1), diff.clone())])]), 8 + entry);
+        let two = vec![(id(1), diff.clone()), (id(2), diff.clone())];
+        let three = vec![
+            (1, two.clone()),
+            (2, vec![]),
+            (5, vec![(id(3), diff.clone())]),
+        ];
+        assert_eq!(rep(three), 8 + 2 * entry + 4 + (4 + entry));
 
         let vc = VectorClock::zero(8);
         let empty = Msg::LockGrant {
@@ -421,7 +448,6 @@ mod tests {
 
         // A barrier or lock message grows by 4 bytes a listed page and by
         // each attached diff as a `DiffRep` entry would.
-        let diff = Arc::new(Diff::create(&[0u8; 64], &[1u8; 64]));
         let updates = vec![(2, id(3), diff.clone()), (5, id(4), diff.clone())];
         let riders = 4 * 3 + 2 * (8 + diff.wire_bytes());
         let arrive = |subscribed: Vec<PageId>, updates: Vec<Update>| Msg::BarrierArrive {
@@ -483,14 +509,8 @@ mod tests {
 
     #[test]
     fn kinds_are_distinct_for_key_messages() {
-        let a = Msg::DiffReq {
-            page: 0,
-            ids: vec![],
-        };
-        let b = Msg::DiffRep {
-            page: 0,
-            diffs: vec![],
-        };
+        let a = Msg::DiffReq { pages: vec![] };
+        let b = Msg::DiffRep { pages: vec![] };
         assert_ne!(a.kind(), b.kind());
     }
 

@@ -107,16 +107,18 @@ fn handle_request(
     let mut st = state.lock();
     on_request(&mut st, d.src, d.msg, d.arrival_vt, out);
     if ep.tracer().on() {
-        if let [(_, Msg::DiffRep { page, diffs })] = out.as_slice() {
+        if let [(_, Msg::DiffRep { pages })] = out.as_slice() {
             // Diff encodings materialize lazily while serving, so the
-            // creation cost shows up on the service track.
+            // creation cost shows up on the service track: one span for
+            // the whole reply, tagged with its first page.
+            let diffs = pages.iter().map(|(_, diffs)| diffs.len()).sum::<usize>();
             ep.tracer().span(
                 EventKind::DiffCreate,
                 SERVICE_LANE,
                 svc_t0,
                 ep.clock().service_now(),
-                *page as u64,
-                diffs.len() as u64,
+                pages.first().map_or(0, |&(page, _)| page as u64),
+                diffs as u64,
             );
         }
     }
@@ -137,9 +139,12 @@ pub(crate) fn on_request(
 ) {
     st.in_service = true;
     match msg {
-        Msg::DiffReq { page, ids } => {
-            let diffs = st.serve_diffs(page, &ids);
-            out.push((src, Msg::DiffRep { page, diffs }));
+        Msg::DiffReq { pages } => {
+            let pages = pages
+                .into_iter()
+                .map(|(page, ids)| (page, st.serve_diffs(page, &ids)))
+                .collect();
+            out.push((src, Msg::DiffRep { pages }));
         }
         Msg::PageReq { page } => {
             let (epoch, bytes) = st.serve_page(page);
@@ -361,6 +366,7 @@ mod tests {
     use crate::config::TmkConfig;
     use crate::diff::Diff;
     use crate::interval::{IntervalId, IntervalInfo};
+    use crate::page::PageState;
     use crate::protocol::Update;
     use crate::stats::{TmkOp, TmkStats};
     use crate::system::run_system;
@@ -746,8 +752,7 @@ mod tests {
     fn data_requests_flushes_and_fences_are_answered_to_the_sender() {
         let mut m = manager();
         let diff_req = Msg::DiffReq {
-            page: 0,
-            ids: vec![],
+            pages: vec![(0, vec![])],
         };
         assert_eq!(serve(&mut m, 1, diff_req), [(1, "diff_rep")]);
         assert_eq!(
@@ -758,6 +763,53 @@ mod tests {
         assert_eq!(serve(&mut m, 3, flush), [(3, "flush_ack")]);
         assert_eq!(serve(&mut m, 0, Msg::SyncReq), [(0, "sync_ack")]);
         assert!(!m.in_service, "in service only while handling");
+    }
+
+    #[test]
+    fn a_diff_request_is_answered_page_by_page_in_request_order() {
+        let mut nodes = cluster(3);
+        let write = |st: &mut NodeState, pid: PageId, val: u8| {
+            if st.pages[pid].state == PageState::Unmapped {
+                st.pages[pid].state = PageState::ReadOnly;
+            }
+            st.start_write(pid);
+            let r = st.page_range(pid);
+            st.mem[r][val as usize] = val;
+        };
+        // Node 0 writes pages 0 and 1; node 1 learns of it, reads page 0
+        // only, and writes pages 0 and 2.
+        write(&mut nodes[0], 0, 1);
+        write(&mut nodes[0], 1, 2);
+        nodes[0].close_interval();
+        let b = nodes[0].bundle_for(&VectorClock::zero(3));
+        nodes[1].apply_bundle(0, &b);
+        let (a, c) = (
+            IntervalId { node: 0, seq: 1 },
+            IntervalId { node: 1, seq: 1 },
+        );
+        let fetched = nodes[0].serve_diffs(0, &[a]);
+        nodes[1].apply_fetched(0, fetched);
+        nodes[1].finish_fault(0);
+        write(&mut nodes[1], 0, 3);
+        write(&mut nodes[1], 2, 4);
+        nodes[1].close_interval();
+        // One request for three pages gets one reply, pages in request
+        // order; page 1's entry is short, as node 1 never applied it.
+        let req = Msg::DiffReq {
+            pages: vec![(2, vec![c]), (0, vec![c, a]), (1, vec![a])],
+        };
+        let mut out = Vec::new();
+        on_request(&mut nodes[1], 2, req, 0, &mut out);
+        let [(2, Msg::DiffRep { pages })] = &out[..] else {
+            panic!("one DiffRep to the asker, got {out:?}")
+        };
+        let ids = |diffs: &crate::protocol::PageDiffs| diffs.iter().map(|(id, _)| *id).collect();
+        let got: Vec<(PageId, Vec<IntervalId>)> = pages
+            .iter()
+            .map(|(pid, diffs)| (*pid, ids(diffs)))
+            .collect();
+        assert_eq!(got, [(2, vec![c]), (0, vec![c, a]), (1, vec![])]);
+        assert!(Arc::ptr_eq(&pages[1].1[1].1, &nodes[0].pages[0].diffs[&a]));
     }
 
     // ------------------------------------------------------------------
@@ -830,16 +882,20 @@ mod tests {
             if !st.pages[PAGE].unapplied.is_empty() {
                 st.count(TmkOp::ReadFaults, 1);
                 st.subscribe(PAGE);
-                let (mut got, plan) = st.fault_requests(PAGE);
-                let asked = plan.len();
-                for (w, ids) in plan {
-                    self.send(k, (w, Msg::DiffReq { page: PAGE, ids }));
+                let (held, requests) = st.fault_requests(&[PAGE], true);
+                let [(_, mut got)]: [_; 1] = held.try_into().expect("one page faulted");
+                let asked = requests.len();
+                for (w, pages) in requests {
+                    self.send(k, (w, Msg::DiffReq { pages }));
                 }
                 for _ in 0..asked {
-                    let (_, Msg::DiffRep { diffs, .. }) = self.reply(k) else {
+                    let (_, Msg::DiffRep { pages }) = self.reply(k) else {
                         panic!("expected DiffRep")
                     };
-                    got.extend(diffs);
+                    for (page, diffs) in pages {
+                        assert_eq!(page, PAGE, "one page, no sibling");
+                        got.extend(diffs);
+                    }
                 }
                 self.nodes[k].apply_fetched(PAGE, got);
             }

@@ -14,17 +14,18 @@ use crate::diff::Diff;
 use crate::interval::{IntervalId, IntervalInfo, NoticeBundle, VectorClock};
 use crate::metrics::NodeMetrics;
 use crate::page::{NoticeRec, PageMeta, PageState};
-use crate::protocol::{Msg, Update};
+use crate::protocol::{Msg, PageDiffs, Update};
 use crate::stats::TmkOp;
 use now_net::{VirtualClock, Wire as _};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
-/// A page's diffs by interval, as a fault holds or fetches them.
-pub type PageDiffs = Vec<(IntervalId, Arc<Diff>)>;
-
-/// A fault's requests: each writer to ask, with the ids asked of it.
+/// A page's fault plan: each writer to ask, with the ids asked of it.
 pub type FaultPlan = Vec<(usize, Vec<IntervalId>)>;
+
+/// A fault round's requests: each writer to ask, with the ids asked of
+/// it page by page (one `DiffReq` each).
+pub type FaultRequests = Vec<(usize, Vec<(PageId, Vec<IntervalId>)>)>;
 
 /// A manager-queued synchronisation object. A lock and a semaphore with
 /// the same id are different objects.
@@ -270,6 +271,8 @@ pub struct NodeState {
     /// published them (ascending): this node's next arrival attaches its
     /// diffs of them.
     pub published: Vec<PageId>,
+    /// The diffs the last departure delivered that the node holds.
+    pub delivered: Vec<(PageId, IntervalId)>,
     /// Our last interval closed at or before the last arrival: later
     /// ones are the next arrival's to attach.
     pub arrived_seq: u32,
@@ -315,6 +318,7 @@ impl NodeState {
             lock_subs: HashMap::new(),
             subscribed: BTreeSet::new(),
             published: Vec::new(),
+            delivered: Vec::new(),
             arrived_seq: 0,
             mgr: ManagerState::default(),
             metrics,
@@ -635,12 +639,8 @@ impl NodeState {
     /// the pages the grant published.
     fn release_riders(&mut self, lock: u32, first: u32) -> (Vec<PageId>, Vec<Update>) {
         let sub = self.lock_subs.entry(lock).or_default();
-        let pages = &self.pages;
         let delivered = std::mem::take(&mut sub.delivered);
-        let unread = |&(pid, id): &(PageId, IntervalId)| pages[pid].held().any(|(h, _)| h == id);
-        for (pid, _) in delivered.into_iter().filter(unread) {
-            sub.subscribed.remove(&pid);
-        }
+        drop_unread(&self.pages, &mut sub.subscribed, delivered);
         let subscribed = sub.subscribed.iter().copied().collect();
         let published = std::mem::take(&mut sub.published);
         (subscribed, self.attach_updates(first, &published))
@@ -687,7 +687,7 @@ impl NodeState {
     /// the page's `diffs` map: nothing is applied and the page stays
     /// invalid until a fault applies it with the rest of the page's set.
     /// Returns the held `(page, interval)`s.
-    fn hold(&mut self, updates: Vec<Update>) -> Vec<(PageId, IntervalId)> {
+    pub(crate) fn hold(&mut self, updates: Vec<Update>) -> Vec<(PageId, IntervalId)> {
         let mut held = Vec::new();
         for (pid, id, diff) in updates {
             let meta = &mut self.pages[pid];
@@ -720,16 +720,13 @@ impl NodeState {
 
     /// The request half of arriving at barrier episode `epoch`: close the
     /// interval and release to the barrier manager, node 0. The arrival
-    /// carries our subscriptions, less the pages whose last delivered
-    /// update went unread, and our diffs of the published pages.
+    /// carries our subscriptions, less the pages whose update the last
+    /// departure delivered went unread, and our diffs of the published
+    /// pages.
     pub fn arrive_request(&mut self, epoch: u32) -> (usize, Msg) {
         self.close_interval();
-        // A subscribed page still holding a delivered diff went unread
-        // since the last departure: a fault applies everything held, and
-        // a page whose subscription ended is delivered nothing more.
-        let pages = &self.pages;
-        self.subscribed
-            .retain(|&pid| pages[pid].held().next().is_none());
+        let delivered = std::mem::take(&mut self.delivered);
+        drop_unread(&self.pages, &mut self.subscribed, delivered);
         let first = std::mem::replace(&mut self.arrived_seq, self.next_seq - 1) + 1;
         let published = std::mem::take(&mut self.published);
         let updates = self.attach_updates(first, &published);
@@ -790,7 +787,7 @@ impl NodeState {
         assert_eq!(e, epoch, "barrier episode mismatch");
         self.acquire(src, &bundle);
         self.published = published;
-        self.hold(updates);
+        self.delivered = self.hold(updates);
         self.count(TmkOp::Barriers, 1);
         gc.then_some(bundle.pvc)
     }
@@ -832,7 +829,7 @@ impl NodeState {
     /// own are always there; a foreign one is there if we applied (and so
     /// retained) it, and is otherwise left out for the requester to fetch
     /// from its creator.
-    pub fn serve_diffs(&mut self, pid: PageId, ids: &[IntervalId]) -> Vec<(IntervalId, Arc<Diff>)> {
+    pub fn serve_diffs(&mut self, pid: PageId, ids: &[IntervalId]) -> PageDiffs {
         self.sync_alloc();
         let me = self.id as u32;
         if let Some((seq, _)) = self.pages[pid].pending {
@@ -886,11 +883,11 @@ impl NodeState {
         plan.into_iter().collect()
     }
 
-    /// A read fault's requests for `pid`: the diffs already held for its
-    /// unapplied notices (delivered at a barrier or lock grant), and the
-    /// fault plan with the held ids removed, a request left empty
-    /// dropped. The fault applies both sets together.
-    pub fn fault_requests(&self, pid: PageId) -> (PageDiffs, FaultPlan) {
+    /// One page's share of a fault: the diffs already held for its
+    /// unapplied notices (delivered at a barrier or lock grant, or as a
+    /// sibling), and its fault plan with the held ids removed, a request
+    /// left empty dropped.
+    fn page_requests(&self, pid: PageId) -> (PageDiffs, FaultPlan) {
         let held: PageDiffs = self.pages[pid]
             .held()
             .map(|(id, diff)| (id, diff.clone()))
@@ -905,18 +902,102 @@ impl NodeState {
         (held, plan)
     }
 
-    /// The re-request round of a fault: the ids of `wanted` that `got`
-    /// lacks (a dominating writer had not applied them — it push-wrote,
-    /// or the notice arrived while its twin was open), grouped by their
-    /// creator, who always holds its own diffs.
-    pub fn missing_by_creator(wanted: &[IntervalId], got: &[(IntervalId, Arc<Diff>)]) -> FaultPlan {
-        let mut plan: BTreeMap<usize, Vec<IntervalId>> = BTreeMap::new();
-        for id in wanted {
-            if !got.iter().any(|(g, _)| g == id) {
-                plan.entry(id.node as usize).or_default().push(*id);
+    /// A fault round over `pids`, pages with unapplied notices and a
+    /// usable base: each page's held diffs, and one request per writer
+    /// carrying every page's ids for it. The fault applies a page's held
+    /// and fetched diffs together.
+    ///
+    /// With `siblings` (an application fault, not a GC validation), the
+    /// request to writer `w` also names each *sibling*: a page `q` not
+    /// in `pids`, written by an interval named to `w`, with unapplied
+    /// notices and a usable base, whose own plan asks `w` for one of the
+    /// named intervals. It carries `q`'s whole id list for `w`, the
+    /// request a later fault on `q` would send; the reply is held
+    /// ([`NodeState::hold`]) and `q` stays invalid.
+    pub fn fault_requests(
+        &self,
+        pids: &[PageId],
+        siblings: bool,
+    ) -> (Vec<(PageId, PageDiffs)>, FaultRequests) {
+        let mut held = Vec::with_capacity(pids.len());
+        let mut plans = Vec::with_capacity(pids.len());
+        for &pid in pids {
+            let (diffs, plan) = self.page_requests(pid);
+            held.push((pid, diffs));
+            plans.push((pid, plan));
+        }
+        // A foreign id goes to its creator when the round asks the creator
+        // anyway, for this page or another: a creator always holds its own
+        // diffs, so the id never comes back short to cost a re-request.
+        let asked: BTreeSet<usize> = plans
+            .iter()
+            .flat_map(|(_, plan)| plan.iter().map(|(w, _)| *w))
+            .collect();
+        let mut requests: BTreeMap<usize, Vec<(PageId, Vec<IntervalId>)>> = BTreeMap::new();
+        for (pid, plan) in plans {
+            let mut page: BTreeMap<usize, Vec<IntervalId>> = BTreeMap::new();
+            for (w, ids) in plan {
+                for id in ids {
+                    let creator = id.node as usize;
+                    let to = if asked.contains(&creator) { creator } else { w };
+                    page.entry(to).or_default().push(id);
+                }
+            }
+            for (w, ids) in page {
+                requests.entry(w).or_default().push((pid, ids));
             }
         }
-        plan.into_iter().collect()
+        if siblings {
+            let faulted: BTreeSet<PageId> = pids.iter().copied().collect();
+            let mut plans: BTreeMap<PageId, FaultPlan> = BTreeMap::new();
+            for (&w, pages) in &mut requests {
+                let named: BTreeSet<IntervalId> = pages
+                    .iter()
+                    .flat_map(|(_, ids)| ids.iter().copied())
+                    .collect();
+                let written: BTreeSet<PageId> = named
+                    .iter()
+                    .filter_map(|id| self.interval_log.get(&(id.node, id.seq)))
+                    .flat_map(|info| info.pages.iter().copied())
+                    .collect();
+                for q in written.difference(&faulted) {
+                    let meta = &self.pages[*q];
+                    if meta.unapplied.is_empty() || meta.base_lost {
+                        continue;
+                    }
+                    let plan = plans.entry(*q).or_insert_with(|| self.page_requests(*q).1);
+                    if let Some((_, ids)) = plan.iter().find(|(k, _)| *k == w) {
+                        if ids.iter().any(|id| named.contains(id)) {
+                            pages.push((*q, ids.clone()));
+                        }
+                    }
+                }
+            }
+        }
+        (held, requests.into_iter().collect())
+    }
+
+    /// The re-request round of a fault: per page, the ids of `wanted`
+    /// that `got` lacks (a dominating writer had not applied them — it
+    /// push-wrote, or the notice arrived while its twin was open), asked
+    /// of their creator, who always holds its own diffs, one request per
+    /// creator.
+    pub fn missing_by_creator<'a>(
+        pages: impl IntoIterator<Item = (PageId, &'a [IntervalId], &'a PageDiffs)>,
+    ) -> FaultRequests {
+        let mut requests: BTreeMap<usize, Vec<(PageId, Vec<IntervalId>)>> = BTreeMap::new();
+        for (pid, wanted, got) in pages {
+            let mut page: BTreeMap<usize, Vec<IntervalId>> = BTreeMap::new();
+            for id in wanted {
+                if !got.iter().any(|(g, _)| g == id) {
+                    page.entry(id.node as usize).or_default().push(*id);
+                }
+            }
+            for (creator, ids) in page {
+                requests.entry(creator).or_default().push((pid, ids));
+            }
+        }
+        requests.into_iter().collect()
     }
 
     /// Apply the fetched diffs of `pid` in happens-before (linear-extension)
@@ -1194,6 +1275,20 @@ impl NodeState {
     }
 }
 
+/// End the `subscribed` pages whose `delivered` diffs are still held:
+/// the page went unread since they came, a fault applying everything
+/// held, and a page whose subscription ended is delivered nothing more.
+fn drop_unread(
+    pages: &[PageMeta],
+    subscribed: &mut BTreeSet<PageId>,
+    delivered: Vec<(PageId, IntervalId)>,
+) {
+    let unread = |&(pid, id): &(PageId, IntervalId)| pages[pid].held().any(|(h, _)| h == id);
+    for (pid, _) in delivered.into_iter().filter(unread) {
+        subscribed.remove(&pid);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1402,34 +1497,39 @@ mod tests {
         }
     }
 
-    /// The fault plan before domination, kept as the differential oracle:
-    /// one request to every writer with an unapplied notice.
-    fn per_writer_plan(st: &NodeState, pid: PageId) -> Vec<(usize, Vec<IntervalId>)> {
-        let mut by_node: BTreeMap<usize, Vec<IntervalId>> = BTreeMap::new();
-        for rec in &st.pages[pid].unapplied {
-            by_node
-                .entry(rec.id.node as usize)
-                .or_default()
-                .push(rec.id);
+    /// The fault requests before domination, kept as the differential
+    /// oracle: one request to every writer with an unapplied notice on
+    /// one of `pids`, and no siblings.
+    fn per_writer_requests(st: &NodeState, pids: &[PageId]) -> FaultRequests {
+        let mut by_node: BTreeMap<usize, Vec<(PageId, Vec<IntervalId>)>> = BTreeMap::new();
+        for &pid in pids {
+            let mut page: BTreeMap<usize, Vec<IntervalId>> = BTreeMap::new();
+            for rec in &st.pages[pid].unapplied {
+                page.entry(rec.id.node as usize).or_default().push(rec.id);
+            }
+            for (node, ids) in page {
+                by_node.entry(node).or_default().push((pid, ids));
+            }
         }
         by_node.into_iter().collect()
     }
 
     /// A cluster of `NodeState`s driven by direct calls in place of the
-    /// application threads' messages; locks and barriers run through the
-    /// real request, manager and reply halves.
+    /// application threads' messages; locks, barriers and diff requests
+    /// run through the real request, manager or server, and reply halves.
     struct World {
         nodes: Vec<NodeState>,
-        /// Fault with the per-writer plan: the domination oracle.
+        /// Fault with the per-writer requests: the domination oracle.
         per_writer: bool,
-        /// Strip the diffs attached to barrier arrivals and lock releases
-        /// in transit: the pure-invalidate oracle.
+        /// Strip the diffs attached to barrier arrivals and lock releases,
+        /// and the sibling pages of diff requests, in transit: the
+        /// pure-invalidate, page-by-page oracle.
         strip: bool,
         /// A barrier whose `arg` is a multiple of this runs a GC round.
         gc_every: u32,
         /// Next barrier episode.
         epoch: u32,
-        /// Diff requests sent, one entry per fault.
+        /// `DiffReq` messages sent, one entry per fault.
         requests: Vec<usize>,
         /// The page bytes every read returned, in order.
         reads: Vec<Vec<u8>>,
@@ -1448,63 +1548,130 @@ mod tests {
             }
         }
 
-        /// Node `f` makes `pid` readable as `Tmk::fault_pages_inner` does:
-        /// a full copy if the base is lost, the plan's requests for what
-        /// is not held, creator re-requests for short replies, then one
-        /// apply of the page's whole set, held diffs included. An
-        /// application fault subscribes the page, a GC validation does not.
-        fn fault(&mut self, f: usize, pid: PageId, subscribe: bool) {
+        /// Node `f` makes `pids` readable as `Tmk::fault_pages_inner`
+        /// does: a full copy of each page whose base is lost, one request
+        /// per writer built by `NodeState::fault_requests` for what is not
+        /// held (siblings with `subscribe`), served by the writer's
+        /// `on_request`, creator re-requests for short replies, then one
+        /// apply of each page's whole set, held diffs included, and the
+        /// siblings' diffs held. An application fault subscribes its
+        /// pages, a GC validation does not.
+        fn fault(&mut self, f: usize, pids: &[PageId], subscribe: bool) {
             let nodes = &mut self.nodes;
-            let full = nodes[f].needs_full_fetch(pid);
-            if full {
-                let owner = nodes[f].pages[pid].owner;
-                let (epoch, bytes) = nodes[owner].serve_page(pid);
-                nodes[f].install_page(pid, epoch, &bytes);
-            }
-            let mut planned: Vec<IntervalId> =
-                nodes[f].pages[pid].unapplied.iter().map(|r| r.id).collect();
-            if subscribe && (full || !planned.is_empty()) {
-                nodes[f].subscribe(pid);
-            }
-            if planned.is_empty() {
-                if !nodes[f].pages[pid].readable() {
+            let mut fetch = Vec::new();
+            for &pid in pids {
+                let full = nodes[f].needs_full_fetch(pid);
+                if full {
+                    let owner = nodes[f].pages[pid].owner;
+                    let (epoch, bytes) = nodes[owner].serve_page(pid);
+                    nodes[f].install_page(pid, epoch, &bytes);
+                }
+                let planned = !nodes[f].pages[pid].unapplied.is_empty();
+                if subscribe && (full || planned) {
+                    nodes[f].subscribe(pid);
+                }
+                if planned {
+                    fetch.push(pid);
+                } else if !nodes[f].pages[pid].readable() {
                     nodes[f].finish_fault(pid);
                 }
+            }
+            if fetch.is_empty() {
                 return;
             }
-            let (mut got, mut round) = if self.per_writer {
-                (Vec::new(), per_writer_plan(&nodes[f], pid))
+            let (held, mut round) = if self.per_writer {
+                let held = fetch.iter().map(|&pid| (pid, Vec::new())).collect();
+                (held, per_writer_requests(&nodes[f], &fetch))
             } else {
-                nodes[f].fault_requests(pid)
+                nodes[f].fault_requests(&fetch, subscribe)
             };
             // Every foreign id goes to a writer one of whose notices here
-            // dominates it (held ids taken out after).
+            // dominates it (held ids taken out after), for a faulted page
+            // and a sibling alike.
             let log = &nodes[f].interval_log;
-            let plan = nodes[f].fault_plan(pid);
-            for (w, ids) in plan.iter().filter(|_| !self.per_writer) {
-                let mine = ids.iter().filter(|id| id.node as usize == *w);
-                for id in ids.iter().filter(|id| id.node as usize != *w) {
-                    let mut dominators = mine.clone().map(|m| &log[&(m.node, m.seq)]);
-                    assert!(dominators.any(|m| m.dominates(*id)), "{id:?} sent to {w}");
+            for (w, pages) in round.iter().filter(|_| !self.per_writer) {
+                for (pid, ids) in pages {
+                    let plan = nodes[f].fault_plan(*pid);
+                    let all = plan
+                        .iter()
+                        .find(|(k, _)| k == w)
+                        .map_or(&[][..], |(_, a)| a);
+                    let foreign = ids.iter().filter(|id| id.node as usize != *w);
+                    assert!(
+                        foreign.clone().all(|id| all.contains(id)),
+                        "{ids:?} of {pid} to {w}"
+                    );
+                    let mine = all.iter().filter(|id| id.node as usize == *w);
+                    for id in foreign {
+                        let mut dominators = mine.clone().map(|m| &log[&(m.node, m.seq)]);
+                        assert!(
+                            dominators.any(|m| m.dominates(*id)),
+                            "{id:?} of {pid} sent to {w}"
+                        );
+                    }
+                    if !fetch.contains(pid) {
+                        assert!(subscribe, "a GC validation names no sibling");
+                    }
                 }
             }
+            if self.strip {
+                for (_, pages) in &mut round {
+                    pages.retain(|(pid, _)| fetch.contains(pid));
+                }
+            }
+            let mut by_page: BTreeMap<PageId, (Vec<IntervalId>, PageDiffs)> = held
+                .into_iter()
+                .map(|(pid, held)| (pid, (Vec::new(), held)))
+                .collect();
+            for (_, pages) in &round {
+                for (pid, ids) in pages {
+                    if let Some((wanted, _)) = by_page.get_mut(pid) {
+                        wanted.extend(ids);
+                    }
+                }
+            }
+            let mut siblings = Vec::new();
             let mut requests = 0;
+            let mut out = Vec::new();
             while !round.is_empty() {
-                for (w, ids) in round {
+                for (w, pages) in round {
                     assert_ne!(w, f, "a node never asks itself");
                     requests += 1;
-                    got.extend(nodes[w].serve_diffs(pid, &ids));
+                    let asked: Vec<PageId> = pages.iter().map(|(pid, _)| *pid).collect();
+                    let req = Msg::DiffReq { pages };
+                    crate::service::on_request(&mut nodes[w], f, req, 0, &mut out);
+                    let Some((to, Msg::DiffRep { pages })) = out.pop() else {
+                        panic!("a DiffReq is answered by a DiffRep")
+                    };
+                    assert!(to == f && out.is_empty(), "one reply, to the asker");
+                    let answered: Vec<PageId> = pages.iter().map(|(pid, _)| *pid).collect();
+                    assert_eq!(answered, asked, "pages in request order");
+                    for (pid, diffs) in pages {
+                        match by_page.get_mut(&pid) {
+                            Some((_, got)) => got.extend(diffs),
+                            None => siblings.extend(diffs.into_iter().map(|(id, d)| (pid, id, d))),
+                        }
+                    }
                 }
-                round = NodeState::missing_by_creator(&planned, &got);
+                round = NodeState::missing_by_creator(
+                    by_page
+                        .iter()
+                        .map(|(&pid, (wanted, got))| (pid, &wanted[..], got)),
+                );
             }
-            // Nothing partial: the page's whole set, each diff once.
-            let mut ids: Vec<IntervalId> = got.iter().map(|(id, _)| *id).collect();
-            ids.sort();
-            planned.sort();
-            assert_eq!(ids, planned, "applied set != planned set");
-            nodes[f].apply_fetched(pid, got);
-            assert!(nodes[f].pages[pid].unapplied.is_empty());
-            nodes[f].finish_fault(pid);
+            nodes[f].hold(siblings);
+            for (pid, (_, got)) in by_page {
+                // Nothing partial: the page's whole set, each diff once.
+                let mut ids: Vec<IntervalId> = got.iter().map(|(id, _)| *id).collect();
+                let mut planned: Vec<IntervalId> =
+                    nodes[f].pages[pid].unapplied.iter().map(|r| r.id).collect();
+                ids.sort();
+                planned.sort();
+                assert_eq!(ids, planned, "applied set != planned set");
+                nodes[f].apply_fetched(pid, got);
+                assert!(nodes[f].pages[pid].unapplied.is_empty());
+                nodes[f].finish_fault(pid);
+            }
             self.requests.push(requests);
         }
 
@@ -1564,7 +1731,7 @@ mod tests {
 
         fn write(&mut self, k: usize, pid: PageId, off: usize, val: u8) {
             if !self.nodes[k].pages[pid].readable() {
-                self.fault(k, pid, true);
+                self.fault(k, &[pid], true);
             }
             self.nodes[k].start_write(pid);
             let r = self.nodes[k].page_range(pid);
@@ -1597,9 +1764,12 @@ mod tests {
             for k in 0..n {
                 assert_eq!(self.nodes[k].processed_vc, upto);
                 assert_eq!(self.nodes[k].compute_gc_owners(&upto), owners);
-                for (&pid, _) in owners.iter().filter(|&(_, &o)| o == k) {
-                    self.fault(k, pid, false);
-                }
+                let mine: Vec<PageId> = owners
+                    .iter()
+                    .filter(|&(_, &o)| o == k)
+                    .map(|(&p, _)| p)
+                    .collect();
+                self.fault(k, &mine, false);
             }
             self.nodes[0].mgr.gc_in_progress = false;
             for node in &mut self.nodes {
@@ -1658,7 +1828,7 @@ mod tests {
                 // The same without fetching (GC-stale pages fault first).
                 2 => {
                     if self.nodes[k].needs_full_fetch(pid) {
-                        self.fault(k, pid, true);
+                        self.fault(k, &[pid], true);
                     }
                     self.nodes[k].start_write_push(pid);
                     let r = self.nodes[k].page_range(pid);
@@ -1668,7 +1838,7 @@ mod tests {
                 3 => self.deliver((k + 1 + off % (n - 1)) % n, k, val % 4 == 1),
                 4 => {
                     if !self.nodes[k].pages[pid].readable() {
-                        self.fault(k, pid, true);
+                        self.fault(k, &[pid], true);
                     }
                     let r = self.nodes[k].page_range(pid);
                     self.reads.push(self.nodes[k].mem[r].to_vec());
@@ -1770,14 +1940,76 @@ mod tests {
     /// Log the interval `(node, seq)` with timestamp `vc` as a notice
     /// against `pid`, as `apply_bundle` would.
     fn notice(st: &mut NodeState, pid: PageId, node: u32, seq: u32, vc: &[u32]) -> IntervalId {
+        notice_on(st, &[pid], node, seq, vc)
+    }
+
+    /// As [`notice`], for an interval that wrote every page of `pids`.
+    fn notice_on(
+        st: &mut NodeState,
+        pids: &[PageId],
+        node: u32,
+        seq: u32,
+        vc: &[u32],
+    ) -> IntervalId {
         let id = IntervalId { node, seq };
         let bundle = NoticeBundle {
-            intervals: vec![(id, info(vc, vec![pid]))],
+            intervals: vec![(id, info(vc, pids.to_vec()))],
             vc: VectorClock::zero(st.n),
             pvc: VectorClock::zero(st.n),
         };
         st.apply_bundle(node as usize, &bundle);
         id
+    }
+
+    #[test]
+    fn a_fault_asks_each_writer_once_for_the_siblings_its_intervals_wrote() {
+        // Node 0's interval 1 wrote pages 0 to 4, and its interval 2 page
+        // 1 again; node 1 acquired interval 1, then wrote page 2. Node 3
+        // lost page 3's base at a GC and has read page 4 already.
+        let mut st = mk(3, 4);
+        let _ = st.alloc.alloc(st.cfg.page_size);
+        st.sync_alloc();
+        let a = notice_on(&mut st, &[0, 1, 2, 3, 4], 0, 1, &[1, 0, 0, 0]);
+        let a2 = notice(&mut st, 1, 0, 2, &[2, 0, 0, 0]);
+        let b = notice(&mut st, 2, 1, 1, &[1, 1, 0, 0]);
+        st.pages[3].base_lost = true;
+        st.pages[4].unapplied.clear();
+        st.pages[4].state = PageState::ReadOnly;
+        let ids = |held: Vec<(PageId, PageDiffs)>| -> Vec<(PageId, usize)> {
+            held.into_iter().map(|(pid, d)| (pid, d.len())).collect()
+        };
+
+        // A fault on page 0 asks node 0 for interval 1, and for page 1, a
+        // sibling, with page 1's whole list for node 0. Page 2's plan asks
+        // node 1, page 3 needs a full copy and page 4 is readable: none
+        // is a sibling.
+        let (held, requests) = st.fault_requests(&[0], true);
+        assert_eq!(ids(held), [(0, 0)]);
+        assert_eq!(requests, [(0, vec![(0, vec![a]), (1, vec![a2, a])])]);
+        assert_eq!(st.fault_plan(2), [(1, vec![b, a])]);
+        // A GC validation names no sibling.
+        let (_, requests) = st.fault_requests(&[0], false);
+        assert_eq!(requests, [(0, vec![(0, vec![a])])]);
+
+        // Faulting pages 0 and 2 together asks each writer once; node 0,
+        // asked anyway, gets page 2's interval 1 from its creator rather
+        // than from node 1, which dominates it. A page of the round is no
+        // sibling of another.
+        let (_, requests) = st.fault_requests(&[0, 2], false);
+        let want = [
+            (0, vec![(0, vec![a]), (2, vec![a])]),
+            (1, vec![(2, vec![b])]),
+        ];
+        assert_eq!(requests, want);
+        let (_, requests) = st.fault_requests(&[0, 1], true);
+        assert_eq!(requests, [(0, vec![(0, vec![a]), (1, vec![a2, a])])]);
+
+        // A held diff leaves the plan: with page 1's interval-2 diff held,
+        // its sibling entry carries interval 1 alone.
+        let d = Arc::new(Diff::create(&[0u8; 8], &[1u8; 8]));
+        assert_eq!(st.hold(vec![(1, a2, d)]), [(1, a2)]);
+        let (_, requests) = st.fault_requests(&[0], true);
+        assert_eq!(requests, [(0, vec![(0, vec![a]), (1, vec![a])])]);
     }
 
     #[test]
@@ -1820,12 +2052,18 @@ mod tests {
             IntervalId { node: 1, seq: 4 },
             IntervalId { node: 1, seq: 5 },
         );
-        let got = vec![(b, d.clone())];
+        // Page 0 asked for c, b and a and got b; page 2 asked for a and
+        // got nothing: one request per creator, for both pages.
+        let (got, none) = (vec![(b, d.clone())], vec![]);
+        let short = [(0, &[c, b, a][..], &got), (2, &[a][..], &none)];
         assert_eq!(
-            NodeState::missing_by_creator(&[c, b, a], &got),
-            vec![(0, vec![a]), (1, vec![c])]
+            NodeState::missing_by_creator(short),
+            vec![
+                (0, vec![(0, vec![a]), (2, vec![a])]),
+                (1, vec![(0, vec![c])])
+            ]
         );
-        assert!(NodeState::missing_by_creator(&[b], &got).is_empty());
+        assert!(NodeState::missing_by_creator([(0, &[b][..], &got)]).is_empty());
     }
 
     #[test]

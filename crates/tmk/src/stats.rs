@@ -107,8 +107,9 @@ tmk_ops! {
     (TaskOverflows, task_overflows, "Tasks executed inline because the local deque was full."),
     (LoopSteals, loop_steals, "Affinity-scheduled loop chunks taken from another node's home \
      partition (remote rebalancing after the taker ran dry)."),
-    (DiffRefetches, diff_refetches, "Diff requests re-sent to an interval's creator because the \
-     dominating writer asked first had not applied that diff (its reply came back short)."),
+    (DiffRefetches, diff_refetches, "Diff request messages re-sent to interval creators because \
+     a dominating writer asked first had not applied some diffs (its reply came back short); one \
+     per creator and fault round, however many pages it is asked about."),
     (DiffBytesRetained, diff_bytes_retained, "Wire bytes of foreign diffs retained after applying \
      them (served to later faulting nodes, dropped at GC; not GC-trigger storage)."),
     (DiffBytesAttached, diff_bytes_attached, "Wire bytes of own diffs attached to barrier arrivals \

@@ -105,3 +105,54 @@ fn a_gc_validation_does_not_subscribe() {
     );
     assert_eq!(out.dsm.diff_bytes_attached, 0, "{:?}", out.dsm);
 }
+
+#[test]
+fn a_sibling_diff_left_unread_keeps_the_subscription() {
+    // Node 1 writes page Q, node 0 reads it: Q is subscribed. Then one
+    // interval of node 1 writes P and Q, handed over by a semaphore, not
+    // a barrier: node 0's fault on P also asks for Q, a sibling, whose
+    // diff is held while Q goes unread to the next arrival. Only what a
+    // departure delivered and went unread ends a subscription, so the
+    // second half node 1 writes next rides barrier 3, and no fault after
+    // the one on P sends a request.
+    let out = run_system(TmkConfig::fast_test(2), |tmk| {
+        let v = tmk.malloc_vec::<u64>(2 * PAGE);
+        tmk.parallel(0, move |t| {
+            let me = t.proc_id();
+            let (p, q) = (0..PAGE, PAGE..2 * PAGE);
+            let half = PAGE + PAGE / 2;
+            let holds = |t: &mut tmk::Tmk, r: std::ops::Range<usize>, x: u64| {
+                assert!(t.read_slice(&v, r).iter().all(|&y| y == x));
+            };
+            if me == 1 {
+                t.view_mut(&v, q.clone(), |c| c.fill(1));
+            }
+            t.barrier();
+            if me == 0 {
+                holds(t, q.clone(), 1); // the learning fault
+            }
+            t.barrier();
+            if me == 1 {
+                t.view_mut(&v, 0..half, |c| c.fill(2));
+                t.sema_signal(0);
+            } else {
+                t.sema_wait(0);
+                holds(t, p, 2); // asks for P and its sibling Q
+            }
+            t.barrier();
+            if me == 1 {
+                t.view_mut(&v, half..2 * PAGE, |c| c.fill(3));
+            } else {
+                holds(t, PAGE..half, 2); // the sibling diff, held
+            }
+            t.barrier();
+            if me == 0 {
+                holds(t, PAGE..half, 2);
+                holds(t, half..2 * PAGE, 3); // barrier 3's update
+            }
+        });
+    });
+    assert_eq!(out.dsm.read_faults, 4, "{:?}", out.dsm);
+    assert_eq!(diff_reqs(&out), 2, "{:?}", out.dsm);
+    assert_eq!(out.dsm.diff_refetches, 0);
+}
