@@ -241,14 +241,16 @@ impl Env<'_> {
     }
 
     /// `!$omp parallel do reduction(op:acc)`: every thread reduces into a
-    /// private accumulator seeded with the identity; partial results are
-    /// combined in a critical section at region end. Returns the reduced
-    /// value (also visible to later regions via shared memory semantics).
+    /// private accumulator seeded with the identity. Each node's partial
+    /// rides its join-barrier arrival ([`Tmk::contribute`]), and after
+    /// the join the master folds them in node order,
+    /// `identity ⊕ p₀ ⊕ … ⊕ pₙ₋₁`: what a lock chain granted in node
+    /// order would compute, with no lock and no shared page. Returns the
+    /// reduced value.
     ///
-    /// **Two-level** on SMP topologies: the team first combines in node
-    /// shared memory (message-free) and publishes one DSM contribution
-    /// per node, so the critical-section traffic scales with nodes, not
-    /// threads.
+    /// **Two-level** on SMP topologies: the team first folds its threads'
+    /// values in node shared memory (message-free, in `local_tid` order),
+    /// so each node contributes one partial.
     pub fn parallel_reduce<T: Reduce>(
         &mut self,
         sched: Schedule,
@@ -256,8 +258,7 @@ impl Env<'_> {
         op: RedOp,
         body: impl Fn(&mut OmpThread<'_>, usize, &mut T) + Send + Sync + 'static,
     ) -> T {
-        let acc = self.t.malloc_scalar::<T>(T::identity(op));
-        let lock = self.next_runtime_lock();
+        let site = self.next_runtime_lock();
         let plan = self.plan_loop(sched, range);
         let body = Arc::new(body);
         self.parallel(move |th| {
@@ -267,20 +268,21 @@ impl Env<'_> {
                     body(th, i, &mut local);
                 }
             });
-            if let Some(total) = th.reduce_combine(lock, local, move |a, b| T::combine(op, a, b)) {
-                th.critical(lock, |th| {
-                    let cur = acc.get(th);
-                    let next = T::combine(op, cur, total);
-                    acc.set(th, next);
-                });
+            if let Some(total) = th.reduce_combine(site, local, move |a, b| T::combine(op, a, b)) {
+                th.contribute(site, &[total]);
             }
         });
-        acc.get(self.t)
+        let partials = self.t.take_partials::<T>(site);
+        partials
+            .iter()
+            .fold(T::identity(op), |acc, p| T::combine(op, acc, p[0]))
     }
 
     /// Array reduction (`reduction` extended to arrays — the paper's
     /// extension of the standard): each thread gets a private slice seeded
-    /// with the identity; slices are combined element-wise at region end.
+    /// with the identity; the slices are folded element-wise, on the node
+    /// and then by the master in node order, as
+    /// [`Env::parallel_reduce`] folds scalars.
     pub fn parallel_reduce_vec<T: Reduce>(
         &mut self,
         len: usize,
@@ -288,30 +290,22 @@ impl Env<'_> {
         body: impl Fn(&mut OmpThread<'_>, &mut [T]) + Send + Sync + 'static,
     ) -> Vec<T> {
         assert!(len > 0, "array reduction over empty array");
-        let acc = self.t.malloc_vec::<T>(len);
-        let init = vec![T::identity(op); len];
-        self.t.write_slice(&acc, 0, &init);
-        let lock = self.next_runtime_lock();
+        let site = self.next_runtime_lock();
+        let fold = move |mut a: Vec<T>, b: Vec<T>| {
+            for (x, y) in a.iter_mut().zip(b) {
+                *x = T::combine(op, *x, y);
+            }
+            a
+        };
         self.parallel(move |th| {
             let mut local = vec![T::identity(op); len];
             body(th, &mut local);
-            let fold = move |mut a: Vec<T>, b: Vec<T>| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x = T::combine(op, *x, y);
-                }
-                a
-            };
-            if let Some(total) = th.reduce_combine(lock, local, fold) {
-                th.critical(lock, |th| {
-                    th.view_mut(&acc, 0..len, |global| {
-                        for (g, l) in global.iter_mut().zip(&total) {
-                            *g = T::combine(op, *g, *l);
-                        }
-                    });
-                });
+            if let Some(total) = th.reduce_combine(site, local, fold) {
+                th.contribute(site, &total);
             }
         });
-        self.t.read_slice(&acc, 0..len)
+        let partials = self.t.take_partials::<T>(site);
+        partials.into_iter().fold(vec![T::identity(op); len], fold)
     }
 }
 

@@ -21,8 +21,9 @@
 //! * **Work stealing.** The owner pushes and pops LIFO (locality); thieves
 //!   take the oldest task FIFO from the other end. Victim sweeps are
 //!   **load-aware**: the thief orders victims by their published backlog
-//!   (a stale, message-free read of each deque's cached header page)
-//!   divided by the victim's current effective speed — the deque that
+//!   (an unlocked read of each deque's header page, which faults when a
+//!   write notice invalidated it) divided by the victim's current
+//!   effective speed — the deque that
 //!   will take longest to drain is raided first — with ties broken by a
 //!   per-thief, per-sweep rotating offset so concurrent thieves do not
 //!   convoy on one victim. [`TaskSched::Centralized`] funnels everything
@@ -548,8 +549,8 @@ impl TaskScope<'_, '_> {
     }
 
     /// The victims of one sweep, ordered by descending published backlog
-    /// over effective speed (stale, message-free reads of each deque's
-    /// cached header), rotation breaking ties. Computed only after the
+    /// over effective speed (unlocked reads of each deque's header),
+    /// rotation breaking ties. Computed only after the
     /// home take came up empty, so the message-free local-work fast path
     /// never pays for victim scoring. Each call advances the rotation.
     fn victim_sweep(&mut self) -> Vec<usize> {
@@ -564,10 +565,13 @@ impl TaskScope<'_, '_> {
             if k == self.node {
                 continue;
             }
-            // Unlocked reads of the victim's cached deque header: stale
-            // but free (the page re-faults only after this thief's next
-            // acquire delivers fresh write notices). Good enough to rank
-            // victims; the actual take re-checks under the lock.
+            // Unlocked reads of the victim's deque header, possibly stale;
+            // good enough to rank victims, and the actual take re-checks
+            // under the lock. Not free: once an acquire has delivered a
+            // write notice for the header page, the read faults and asks
+            // the writer for its diff. On `fib(12)` (4 nodes) these reads
+            // take ≈ 50–56 read faults per job sending ≈ 52–60 `diff_req`,
+            // so ≈ 105–120 of its ≈ 900 messages with the replies.
             let dq = self.rt.deques[k];
             let head = self.th.read(&dq, HDR_HEAD);
             let tail = self.th.read(&dq, HDR_TAIL);

@@ -202,22 +202,22 @@ impl<'t> OmpThread<'t> {
         self.critical(critical_id(name), f)
     }
 
-    /// Two-level reduction combine for site `key`: fold `local` into the
+    /// Two-level reduction combine for site `key`: hold `local` in the
     /// node's combine cell; exactly one thread per node receives the node
-    /// total (`Some`) and publishes the single DSM contribution — the
-    /// callers with `None` proceed immediately. On `n × 1` every thread
-    /// is its node's publisher.
+    /// total (`Some`), folded in `local_tid` order, and publishes the
+    /// single DSM contribution — the callers with `None` proceed
+    /// immediately. On `n × 1` every thread is its node's publisher.
     pub fn reduce_combine<T: Send + 'static>(
         &mut self,
         key: u32,
         local: T,
-        fold: impl FnOnce(T, T) -> T,
+        fold: impl FnMut(T, T) -> T,
     ) -> Option<T> {
         match self.smp {
             None => Some(local),
             Some(ctx) => {
                 self.t.lane_advance(ctx.team.cfg().local_lock_ns);
-                ctx.team.combine(key, local, fold)
+                ctx.team.combine(key, ctx.local_tid, local, fold)
             }
         }
     }

@@ -56,11 +56,15 @@ fn reduction_publishes_once_per_node() {
             )
         });
         assert_eq!(out.result, 499_500, "{nodes}x{tpn}");
-        // The team combines in node shared memory; only one thread per
-        // node takes the reduction's critical section.
+        // The team combines in node shared memory; one thread per node
+        // contributes the node total, which rides the join's arrival: no
+        // lock, and no message beyond the fork and the join.
+        assert_eq!(out.dsm.lock_acquires, 0, "{nodes}x{tpn}: no lock");
+        let slaves = nodes as u64 - 1;
         assert_eq!(
-            out.dsm.lock_acquires, nodes as u64,
-            "{nodes}x{tpn}: one DSM contribution per node"
+            out.net.total_msgs(),
+            3 * slaves,
+            "{nodes}x{tpn}: one fork, arrival and departure per slave"
         );
     }
 }

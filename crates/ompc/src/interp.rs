@@ -345,6 +345,9 @@ pub(crate) fn fork_region(cx: &mut Icx<'_>, ex: &mut Exec<'_, '_, '_>, fp: usize
     if let Some(m) = &mon {
         m.join();
     }
+    for red in &reg.reds {
+        fold_red(env, cx.globals, red);
+    }
 }
 
 fn run_region_thread(
@@ -375,7 +378,7 @@ fn run_region_thread(
     let flow = code.regions[rid](&mut cx, ex, 0);
     debug_assert!(matches!(flow, Flow::Normal), "return escaped a region");
     for red in &reg.reds {
-        combine_red(ex, globals, red, cx.stack[red.slot as usize]);
+        contribute_red(ex, red, cx.stack[red.slot as usize]);
     }
     flush_lines(ex, lines);
 }
@@ -424,13 +427,46 @@ fn flush_lines(ex: &mut Exec<'_, '_, '_>, lines: Vec<String>) {
     }
 }
 
+/// The end of a region-level reduction on one thread. Two-level: the
+/// team folds in node shared memory first, and one thread per node
+/// contributes the node total to the join (on n×1 every thread is its
+/// node's). No lock and no shared page: the master folds the partials
+/// after the join ([`fold_red`]).
+fn contribute_red(ex: &mut Exec<'_, '_, '_>, red: &RedSite, local: f64) {
+    let (op, site) = (red.op, red.lock);
+    let th = ex.th();
+    if let Some(total) = th.reduce_combine(site, local, move |a, b| f64::combine(op, a, b)) {
+        th.contribute(site, &[total]);
+    }
+}
+
+/// The master's fold of a region-level reduction after the join: the
+/// shared variable, then each node's partial in node order, as a lock
+/// chain granted in node order would combine them. Only the master runs
+/// until the next fork, whose release carries the one write to every
+/// node.
+fn fold_red(t: &mut Tmk, globals: &[GSlot], red: &RedSite) {
+    let GSlot::Scalar(s) = globals[red.gid as usize] else {
+        unreachable!("reduction on array global");
+    };
+    let mut acc = s.get(t);
+    for p in t.take_partials::<f64>(red.lock) {
+        let next = f64::combine(red.op, acc, p[0]);
+        acc = if red.trunc { next.trunc() } else { next };
+    }
+    s.set(t, acc);
+}
+
+/// The end of an interior `for reduction` on one thread. Two-level: the
+/// team folds in node shared memory first, and one thread per node
+/// combines the node total into the shared variable under the site's
+/// lock. The loop's barrier follows, and any thread may read the
+/// variable right after it: only a write closed before that barrier
+/// gives every thread the reduced value, so this path keeps its lock.
 pub(crate) fn combine_red(ex: &mut Exec<'_, '_, '_>, globals: &[GSlot], red: &RedSite, local: f64) {
     let GSlot::Scalar(s) = globals[red.gid as usize] else {
         unreachable!("reduction on array global");
     };
-    // Two-level: combine in node shared memory first; one thread per
-    // node publishes the node total under the site's lock (a single DSM
-    // contribution per node — on n×1 every thread publishes its own).
     let (op, trunc, lock) = (red.op, red.trunc, red.lock);
     let th = ex.th();
     if let Some(total) = th.reduce_combine(lock, local, move |a, b| f64::combine(op, a, b)) {

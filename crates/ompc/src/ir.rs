@@ -61,7 +61,8 @@ pub(crate) struct LRegion {
     /// resolves schedules and pre-allocates shared chunk counters at
     /// fork time.
     pub loops: Vec<LSched>,
-    /// Region-level `reduction` clauses (on `parallel` itself).
+    /// Region-level `reduction` clauses (on `parallel` itself, or on a
+    /// combined `parallel for`): they ride the region's join.
     pub reds: Vec<RedSite>,
     /// A `task`/`taskwait` is reachable from this region (lexically or
     /// through called functions): run it as a distributed task scope.
@@ -97,14 +98,15 @@ pub(crate) struct LSched {
 }
 
 /// One reduction variable at one construct: the private accumulator
-/// slot, the shared global it folds into, and the lock serializing the
-/// end-of-construct combine.
+/// slot, the shared global it folds into, and the site's runtime id.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RedSite {
     pub op: RedOp,
     pub gid: u16,
     pub slot: u16,
     pub trunc: bool,
+    /// The site's runtime id: the key of its node partials at a region's
+    /// join, and the lock serializing an interior loop's combine.
     pub lock: u32,
     /// Span of the variable in the `reduction(op:v)` clause.
     pub span: Span,
@@ -213,6 +215,9 @@ pub(crate) struct WsFor {
     pub lo: LExpr,
     pub hi: LExpr,
     pub body: Vec<LStmt>,
+    /// An interior `omp for`'s reductions, combined under their locks
+    /// before the loop's barrier (empty on a combined `parallel for`,
+    /// whose reductions are the region's).
     pub reds: Vec<RedSite>,
     /// Interior `omp for`: run the implied end-of-loop barrier (combined
     /// `parallel for` relies on the region join instead).

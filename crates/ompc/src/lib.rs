@@ -33,7 +33,7 @@
 //! | `schedule(static[,c] \| dynamic[,c] \| guided[,c] \| runtime)` | [`nomp::Schedule`]; `runtime` resolves from [`nomp::OmpConfig::runtime_schedule`]; dynamic/guided draw chunks from a DSM counter under a runtime lock |
 //! | `shared(g)` | legal only for globals; `shared(local)` is a compile error (stack data cannot live in DSM — Modification 1) |
 //! | `private(x)` / `firstprivate(x)` | locals: cleared / captured copy; globals: rebound to a fresh private slot (zeroed / seeded from the global) |
-//! | `reduction(op:g)` | `g` rebound to a private accumulator seeded with `op`'s identity; combined into the shared global under a per-site lock at construct end |
+//! | `reduction(op:g)` | `g` rebound to a private accumulator seeded with `op`'s identity; at a region's end (`parallel` or combined `parallel for`) each node's partial rides the join and the master folds them into the shared global in node order; an interior `for` combines under a per-site lock before its barrier |
 //! | `#pragma omp critical [(name)]` | [`nomp::critical_id`] lock around the block |
 //! | `#pragma omp barrier` | DSM barrier (context-checked over the call graph) |
 //! | `#pragma omp single` | thread 0 executes + implied barrier |

@@ -672,7 +672,9 @@ impl<'p> Sema<'p> {
                     self.apply_data_clauses(cx, clauses, span, DataCtx::ParallelFor)?;
                 cx.in_parallel = true;
                 let outer_loops = cx.loops.replace(vec![sched]);
-                let ws = self.lower_ws_loop(cx, loop_, 0, reds, false, false);
+                // The combined construct's reductions are the region's:
+                // they ride its join, not the loop's lock.
+                let ws = self.lower_ws_loop(cx, loop_, 0, Vec::new(), false, false);
                 cx.loops = outer_loops;
                 cx.in_parallel = false;
                 self.restore_remap(cx, saved);
@@ -683,7 +685,7 @@ impl<'p> Sema<'p> {
                         body: rbody,
                         frame: 0,
                         loops: vec![sched],
-                        reds: Vec::new(),
+                        reds,
                         uses_tasks: false,
                         span,
                         privatized: Vec::new(),

@@ -124,7 +124,9 @@ pub struct ChunkBuf {
     pub claim_len: u64,
 }
 
-type Cell = (usize, Option<Box<dyn Any + Send>>);
+/// A combine cell: how many local threads have arrived, and their
+/// values by `local_tid` (a `Vec<Option<T>>`).
+type Cell = (usize, Box<dyn Any + Send>);
 
 /// Outcome of the local barrier's gather phase.
 pub enum Arrival {
@@ -260,36 +262,44 @@ impl Team {
     // Combine cells (two-level reductions)
     // ------------------------------------------------------------------
 
-    /// Fold `val` into the node's combine cell for reduction site `key`.
-    /// The `threads_per_node`-th arriver receives the node total (and the
-    /// cell resets for reuse): exactly one thread per node publishes one
-    /// DSM contribution, everyone else proceeds immediately.
+    /// Hold local thread `local_tid`'s `val` in the node's combine cell
+    /// for reduction site `key`. The `threads_per_node`-th arriver
+    /// receives the node total, folded in `local_tid` order whatever
+    /// order the threads arrived in (and the cell resets for reuse):
+    /// exactly one thread per node publishes one DSM contribution,
+    /// everyone else proceeds immediately.
     pub fn combine<T: Send + 'static>(
         &self,
         key: u32,
+        local_tid: usize,
         val: T,
-        fold: impl FnOnce(T, T) -> T,
+        fold: impl FnMut(T, T) -> T,
     ) -> Option<T> {
         self.check_poison();
+        let tpn = self.cfg.threads_per_node;
         let mut m = self.cells.lock();
-        let cell = m.entry(key).or_insert((0, None));
+        let cell = m.entry(key).or_insert_with(|| {
+            let vals: Vec<Option<T>> = (0..tpn).map(|_| None).collect();
+            (0, Box::new(vals))
+        });
+        let vals = cell
+            .1
+            .downcast_mut::<Vec<Option<T>>>()
+            .expect("combine cell type mismatch at one reduction site");
+        let prev = vals[local_tid].replace(val);
+        assert!(
+            prev.is_none(),
+            "local thread {local_tid} combined twice at site {key}"
+        );
         cell.0 += 1;
-        let merged = match cell.1.take() {
-            None => val,
-            Some(prev) => {
-                let prev = *prev
-                    .downcast::<T>()
-                    .expect("combine cell type mismatch at one reduction site");
-                fold(prev, val)
-            }
-        };
-        if cell.0 == self.cfg.threads_per_node {
-            m.remove(&key);
-            Some(merged)
-        } else {
-            cell.1 = Some(Box::new(merged));
-            None
+        if cell.0 < tpn {
+            return None;
         }
+        let (_, vals) = m.remove(&key).expect("the cell is there");
+        let vals = vals.downcast::<Vec<Option<T>>>().expect("checked above");
+        vals.into_iter()
+            .map(|v| v.expect("every thread arrived"))
+            .reduce(fold)
     }
 
     // ------------------------------------------------------------------
@@ -487,13 +497,26 @@ mod tests {
     #[test]
     fn combine_cell_hands_total_to_last_arriver() {
         let team = Team::new(SmpConfig::fast_test(3));
-        assert_eq!(team.combine(9, 10u64, |a, b| a + b), None);
-        assert_eq!(team.combine(9, 20u64, |a, b| a + b), None);
-        assert_eq!(team.combine(9, 12u64, |a, b| a + b), Some(42));
+        assert_eq!(team.combine(9, 1, 10u64, |a, b| a + b), None);
+        assert_eq!(team.combine(9, 0, 20u64, |a, b| a + b), None);
+        assert_eq!(team.combine(9, 2, 12u64, |a, b| a + b), Some(42));
         // The cell reset: a second reduction at the same site works.
-        assert_eq!(team.combine(9, 1u64, |a, b| a + b), None);
-        assert_eq!(team.combine(9, 2u64, |a, b| a + b), None);
-        assert_eq!(team.combine(9, 3u64, |a, b| a + b), Some(6));
+        assert_eq!(team.combine(9, 2, 1u64, |a, b| a + b), None);
+        assert_eq!(team.combine(9, 0, 2u64, |a, b| a + b), None);
+        assert_eq!(team.combine(9, 1, 3u64, |a, b| a + b), Some(6));
+    }
+
+    #[test]
+    fn combine_folds_in_local_tid_order_whatever_the_arrival_order() {
+        let team = Team::new(SmpConfig::fast_test(3));
+        let fold = |a: Vec<usize>, b: Vec<usize>| [a, b].concat();
+        for order in [[0, 1, 2], [2, 0, 1], [1, 2, 0]] {
+            let mut total = None;
+            for tid in order {
+                total = team.combine(4, tid, vec![tid], fold);
+            }
+            assert_eq!(total, Some(vec![0, 1, 2]), "arrival order {order:?}");
+        }
     }
 
     #[test]

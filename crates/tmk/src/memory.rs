@@ -12,6 +12,7 @@
 
 use crate::api::Tmk;
 use crate::page::{PageMeta, PageState};
+use crate::protocol::Gathered;
 use crate::state::NodeState;
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -423,6 +424,36 @@ impl Tmk {
         let r = f(&mut buf); // metered: this is application compute
         self.write_slice(v, range.start, &buf);
         r
+    }
+    // ------------------------------------------------------------------
+    // Reductions riding the join
+    // ------------------------------------------------------------------
+
+    /// Contribute this node's partial `vals` of reduction `site`. No
+    /// message: the node's next barrier arrival carries it to the
+    /// manager, whose own departure delivers every node's partial to the
+    /// master ([`Tmk::take_partials`]).
+    pub fn contribute<T: Shareable>(&mut self, site: u32, vals: &[T]) {
+        let mut bytes = vec![0u8; std::mem::size_of_val(vals)];
+        copy_in(&mut bytes, 0, vals);
+        self.state.lock().partials.push((site, bytes));
+    }
+
+    /// The master's take of the partials of reduction `site` that the
+    /// barriers since the last take gathered, one per contribution, in
+    /// node order (a node's own in contribution order).
+    pub fn take_partials<T: Shareable>(&mut self, site: u32) -> Vec<Vec<T>> {
+        assert_eq!(self.id, 0, "only the master takes reduction partials");
+        let mut mine: Vec<Gathered> = (self.state.lock().gathered)
+            .extract_if(.., |g| g.0 == site)
+            .collect();
+        mine.sort_by_key(|g| g.1);
+        let size = std::mem::size_of::<T>();
+        let partial = |(_, _, bytes): Gathered| {
+            assert_eq!(bytes.len() % size, 0, "reduction site {site} changed type");
+            copy_out(&bytes, 0, bytes.len() / size)
+        };
+        mine.into_iter().map(partial).collect()
     }
 }
 

@@ -39,6 +39,14 @@ pub type Update = (PageId, IntervalId, Arc<Diff>);
 /// A page's diffs by interval, as a fault holds or fetches them.
 pub type PageDiffs = Vec<(IntervalId, Arc<Diff>)>;
 
+/// A reduction partial riding a barrier arrival: the reduction site and
+/// the node's value as raw bytes.
+pub type Partial = (u32, Vec<u8>);
+
+/// A partial as the barrier manager forwards it: site, contributing
+/// node, bytes.
+pub type Gathered = (u32, usize, Vec<u8>);
+
 /// All DSM protocol messages.
 #[derive(Debug, Clone)]
 pub enum Msg {
@@ -133,6 +141,9 @@ pub enum Msg {
         /// The arriver's diffs, since its last arrival, of the pages its
         /// last departure published.
         updates: Vec<Update>,
+        /// The reduction partials the arriver contributed since its last
+        /// arrival, in contribution order.
+        partials: Vec<Partial>,
     },
     /// Barrier departure: an acquire delivering missing notices.
     BarrierDepart {
@@ -148,6 +159,9 @@ pub enum Msg {
         /// Other writers' diffs of this node's subscribed pages, for
         /// intervals whose notices it lacks.
         updates: Vec<Update>,
+        /// Every arrival's reduction partials by `(site, node)`: in the
+        /// manager's own departure only, a free self-send.
+        partials: Vec<Gathered>,
     },
     /// `sema_signal`: a release to the semaphore's manager.
     SemaSignal {
@@ -327,18 +341,29 @@ impl Wire for Msg {
                 updates,
                 ..
             } => 8 + bundle.wire_bytes() + riders_wire_bytes(published, updates),
+            // A partial adds its 4-byte site id and its bytes.
             Msg::BarrierArrive {
                 bundle,
                 subscribed,
                 updates,
+                partials,
                 ..
-            } => 16 + bundle.wire_bytes() + riders_wire_bytes(subscribed, updates),
+            } => {
+                16 + bundle.wire_bytes()
+                    + riders_wire_bytes(subscribed, updates)
+                    + partials.iter().map(|(_, b)| 4 + b.len()).sum::<usize>()
+            }
             Msg::BarrierDepart {
                 bundle,
                 published,
                 updates,
+                partials,
                 ..
-            } => 9 + bundle.wire_bytes() + riders_wire_bytes(published, updates),
+            } => {
+                9 + bundle.wire_bytes()
+                    + riders_wire_bytes(published, updates)
+                    + partials.iter().map(|(_, _, b)| 8 + b.len()).sum::<usize>()
+            }
             Msg::SemaSignal { bundle, .. } => 8 + bundle.wire_bytes(),
             Msg::SemaAck { .. } => 8,
             Msg::SemaWait { vc, .. } => 12 + vc.wire_bytes(),
@@ -450,17 +475,30 @@ mod tests {
         // each attached diff as a `DiffRep` entry would.
         let updates = vec![(2, id(3), diff.clone()), (5, id(4), diff.clone())];
         let riders = 4 * 3 + 2 * (8 + diff.wire_bytes());
-        let arrive = |subscribed: Vec<PageId>, updates: Vec<Update>| Msg::BarrierArrive {
-            epoch: 0,
-            bundle: NoticeBundle::empty(VectorClock::zero(8)),
-            diff_bytes: 0,
-            subscribed,
-            updates,
+        let arrive = |subscribed: Vec<PageId>, updates: Vec<Update>, partials: Vec<Partial>| {
+            Msg::BarrierArrive {
+                epoch: 0,
+                bundle: NoticeBundle::empty(VectorClock::zero(8)),
+                diff_bytes: 0,
+                subscribed,
+                updates,
+                partials,
+            }
         };
-        let bare = arrive(vec![], vec![]).wire_bytes();
+        let bare = arrive(vec![], vec![], vec![]).wire_bytes();
         assert_eq!(
-            arrive(vec![1, 2, 5], updates.clone()).wire_bytes(),
+            bare,
+            16 + NoticeBundle::empty(VectorClock::zero(8)).wire_bytes()
+        );
+        assert_eq!(
+            arrive(vec![1, 2, 5], updates.clone(), vec![]).wire_bytes(),
             bare + riders
+        );
+        // A reduction partial adds its 4-byte site id and its bytes.
+        let partials = vec![(7, vec![0; 8]), (9, vec![0; 24])];
+        assert_eq!(
+            arrive(vec![], vec![], partials).wire_bytes(),
+            bare + (4 + 8) + (4 + 24)
         );
         let depart = |published: Vec<PageId>, updates: Vec<Update>| Msg::BarrierDepart {
             epoch: 0,
@@ -468,6 +506,7 @@ mod tests {
             gc: false,
             published,
             updates,
+            partials: vec![],
         };
         let bare = depart(vec![], vec![]).wire_bytes();
         assert_eq!(

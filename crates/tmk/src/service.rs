@@ -12,7 +12,7 @@
 
 use crate::addr::PageId;
 use crate::interval::{NoticeBundle, VectorClock};
-use crate::protocol::{Msg, Region};
+use crate::protocol::{Gathered, Msg, Region};
 use crate::state::{Arrival, NodeState, SyncId};
 use crossbeam::channel::Sender;
 use now_net::{Delivered, Endpoint, Wire as _};
@@ -169,6 +169,7 @@ pub(crate) fn on_request(
             diff_bytes,
             subscribed,
             updates,
+            partials,
         } => {
             debug_assert_eq!(st.id, 0, "barrier manager is node 0");
             debug_assert_eq!(epoch, st.mgr.barrier_epoch, "barrier episode mismatch");
@@ -177,6 +178,7 @@ pub(crate) fn on_request(
                 bundle,
                 diff_bytes,
                 subscribed,
+                partials,
             });
             st.mgr.updates.extend(updates);
             st.mgr.barrier_last_arrive_vt = st.mgr.barrier_last_arrive_vt.max(arrival_vt);
@@ -317,7 +319,9 @@ fn send_grant(
 /// Each departure publishes the pages the other nodes subscribe to, and
 /// forwards every attached diff of a page its node subscribes to, other
 /// than the node's own. The node keeps only those whose notices it holds
-/// unapplied (`NodeState::on_depart`).
+/// unapplied (`NodeState::on_depart`). The manager's own departure, a
+/// free self-send, carries every arrival's reduction partials, sorted by
+/// `(site, node)`.
 fn release_barrier(st: &mut NodeState, epoch: u32, out: &mut Vec<(usize, Msg)>) {
     let total_diff_bytes: u64 = st.mgr.arrivals.iter().map(|a| a.diff_bytes).sum::<u64>();
     let gc = st.cfg.gc_every_barrier || total_diff_bytes > st.cfg.gc_threshold_bytes as u64;
@@ -340,6 +344,16 @@ fn release_barrier(st: &mut NodeState, epoch: u32, out: &mut Vec<(usize, Msg)>) 
     for a in &arrivals {
         st.apply_bundle(a.node, &a.bundle);
     }
+    let mut partials: Vec<Gathered> = arrivals
+        .iter_mut()
+        .flat_map(|a| {
+            let node = a.node;
+            std::mem::take(&mut a.partials)
+                .into_iter()
+                .map(move |(site, bytes)| (site, node, bytes))
+        })
+        .collect();
+    partials.sort_by_key(|&(site, node, _)| (site, node));
     for a in &arrivals {
         let bundle = st.grant_to(a.node, &a.bundle.pvc);
         let others = arrivals.iter().filter(|b| b.node != a.node);
@@ -354,6 +368,11 @@ fn release_barrier(st: &mut NodeState, epoch: u32, out: &mut Vec<(usize, Msg)>) 
             published: published.into_iter().collect(),
             updates: updates.cloned().collect(),
             bundle,
+            partials: if a.node == st.id {
+                std::mem::take(&mut partials)
+            } else {
+                Vec::new()
+            },
         };
         out.push((a.node, depart));
     }
@@ -580,6 +599,7 @@ mod tests {
             diff_bytes: 0,
             subscribed: subscribed.to_vec(),
             updates,
+            partials: vec![],
         }
     }
 
@@ -722,6 +742,56 @@ mod tests {
         let id = IntervalId { node: 1, seq: 1 };
         assert_eq!(grant, [(0, "lock_grant", vec![], vec![(0, id)])]);
         assert_eq!(m.mgr.lock_updates[&0].kept.len(), 0);
+    }
+
+    #[test]
+    fn the_managers_own_departure_carries_every_partial_by_site_then_node() {
+        for gc in [false, true] {
+            let mut m = manager();
+            // Node `k` contributed site 9 (`[k]`) and, on odd nodes, site 3
+            // (`[10 + k]`) before it; a GC trigger on node 2's arrival.
+            let arrive = |k: usize| Msg::BarrierArrive {
+                epoch: 0,
+                bundle: bundle(),
+                diff_bytes: if gc && k == 2 { u64::MAX / 2 } else { 0 },
+                subscribed: vec![],
+                updates: vec![],
+                partials: (k % 2 == 1)
+                    .then(|| (3, vec![10 + k as u8]))
+                    .into_iter()
+                    .chain([(9, vec![k as u8])])
+                    .collect(),
+            };
+            let mut out = Vec::new();
+            for k in [2, 0, 3, 1] {
+                on_request(&mut m, k, arrive(k), 0, &mut out);
+            }
+            let departures: Vec<(usize, bool, Vec<Gathered>)> = out
+                .into_iter()
+                .map(|(dst, msg)| match msg {
+                    Msg::BarrierDepart { gc, partials, .. } => (dst, gc, partials),
+                    other => panic!("expected a departure, got {}", other.kind()),
+                })
+                .collect();
+            let want: Vec<Gathered> = vec![
+                (3, 1, vec![11]),
+                (3, 3, vec![13]),
+                (9, 0, vec![0]),
+                (9, 1, vec![1]),
+                (9, 2, vec![2]),
+                (9, 3, vec![3]),
+            ];
+            assert_eq!(
+                departures,
+                [
+                    (3, gc, vec![]),
+                    (2, gc, vec![]),
+                    (1, gc, vec![]),
+                    (0, gc, want),
+                ]
+            );
+            assert!(m.mgr.arrivals.is_empty());
+        }
     }
 
     #[test]

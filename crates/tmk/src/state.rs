@@ -14,7 +14,7 @@ use crate::diff::Diff;
 use crate::interval::{IntervalId, IntervalInfo, NoticeBundle, VectorClock};
 use crate::metrics::NodeMetrics;
 use crate::page::{NoticeRec, PageMeta, PageState};
-use crate::protocol::{Msg, PageDiffs, Update};
+use crate::protocol::{Gathered, Msg, PageDiffs, Partial, Update};
 use crate::stats::TmkOp;
 use now_net::{VirtualClock, Wire as _};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -92,6 +92,8 @@ pub struct Arrival {
     pub diff_bytes: u64,
     /// The pages it subscribes to, ascending.
     pub subscribed: Vec<PageId>,
+    /// The reduction partials it contributed since its last arrival.
+    pub partials: Vec<Partial>,
 }
 
 /// One lock's updates as its manager keeps them: who subscribes to what,
@@ -276,6 +278,13 @@ pub struct NodeState {
     /// Our last interval closed at or before the last arrival: later
     /// ones are the next arrival's to attach.
     pub arrived_seq: u32,
+    /// Reduction partials contributed since the last arrival, which
+    /// carries them to the barrier manager.
+    pub partials: Vec<Partial>,
+    /// The partials the barrier manager's departures delivered to this
+    /// node (node 0 only), appended departure by departure until the
+    /// master takes a site's ([`crate::Tmk::take_partials`]).
+    pub gathered: Vec<Gathered>,
     /// Manager-role state.
     pub mgr: ManagerState,
     /// Cluster-lifetime metrics block (survives job-boundary resets);
@@ -320,6 +329,8 @@ impl NodeState {
             published: Vec::new(),
             delivered: Vec::new(),
             arrived_seq: 0,
+            partials: Vec::new(),
+            gathered: Vec::new(),
             mgr: ManagerState::default(),
             metrics,
             in_service: false,
@@ -721,8 +732,9 @@ impl NodeState {
     /// The request half of arriving at barrier episode `epoch`: close the
     /// interval and release to the barrier manager, node 0. The arrival
     /// carries our subscriptions, less the pages whose update the last
-    /// departure delivered went unread, and our diffs of the published
-    /// pages.
+    /// departure delivered went unread, our diffs of the published
+    /// pages, and the reduction partials contributed since the last
+    /// arrival.
     pub fn arrive_request(&mut self, epoch: u32) -> (usize, Msg) {
         self.close_interval();
         let delivered = std::mem::take(&mut self.delivered);
@@ -739,6 +751,7 @@ impl NodeState {
                 diff_bytes: self.diff_store_bytes,
                 subscribed: self.subscribed.iter().copied().collect(),
                 updates,
+                partials: std::mem::take(&mut self.partials),
             },
         )
     }
@@ -770,9 +783,10 @@ impl NodeState {
 
     /// The reply half of a barrier: check that `msg` departs `epoch`,
     /// acquire its bundle, hold the delivered diffs its notices ask for
-    /// ([`NodeState::hold`]), and return the GC snapshot clock when the
-    /// departure starts a GC round: the bundle's clock, which the manager
-    /// gives every node alike (one tenure builds all departures).
+    /// ([`NodeState::hold`]), append the gathered reduction partials,
+    /// and return the GC snapshot clock when the departure starts a GC
+    /// round: the bundle's clock, which the manager gives every node
+    /// alike (one tenure builds all departures).
     pub fn on_depart(&mut self, epoch: u32, src: usize, msg: Msg) -> Option<VectorClock> {
         let Msg::BarrierDepart {
             epoch: e,
@@ -780,6 +794,7 @@ impl NodeState {
             gc,
             published,
             updates,
+            partials,
         } = msg
         else {
             panic!("expected BarrierDepart, got {}", msg.kind())
@@ -788,6 +803,7 @@ impl NodeState {
         self.acquire(src, &bundle);
         self.published = published;
         self.delivered = self.hold(updates);
+        self.gathered.extend(partials);
         self.count(TmkOp::Barriers, 1);
         gc.then_some(bundle.pvc)
     }
@@ -1527,6 +1543,10 @@ mod tests {
         strip: bool,
         /// A barrier whose `arg` is a multiple of this runs a GC round.
         gc_every: u32,
+        /// Arrivals carry reduction partials, drawn from the barrier's
+        /// `arg`; every departure must deliver them to node 0 by
+        /// `(site, node)`, and to no other node.
+        partials: bool,
         /// Next barrier episode.
         epoch: u32,
         /// `DiffReq` messages sent, one entry per fault.
@@ -1536,12 +1556,13 @@ mod tests {
     }
 
     impl World {
-        fn new(n: usize, per_writer: bool, strip: bool, gc_every: u32) -> Self {
+        fn new(n: usize, per_writer: bool, strip: bool, gc_every: u32, partials: bool) -> Self {
             World {
                 nodes: (0..n).map(|id| mk(id, n)).collect(),
                 per_writer,
                 strip,
                 gc_every,
+                partials,
                 epoch: 0,
                 requests: Vec::new(),
                 reads: Vec::new(),
@@ -1740,14 +1761,25 @@ mod tests {
 
         /// Every node arrives, the last arrival starting at `first`; the
         /// manager's departures are taken; a GC round follows if the
-        /// manager calls one.
-        fn barrier(&mut self, first: usize, gc: bool) {
+        /// manager calls one. With `partials`, node `k` first contributes
+        /// up to two partials to sites 0 to 2, as bits of `arg` pick.
+        fn barrier(&mut self, first: usize, gc: bool, arg: u32) {
             let n = self.nodes.len();
             let epoch = self.epoch;
             self.epoch += 1;
             self.nodes[0].cfg.gc_every_barrier = gc;
+            let mut want = Vec::new();
             let mut out = Vec::new();
             for k in (0..n).map(|i| (first + i) % n) {
+                if self.partials {
+                    let bits = arg.rotate_right(5 * k as u32);
+                    for j in 0..bits % 3 {
+                        let site = (bits >> (2 + 2 * j)) % 3;
+                        let bytes = vec![k as u8, epoch as u8, j as u8];
+                        self.nodes[k].partials.push((site, bytes.clone()));
+                        want.push((site, k, bytes));
+                    }
+                }
                 let arrive = self.nodes[k].arrive_request(epoch);
                 out.extend(self.serve(k, arrive));
             }
@@ -1755,6 +1787,11 @@ mod tests {
             let mut snapshots = Vec::new();
             for (k, depart) in out {
                 snapshots.extend(self.nodes[k].on_depart(epoch, 0, depart));
+            }
+            want.sort_by_key(|&(site, node, _)| (site, node));
+            assert_eq!(std::mem::take(&mut self.nodes[0].gathered), want);
+            for node in &self.nodes {
+                assert!(node.partials.is_empty() && node.gathered.is_empty());
             }
             let Some(upto) = snapshots.first().cloned() else {
                 return;
@@ -1843,7 +1880,7 @@ mod tests {
                     let r = self.nodes[k].page_range(pid);
                     self.reads.push(self.nodes[k].mem[r].to_vec());
                 }
-                _ => self.barrier(k, arg % self.gc_every == 0),
+                _ => self.barrier(k, arg % self.gc_every == 0, arg),
             }
         }
     }
@@ -1892,8 +1929,8 @@ mod tests {
         fn dominated_fetch_matches_the_per_writer_plan(
             ops in proptest::collection::vec(0u32..1_000_000, 0..120),
         ) {
-            let new = World::new(WORLD, false, true, 3);
-            let old = World::new(WORLD, true, true, 3);
+            let new = World::new(WORLD, false, true, 3, true);
+            let old = World::new(WORLD, true, true, 3, false);
             differential(new, old, &ops);
         }
     }
@@ -1902,8 +1939,9 @@ mod tests {
     // protocol: the same programs on 2–4 nodes (lock steps alone, nested
     // and through a condition wait), GC at every barrier or every third,
     // once with the diffs attached to arrivals and releases and once
-    // with them stripped in transit. Held diffs change no byte read, and
-    // no fault asks more.
+    // with them stripped in transit, reduction partials riding the
+    // former's arrivals. Held diffs and partials change no byte read, page
+    // state or notice, and no fault asks more.
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig { cases: 300, ..Default::default() })]
         #[test]
@@ -1913,10 +1951,24 @@ mod tests {
             ops in proptest::collection::vec(0u32..1_000_000, 0..160),
         ) {
             let gc_every = 1 + 2 * every_third;
-            let new = World::new(n, false, false, gc_every);
-            let old = World::new(n, false, true, gc_every);
+            let new = World::new(n, false, false, gc_every, true);
+            let old = World::new(n, false, true, gc_every, false);
             differential(new, old, &ops);
         }
+    }
+
+    #[test]
+    fn reset_drops_unsent_and_gathered_partials() {
+        let mut st = mk(0, 2);
+        st.partials.push((1, vec![1]));
+        st.gathered.push((2, 1, vec![2]));
+        st.reset();
+        assert!(st.partials.is_empty() && st.gathered.is_empty());
+        let (_, arrive) = st.arrive_request(0);
+        let Msg::BarrierArrive { partials, .. } = arrive else {
+            panic!("expected an arrival")
+        };
+        assert!(partials.is_empty(), "a reset partial rode the next arrival");
     }
 
     #[test]

@@ -720,6 +720,28 @@ mod tests {
     }
 
     #[test]
+    fn partials_reach_the_master_in_node_order_across_an_interior_barrier() {
+        let out = run_system(cfg(3), |t| {
+            t.parallel(0, |t| {
+                let me = t.proc_id() as u64;
+                t.contribute(7, &[me, 10 + me]);
+                // Site 7 rides this barrier; the master keeps it.
+                t.barrier();
+                t.contribute(9, &[me as f64 / 2.0]);
+            });
+            let sevens = t.take_partials::<u64>(7);
+            (sevens, t.take_partials::<f64>(9), t.take_partials::<u64>(7))
+        });
+        let (sevens, nines, again) = out.result;
+        assert_eq!(sevens, [[0, 10], [1, 11], [2, 12]]);
+        assert_eq!(nines, [[0.0], [0.5], [1.0]]);
+        assert!(again.is_empty(), "a take drains its site");
+        // The partials add no message: a fork and two barriers' arrival
+        // and departure per slave.
+        assert_eq!(out.net.total_msgs(), 2 * 5);
+    }
+
+    #[test]
     fn diag_dump_shows_queues_and_parked_receivers() {
         let out = run_system(cfg(2), |tmk| {
             let diag = tmk.diag.clone().expect("system handles carry diagnostics");
