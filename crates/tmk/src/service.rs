@@ -908,6 +908,8 @@ mod tests {
         /// Remote messages sent, by kind (self-sends are free, as on the
         /// network).
         sent: BTreeMap<&'static str, u64>,
+        /// Their wire bytes, by kind.
+        bytes: BTreeMap<&'static str, u64>,
     }
 
     impl Sim {
@@ -916,6 +918,7 @@ mod tests {
         fn count(&mut self, src: usize, dst: usize, msg: &Msg) {
             if src != dst {
                 *self.sent.entry(msg.kind()).or_default() += 1;
+                *self.bytes.entry(msg.kind()).or_default() += msg.wire_bytes() as u64;
             }
         }
 
@@ -990,18 +993,19 @@ mod tests {
     /// the page, a barrier, every node reads the page (its faults
     /// subscribe it), a barrier, every node writes byte `8 + k`, a
     /// barrier, every node reads the page again (the other writers'
-    /// diffs rode the barrier), the join barrier. Also returns each
-    /// node's `(vt, cpu)` clocks.
+    /// diffs rode the barrier), the join barrier. Also returns the wire
+    /// bytes by kind and each node's `(vt, cpu)` clocks.
     ///
     /// In the threaded run the barrier manager's service thread takes the
     /// others' arrivals while its application may still be writing; the
     /// counts match only because it applies their notices at release.
-    fn without_threads() -> (Outcome, Vec<(u64, u64)>) {
+    fn without_threads() -> (Outcome, BTreeMap<&'static str, u64>, Vec<(u64, u64)>) {
         let mut sim = Sim {
             nodes: cluster(N),
             wire: VecDeque::new(),
             inbox: vec![VecDeque::new(); N],
             sent: BTreeMap::new(),
+            bytes: BTreeMap::new(),
         };
         // Every node asks at once; the grants then pass down the queue.
         for k in 0..N {
@@ -1059,7 +1063,11 @@ mod tests {
             .nodes
             .iter()
             .map(|st| (st.clock.now(), st.clock.cpu_now()));
-        ((sim.sent, stats, pages.collect()), clocks.collect())
+        (
+            (sim.sent, stats, pages.collect()),
+            sim.bytes,
+            clocks.collect(),
+        )
     }
 
     /// The same program on the threaded system. Which node the manager
@@ -1098,7 +1106,7 @@ mod tests {
             without_threads(),
             "thread-free runs are bit-identical"
         );
-        let (free, _) = first;
+        let (free, bytes, clocks) = first;
         let (sent, stats, pages) = &free;
         // The second reads' three faults send nothing: each finds the
         // other writers' diffs held, delivered by barrier 2.
@@ -1120,6 +1128,12 @@ mod tests {
         page[..N].copy_from_slice(&[1, 2, 3]);
         page[8..8 + N].copy_from_slice(&[1, 2, 3]);
         assert_eq!(pages, &vec![page; N]);
+        // Wire bytes by kind, in `want`'s order, and the final clocks, as
+        // recorded: a refactor of the riders leaves them as they are.
+        assert!(bytes.keys().eq(sent.keys()));
+        let bytes: Vec<u64> = bytes.into_values().collect();
+        assert_eq!(bytes, [590, 492, 158, 96, 48, 124, 145]);
+        assert_eq!(clocks, [(34, 10), (34, 10), (44, 0)]);
 
         // The fork is all the threaded run adds.
         let (mut sent, mut stats, pages) = with_threads();

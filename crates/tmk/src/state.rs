@@ -1553,6 +1553,9 @@ mod tests {
         requests: Vec<usize>,
         /// The page bytes every read returned, in order.
         reads: Vec<Vec<u8>>,
+        /// Every message sent, self-sends included, as `(msgs, wire
+        /// bytes)` by kind.
+        tally: BTreeMap<&'static str, (u64, u64)>,
     }
 
     impl World {
@@ -1566,7 +1569,15 @@ mod tests {
                 epoch: 0,
                 requests: Vec::new(),
                 reads: Vec::new(),
+                tally: BTreeMap::new(),
             }
+        }
+
+        /// Count `msg` in the tally.
+        fn note(tally: &mut BTreeMap<&'static str, (u64, u64)>, msg: &Msg) {
+            let (msgs, bytes) = tally.entry(msg.kind()).or_default();
+            *msgs += 1;
+            *bytes += msg.wire_bytes() as u64;
         }
 
         /// Node `f` makes `pids` readable as `Tmk::fault_pages_inner`
@@ -1660,7 +1671,9 @@ mod tests {
                     requests += 1;
                     let asked: Vec<PageId> = pages.iter().map(|(pid, _)| *pid).collect();
                     let req = Msg::DiffReq { pages };
+                    Self::note(&mut self.tally, &req);
                     crate::service::on_request(&mut nodes[w], f, req, 0, &mut out);
+                    out.iter().for_each(|(_, m)| Self::note(&mut self.tally, m));
                     let Some((to, Msg::DiffRep { pages })) = out.pop() else {
                         panic!("a DiffReq is answered by a DiffRep")
                     };
@@ -1713,6 +1726,7 @@ mod tests {
         /// diffs stripped in transit if the world strips them: what the
         /// manager sends.
         fn serve(&mut self, src: usize, (mgr, mut msg): (usize, Msg)) -> Vec<(usize, Msg)> {
+            Self::note(&mut self.tally, &msg);
             if self.strip {
                 if let Msg::BarrierArrive { updates, .. }
                 | Msg::LockRelease { updates, .. }
@@ -1723,6 +1737,7 @@ mod tests {
             }
             let mut out = Vec::new();
             crate::service::on_request(&mut self.nodes[mgr], src, msg, 0, &mut out);
+            out.iter().for_each(|(_, m)| Self::note(&mut self.tally, m));
             out
         }
 
@@ -1954,6 +1969,55 @@ mod tests {
             let new = World::new(n, false, false, gc_every, true);
             let old = World::new(n, false, true, gc_every, false);
             differential(new, old, &ops);
+        }
+    }
+
+    // Fixed programs, 200 steps from a seeded LCG, on 2, 3 and 4 nodes
+    // (lock steps alone, nested and through a condition wait, barriers
+    // carrying partials), GC at every barrier and at every third, against
+    // what they did when recorded: per message kind, in name order, its
+    // count and wire bytes (self-sends included), then each node's vt,
+    // cpu and diff storage, then the faults that sent requests and their
+    // `DiffReq`s. A refactor of the riders must leave every number as it
+    // is.
+    #[test]
+    fn fixed_programs_keep_their_pinned_traffic_and_clocks() {
+        // 2, 3 and 4 nodes with GC at every barrier, then at every third.
+        let want = [
+            "64/6020 64/5768 13/156 13/997 23/1026 23/544 52/1040 65/2750 52/3149 \
+             | 1131/130/0 1019/80/13 | 34/23",
+            "96/9003 96/12699 13/156 13/1174 19/857 19/488 51/1224 64/3795 51/3983 \
+             | 976/20/0 747/50/13 980/20/0 | 43/19",
+            "144/13677 144/19925 11/132 11/1154 16/963 16/484 50/1400 61/4309 50/4644 \
+             | 620/0/35 653/0/0 590/30/0 827/10/52 | 35/16",
+            "68/5862 68/5365 9/108 9/729 21/851 21/492 45/900 54/2154 45/2769 \
+             | 852/110/141 1090/60/106 | 41/21",
+            "108/9170 108/10278 8/96 8/816 46/2181 46/1220 46/1104 54/2801 46/3954 \
+             | 469/40/0 644/60/0 1074/60/0 | 53/46",
+            "120/10622 120/13493 4/48 4/475 56/3240 56/1604 46/1288 50/3383 46/4585 \
+             | 414/20/0 388/30/13 396/40/13 623/40/53 | 65/56",
+        ];
+        for (i, want) in want.into_iter().enumerate() {
+            let (n, gc_every) = (2 + i % 3, [1, 3][i / 3]);
+            let mut world = World::new(n, false, false, gc_every, true);
+            let mut x = i as u64;
+            for _ in 0..200 {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                world.step((x >> 33) as u32 % 1_000_000);
+            }
+            let kinds: Vec<&str> = world.tally.keys().copied().collect();
+            let all = "barrier_arrive barrier_depart cond_signal cond_wait \
+                       diff_rep diff_req lock_acq lock_grant lock_rel";
+            assert_eq!(kinds.join(" "), all);
+            let tally = world.tally.values().map(|(m, b)| format!("{m}/{b}"));
+            let ends = world.nodes.iter().map(|st| {
+                let (vt, cpu, diffs) = (st.clock.now(), st.clock.cpu_now(), st.diff_store_bytes);
+                format!("{vt}/{cpu}/{diffs}")
+            });
+            let (tally, ends) = (tally.collect::<Vec<_>>(), ends.collect::<Vec<_>>());
+            let (faults, sent) = (world.requests.len(), world.requests.iter().sum::<usize>());
+            let got = format!("{} | {} | {faults}/{sent}", tally.join(" "), ends.join(" "));
+            assert_eq!(got, want, "{n} nodes, GC every {gc_every}");
         }
     }
 
