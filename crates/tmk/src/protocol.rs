@@ -47,6 +47,46 @@ pub type Partial = (u32, Vec<u8>);
 /// node, bytes.
 pub type Gathered = (u32, usize, Vec<u8>);
 
+/// What a barrier arrival, lock release or condition wait carries to
+/// its manager.
+#[derive(Debug, Clone)]
+pub struct Release {
+    /// The releaser's new intervals + clock.
+    pub bundle: NoticeBundle,
+    /// The pages the releaser subscribes to under the object (it took a
+    /// read fault on them), ascending.
+    pub subscribed: Vec<PageId>,
+    /// The releaser's diffs of the pages its last acquire published, for
+    /// the intervals this release closes.
+    pub updates: Vec<Update>,
+}
+
+/// What a barrier departure or lock grant carries to the acquirer.
+#[derive(Debug, Clone)]
+pub struct Acquire {
+    /// The notices the acquirer lacks + the merged clock.
+    pub bundle: NoticeBundle,
+    /// The pages the other nodes subscribe to under the object,
+    /// ascending: the acquirer's next release attaches its diffs of them.
+    pub published: Vec<PageId>,
+    /// Other writers' diffs of the acquirer's subscribed pages.
+    pub updates: Vec<Update>,
+}
+
+impl Release {
+    /// Wire bytes of the record.
+    pub fn wire_bytes(&self) -> usize {
+        self.bundle.wire_bytes() + riders_wire_bytes(&self.subscribed, &self.updates)
+    }
+}
+
+impl Acquire {
+    /// Wire bytes of the record.
+    pub fn wire_bytes(&self) -> usize {
+        self.bundle.wire_bytes() + riders_wire_bytes(&self.published, &self.updates)
+    }
+}
+
 /// All DSM protocol messages.
 #[derive(Debug, Clone)]
 pub enum Msg {
@@ -99,48 +139,29 @@ pub enum Msg {
         /// noise).
         req_vt: u64,
     },
-    /// Release notification to the manager, carrying the releaser's new
-    /// intervals (the manager then grants with its merged knowledge, as
-    /// it does for semaphores).
+    /// Release notification to the manager (the manager then grants
+    /// with its merged knowledge, as it does for semaphores).
     LockRelease {
         /// Lock id.
         lock: u32,
-        /// Releaser's new intervals + clock.
-        bundle: NoticeBundle,
-        /// Pages the releaser subscribes to under this lock (it took a
-        /// read fault on them holding it), ascending.
-        subscribed: Vec<PageId>,
-        /// The releaser's diffs, for the interval this release closes, of
-        /// the pages its grant published.
-        updates: Vec<Update>,
+        /// The release: its diffs are those of the interval it closes.
+        rel: Release,
     },
     /// Manager grants the lock, piggybacking consistency data.
     LockGrant {
         /// Lock id.
         lock: u32,
-        /// Write notices the requester lacks.
-        bundle: NoticeBundle,
-        /// Pages the other nodes subscribe to under this lock, ascending:
-        /// the ones the requester attaches its writes of at its release.
-        published: Vec<PageId>,
-        /// Other holders' diffs of the requester's subscribed pages, for
-        /// intervals in `bundle`.
-        updates: Vec<Update>,
+        /// The acquire: its diffs are those of intervals in its bundle.
+        acq: Acquire,
     },
     /// Barrier arrival: a release to the centralized manager.
     BarrierArrive {
         /// Barrier episode number (sanity check).
         epoch: u32,
-        /// Arriver's new intervals + clock.
-        bundle: NoticeBundle,
+        /// The release: its diffs are those since the last arrival.
+        rel: Release,
         /// Arriver's cached diff storage (GC trigger input).
         diff_bytes: u64,
-        /// Pages the arriver subscribes to (it took a read fault on
-        /// them), ascending.
-        subscribed: Vec<PageId>,
-        /// The arriver's diffs, since its last arrival, of the pages its
-        /// last departure published.
-        updates: Vec<Update>,
         /// The reduction partials the arriver contributed since its last
         /// arrival, in contribution order.
         partials: Vec<Partial>,
@@ -149,16 +170,11 @@ pub enum Msg {
     BarrierDepart {
         /// Barrier episode number.
         epoch: u32,
-        /// Notices this node lacks + the merged clock.
-        bundle: NoticeBundle,
+        /// The acquire: its diffs are every other writer's of the
+        /// episode.
+        acq: Acquire,
         /// Run diff garbage collection before leaving the barrier.
         gc: bool,
-        /// Pages the other nodes subscribe to, ascending: the ones this
-        /// node attaches its writes of at its next arrival.
-        published: Vec<PageId>,
-        /// Other writers' diffs of this node's subscribed pages, for
-        /// intervals whose notices it lacks.
-        updates: Vec<Update>,
         /// Every arrival's reduction partials by `(site, node)`: in the
         /// manager's own departure only, a free self-send.
         partials: Vec<Gathered>,
@@ -198,13 +214,8 @@ pub enum Msg {
         lock: u32,
         /// Condition variable id.
         cond: u32,
-        /// Waiter's release information (its closed interval).
-        bundle: NoticeBundle,
-        /// As for [`Msg::LockRelease`]: the waiter's subscriptions under
-        /// the lock, ascending.
-        subscribed: Vec<PageId>,
-        /// As for [`Msg::LockRelease`]: its diffs of the published pages.
-        updates: Vec<Update>,
+        /// The release of the lock, as for [`Msg::LockRelease`].
+        rel: Release,
     },
     /// `cond_signal`: move one waiter to the lock queue.
     CondSignal {
@@ -329,51 +340,20 @@ impl Wire for Msg {
             Msg::PageReq { .. } => 12,
             Msg::PageRep { bytes, .. } => 16 + bytes.len(),
             Msg::LockAcq { vc, .. } => 12 + vc.wire_bytes(),
-            Msg::LockRelease {
-                bundle,
-                subscribed,
-                updates,
-                ..
-            } => 8 + bundle.wire_bytes() + riders_wire_bytes(subscribed, updates),
-            Msg::LockGrant {
-                bundle,
-                published,
-                updates,
-                ..
-            } => 8 + bundle.wire_bytes() + riders_wire_bytes(published, updates),
+            Msg::LockRelease { rel, .. } => 8 + rel.wire_bytes(),
+            Msg::LockGrant { acq, .. } => 8 + acq.wire_bytes(),
             // A partial adds its 4-byte site id and its bytes.
-            Msg::BarrierArrive {
-                bundle,
-                subscribed,
-                updates,
-                partials,
-                ..
-            } => {
-                16 + bundle.wire_bytes()
-                    + riders_wire_bytes(subscribed, updates)
-                    + partials.iter().map(|(_, b)| 4 + b.len()).sum::<usize>()
+            Msg::BarrierArrive { rel, partials, .. } => {
+                16 + rel.wire_bytes() + partials.iter().map(|(_, b)| 4 + b.len()).sum::<usize>()
             }
-            Msg::BarrierDepart {
-                bundle,
-                published,
-                updates,
-                partials,
-                ..
-            } => {
-                9 + bundle.wire_bytes()
-                    + riders_wire_bytes(published, updates)
-                    + partials.iter().map(|(_, _, b)| 8 + b.len()).sum::<usize>()
+            Msg::BarrierDepart { acq, partials, .. } => {
+                9 + acq.wire_bytes() + partials.iter().map(|(_, _, b)| 8 + b.len()).sum::<usize>()
             }
             Msg::SemaSignal { bundle, .. } => 8 + bundle.wire_bytes(),
             Msg::SemaAck { .. } => 8,
             Msg::SemaWait { vc, .. } => 12 + vc.wire_bytes(),
             Msg::SemaGrant { bundle, .. } => 8 + bundle.wire_bytes(),
-            Msg::CondWait {
-                bundle,
-                subscribed,
-                updates,
-                ..
-            } => 16 + bundle.wire_bytes() + riders_wire_bytes(subscribed, updates),
+            Msg::CondWait { rel, .. } => 16 + rel.wire_bytes(),
             Msg::CondSignal { .. } | Msg::CondBroadcast { .. } => 12,
             Msg::FlushNotice { bundle } => 4 + bundle.wire_bytes(),
             Msg::FlushAck => 4,
@@ -446,50 +426,55 @@ mod tests {
         assert_eq!(rep(three), 8 + 2 * entry + 4 + (4 + entry));
 
         let vc = VectorClock::zero(8);
-        let empty = Msg::LockGrant {
+        let granted = |bundle| Msg::LockGrant {
             lock: 0,
-            bundle: NoticeBundle::empty(vc.clone()),
-            published: vec![],
-            updates: vec![],
-        };
-        let full = Msg::LockGrant {
-            lock: 0,
-            bundle: NoticeBundle {
-                intervals: vec![(
-                    IntervalId { node: 1, seq: 1 },
-                    Arc::new(IntervalInfo {
-                        vc_sum: 1,
-                        vc: VectorClock(vec![0, 1, 0, 0, 0, 0, 0, 0]),
-                        pages: vec![0, 1, 2, 3],
-                    }),
-                )],
-                pvc: vc.clone(),
-                vc,
+            acq: Acquire {
+                bundle,
+                published: vec![],
+                updates: vec![],
             },
-            published: vec![],
-            updates: vec![],
         };
+        let empty = granted(NoticeBundle::empty(vc.clone()));
+        let full = granted(NoticeBundle {
+            intervals: vec![(
+                IntervalId { node: 1, seq: 1 },
+                Arc::new(IntervalInfo {
+                    vc_sum: 1,
+                    vc: VectorClock(vec![0, 1, 0, 0, 0, 0, 0, 0]),
+                    pages: vec![0, 1, 2, 3],
+                }),
+            )],
+            pvc: vc.clone(),
+            vc,
+        });
         assert!(full.wire_bytes() > empty.wire_bytes());
 
-        // A barrier or lock message grows by 4 bytes a listed page and by
-        // each attached diff as a `DiffRep` entry would.
+        // A barrier or lock message is its header plus its record, and
+        // grows by 4 bytes a listed page and by each attached diff as a
+        // `DiffRep` entry would.
+        let empty = NoticeBundle::empty(VectorClock::zero(8));
+        let rel = |subscribed: Vec<PageId>, updates: Vec<Update>| Release {
+            bundle: empty.clone(),
+            subscribed,
+            updates,
+        };
+        let acq = |published: Vec<PageId>, updates: Vec<Update>| Acquire {
+            bundle: empty.clone(),
+            published,
+            updates,
+        };
         let updates = vec![(2, id(3), diff.clone()), (5, id(4), diff.clone())];
         let riders = 4 * 3 + 2 * (8 + diff.wire_bytes());
         let arrive = |subscribed: Vec<PageId>, updates: Vec<Update>, partials: Vec<Partial>| {
             Msg::BarrierArrive {
                 epoch: 0,
-                bundle: NoticeBundle::empty(VectorClock::zero(8)),
+                rel: rel(subscribed, updates),
                 diff_bytes: 0,
-                subscribed,
-                updates,
                 partials,
             }
         };
         let bare = arrive(vec![], vec![], vec![]).wire_bytes();
-        assert_eq!(
-            bare,
-            16 + NoticeBundle::empty(VectorClock::zero(8)).wire_bytes()
-        );
+        assert_eq!(bare, 16 + empty.wire_bytes());
         assert_eq!(
             arrive(vec![1, 2, 5], updates.clone(), vec![]).wire_bytes(),
             bare + riders
@@ -502,24 +487,22 @@ mod tests {
         );
         let depart = |published: Vec<PageId>, updates: Vec<Update>| Msg::BarrierDepart {
             epoch: 0,
-            bundle: NoticeBundle::empty(VectorClock::zero(8)),
+            acq: acq(published, updates),
             gc: false,
-            published,
-            updates,
             partials: vec![],
         };
         let bare = depart(vec![], vec![]).wire_bytes();
+        assert_eq!(bare, 9 + empty.wire_bytes());
         assert_eq!(
             depart(vec![1, 2, 5], updates.clone()).wire_bytes(),
             bare + riders
         );
         let release = |subscribed: Vec<PageId>, updates: Vec<Update>| Msg::LockRelease {
             lock: 0,
-            bundle: NoticeBundle::empty(VectorClock::zero(8)),
-            subscribed,
-            updates,
+            rel: rel(subscribed, updates),
         };
         let bare = release(vec![], vec![]).wire_bytes();
+        assert_eq!(bare, 8 + empty.wire_bytes());
         assert_eq!(
             release(vec![1, 2, 5], updates.clone()).wire_bytes(),
             bare + riders
@@ -527,22 +510,20 @@ mod tests {
         let cond_wait = |subscribed: Vec<PageId>, updates: Vec<Update>| Msg::CondWait {
             lock: 0,
             cond: 0,
-            bundle: NoticeBundle::empty(VectorClock::zero(8)),
-            subscribed,
-            updates,
+            rel: rel(subscribed, updates),
         };
         let bare = cond_wait(vec![], vec![]).wire_bytes();
+        assert_eq!(bare, 16 + empty.wire_bytes());
         assert_eq!(
             cond_wait(vec![1, 2, 5], updates.clone()).wire_bytes(),
             bare + riders
         );
         let grant = |published: Vec<PageId>, updates: Vec<Update>| Msg::LockGrant {
             lock: 0,
-            bundle: NoticeBundle::empty(VectorClock::zero(8)),
-            published,
-            updates,
+            acq: acq(published, updates),
         };
         let bare = grant(vec![], vec![]).wire_bytes();
+        assert_eq!(bare, 8 + empty.wire_bytes());
         assert_eq!(grant(vec![1, 2, 5], updates).wire_bytes(), bare + riders);
     }
 

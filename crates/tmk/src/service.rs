@@ -10,15 +10,13 @@
 //! thread never blocks on remote operations, which makes the protocol
 //! deadlock-free by construction.
 
-use crate::addr::PageId;
 use crate::interval::{NoticeBundle, VectorClock};
-use crate::protocol::{Gathered, Msg, Region};
-use crate::state::{Arrival, NodeState, SyncId};
+use crate::protocol::{Gathered, Msg, Region, Release};
+use crate::state::{Arrival, NodeState, Riders, SyncId};
 use crossbeam::channel::Sender;
 use now_net::{Delivered, Endpoint, Wire as _};
 use now_trace::{EventKind, SERVICE_LANE};
 use parking_lot::Mutex;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Work shipped to a slave's application thread.
@@ -153,34 +151,21 @@ pub(crate) fn on_request(
         Msg::LockAcq { lock, vc, req_vt } => {
             mgr_wait(st, SyncId::Lock(lock), src, vc, req_vt, out);
         }
-        Msg::LockRelease {
-            lock,
-            bundle,
-            subscribed,
-            updates,
-        } => {
-            let store = st.mgr.lock_updates.entry(lock).or_default();
-            store.keep(src, subscribed, updates);
-            mgr_signal(st, src, SyncId::Lock(lock), &bundle, out);
-        }
+        Msg::LockRelease { lock, rel } => mgr_release(st, src, SyncId::Lock(lock), rel, out),
         Msg::BarrierArrive {
             epoch,
-            bundle,
+            rel,
             diff_bytes,
-            subscribed,
-            updates,
             partials,
         } => {
             debug_assert_eq!(st.id, 0, "barrier manager is node 0");
             debug_assert_eq!(epoch, st.mgr.barrier_epoch, "barrier episode mismatch");
             st.mgr.arrivals.push(Arrival {
                 node: src,
-                bundle,
+                rel,
                 diff_bytes,
-                subscribed,
                 partials,
             });
-            st.mgr.updates.extend(updates);
             st.mgr.barrier_last_arrive_vt = st.mgr.barrier_last_arrive_vt.max(arrival_vt);
             if st.mgr.arrivals.len() == st.n {
                 release_barrier(st, epoch, out);
@@ -193,21 +178,13 @@ pub(crate) fn on_request(
         Msg::SemaWait { sema, vc, req_vt } => {
             mgr_wait(st, SyncId::Sema(sema), src, vc, req_vt, out);
         }
-        Msg::CondWait {
-            lock,
-            cond,
-            bundle,
-            subscribed,
-            updates,
-        } => {
+        Msg::CondWait { lock, cond, rel } => {
             // The wait parks the caller on the condition variable and
             // releases the lock (possibly granting the next queued
             // requester).
             let waiters = st.mgr.conds.entry((lock, cond)).or_default();
-            waiters.push_back((src, bundle.pvc.clone()));
-            let store = st.mgr.lock_updates.entry(lock).or_default();
-            store.keep(src, subscribed, updates);
-            mgr_signal(st, src, SyncId::Lock(lock), &bundle, out);
+            waiters.push_back((src, rel.bundle.pvc.clone()));
+            mgr_release(st, src, SyncId::Lock(lock), rel, out);
         }
         Msg::CondSignal { lock, cond, req_vt } | Msg::CondBroadcast { lock, cond, req_vt } => {
             let all = matches!(msg, Msg::CondBroadcast { .. });
@@ -261,6 +238,22 @@ fn mgr_wait(
     }
 }
 
+/// Manager-side release with riders (lock release, condition wait):
+/// keep its subscriptions and diffs for `obj`'s later grants, then
+/// signal.
+fn mgr_release(
+    st: &mut NodeState,
+    src: usize,
+    obj: SyncId,
+    rel: Release,
+    out: &mut Vec<(usize, Msg)>,
+) {
+    let riders = st.mgr.riders.entry(obj).or_default();
+    riders.subscribe(src, rel.subscribed);
+    riders.attach(src, rel.updates);
+    mgr_signal(st, src, obj, &rel.bundle, out);
+}
+
 /// Manager-side signal (lock release, semaphore signal, condition wait):
 /// apply the releaser's bundle, then hand the permit to the earliest
 /// waiter or bank it.
@@ -285,9 +278,9 @@ fn mgr_signal(
 
 /// Grant `obj` to `dst`, with the notices its clock `vc` lacks. A lock
 /// grant also publishes the other nodes' subscriptions and forwards the
-/// kept diffs owed to `dst` ([`crate::state::LockUpdates::grant`]): those
-/// in its bundle, or all of them in a grant to this node, a free
-/// self-send whose clock covers every release this node has managed.
+/// kept diffs owed to `dst` ([`Riders::grant`]): those in its bundle, or
+/// all of them in a grant to this node, a free self-send whose clock
+/// covers every release this node has managed.
 fn send_grant(
     st: &mut NodeState,
     obj: SyncId,
@@ -299,16 +292,12 @@ fn send_grant(
     let grant = match obj {
         SyncId::Lock(lock) => {
             let seen = (dst != st.id).then_some(vc);
-            let store = st.mgr.lock_updates.entry(lock).or_default();
-            let (published, updates) = store.grant(dst, seen);
-            Msg::LockGrant {
-                lock,
-                bundle,
-                published,
-                updates,
-            }
+            let riders = st.mgr.riders.entry(obj).or_default();
+            let acq = riders.grant(dst, bundle, seen);
+            Msg::LockGrant { lock, acq }
         }
         SyncId::Sema(sema) => Msg::SemaGrant { sema, bundle },
+        SyncId::Barrier => unreachable!("a barrier departs, it is not granted"),
     };
     out.push((dst, grant));
 }
@@ -316,9 +305,13 @@ fn send_grant(
 /// All nodes have arrived: merge complete, send departures (slaves first,
 /// the manager's own application thread last).
 ///
-/// Each departure publishes the pages the other nodes subscribe to, and
-/// forwards every attached diff of a page its node subscribes to, other
-/// than the node's own. The node keeps only those whose notices it holds
+/// The episode's riders live in one [`Riders`], as a lock's do across
+/// tenures: every arrival's subscriptions are recorded before any diff
+/// is attached, so each diff is kept for every other subscriber of its
+/// page, and each departure is a grant with no bundle filter. It
+/// publishes the pages the other nodes subscribe to and forwards every
+/// attached diff of a page its node subscribes to, other than the
+/// node's own; the node keeps only those whose notices it holds
 /// unapplied (`NodeState::on_depart`). The manager's own departure, a
 /// free self-send, carries every arrival's reduction partials, sorted by
 /// `(site, node)`.
@@ -327,7 +320,13 @@ fn release_barrier(st: &mut NodeState, epoch: u32, out: &mut Vec<(usize, Msg)>) 
     let gc = st.cfg.gc_every_barrier || total_diff_bytes > st.cfg.gc_threshold_bytes as u64;
     st.mgr.gc_in_progress = gc;
     let mut arrivals = std::mem::take(&mut st.mgr.arrivals);
-    let updates = std::mem::take(&mut st.mgr.updates);
+    let mut riders = Riders::default();
+    for a in &mut arrivals {
+        riders.subscribe(a.node, std::mem::take(&mut a.rel.subscribed));
+    }
+    for a in &mut arrivals {
+        riders.attach(a.node, std::mem::take(&mut a.rel.updates));
+    }
     st.mgr.barrier_epoch += 1;
     // No node departs before the last one arrived: the backlog cap may
     // have let the service cursor slip below a virtually-late arrival
@@ -342,7 +341,7 @@ fn release_barrier(st: &mut NodeState, epoch: u32, out: &mut Vec<(usize, Msg)>) 
     // they would invalidate its pages mid-episode, and whether it then
     // faulted before departing would depend on host timing.
     for a in &arrivals {
-        st.apply_bundle(a.node, &a.bundle);
+        st.apply_bundle(a.node, &a.rel.bundle);
     }
     let mut partials: Vec<Gathered> = arrivals
         .iter_mut()
@@ -355,19 +354,11 @@ fn release_barrier(st: &mut NodeState, epoch: u32, out: &mut Vec<(usize, Msg)>) 
         .collect();
     partials.sort_by_key(|&(site, node, _)| (site, node));
     for a in &arrivals {
-        let bundle = st.grant_to(a.node, &a.bundle.pvc);
-        let others = arrivals.iter().filter(|b| b.node != a.node);
-        let published: BTreeSet<PageId> =
-            others.flat_map(|b| b.subscribed.iter().copied()).collect();
-        let updates = updates.iter().filter(|&&(pid, id, _)| {
-            id.node as usize != a.node && a.subscribed.binary_search(&pid).is_ok()
-        });
+        let bundle = st.grant_to(a.node, &a.rel.bundle.pvc);
         let depart = Msg::BarrierDepart {
             epoch,
+            acq: riders.grant(a.node, bundle, None),
             gc,
-            published: published.into_iter().collect(),
-            updates: updates.cloned().collect(),
-            bundle,
             partials: if a.node == st.id {
                 std::mem::take(&mut partials)
             } else {
@@ -381,12 +372,11 @@ fn release_barrier(st: &mut NodeState, epoch: u32, out: &mut Vec<(usize, Msg)>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::AllocTable;
+    use crate::addr::{AllocTable, PageId};
     use crate::config::TmkConfig;
     use crate::diff::Diff;
     use crate::interval::{IntervalId, IntervalInfo};
     use crate::page::PageState;
-    use crate::protocol::Update;
     use crate::stats::{TmkOp, TmkStats};
     use crate::system::run_system;
     use now_net::VirtualClock;
@@ -451,9 +441,7 @@ mod tests {
     fn rel() -> Msg {
         Msg::LockRelease {
             lock: 0,
-            bundle: bundle(),
-            subscribed: vec![],
-            updates: vec![],
+            rel: released(0, [0; 4], &[], &[]),
         }
     }
 
@@ -461,9 +449,7 @@ mod tests {
         Msg::CondWait {
             lock: 0,
             cond: 0,
-            bundle: bundle(),
-            subscribed: vec![],
-            updates: vec![],
+            rel: released(0, [0; 4], &[], &[]),
         }
     }
 
@@ -554,14 +540,15 @@ mod tests {
         assert_eq!(serve(&mut m, 2, rel()), NOTHING);
     }
 
-    /// A release's bundle and attached diffs: the releaser's processed
-    /// clock `pvc` and its intervals (`seq`, pages written), each written
-    /// page's diff attached.
+    /// A release by `node`: its processed clock `pvc` and its intervals
+    /// (`seq`, pages written), each written page's diff attached, and its
+    /// subscriptions.
     fn released(
         node: usize,
         pvc: [u32; 4],
         wrote: &[(u32, &[PageId])],
-    ) -> (NoticeBundle, Vec<Update>) {
+        subscribed: &[PageId],
+    ) -> Release {
         let mut bundle = NoticeBundle::empty(VectorClock(pvc.to_vec()));
         let mut updates = Vec::new();
         for &(seq, pages) in wrote {
@@ -581,45 +568,45 @@ mod tests {
             updates.extend(pages.iter().map(|&pid| (pid, id, diff.clone())));
         }
         bundle.vc = bundle.pvc.clone();
-        (bundle, updates)
+        let subscribed = subscribed.to_vec();
+        Release {
+            bundle,
+            subscribed,
+            updates,
+        }
     }
 
-    /// A barrier arrival at episode 0: [`released`]'s bundle and diffs,
-    /// and the arriver's subscriptions.
+    /// A barrier arrival at episode 0: [`released`]'s release.
     fn arrive(
         node: usize,
         pvc: [u32; 4],
         wrote: &[(u32, &[PageId])],
         subscribed: &[PageId],
     ) -> Msg {
-        let (bundle, updates) = released(node, pvc, wrote);
         Msg::BarrierArrive {
             epoch: 0,
-            bundle,
+            rel: released(node, pvc, wrote, subscribed),
             diff_bytes: 0,
-            subscribed: subscribed.to_vec(),
-            updates,
             partials: vec![],
         }
     }
 
-    /// A departure as `(dst, kind, published pages, attached (page, id)s)`.
-    type Departure = (usize, &'static str, Vec<PageId>, Vec<(PageId, IntervalId)>);
+    /// A departure or grant as `(dst, kind, published pages, attached
+    /// (page, id)s)`.
+    type Acquired = (usize, &'static str, Vec<PageId>, Vec<(PageId, IntervalId)>);
 
-    fn departures(st: &mut NodeState, src: usize, msg: Msg) -> Vec<Departure> {
+    /// What `msg` from `src` makes `st` send: departures or grants.
+    fn acquires(st: &mut NodeState, src: usize, msg: Msg) -> Vec<Acquired> {
         let mut out = Vec::new();
         on_request(st, src, msg, 0, &mut out);
-        let depart = |(dst, m): (usize, Msg)| {
-            let Msg::BarrierDepart {
-                published, updates, ..
-            } = &m
-            else {
-                panic!("expected a departure, got {}", m.kind())
+        let acquired = |(dst, m): (usize, Msg)| {
+            let (Msg::BarrierDepart { acq, .. } | Msg::LockGrant { acq, .. }) = &m else {
+                panic!("expected a departure or grant, got {}", m.kind())
             };
-            let attached = updates.iter().map(|(pid, id, _)| (*pid, *id)).collect();
-            (dst, m.kind(), published.clone(), attached)
+            let attached = acq.updates.iter().map(|(pid, id, _)| (*pid, *id)).collect();
+            (dst, m.kind(), acq.published.clone(), attached)
         };
-        out.into_iter().map(depart).collect()
+        out.into_iter().map(acquired).collect()
     }
 
     #[test]
@@ -635,11 +622,11 @@ mod tests {
             (2, arrive(2, [0, 1, 0, 0], &[(1, &[0])], &[0])),
         ];
         for (node, msg) in arrivals {
-            assert_eq!(departures(&mut m, node, msg), []);
+            assert_eq!(acquires(&mut m, node, msg), []);
         }
         // The manager arrives last; the others' notices are applied
         // only now, so its clock covers none of them.
-        let barrier = departures(&mut m, 0, arrive(0, [0; 4], &[], &[1]));
+        let barrier = acquires(&mut m, 0, arrive(0, [0; 4], &[], &[1]));
         let kind = "barrier_depart";
         let want = [
             // Node 3 subscribes to nothing and gets nothing.
@@ -656,38 +643,15 @@ mod tests {
             (0, kind, vec![0], vec![(1, id(1, 1))]),
         ];
         assert_eq!(barrier, want);
-        assert!(m.mgr.updates.is_empty(), "attachments live one episode");
+        // The episode's riders were local to its release: the manager's
+        // store keeps none of them past it.
+        assert!(m.mgr.riders.is_empty(), "attachments live one episode");
     }
 
-    /// A release of lock 0: [`released`]'s bundle and diffs, and the
-    /// releaser's subscriptions under the lock.
+    /// A release of lock 0: [`released`]'s release.
     fn release(node: usize, wrote: &[(u32, &[PageId])], subscribed: &[PageId]) -> Msg {
-        let (bundle, updates) = released(node, [0; 4], wrote);
-        Msg::LockRelease {
-            lock: 0,
-            bundle,
-            subscribed: subscribed.to_vec(),
-            updates,
-        }
-    }
-
-    /// A grant as `(dst, kind, published pages, attached (page, id)s)`.
-    type Grant = (usize, &'static str, Vec<PageId>, Vec<(PageId, IntervalId)>);
-
-    fn grants(st: &mut NodeState, src: usize, msg: Msg) -> Vec<Grant> {
-        let mut out = Vec::new();
-        on_request(st, src, msg, 0, &mut out);
-        let grant = |(dst, m): (usize, Msg)| {
-            let Msg::LockGrant {
-                published, updates, ..
-            } = &m
-            else {
-                panic!("expected a grant, got {}", m.kind())
-            };
-            let attached = updates.iter().map(|(pid, id, _)| (*pid, *id)).collect();
-            (dst, m.kind(), published.clone(), attached)
-        };
-        out.into_iter().map(grant).collect()
+        let rel = released(node, [0; 4], wrote, subscribed);
+        Msg::LockRelease { lock: 0, rel }
     }
 
     #[test]
@@ -698,30 +662,30 @@ mod tests {
         // Nodes 1 and 2 subscribe to page 0 under the lock, node 3 to
         // pages 0 and 1. Nothing is written yet, so nothing is kept.
         for (node, subscribed) in [(1, &[0][..]), (2, &[0]), (3, &[0, 1])] {
-            assert_eq!(grants(&mut m, node, acq(0)).len(), 1);
-            assert_eq!(grants(&mut m, node, release(node, &[], subscribed)), []);
+            assert_eq!(acquires(&mut m, node, acq(0)).len(), 1);
+            assert_eq!(acquires(&mut m, node, release(node, &[], subscribed)), []);
         }
         // Node 1's grant publishes the others' union; its writes of both
         // pages are kept for their subscribers (page 1: node 3 only).
         let want = (1, kind, vec![0, 1], vec![]);
-        assert_eq!(grants(&mut m, 1, acq(0)), [want]);
-        assert_eq!(grants(&mut m, 1, release(1, &[(1, &[0, 1])], &[0])), []);
+        assert_eq!(acquires(&mut m, 1, acq(0)), [want]);
+        assert_eq!(acquires(&mut m, 1, release(1, &[(1, &[0, 1])], &[0])), []);
         // Node 2 gets node 1's page-0 diff, not the page-1 one.
         let want = (2, kind, vec![0, 1], vec![(0, id(1, 1))]);
-        assert_eq!(grants(&mut m, 2, acq(0)), [want]);
-        assert_eq!(grants(&mut m, 2, release(2, &[(1, &[0])], &[0])), []);
+        assert_eq!(acquires(&mut m, 2, acq(0)), [want]);
+        assert_eq!(acquires(&mut m, 2, release(2, &[(1, &[0])], &[0])), []);
         // Node 1 gets node 2's diff, never its own two, which stay kept
         // for node 3.
         let want = (1, kind, vec![0, 1], vec![(0, id(2, 1))]);
-        assert_eq!(grants(&mut m, 1, acq(0)), [want]);
-        assert_eq!(grants(&mut m, 1, release(1, &[], &[0])), []);
-        let kept = |m: &NodeState| m.mgr.lock_updates[&0].kept.len();
+        assert_eq!(acquires(&mut m, 1, acq(0)), [want]);
+        assert_eq!(acquires(&mut m, 1, release(1, &[], &[0])), []);
+        let kept = |m: &NodeState| m.mgr.riders[&SyncId::Lock(0)].kept.len();
         assert_eq!(kept(&m), 3);
         // Node 3 acquired node 1's interval elsewhere: its clock covers
         // it, so only node 2's diff is in its bundle. Every subscriber
         // has now been granted past every kept diff: none is left.
         let want = (3, kind, vec![0], vec![(0, id(2, 1))]);
-        assert_eq!(grants(&mut m, 3, acq_at([0, 1, 0, 0])), [want]);
+        assert_eq!(acquires(&mut m, 3, acq_at([0, 1, 0, 0])), [want]);
         assert_eq!(kept(&m), 0);
     }
 
@@ -730,18 +694,18 @@ mod tests {
         let mut m = manager();
         // The manager subscribes to page 0 under its lock; node 1 writes
         // the page in its tenure.
-        assert_eq!(grants(&mut m, 0, acq(0)).len(), 1);
-        assert_eq!(grants(&mut m, 0, release(0, &[], &[0])), []);
-        assert_eq!(grants(&mut m, 1, acq(0)).len(), 1);
-        assert_eq!(grants(&mut m, 1, release(1, &[(1, &[0])], &[])), []);
+        assert_eq!(acquires(&mut m, 0, acq(0)).len(), 1);
+        assert_eq!(acquires(&mut m, 0, release(0, &[], &[0])), []);
+        assert_eq!(acquires(&mut m, 1, acq(0)).len(), 1);
+        assert_eq!(acquires(&mut m, 1, release(1, &[(1, &[0])], &[])), []);
         // The release logged node 1's interval here, so the manager's own
         // clock covers it; its free self-send carries the diff all the same.
         assert!(m.processed_vc.covers(1, 1));
         let pvc = m.processed_vc.0.clone().try_into().expect("four nodes");
-        let grant = grants(&mut m, 0, acq_at(pvc));
+        let grant = acquires(&mut m, 0, acq_at(pvc));
         let id = IntervalId { node: 1, seq: 1 };
         assert_eq!(grant, [(0, "lock_grant", vec![], vec![(0, id)])]);
-        assert_eq!(m.mgr.lock_updates[&0].kept.len(), 0);
+        assert_eq!(m.mgr.riders[&SyncId::Lock(0)].kept.len(), 0);
     }
 
     #[test]
@@ -752,10 +716,8 @@ mod tests {
             // (`[10 + k]`) before it; a GC trigger on node 2's arrival.
             let arrive = |k: usize| Msg::BarrierArrive {
                 epoch: 0,
-                bundle: bundle(),
+                rel: released(k, [0; 4], &[], &[]),
                 diff_bytes: if gc && k == 2 { u64::MAX / 2 } else { 0 },
-                subscribed: vec![],
-                updates: vec![],
                 partials: (k % 2 == 1)
                     .then(|| (3, vec![10 + k as u8]))
                     .into_iter()

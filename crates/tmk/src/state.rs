@@ -14,7 +14,7 @@ use crate::diff::Diff;
 use crate::interval::{IntervalId, IntervalInfo, NoticeBundle, VectorClock};
 use crate::metrics::NodeMetrics;
 use crate::page::{NoticeRec, PageMeta, PageState};
-use crate::protocol::{Gathered, Msg, PageDiffs, Partial, Update};
+use crate::protocol::{Acquire, Gathered, Msg, PageDiffs, Partial, Release, Update};
 use crate::stats::TmkOp;
 use now_net::{VirtualClock, Wire as _};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -27,7 +27,7 @@ pub type FaultPlan = Vec<(usize, Vec<IntervalId>)>;
 /// it page by page (one `DiffReq` each).
 pub type FaultRequests = Vec<(usize, Vec<(PageId, Vec<IntervalId>)>)>;
 
-/// A manager-queued synchronisation object. A lock and a semaphore with
+/// A synchronisation object with a manager. A lock and a semaphore with
 /// the same id are different objects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SyncId {
@@ -35,6 +35,8 @@ pub enum SyncId {
     Lock(u32),
     /// Semaphore.
     Sema(u32),
+    /// The barrier, managed by node 0.
+    Barrier,
 }
 
 /// Manager-side state of one lock or semaphore: free permits and the
@@ -85,39 +87,41 @@ impl MgrQueue {
 pub struct Arrival {
     /// The arriving node.
     pub node: usize,
-    /// Its release: the notices the manager applies once every node
-    /// has arrived, and its processed clock, the departure's filter.
-    pub bundle: NoticeBundle,
+    /// Its release: the notices the manager applies once every node has
+    /// arrived, with its processed clock, the departure's filter.
+    pub rel: Release,
     /// Its cached diff storage (GC trigger input).
     pub diff_bytes: u64,
-    /// The pages it subscribes to, ascending.
-    pub subscribed: Vec<PageId>,
     /// The reduction partials it contributed since its last arrival.
     pub partials: Vec<Partial>,
 }
 
-/// One lock's updates as its manager keeps them: who subscribes to what,
-/// and the diffs releases attached, until every subscriber of a diff's
-/// page has been granted past it.
+/// A sync object's riders as its manager keeps them: who subscribes to
+/// what, and the diffs releases attached, until every subscriber of a
+/// diff's page has been granted past it.
 #[derive(Debug, Default)]
-pub struct LockUpdates {
-    /// Each node's pages under the lock, ascending, as its last release
+pub struct Riders {
+    /// Each node's pages under the object, ascending, as its last release
     /// reported them (absent when empty).
     pub subscribed: BTreeMap<usize, Vec<PageId>>,
     /// Attached diffs, each with the subscribers of its page not yet
-    /// granted the lock since it was attached.
+    /// granted the object since it was attached.
     pub kept: Vec<(Update, Vec<usize>)>,
 }
 
-impl LockUpdates {
-    /// A release by `src`: record its subscriptions, and keep each diff
-    /// it attached for the other nodes that subscribe to the diff's page.
-    pub fn keep(&mut self, src: usize, subscribed: Vec<PageId>, updates: Vec<Update>) {
+impl Riders {
+    /// Record `src`'s subscriptions, as its release reported them.
+    pub fn subscribe(&mut self, src: usize, subscribed: Vec<PageId>) {
         if subscribed.is_empty() {
             self.subscribed.remove(&src);
         } else {
             self.subscribed.insert(src, subscribed);
         }
+    }
+
+    /// Keep each diff `src` attached for the other nodes that subscribe
+    /// to the diff's page.
+    pub fn attach(&mut self, src: usize, updates: Vec<Update>) {
         for update in updates {
             let subscribes = |(&k, pages): (&usize, &Vec<PageId>)| {
                 (k != src && pages.binary_search(&update.0).is_ok()).then_some(k)
@@ -129,16 +133,21 @@ impl LockUpdates {
         }
     }
 
-    /// The riders of a grant to `dst`: the pages the other nodes
-    /// subscribe to, and every kept diff owed to `dst` whose interval is
-    /// in the grant's bundle, meaning `seen`, the clock `dst`'s request
-    /// reported, does not cover it (`None`: every diff owed). Owed
-    /// means `dst` subscribes to the page, did not write the diff, and
-    /// has not been granted the lock since the diff was kept; a
+    /// The acquire of a grant to `dst` with `bundle`: the pages the
+    /// other nodes subscribe to, and every kept diff owed to `dst` whose
+    /// interval is in the bundle, meaning `seen`, the clock `dst`'s
+    /// request reported, does not cover it (`None`: every diff owed).
+    /// Owed means `dst` subscribes to the page, did not write the diff,
+    /// and has not been granted the object since the diff was kept; a
     /// subscription changes only at its node's release, so no other kept
     /// diff meets the three. `dst` is then granted past every kept diff,
     /// and one owed to nobody is dropped.
-    pub fn grant(&mut self, dst: usize, seen: Option<&VectorClock>) -> (Vec<PageId>, Vec<Update>) {
+    pub fn grant(
+        &mut self,
+        dst: usize,
+        bundle: NoticeBundle,
+        seen: Option<&VectorClock>,
+    ) -> Acquire {
         let others = self.subscribed.iter().filter(|&(&k, _)| k != dst);
         let published: BTreeSet<PageId> = others.flat_map(|(_, p)| p.iter().copied()).collect();
         let mut updates = Vec::new();
@@ -152,22 +161,29 @@ impl LockUpdates {
             }
             !owed.is_empty()
         });
-        (published.into_iter().collect(), updates)
+        let published = published.into_iter().collect();
+        Acquire {
+            bundle,
+            published,
+            updates,
+        }
     }
 }
 
-/// A lock's updates as one node sees them.
+/// A sync object's riders as one node sees them.
 #[derive(Debug, Default)]
-pub struct LockSubscription {
-    /// The pages this node took a read fault on while the lock was the
-    /// one it acquired last of those it held. Sticky; a page is dropped
-    /// at a release when the diffs this tenure's grant delivered for it
-    /// are still held.
+pub struct Subscription {
+    /// The pages this node took a read fault on under the object: every
+    /// one for the barrier, and for a lock those taken while it was the
+    /// one acquired last of those held. Sticky; a page is dropped at a
+    /// release when the diffs the last acquire delivered for it are still
+    /// held, meaning the page went unread.
     pub subscribed: BTreeSet<PageId>,
-    /// The pages the other nodes subscribe to, as this tenure's grant
-    /// published them (ascending): the release attaches its diffs of them.
+    /// The pages the other nodes subscribe to, as the last acquire
+    /// published them (ascending): the next release attaches its diffs
+    /// of them.
     pub published: Vec<PageId>,
-    /// The diffs this tenure's grant delivered that the node holds.
+    /// The diffs the last acquire delivered that the node holds.
     pub delivered: Vec<(PageId, IntervalId)>,
 }
 
@@ -179,8 +195,6 @@ pub struct ManagerState {
     pub barrier_epoch: u32,
     /// Arrived nodes for the episode.
     pub arrivals: Vec<Arrival>,
-    /// Diffs the episode's arrivals attached, forwarded at departure.
-    pub updates: Vec<Update>,
     /// Virtually latest arrival of the episode: the release is pinned at
     /// or after this instant, whatever host order the arrivals were
     /// processed in.
@@ -191,8 +205,9 @@ pub struct ManagerState {
     pub gc_in_progress: bool,
     /// Lock and semaphore queues.
     pub queues: HashMap<SyncId, MgrQueue>,
-    /// Lock-grant updates, by lock.
-    pub lock_updates: HashMap<u32, LockUpdates>,
+    /// Lock riders, kept across tenures (a barrier's live one episode,
+    /// in `service::release_barrier`).
+    pub riders: HashMap<SyncId, Riders>,
     /// Condition-variable wait queues, keyed by (lock, cond).
     pub conds: HashMap<(u32, u32), VecDeque<(usize, VectorClock)>>,
 }
@@ -263,18 +278,8 @@ pub struct NodeState {
     /// acquire order (the authoritative state lives at the managers): a
     /// read fault subscribes its page to the last one.
     pub held_locks: Vec<u32>,
-    /// Lock-grant updates: this node's subscriptions, by lock.
-    pub lock_subs: HashMap<u32, LockSubscription>,
-    /// Barrier updates: the pages this node took a read fault on. A
-    /// subscription is sticky; it ends at the arrival after a departure
-    /// whose update for the page went unread.
-    pub subscribed: BTreeSet<PageId>,
-    /// The pages the other nodes subscribe to, as the last departure
-    /// published them (ascending): this node's next arrival attaches its
-    /// diffs of them.
-    pub published: Vec<PageId>,
-    /// The diffs the last departure delivered that the node holds.
-    pub delivered: Vec<(PageId, IntervalId)>,
+    /// This node's subscriptions: to the barrier, and by lock.
+    pub subs: HashMap<SyncId, Subscription>,
     /// Our last interval closed at or before the last arrival: later
     /// ones are the next arrival's to attach.
     pub arrived_seq: u32,
@@ -324,10 +329,7 @@ impl NodeState {
             diff_store_bytes: 0,
             gc_epoch: 0,
             held_locks: Vec::new(),
-            lock_subs: HashMap::new(),
-            subscribed: BTreeSet::new(),
-            published: Vec::new(),
-            delivered: Vec::new(),
+            subs: HashMap::new(),
             arrived_seq: 0,
             partials: Vec::new(),
             gathered: Vec::new(),
@@ -370,11 +372,13 @@ impl NodeState {
         }
     }
 
-    /// Manager node of a lock or semaphore.
+    /// Manager node of `obj`.
     #[inline]
     pub fn manager_of(&self, obj: SyncId) -> usize {
-        let (SyncId::Lock(id) | SyncId::Sema(id)) = obj;
-        id as usize % self.n
+        match obj {
+            SyncId::Lock(id) | SyncId::Sema(id) => id as usize % self.n,
+            SyncId::Barrier => 0,
+        }
     }
 
     /// Grow the local memory mirror + page table to cover all allocations.
@@ -594,6 +598,7 @@ impl NodeState {
                 Msg::LockAcq { lock, vc, req_vt }
             }
             SyncId::Sema(sema) => Msg::SemaWait { sema, vc, req_vt },
+            SyncId::Barrier => unreachable!("a barrier arrives, it is not waited for"),
         };
         (mgr, msg)
     }
@@ -601,8 +606,8 @@ impl NodeState {
     /// The request half of a release to `obj`'s manager: a lock release,
     /// a semaphore signal, or, with `cond`, a wait on that condition
     /// variable, which releases lock `obj`. Closes the interval and sends
-    /// the manager the notices it lacks; a lock release also carries our
-    /// subscriptions under the lock and our diffs of its published pages.
+    /// the manager the notices it lacks; a lock release carries them in a
+    /// [`NodeState::release`] of the interval it closes.
     pub fn signal_request(&mut self, obj: SyncId, cond: Option<u32>) -> (usize, Msg) {
         if let SyncId::Lock(lock) = obj {
             let held = self.held_locks.iter().rposition(|&l| l == lock);
@@ -611,69 +616,76 @@ impl NodeState {
         }
         let first = self.next_seq;
         self.close_interval();
-        let mgr = self.manager_of(obj);
-        let bundle = self.release_to(mgr);
         let msg = match (obj, cond) {
-            (SyncId::Lock(lock), cond) => {
-                let (subscribed, updates) = self.release_riders(lock, first);
-                match cond {
-                    None => Msg::LockRelease {
-                        lock,
-                        bundle,
-                        subscribed,
-                        updates,
-                    },
-                    Some(cond) => {
-                        self.count(TmkOp::CondWaits, 1);
-                        Msg::CondWait {
-                            lock,
-                            cond,
-                            bundle,
-                            subscribed,
-                            updates,
-                        }
-                    }
-                }
+            (SyncId::Lock(lock), None) => Msg::LockRelease {
+                lock,
+                rel: self.release(obj, first),
+            },
+            (SyncId::Lock(lock), Some(cond)) => {
+                self.count(TmkOp::CondWaits, 1);
+                let rel = self.release(obj, first);
+                Msg::CondWait { lock, cond, rel }
             }
             (SyncId::Sema(sema), None) => {
                 self.count(TmkOp::SemaSignals, 1);
+                let bundle = self.release_to(self.manager_of(obj));
                 Msg::SemaSignal { sema, bundle }
             }
-            (SyncId::Sema(_), Some(_)) => unreachable!("a condition variable waits on a lock"),
+            _ => unreachable!("a condition variable waits on a lock, and a barrier arrives"),
         };
-        (mgr, msg)
+        (self.manager_of(obj), msg)
     }
 
-    /// The riders of a release of `lock` whose intervals start at seq
-    /// `first`: our subscriptions under the lock, less the pages whose
-    /// diffs this tenure's grant delivered went unread, and our diffs of
-    /// the pages the grant published.
-    fn release_riders(&mut self, lock: u32, first: u32) -> (Vec<PageId>, Vec<Update>) {
-        let sub = self.lock_subs.entry(lock).or_default();
-        let delivered = std::mem::take(&mut sub.delivered);
-        drop_unread(&self.pages, &mut sub.subscribed, delivered);
+    /// A release to `obj`'s manager of our intervals from seq `first` on
+    /// (for a barrier, those since the last arrival; for a lock, the one
+    /// the release closes): the notices the manager lacks, our
+    /// subscriptions under `obj` less each page whose diffs the last
+    /// acquire delivered are still held (it went unread since, and is
+    /// delivered nothing more), and our diffs of the pages that acquire
+    /// published, their pending twins materialized.
+    fn release(&mut self, obj: SyncId, first: u32) -> Release {
+        let sub = self.subs.entry(obj).or_default();
+        for (pid, id) in std::mem::take(&mut sub.delivered) {
+            if self.pages[pid].held().any(|(h, _)| h == id) {
+                sub.subscribed.remove(&pid);
+            }
+        }
         let subscribed = sub.subscribed.iter().copied().collect();
         let published = std::mem::take(&mut sub.published);
-        (subscribed, self.attach_updates(first, &published))
+        let me = self.id as u32;
+        let written: Vec<(PageId, IntervalId)> = self
+            .interval_log
+            .range((me, first)..=(me, u32::MAX))
+            .flat_map(|(&(node, seq), info)| {
+                let pages = info.pages.iter();
+                let pages = pages.filter(|pid| published.binary_search(pid).is_ok());
+                pages.map(move |&pid| (pid, IntervalId { node, seq }))
+            })
+            .collect();
+        let mut updates = Vec::with_capacity(written.len());
+        for (pid, id) in written {
+            if matches!(self.pages[pid].pending, Some((seq, _)) if seq == id.seq) {
+                self.materialize_pending(pid);
+            }
+            let diff = self.pages[pid].diffs[&id].clone();
+            self.count(TmkOp::DiffBytesAttached, diff.wire_bytes() as u64);
+            updates.push((pid, id, diff));
+        }
+        let bundle = self.release_to(self.manager_of(obj));
+        Release {
+            bundle,
+            subscribed,
+            updates,
+        }
     }
 
     /// The reply half of a lock acquire, semaphore wait or condition
-    /// wait: check that `msg` grants `obj`, acquire its bundle, and hold
-    /// the delivered diffs of a lock grant as [`NodeState::on_depart`]
-    /// does.
+    /// wait: check that `msg` grants `obj` and acquire it, a lock grant
+    /// through [`NodeState::take_acquire`].
     pub fn on_grant(&mut self, obj: SyncId, src: usize, msg: Msg) {
         match msg {
-            Msg::LockGrant {
-                lock,
-                bundle,
-                published,
-                updates,
-            } if obj == SyncId::Lock(lock) => {
-                self.acquire(src, &bundle);
-                let delivered = self.hold(updates);
-                let sub = self.lock_subs.entry(lock).or_default();
-                sub.published = published;
-                sub.delivered = delivered;
+            Msg::LockGrant { lock, acq } if obj == SyncId::Lock(lock) => {
+                self.take_acquire(obj, src, acq);
                 self.held_locks.push(lock);
             }
             Msg::SemaGrant { sema, bundle } if obj == SyncId::Sema(sema) => {
@@ -684,13 +696,23 @@ impl NodeState {
         }
     }
 
+    /// An acquire of `obj` from `src`: acquire the bundle, hold the
+    /// delivered diffs its notices ask for ([`NodeState::hold`]), and
+    /// keep the published pages and the held diffs for the next release.
+    fn take_acquire(&mut self, obj: SyncId, src: usize, acq: Acquire) {
+        self.acquire(src, &acq.bundle);
+        let delivered = self.hold(acq.updates);
+        let sub = self.subs.entry(obj).or_default();
+        sub.published = acq.published;
+        sub.delivered = delivered;
+    }
+
     /// A read fault on `pid`: subscribe it to barrier updates and, in a
     /// lock tenure, to the updates of the lock acquired last.
     pub fn subscribe(&mut self, pid: PageId) {
-        self.subscribed.insert(pid);
-        if let Some(&lock) = self.held_locks.last() {
-            let sub = self.lock_subs.entry(lock).or_default();
-            sub.subscribed.insert(pid);
+        let lock = self.held_locks.last().map(|&lock| SyncId::Lock(lock));
+        for obj in std::iter::once(SyncId::Barrier).chain(lock) {
+            self.subs.entry(obj).or_default().subscribed.insert(pid);
         }
     }
 
@@ -730,82 +752,44 @@ impl NodeState {
     }
 
     /// The request half of arriving at barrier episode `epoch`: close the
-    /// interval and release to the barrier manager, node 0. The arrival
-    /// carries our subscriptions, less the pages whose update the last
-    /// departure delivered went unread, our diffs of the published
-    /// pages, and the reduction partials contributed since the last
-    /// arrival.
+    /// interval and send the barrier manager, node 0, a
+    /// [`NodeState::release`] of our intervals since the last arrival,
+    /// our diff storage as the attach left it, and the reduction partials
+    /// contributed since the last arrival.
     pub fn arrive_request(&mut self, epoch: u32) -> (usize, Msg) {
         self.close_interval();
-        let delivered = std::mem::take(&mut self.delivered);
-        drop_unread(&self.pages, &mut self.subscribed, delivered);
         let first = std::mem::replace(&mut self.arrived_seq, self.next_seq - 1) + 1;
-        let published = std::mem::take(&mut self.published);
-        let updates = self.attach_updates(first, &published);
-        let bundle = self.release_to(0);
-        (
-            0,
-            Msg::BarrierArrive {
-                epoch,
-                bundle,
-                diff_bytes: self.diff_store_bytes,
-                subscribed: self.subscribed.iter().copied().collect(),
-                updates,
-                partials: std::mem::take(&mut self.partials),
-            },
-        )
-    }
-
-    /// Our diffs of the `published` pages for our intervals from seq
-    /// `first` on, materializing their pending twins.
-    fn attach_updates(&mut self, first: u32, published: &[PageId]) -> Vec<Update> {
-        let me = self.id as u32;
-        let written: Vec<(PageId, IntervalId)> = self
-            .interval_log
-            .range((me, first)..=(me, u32::MAX))
-            .flat_map(|(&(node, seq), info)| {
-                let pages = info.pages.iter();
-                let pages = pages.filter(|pid| published.binary_search(pid).is_ok());
-                pages.map(move |&pid| (pid, IntervalId { node, seq }))
-            })
-            .collect();
-        let mut updates = Vec::with_capacity(written.len());
-        for (pid, id) in written {
-            if matches!(self.pages[pid].pending, Some((seq, _)) if seq == id.seq) {
-                self.materialize_pending(pid);
-            }
-            let diff = self.pages[pid].diffs[&id].clone();
-            self.count(TmkOp::DiffBytesAttached, diff.wire_bytes() as u64);
-            updates.push((pid, id, diff));
-        }
-        updates
+        let rel = self.release(SyncId::Barrier, first);
+        let msg = Msg::BarrierArrive {
+            epoch,
+            rel,
+            diff_bytes: self.diff_store_bytes,
+            partials: std::mem::take(&mut self.partials),
+        };
+        (0, msg)
     }
 
     /// The reply half of a barrier: check that `msg` departs `epoch`,
-    /// acquire its bundle, hold the delivered diffs its notices ask for
-    /// ([`NodeState::hold`]), append the gathered reduction partials,
-    /// and return the GC snapshot clock when the departure starts a GC
-    /// round: the bundle's clock, which the manager gives every node
-    /// alike (one tenure builds all departures).
+    /// take its acquire ([`NodeState::take_acquire`]), append the
+    /// gathered reduction partials, and return the GC snapshot clock when
+    /// the departure starts a GC round: the bundle's clock, which the
+    /// manager gives every node alike (one tenure builds all departures).
     pub fn on_depart(&mut self, epoch: u32, src: usize, msg: Msg) -> Option<VectorClock> {
         let Msg::BarrierDepart {
             epoch: e,
-            bundle,
+            acq,
             gc,
-            published,
-            updates,
             partials,
         } = msg
         else {
             panic!("expected BarrierDepart, got {}", msg.kind())
         };
         assert_eq!(e, epoch, "barrier episode mismatch");
-        self.acquire(src, &bundle);
-        self.published = published;
-        self.delivered = self.hold(updates);
+        let upto = gc.then(|| acq.bundle.pvc.clone());
+        self.take_acquire(SyncId::Barrier, src, acq);
         self.gathered.extend(partials);
         self.count(TmkOp::Barriers, 1);
-        gc.then_some(bundle.pvc)
+        upto
     }
 
     // ---------------------------------------------------------------
@@ -1274,7 +1258,7 @@ impl NodeState {
         }
         // A kept lock diff the snapshot covers is applied or dropped
         // everywhere, and no later grant's bundle holds its interval.
-        for store in self.mgr.lock_updates.values_mut() {
+        for store in self.mgr.riders.values_mut() {
             store
                 .kept
                 .retain(|((_, id, _), _)| !upto.covers(id.node as usize, id.seq));
@@ -1288,20 +1272,6 @@ impl NodeState {
             .map(|m| m.diff_storage_bytes(me) as u64)
             .sum();
         self.count(TmkOp::GcRuns, 1);
-    }
-}
-
-/// End the `subscribed` pages whose `delivered` diffs are still held:
-/// the page went unread since they came, a fault applying everything
-/// held, and a page whose subscription ended is delivered nothing more.
-fn drop_unread(
-    pages: &[PageMeta],
-    subscribed: &mut BTreeSet<PageId>,
-    delivered: Vec<(PageId, IntervalId)>,
-) {
-    let unread = |&(pid, id): &(PageId, IntervalId)| pages[pid].held().any(|(h, _)| h == id);
-    for (pid, _) in delivered.into_iter().filter(unread) {
-        subscribed.remove(&pid);
     }
 }
 
@@ -1728,11 +1698,11 @@ mod tests {
         fn serve(&mut self, src: usize, (mgr, mut msg): (usize, Msg)) -> Vec<(usize, Msg)> {
             Self::note(&mut self.tally, &msg);
             if self.strip {
-                if let Msg::BarrierArrive { updates, .. }
-                | Msg::LockRelease { updates, .. }
-                | Msg::CondWait { updates, .. } = &mut msg
+                if let Msg::BarrierArrive { rel, .. }
+                | Msg::LockRelease { rel, .. }
+                | Msg::CondWait { rel, .. } = &mut msg
                 {
-                    updates.clear();
+                    rel.updates.clear();
                 }
             }
             let mut out = Vec::new();
