@@ -88,7 +88,8 @@ pub struct Arrival {
     /// The arriving node.
     pub node: usize,
     /// Its release: the notices the manager applies once every node has
-    /// arrived, with its processed clock, the departure's filter.
+    /// arrived (with its processed clock, the departure's filter), its
+    /// subscriptions and its diffs.
     pub rel: Release,
     /// Its cached diff storage (GC trigger input).
     pub diff_bytes: u64,
