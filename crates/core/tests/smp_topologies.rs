@@ -58,13 +58,14 @@ fn reduction_publishes_once_per_node() {
         assert_eq!(out.result, 499_500, "{nodes}x{tpn}");
         // The team combines in node shared memory; one thread per node
         // contributes the node total, which rides the join's arrival: no
-        // lock, and no message beyond the fork and the join.
+        // lock, and no message beyond the fork and the join. The join is
+        // one-way: it departs the master alone, a free self-send.
         assert_eq!(out.dsm.lock_acquires, 0, "{nodes}x{tpn}: no lock");
         let slaves = nodes as u64 - 1;
         assert_eq!(
             out.net.total_msgs(),
-            3 * slaves,
-            "{nodes}x{tpn}: one fork, arrival and departure per slave"
+            2 * slaves,
+            "{nodes}x{tpn}: one fork and one arrival per slave"
         );
     }
 }

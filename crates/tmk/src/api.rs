@@ -255,7 +255,13 @@ impl Tmk {
     /// not move, so sites there pass the node clock). Only *reads* clocks,
     /// so it cannot change virtual time, statistics, or traffic.
     #[inline]
-    fn timed(&mut self, lat: OpLat, a: u64, now: fn(&Self) -> u64, f: impl FnOnce(&mut Self)) {
+    fn timed(
+        &mut self,
+        lat: OpLat,
+        (a, b): (u64, u64),
+        now: fn(&Self) -> u64,
+        f: impl FnOnce(&mut Self),
+    ) {
         let host0 = std::time::Instant::now();
         let t0 = now(self);
         f(self);
@@ -268,7 +274,7 @@ impl Tmk {
         if self.ep.tracer().on() {
             self.ep
                 .tracer()
-                .span(lat.event(), self.lane_tid, t0, t1, a, 0);
+                .span(lat.event(), self.lane_tid, t0, t1, a, b);
         }
     }
 
@@ -276,7 +282,7 @@ impl Tmk {
     /// meter/gate/wire brackets, [`Tmk::timed`] as `lat`.
     #[inline]
     fn traced_op(&mut self, lat: OpLat, a: u64, f: impl FnOnce(&mut Self)) {
-        self.metered(|s| s.timed(lat, a, Self::thread_vt, |s| s.on_wire(f)));
+        self.metered(|s| s.timed(lat, (a, 0), Self::thread_vt, |s| s.on_wire(f)));
     }
 
     /// Bracket a network-touching protocol segment: the node clock (which
@@ -371,9 +377,12 @@ impl Tmk {
     /// and lock updates and asks for siblings; a GC validation does
     /// neither, as the application may never read those pages.
     pub(crate) fn fault_pages(&mut self, pids: &[PageId], subscribe: bool) {
-        self.timed(OpLat::PageFault, pids.len() as u64, Self::thread_vt, |s| {
-            s.on_wire(|s| s.fault_pages_inner(pids, subscribe))
-        });
+        self.timed(
+            OpLat::PageFault,
+            (pids.len() as u64, 0),
+            Self::thread_vt,
+            |s| s.on_wire(|s| s.fault_pages_inner(pids, subscribe)),
+        );
     }
 
     fn fault_pages_inner(&mut self, pids: &[PageId], subscribe: bool) {
@@ -507,6 +516,21 @@ impl Tmk {
     /// Global barrier (`Tmk_barrier`): arrival is a release, departure an
     /// acquire delivering every write notice this node has not seen.
     pub fn barrier(&mut self) {
+        self.barrier_episode(false);
+    }
+
+    /// `Tmk_join`, the barrier that ends a parallel region. It is one-way
+    /// for a slave: the arrival is sent and the join is over, as only the
+    /// master runs until the next fork, which is the slave's departure
+    /// ([`NodeState::fork_request`]). The master departs as at any
+    /// barrier, with the gathered reduction partials.
+    pub(crate) fn join(&mut self) {
+        self.barrier_episode(true);
+    }
+
+    /// One barrier episode, a region's join with `join`. Its trace span
+    /// carries the episode as `a` and `join` as `b`.
+    fn barrier_episode(&mut self, join: bool) {
         debug_assert!(
             !self.derived,
             "DSM barrier from a non-representative SMP thread (use the \
@@ -514,22 +538,36 @@ impl Tmk {
         );
         let epoch = self.barrier_epoch;
         self.barrier_epoch += 1;
-        self.traced_op(OpLat::Barrier, epoch as u64, |s| {
-            let (mgr, arrive) = s.state.lock().arrive_request(epoch);
-            s.ep.send(mgr, arrive);
-            let d = s.reply();
-            let gc = s.state.lock().on_depart(epoch, d.src, d.msg);
-            if let Some(upto) = gc {
-                // Stamped with the node clock: this runs inside the
-                // barrier's wire bracket, where the thread's lane is parked.
-                s.timed(
-                    OpLat::Gc,
-                    epoch as u64,
-                    |s| s.clock.now(),
-                    |s| s.run_gc(epoch, &upto),
-                );
-            }
+        let traced = (epoch as u64, join as u64);
+        self.metered(|s| {
+            s.timed(OpLat::Barrier, traced, Self::thread_vt, |s| {
+                s.on_wire(|s| {
+                    let (mgr, arrive) = s.state.lock().arrive_request(epoch, join);
+                    s.ep.send(mgr, arrive);
+                    if join && s.id != mgr {
+                        return;
+                    }
+                    let d = s.reply();
+                    let gc = s.state.lock().on_depart(epoch, d.src, d.msg);
+                    if let Some(upto) = gc {
+                        s.gc(epoch, &upto);
+                    }
+                })
+            })
         });
+    }
+
+    /// Run the GC round that barrier `epoch` started with snapshot
+    /// `upto`: at its departure, or for a join at the next fork. Stamped
+    /// with the node clock: at a barrier this runs inside the wire
+    /// bracket, where the thread's lane is parked.
+    pub(crate) fn gc(&mut self, epoch: u32, upto: &crate::interval::VectorClock) {
+        self.timed(
+            OpLat::Gc,
+            (epoch as u64, 0),
+            |s| s.clock.now(),
+            |s| s.run_gc(epoch, upto),
+        );
     }
 
     /// Barrier-time diff garbage collection: validate the pages we own,
@@ -711,7 +749,13 @@ impl Tmk {
     // ------------------------------------------------------------------
 
     /// `Tmk_fork` + run + `Tmk_join`: ship `f` to every slave, run it as
-    /// thread 0 ourselves, and join at the implicit end-of-region barrier.
+    /// thread 0 ourselves, and join at the implicit end-of-region barrier
+    /// (`Tmk::join`).
+    ///
+    /// Each fork is a release of the master's sequential section and the
+    /// slave's deferred departure from the last join, with that join's
+    /// riders; a GC round the join started runs here, on every node,
+    /// before the region (`NodeState::fork_request`).
     ///
     /// `payload_bytes` models the size of the copied-in (firstprivate)
     /// environment on the wire.
@@ -723,21 +767,9 @@ impl Tmk {
             payload_bytes: payload_bytes + self.state.lock().cfg.fork_payload_bytes,
         };
         self.metered(|s| {
-            // The fork is a release of the master's sequential section...
-            let mut st = s.state.lock();
-            st.close_interval();
-            st.count(TmkOp::Forks, 1);
-            let bundles: Vec<_> = (1..s.n).map(|p| (p, st.release_to(p))).collect();
-            drop(st);
-            // ...delivered to each slave as an acquire at region start.
-            for (peer, bundle) in bundles {
-                s.ep.send(
-                    peer,
-                    Msg::Fork {
-                        region: region.clone(),
-                        bundle,
-                    },
-                );
+            let (forks, gc) = s.state.lock().fork_request(&region);
+            for (peer, fork) in forks {
+                s.ep.send(peer, fork);
             }
             if s.ep.tracer().on() {
                 s.ep.tracer().instant(
@@ -748,11 +780,14 @@ impl Tmk {
                     0,
                 );
             }
+            if let Some(upto) = gc {
+                s.gc(s.barrier_epoch - 1, &upto);
+            }
         });
         self.in_region = true;
         (region.f)(self);
         self.in_region = false;
-        self.barrier(); // Tmk_join: implicit barrier at region end
+        self.join();
     }
 
     /// Whether this thread is currently inside a parallel region.

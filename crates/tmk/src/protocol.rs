@@ -154,10 +154,15 @@ pub enum Msg {
         /// The acquire: its diffs are those of intervals in its bundle.
         acq: Acquire,
     },
-    /// Barrier arrival: a release to the centralized manager.
+    /// Barrier arrival: a release to the centralized manager. A region's
+    /// join is one-way for a slave: it sends this and goes back to
+    /// waiting for work, and the next [`Msg::Fork`] is its departure.
     BarrierArrive {
         /// Barrier episode number (sanity check).
         epoch: u32,
+        /// The episode is a region's join: the manager departs only
+        /// itself and keeps the episode's riders for the next fork.
+        join: bool,
         /// The release: its diffs are those since the last arrival.
         rel: Release,
         /// Arriver's cached diff storage (GC trigger input).
@@ -166,7 +171,8 @@ pub enum Msg {
         /// arrival, in contribution order.
         partials: Vec<Partial>,
     },
-    /// Barrier departure: an acquire delivering missing notices.
+    /// Barrier departure: an acquire delivering missing notices. At a
+    /// join only the manager's own is sent.
     BarrierDepart {
         /// Barrier episode number.
         epoch: u32,
@@ -245,12 +251,18 @@ pub enum Msg {
     },
     /// Acknowledgment of a flush notice.
     FlushAck,
-    /// Master ships a parallel-region body to a slave (Tmk_fork).
+    /// Master ships a parallel-region body to a slave (Tmk_fork). The
+    /// fork is also the slave's deferred departure from the last join.
     Fork {
         /// The region closure + modeled payload.
         region: Region,
-        /// Master's sequential-section updates (release→acquire edge).
-        bundle: NoticeBundle,
+        /// The acquire: the notices the slave lacks (the last join's and
+        /// the master's sequential section's), and the last join's riders
+        /// for it, which its own departure would have carried.
+        acq: Acquire,
+        /// Run the GC round the last join started before the region,
+        /// with the bundle's processed clock as the snapshot.
+        gc: bool,
     },
     /// GC: a node finished validating the pages it owns.
     GcDone {
@@ -357,7 +369,8 @@ impl Wire for Msg {
             Msg::CondSignal { .. } | Msg::CondBroadcast { .. } => 12,
             Msg::FlushNotice { bundle } => 4 + bundle.wire_bytes(),
             Msg::FlushAck => 4,
-            Msg::Fork { region, bundle } => region.payload_bytes + bundle.wire_bytes(),
+            // The GC flag travels in the modeled fork header.
+            Msg::Fork { region, acq, .. } => region.payload_bytes + acq.wire_bytes(),
             Msg::GcDone { .. } | Msg::GcComplete { .. } => 8,
             // Control-plane messages of the warm-cluster job boundary;
             // sent after a job's traffic snapshot and wiped by the
@@ -468,6 +481,7 @@ mod tests {
         let arrive = |subscribed: Vec<PageId>, updates: Vec<Update>, partials: Vec<Partial>| {
             Msg::BarrierArrive {
                 epoch: 0,
+                join: false,
                 rel: rel(subscribed, updates),
                 diff_bytes: 0,
                 partials,
@@ -516,6 +530,23 @@ mod tests {
         assert_eq!(bare, 16 + empty.wire_bytes());
         assert_eq!(
             cond_wait(vec![1, 2, 5], updates.clone()).wire_bytes(),
+            bare + riders
+        );
+        // A fork is its modeled payload and its acquire; the GC flag
+        // rides in the payload's header.
+        let region = Region {
+            f: Arc::new(|_| {}),
+            payload_bytes: 40,
+        };
+        let fork = |published: Vec<PageId>, updates: Vec<Update>| Msg::Fork {
+            region: region.clone(),
+            acq: acq(published, updates),
+            gc: true,
+        };
+        let bare = fork(vec![], vec![]).wire_bytes();
+        assert_eq!(bare, 40 + empty.wire_bytes());
+        assert_eq!(
+            fork(vec![1, 2, 5], updates.clone()).wire_bytes(),
             bare + riders
         );
         let grant = |published: Vec<PageId>, updates: Vec<Update>| Msg::LockGrant {

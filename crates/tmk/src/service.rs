@@ -11,7 +11,7 @@
 //! deadlock-free by construction.
 
 use crate::interval::{NoticeBundle, VectorClock};
-use crate::protocol::{Gathered, Msg, Region, Release};
+use crate::protocol::{Acquire, Gathered, Msg, Region, Release};
 use crate::state::{Arrival, NodeState, Riders, SyncId};
 use crossbeam::channel::Sender;
 use now_net::{Delivered, Endpoint, Wire as _};
@@ -34,8 +34,11 @@ pub enum WorkItem {
 pub struct ForkJob {
     /// The region body and modeled payload.
     pub region: Region,
-    /// Master's sequential-section release information.
-    pub bundle: NoticeBundle,
+    /// The slave's deferred departure from the last join, with the
+    /// master's sequential section ([`Msg::Fork`]).
+    pub acq: Acquire,
+    /// Run the last join's GC round before the region.
+    pub gc: bool,
     /// Sending node (the master).
     pub src: usize,
     /// Virtual arrival time of the fork message.
@@ -74,10 +77,11 @@ pub fn service_loop(
                 // has already been served above).
                 let _ = work_tx.send(WorkItem::Reset);
             }
-            Msg::Fork { region, bundle } => {
+            Msg::Fork { region, acq, gc } => {
                 let _ = work_tx.send(WorkItem::Run(ForkJob {
                     region,
-                    bundle,
+                    acq,
+                    gc,
                     src: d.src,
                     arrival_vt: d.arrival_vt,
                 }));
@@ -154,6 +158,7 @@ pub(crate) fn on_request(
         Msg::LockRelease { lock, rel } => mgr_release(st, src, SyncId::Lock(lock), rel, out),
         Msg::BarrierArrive {
             epoch,
+            join,
             rel,
             diff_bytes,
             partials,
@@ -162,6 +167,7 @@ pub(crate) fn on_request(
             debug_assert_eq!(epoch, st.mgr.barrier_epoch, "barrier episode mismatch");
             st.mgr.arrivals.push(Arrival {
                 node: src,
+                join,
                 rel,
                 diff_bytes,
                 partials,
@@ -305,6 +311,12 @@ fn send_grant(
 /// All nodes have arrived: merge complete, send departures (slaves first,
 /// the manager's own application thread last).
 ///
+/// A region's join departs only the manager: after it only the master
+/// runs until the next fork, so each slave's departure waits for that
+/// fork, which carries it (`NodeState::fork_request`). The episode's
+/// riders are kept for it in `ManagerState::riders` under
+/// `SyncId::Barrier`, and a GC round the join starts runs at the fork.
+///
 /// The episode's riders live in one [`Riders`], as a lock's do across
 /// tenures: every arrival's subscriptions are recorded before any diff
 /// is attached, so each diff is kept for every other subscriber of its
@@ -320,6 +332,11 @@ fn release_barrier(st: &mut NodeState, epoch: u32, out: &mut Vec<(usize, Msg)>) 
     let gc = st.cfg.gc_every_barrier || total_diff_bytes > st.cfg.gc_threshold_bytes as u64;
     st.mgr.gc_in_progress = gc;
     let mut arrivals = std::mem::take(&mut st.mgr.arrivals);
+    let join = arrivals.iter().any(|a| a.join);
+    debug_assert!(
+        arrivals.iter().all(|a| a.join == join),
+        "a join is every node's"
+    );
     let mut riders = Riders::default();
     for a in &mut arrivals {
         riders.subscribe(a.node, std::mem::take(&mut a.rel.subscribed));
@@ -353,19 +370,23 @@ fn release_barrier(st: &mut NodeState, epoch: u32, out: &mut Vec<(usize, Msg)>) 
         })
         .collect();
     partials.sort_by_key(|&(site, node, _)| (site, node));
-    for a in &arrivals {
+    let mgr = st.id;
+    for a in arrivals.iter().filter(|a| !join || a.node == mgr) {
         let bundle = st.grant_to(a.node, &a.rel.bundle.pvc);
         let depart = Msg::BarrierDepart {
             epoch,
             acq: riders.grant(a.node, bundle, None),
-            gc,
-            partials: if a.node == st.id {
+            gc: gc && !join,
+            partials: if a.node == mgr {
                 std::mem::take(&mut partials)
             } else {
                 Vec::new()
             },
         };
         out.push((a.node, depart));
+    }
+    if join {
+        st.mgr.riders.insert(SyncId::Barrier, riders);
     }
 }
 
@@ -585,6 +606,7 @@ mod tests {
     ) -> Msg {
         Msg::BarrierArrive {
             epoch: 0,
+            join: false,
             rel: released(node, pvc, wrote, subscribed),
             diff_bytes: 0,
             partials: vec![],
@@ -599,14 +621,18 @@ mod tests {
     fn acquires(st: &mut NodeState, src: usize, msg: Msg) -> Vec<Acquired> {
         let mut out = Vec::new();
         on_request(st, src, msg, 0, &mut out);
-        let acquired = |(dst, m): (usize, Msg)| {
-            let (Msg::BarrierDepart { acq, .. } | Msg::LockGrant { acq, .. }) = &m else {
-                panic!("expected a departure or grant, got {}", m.kind())
-            };
-            let attached = acq.updates.iter().map(|(pid, id, _)| (*pid, *id)).collect();
-            (dst, m.kind(), acq.published.clone(), attached)
-        };
         out.into_iter().map(acquired).collect()
+    }
+
+    /// A departure, grant or fork as [`Acquired`].
+    fn acquired((dst, m): (usize, Msg)) -> Acquired {
+        let (Msg::BarrierDepart { acq, .. } | Msg::LockGrant { acq, .. } | Msg::Fork { acq, .. }) =
+            &m
+        else {
+            panic!("expected a departure, grant or fork, got {}", m.kind())
+        };
+        let attached = acq.updates.iter().map(|(pid, id, _)| (*pid, *id)).collect();
+        (dst, m.kind(), acq.published.clone(), attached)
     }
 
     #[test]
@@ -646,6 +672,54 @@ mod tests {
         // The episode's riders were local to its release: the manager's
         // store keeps none of them past it.
         assert!(m.mgr.riders.is_empty(), "attachments live one episode");
+    }
+
+    #[test]
+    fn a_join_departs_the_manager_alone_and_the_next_fork_carries_the_rest() {
+        let mut m = manager();
+        let id = |node, seq| IntervalId { node, seq };
+        // The episode of the test above, as a region's join.
+        let join = |mut msg: Msg| {
+            if let Msg::BarrierArrive { join, .. } = &mut msg {
+                *join = true;
+            }
+            msg
+        };
+        let arrivals = [
+            (3, arrive(3, [0; 4], &[(1, &[2])], &[])),
+            (1, arrive(1, [0; 4], &[(1, &[0, 1])], &[0])),
+            (2, arrive(2, [0, 1, 0, 0], &[(1, &[0])], &[0])),
+        ];
+        for (node, msg) in arrivals {
+            assert_eq!(acquires(&mut m, node, join(msg)), []);
+        }
+        let departed = acquires(&mut m, 0, join(arrive(0, [0; 4], &[], &[1])));
+        let want = [(0, "barrier_depart", vec![0], vec![(1, id(1, 1))])];
+        assert_eq!(departed, want, "the manager departs alone");
+        assert!(m.mgr.riders.contains_key(&SyncId::Barrier));
+        // The fork to each slave is the departure it did not get: the
+        // riders, and the notices its arrival's clock lacks.
+        let region = Region {
+            f: Arc::new(|_| {}),
+            payload_bytes: 0,
+        };
+        let (forks, gc) = m.fork_request(&region);
+        for (p, fork) in &forks {
+            let Msg::Fork { acq, .. } = fork else {
+                panic!("expected a fork, got {}", fork.kind())
+            };
+            let seen = if *p == 2 { [0, 1, 0, 0] } else { [0; 4] };
+            let departure = m.bundle_for(&VectorClock(seen.to_vec()));
+            assert_eq!(acq.bundle.intervals, departure.intervals, "node {p}");
+        }
+        let want = [
+            (1, "fork", vec![0, 1], vec![(0, id(2, 1))]),
+            (2, "fork", vec![0, 1], vec![(0, id(1, 1))]),
+            (3, "fork", vec![0, 1], vec![]),
+        ];
+        assert_eq!(forks.into_iter().map(acquired).collect::<Vec<_>>(), want);
+        assert_eq!(gc, None);
+        assert!(m.mgr.riders.is_empty(), "the fork took the join's riders");
     }
 
     /// A release of lock 0: [`released`]'s release.
@@ -716,6 +790,7 @@ mod tests {
             // (`[10 + k]`) before it; a GC trigger on node 2's arrival.
             let arrive = |k: usize| Msg::BarrierArrive {
                 epoch: 0,
+                join: false,
                 rel: released(k, [0; 4], &[], &[]),
                 diff_bytes: if gc && k == 2 { u64::MAX / 2 } else { 0 },
                 partials: (k % 2 == 1)
@@ -937,17 +1012,23 @@ mod tests {
             self.nodes[k].finish_fault(PAGE);
         }
 
-        /// Every node arrives at episode `epoch`, then takes its departure.
-        fn barrier(&mut self, epoch: u32) {
+        /// Every node arrives at episode `epoch`, then takes its
+        /// departure; with `join`, the region's join, only node 0 does.
+        fn barrier(&mut self, epoch: u32, join: bool) {
             for k in 0..N {
-                let arrive = self.nodes[k].arrive_request(epoch);
+                let arrive = self.nodes[k].arrive_request(epoch, join);
                 self.send(k, arrive);
             }
-            for k in 0..N {
+            for k in (0..N).filter(|&k| !join || k == 0) {
                 let (src, depart) = self.reply(k);
                 let gc = self.nodes[k].on_depart(epoch, src, depart);
                 assert_eq!(gc, None, "no GC round");
             }
+            self.pump();
+            assert!(
+                self.inbox.iter().all(VecDeque::is_empty),
+                "no slave departs a join"
+            );
         }
     }
 
@@ -998,18 +1079,18 @@ mod tests {
                 }
             }
         };
-        sim.barrier(0);
+        sim.barrier(0, false);
         read_all(&mut sim);
-        sim.barrier(1);
+        sim.barrier(1, false);
         for k in 0..N {
             let st = &mut sim.nodes[k];
             st.start_write(PAGE);
             let page = st.page_range(PAGE);
             st.mem[page][8 + k] = k as u8 + 1;
         }
-        sim.barrier(2);
+        sim.barrier(2, false);
         read_all(&mut sim);
-        sim.barrier(3);
+        sim.barrier(3, true);
         let mut stats = TmkStats::default();
         for &op in TmkOp::ALL {
             op.add_to(
@@ -1071,10 +1152,12 @@ mod tests {
         let (free, bytes, clocks) = first;
         let (sent, stats, pages) = &free;
         // The second reads' three faults send nothing: each finds the
-        // other writers' diffs held, delivered by barrier 2.
+        // other writers' diffs held, delivered by barrier 2. The join
+        // departs node 0 alone: 3 barriers and the join send 2 arrivals
+        // each, the 3 barriers 2 departures each.
         let want = [
             ("barrier_arrive", 8),
-            ("barrier_depart", 8),
+            ("barrier_depart", 6),
             ("diff_rep", 4),
             ("diff_req", 4),
             ("lock_acq", 2),
@@ -1091,10 +1174,13 @@ mod tests {
         page[8..8 + N].copy_from_slice(&[1, 2, 3]);
         assert_eq!(pages, &vec![page; N]);
         // Wire bytes by kind, in `want`'s order, and the final clocks, as
-        // recorded: a refactor of the riders leaves them as they are.
+        // recorded: a refactor of the riders leaves them as they are. The
+        // two-way join's slave departures were 37 B each (a 9 B header,
+        // an empty 24 B bundle and one published page): 492 − 2 × 37 =
+        // 418.
         assert!(bytes.keys().eq(sent.keys()));
         let bytes: Vec<u64> = bytes.into_values().collect();
-        assert_eq!(bytes, [590, 492, 158, 96, 48, 124, 145]);
+        assert_eq!(bytes, [590, 418, 158, 96, 48, 124, 145]);
         assert_eq!(clocks, [(34, 10), (34, 10), (44, 0)]);
 
         // The fork is all the threaded run adds.

@@ -14,7 +14,7 @@ use crate::diff::Diff;
 use crate::interval::{IntervalId, IntervalInfo, NoticeBundle, VectorClock};
 use crate::metrics::NodeMetrics;
 use crate::page::{NoticeRec, PageMeta, PageState};
-use crate::protocol::{Acquire, Gathered, Msg, PageDiffs, Partial, Release, Update};
+use crate::protocol::{Acquire, Gathered, Msg, PageDiffs, Partial, Region, Release, Update};
 use crate::stats::TmkOp;
 use now_net::{VirtualClock, Wire as _};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -87,6 +87,8 @@ impl MgrQueue {
 pub struct Arrival {
     /// The arriving node.
     pub node: usize,
+    /// The episode is a region's join.
+    pub join: bool,
     /// Its release: the notices the manager applies once every node has
     /// arrived (with its processed clock, the departure's filter), its
     /// subscriptions and its diffs.
@@ -202,12 +204,14 @@ pub struct ManagerState {
     pub barrier_last_arrive_vt: u64,
     /// Nodes that completed GC validation this episode.
     pub gc_done: usize,
-    /// A GC round is in flight.
+    /// A GC round is decided and not yet complete. A join's runs at the
+    /// next fork.
     pub gc_in_progress: bool,
     /// Lock and semaphore queues.
     pub queues: HashMap<SyncId, MgrQueue>,
-    /// Lock riders, kept across tenures (a barrier's live one episode,
-    /// in `service::release_barrier`).
+    /// Lock riders, kept across tenures, and under `SyncId::Barrier` a
+    /// join's, kept for the next fork (an interior barrier's live one
+    /// episode, in `service::release_barrier`).
     pub riders: HashMap<SyncId, Riders>,
     /// Condition-variable wait queues, keyed by (lock, cond).
     pub conds: HashMap<(u32, u32), VecDeque<(usize, VectorClock)>>,
@@ -756,18 +760,25 @@ impl NodeState {
     /// interval and send the barrier manager, node 0, a
     /// [`NodeState::release`] of our intervals since the last arrival,
     /// our diff storage as the attach left it, and the reduction partials
-    /// contributed since the last arrival.
-    pub fn arrive_request(&mut self, epoch: u32) -> (usize, Msg) {
+    /// contributed since the last arrival. With `join`, the episode is a
+    /// region's join, which a slave completes here: its departure is the
+    /// next fork ([`NodeState::on_fork`]).
+    pub fn arrive_request(&mut self, epoch: u32, join: bool) -> (usize, Msg) {
         self.close_interval();
         let first = std::mem::replace(&mut self.arrived_seq, self.next_seq - 1) + 1;
         let rel = self.release(SyncId::Barrier, first);
+        let mgr = self.manager_of(SyncId::Barrier);
+        if join && self.id != mgr {
+            self.count(TmkOp::Barriers, 1);
+        }
         let msg = Msg::BarrierArrive {
             epoch,
+            join,
             rel,
             diff_bytes: self.diff_store_bytes,
             partials: std::mem::take(&mut self.partials),
         };
-        (0, msg)
+        (mgr, msg)
     }
 
     /// The reply half of a barrier: check that `msg` departs `epoch`,
@@ -790,6 +801,43 @@ impl NodeState {
         self.take_acquire(SyncId::Barrier, src, acq);
         self.gathered.extend(partials);
         self.count(TmkOp::Barriers, 1);
+        upto
+    }
+
+    /// The request half of forking `region` (the master's): close the
+    /// sequential section and build each slave's fork, its deferred
+    /// departure from the last join. Its acquire is a grant of the join's
+    /// riders ([`Riders::grant`], no bundle filter, as a departure) with
+    /// every notice the slave lacks: `apply_bundle` raised its known
+    /// clock to its arrival's, so that is the join's notices and the
+    /// sequential section's. With no join pending (a job's first fork)
+    /// the riders are empty. Also returns the GC snapshot clock when the
+    /// join started a GC round: our processed clock, which every fork's
+    /// bundle carries.
+    pub fn fork_request(&mut self, region: &Region) -> (Vec<(usize, Msg)>, Option<VectorClock>) {
+        self.close_interval();
+        self.count(TmkOp::Forks, 1);
+        let mut riders = self.mgr.riders.remove(&SyncId::Barrier).unwrap_or_default();
+        let (gc, me) = (self.mgr.gc_in_progress, self.id);
+        let forks = (0..self.n)
+            .filter(|&p| p != me)
+            .map(|p| {
+                let acq = riders.grant(p, self.release_to(p), None);
+                let region = region.clone();
+                (p, Msg::Fork { region, acq, gc })
+            })
+            .collect();
+        (forks, gc.then(|| self.processed_vc.clone()))
+    }
+
+    /// The reply half of a fork (a slave's): take its acquire
+    /// ([`NodeState::take_acquire`]) as the departure from the last join,
+    /// and return the GC snapshot clock when the join started a GC round:
+    /// the bundle's processed clock, which the master gives every slave
+    /// alike and takes as its own.
+    pub fn on_fork(&mut self, src: usize, acq: Acquire, gc: bool) -> Option<VectorClock> {
+        let upto = gc.then(|| acq.bundle.pvc.clone());
+        self.take_acquire(SyncId::Barrier, src, acq);
         upto
     }
 
@@ -1502,8 +1550,9 @@ mod tests {
     }
 
     /// A cluster of `NodeState`s driven by direct calls in place of the
-    /// application threads' messages; locks, barriers and diff requests
-    /// run through the real request, manager or server, and reply halves.
+    /// application threads' messages; locks, barriers, forks and diff
+    /// requests run through the real request, manager or server, and
+    /// reply halves.
     struct World {
         nodes: Vec<NodeState>,
         /// Fault with the per-writer requests: the domination oracle.
@@ -1512,12 +1561,16 @@ mod tests {
         /// and the sibling pages of diff requests, in transit: the
         /// pure-invalidate, page-by-page oracle.
         strip: bool,
-        /// A barrier whose `arg` is a multiple of this runs a GC round.
+        /// A barrier or join whose `arg` is a multiple of this runs a GC
+        /// round (a join's at the fork).
         gc_every: u32,
         /// Arrivals carry reduction partials, drawn from the barrier's
         /// `arg`; every departure must deliver them to node 0 by
         /// `(site, node)`, and to no other node.
         partials: bool,
+        /// The step menu has a region boundary: a join, the master alone,
+        /// and a fork ([`World::region`]).
+        regions: bool,
         /// Next barrier episode.
         epoch: u32,
         /// `DiffReq` messages sent, one entry per fault.
@@ -1537,11 +1590,18 @@ mod tests {
                 strip,
                 gc_every,
                 partials,
+                regions: false,
                 epoch: 0,
                 requests: Vec::new(),
                 reads: Vec::new(),
                 tally: BTreeMap::new(),
             }
+        }
+
+        /// The same world with region boundaries in its step menu.
+        fn with_regions(mut self) -> Self {
+            self.regions = true;
+            self
         }
 
         /// Count `msg` in the tally.
@@ -1745,11 +1805,13 @@ mod tests {
             self.nodes[k].mem[r][off] = val;
         }
 
-        /// Every node arrives, the last arrival starting at `first`; the
-        /// manager's departures are taken; a GC round follows if the
-        /// manager calls one. With `partials`, node `k` first contributes
-        /// up to two partials to sites 0 to 2, as bits of `arg` pick.
-        fn barrier(&mut self, first: usize, gc: bool, arg: u32) {
+        /// Every node arrives at the next episode, a region's join with
+        /// `join`, the last arrival starting at `first`, and the manager's
+        /// departures are taken. With `partials`, node `k` first
+        /// contributes up to two partials to sites 0 to 2, as bits of
+        /// `arg` pick, and they must reach node 0 alone, by `(site, node)`.
+        /// Returns the GC snapshots the departures gave.
+        fn episode(&mut self, first: usize, gc: bool, arg: u32, join: bool) -> Vec<VectorClock> {
             let n = self.nodes.len();
             let epoch = self.epoch;
             self.epoch += 1;
@@ -1766,10 +1828,15 @@ mod tests {
                         want.push((site, k, bytes));
                     }
                 }
-                let arrive = self.nodes[k].arrive_request(epoch);
+                let arrive = self.nodes[k].arrive_request(epoch, join);
                 out.extend(self.serve(k, arrive));
             }
-            assert_eq!(out.len(), n, "the last arrival releases everyone");
+            let departs: Vec<usize> = out.iter().map(|(k, _)| *k).collect();
+            if join {
+                assert_eq!(departs, [0], "a join departs the master alone");
+            } else {
+                assert_eq!(departs.len(), n, "the last arrival releases everyone");
+            }
             let mut snapshots = Vec::new();
             for (k, depart) in out {
                 snapshots.extend(self.nodes[k].on_depart(epoch, 0, depart));
@@ -1779,6 +1846,64 @@ mod tests {
             for node in &self.nodes {
                 assert!(node.partials.is_empty() && node.gathered.is_empty());
             }
+            snapshots
+        }
+
+        /// A barrier: an episode, and the GC round it calls, if any.
+        fn barrier(&mut self, first: usize, gc: bool, arg: u32) {
+            let snapshots = self.episode(first, gc, arg, false);
+            self.gc_round(snapshots);
+        }
+
+        /// A region boundary: every node join-arrives and only the master
+        /// departs, with no GC round yet; the master alone reads both
+        /// pages and writes its slot of `pid`; then it forks, and each
+        /// slave takes its fork, its departure from the join, with the
+        /// join's riders. A GC round the join called runs then, on every
+        /// node, from one snapshot.
+        fn region(
+            &mut self,
+            first: usize,
+            gc: bool,
+            arg: u32,
+            (pid, off, val): (PageId, usize, u8),
+        ) {
+            let n = self.nodes.len();
+            let snapshots = self.episode(first, gc, arg, true);
+            assert!(snapshots.is_empty(), "a join's GC round waits for the fork");
+            assert_eq!(self.nodes[0].mgr.gc_in_progress, gc);
+            for page in [0, 1] {
+                if !self.nodes[0].pages[page].readable() {
+                    self.fault(0, &[page], true);
+                }
+                let r = self.nodes[0].page_range(page);
+                self.reads.push(self.nodes[0].mem[r].to_vec());
+            }
+            self.write(0, pid, 16 + off, val);
+            let region = Region {
+                f: Arc::new(|_| {}),
+                payload_bytes: 0,
+            };
+            let (forks, master) = self.nodes[0].fork_request(&region);
+            assert!(!self.nodes[0].mgr.riders.contains_key(&SyncId::Barrier));
+            let mut snapshots: Vec<VectorClock> = master.into_iter().collect();
+            assert_eq!(forks.len(), n - 1, "one fork a slave");
+            for (k, fork) in forks {
+                Self::note(&mut self.tally, &fork);
+                let Msg::Fork { acq, gc, .. } = fork else {
+                    panic!("expected a fork, got {}", fork.kind())
+                };
+                snapshots.extend(self.nodes[k].on_fork(0, acq, gc));
+            }
+            self.gc_round(snapshots);
+        }
+
+        /// A GC round from `snapshots`, one a node or none: every node
+        /// holds the one snapshot as its processed clock and computes the
+        /// same owners, the owners validate their pages, and every node
+        /// drops what the snapshot covers.
+        fn gc_round(&mut self, snapshots: Vec<VectorClock>) {
+            let n = self.nodes.len();
             let Some(upto) = snapshots.first().cloned() else {
                 return;
             };
@@ -1805,7 +1930,8 @@ mod tests {
         /// only under lock 1, bytes `16 * (k + 1)..` only by node `k`.
         fn step(&mut self, op: u32) {
             let n = self.nodes.len();
-            let (kind, arg) = (op % 6, op / 6);
+            let kinds = if self.regions { 7 } else { 6 };
+            let (kind, arg) = (op % kinds, op / kinds);
             let k = arg as usize % n;
             let pid = (arg as usize / n) % 2;
             let (off, val) = ((arg >> 4) as usize % 16, (arg >> 8) as u8 | 1);
@@ -1866,7 +1992,8 @@ mod tests {
                     let r = self.nodes[k].page_range(pid);
                     self.reads.push(self.nodes[k].mem[r].to_vec());
                 }
-                _ => self.barrier(k, arg % self.gc_every == 0, arg),
+                5 => self.barrier(k, arg % self.gc_every == 0, arg),
+                _ => self.region(k, arg % self.gc_every == 0, arg, (pid, off, val)),
             }
         }
     }
@@ -1905,18 +2032,18 @@ mod tests {
     }
 
     // The dominating-writer plan against the per-writer one, over lock
-    // chains, concurrent slot writes, push-writes, mid-interval notices
-    // and GC on every third barrier, updates stripped from both: no
-    // own-diff panic, and every fault applies its page's whole set at
-    // once (`World::fault`).
+    // chains, concurrent slot writes, push-writes, mid-interval notices,
+    // region boundaries and GC on every third barrier or join, updates
+    // stripped from both: no own-diff panic, and every fault applies its
+    // page's whole set at once (`World::fault`).
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig { cases: 300, ..Default::default() })]
         #[test]
         fn dominated_fetch_matches_the_per_writer_plan(
             ops in proptest::collection::vec(0u32..1_000_000, 0..120),
         ) {
-            let new = World::new(WORLD, false, true, 3, true);
-            let old = World::new(WORLD, true, true, 3, false);
+            let new = World::new(WORLD, false, true, 3, true).with_regions();
+            let old = World::new(WORLD, true, true, 3, false).with_regions();
             differential(new, old, &ops);
         }
     }
@@ -1926,8 +2053,10 @@ mod tests {
     // and through a condition wait), GC at every barrier or every third,
     // once with the diffs attached to arrivals and releases and once
     // with them stripped in transit, reduction partials riding the
-    // former's arrivals. Held diffs and partials change no byte read, page
-    // state or notice, and no fault asks more.
+    // former's arrivals. Region boundaries join one-way and fork with the
+    // join's riders, and a join's GC round runs at the fork. Held diffs
+    // and partials change no byte read, page state or notice, and no fault
+    // asks more.
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig { cases: 300, ..Default::default() })]
         #[test]
@@ -1937,8 +2066,8 @@ mod tests {
             ops in proptest::collection::vec(0u32..1_000_000, 0..160),
         ) {
             let gc_every = 1 + 2 * every_third;
-            let new = World::new(n, false, false, gc_every, true);
-            let old = World::new(n, false, true, gc_every, false);
+            let new = World::new(n, false, false, gc_every, true).with_regions();
+            let old = World::new(n, false, true, gc_every, false).with_regions();
             differential(new, old, &ops);
         }
     }
@@ -1992,6 +2121,46 @@ mod tests {
         }
     }
 
+    // Fixed programs with region boundaries (`World::region`), 200 steps
+    // from a seeded LCG on 3 and 4 nodes, GC at every barrier or join and
+    // at every third, pinned as the test above, each kind named: recorded
+    // once, when the join became one-way, and left alone since.
+    #[test]
+    fn fixed_programs_with_regions_keep_their_pinned_traffic_and_clocks() {
+        let want = [
+            "barrier_arrive 177/13148 barrier_depart 119/10456 cond_signal 10/120 \
+             cond_wait 10/862 diff_rep 14/555 diff_req 14/328 fork 58/5964 lock_acq 46/1104 \
+             lock_grant 56/2944 lock_rel 46/3629 | 1205/20/0 658/20/0 747/40/0 | 36/14 | gc 59",
+            "barrier_arrive 216/17678 barrier_depart 138/15713 cond_signal 8/96 \
+             cond_wait 8/852 diff_rep 47/2338 diff_req 47/1292 fork 78/8907 lock_acq 48/1344 \
+             lock_grant 56/3733 lock_rel 48/4630 | 1156/80/39 559/10/22 576/10/0 550/10/0 \
+             | 77/47 | gc 18",
+        ];
+        for (i, want) in want.into_iter().enumerate() {
+            let (n, gc_every) = (3 + i, [1, 3][i]);
+            let mut world = World::new(n, false, false, gc_every, true).with_regions();
+            let mut x = 7 + i as u64;
+            for _ in 0..200 {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                world.step((x >> 33) as u32 % 1_000_000);
+            }
+            let tally = world.tally.iter().map(|(k, (m, b))| format!("{k} {m}/{b}"));
+            let ends = world.nodes.iter().map(|st| {
+                let (vt, cpu, diffs) = (st.clock.now(), st.clock.cpu_now(), st.diff_store_bytes);
+                format!("{vt}/{cpu}/{diffs}")
+            });
+            let (tally, ends) = (tally.collect::<Vec<_>>(), ends.collect::<Vec<_>>());
+            let (faults, sent) = (world.requests.len(), world.requests.iter().sum::<usize>());
+            let gc = world.nodes[0].gc_epoch;
+            let got = format!(
+                "{} | {} | {faults}/{sent} | gc {gc}",
+                tally.join(" "),
+                ends.join(" ")
+            );
+            assert_eq!(got, want, "{n} nodes, GC every {gc_every}");
+        }
+    }
+
     #[test]
     fn reset_drops_unsent_and_gathered_partials() {
         let mut st = mk(0, 2);
@@ -1999,7 +2168,7 @@ mod tests {
         st.gathered.push((2, 1, vec![2]));
         st.reset();
         assert!(st.partials.is_empty() && st.gathered.is_empty());
-        let (_, arrive) = st.arrive_request(0);
+        let (_, arrive) = st.arrive_request(0, false);
         let Msg::BarrierArrive { partials, .. } = arrive else {
             panic!("expected an arrival")
         };

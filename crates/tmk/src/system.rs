@@ -19,8 +19,10 @@
 //! operations have completed (every region ends in the join barrier, and
 //! request/reply operations consume their replies), but *fire-and-forget*
 //! protocol messages — lock releases, manager-bound notices — may still
-//! sit in service inboxes. Per-node inboxes are FIFO and every such
-//! message was enqueued causally before the master finished, so:
+//! sit in service inboxes. (The last join's riders and any GC round it
+//! started wait for a fork that never comes; the reset drops them.)
+//! Per-node inboxes are FIFO and every such message was enqueued
+//! causally before the master finished, so:
 //!
 //! 1. the master sends [`Msg::ResetReq`] to every slave: routed to the
 //!    worker loop, it executes after all earlier work items, and after
@@ -644,7 +646,8 @@ where
 }
 
 /// Slave node main loop: run forked regions (and job-boundary resets)
-/// until shutdown.
+/// until shutdown. A region ends in its one-way join (`Tmk::join`): the
+/// next fork is this node's departure.
 fn worker_loop(mut tmk: Tmk, work_rx: Receiver<WorkItem>) {
     tmk.meter.restart();
     let handler_ns = tmk.ep.cfg().handler_ns;
@@ -654,7 +657,8 @@ fn worker_loop(mut tmk: Tmk, work_rx: Receiver<WorkItem>) {
             Err(_) | Ok(WorkItem::Stop) => break,
             Ok(WorkItem::Run(ForkJob {
                 region,
-                bundle,
+                acq,
+                gc,
                 src,
                 arrival_vt,
             })) => {
@@ -664,19 +668,24 @@ fn worker_loop(mut tmk: Tmk, work_rx: Receiver<WorkItem>) {
                     // regions" from compute.
                     tracer.span(EventKind::Idle, 0, tmk.clock.now(), arrival_vt, 0, 0);
                 }
-                // Fork delivery: an acquire of the master's sequential
-                // updates.
+                // Fork delivery: our departure from the last join, and an
+                // acquire of the master's sequential updates.
                 tmk.clock.raise_to(arrival_vt);
                 tmk.clock.advance(handler_ns);
-                tmk.state.lock().acquire(src, &bundle);
+                let gc = tmk.state.lock().on_fork(src, acq, gc);
                 if tracer.on() {
                     tracer.instant(EventKind::Fork, 0, tmk.clock.now(), src as u64, 0);
+                }
+                if let Some(upto) = gc {
+                    // The last join's GC round, on every node at once.
+                    tmk.gc(tmk.barrier_epoch - 1, &upto);
                 }
                 tmk.meter.restart();
                 tmk.in_region = true;
                 (region.f)(&mut tmk);
                 tmk.in_region = false;
-                tmk.barrier(); // implicit end-of-region barrier (Tmk_join)
+                // Tmk_join: send the arrival and wait for the next fork.
+                tmk.join();
             }
             Ok(WorkItem::Reset) => {
                 // Job boundary: everything this node will ever do for the
@@ -736,9 +745,10 @@ mod tests {
         assert_eq!(sevens, [[0, 10], [1, 11], [2, 12]]);
         assert_eq!(nines, [[0.0], [0.5], [1.0]]);
         assert!(again.is_empty(), "a take drains its site");
-        // The partials add no message: a fork and two barriers' arrival
-        // and departure per slave.
-        assert_eq!(out.net.total_msgs(), 2 * 5);
+        // The partials add no message. Per slave: a fork, the interior
+        // barrier's arrival and departure, and the join's arrival (the
+        // one-way join departs the master alone): 2 × 4.
+        assert_eq!(out.net.total_msgs(), 8);
     }
 
     #[test]
@@ -960,6 +970,86 @@ mod tests {
             &out.result[..8]
         );
         assert!(out.dsm.gc_runs > 0, "GC never ran");
+    }
+
+    /// Two regions on `tmk`'s nodes: in the first each node fills its
+    /// page of `v`; in the second each slave reads the next slave's page,
+    /// and every node adds 10 times what it read (the master its own
+    /// page) to its own page of `w`, a copy of its page of `v`. Each
+    /// slave serves one page to one reader, so no virtual timestamp
+    /// depends on the host order of requests. Returns the sums of `w`'s
+    /// pages and, per node, the GC rounds it ran between the two regions'
+    /// starts.
+    fn two_regions(tmk: &mut Tmk) -> (Vec<u64>, Vec<u64>) {
+        let n = tmk.nprocs();
+        let v = tmk.malloc_vec::<u64>(512 * n);
+        let w = tmk.malloc_vec::<u64>(512 * n);
+        let runs = Arc::new(Mutex::new(vec![0u64; n]));
+        let gc_runs = |t: &Tmk| t.metrics().op(crate::TmkOp::GcRuns).get();
+        let before = runs.clone();
+        tmk.parallel(0, move |t| {
+            let me = t.proc_id();
+            before.lock()[me] = gc_runs(t);
+            t.view_mut(&v, me * 512..(me + 1) * 512, |c| c.fill(me as u64 + 1));
+        });
+        let since = runs.clone();
+        tmk.parallel(0, move |t| {
+            let me = t.proc_id();
+            let now = gc_runs(t);
+            let mut since = since.lock();
+            since[me] = now - since[me];
+            drop(since);
+            let next = if me == 0 {
+                0
+            } else {
+                1 + me % (t.nprocs() - 1)
+            };
+            let seen = t.read_slice(&v, next * 512..(next + 1) * 512);
+            assert!(seen.iter().all(|&x| x == next as u64 + 1), "{seen:?}");
+            let mine = t.read_slice(&v, me * 512..(me + 1) * 512);
+            let sum: Vec<u64> = mine.iter().map(|x| x + 10 * seen[0]).collect();
+            t.write_slice(&w, me * 512, &sum);
+        });
+        let sums = (0..n).map(|k| tmk.read_slice(&w, k * 512..(k + 1) * 512).iter().sum());
+        let sums = sums.collect();
+        let runs = runs.lock().clone();
+        (sums, runs)
+    }
+
+    #[test]
+    fn a_joins_gc_round_runs_at_the_next_fork_on_every_node() {
+        let mut c = TmkConfig::deterministic(3);
+        c.gc_every_barrier = true;
+        let out = run_system(c, two_regions);
+        // Node k's page of `w` holds k + 1 plus 10 times what it read.
+        let (sums, runs) = out.result;
+        assert_eq!(sums, [512 * (1 + 10), 512 * (2 + 30), 512 * (3 + 20)]);
+        // Region 1's join calls a round, which every node runs when the
+        // fork reaches it, before region 2's body. Region 2's join calls
+        // one too, but no fork follows: the reset drops it.
+        assert_eq!(runs, [1, 1, 1]);
+        assert_eq!(out.dsm.gc_runs, 3);
+        assert!(out.dsm.page_fetches > 0, "region 2 reads post-GC pages");
+        assert_eq!(out.dsm.barriers, 2 * 3, "each join counts once a node");
+    }
+
+    #[test]
+    fn a_warm_job_after_a_join_that_calls_gc_equals_a_cold_one() {
+        // The first job ends in a join whose GC round never runs; the
+        // reset drops it, and the next job replays a cold run bit for bit.
+        let mut c = TmkConfig::deterministic(3);
+        c.gc_every_barrier = true;
+        let cold = run_system(c.clone(), two_regions);
+        let mut sys = System::build(c);
+        let first = sys.run_job(two_regions).unwrap();
+        let warm = sys.run_job(two_regions).unwrap();
+        for out in [&first, &warm] {
+            assert_eq!(out.result, cold.result);
+            assert_eq!(out.dsm, cold.dsm);
+            assert_eq!(out.net, cold.net);
+            assert_eq!(out.vt_ns, cold.vt_ns);
+        }
+        sys.shutdown();
     }
 
     #[test]

@@ -156,3 +156,35 @@ fn a_sibling_diff_left_unread_keeps_the_subscription() {
     assert_eq!(diff_reqs(&out), 2, "{:?}", out.dsm);
     assert_eq!(out.dsm.diff_refetches, 0);
 }
+
+#[test]
+fn a_joins_riders_ride_the_next_fork() {
+    // The master writes word 0 of a page before region 1, so node 1's
+    // read of it there faults and asks the master: the one request. The
+    // fault subscribes the page, and the interior barrier publishes that
+    // to the master, whose write of word 1 after it is attached to its
+    // join arrival. The one-way join keeps the diff for node 1 and the
+    // next fork delivers it, so node 1's read in region 2 finds it held
+    // and asks nobody.
+    let out = run_system(TmkConfig::fast_test(2), |tmk| {
+        let v = tmk.malloc_vec::<u64>(PAGE);
+        tmk.write(&v, 0, 1);
+        tmk.parallel(0, move |t| {
+            if t.proc_id() == 1 {
+                assert_eq!(t.read(&v, 0), 1);
+            }
+            t.barrier();
+            if t.proc_id() == 0 {
+                t.write(&v, 1, 2);
+            }
+        });
+        tmk.parallel(0, move |t| {
+            if t.proc_id() == 1 {
+                assert_eq!(t.read_slice(&v, 0..2), [1, 2]);
+            }
+        });
+    });
+    assert_eq!(out.dsm.read_faults, 2, "{:?}", out.dsm);
+    assert_eq!(diff_reqs(&out), 1, "{:?}", out.dsm);
+    assert!(out.dsm.diff_bytes_attached > 0);
+}

@@ -169,9 +169,11 @@ fn retained_diffs_survive_gc_stress() {
 
 #[test]
 fn a_full_page_fetch_is_one_read_fault() {
-    // The GC at the region's join drops the master's unfetched notice for
-    // node 1's write, so its next read is served by a full-page copy from
-    // the owner alone — still one read fault, and no diff request.
+    // The GC at the interior barrier after node 1's write drops the
+    // master's unfetched notice for it, so the master's read after the
+    // region is served by a full-page copy from the owner alone — still
+    // one read fault, and no diff request. (The GC round the join calls
+    // would run at a next fork, and the job has none.)
     let mut cfg = TmkConfig::fast_test(2);
     cfg.gc_every_barrier = true;
     let out = run_system(cfg, |tmk| {
@@ -180,6 +182,7 @@ fn a_full_page_fetch_is_one_read_fault() {
             if t.proc_id() == 1 {
                 t.write(&v, 3, 7);
             }
+            t.barrier();
         });
         let count = |t: &tmk::Tmk| (faults(t), t.metrics().op(TmkOp::PageFetches).get());
         let before = count(tmk);

@@ -232,14 +232,33 @@ fn a_region_end_reduction_takes_no_lock_and_fetches_no_diff() {
 }
 
 #[test]
-fn pi_on_two_nodes_sends_one_fork_one_arrival_one_departure() {
+fn pi_on_two_nodes_sends_one_fork_and_one_arrival() {
     let pi = include_str!("../examples/omp/pi.omp");
     let out = run_omp(pi, OmpConfig::fast_test(2));
     assert!((out.result.scalars["pi"] - std::f64::consts::PI).abs() < 1e-6);
-    for kind in ["fork", "barrier_arrive", "barrier_depart"] {
+    // The slave's partial rides its join arrival, and the one-way join
+    // departs the master alone, a free self-send: 1 + 1 messages.
+    for kind in ["fork", "barrier_arrive"] {
         assert_eq!(sent(&out, kind), 1, "{kind}");
     }
-    assert_eq!(out.net.total_msgs(), 3);
+    assert_eq!(sent(&out, "barrier_depart"), 0);
+    assert_eq!(out.net.total_msgs(), 2);
+}
+
+#[test]
+fn a_one_way_join_counts_one_barrier_a_node_as_before() {
+    // Recorded with the two-way join: `pi.omp` crosses its one join, and
+    // `jacobi.omp` 82 barriers a node, its two joins and 80 interior
+    // ones. A slave counts its join when it arrives.
+    let pi = include_str!("../examples/omp/pi.omp");
+    let jacobi = include_str!("../examples/omp/jacobi.omp");
+    for (nodes, tpn) in [(1, 1), (2, 1), (4, 1), (2, 2)] {
+        for (name, src, per_node) in [("pi", pi, 1), ("jacobi", jacobi, 82)] {
+            let out = run_omp(src, OmpConfig::fast_test_smp(nodes, tpn));
+            let want = per_node * nodes as u64;
+            assert_eq!(out.dsm.barriers, want, "{name} on {nodes}x{tpn}");
+        }
+    }
 }
 
 #[test]

@@ -186,28 +186,77 @@ fn per_node_event_order_is_consistent_with_causality() {
         }
     }
 
-    // DSM barriers synchronize all nodes: within one epoch, no node can
-    // depart (t1) before every node has arrived (t0).
-    let mut epochs: std::collections::HashMap<u64, Vec<(u64, u64)>> = Default::default();
-    for evs in &tr.events {
+    // DSM barriers synchronize all nodes: within one interior epoch, no
+    // node can depart (t1) before every node has arrived (t0). A region's
+    // join (`b` = 1) is one-way: only the master departs, after the last
+    // arrival, and each slave departs at its next fork, whose marker
+    // comes after the master's departure.
+    let mut epochs: std::collections::BTreeMap<u64, Vec<(usize, u64, u64, u64)>> =
+        Default::default();
+    for (node, evs) in tr.events.iter().enumerate() {
         let mut seen = 0u64;
         for e in evs {
             if e.kind == EventKind::BarrierWait {
                 assert!(e.a >= seen, "barrier epochs are ordered per node");
                 seen = e.a;
-                epochs.entry(e.a).or_default().push((e.t0, e.t1));
+                epochs.entry(e.a).or_default().push((node, e.t0, e.t1, e.b));
             }
         }
     }
     assert!(!epochs.is_empty(), "the workload crosses DSM barriers");
+    let mut master_departs = std::collections::BTreeMap::new();
     for (epoch, spans) in &epochs {
         assert_eq!(spans.len(), 4, "epoch {epoch}: one entry per node");
-        let max_arrive = spans.iter().map(|s| s.0).max().unwrap();
-        let min_depart = spans.iter().map(|s| s.1).min().unwrap();
+        let join = spans[0].3 == 1;
+        assert!(
+            spans.iter().all(|s| (s.3 == 1) == join),
+            "epoch {epoch}: a join on every node or none"
+        );
+        let max_arrive = spans.iter().map(|s| s.1).max().unwrap();
+        let departs = spans.iter().filter(|s| !join || s.0 == 0);
+        let min_depart = departs.map(|s| s.2).min().unwrap();
         assert!(
             min_depart >= max_arrive,
             "epoch {epoch}: a node departed ({min_depart}) before the last \
              arrival ({max_arrive})"
+        );
+        if join {
+            master_departs.insert(*epoch, min_depart);
+        }
+    }
+    assert!(
+        master_departs.len() >= 3,
+        "the workload forks three regions"
+    );
+    // Every join but the job's last is followed on each slave by a fork.
+    let last_join = *master_departs.keys().next_back().unwrap();
+    for (node, evs) in tr.events.iter().enumerate().skip(1) {
+        let mut joined = None;
+        let mut forks = 0;
+        for e in evs.iter().filter(|e| e.lane == 0) {
+            if e.kind == EventKind::BarrierWait && e.b == 1 {
+                joined = Some(master_departs[&e.a]);
+            }
+            if e.kind == EventKind::Fork {
+                if let Some(depart) = joined.take() {
+                    assert!(
+                        e.t0 >= depart,
+                        "node {node}: fork at {} before the master departed the join at {depart}",
+                        e.t0
+                    );
+                    forks += 1;
+                }
+            }
+        }
+        assert_eq!(
+            forks,
+            master_departs.len() - 1,
+            "node {node}: a fork after each join"
+        );
+        assert_eq!(
+            joined,
+            Some(master_departs[&last_join]),
+            "node {node}: the last join"
         );
     }
 }
