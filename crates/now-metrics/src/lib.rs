@@ -27,14 +27,16 @@
 
 #![warn(missing_docs)]
 
+mod family;
 pub mod json;
 mod net;
 mod prim;
 mod prom;
 
+pub use family::{to_json, Family, Labels};
 pub use net::{KindTraffic, NetMetrics, NetMetricsSnapshot};
 pub use prim::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
-pub use prom::{validate_prometheus_text, PromText};
+pub use prom::{to_prometheus, validate_prometheus_text};
 
 /// Validate that `s` is well-formed JSON (objects, arrays, strings,
 /// numbers, booleans, null — the subset every emitter in this workspace

@@ -1,116 +1,89 @@
-//! Prometheus text exposition format: a small writer and a validator.
+//! Prometheus text exposition format: the writer and the validator.
 //!
 //! The validator mirrors `validate_chrome_json` in now-trace: a
 //! hand-rolled structural checker so CI can gate emitted artifacts
 //! without pulling in a Prometheus client crate. It checks the
 //! format-level rules that actually catch emitter bugs: metric/label
-//! name grammar, `# TYPE`/`# HELP` placement, duplicate series, and —
-//! for histogram families — `le` monotonicity, cumulative bucket
-//! counts, a `+Inf` bucket, and `_count` == the `+Inf` bucket.
+//! name grammar, `# TYPE`/`# HELP` placement, one group of lines per
+//! family, duplicate series, and — for histogram families — `le`
+//! monotonicity, cumulative bucket counts, a `+Inf` bucket, and
+//! `_count` == the `+Inf` bucket.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write;
 
-use crate::prim::HistogramSnapshot;
-use crate::Histogram;
+use crate::family::Value;
+use crate::{Family, Histogram, Labels};
 
-/// Incremental writer for the Prometheus text exposition format.
-///
-/// Families are declared once (`# HELP` + `# TYPE`), then any number of
-/// samples follow. The writer escapes label values and renders
-/// histogram snapshots with cumulative buckets, `+Inf`, `_sum` and
-/// `_count` per the format.
-#[derive(Debug, Default)]
-pub struct PromText {
-    out: String,
+/// Render `families` as Prometheus text exposition format: per family a
+/// `# HELP` and a `# TYPE` line, then its samples. A histogram sample
+/// becomes cumulative `_bucket` lines for its nonzero buckets, the
+/// mandatory `le="+Inf"` bucket, `_sum` and `_count`. The output passes
+/// [`validate_prometheus_text`](crate::validate_prometheus_text).
+pub fn to_prometheus(families: &[Family]) -> String {
+    let mut out = String::new();
+    for f in families {
+        let _ = writeln!(
+            out,
+            "# HELP {} {}\n# TYPE {} {}",
+            f.name, f.help, f.name, f.kind
+        );
+        for (labels, value) in &f.samples {
+            match value {
+                Value::Counter(v) => sample(&mut out, f.name, "", labels, None, v),
+                Value::Gauge(v) => sample(&mut out, f.name, "", labels, None, v),
+                Value::Histogram(h) => {
+                    let mut cum = 0u64;
+                    for (i, &n) in h.buckets.iter().enumerate() {
+                        cum = cum.wrapping_add(n);
+                        if n == 0 {
+                            continue;
+                        }
+                        if let Some(le) = Histogram::bucket_le(i) {
+                            let le = le.to_string();
+                            sample(&mut out, f.name, "_bucket", labels, Some(&le), cum);
+                        }
+                    }
+                    sample(&mut out, f.name, "_bucket", labels, Some("+Inf"), cum);
+                    sample(&mut out, f.name, "_sum", labels, None, h.sum);
+                    sample(&mut out, f.name, "_count", labels, None, cum);
+                }
+            }
+        }
+    }
+    out
 }
 
-impl PromText {
-    /// An empty exposition document.
-    pub fn new() -> Self {
-        PromText { out: String::new() }
-    }
-
-    /// Declare a metric family: one `# HELP` and one `# TYPE` line.
-    pub fn family(&mut self, name: &str, help: &str, kind: &str) {
-        self.out.push_str("# HELP ");
-        self.out.push_str(name);
-        self.out.push(' ');
-        self.out.push_str(help);
-        self.out.push('\n');
-        self.out.push_str("# TYPE ");
-        self.out.push_str(name);
-        self.out.push(' ');
-        self.out.push_str(kind);
-        self.out.push('\n');
-    }
-
-    /// Emit one sample line with an integer value.
-    pub fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.sample_str(name, labels, &value.to_string());
-    }
-
-    /// Emit one sample line with a float value.
-    pub fn sample_f64(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.sample_str(name, labels, &format!("{value}"));
-    }
-
-    fn sample_str(&mut self, name: &str, labels: &[(&str, &str)], value: &str) {
-        self.out.push_str(name);
-        if !labels.is_empty() {
-            self.out.push('{');
-            for (i, (k, v)) in labels.iter().enumerate() {
-                if i > 0 {
-                    self.out.push(',');
-                }
-                self.out.push_str(k);
-                self.out.push_str("=\"");
-                for c in v.chars() {
-                    match c {
-                        '\\' => self.out.push_str("\\\\"),
-                        '"' => self.out.push_str("\\\""),
-                        '\n' => self.out.push_str("\\n"),
-                        c => self.out.push(c),
-                    }
-                }
-                self.out.push('"');
-            }
-            self.out.push('}');
-        }
-        self.out.push(' ');
-        self.out.push_str(value);
-        self.out.push('\n');
-    }
-
-    /// Emit the `_bucket`/`_sum`/`_count` samples of one histogram
-    /// series. The family must have been declared with type
-    /// `histogram`; `labels` are the series labels (without `le`).
-    /// Empty buckets are skipped except the mandatory `+Inf`.
-    pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)], h: &HistogramSnapshot) {
-        let bucket = format!("{name}_bucket");
-        let mut cum = 0u64;
-        for (i, &n) in h.buckets.iter().enumerate() {
-            cum = cum.wrapping_add(n);
-            if n == 0 {
-                continue;
-            }
-            if let Some(le) = Histogram::bucket_le(i) {
-                let le = le.to_string();
-                let mut with_le: Vec<(&str, &str)> = labels.to_vec();
-                with_le.push(("le", &le));
-                self.sample(&bucket, &with_le, cum);
+/// One sample line; `le`, when given, is appended as the last label.
+fn sample(
+    out: &mut String,
+    name: &str,
+    suffix: &str,
+    labels: &Labels,
+    le: Option<&str>,
+    value: impl std::fmt::Display,
+) {
+    out.push_str(name);
+    out.push_str(suffix);
+    let pairs = labels.iter().map(|(k, v)| (*k, v.as_ref()));
+    for (i, (k, v)) in pairs.chain(le.map(|le| ("le", le))).enumerate() {
+        out.push(if i == 0 { '{' } else { ',' });
+        out.push_str(k);
+        out.push_str("=\"");
+        for c in v.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
             }
         }
-        let mut with_le: Vec<(&str, &str)> = labels.to_vec();
-        with_le.push(("le", "+Inf"));
-        self.sample(&bucket, &with_le, cum);
-        self.sample(&format!("{name}_sum"), labels, h.sum);
-        self.sample(&format!("{name}_count"), labels, cum);
+        out.push('"');
     }
-
-    /// Finish the document. Ends with a newline as the format requires.
-    pub fn finish(self) -> String {
-        self.out
+    if !labels.is_empty() || le.is_some() {
+        out.push('}');
     }
+    let _ = writeln!(out, " {value}");
 }
 
 fn valid_metric_name(s: &str) -> bool {
@@ -222,8 +195,9 @@ fn parse_sample(line: &str, lineno: usize) -> Result<Sample, String> {
 /// Validate a Prometheus text exposition document.
 ///
 /// Checks: trailing newline; comment-line grammar (`# HELP`, `# TYPE`
-/// with a known type, at most one each per family, `# TYPE` before any
-/// sample of that family); metric/label name grammar; no duplicate
+/// with a known type, at most one each per family); every sample belongs
+/// to the family whose `# TYPE` came last, so each family's samples form
+/// one group after its `# TYPE`; metric/label name grammar; no duplicate
 /// series; histogram families have only `_bucket`/`_sum`/`_count`
 /// samples, every `_bucket` carries `le`, buckets are cumulative with
 /// ascending `le`, end in `le="+Inf"`, and `_count` equals the `+Inf`
@@ -240,6 +214,8 @@ pub fn validate_prometheus_text(s: &str) -> Result<(), String> {
     let mut helps: BTreeSet<String> = BTreeSet::new();
     let mut seen_series: BTreeSet<String> = BTreeSet::new();
     let mut samples: Vec<Sample> = Vec::new();
+    // The family whose `# TYPE` came last: every sample must belong to it.
+    let mut group: Option<(&str, &str)> = None;
 
     for (i, line) in s.lines().enumerate() {
         let lineno = i + 1;
@@ -264,21 +240,7 @@ pub fn validate_prometheus_text(s: &str) -> Result<(), String> {
                 if types.insert(name.to_string(), kind.to_string()).is_some() {
                     return Err(format!("line {lineno}: duplicate TYPE for {name}"));
                 }
-                // TYPE must precede every sample of its family.
-                let is_fam = |n: &str| {
-                    n == name
-                        || (types[name] == "histogram"
-                            && [
-                                format!("{name}_bucket"),
-                                format!("{name}_sum"),
-                                format!("{name}_count"),
-                            ]
-                            .iter()
-                            .any(|f| f == n))
-                };
-                if samples.iter().any(|smp| is_fam(&smp.name)) {
-                    return Err(format!("line {lineno}: TYPE for {name} after its samples"));
-                }
+                group = Some((name, kind));
             } else if let Some(rest) = comment.strip_prefix("HELP ") {
                 let name = rest.split(' ').next().unwrap_or("");
                 if !valid_metric_name(name) {
@@ -292,6 +254,17 @@ pub fn validate_prometheus_text(s: &str) -> Result<(), String> {
             continue;
         }
         let smp = parse_sample(line, lineno)?;
+        let (fam, kind) =
+            group.ok_or_else(|| format!("line {lineno}: sample {} has no # TYPE", smp.name))?;
+        let suffix = smp.name.strip_prefix(fam);
+        if suffix != Some("")
+            && !(kind == "histogram" && matches!(suffix, Some("_bucket" | "_sum" | "_count")))
+        {
+            return Err(format!(
+                "line {lineno}: sample {} outside its family's group ({fam})",
+                smp.name
+            ));
+        }
         let series_id = format!("{}|{:?}", smp.name, smp.labels);
         if !seen_series.insert(series_id) {
             return Err(format!(
@@ -383,42 +356,32 @@ pub fn validate_prometheus_text(s: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Histogram;
-
-    fn demo_doc() -> String {
-        let h = Histogram::new();
-        for v in [0, 1, 900, 4096] {
-            h.record(v);
-        }
-        let mut p = PromText::new();
-        p.family("now_jobs_total", "Jobs by final status.", "counter");
-        p.sample("now_jobs_total", &[("status", "completed")], 3);
-        p.sample("now_jobs_total", &[("status", "failed")], 0);
-        p.family("now_jobs_in_flight", "Jobs currently running.", "gauge");
-        p.sample("now_jobs_in_flight", &[], 0);
-        p.family("now_op_vt_ns", "Virtual-time op latency.", "histogram");
-        p.histogram("now_op_vt_ns", &[("op", "barrier")], &h.snapshot());
-        p.finish()
-    }
 
     #[test]
     fn writer_output_validates() {
-        let doc = demo_doc();
+        let doc = to_prometheus(&crate::family::tests::demo());
         validate_prometheus_text(&doc).expect("writer emits valid exposition text");
-        assert!(doc.contains("now_op_vt_ns_bucket{op=\"barrier\",le=\"+Inf\"} 4"));
-        assert!(doc.contains("now_op_vt_ns_count{op=\"barrier\"} 4"));
+        assert!(doc.starts_with(
+            "# HELP now_jobs_total Jobs by final status.\n# TYPE now_jobs_total counter\n\
+             now_jobs_total{status=\"completed\"} 3\n"
+        ));
+        assert!(doc.contains("\nnow_jobs_in_flight 0.5\n"));
+        assert!(doc.contains("now_op_vt_ns_bucket{op=\"barrier\",le=\"0\"} 1\n"));
+        assert!(doc.contains("now_op_vt_ns_bucket{op=\"barrier\",le=\"1023\"} 3\n"));
+        assert!(doc.contains("now_op_vt_ns_bucket{op=\"barrier\",le=\"+Inf\"} 5\n"));
+        assert!(doc.contains("now_op_vt_ns_count{op=\"barrier\"} 5\n"));
     }
 
     #[test]
     fn rejects_structural_errors() {
         // No trailing newline.
-        assert!(validate_prometheus_text("a 1").is_err());
+        assert!(validate_prometheus_text("# TYPE a counter\na 1").is_err());
         // Bad metric name.
-        assert!(validate_prometheus_text("1bad 1\n").is_err());
+        assert!(validate_prometheus_text("# TYPE a counter\n1bad 1\n").is_err());
         // Bad label name.
-        assert!(validate_prometheus_text("a{1x=\"y\"} 1\n").is_err());
+        assert!(validate_prometheus_text("# TYPE a counter\na{1x=\"y\"} 1\n").is_err());
         // Duplicate series.
-        assert!(validate_prometheus_text("a 1\na 2\n").is_err());
+        assert!(validate_prometheus_text("# TYPE a counter\na 1\na 2\n").is_err());
         // Unknown type.
         assert!(validate_prometheus_text("# TYPE a widget\n").is_err());
         // TYPE after samples of the family.
@@ -426,7 +389,31 @@ mod tests {
         // Duplicate TYPE.
         assert!(validate_prometheus_text("# TYPE a counter\n# TYPE a counter\n").is_err());
         // Missing value.
-        assert!(validate_prometheus_text("a{x=\"y\"}\n").is_err());
+        assert!(validate_prometheus_text("# TYPE a counter\na{x=\"y\"}\n").is_err());
+        // The same documents, well formed, pass.
+        validate_prometheus_text("# TYPE a counter\na{x=\"y\"} 1\na 2\n").expect("valid");
+    }
+
+    #[test]
+    fn rejects_samples_outside_their_familys_group() {
+        // A sample with no `# TYPE` at all.
+        let e = validate_prometheus_text("a 1\n").unwrap_err();
+        assert!(e.contains("has no # TYPE"), "{e}");
+        // Declarations first, samples interleaved after them: `a`'s
+        // sample follows `b`'s `# TYPE`.
+        let d = "# TYPE a counter\n# TYPE b counter\na 1\nb 1\n";
+        let e = validate_prometheus_text(d).unwrap_err();
+        assert!(e.contains("sample a outside its family's group"), "{e}");
+        // A family's samples split by another family's group.
+        let d = "# TYPE a counter\na{n=\"0\"} 1\n# TYPE b counter\nb 1\na{n=\"1\"} 1\n";
+        assert!(validate_prometheus_text(d).is_err());
+        // A histogram's group holds `_bucket`, `_sum` and `_count`; another
+        // family's suffix does not belong to it.
+        let h = "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nh_sum 0\nh_count 1\n";
+        validate_prometheus_text(h).expect("histogram group accepted");
+        assert!(validate_prometheus_text(&format!("{h}h_total 1\n")).is_err());
+        let d = "# TYPE c counter\nc_sum 1\n";
+        assert!(validate_prometheus_text(d).is_err());
     }
 
     #[test]
@@ -456,11 +443,18 @@ mod tests {
 
     #[test]
     fn label_values_are_escaped() {
-        let mut p = PromText::new();
-        p.family("m", "help", "counter");
-        p.sample("m", &[("k", "a\"b\\c\nd")], 1);
-        let doc = p.finish();
+        let fams = [Family::counter(
+            "m",
+            "help",
+            [(vec![("k", "a\"b\\c\nd".into())], 1)],
+        )];
+        let doc = to_prometheus(&fams);
         validate_prometheus_text(&doc).expect("escaped labels parse back");
         assert!(doc.contains("m{k=\"a\\\"b\\\\c\\nd\"} 1"));
+        let v = crate::json::parse(&crate::to_json(&fams)).unwrap();
+        let s = &v.get("families").unwrap().as_arr().unwrap()[0];
+        let s = &s.get("samples").unwrap().as_arr().unwrap()[0];
+        let k = s.get("labels").unwrap().get("k").unwrap();
+        assert_eq!(k.as_str(), Some("a\"b\\c\nd"));
     }
 }

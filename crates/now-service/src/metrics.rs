@@ -7,8 +7,7 @@
 //! `now-service` owns the instrumented types, exactly as `tmk` owns the
 //! cluster-level blocks.
 
-use now_metrics::json::escape;
-use now_metrics::{Counter, Gauge, Histogram, HistogramSnapshot, PromText};
+use now_metrics::{Counter, Family, Gauge, Histogram, HistogramSnapshot};
 use std::time::Instant;
 
 /// Per-tenant live counters and latency histograms.
@@ -48,8 +47,8 @@ impl TenantMetrics {
         }
     }
 
-    /// Total rejected submissions, all reasons — the one place the
-    /// reasons are summed (the snapshot and `status` both report it).
+    /// Total rejected submissions, all reasons, read live (`status`
+    /// reports it; a snapshot sums its own copies).
     pub(crate) fn rejected(&self) -> u64 {
         self.rejected_queue_full.get()
             + self.rejected_draining.get()
@@ -71,7 +70,6 @@ impl TenantMetrics {
             rejected_deadline: self.rejected_deadline.get(),
             rejected_unknown: self.rejected_unknown.get(),
             rejected_lint: self.rejected_lint.get(),
-            rejected: self.rejected(),
             queue_wait_host_ns: self.queue_wait_host_ns.snapshot(),
             service_host_ns: self.service_host_ns.snapshot(),
         }
@@ -151,8 +149,6 @@ pub struct TenantMetricsSnapshot {
     /// Submissions rejected because the static analyzer denied the
     /// program (`deny_races` admission policy).
     pub rejected_lint: u64,
-    /// All reasons, as summed by `TenantMetrics::rejected`.
-    rejected: u64,
     /// Host nanoseconds from admission to dispatch.
     pub queue_wait_host_ns: HistogramSnapshot,
     /// Host nanoseconds a job spent running on its cluster.
@@ -160,9 +156,14 @@ pub struct TenantMetricsSnapshot {
 }
 
 impl TenantMetricsSnapshot {
-    /// Total rejected submissions, all reasons.
+    /// Total rejected submissions, all reasons: the sum of this
+    /// snapshot's own reason fields.
     pub fn rejected(&self) -> u64 {
-        self.rejected
+        self.rejected_queue_full
+            + self.rejected_draining
+            + self.rejected_deadline
+            + self.rejected_unknown
+            + self.rejected_lint
     }
 }
 
@@ -226,158 +227,97 @@ impl ServiceMetricsSnapshot {
         h
     }
 
+    /// Every exported metric family, each declared once: the one list
+    /// [`to_prometheus`](Self::to_prometheus) and [`to_json`](Self::to_json)
+    /// render.
+    pub fn families(&self) -> Vec<Family> {
+        let tenant = |t: &TenantMetricsSnapshot| vec![("tenant", t.name.clone().into())];
+        let by = |label, t: &TenantMetricsSnapshot, counts: &[(&'static str, u64)]| {
+            let labels =
+                |v: &'static str| vec![("tenant", t.name.clone().into()), (label, v.into())];
+            counts
+                .iter()
+                .map(|&(v, n)| (labels(v), n))
+                .collect::<Vec<_>>()
+        };
+        let per_tenant = |name, help, get: fn(&TenantMetricsSnapshot) -> &HistogramSnapshot| {
+            Family::histogram(
+                name,
+                help,
+                self.tenants.iter().map(|t| (tenant(t), get(t).clone())),
+            )
+        };
+        vec![
+            Family::gauge(
+                "now_service_uptime_host_seconds",
+                "Host seconds since the service was built.",
+                [(vec![], self.uptime_host_ns as f64 / 1e9)],
+            ),
+            Family::gauge(
+                "now_service_queue_depth",
+                "Jobs admitted but not yet dispatched.",
+                [(vec![], self.queue_depth as f64)],
+            ),
+            Family::gauge(
+                "now_service_jobs_in_flight",
+                "Jobs currently running on pool clusters.",
+                [(vec![], self.jobs_in_flight as f64)],
+            ),
+            Family::counter(
+                "now_service_jobs_total",
+                "Jobs by tenant and lifecycle event.",
+                self.tenants.iter().flat_map(|t| {
+                    let events = [
+                        ("admitted", t.admitted),
+                        ("completed", t.completed),
+                        ("expired", t.expired),
+                        ("failed", t.failed),
+                    ];
+                    by("event", t, &events)
+                }),
+            ),
+            Family::counter(
+                "now_service_rejected_total",
+                "Rejected submissions by tenant and reason.",
+                self.tenants.iter().flat_map(|t| {
+                    let reasons = [
+                        ("queue_full", t.rejected_queue_full),
+                        ("draining", t.rejected_draining),
+                        ("deadline_unmeetable", t.rejected_deadline),
+                        ("unknown_program", t.rejected_unknown),
+                        ("lint", t.rejected_lint),
+                    ];
+                    by("reason", t, &reasons)
+                }),
+            ),
+            per_tenant(
+                "now_service_queue_wait_host_ns",
+                "Host nanoseconds from admission to dispatch.",
+                |t| &t.queue_wait_host_ns,
+            ),
+            per_tenant(
+                "now_service_time_host_ns",
+                "Host nanoseconds a job spent running on its cluster.",
+                |t| &t.service_host_ns,
+            ),
+            Family::histogram(
+                "now_service_e2e_host_ns",
+                "Host nanoseconds from admission to completion.",
+                [(vec![], self.e2e_host_ns.clone())],
+            ),
+        ]
+    }
+
     /// Render as Prometheus text exposition format (accepted by
     /// `now_metrics::validate_prometheus_text`).
     pub fn to_prometheus(&self) -> String {
-        let mut p = PromText::new();
-        p.family(
-            "now_service_uptime_host_seconds",
-            "Host seconds since the service was built.",
-            "gauge",
-        );
-        p.sample_f64(
-            "now_service_uptime_host_seconds",
-            &[],
-            self.uptime_host_ns as f64 / 1e9,
-        );
-        p.family(
-            "now_service_queue_depth",
-            "Jobs admitted but not yet dispatched.",
-            "gauge",
-        );
-        p.sample_f64("now_service_queue_depth", &[], self.queue_depth as f64);
-        p.family(
-            "now_service_jobs_in_flight",
-            "Jobs currently running on pool clusters.",
-            "gauge",
-        );
-        p.sample_f64(
-            "now_service_jobs_in_flight",
-            &[],
-            self.jobs_in_flight as f64,
-        );
-        p.family(
-            "now_service_jobs_total",
-            "Jobs by tenant and lifecycle event.",
-            "counter",
-        );
-        for t in &self.tenants {
-            for (event, v) in [
-                ("admitted", t.admitted),
-                ("completed", t.completed),
-                ("expired", t.expired),
-                ("failed", t.failed),
-            ] {
-                p.sample(
-                    "now_service_jobs_total",
-                    &[("tenant", &t.name), ("event", event)],
-                    v,
-                );
-            }
-        }
-        p.family(
-            "now_service_rejected_total",
-            "Rejected submissions by tenant and reason.",
-            "counter",
-        );
-        for t in &self.tenants {
-            for (reason, v) in [
-                ("queue_full", t.rejected_queue_full),
-                ("draining", t.rejected_draining),
-                ("deadline_unmeetable", t.rejected_deadline),
-                ("unknown_program", t.rejected_unknown),
-                ("lint", t.rejected_lint),
-            ] {
-                p.sample(
-                    "now_service_rejected_total",
-                    &[("tenant", &t.name), ("reason", reason)],
-                    v,
-                );
-            }
-        }
-        p.family(
-            "now_service_queue_wait_host_ns",
-            "Host nanoseconds from admission to dispatch.",
-            "histogram",
-        );
-        for t in &self.tenants {
-            p.histogram(
-                "now_service_queue_wait_host_ns",
-                &[("tenant", &t.name)],
-                &t.queue_wait_host_ns,
-            );
-        }
-        p.family(
-            "now_service_time_host_ns",
-            "Host nanoseconds a job spent running on its cluster.",
-            "histogram",
-        );
-        for t in &self.tenants {
-            p.histogram(
-                "now_service_time_host_ns",
-                &[("tenant", &t.name)],
-                &t.service_host_ns,
-            );
-        }
-        p.family(
-            "now_service_e2e_host_ns",
-            "Host nanoseconds from admission to completion.",
-            "histogram",
-        );
-        p.histogram("now_service_e2e_host_ns", &[], &self.e2e_host_ns);
-        p.finish()
+        now_metrics::to_prometheus(&self.families())
     }
 
-    /// Render as a JSON document (accepted by
-    /// `now_metrics::validate_json`). Histograms are summarized as
-    /// count / sum / mean / p50 / p99 rather than raw buckets.
+    /// Render as one line of JSON in the `now-metrics-v2` shape (see
+    /// `now_metrics::to_json`), accepted by `now_metrics::validate_json`.
     pub fn to_json(&self) -> String {
-        fn hist(out: &mut String, h: &HistogramSnapshot) {
-            out.push_str(&format!(
-                "{{\"count\":{},\"sum\":{},\"mean_ns\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
-                h.count(),
-                h.sum,
-                h.mean(),
-                h.quantile(0.50),
-                h.quantile(0.99)
-            ));
-        }
-        let mut out = String::new();
-        out.push_str("{\n  \"schema\": \"now-service-metrics-v1\",\n");
-        out.push_str(&format!("  \"uptime_host_ns\": {},\n", self.uptime_host_ns));
-        out.push_str(&format!("  \"queue_depth\": {},\n", self.queue_depth));
-        out.push_str(&format!("  \"jobs_in_flight\": {},\n", self.jobs_in_flight));
-        out.push_str("  \"e2e_host_ns\": ");
-        hist(&mut out, &self.e2e_host_ns);
-        out.push_str(",\n  \"tenants\": [");
-        for (i, t) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"name\":\"{}\",", escape(&t.name)));
-            out.push_str(&format!("\"weight\":{},", t.weight));
-            out.push_str(&format!("\"admitted\":{},", t.admitted));
-            out.push_str(&format!("\"completed\":{},", t.completed));
-            out.push_str(&format!("\"expired\":{},", t.expired));
-            out.push_str(&format!("\"failed\":{},", t.failed));
-            out.push_str(&format!(
-                "\"rejected\":{{\"queue_full\":{},\"draining\":{},\
-                 \"deadline_unmeetable\":{},\"unknown_program\":{},\"lint\":{}}},",
-                t.rejected_queue_full,
-                t.rejected_draining,
-                t.rejected_deadline,
-                t.rejected_unknown,
-                t.rejected_lint
-            ));
-            out.push_str("\"queue_wait_host_ns\":");
-            hist(&mut out, &t.queue_wait_host_ns);
-            out.push_str(",\"service_host_ns\":");
-            hist(&mut out, &t.service_host_ns);
-            out.push('}');
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        now_metrics::to_json(&self.families())
     }
 }
 
@@ -405,5 +345,21 @@ mod tests {
         assert_eq!(s.rejected(), 1);
         assert_eq!(s.service_host_merged().count(), 1);
         assert_eq!(s.queue_wait_merged().count(), 1);
+    }
+
+    #[test]
+    fn a_snapshots_rejected_total_is_the_sum_of_its_own_reasons() {
+        let m = ServiceMetrics::new(&[("a".into(), 1)]);
+        m.tenant(0).rejected_lint.add(9);
+        let mut t = m.snapshot().tenants.remove(0);
+        // Reasons as a snapshot taken mid-admission may hold them, not as
+        // the live counters read now.
+        t.rejected_queue_full = 1;
+        t.rejected_draining = 2;
+        t.rejected_deadline = 3;
+        t.rejected_unknown = 4;
+        t.rejected_lint = 5;
+        assert_eq!(t.rejected(), 15);
+        assert_eq!(m.tenant(0).rejected(), 9);
     }
 }

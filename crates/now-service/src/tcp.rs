@@ -228,12 +228,7 @@ fn handle_line(line: &str, handle: &ServiceHandle) -> String {
                 s.pool, s.queue_depth, s.in_flight, s.open, s.draining, tenants
             )
         }
-        Some("metrics") => {
-            // The metrics JSON export is multi-line; the protocol is
-            // line-delimited, so ship it as one line.
-            let doc = handle.metrics().to_json().replace('\n', " ");
-            format!("{{\"ok\":true,\"metrics\":{}}}", doc.trim())
-        }
+        Some("metrics") => format!("{{\"ok\":true,\"metrics\":{}}}", handle.metrics().to_json()),
         Some("drain") => {
             handle.begin_drain();
             handle.await_idle();

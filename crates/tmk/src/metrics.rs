@@ -23,7 +23,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use now_metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, NetMetrics, NetMetricsSnapshot, PromText,
+    Counter, Family, Gauge, Histogram, HistogramSnapshot, KindTraffic, NetMetrics,
+    NetMetricsSnapshot,
 };
 use now_trace::EventKind;
 
@@ -313,285 +314,163 @@ impl MetricsSnapshot {
         h
     }
 
-    /// Render as Prometheus text exposition format. The output always
-    /// passes [`now_metrics::validate_prometheus_text`].
-    pub fn to_prometheus(&self) -> String {
-        let mut p = PromText::new();
-
-        p.family(
-            "now_uptime_host_seconds",
-            "Host seconds since the cluster was built.",
-            "gauge",
-        );
-        p.sample_f64(
-            "now_uptime_host_seconds",
-            &[],
-            self.uptime_host_ns as f64 / 1e9,
-        );
-
-        p.family("now_jobs_total", "Jobs by final status.", "counter");
-        p.sample(
-            "now_jobs_total",
-            &[("status", "completed")],
-            self.jobs_completed,
-        );
-        p.sample("now_jobs_total", &[("status", "failed")], self.jobs_failed);
-
-        p.family("now_jobs_in_flight", "Jobs currently executing.", "gauge");
-        p.sample_f64("now_jobs_in_flight", &[], self.jobs_in_flight as f64);
-
-        p.family(
-            "now_reset_duration_host_ns",
-            "Host-time duration of warm job-boundary resets.",
-            "histogram",
-        );
-        p.histogram("now_reset_duration_host_ns", &[], &self.reset_host_ns);
-
-        p.family(
-            "now_job_vt_ns",
-            "Virtual-time duration of completed jobs.",
-            "histogram",
-        );
-        p.histogram("now_job_vt_ns", &[], &self.job_vt_ns);
-
-        p.family(
-            "now_dsm_ops_total",
-            "Lifetime DSM/runtime protocol op counts per node.",
-            "counter",
-        );
-        for n in &self.nodes {
-            let node = n.node.to_string();
-            for op in TmkOp::ALL {
-                p.sample(
-                    "now_dsm_ops_total",
-                    &[("node", &node), ("op", op.name())],
-                    n.op(*op),
-                );
-            }
+    /// Every exported metric family, each declared once: the one list
+    /// [`to_prometheus`](Self::to_prometheus) and [`to_json`](Self::to_json)
+    /// render.
+    pub fn families(&self) -> Vec<Family> {
+        fn per_node(
+            name: &'static str,
+            help: &'static str,
+            v: impl Iterator<Item = u64>,
+        ) -> Family {
+            let node = |id: usize| vec![("node", id.to_string().into())];
+            Family::counter(name, help, v.enumerate().map(|(id, v)| (node(id), v)))
         }
-
-        type Total = fn(&MetricsSnapshot, OpLat) -> HistogramSnapshot;
-        let lats: [(&str, &str, Total); 2] = [
-            (
-                "now_op_vt_ns",
-                "Virtual-time latency of blocking protocol ops (cluster-merged).",
-                Self::lat_vt_total,
-            ),
-            (
-                "now_op_host_ns",
-                "Host-time latency of blocking protocol ops (cluster-merged).",
-                Self::lat_host_total,
-            ),
-        ];
-        for (family, help, total) in lats {
-            p.family(family, help, "histogram");
-            for op in OpLat::ALL {
-                p.histogram(family, &[("op", op.name())], &total(self, *op));
-            }
-        }
-
-        type Get = fn(&NodeMetricsSnapshot) -> u64;
-        let per_node: [(&str, &str, Get); 4] = [
-            (
-                "now_smp_team_forks_total",
-                "SMP teams forked per node.",
-                |n| n.team_forks,
-            ),
-            (
-                "now_smp_local_barriers_total",
-                "Node-local two-level barrier episodes per node (one per thread).",
-                |n| n.local_barriers,
-            ),
-            (
-                "now_loop_chunks_total",
-                "Loop chunks claimed per node.",
-                |n| n.chunks_claimed,
-            ),
-            (
-                "now_loop_chunk_iters_total",
-                "Loop iterations across claimed chunks per node.",
-                |n| n.chunk_iters,
-            ),
-        ];
-        for (family, help, _) in per_node {
-            p.family(family, help, "counter");
-        }
-        for n in &self.nodes {
-            let node = n.node.to_string();
-            for (family, _, get) in per_node {
-                p.sample(family, &[("node", &node)], get(n));
-            }
-        }
-        p.family(
-            "now_loop_chunk_len",
-            "Distribution of claimed chunk lengths (cluster-merged).",
-            "histogram",
-        );
+        let op_lat = |name, help, total: fn(&Self, OpLat) -> HistogramSnapshot| {
+            let op = |op: OpLat| vec![("op", op.name().into())];
+            Family::histogram(
+                name,
+                help,
+                OpLat::ALL.iter().map(|&o| (op(o), total(self, o))),
+            )
+        };
+        // The `_other` catch-all is listed only once a message hit it.
+        let kinds: Vec<&KindTraffic> = (self.net.per_kind.iter())
+            .filter(|k| k.kind != "_other" || k.send_msgs != 0 || k.recv_msgs != 0)
+            .collect();
+        let net_kind = |name, help, get: fn(&KindTraffic) -> [u64; 2]| {
+            let dirs = |k: &&KindTraffic| {
+                let [send, recv] = get(k);
+                let labels = |dir: &'static str| vec![("kind", k.kind.into()), ("dir", dir.into())];
+                [(labels("send"), send), (labels("recv"), recv)]
+            };
+            Family::counter(name, help, kinds.iter().flat_map(dirs))
+        };
         let mut chunk_len = HistogramSnapshot::default();
         for n in &self.nodes {
             chunk_len.merge(&n.chunk_len);
         }
-        p.histogram("now_loop_chunk_len", &[], &chunk_len);
-
-        let net_per_node = [
-            (
+        let status = |s: &'static str| vec![("status", s.into())];
+        vec![
+            Family::gauge(
+                "now_uptime_host_seconds",
+                "Host seconds since the cluster was built.",
+                [(vec![], self.uptime_host_ns as f64 / 1e9)],
+            ),
+            Family::counter(
+                "now_jobs_total",
+                "Jobs by final status.",
+                [
+                    (status("completed"), self.jobs_completed),
+                    (status("failed"), self.jobs_failed),
+                ],
+            ),
+            Family::gauge(
+                "now_jobs_in_flight",
+                "Jobs currently executing.",
+                [(vec![], self.jobs_in_flight as f64)],
+            ),
+            Family::histogram(
+                "now_reset_duration_host_ns",
+                "Host-time duration of warm job-boundary resets.",
+                [(vec![], self.reset_host_ns.clone())],
+            ),
+            Family::histogram(
+                "now_job_vt_ns",
+                "Virtual-time duration of completed jobs.",
+                [(vec![], self.job_vt_ns.clone())],
+            ),
+            Family::counter(
+                "now_dsm_ops_total",
+                "Lifetime DSM/runtime protocol op counts per node.",
+                self.nodes.iter().flat_map(|n| {
+                    TmkOp::ALL.iter().map(move |op| {
+                        let labels = vec![
+                            ("node", n.node.to_string().into()),
+                            ("op", op.name().into()),
+                        ];
+                        (labels, n.op(*op))
+                    })
+                }),
+            ),
+            op_lat(
+                "now_op_vt_ns",
+                "Virtual-time latency of blocking protocol ops (cluster-merged).",
+                Self::lat_vt_total,
+            ),
+            op_lat(
+                "now_op_host_ns",
+                "Host-time latency of blocking protocol ops (cluster-merged).",
+                Self::lat_host_total,
+            ),
+            per_node(
+                "now_smp_team_forks_total",
+                "SMP teams forked per node.",
+                self.nodes.iter().map(|n| n.team_forks),
+            ),
+            per_node(
+                "now_smp_local_barriers_total",
+                "Node-local two-level barrier episodes per node (one per thread).",
+                self.nodes.iter().map(|n| n.local_barriers),
+            ),
+            per_node(
+                "now_loop_chunks_total",
+                "Loop chunks claimed per node.",
+                self.nodes.iter().map(|n| n.chunks_claimed),
+            ),
+            per_node(
+                "now_loop_chunk_iters_total",
+                "Loop iterations across claimed chunks per node.",
+                self.nodes.iter().map(|n| n.chunk_iters),
+            ),
+            Family::histogram(
+                "now_loop_chunk_len",
+                "Distribution of claimed chunk lengths (cluster-merged).",
+                [(vec![], chunk_len)],
+            ),
+            per_node(
                 "now_net_send_msgs_total",
                 "Lifetime remote messages sent per node.",
+                self.net.send.iter().map(|t| t.0),
             ),
-            (
+            per_node(
                 "now_net_send_bytes_total",
                 "Lifetime wire bytes sent per node.",
+                self.net.send.iter().map(|t| t.1),
             ),
-            (
+            per_node(
                 "now_net_recv_msgs_total",
                 "Lifetime remote messages received per node.",
+                self.net.recv.iter().map(|t| t.0),
             ),
-            (
+            per_node(
                 "now_net_recv_bytes_total",
                 "Lifetime wire bytes received per node.",
+                self.net.recv.iter().map(|t| t.1),
             ),
-        ];
-        for (family, help) in net_per_node {
-            p.family(family, help, "counter");
-        }
-        for (id, (&(sm, sb), &(rm, rb))) in self.net.send.iter().zip(&self.net.recv).enumerate() {
-            let node = id.to_string();
-            for ((family, _), v) in net_per_node.iter().zip([sm, sb, rm, rb]) {
-                p.sample(family, &[("node", &node)], v);
-            }
-        }
-
-        p.family(
-            "now_net_kind_msgs_total",
-            "Lifetime remote messages by wire kind and direction.",
-            "counter",
-        );
-        p.family(
-            "now_net_kind_bytes_total",
-            "Lifetime wire bytes by wire kind and direction.",
-            "counter",
-        );
-        for k in &self.net.per_kind {
-            if k.kind == "_other" && k.send_msgs == 0 && k.recv_msgs == 0 {
-                continue;
-            }
-            for (family, dir, v) in [
-                ("now_net_kind_msgs_total", "send", k.send_msgs),
-                ("now_net_kind_msgs_total", "recv", k.recv_msgs),
-                ("now_net_kind_bytes_total", "send", k.send_bytes),
-                ("now_net_kind_bytes_total", "recv", k.recv_bytes),
-            ] {
-                p.sample(family, &[("kind", k.kind), ("dir", dir)], v);
-            }
-        }
-
-        p.finish()
+            net_kind(
+                "now_net_kind_msgs_total",
+                "Lifetime remote messages by wire kind and direction.",
+                |k| [k.send_msgs, k.recv_msgs],
+            ),
+            net_kind(
+                "now_net_kind_bytes_total",
+                "Lifetime wire bytes by wire kind and direction.",
+                |k| [k.send_bytes, k.recv_bytes],
+            ),
+        ]
     }
 
-    /// Render as a JSON document (validated by
-    /// [`now_metrics::validate_json`]).
+    /// Render as Prometheus text exposition format. The output always
+    /// passes [`now_metrics::validate_prometheus_text`].
+    pub fn to_prometheus(&self) -> String {
+        now_metrics::to_prometheus(&self.families())
+    }
+
+    /// Render as one line of JSON in the `now-metrics-v2` shape (see
+    /// [`now_metrics::to_json`]), validated by [`now_metrics::validate_json`].
     pub fn to_json(&self) -> String {
-        fn hist(h: &HistogramSnapshot) -> String {
-            let nonzero: Vec<String> = h
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c != 0)
-                .map(|(i, &c)| format!("[{i},{c}]"))
-                .collect();
-            format!(
-                "{{\"count\":{},\"sum\":{},\"nonzero\":[{}]}}",
-                h.count(),
-                h.sum,
-                nonzero.join(",")
-            )
-        }
-        let mut out = String::new();
-        out.push('{');
-        out.push_str(&format!("\"uptime_host_ns\":{},", self.uptime_host_ns));
-        out.push_str(&format!(
-            "\"jobs\":{{\"completed\":{},\"failed\":{},\"in_flight\":{}}},",
-            self.jobs_completed, self.jobs_failed, self.jobs_in_flight
-        ));
-        out.push_str(&format!("\"reset_host_ns\":{},", hist(&self.reset_host_ns)));
-        out.push_str(&format!("\"job_vt_ns\":{},", hist(&self.job_vt_ns)));
-
-        let totals: Vec<String> = TmkOp::ALL
-            .iter()
-            .map(|op| format!("\"{}\":{}", op.name(), self.op_total(*op)))
-            .collect();
-        out.push_str(&format!("\"ops_total\":{{{}}},", totals.join(",")));
-
-        let nodes: Vec<String> = self
-            .nodes
-            .iter()
-            .map(|n| {
-                let ops: Vec<String> = TmkOp::ALL
-                    .iter()
-                    .map(|op| format!("\"{}\":{}", op.name(), n.op(*op)))
-                    .collect();
-                format!(
-                    "{{\"node\":{},\"ops\":{{{}}},\"team_forks\":{},\"local_barriers\":{},\
-                     \"chunks_claimed\":{},\"chunk_iters\":{},\"chunk_len\":{}}}",
-                    n.node,
-                    ops.join(","),
-                    n.team_forks,
-                    n.local_barriers,
-                    n.chunks_claimed,
-                    n.chunk_iters,
-                    hist(&n.chunk_len)
-                )
-            })
-            .collect();
-        out.push_str(&format!("\"per_node\":[{}],", nodes.join(",")));
-
-        let lat = |label: &str, pick: &dyn Fn(OpLat) -> HistogramSnapshot| {
-            let entries: Vec<String> = OpLat::ALL
-                .iter()
-                .map(|op| format!("\"{}\":{}", op.name(), hist(&pick(*op))))
-                .collect();
-            format!("\"{}\":{{{}}},", label, entries.join(","))
-        };
-        out.push_str(&lat("latency_vt_ns", &|op| self.lat_vt_total(op)));
-        out.push_str(&lat("latency_host_ns", &|op| self.lat_host_total(op)));
-
-        let per_node_net: Vec<String> = self
-            .net
-            .send
-            .iter()
-            .zip(self.net.recv.iter())
-            .enumerate()
-            .map(|(id, ((sm, sb), (rm, rb)))| {
-                format!(
-                    "{{\"node\":{id},\"send_msgs\":{sm},\"send_bytes\":{sb},\
-                     \"recv_msgs\":{rm},\"recv_bytes\":{rb}}}"
-                )
-            })
-            .collect();
-        let per_kind: Vec<String> = self
-            .net
-            .per_kind
-            .iter()
-            .filter(|k| k.kind != "_other" || k.send_msgs != 0 || k.recv_msgs != 0)
-            .map(|k| {
-                format!(
-                    "{{\"kind\":\"{}\",\"send_msgs\":{},\"send_bytes\":{},\
-                     \"recv_msgs\":{},\"recv_bytes\":{}}}",
-                    now_metrics::json::escape(k.kind),
-                    k.send_msgs,
-                    k.send_bytes,
-                    k.recv_msgs,
-                    k.recv_bytes
-                )
-            })
-            .collect();
-        out.push_str(&format!(
-            "\"net\":{{\"per_node\":[{}],\"per_kind\":[{}]}}",
-            per_node_net.join(","),
-            per_kind.join(",")
-        ));
-        out.push('}');
-        out
+        now_metrics::to_json(&self.families())
     }
 
     /// A compact human-readable rendering for diagnostics (watchdog
@@ -679,21 +558,99 @@ mod tests {
         let json = snap.to_json();
         validate_json(&json).expect("json output validates");
         let doc = now_metrics::json::parse(&json).unwrap();
-        assert_eq!(
-            doc.get("jobs").unwrap().get("completed").unwrap().as_u64(),
-            Some(1)
-        );
-        assert_eq!(
-            doc.get("ops_total")
-                .unwrap()
-                .get("read_faults")
-                .unwrap()
-                .as_u64(),
-            Some(7)
-        );
+        assert_eq!(doc.get("schema").unwrap().as_str(), Some("now-metrics-v2"));
+        let fams = doc.get("families").unwrap().as_arr().unwrap();
+        let family = |name: &str| {
+            let f = fams
+                .iter()
+                .find(|f| f.get("name").unwrap().as_str() == Some(name));
+            f.unwrap().get("samples").unwrap().as_arr().unwrap()
+        };
+        let completed = &family("now_jobs_total")[0];
+        let status = completed.get("labels").unwrap().get("status").unwrap();
+        assert_eq!(status.as_str(), Some("completed"));
+        assert_eq!(completed.get("value").unwrap().as_u64(), Some(1));
+        let read_faults: u64 = family("now_dsm_ops_total")
+            .iter()
+            .filter(|s| s.get("labels").unwrap().get("op").unwrap().as_str() == Some("read_faults"))
+            .map(|s| s.get("value").unwrap().as_u64().unwrap())
+            .sum();
+        assert_eq!(read_faults, 7);
+        let barrier = &family("now_op_vt_ns")[OpLat::Barrier as usize];
+        assert_eq!(barrier.get("count").unwrap().as_u64(), Some(1));
+        assert_eq!(barrier.get("sum").unwrap().as_u64(), Some(1500));
 
         let rendered = snap.render();
         assert!(rendered.contains("1 completed"));
         assert!(rendered.contains("barriers=3"));
+    }
+
+    /// A fixed 3-node snapshot touching every family: every `TmkOp` and
+    /// `OpLat`, per-node SMP/loop/net counters, a zero-traffic kind and a
+    /// nonzero `_other` catch-all.
+    fn fixed_snapshot() -> MetricsSnapshot {
+        let hist = |vals: &[u64]| {
+            let h = Histogram::new();
+            for &v in vals {
+                h.record(v);
+            }
+            h.snapshot()
+        };
+        let nodes = (0..3u64)
+            .map(|id| NodeMetricsSnapshot {
+                node: id as usize,
+                ops: (0..TmkOp::COUNT as u64).map(|i| id * 100 + i).collect(),
+                lat_vt: (0..OpLat::COUNT as u64)
+                    .map(|i| hist(&[id * 1000 + i, 1 << (10 + i)]))
+                    .collect(),
+                lat_host: (0..OpLat::COUNT as u64)
+                    .map(|i| hist(&[(id + 1) * 7 * i]))
+                    .collect(),
+                team_forks: id + 1,
+                local_barriers: 2 * id,
+                chunks_claimed: 10 + id,
+                chunk_iters: 640 + id,
+                chunk_len: hist(&[64, 64 + id]),
+            })
+            .collect();
+        let kind = |kind, send_msgs, recv_msgs| KindTraffic {
+            kind,
+            send_msgs,
+            send_bytes: 40 * send_msgs,
+            recv_msgs,
+            recv_bytes: 40 * recv_msgs,
+        };
+        MetricsSnapshot {
+            nodes,
+            net: NetMetricsSnapshot {
+                send: vec![(3, 120), (1, 40), (0, 0)],
+                recv: vec![(0, 0), (2, 80), (2, 80)],
+                per_kind: vec![kind("ping", 3, 3), kind("pong", 0, 0), kind("_other", 1, 1)],
+            },
+            jobs_completed: 5,
+            jobs_failed: 1,
+            jobs_in_flight: 1,
+            reset_host_ns: hist(&[2_000, 3_000]),
+            job_vt_ns: hist(&[123_456]),
+            uptime_host_ns: 2_500_000_000,
+        }
+    }
+
+    fn sorted_lines(doc: &str) -> Vec<&str> {
+        let mut lines: Vec<&str> = doc.lines().collect();
+        lines.sort_unstable();
+        lines
+    }
+
+    /// Every family keeps its name, help, labels and values: the fixed
+    /// snapshot's Prometheus lines, sorted, equal a list recorded once
+    /// from the hand-written exporter this one replaced. Only the order
+    /// of lines may differ.
+    #[test]
+    fn fixed_snapshot_prometheus_lines_are_pinned() {
+        let doc = fixed_snapshot().to_prometheus();
+        validate_prometheus_text(&doc).expect("prometheus output validates");
+        let pinned = include_str!("../testdata/metrics_fixed_3node.prom");
+        assert_eq!(sorted_lines(&doc), pinned.lines().collect::<Vec<_>>());
     }
 }

@@ -6,12 +6,15 @@
 //! stream and safe to take while a job runs, and both export formats
 //! must validate.
 
+use now_metrics::json::Json;
+use now_service::{JobRequest, JobValue, ServiceConfig};
 use openmp_now::cli::RunnerArgs;
 use openmp_now::nomp::{
     validate_metrics_json, validate_prometheus_text, Cluster, Env, MetricsSnapshot, RunReport,
     Schedule, TmkOp, TmkStats,
 };
 use openmp_now::ompc;
+use std::collections::BTreeMap;
 
 /// A host-timing-independent workload (same shape as the trace suite's):
 /// a static-schedule fill, a barrier-only region, and a bulk read-back.
@@ -253,9 +256,134 @@ fn jacobi_4x2_exports_validate() {
 
     let json = snap.to_json();
     validate_metrics_json(&json).unwrap_or_else(|e| panic!("invalid metrics JSON: {e}"));
-    assert!(json.contains("\"jobs\""));
-    assert!(json.contains("\"ops_total\""));
-    assert!(json.contains("\"net\""));
+    for family in [
+        "now_jobs_total",
+        "now_dsm_ops_total",
+        "now_net_kind_msgs_total",
+    ] {
+        assert!(
+            json.contains(&format!("{{\"name\":\"{family}\",")),
+            "family {family} missing"
+        );
+    }
+}
+
+/// Prometheus sample lines by series (name plus sorted labels).
+fn prom_series(doc: &str) -> BTreeMap<String, f64> {
+    let series = |name: &str, labels: &str| {
+        let mut labels: Vec<&str> = labels.split(',').filter(|l| !l.is_empty()).collect();
+        labels.sort_unstable();
+        format!("{name}{{{}}}", labels.join(","))
+    };
+    doc.lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| {
+            let (id, value) = l.rsplit_once(' ').expect("sample has a value");
+            let (name, labels) = id.split_once('{').unwrap_or((id, "}"));
+            let value = value.parse().expect("numeric value");
+            (series(name, labels.strip_suffix('}').unwrap()), value)
+        })
+        .collect()
+}
+
+/// Both renderings of one family list say the same thing: the JSON
+/// families are the `# TYPE`d families in the same order, every JSON
+/// counter and gauge sample equals its Prometheus line, every histogram's
+/// `count` and `sum` equal `_count` and `_sum`, its buckets accumulate to
+/// the `_bucket` lines, and no Prometheus line is left unmatched.
+fn assert_exports_agree(prom: &str, json: &str) {
+    validate_prometheus_text(prom).unwrap_or_else(|e| panic!("invalid Prometheus text: {e}"));
+    let lines = prom_series(prom);
+    let doc = now_metrics::json::parse(json).expect("JSON parses");
+    assert_eq!(
+        doc.get("schema").and_then(Json::as_str),
+        Some("now-metrics-v2")
+    );
+    let families = doc.get("families").and_then(Json::as_arr).unwrap();
+    let typed: Vec<&str> = (prom.lines())
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
+        .collect();
+    let names: Vec<&str> = (families.iter())
+        .map(|f| f.get("name").and_then(Json::as_str).unwrap())
+        .collect();
+    assert_eq!(names, typed);
+
+    let mut matched = 0;
+    let mut expect = |series: String, value: f64| {
+        assert_eq!(lines.get(&series), Some(&value), "{series}");
+        matched += 1;
+    };
+    for f in families {
+        let name = f.get("name").and_then(Json::as_str).unwrap();
+        for s in f.get("samples").and_then(Json::as_arr).unwrap() {
+            let Some(Json::Obj(labels)) = s.get("labels") else {
+                panic!("{name}: sample without labels")
+            };
+            let labels: Vec<String> = (labels.iter())
+                .map(|(k, v)| format!("{k}=\"{}\"", v.as_str().unwrap()))
+                .collect();
+            let at = |suffix: &str, extra: Option<String>| {
+                let mut l = labels.clone();
+                l.extend(extra);
+                l.sort_unstable();
+                format!("{name}{suffix}{{{}}}", l.join(","))
+            };
+            let num = |key: &str| s.get(key).and_then(Json::as_f64).unwrap();
+            if f.get("type").and_then(Json::as_str) != Some("histogram") {
+                expect(at("", None), num("value"));
+                continue;
+            }
+            expect(at("_count", None), num("count"));
+            expect(at("_sum", None), num("sum"));
+            expect(at("_bucket", Some("le=\"+Inf\"".into())), num("count"));
+            let mut cum = 0.0;
+            for b in s.get("buckets").and_then(Json::as_arr).unwrap() {
+                let b = b.as_arr().unwrap();
+                cum += b[1].as_f64().unwrap();
+                if let Some(le) = b[0].as_u64() {
+                    expect(at("_bucket", Some(format!("le=\"{le}\""))), cum);
+                }
+            }
+        }
+    }
+    assert_eq!(
+        matched,
+        lines.len(),
+        "every Prometheus line has a JSON sample"
+    );
+}
+
+/// The cluster's and the service's exports are two renderings of one
+/// family list, so they agree sample for sample.
+#[test]
+fn json_and_prometheus_exports_agree() {
+    let prog = ompc::compile(include_str!("../examples/omp/jacobi.omp")).expect("jacobi compiles");
+    let mut c = cluster(4, 2);
+    c.run(&prog).expect("jacobi runs");
+    let snap = c.metrics();
+    assert_exports_agree(&snap.to_prometheus(), &snap.to_json());
+
+    let service = ServiceConfig::new()
+        .pool(1)
+        .cluster(Cluster::builder().nodes(2).fast_test())
+        .tenant("a", 2)
+        .tenant("b", 1)
+        .build()
+        .expect("service");
+    let tickets: Vec<_> = ["a", "a", "b"]
+        .into_iter()
+        .map(|t| {
+            let job = JobRequest::closure(|_: &mut Env<'_>| JobValue::Unit).tenant(t);
+            service.submit(job).expect("admit")
+        })
+        .collect();
+    for t in tickets {
+        t.wait();
+    }
+    let m = service.metrics();
+    assert_eq!(m.completed(), 3);
+    assert_exports_agree(&m.to_prometheus(), &m.to_json());
+    service.drain();
 }
 
 #[test]

@@ -598,8 +598,36 @@ fn tcp_front_door_serves_submit_status_drain() {
         r.contains("\"name\":\"b\"") && r.ends_with("\"rejected\":1}]}\n"),
         "{r}"
     );
+    // The metrics reply carries the one-line family list; its
+    // `now_service_jobs_total` family holds tenant a's completed count.
     let r = send(r#"{"op":"metrics"}"#);
-    assert!(r.contains("now-service-metrics-v1"), "{r}");
+    let doc = now_metrics::json::parse(&r).expect("one JSON line");
+    let metrics = doc.get("metrics").expect("metrics document");
+    assert_eq!(
+        metrics.get("schema").and_then(|s| s.as_str()),
+        Some("now-metrics-v2"),
+        "{r}"
+    );
+    let families = metrics.get("families").and_then(|f| f.as_arr()).unwrap();
+    let jobs = families
+        .iter()
+        .find(|f| f.get("name").and_then(|n| n.as_str()) == Some("now_service_jobs_total"))
+        .and_then(|f| f.get("samples")?.as_arr())
+        .expect("jobs family");
+    let label = |s: &now_metrics::json::Json, k: &str| {
+        s.get("labels")
+            .and_then(|l| l.get(k)?.as_str().map(str::to_string))
+    };
+    let a_completed = jobs
+        .iter()
+        .find(|s| {
+            label(s, "tenant").as_deref() == Some("a")
+                && label(s, "event").as_deref() == Some("completed")
+        })
+        .and_then(|s| s.get("value")?.as_u64());
+    let expected = service.metrics().tenants[0].completed;
+    assert!(expected >= 1);
+    assert_eq!(a_completed, Some(expected), "{r}");
 
     // Drain over the wire: stops admission, finishes in-flight work.
     let r = send(r#"{"op":"drain"}"#);
