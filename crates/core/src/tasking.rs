@@ -570,8 +570,10 @@ impl TaskScope<'_, '_> {
             // under the lock. Not free: once an acquire has delivered a
             // write notice for the header page, the read faults and asks
             // the writer for its diff. On `fib(12)` (4 nodes) these reads
-            // take ≈ 50–56 read faults per job sending ≈ 52–60 `diff_req`,
-            // so ≈ 105–120 of its ≈ 900 messages with the replies.
+            // took ≈ 50–56 read faults per job sending ≈ 52–60 `diff_req`,
+            // ≈ 105–120 messages with the replies, when a job sent ≈ 900;
+            // since its leaves' `critical` rides the join, a job sends
+            // ≈ 300 and asks for 45–55 diffs in all.
             let dq = self.rt.deques[k];
             let head = self.th.read(&dq, HDR_HEAD);
             let tail = self.th.read(&dq, HDR_TAIL);
@@ -756,6 +758,20 @@ impl Env<'_> {
         I: Fn(&mut TaskScope<'_, '_>) + Send + Sync + 'static,
         F: Fn(&mut TaskScope<'_, '_>, TaskArgs) + Send + Sync + 'static,
     {
+        self.task_scope_then(cfg, init, body, |_| {});
+    }
+
+    /// [`Env::task_scope`] with a per-thread epilogue: each thread runs
+    /// `then` once the scope is globally quiescent, after the last task
+    /// anywhere and before the join — where a thread contributes what
+    /// its tasks accumulated to a reduction riding the join
+    /// ([`OmpThread::reduce_combine`], `Tmk::contribute`).
+    pub fn task_scope_then<I, F, T>(&mut self, cfg: TaskScopeConfig, init: I, body: F, then: T)
+    where
+        I: Fn(&mut TaskScope<'_, '_>) + Send + Sync + 'static,
+        F: Fn(&mut TaskScope<'_, '_>, TaskArgs) + Send + Sync + 'static,
+        T: Fn(&mut TaskScope<'_, '_>) + Send + Sync + 'static,
+    {
         // One deque per *node*: an SMP node's local threads share it
         // (message-free local scheduling); only cross-node steals pay
         // protocol traffic.
@@ -790,6 +806,7 @@ impl Env<'_> {
             };
             init(&mut scope);
             scope.scheduler();
+            then(&mut scope);
         });
     }
 }

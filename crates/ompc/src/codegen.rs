@@ -21,11 +21,11 @@
 use crate::ast::{BinOp, UnOp};
 use crate::diag::Span;
 use crate::interp::{
-    check_index, combine_red, fmt_val, fork_region, mon_barrier, note_access, Exec, Flow, GSlot,
-    Icx, MAX_CALL_DEPTH,
+    accumulate, check_index, combine_red, fmt_val, fork_region, mon_barrier, note_access, Exec,
+    Flow, GSlot, Icx, MAX_CALL_DEPTH,
 };
 use crate::ir::*;
-use nomp::{LoopCursor, LoopPlan, Reduce, TaskArgs};
+use nomp::{LoopCursor, LoopPlan, RedOp, Reduce, TaskArgs};
 
 /// A compiled expression: `(context, runtime handle, frame base) → value`.
 /// Frame slot `s` of the running function is `cx.stack[fp + s]`.
@@ -125,8 +125,9 @@ impl Opnd {
 }
 
 /// Where a specialised closure's value goes: back to a parent expression,
-/// or straight into a frame slot — an assignment whose right-hand side is
-/// an operation is one closure, not a store calling a value.
+/// straight into a frame slot, or into the test of an `if` or `while` —
+/// an assignment or a condition that is an operation is one closure, not
+/// a statement calling a value.
 trait Sink: Sized {
     type Out;
     fn closure<F>(self, value: F) -> Self::Out
@@ -166,6 +167,61 @@ impl<const TRUNC: bool> Sink for ToSlot<TRUNC> {
         stmt(move |cx, ex, fp| {
             let v = value(cx, ex, fp);
             cx.stack[fp + slot] = if TRUNC { v.trunc() } else { v };
+            Flow::Normal
+        })
+    }
+}
+
+/// Branch on the value: an `if` whose condition is an operation is one
+/// closure, not a branch calling a value.
+struct ToIf {
+    then_: StmtFn,
+    else_: Option<StmtFn>,
+}
+
+impl Sink for ToIf {
+    type Out = StmtFn;
+    fn closure<F>(self, cond: F) -> StmtFn
+    where
+        F: Fn(&mut Icx<'_>, &mut Exec<'_, '_, '_>, usize) -> f64 + Send + Sync + 'static,
+    {
+        let then_ = self.then_;
+        let Some(else_) = self.else_ else {
+            return stmt(move |cx, ex, fp| {
+                if cond(cx, ex, fp) != 0.0 {
+                    then_(cx, ex, fp)
+                } else {
+                    Flow::Normal
+                }
+            });
+        };
+        stmt(move |cx, ex, fp| {
+            if cond(cx, ex, fp) != 0.0 {
+                then_(cx, ex, fp)
+            } else {
+                else_(cx, ex, fp)
+            }
+        })
+    }
+}
+
+/// Loop on the value: a `while` whose condition is an operation tests
+/// it in place each iteration.
+struct ToWhile(StmtFn);
+
+impl Sink for ToWhile {
+    type Out = StmtFn;
+    fn closure<F>(self, cond: F) -> StmtFn
+    where
+        F: Fn(&mut Icx<'_>, &mut Exec<'_, '_, '_>, usize) -> f64 + Send + Sync + 'static,
+    {
+        let body = self.0;
+        stmt(move |cx, ex, fp| {
+            while cond(cx, ex, fp) != 0.0 {
+                if let ret @ Flow::Ret(_) = body(cx, ex, fp) {
+                    return ret;
+                }
+            }
             Flow::Normal
         })
     }
@@ -312,35 +368,13 @@ impl Codegen<'_> {
                 })
             }
             LStmt::If { cond, then_, else_ } => {
-                let (cond, then_) = (self.expr(cond).into_fn(), self.block(then_));
-                if else_.is_empty() {
-                    return stmt(move |cx, ex, fp| {
-                        if cond(cx, ex, fp) != 0.0 {
-                            then_(cx, ex, fp)
-                        } else {
-                            Flow::Normal
-                        }
-                    });
-                }
-                let else_ = self.block(else_);
-                stmt(move |cx, ex, fp| {
-                    if cond(cx, ex, fp) != 0.0 {
-                        then_(cx, ex, fp)
-                    } else {
-                        else_(cx, ex, fp)
-                    }
-                })
+                let then_ = self.block(then_);
+                let else_ = (!else_.is_empty()).then(|| self.block(else_));
+                self.assign(cond, ToIf { then_, else_ })
             }
             LStmt::While { cond, body } => {
-                let (cond, body) = (self.expr(cond).into_fn(), self.block(body));
-                stmt(move |cx, ex, fp| {
-                    while cond(cx, ex, fp) != 0.0 {
-                        if let ret @ Flow::Ret(_) = body(cx, ex, fp) {
-                            return ret;
-                        }
-                    }
-                    Flow::Normal
-                })
+                let body = self.block(body);
+                self.assign(cond, ToWhile(body))
             }
             LStmt::Return(None) => stmt(|_, _, _| Flow::Ret(0.0)),
             LStmt::Return(Some(e)) => {
@@ -411,7 +445,11 @@ impl Codegen<'_> {
                 })
             }
             LStmt::Critical { lock, body, .. } => {
-                let (lock, body) = (*lock, self.block(body));
+                let (lock, ups) = (*lock, crate::accum::lowered(self.l, body));
+                let body = self.block(body);
+                if let Some(ups) = ups {
+                    return self.accumulating(lock, body, ups);
+                }
                 stmt(move |cx, ex, fp| {
                     // In a sequential section only the master runs — no
                     // contention is possible, so the lock is elided. The guard
@@ -474,6 +512,37 @@ impl Codegen<'_> {
                 Flow::Normal
             }),
         }
+    }
+
+    /// A `critical` section that only accumulates ([`crate::accum`]):
+    /// in parallel context it takes no lock and adds each update's `e`
+    /// into the thread's accumulator; in sequential context it runs
+    /// `body`, writing the globals directly. The race monitor still sees
+    /// the section's lock, so checked runs order what they ordered
+    /// before.
+    fn accumulating(&self, lock: u32, body: StmtFn, ups: Vec<(usize, LExpr)>) -> StmtFn {
+        let ups: Vec<(usize, RedOp, bool, ExprFn)> = (ups.into_iter())
+            .map(|(k, add)| {
+                let site = self.l.accums[k];
+                (k, site.op, site.trunc, self.expr(&add).into_fn())
+            })
+            .collect();
+        stmt(move |cx, ex, fp| {
+            if ex.is_master_seq() {
+                return body(cx, ex, fp);
+            }
+            if let Some(m) = &cx.mon {
+                m.acquire(ex.thread_id(), lock);
+            }
+            for (k, op, trunc, add) in &ups {
+                let v = add(cx, ex, fp);
+                accumulate(*k, *op, *trunc, v);
+            }
+            if let Some(m) = &cx.mon {
+                m.release(ex.thread_id(), lock);
+            }
+            Flow::Normal
+        })
     }
 
     /// `val`, delivered to `k`.

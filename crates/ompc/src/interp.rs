@@ -12,10 +12,11 @@
 //!
 //! Regions from which a `task`/`taskwait` is reachable (lexically or
 //! through called functions — resolved by sema) run as distributed task
-//! scopes ([`nomp::Env::task_scope`]): the region body becomes the
-//! scope's init phase and each `task` construct ships its ≤3 captured
-//! privates through the 32-byte task descriptor. Other regions fork as
-//! plain parallel regions and pay no tasking overhead.
+//! scopes ([`nomp::Env::task_scope_then`]): the region body becomes the
+//! scope's init phase, each `task` construct ships its ≤3 captured
+//! privates through the 32-byte task descriptor, and the epilogue
+//! contributes what the thread's tasks accumulated. Other regions fork
+//! as plain parallel regions and pay no tasking overhead.
 //!
 //! Compile-time errors are [`crate::Diag`]s; *runtime* errors (index out
 //! of bounds, invalid array length, modulo by zero, runaway recursion)
@@ -28,9 +29,10 @@ use crate::diag::Span;
 use crate::dynrace::{DataRace, Monitor};
 use crate::ir::*;
 use nomp::{
-    Env, LoopShared, OmpThread, Reduce, Schedule, SharedScalar, SharedVec, TaskArgs, TaskScope,
-    TaskScopeConfig, Tmk,
+    Env, LoopShared, OmpThread, RedOp, Reduce, Schedule, SharedScalar, SharedVec, TaskArgs,
+    TaskScope, TaskScopeConfig, Tmk,
 };
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -317,11 +319,11 @@ pub(crate) fn fork_region(cx: &mut Icx<'_>, ex: &mut Exec<'_, '_, '_>, fp: usize
         m.fork();
     }
     if reg.uses_tasks {
-        let code2 = code.clone();
+        let (code2, code3) = (code.clone(), code.clone());
         let globals2 = globals.clone();
         let mon2 = mon.clone();
         let mon3 = mon.clone();
-        env.task_scope(
+        env.task_scope_then(
             TaskScopeConfig {
                 fork_payload_bytes: payload,
                 ..Default::default()
@@ -334,19 +336,23 @@ pub(crate) fn fork_region(cx: &mut Icx<'_>, ex: &mut Exec<'_, '_, '_>, fp: usize
                 let mut ex = Exec::Tasks(s);
                 run_task_site(&code2, &globals2, args, &mon3, &mut ex);
             },
+            // Tasks accumulate until the scheduler ends: contribute after.
+            move |s| contribute_accums(&mut Exec::Tasks(s), &code3.l, rid),
         );
     } else {
         let mon2 = mon.clone();
         env.parallel_sized(payload, move |t| {
             let mut ex = Exec::Thread(t);
             run_region_thread(&code, &globals, &loops, rid, &snapshot, &mon2, &mut ex);
+            contribute_accums(&mut ex, &code.l, rid);
         });
     }
     if let Some(m) = &mon {
         m.join();
     }
-    for red in &reg.reds {
-        fold_red(env, cx.globals, red);
+    let joined = reg.reds.iter().map(RedSite::join);
+    for site in joined.chain(reg.accums.iter().map(|&k| cx.code.l.accums[k as usize])) {
+        fold_red(env, cx.globals, site);
     }
 }
 
@@ -365,6 +371,10 @@ fn run_region_thread(
     for red in &reg.reds {
         frame[red.slot as usize] = f64::identity(red.op);
     }
+    if !reg.accums.is_empty() {
+        let ids = code.l.accums.iter().map(|a| f64::identity(a.op));
+        ACCUMS.with_borrow_mut(|acc| *acc = ids.collect());
+    }
     let mut lines = Vec::new();
     let mut cx = Icx {
         code,
@@ -378,7 +388,7 @@ fn run_region_thread(
     let flow = code.regions[rid](&mut cx, ex, 0);
     debug_assert!(matches!(flow, Flow::Normal), "return escaped a region");
     for red in &reg.reds {
-        contribute_red(ex, red, cx.stack[red.slot as usize]);
+        contribute_red(ex, red.join(), cx.stack[red.slot as usize]);
     }
     flush_lines(ex, lines);
 }
@@ -427,16 +437,48 @@ fn flush_lines(ex: &mut Exec<'_, '_, '_>, lines: Vec<String>) {
     }
 }
 
+thread_local! {
+    /// The running region thread's accumulators of the program's
+    /// accumulate-only globals (`LProgram::accums`, same order). One
+    /// host thread runs one simulated thread, and its tasks run on it
+    /// too, so these are that thread's private copies for the region.
+    static ACCUMS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One lowered `critical` update in parallel context: `acc ⊕= v` on the
+/// executing thread's accumulator `k`, truncated like a store to an
+/// `int` global when `trunc`.
+pub(crate) fn accumulate(k: usize, op: RedOp, trunc: bool, v: f64) {
+    ACCUMS.with_borrow_mut(|acc| {
+        let next = f64::combine(op, acc[k], v);
+        acc[k] = if trunc { next.trunc() } else { next };
+    });
+}
+
+/// The end of region `rid`'s accumulate-only globals on one thread:
+/// every site the region reaches, the identity where this thread never
+/// updated it, so that every node's team folds every site.
+fn contribute_accums(ex: &mut Exec<'_, '_, '_>, l: &LProgram, rid: usize) {
+    let sites = &l.regions[rid].accums;
+    if sites.is_empty() {
+        return;
+    }
+    let acc = ACCUMS.take();
+    for &k in sites {
+        contribute_red(ex, l.accums[k as usize], acc[k as usize]);
+    }
+}
+
 /// The end of a region-level reduction on one thread. Two-level: the
 /// team folds in node shared memory first, and one thread per node
 /// contributes the node total to the join (on n×1 every thread is its
 /// node's). No lock and no shared page: the master folds the partials
 /// after the join ([`fold_red`]).
-fn contribute_red(ex: &mut Exec<'_, '_, '_>, red: &RedSite, local: f64) {
-    let (op, site) = (red.op, red.lock);
+fn contribute_red(ex: &mut Exec<'_, '_, '_>, site: JoinSite, local: f64) {
+    let (op, key) = (site.op, site.key);
     let th = ex.th();
-    if let Some(total) = th.reduce_combine(site, local, move |a, b| f64::combine(op, a, b)) {
-        th.contribute(site, &[total]);
+    if let Some(total) = th.reduce_combine(key, local, move |a, b| f64::combine(op, a, b)) {
+        th.contribute(key, &[total]);
     }
 }
 
@@ -445,14 +487,14 @@ fn contribute_red(ex: &mut Exec<'_, '_, '_>, red: &RedSite, local: f64) {
 /// chain granted in node order would combine them. Only the master runs
 /// until the next fork, whose release carries the one write to every
 /// node.
-fn fold_red(t: &mut Tmk, globals: &[GSlot], red: &RedSite) {
-    let GSlot::Scalar(s) = globals[red.gid as usize] else {
+fn fold_red(t: &mut Tmk, globals: &[GSlot], site: JoinSite) {
+    let GSlot::Scalar(s) = globals[site.gid as usize] else {
         unreachable!("reduction on array global");
     };
     let mut acc = s.get(t);
-    for p in t.take_partials::<f64>(red.lock) {
-        let next = f64::combine(red.op, acc, p[0]);
-        acc = if red.trunc { next.trunc() } else { next };
+    for p in t.take_partials::<f64>(site.key) {
+        let next = f64::combine(site.op, acc, p[0]);
+        acc = if site.trunc { next.trunc() } else { next };
     }
     s.set(t, acc);
 }

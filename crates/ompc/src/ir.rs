@@ -22,6 +22,10 @@ pub(crate) struct LProgram {
     pub regions: Vec<LRegion>,
     pub tasks: Vec<LTask>,
     pub main_fn: usize,
+    /// Globals whose every update in parallel context is a `critical`
+    /// that only accumulates into them ([`crate::accum`]): those
+    /// sections run without their lock and the sums ride the join.
+    pub accums: Vec<JoinSite>,
 }
 
 #[derive(Debug)]
@@ -64,6 +68,10 @@ pub(crate) struct LRegion {
     /// Region-level `reduction` clauses (on `parallel` itself, or on a
     /// combined `parallel for`): they ride the region's join.
     pub reds: Vec<RedSite>,
+    /// The [`LProgram::accums`] sites this region's threads reach
+    /// (through calls and tasks too), ascending: each thread contributes
+    /// every one at the region's end, after its tasks.
+    pub accums: Vec<u16>,
     /// A `task`/`taskwait` is reachable from this region (lexically or
     /// through called functions): run it as a distributed task scope.
     pub uses_tasks: bool,
@@ -112,7 +120,29 @@ pub(crate) struct RedSite {
     pub span: Span,
 }
 
-#[derive(Debug)]
+impl RedSite {
+    /// What the site folds at a region's join.
+    pub(crate) fn join(&self) -> JoinSite {
+        JoinSite {
+            op: self.op,
+            gid: self.gid,
+            trunc: self.trunc,
+            key: self.lock,
+        }
+    }
+}
+
+/// A shared scalar folded at a region's join: every node's partial rides
+/// the join under `key`, and the master folds them into `gid`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct JoinSite {
+    pub op: RedOp,
+    pub gid: u16,
+    pub trunc: bool,
+    pub key: u32,
+}
+
+#[derive(Debug, Clone)]
 pub(crate) enum LExpr {
     Num(f64),
     Local(u16),

@@ -34,7 +34,7 @@
 //! | `shared(g)` | legal only for globals; `shared(local)` is a compile error (stack data cannot live in DSM — Modification 1) |
 //! | `private(x)` / `firstprivate(x)` | locals: cleared / captured copy; globals: rebound to a fresh private slot (zeroed / seeded from the global) |
 //! | `reduction(op:g)` | `g` rebound to a private accumulator seeded with `op`'s identity; at a region's end (`parallel` or combined `parallel for`) each node's partial rides the join and the master folds them into the shared global in node order; an interior `for` combines under a per-site lock before its barrier |
-//! | `#pragma omp critical [(name)]` | [`nomp::critical_id`] lock around the block |
+//! | `#pragma omp critical [(name)]` | [`nomp::critical_id`] lock around the block; a section that only accumulates into globals parallel code touches no other way (`g = g + e`, `g = g * e`) takes no lock: each thread accumulates privately and the sums ride the region's join like a region `reduction` |
 //! | `#pragma omp barrier` | DSM barrier (context-checked over the call graph) |
 //! | `#pragma omp single` | thread 0 executes + implied barrier |
 //! | `#pragma omp task` | body outlined; ≤[`MAX_TASK_CAPTURES`] referenced privates packed into the 32-byte [`nomp::TaskArgs`] descriptor; regions from which tasks are reachable run as work-stealing task scopes (others fork as plain regions) |
@@ -82,6 +82,7 @@
 
 #![warn(missing_docs)]
 
+mod accum;
 mod analyze;
 mod ast;
 mod codegen;

@@ -320,13 +320,16 @@ impl<'p> Sema<'p> {
         self.check_sync_context_calls()?;
         self.resolve_region_task_use();
 
-        Ok(LProgram {
+        let mut prog = LProgram {
             globals: self.globals,
             funcs,
             regions: self.regions,
             tasks: self.tasks,
             main_fn,
-        })
+            accums: Vec::new(),
+        };
+        crate::accum::plan(&mut prog, self.lock_seq);
+        Ok(prog)
     }
 
     /// A function whose body (transitively) contains a `barrier` may not
@@ -572,6 +575,15 @@ impl<'p> Sema<'p> {
                         "`return` inside a parallel construct is not supported",
                     ));
                 }
+                // Within a critical, only a task body can replace this
+                // label without an error, and its `return` failed above.
+                if cx.sync_ctx == Some(CRITICAL_CTX) {
+                    return Err(Diag::new(
+                        *span,
+                        "`return` inside a `critical` section is not supported \
+                         (it would leave the section without releasing its lock)",
+                    ));
+                }
                 let value = value.as_ref().map(|e| self.lower_expr(cx, e)).transpose()?;
                 if cx.ret_void && value.is_some() {
                     return Err(Diag::new(*span, "`void` function returns a value"));
@@ -656,6 +668,7 @@ impl<'p> Sema<'p> {
                         frame: 0,
                         loops,
                         reds,
+                        accums: Vec::new(),
                         uses_tasks: false,
                         span,
                         privatized: Vec::new(),
@@ -686,6 +699,7 @@ impl<'p> Sema<'p> {
                         frame: 0,
                         loops: vec![sched],
                         reds,
+                        accums: Vec::new(),
                         uses_tasks: false,
                         span,
                         privatized: Vec::new(),

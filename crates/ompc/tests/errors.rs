@@ -47,6 +47,35 @@ fn malformed_pragmas() {
 }
 
 #[test]
+fn return_inside_a_critical_section_is_rejected() {
+    // An orphaned section called from `main` and from a region: the
+    // `return` would leave the section without its release, so it is a
+    // compile error in either context, as it is in a parallel construct.
+    let d = diag(
+        "double count;\ndouble after;\n\
+         void f(int k) {\n\
+         #pragma omp critical\n\
+         {\n  count = count + k;\n  return;\n}\n\
+         after = after + 1.0;\n}\n\
+         int main() {\nf(1);\n#pragma omp parallel\n{ f(2); }\nreturn 0;\n}",
+    );
+    assert!(
+        d.msg.contains("`return` inside a `critical` section"),
+        "{d}"
+    );
+    assert_eq!((d.span.line, d.span.col), (7, 3), "{d}");
+    // In `main` itself, and nested in a loop of the section.
+    let d = diag("int main() {\n#pragma omp critical\n{\nwhile (1) { return 1; }\n}\nreturn 0;\n}");
+    assert!(
+        d.msg.contains("`return` inside a `critical` section"),
+        "{d}"
+    );
+    assert_eq!(d.span.line, 4, "{d}");
+    // After the section, `return` is legal again.
+    compile("int main() {\n#pragma omp critical\n{ }\nreturn 0;\n}").unwrap();
+}
+
+#[test]
 fn non_canonical_worksharing_loops() {
     let d =
         diag("int main() {\n#pragma omp parallel for\nfor (int i = 0; i < 10; i = i + 2) { }\n}");

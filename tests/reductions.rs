@@ -1,8 +1,9 @@
 //! Reductions ride the join: each node's partial travels in its join
 //! barrier arrival, and the master folds the partials in node order.
 //! These tests pin that fold order bit for bit (floating point can tell
-//! orders apart), the traffic it costs, and the interior
-//! `for reduction` that keeps its lock.
+//! orders apart), the traffic it costs, the interior `for reduction`
+//! that keeps its lock, and the `critical` sections that only
+//! accumulate and so ride the join like a reduction.
 
 use nomp::{Cluster, Job, OmpConfig, RedOp, Reduce, RunReport, Schedule};
 use ompc::ProgramOutput;
@@ -315,4 +316,126 @@ fn a_task_region_reduction_rides_its_join() {
         assert_eq!(out.scalars["total"], p * (p + 1.0) / 2.0, "{nodes}x{tpn}");
         assert_eq!(out.scalars["hits"], 10.0, "{nodes}x{tpn}");
     }
+}
+
+/// `(name, source, [(global, value on p threads)])`: programs whose
+/// `critical` sections only accumulate, and one that keeps its lock.
+type Accumulating = (&'static str, String, fn(f64) -> Vec<(&'static str, f64)>);
+
+fn accumulating_programs() -> Vec<Accumulating> {
+    let region = |body: &str| {
+        format!(
+            "double g;\ndouble s = 2;\ndouble m = 1;\nint c;\ndouble seen;\n\
+             void f(int k) {{\n#pragma omp critical\n{{ g = g + k; }}\n}}\n\
+             int main() {{\n{body}\nreturn 0;\n}}\n"
+        )
+    };
+    vec![
+        (
+            "critical_incr",
+            include_str!("../examples/omp/clean/critical_incr.omp").into(),
+            |p| vec![("count", p)],
+        ),
+        (
+            "task_critical",
+            include_str!("../examples/omp/clean/task_critical.omp").into(),
+            |_| vec![("count", 8.0)],
+        ),
+        (
+            "fib",
+            include_str!("../examples/omp/fib.omp").into(),
+            |_| vec![("count", 987.0)],
+        ),
+        (
+            "critical_calls_spawner",
+            include_str!("../examples/omp/clean/critical_calls_spawner.omp").into(),
+            |p| vec![("count", p)],
+        ),
+        (
+            "lock_nested_consistent",
+            include_str!("../examples/omp/clean/lock_nested_consistent.omp").into(),
+            |p| vec![("g", p), ("h", 0.0)],
+        ),
+        (
+            // `-` chains are sums, `*` chains products, and an `int`
+            // accumulator truncates each update like a store to `c`.
+            "chains",
+            region(
+                "#pragma omp parallel\n{\nint i = 0;\nwhile (i < 3) {\n\
+                 #pragma omp critical\n{ s = s - omp_get_thread_num() + 10; m = 2 * m; }\n\
+                 #pragma omp critical (int)\n{ c = c + 1.5; }\n\
+                 i = i + 1;\n}\n}",
+            ),
+            |p| {
+                let t = p * (p - 1.0) / 2.0;
+                vec![
+                    ("s", 2.0 + 3.0 * (10.0 * p - t)),
+                    ("m", 2f64.powf(3.0 * p)),
+                    ("c", 3.0 * p),
+                ]
+            },
+        ),
+        (
+            // The same orphaned section runs in sequential context too,
+            // where it writes `g` directly, before and after a region.
+            "sequential and parallel calls",
+            region("f(1);\n#pragma omp parallel\n{ f(2); }\nf(g);"),
+            |p| vec![("g", 2.0 * (1.0 + 2.0 * p))],
+        ),
+        (
+            "kept locked: g read in the section",
+            region("#pragma omp parallel\n{\n#pragma omp critical\n{ g = g + 1; seen = g; }\n}"),
+            |p| vec![("g", p), ("seen", p)],
+        ),
+    ]
+}
+
+#[test]
+fn accumulate_only_criticals_give_the_locked_result_bit_for_bit() {
+    for (name, src, want) in accumulating_programs() {
+        for (nodes, tpn) in [(1, 1), (2, 1), (4, 1), (2, 2)] {
+            let out = run_omp(&src, OmpConfig::fast_test_smp(nodes, tpn));
+            for (global, value) in want((nodes * tpn) as f64) {
+                let got = out.result.scalars[global];
+                assert_eq!(
+                    bits(got),
+                    bits(value),
+                    "{name} {global} on {nodes}x{tpn}: {got}"
+                );
+            }
+            if name.starts_with("kept locked") && nodes > 1 {
+                assert!(sent(&out, "lock_acq") > 0, "{name} on {nodes}x{tpn}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_race_checked_run_still_sees_the_sections_lock() {
+    // The monitor orders the sections as the locked program would, so
+    // the checked run of a clean example reports nothing.
+    let src = include_str!("../examples/omp/clean/critical_incr.omp");
+    let prog = ompc::compile(src).unwrap().check_races(true);
+    let out = Cluster::from_config(OmpConfig::fast_test_smp(2, 2))
+        .run(&prog)
+        .expect("a fresh cluster accepts a job")
+        .result;
+    assert_eq!(out.scalars["count"], 4.0);
+    assert!(out.races.is_empty(), "{:?}", out.races);
+}
+
+#[test]
+fn critical_incr_takes_no_lock_on_four_nodes() {
+    // Each slave's partial rides its join arrival: a fork and an arrival
+    // per slave, and not one lock message.
+    let src = include_str!("../examples/omp/clean/critical_incr.omp");
+    let out = run_omp(src, OmpConfig::fast_test(4));
+    assert_eq!(out.result.scalars["count"], 4.0);
+    for kind in ["fork", "barrier_arrive"] {
+        assert_eq!(sent(&out, kind), 3, "{kind}");
+    }
+    for kind in ["lock_acq", "lock_rel", "lock_grant"] {
+        assert_eq!(sent(&out, kind), 0, "{kind}");
+    }
+    assert_eq!(out.net.total_msgs(), 6);
 }
