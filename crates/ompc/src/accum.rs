@@ -1,5 +1,5 @@
 //! Lowers a `critical` section that only accumulates into shared scalars
-//! to a reduction that rides the region's join (DESIGN.md §2f).
+//! to a reduction that rides the region's join (DESIGN.md §2h).
 //!
 //! The source paper's translator turns every `critical` into a
 //! TreadMarks lock. A section whose body is nothing but updates
@@ -11,10 +11,14 @@
 //! access to it from parallel context — region and task bodies and every
 //! function they reach through calls — is an update `g = g ⊕ e` in a
 //! `critical` whose body is only such updates, and
+//! * `g` is a `double`: an `int` global truncates every store, and
+//!   truncating a private accumulator that starts at the identity does
+//!   not give what truncating `g` after each update gives;
 //! * `⊕` is one operator for every update of `g` (`+`/`-` are Sum, `*`
 //!   is Prod);
 //! * `g` occurs once in the update, as a leaf whose path from the root
-//!   passes only `⊕` nodes (never the right operand of a `-`);
+//!   passes only `⊕` nodes (never the right operand of a `-`, never a
+//!   unary operator or a builtin);
 //! * `e` calls no function and reads no global that parallel code writes;
 //! * no `reduction` clause names `g`.
 //!
@@ -79,7 +83,7 @@ impl Facts {
                 }
                 LStmt::SetElem { gid, .. } => self.written.push(*gid),
                 LStmt::Task { site } => self.spawns.push(*site),
-                LStmt::WsFor(w) => self.reduced.extend(w.reds.iter().map(|r| r.gid)),
+                LStmt::WsFor(w) => self.reduced.extend(w.reds.iter().map(|r| r.site.gid)),
                 _ => {}
             }
             for e in s.exprs() {
@@ -129,7 +133,8 @@ fn is_global(gid: u16) -> impl Fn(&LExpr) -> Option<bool> {
 
 /// The operator `val` applies to `gid` as an update: `gid` occurs once,
 /// as a leaf reached from the root through `+`/`-` nodes only (never
-/// the right operand of a `-`), or through `*` nodes only.
+/// the right operand of a `-`), or through `*` nodes only. A path that
+/// meets any other node on the way (`-g`, `fabs(g)`) is no update.
 fn chain_op(gid: u16, val: &LExpr) -> Option<RedOp> {
     let mut n = 0;
     val.visit(&mut |e| n += usize::from(matches!(e, LExpr::Global(g, _) if *g == gid)));
@@ -154,17 +159,19 @@ fn chain_op(gid: u16, val: &LExpr) -> Option<RedOp> {
             (false, _) => y,
         };
     }
-    // The path ends at `gid` itself: any other leaf would not hold it.
-    op
+    matches!(e, LExpr::Global(g, _) if *g == gid)
+        .then_some(op)
+        .flatten()
 }
 
 /// `val` with its one `gid` leaf replaced by `op`'s identity: the `e`
-/// that `g = g ⊕ e` adds.
+/// that `g = g ⊕ e` adds. `val` is an update ([`chain_op`]).
 fn contribution(gid: u16, val: &LExpr, op: RedOp) -> LExpr {
     fn put(e: &mut LExpr, is_g: &impl Fn(&LExpr) -> Option<bool>, v: f64) {
         match e {
             LExpr::Bin(_, x, y, _) => put(if x.any(is_g) { x } else { y }, is_g, v),
-            leaf => *leaf = LExpr::Num(v),
+            LExpr::Global(..) => *e = LExpr::Num(v),
+            _ => unreachable!("chain_op admits only `Bin` nodes above `g`"),
         }
     }
     let mut add = val.clone();
@@ -199,10 +206,10 @@ pub(crate) fn plan(l: &mut LProgram, first_key: u32) {
 
     let ng = l.globals.len();
     let mut ok: Vec<bool> = (l.globals.iter())
-        .map(|g| matches!(g.kind, LGlobalKind::Scalar { .. }))
+        .map(|g| matches!(g.kind, LGlobalKind::Scalar { .. }) && !g.trunc)
         .collect();
     let mut written = vec![false; ng];
-    let clause_reds = l.regions.iter().flat_map(|r| r.reds.iter().map(|s| s.gid));
+    let clause_reds = l.regions.iter().flat_map(|r| &r.reds).map(|s| s.site.gid);
     for g in clause_reds.chain(facts.iter().flat_map(|f| f.reduced.iter().copied())) {
         ok[g as usize] = false;
     }
@@ -246,7 +253,7 @@ pub(crate) fn plan(l: &mut LProgram, first_key: u32) {
         .map(|((g, op), key)| JoinSite {
             op,
             gid: g as u16,
-            trunc: l.globals[g].trunc,
+            trunc: false, // `int` globals never qualify
             key,
         })
         .collect();
@@ -379,6 +386,10 @@ mod tests {
             ("a print", crit("g = g + 1; print(\"x\");")),
             ("an array element", crit("a[0] = a[0] + 1;")),
             ("g negated", crit("g = 1 - g;")),
+            ("g negated inside the sum", crit("g = -g + 1;")),
+            ("g under a builtin", crit("g = fabs(g) + 1;")),
+            ("g under sqrt in a product", crit("g = sqrt(g) * 2;")),
+            ("an int accumulator", crit("g = g + 1;")),
             ("g divided", crit("g = g / 2;")),
             ("e reads what the region writes", crit("g = g + h; h = 1;")),
             ("e calls", crit("g = g + f();")),
@@ -390,6 +401,9 @@ mod tests {
         ];
         for (what, body) in cases {
             let mut src = region(&body);
+            if what == "an int accumulator" {
+                src = src.replace("double g;", "int g;");
+            }
             if what == "e calls" {
                 src = src.replace("int main()", "double f() { return 1.0; }\nint main()");
             }

@@ -514,8 +514,8 @@ fn analyze_region(
         callees: BTreeSet::new(),
     };
     for rs in &r.reds {
-        w.red_gids.push((rs.gid, rs.op, rs.span));
-        w.red_slots.push((rs.slot, rs.op, rs.span));
+        w.red_gids.push((rs.site.gid, rs.site.op, rs.span));
+        w.red_slots.push((rs.slot, rs.site.op, rs.span));
     }
     w.stmts(&r.body);
 
@@ -741,8 +741,8 @@ impl Rw<'_> {
         self.expr(&w.lo, None);
         self.expr(&w.hi, None);
         for rs in &w.reds {
-            self.red_gids.push((rs.gid, rs.op, rs.span));
-            self.red_slots.push((rs.slot, rs.op, rs.span));
+            self.red_gids.push((rs.site.gid, rs.site.op, rs.span));
+            self.red_slots.push((rs.slot, rs.site.op, rs.span));
         }
         let old_lv = self.loop_var.replace(w.var);
         let old_mult = std::mem::replace(&mut self.mult, Mult::PerIter);

@@ -125,9 +125,8 @@ impl Opnd {
 }
 
 /// Where a specialised closure's value goes: back to a parent expression,
-/// straight into a frame slot, or into the test of an `if` or `while` —
-/// an assignment or a condition that is an operation is one closure, not
-/// a statement calling a value.
+/// or straight into a frame slot — an assignment whose right-hand side is
+/// an operation is one closure, not a store calling a value.
 trait Sink: Sized {
     type Out;
     fn closure<F>(self, value: F) -> Self::Out
@@ -167,61 +166,6 @@ impl<const TRUNC: bool> Sink for ToSlot<TRUNC> {
         stmt(move |cx, ex, fp| {
             let v = value(cx, ex, fp);
             cx.stack[fp + slot] = if TRUNC { v.trunc() } else { v };
-            Flow::Normal
-        })
-    }
-}
-
-/// Branch on the value: an `if` whose condition is an operation is one
-/// closure, not a branch calling a value.
-struct ToIf {
-    then_: StmtFn,
-    else_: Option<StmtFn>,
-}
-
-impl Sink for ToIf {
-    type Out = StmtFn;
-    fn closure<F>(self, cond: F) -> StmtFn
-    where
-        F: Fn(&mut Icx<'_>, &mut Exec<'_, '_, '_>, usize) -> f64 + Send + Sync + 'static,
-    {
-        let then_ = self.then_;
-        let Some(else_) = self.else_ else {
-            return stmt(move |cx, ex, fp| {
-                if cond(cx, ex, fp) != 0.0 {
-                    then_(cx, ex, fp)
-                } else {
-                    Flow::Normal
-                }
-            });
-        };
-        stmt(move |cx, ex, fp| {
-            if cond(cx, ex, fp) != 0.0 {
-                then_(cx, ex, fp)
-            } else {
-                else_(cx, ex, fp)
-            }
-        })
-    }
-}
-
-/// Loop on the value: a `while` whose condition is an operation tests
-/// it in place each iteration.
-struct ToWhile(StmtFn);
-
-impl Sink for ToWhile {
-    type Out = StmtFn;
-    fn closure<F>(self, cond: F) -> StmtFn
-    where
-        F: Fn(&mut Icx<'_>, &mut Exec<'_, '_, '_>, usize) -> f64 + Send + Sync + 'static,
-    {
-        let body = self.0;
-        stmt(move |cx, ex, fp| {
-            while cond(cx, ex, fp) != 0.0 {
-                if let ret @ Flow::Ret(_) = body(cx, ex, fp) {
-                    return ret;
-                }
-            }
             Flow::Normal
         })
     }
@@ -368,13 +312,35 @@ impl Codegen<'_> {
                 })
             }
             LStmt::If { cond, then_, else_ } => {
-                let then_ = self.block(then_);
-                let else_ = (!else_.is_empty()).then(|| self.block(else_));
-                self.assign(cond, ToIf { then_, else_ })
+                let (cond, then_) = (self.expr(cond).into_fn(), self.block(then_));
+                if else_.is_empty() {
+                    return stmt(move |cx, ex, fp| {
+                        if cond(cx, ex, fp) != 0.0 {
+                            then_(cx, ex, fp)
+                        } else {
+                            Flow::Normal
+                        }
+                    });
+                }
+                let else_ = self.block(else_);
+                stmt(move |cx, ex, fp| {
+                    if cond(cx, ex, fp) != 0.0 {
+                        then_(cx, ex, fp)
+                    } else {
+                        else_(cx, ex, fp)
+                    }
+                })
             }
             LStmt::While { cond, body } => {
-                let body = self.block(body);
-                self.assign(cond, ToWhile(body))
+                let (cond, body) = (self.expr(cond).into_fn(), self.block(body));
+                stmt(move |cx, ex, fp| {
+                    while cond(cx, ex, fp) != 0.0 {
+                        if let ret @ Flow::Ret(_) = body(cx, ex, fp) {
+                            return ret;
+                        }
+                    }
+                    Flow::Normal
+                })
             }
             LStmt::Return(None) => stmt(|_, _, _| Flow::Ret(0.0)),
             LStmt::Return(Some(e)) => {
@@ -521,11 +487,8 @@ impl Codegen<'_> {
     /// the section's lock, so checked runs order what they ordered
     /// before.
     fn accumulating(&self, lock: u32, body: StmtFn, ups: Vec<(usize, LExpr)>) -> StmtFn {
-        let ups: Vec<(usize, RedOp, bool, ExprFn)> = (ups.into_iter())
-            .map(|(k, add)| {
-                let site = self.l.accums[k];
-                (k, site.op, site.trunc, self.expr(&add).into_fn())
-            })
+        let ups: Vec<(usize, RedOp, ExprFn)> = (ups.into_iter())
+            .map(|(k, add)| (k, self.l.accums[k].op, self.expr(&add).into_fn()))
             .collect();
         stmt(move |cx, ex, fp| {
             if ex.is_master_seq() {
@@ -534,9 +497,9 @@ impl Codegen<'_> {
             if let Some(m) = &cx.mon {
                 m.acquire(ex.thread_id(), lock);
             }
-            for (k, op, trunc, add) in &ups {
+            for (k, op, add) in &ups {
                 let v = add(cx, ex, fp);
-                accumulate(*k, *op, *trunc, v);
+                accumulate(*k, *op, v);
             }
             if let Some(m) = &cx.mon {
                 m.release(ex.thread_id(), lock);
@@ -718,7 +681,7 @@ fn ws_for(cx: &mut Icx<'_>, ex: &mut Exec<'_, '_, '_>, fp: usize, w: &WsSite) {
     let hi = (hi.max(0.0) as usize).max(lo);
     let plan = LoopPlan::new(sched, lo..hi, shared.cloned());
     for red in &w.reds {
-        cx.stack[fp + red.slot as usize] = f64::identity(red.op);
+        cx.stack[fp + red.slot as usize] = f64::identity(red.site.op);
     }
     let mut cursor = LoopCursor::new();
     while let Some(r) = plan.next_chunk(ex.th(), &mut cursor) {
@@ -729,7 +692,7 @@ fn ws_for(cx: &mut Icx<'_>, ex: &mut Exec<'_, '_, '_>, fp: usize, w: &WsSite) {
         }
     }
     for red in &w.reds {
-        combine_red(ex, cx.globals, red, cx.stack[fp + red.slot as usize]);
+        combine_red(ex, cx.globals, red.site, cx.stack[fp + red.slot as usize]);
     }
     if w.barrier_after {
         // The implied end-of-worksharing barrier (two-level on SMP).

@@ -350,7 +350,7 @@ pub(crate) fn fork_region(cx: &mut Icx<'_>, ex: &mut Exec<'_, '_, '_>, fp: usize
     if let Some(m) = &mon {
         m.join();
     }
-    let joined = reg.reds.iter().map(RedSite::join);
+    let joined = reg.reds.iter().map(|r| r.site);
     for site in joined.chain(reg.accums.iter().map(|&k| cx.code.l.accums[k as usize])) {
         fold_red(env, cx.globals, site);
     }
@@ -369,7 +369,7 @@ fn run_region_thread(
     let mut frame = new_stack(reg.frame);
     frame[..snapshot.len()].copy_from_slice(snapshot);
     for red in &reg.reds {
-        frame[red.slot as usize] = f64::identity(red.op);
+        frame[red.slot as usize] = f64::identity(red.site.op);
     }
     if !reg.accums.is_empty() {
         let ids = code.l.accums.iter().map(|a| f64::identity(a.op));
@@ -388,7 +388,7 @@ fn run_region_thread(
     let flow = code.regions[rid](&mut cx, ex, 0);
     debug_assert!(matches!(flow, Flow::Normal), "return escaped a region");
     for red in &reg.reds {
-        contribute_red(ex, red.join(), cx.stack[red.slot as usize]);
+        contribute_red(ex, red.site, cx.stack[red.slot as usize]);
     }
     flush_lines(ex, lines);
 }
@@ -446,13 +446,9 @@ thread_local! {
 }
 
 /// One lowered `critical` update in parallel context: `acc ⊕= v` on the
-/// executing thread's accumulator `k`, truncated like a store to an
-/// `int` global when `trunc`.
-pub(crate) fn accumulate(k: usize, op: RedOp, trunc: bool, v: f64) {
-    ACCUMS.with_borrow_mut(|acc| {
-        let next = f64::combine(op, acc[k], v);
-        acc[k] = if trunc { next.trunc() } else { next };
-    });
+/// executing thread's accumulator `k`.
+pub(crate) fn accumulate(k: usize, op: RedOp, v: f64) {
+    ACCUMS.with_borrow_mut(|acc| acc[k] = f64::combine(op, acc[k], v));
 }
 
 /// The end of region `rid`'s accumulate-only globals on one thread:
@@ -505,11 +501,16 @@ fn fold_red(t: &mut Tmk, globals: &[GSlot], site: JoinSite) {
 /// lock. The loop's barrier follows, and any thread may read the
 /// variable right after it: only a write closed before that barrier
 /// gives every thread the reduced value, so this path keeps its lock.
-pub(crate) fn combine_red(ex: &mut Exec<'_, '_, '_>, globals: &[GSlot], red: &RedSite, local: f64) {
-    let GSlot::Scalar(s) = globals[red.gid as usize] else {
+pub(crate) fn combine_red(
+    ex: &mut Exec<'_, '_, '_>,
+    globals: &[GSlot],
+    site: JoinSite,
+    local: f64,
+) {
+    let GSlot::Scalar(s) = globals[site.gid as usize] else {
         unreachable!("reduction on array global");
     };
-    let (op, trunc, lock) = (red.op, red.trunc, red.lock);
+    let (op, trunc, lock) = (site.op, site.trunc, site.key);
     let th = ex.th();
     if let Some(total) = th.reduce_combine(lock, local, move |a, b| f64::combine(op, a, b)) {
         th.enter_critical(lock);

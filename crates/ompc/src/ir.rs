@@ -105,35 +105,20 @@ pub(crate) struct LSched {
     pub chunk: usize,
 }
 
-/// One reduction variable at one construct: the private accumulator
-/// slot, the shared global it folds into, and the site's runtime id.
+/// One reduction variable at one construct: the shared global it folds
+/// into and the private accumulator slot that feeds it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RedSite {
-    pub op: RedOp,
-    pub gid: u16,
+    pub site: JoinSite,
     pub slot: u16,
-    pub trunc: bool,
-    /// The site's runtime id: the key of its node partials at a region's
-    /// join, and the lock serializing an interior loop's combine.
-    pub lock: u32,
     /// Span of the variable in the `reduction(op:v)` clause.
     pub span: Span,
 }
 
-impl RedSite {
-    /// What the site folds at a region's join.
-    pub(crate) fn join(&self) -> JoinSite {
-        JoinSite {
-            op: self.op,
-            gid: self.gid,
-            trunc: self.trunc,
-            key: self.lock,
-        }
-    }
-}
-
-/// A shared scalar folded at a region's join: every node's partial rides
-/// the join under `key`, and the master folds them into `gid`.
+/// A shared scalar that threads fold into with `op`. `key` is the
+/// site's runtime id: the key of its node partials at a region's join,
+/// where the master folds them into `gid`, and the lock serializing an
+/// interior loop's combine.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct JoinSite {
     pub op: RedOp,

@@ -1172,11 +1172,13 @@ impl<'p> Sema<'p> {
                     Resolved::GlobalScalar(g) => {
                         let slot = rebind(cx, g, *vspan)?;
                         reds.push(RedSite {
-                            op: red_op(*op),
-                            gid: g.gid,
+                            site: JoinSite {
+                                op: red_op(*op),
+                                gid: g.gid,
+                                trunc: g.trunc,
+                                key: 0, // patched below (borrow order)
+                            },
                             slot,
-                            trunc: g.trunc,
-                            lock: 0, // patched below (borrow order)
                             span: *vspan,
                         });
                     }
@@ -1200,7 +1202,7 @@ impl<'p> Sema<'p> {
             }
         }
         for r in &mut reds {
-            r.lock = self.next_lock();
+            r.site.key = self.next_lock();
         }
         Ok((prologue, reds, saved))
     }

@@ -357,22 +357,16 @@ fn accumulating_programs() -> Vec<Accumulating> {
             |p| vec![("g", p), ("h", 0.0)],
         ),
         (
-            // `-` chains are sums, `*` chains products, and an `int`
-            // accumulator truncates each update like a store to `c`.
+            // `-` chains are sums and `*` chains products.
             "chains",
             region(
                 "#pragma omp parallel\n{\nint i = 0;\nwhile (i < 3) {\n\
                  #pragma omp critical\n{ s = s - omp_get_thread_num() + 10; m = 2 * m; }\n\
-                 #pragma omp critical (int)\n{ c = c + 1.5; }\n\
                  i = i + 1;\n}\n}",
             ),
             |p| {
                 let t = p * (p - 1.0) / 2.0;
-                vec![
-                    ("s", 2.0 + 3.0 * (10.0 * p - t)),
-                    ("m", 2f64.powf(3.0 * p)),
-                    ("c", 3.0 * p),
-                ]
+                vec![("s", 2.0 + 3.0 * (10.0 * p - t)), ("m", 2f64.powf(3.0 * p))]
             },
         ),
         (
@@ -381,6 +375,19 @@ fn accumulating_programs() -> Vec<Accumulating> {
             "sequential and parallel calls",
             region("f(1);\n#pragma omp parallel\n{ f(2); }\nf(g);"),
             |p| vec![("g", 2.0 * (1.0 + 2.0 * p))],
+        ),
+        (
+            // `int` stores truncate: -3 + 0.7 is -2 under the lock, but a
+            // private accumulator would add trunc(0.7) = 0.
+            "kept locked: an int accumulator",
+            region("c = -3;\n#pragma omp parallel\n{\n#pragma omp critical\n{ c = c + 0.7; }\n}"),
+            |p| vec![("c", (p - 3.0).min(0.0))],
+        ),
+        (
+            // `-g` is no leaf of a sum: the updates alternate 1, 0, 1, ...
+            "kept locked: g negated inside the sum",
+            region("#pragma omp parallel\n{\n#pragma omp critical\n{ g = -g + 1; }\n}"),
+            |p| vec![("g", p % 2.0)],
         ),
         (
             "kept locked: g read in the section",
