@@ -1612,132 +1612,151 @@ mod tests {
         }
 
         /// Node `f` makes `pids` readable as `Tmk::fault_pages_inner`
-        /// does: a full copy of each page whose base is lost, one request
-        /// per writer built by `NodeState::fault_requests` for what is not
-        /// held (siblings with `subscribe`), served by the writer's
-        /// `on_request`, creator re-requests for short replies, then one
-        /// apply of each page's whole set, held diffs included, and the
-        /// siblings' diffs held. An application fault subscribes its
+        /// does, pass by pass: a `PageReq` to the owner of each page whose
+        /// base is lost, one request per writer built by
+        /// `NodeState::fault_requests` for what the other pages do not
+        /// hold (siblings with `subscribe`), each served by its
+        /// addressee's `on_request`, creator re-requests for short
+        /// replies, then the siblings' diffs held and one apply of each
+        /// page's whole set, held diffs included. A full-copied page's
+        /// diffs are the next pass's. An application fault subscribes its
         /// pages, a GC validation does not.
         fn fault(&mut self, f: usize, pids: &[PageId], subscribe: bool) {
             let nodes = &mut self.nodes;
-            let mut fetch = Vec::new();
-            for &pid in pids {
-                let full = nodes[f].needs_full_fetch(pid);
-                if full {
-                    let owner = nodes[f].pages[pid].owner;
-                    let (epoch, bytes) = nodes[owner].serve_page(pid);
-                    nodes[f].install_page(pid, epoch, &bytes);
-                }
-                let planned = !nodes[f].pages[pid].unapplied.is_empty();
-                if subscribe && (full || planned) {
-                    nodes[f].subscribe(pid);
-                }
-                if planned {
-                    fetch.push(pid);
-                } else if !nodes[f].pages[pid].readable() {
-                    nodes[f].finish_fault(pid);
-                }
-            }
-            if fetch.is_empty() {
-                return;
-            }
-            let (held, mut round) = if self.per_writer {
-                let held = fetch.iter().map(|&pid| (pid, Vec::new())).collect();
-                (held, per_writer_requests(&nodes[f], &fetch))
-            } else {
-                nodes[f].fault_requests(&fetch, subscribe)
-            };
-            // Every foreign id goes to a writer one of whose notices here
-            // dominates it (held ids taken out after), for a faulted page
-            // and a sibling alike.
-            let log = &nodes[f].interval_log;
-            for (w, pages) in round.iter().filter(|_| !self.per_writer) {
-                for (pid, ids) in pages {
-                    let plan = nodes[f].fault_plan(*pid);
-                    let all = plan
-                        .iter()
-                        .find(|(k, _)| k == w)
-                        .map_or(&[][..], |(_, a)| a);
-                    let foreign = ids.iter().filter(|id| id.node as usize != *w);
-                    assert!(
-                        foreign.clone().all(|id| all.contains(id)),
-                        "{ids:?} of {pid} to {w}"
-                    );
-                    let mine = all.iter().filter(|id| id.node as usize == *w);
-                    for id in foreign {
-                        let mut dominators = mine.clone().map(|m| &log[&(m.node, m.seq)]);
-                        assert!(
-                            dominators.any(|m| m.dominates(*id)),
-                            "{id:?} of {pid} sent to {w}"
-                        );
+            let mut sent = None;
+            loop {
+                let (mut full, mut fetch) = (Vec::new(), Vec::new());
+                for &pid in pids {
+                    if nodes[f].needs_full_fetch(pid) {
+                        full.push(pid);
+                    } else if !nodes[f].pages[pid].unapplied.is_empty() {
+                        fetch.push(pid);
+                    } else {
+                        if !nodes[f].pages[pid].readable() {
+                            nodes[f].finish_fault(pid);
+                        }
+                        continue;
                     }
-                    if !fetch.contains(pid) {
-                        assert!(subscribe, "a GC validation names no sibling");
+                    if subscribe {
+                        nodes[f].subscribe(pid);
                     }
                 }
-            }
-            if self.strip {
-                for (_, pages) in &mut round {
-                    pages.retain(|(pid, _)| fetch.contains(pid));
+                if full.is_empty() && fetch.is_empty() {
+                    break;
                 }
-            }
-            let mut by_page: BTreeMap<PageId, (Vec<IntervalId>, PageDiffs)> = held
-                .into_iter()
-                .map(|(pid, held)| (pid, (Vec::new(), held)))
-                .collect();
-            for (_, pages) in &round {
-                for (pid, ids) in pages {
-                    if let Some((wanted, _)) = by_page.get_mut(pid) {
-                        wanted.extend(ids);
-                    }
-                }
-            }
-            let mut siblings = Vec::new();
-            let mut requests = 0;
-            let mut out = Vec::new();
-            while !round.is_empty() {
-                for (w, pages) in round {
-                    assert_ne!(w, f, "a node never asks itself");
-                    requests += 1;
-                    let asked: Vec<PageId> = pages.iter().map(|(pid, _)| *pid).collect();
-                    let req = Msg::DiffReq { pages };
+                let mut out = Vec::new();
+                for page in full {
+                    let owner = nodes[f].pages[page].owner;
+                    let req = Msg::PageReq { page };
                     Self::note(&mut self.tally, &req);
-                    crate::service::on_request(&mut nodes[w], f, req, 0, &mut out);
+                    crate::service::on_request(&mut nodes[owner], f, req, 0, &mut out);
                     out.iter().for_each(|(_, m)| Self::note(&mut self.tally, m));
-                    let Some((to, Msg::DiffRep { pages })) = out.pop() else {
-                        panic!("a DiffReq is answered by a DiffRep")
+                    let Some((to, Msg::PageRep { page, epoch, bytes })) = out.pop() else {
+                        panic!("a PageReq is answered by a PageRep")
                     };
                     assert!(to == f && out.is_empty(), "one reply, to the asker");
-                    let answered: Vec<PageId> = pages.iter().map(|(pid, _)| *pid).collect();
-                    assert_eq!(answered, asked, "pages in request order");
-                    for (pid, diffs) in pages {
-                        match by_page.get_mut(&pid) {
-                            Some((_, got)) => got.extend(diffs),
-                            None => siblings.extend(diffs.into_iter().map(|(id, d)| (pid, id, d))),
+                    nodes[f].install_page(page, epoch, &bytes);
+                }
+                if fetch.is_empty() {
+                    continue;
+                }
+                let (held, mut round) = if self.per_writer {
+                    let held = fetch.iter().map(|&pid| (pid, Vec::new())).collect();
+                    (held, per_writer_requests(&nodes[f], &fetch))
+                } else {
+                    nodes[f].fault_requests(&fetch, subscribe)
+                };
+                // Every foreign id goes to a writer one of whose notices
+                // here dominates it (held ids taken out after), for a
+                // faulted page and a sibling alike.
+                let log = &nodes[f].interval_log;
+                for (w, pages) in round.iter().filter(|_| !self.per_writer) {
+                    for (pid, ids) in pages {
+                        let plan = nodes[f].fault_plan(*pid);
+                        let all = plan
+                            .iter()
+                            .find(|(k, _)| k == w)
+                            .map_or(&[][..], |(_, a)| a);
+                        let foreign = ids.iter().filter(|id| id.node as usize != *w);
+                        assert!(
+                            foreign.clone().all(|id| all.contains(id)),
+                            "{ids:?} of {pid} to {w}"
+                        );
+                        let mine = all.iter().filter(|id| id.node as usize == *w);
+                        for id in foreign {
+                            let mut dominators = mine.clone().map(|m| &log[&(m.node, m.seq)]);
+                            assert!(
+                                dominators.any(|m| m.dominates(*id)),
+                                "{id:?} of {pid} sent to {w}"
+                            );
+                        }
+                        if !fetch.contains(pid) {
+                            assert!(subscribe, "a GC validation names no sibling");
                         }
                     }
                 }
-                round = NodeState::missing_by_creator(
-                    by_page
-                        .iter()
-                        .map(|(&pid, (wanted, got))| (pid, &wanted[..], got)),
-                );
+                if self.strip {
+                    for (_, pages) in &mut round {
+                        pages.retain(|(pid, _)| fetch.contains(pid));
+                    }
+                }
+                let mut by_page: BTreeMap<PageId, (Vec<IntervalId>, PageDiffs)> = held
+                    .into_iter()
+                    .map(|(pid, held)| (pid, (Vec::new(), held)))
+                    .collect();
+                for (_, pages) in &round {
+                    for (pid, ids) in pages {
+                        if let Some((wanted, _)) = by_page.get_mut(pid) {
+                            wanted.extend(ids);
+                        }
+                    }
+                }
+                let mut siblings = Vec::new();
+                let requests = sent.get_or_insert(0);
+                while !round.is_empty() {
+                    for (w, pages) in round {
+                        assert_ne!(w, f, "a node never asks itself");
+                        *requests += 1;
+                        let asked: Vec<PageId> = pages.iter().map(|(pid, _)| *pid).collect();
+                        let req = Msg::DiffReq { pages };
+                        Self::note(&mut self.tally, &req);
+                        crate::service::on_request(&mut nodes[w], f, req, 0, &mut out);
+                        out.iter().for_each(|(_, m)| Self::note(&mut self.tally, m));
+                        let Some((to, Msg::DiffRep { pages })) = out.pop() else {
+                            panic!("a DiffReq is answered by a DiffRep")
+                        };
+                        assert!(to == f && out.is_empty(), "one reply, to the asker");
+                        let answered: Vec<PageId> = pages.iter().map(|(pid, _)| *pid).collect();
+                        assert_eq!(answered, asked, "pages in request order");
+                        for (pid, diffs) in pages {
+                            match by_page.get_mut(&pid) {
+                                Some((_, got)) => got.extend(diffs),
+                                None => {
+                                    siblings.extend(diffs.into_iter().map(|(id, d)| (pid, id, d)))
+                                }
+                            }
+                        }
+                    }
+                    round = NodeState::missing_by_creator(
+                        by_page
+                            .iter()
+                            .map(|(&pid, (wanted, got))| (pid, &wanted[..], got)),
+                    );
+                }
+                nodes[f].hold(siblings);
+                for (pid, (_, got)) in by_page {
+                    // Nothing partial: the page's whole set, each diff once.
+                    let mut ids: Vec<IntervalId> = got.iter().map(|(id, _)| *id).collect();
+                    let mut planned: Vec<IntervalId> =
+                        nodes[f].pages[pid].unapplied.iter().map(|r| r.id).collect();
+                    ids.sort();
+                    planned.sort();
+                    assert_eq!(ids, planned, "applied set != planned set");
+                    nodes[f].apply_fetched(pid, got);
+                    assert!(nodes[f].pages[pid].unapplied.is_empty());
+                }
             }
-            nodes[f].hold(siblings);
-            for (pid, (_, got)) in by_page {
-                // Nothing partial: the page's whole set, each diff once.
-                let mut ids: Vec<IntervalId> = got.iter().map(|(id, _)| *id).collect();
-                let mut planned: Vec<IntervalId> =
-                    nodes[f].pages[pid].unapplied.iter().map(|r| r.id).collect();
-                ids.sort();
-                planned.sort();
-                assert_eq!(ids, planned, "applied set != planned set");
-                nodes[f].apply_fetched(pid, got);
-                assert!(nodes[f].pages[pid].unapplied.is_empty());
-                nodes[f].finish_fault(pid);
-            }
-            self.requests.push(requests);
+            self.requests.extend(sent);
         }
 
         /// Node `to` receives every notice node `from` holds that `to`
@@ -1900,7 +1919,8 @@ mod tests {
 
         /// A GC round from `snapshots`, one a node or none: every node
         /// holds the one snapshot as its processed clock and computes the
-        /// same owners, the owners validate their pages, and every node
+        /// same owners, the owners validate their pages and send the
+        /// manager `GcDone`, and on the last one's `GcComplete` every node
         /// drops what the snapshot covers.
         fn gc_round(&mut self, snapshots: Vec<VectorClock>) {
             let n = self.nodes.len();
@@ -1909,6 +1929,8 @@ mod tests {
             };
             assert_eq!(snapshots, vec![upto.clone(); n], "one snapshot for all");
             let owners = self.nodes[0].compute_gc_owners(&upto);
+            let epoch = self.epoch - 1;
+            let mut completes = Vec::new();
             for k in 0..n {
                 assert_eq!(self.nodes[k].processed_vc, upto);
                 assert_eq!(self.nodes[k].compute_gc_owners(&upto), owners);
@@ -1918,10 +1940,14 @@ mod tests {
                     .map(|(&p, _)| p)
                     .collect();
                 self.fault(k, &mine, false);
+                completes.extend(self.serve(k, (0, Msg::GcDone { epoch })));
             }
-            self.nodes[0].mgr.gc_in_progress = false;
-            for node in &mut self.nodes {
-                node.apply_gc_complete(&owners, &upto);
+            assert!(!self.nodes[0].mgr.gc_in_progress, "the round is over");
+            let order = completes.iter().map(|(k, _)| *k);
+            assert!(order.eq((0..n).rev()), "the last done completes all");
+            for (k, done) in completes {
+                assert!(matches!(done, Msg::GcComplete { epoch: e } if e == epoch));
+                self.nodes[k].apply_gc_complete(&owners, &upto);
             }
         }
 
@@ -2078,24 +2104,27 @@ mod tests {
     // what they did when recorded: per message kind, in name order, its
     // count and wire bytes (self-sends included), then each node's vt,
     // cpu and diff storage, then the faults that sent requests and their
-    // `DiffReq`s. A refactor of the riders must leave every number as it
-    // is.
+    // `DiffReq`s. A refactor of the riders or of the fault must leave
+    // every number as it is. Full copies and GC rounds go through
+    // `PageReq` and `GcDone`, so a page serve is charged to its owner's
+    // service clock, as in a threaded run.
     #[test]
     fn fixed_programs_keep_their_pinned_traffic_and_clocks() {
         // 2, 3 and 4 nodes with GC at every barrier, then at every third.
         let want = [
-            "64/6020 64/5768 13/156 13/997 23/1026 23/544 52/1040 65/2750 52/3149 \
-             | 1131/130/0 1019/80/13 | 34/23",
-            "96/9003 96/12699 13/156 13/1174 19/857 19/488 51/1224 64/3795 51/3983 \
-             | 976/20/0 747/50/13 980/20/0 | 43/19",
-            "144/13677 144/19925 11/132 11/1154 16/963 16/484 50/1400 61/4309 50/4644 \
-             | 620/0/35 653/0/0 590/30/0 827/10/52 | 35/16",
-            "68/5862 68/5365 9/108 9/729 21/851 21/492 45/900 54/2154 45/2769 \
-             | 852/110/141 1090/60/106 | 41/21",
-            "108/9170 108/10278 8/96 8/816 46/2181 46/1220 46/1104 54/2801 46/3954 \
-             | 469/40/0 644/60/0 1074/60/0 | 53/46",
-            "120/10622 120/13493 4/48 4/475 56/3240 56/1604 46/1288 50/3383 46/4585 \
-             | 414/20/0 388/30/13 396/40/13 623/40/53 | 65/56",
+            "64/6020 64/5768 13/156 13/997 23/1026 23/544 64/512 64/512 52/1040 65/2750 \
+             52/3149 29/119248 29/348 | 1001/260/0 859/240/13 | 34/23",
+            "96/9003 96/12699 13/156 13/1174 19/857 19/488 96/768 96/768 51/1224 64/3795 \
+             51/3983 50/205600 50/600 | 826/170/0 617/180/13 760/240/0 | 43/19",
+            "144/13677 144/19925 11/132 11/1154 16/963 16/484 144/1152 144/1152 50/1400 \
+             61/4309 50/4644 66/271392 66/792 | 450/170/35 513/140/0 450/170/0 617/220/52 \
+             | 35/16",
+            "68/5862 68/5365 9/108 9/729 21/851 21/492 20/160 20/160 45/900 54/2154 45/2769 \
+             15/61680 15/180 | 802/160/141 990/160/106 | 41/21",
+            "108/9170 108/10278 8/96 8/816 46/2181 46/1220 42/336 42/336 46/1104 54/2801 \
+             46/3954 35/143920 35/420 | 409/100/0 544/160/0 884/250/0 | 53/46",
+            "120/10622 120/13493 4/48 4/475 56/3240 56/1604 28/224 28/224 46/1288 50/3383 \
+             46/4585 22/90464 22/264 | 394/40/0 358/60/13 396/40/13 453/210/53 | 65/56",
         ];
         for (i, want) in want.into_iter().enumerate() {
             let (n, gc_every) = (2 + i % 3, [1, 3][i / 3]);
@@ -2106,8 +2135,8 @@ mod tests {
                 world.step((x >> 33) as u32 % 1_000_000);
             }
             let kinds: Vec<&str> = world.tally.keys().copied().collect();
-            let all = "barrier_arrive barrier_depart cond_signal cond_wait \
-                       diff_rep diff_req lock_acq lock_grant lock_rel";
+            let all = "barrier_arrive barrier_depart cond_signal cond_wait diff_rep diff_req \
+                       gc_complete gc_done lock_acq lock_grant lock_rel page_rep page_req";
             assert_eq!(kinds.join(" "), all);
             let tally = world.tally.values().map(|(m, b)| format!("{m}/{b}"));
             let ends = world.nodes.iter().map(|st| {
@@ -2124,17 +2153,21 @@ mod tests {
     // Fixed programs with region boundaries (`World::region`), 200 steps
     // from a seeded LCG on 3 and 4 nodes, GC at every barrier or join and
     // at every third, pinned as the test above, each kind named: recorded
-    // once, when the join became one-way, and left alone since.
+    // when the join became one-way, and again when `World` began to fault
+    // as production does (the comment above).
     #[test]
     fn fixed_programs_with_regions_keep_their_pinned_traffic_and_clocks() {
         let want = [
             "barrier_arrive 177/13148 barrier_depart 119/10456 cond_signal 10/120 \
-             cond_wait 10/862 diff_rep 14/555 diff_req 14/328 fork 58/5964 lock_acq 46/1104 \
-             lock_grant 56/2944 lock_rel 46/3629 | 1205/20/0 658/20/0 747/40/0 | 36/14 | gc 59",
+             cond_wait 10/862 diff_rep 14/555 diff_req 14/328 fork 58/5964 \
+             gc_complete 177/1416 gc_done 177/1416 lock_acq 46/1104 lock_grant 56/2944 \
+             lock_rel 46/3629 page_rep 58/238496 page_req 58/696 \
+             | 895/330/0 548/130/0 587/200/0 | 36/14 | gc 59",
             "barrier_arrive 216/17678 barrier_depart 138/15713 cond_signal 8/96 \
-             cond_wait 8/852 diff_rep 47/2338 diff_req 47/1292 fork 78/8907 lock_acq 48/1344 \
-             lock_grant 56/3733 lock_rel 48/4630 | 1156/80/39 559/10/22 576/10/0 550/10/0 \
-             | 77/47 | gc 18",
+             cond_wait 8/852 diff_rep 47/2338 diff_req 47/1292 fork 78/8907 \
+             gc_complete 72/576 gc_done 72/576 lock_acq 48/1344 lock_grant 56/3733 \
+             lock_rel 48/4630 page_rep 50/205600 page_req 50/600 \
+             | 946/290/39 449/120/22 486/100/0 460/100/0 | 77/47 | gc 18",
         ];
         for (i, want) in want.into_iter().enumerate() {
             let (n, gc_every) = (3 + i, [1, 3][i]);
