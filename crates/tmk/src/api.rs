@@ -12,9 +12,8 @@
 //! bookkeeping runs off the meter.
 
 use crate::addr::{AllocTable, PageId};
-use crate::interval::IntervalId;
 use crate::metrics::{NodeMetrics, OpLat};
-use crate::protocol::{Msg, PageDiffs, Region};
+use crate::protocol::{Msg, Region};
 use crate::state::{NodeState, SyncId};
 use crate::stats::TmkOp;
 use crossbeam::channel::Receiver;
@@ -350,163 +349,50 @@ impl Tmk {
     // Fault handling
     // ------------------------------------------------------------------
 
-    /// Bring page `pid` up to date: fetch a post-GC full copy if our base
-    /// is stale, then fetch the diffs of the unapplied write notices that
-    /// no barrier, lock grant or earlier fault delivered from the writers
-    /// whose notices dominate them (one request per maximal writer, all
-    /// in flight at once), apply them with the delivered ones, and make
-    /// the page readable. Each request also asks for the page's
-    /// siblings, the other invalid pages the named intervals wrote
-    /// ([`NodeState::fault_requests`]), whose diffs are held for their
-    /// own faults.
-    /// The page is subscribed to barrier updates from then on, and in a
-    /// lock tenure to the updates of the lock acquired last.
-    pub(crate) fn page_fault(&mut self, pid: PageId) {
-        self.fault_pages(&[pid], true);
-    }
-
-    /// Fault a batch of pages with all requests in flight concurrently —
-    /// a bulk access (e.g. reading a whole slab) pays one round-trip
-    /// latency for the entire batch instead of one per page, and each
-    /// writer is sent one request per round for all the pages it is
-    /// asked about, so a batch never sends more messages than faulting
-    /// its pages one by one would. This is at run time the request
-    /// aggregation of the compiler/runtime integration the paper cites
-    /// as future work, taken from the write notices instead of the
-    /// compiler. An application fault `subscribe`s its pages to barrier
-    /// and lock updates and asks for siblings; a GC validation does
-    /// neither, as the application may never read those pages.
+    /// Bring `pids` up to date: fetch a post-GC full copy of each page
+    /// whose base is stale, and the diffs of the unapplied write notices
+    /// that no barrier, lock grant or earlier fault delivered, from the
+    /// writers whose notices dominate them; apply them with the delivered
+    /// ones, and make the pages readable. All requests of a round are in
+    /// flight at once and each writer gets one per round for all the
+    /// pages it is asked about, so a batch never sends more messages than
+    /// faulting its pages one by one: at run time, the request
+    /// aggregation the paper leaves to compiler/runtime integration. An
+    /// application fault `subscribe`s its pages to barrier and lock
+    /// updates and asks for siblings, the other invalid pages the named
+    /// intervals wrote, whose diffs are held for their own faults; a GC
+    /// validation does neither. The round is `NodeState`'s
+    /// ([`NodeState::fault_request`], [`NodeState::on_fault_reply`]);
+    /// this sends, waits and marks the trace.
     pub(crate) fn fault_pages(&mut self, pids: &[PageId], subscribe: bool) {
-        self.timed(
-            OpLat::PageFault,
-            (pids.len() as u64, 0),
-            Self::thread_vt,
-            |s| s.on_wire(|s| s.fault_pages_inner(pids, subscribe)),
-        );
-    }
-
-    fn fault_pages_inner(&mut self, pids: &[PageId], subscribe: bool) {
-        use std::collections::BTreeMap;
-        // Which of `pids` needed remote data: each is one read fault,
-        // however many rounds it took.
-        let mut faulted = vec![false; pids.len()];
-        loop {
-            // Classify every page under one lock round. Per faulted page:
-            // every id requested for it, and the diffs here so far — held
-            // ones first. A page is applied only once its whole set is
-            // here; a sibling's diffs are held for a later fault.
-            let mut full: Vec<(PageId, usize)> = Vec::new();
-            let mut by_page: BTreeMap<PageId, (Vec<IntervalId>, PageDiffs)> = BTreeMap::new();
-            let mut round = {
-                let mut st = self.state.lock();
-                st.sync_alloc();
-                let mut fetch = Vec::new();
-                for (&pid, faulted) in pids.iter().zip(&mut faulted) {
-                    if st.needs_full_fetch(pid) {
-                        let owner = st.pages[pid].owner;
-                        debug_assert_ne!(owner, self.id, "owner never full-fetches");
-                        full.push((pid, owner));
-                    } else if !st.pages[pid].unapplied.is_empty() {
-                        fetch.push(pid);
-                    } else {
-                        if !st.pages[pid].readable() {
-                            st.finish_fault(pid);
-                        }
-                        continue;
+        let traced = (pids.len() as u64, 0);
+        self.timed(OpLat::PageFault, traced, Self::thread_vt, |s| {
+            s.on_wire(|s| {
+                let (mut fault, mut sends) = s.state.lock().fault_request(pids, subscribe);
+                loop {
+                    for (dst, msg) in sends {
+                        s.ep.send(dst, msg);
                     }
-                    if subscribe {
-                        st.subscribe(pid);
+                    if fault.done() {
+                        break;
                     }
-                    *faulted = true;
+                    let msg = s.reply().msg;
+                    sends = s.state.lock().on_fault_reply(&mut fault, msg);
                 }
-                let (held, requests) = st.fault_requests(&fetch, subscribe);
-                for (pid, held) in held {
-                    by_page.insert(pid, (Vec::new(), held));
-                }
-                for (node, pages) in &requests {
-                    debug_assert_ne!(*node, self.id, "own diffs are never missing");
-                    for (pid, ids) in pages {
-                        if let Some((wanted, _)) = by_page.get_mut(pid) {
-                            wanted.extend(ids);
-                        }
+                if s.ep.tracer().on() {
+                    let (tr, t) = (s.ep.tracer(), s.clock.now());
+                    // One per-page fault marker (b != 0) for each page
+                    // that faulted, which the profile's hot-page table
+                    // counts, and the diffs applied to each page.
+                    for pid in fault.faulted() {
+                        tr.instant(EventKind::PageFault, s.lane_tid, t, pid as u64, 1);
+                    }
+                    for &(pid, n) in &fault.applied {
+                        tr.instant(EventKind::DiffApply, s.lane_tid, t, pid as u64, n as u64);
                     }
                 }
-                requests
-            };
-            if full.is_empty() && by_page.is_empty() {
-                break;
-            }
-            for (pid, owner) in &full {
-                self.ep.send(*owner, Msg::PageReq { page: *pid });
-            }
-            // The first pass also collects the full-page replies.
-            let mut replies = full.len();
-            let mut siblings = Vec::new();
-            loop {
-                for (node, pages) in round {
-                    replies += 1;
-                    self.ep.send(node, Msg::DiffReq { pages });
-                }
-                for _ in 0..std::mem::take(&mut replies) {
-                    match self.reply().msg {
-                        Msg::DiffRep { pages } => {
-                            for (page, diffs) in pages {
-                                match by_page.get_mut(&page) {
-                                    Some((_, got)) => got.extend(diffs),
-                                    None => siblings
-                                        .extend(diffs.into_iter().map(|(id, d)| (page, id, d))),
-                                }
-                            }
-                        }
-                        Msg::PageRep { page, epoch, bytes } => {
-                            self.state.lock().install_page(page, epoch, &bytes);
-                            if self.ep.tracer().on() {
-                                // Per-page fault marker (b != 0) for the
-                                // profile's hot-page table.
-                                self.ep.tracer().instant(
-                                    EventKind::PageFault,
-                                    self.lane_tid,
-                                    self.clock.now(),
-                                    page as u64,
-                                    1,
-                                );
-                            }
-                        }
-                        other => panic!("expected DiffRep/PageRep, got {}", other.kind()),
-                    }
-                }
-                // Short replies: ask the creators for what is still
-                // missing. A short sibling entry is left to its fault.
-                round = NodeState::missing_by_creator(
-                    by_page
-                        .iter()
-                        .map(|(&pid, (wanted, got))| (pid, &wanted[..], got)),
-                );
-                if round.is_empty() {
-                    break;
-                }
-                self.metrics
-                    .op(TmkOp::DiffRefetches)
-                    .add(round.len() as u64);
-            }
-            let tracing = self.ep.tracer().on();
-            let mut st = self.state.lock();
-            st.hold(siblings);
-            for (page, (_, fetched)) in by_page {
-                let ndiffs = fetched.len() as u64;
-                st.apply_fetched(page, fetched);
-                if tracing {
-                    let t = self.clock.now();
-                    let tr = self.ep.tracer();
-                    // Per-page fault marker (b != 0) for the hot-page
-                    // table, plus the diffs applied to satisfy it.
-                    tr.instant(EventKind::PageFault, self.lane_tid, t, page as u64, 1);
-                    tr.instant(EventKind::DiffApply, self.lane_tid, t, page as u64, ndiffs);
-                }
-            }
-        }
-        let faults = faulted.iter().filter(|&&f| f).count() as u64;
-        self.metrics.op(TmkOp::ReadFaults).add(faults);
+            })
+        });
     }
 
     // ------------------------------------------------------------------

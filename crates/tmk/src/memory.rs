@@ -361,11 +361,11 @@ impl Tmk {
                 st.sync_alloc();
                 s.alloc
                     .pages_of_range(addr, bytes)
-                    .filter(|&p| st.needs_full_fetch(p))
+                    .filter(|&p| st.pages[p].base_lost)
                     .collect()
             };
             for pid in stale {
-                s.page_fault(pid);
+                s.fault_pages(&[pid], true);
             }
             let mut st = s.state.lock();
             for pid in s.alloc.pages_of_range(addr, bytes) {

@@ -874,7 +874,7 @@ mod tests {
 
     #[test]
     fn a_diff_request_is_answered_page_by_page_in_request_order() {
-        let mut nodes = cluster(3);
+        let mut sim = Sim::new(3);
         let write = |st: &mut NodeState, pid: PageId, val: u8| {
             if st.pages[pid].state == PageState::Unmapped {
                 st.pages[pid].state = PageState::ReadOnly;
@@ -885,18 +885,17 @@ mod tests {
         };
         // Node 0 writes pages 0 and 1; node 1 learns of it, reads page 0
         // only, and writes pages 0 and 2.
-        write(&mut nodes[0], 0, 1);
-        write(&mut nodes[0], 1, 2);
-        nodes[0].close_interval();
-        let b = nodes[0].bundle_for(&VectorClock::zero(3));
-        nodes[1].apply_bundle(0, &b);
+        write(&mut sim.nodes[0], 0, 1);
+        write(&mut sim.nodes[0], 1, 2);
+        sim.nodes[0].close_interval();
+        let b = sim.nodes[0].bundle_for(&VectorClock::zero(3));
+        sim.nodes[1].apply_bundle(0, &b);
+        sim.fault(1, &[0], false);
+        let nodes = &mut sim.nodes;
         let (a, c) = (
             IntervalId { node: 0, seq: 1 },
             IntervalId { node: 1, seq: 1 },
         );
-        let fetched = nodes[0].serve_diffs(0, &[a]);
-        nodes[1].apply_fetched(0, fetched);
-        nodes[1].finish_fault(0);
         write(&mut nodes[1], 0, 3);
         write(&mut nodes[1], 2, 4);
         nodes[1].close_interval();
@@ -984,45 +983,82 @@ mod tests {
             self.inbox[k].pop_front().expect("a reply is owed")
         }
 
-        /// Node `k` makes the page readable as `Tmk::fault_pages` does:
-        /// subscribe, request what is not held, then one apply of the
-        /// held diffs and what came back.
-        fn fault(&mut self, k: usize) {
-            let st = &mut self.nodes[k];
-            if !st.pages[PAGE].unapplied.is_empty() {
-                st.count(TmkOp::ReadFaults, 1);
-                st.subscribe(PAGE);
-                let (held, requests) = st.fault_requests(&[PAGE], true);
-                let [(_, mut got)]: [_; 1] = held.try_into().expect("one page faulted");
-                let asked = requests.len();
-                for (w, pages) in requests {
-                    self.send(k, (w, Msg::DiffReq { pages }));
-                }
-                for _ in 0..asked {
-                    let (_, Msg::DiffRep { pages }) = self.reply(k) else {
-                        panic!("expected DiffRep")
-                    };
-                    for (page, diffs) in pages {
-                        assert_eq!(page, PAGE, "one page, no sibling");
-                        got.extend(diffs);
-                    }
-                }
-                self.nodes[k].apply_fetched(PAGE, got);
+        /// `n` fresh nodes ([`cluster`]) and nothing in flight.
+        fn new(n: usize) -> Self {
+            Sim {
+                nodes: cluster(n),
+                wire: VecDeque::new(),
+                inbox: vec![VecDeque::new(); n],
+                sent: BTreeMap::new(),
+                bytes: BTreeMap::new(),
             }
-            self.nodes[k].finish_fault(PAGE);
+        }
+
+        /// `TmkStats` summed over the nodes.
+        fn stats(&self) -> TmkStats {
+            let mut stats = TmkStats::default();
+            for &op in TmkOp::ALL {
+                let sum = self.nodes.iter().map(|st| st.metrics.op(op).get()).sum();
+                op.add_to(&mut stats, sum);
+            }
+            stats
+        }
+
+        /// Node `k` makes `pids` readable through the production fault
+        /// halves, `NodeState::fault_request` and `on_fault_reply`, an
+        /// application fault with `subscribe`, else a GC validation.
+        /// Returns the sends of each round as `(dst, kind)`.
+        fn fault(
+            &mut self,
+            k: usize,
+            pids: &[PageId],
+            subscribe: bool,
+        ) -> Vec<Vec<(usize, &'static str)>> {
+            let (mut fault, mut sends) = self.nodes[k].fault_request(pids, subscribe);
+            let mut rounds = Vec::new();
+            loop {
+                if !sends.is_empty() {
+                    rounds.push(sends.iter().map(|(dst, m)| (*dst, m.kind())).collect());
+                }
+                for send in sends {
+                    self.send(k, send);
+                }
+                if fault.done() {
+                    return rounds;
+                }
+                let (_, reply) = self.reply(k);
+                sends = self.nodes[k].on_fault_reply(&mut fault, reply);
+            }
         }
 
         /// Every node arrives at episode `epoch`, then takes its
         /// departure; with `join`, the region's join, only node 0 does.
+        /// A GC round the departures start runs then: each node validates
+        /// the pages it owns and sends node 0 `GcDone`, and on
+        /// `GcComplete` drops what the snapshot covers.
         fn barrier(&mut self, epoch: u32, join: bool) {
-            for k in 0..N {
+            let n = self.nodes.len();
+            for k in 0..n {
                 let arrive = self.nodes[k].arrive_request(epoch, join);
                 self.send(k, arrive);
             }
-            for k in (0..N).filter(|&k| !join || k == 0) {
+            let mut rounds = Vec::new();
+            for k in (0..n).filter(|&k| !join || k == 0) {
                 let (src, depart) = self.reply(k);
-                let gc = self.nodes[k].on_depart(epoch, src, depart);
-                assert_eq!(gc, None, "no GC round");
+                if let Some(upto) = self.nodes[k].on_depart(epoch, src, depart) {
+                    let owners = self.nodes[k].compute_gc_owners(&upto);
+                    rounds.push((k, owners, upto));
+                }
+            }
+            for (k, owners, _) in &rounds {
+                let mine = owners.iter().filter(|&(_, o)| o == k).map(|(&p, _)| p);
+                self.fault(*k, &mine.collect::<Vec<_>>(), false);
+                self.send(*k, (0, Msg::GcDone { epoch }));
+            }
+            for (k, owners, upto) in rounds {
+                let (_, done) = self.reply(k);
+                assert!(matches!(done, Msg::GcComplete { epoch: e } if e == epoch));
+                self.nodes[k].apply_gc_complete(&owners, &upto);
             }
             self.pump();
             assert!(
@@ -1043,13 +1079,7 @@ mod tests {
     /// others' arrivals while its application may still be writing; the
     /// counts match only because it applies their notices at release.
     fn without_threads() -> (Outcome, BTreeMap<&'static str, u64>, Vec<(u64, u64)>) {
-        let mut sim = Sim {
-            nodes: cluster(N),
-            wire: VecDeque::new(),
-            inbox: vec![VecDeque::new(); N],
-            sent: BTreeMap::new(),
-            bytes: BTreeMap::new(),
-        };
+        let mut sim = Sim::new(N);
         // Every node asks at once; the grants then pass down the queue.
         for k in 0..N {
             let req = sim.nodes[k].wait_request(LOCK);
@@ -1062,7 +1092,7 @@ mod tests {
             let (src, grant) = sim.inbox[k].pop_front().unwrap();
             sim.nodes[k].on_grant(LOCK, src, grant);
             if !sim.nodes[k].pages[PAGE].readable() {
-                sim.fault(k);
+                sim.fault(k, &[PAGE], true);
             }
             let st = &mut sim.nodes[k];
             st.start_write(PAGE);
@@ -1075,7 +1105,7 @@ mod tests {
         let read_all = |sim: &mut Sim| {
             for k in 0..N {
                 if !sim.nodes[k].pages[PAGE].readable() {
-                    sim.fault(k);
+                    sim.fault(k, &[PAGE], true);
                 }
             }
         };
@@ -1091,13 +1121,7 @@ mod tests {
         sim.barrier(2, false);
         read_all(&mut sim);
         sim.barrier(3, true);
-        let mut stats = TmkStats::default();
-        for &op in TmkOp::ALL {
-            op.add_to(
-                &mut stats,
-                sim.nodes.iter().map(|st| st.metrics.op(op).get()).sum(),
-            );
-        }
+        let stats = sim.stats();
         let pages = sim
             .nodes
             .iter()
@@ -1188,5 +1212,57 @@ mod tests {
         assert_eq!((sent.remove("fork"), stats.forks), (Some(2), 1));
         stats.forks = 0;
         assert_eq!((sent, stats, pages), free);
+    }
+
+    #[test]
+    fn a_full_copy_then_a_diff_runs_without_threads_as_with_them() {
+        // Two nodes, GC at every barrier: node 1 writes byte 3, a
+        // barrier's GC round drops node 0's notice for it, node 1 writes
+        // byte 4, the join (whose GC round would run at a next fork, and
+        // there is none), and node 0 reads the page: one `PageReq` to the
+        // owner, then, in a second pass, one `DiffReq` to node 1.
+        let mut sim = Sim::new(2);
+        sim.nodes[0].cfg.gc_every_barrier = true;
+        for (epoch, byte) in [(0u32, 3), (1, 4)] {
+            if !sim.nodes[1].pages[PAGE].readable() {
+                sim.fault(1, &[PAGE], true);
+            }
+            let st = &mut sim.nodes[1];
+            st.start_write(PAGE);
+            let page = st.page_range(PAGE);
+            st.mem[page][byte] = byte as u8 + 4;
+            sim.barrier(epoch, epoch == 1);
+        }
+        let rounds = sim.fault(0, &[PAGE], true);
+        assert_eq!(rounds, [[(1, "page_req")], [(1, "diff_req")]]);
+        let page = sim.nodes[0].mem[sim.nodes[0].page_range(PAGE)].to_vec();
+        assert_eq!(page[3..5], [7, 8]);
+
+        // The fork is all the threaded run adds.
+        let mut cfg = TmkConfig::deterministic(2);
+        cfg.gc_every_barrier = true;
+        let page_size = cfg.page_size;
+        let out = run_system(cfg, move |tmk| {
+            let v = tmk.malloc_vec::<u8>(page_size);
+            tmk.parallel(0, move |t| {
+                if t.proc_id() == 1 {
+                    t.write(&v, 3, 7);
+                }
+                t.barrier();
+                if t.proc_id() == 1 {
+                    t.write(&v, 4, 8);
+                }
+            });
+            tmk.read_slice(&v, 0..page_size)
+        });
+        let kinds = out.net.per_kind.iter().filter(|k| k.send_msgs > 0);
+        let mut sent: BTreeMap<_, _> = kinds.map(|k| (k.kind, k.send_msgs)).collect();
+        let mut stats = out.dsm;
+        assert_eq!((sent.remove("fork"), stats.forks), (Some(1), 1));
+        stats.forks = 0;
+        assert_eq!(
+            (sent, stats, out.result),
+            (sim.sent.clone(), sim.stats(), page)
+        );
     }
 }

@@ -27,6 +27,40 @@ pub type FaultPlan = Vec<(usize, Vec<IntervalId>)>;
 /// it page by page (one `DiffReq` each).
 pub type FaultRequests = Vec<(usize, Vec<(PageId, Vec<IntervalId>)>)>;
 
+/// A fault round's pages: each with the ids requested for it and the
+/// diffs here so far, held ones first.
+pub type FaultPages = BTreeMap<PageId, (Vec<IntervalId>, PageDiffs)>;
+
+/// A read fault in flight: [`NodeState::fault_request`] starts it and
+/// [`NodeState::on_fault_reply`] takes its replies, one at a time.
+#[derive(Default)]
+pub struct Fault {
+    /// The pages, each with whether it needed remote data (a read fault).
+    pages: Vec<(PageId, bool)>,
+    /// An application fault: subscribe the pages, ask for siblings.
+    subscribe: bool,
+    /// The pass's pages, applied at once at its end.
+    by_page: FaultPages,
+    /// The siblings' diffs received, held at the pass's end.
+    siblings: Vec<Update>,
+    /// Replies the round still owes; none once the fault is over.
+    owed: usize,
+    /// Each page applied, with its number of diffs.
+    pub applied: Vec<(PageId, usize)>,
+}
+
+impl Fault {
+    /// Whether the fault is over: every page is readable.
+    pub fn done(&self) -> bool {
+        self.owed == 0
+    }
+
+    /// The pages that needed remote data, one read fault each.
+    pub fn faulted(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.pages.iter().filter(|(_, f)| *f).map(|(pid, _)| *pid)
+    }
+}
+
 /// A synchronisation object with a manager. A lock and a semaphore with
 /// the same id are different objects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -963,16 +997,12 @@ impl NodeState {
     /// named intervals. It carries `q`'s whole id list for `w`, the
     /// request a later fault on `q` would send; the reply is held
     /// ([`NodeState::hold`]) and `q` stays invalid.
-    pub fn fault_requests(
-        &self,
-        pids: &[PageId],
-        siblings: bool,
-    ) -> (Vec<(PageId, PageDiffs)>, FaultRequests) {
-        let mut held = Vec::with_capacity(pids.len());
+    fn fault_requests(&self, pids: &[PageId], siblings: bool) -> (FaultPages, FaultRequests) {
+        let mut held = FaultPages::new();
         let mut plans = Vec::with_capacity(pids.len());
         for &pid in pids {
             let (diffs, plan) = self.page_requests(pid);
-            held.push((pid, diffs));
+            held.insert(pid, (Vec::new(), diffs));
             plans.push((pid, plan));
         }
         // A foreign id goes to its creator when the round asks the creator
@@ -993,6 +1023,7 @@ impl NodeState {
                 }
             }
             for (w, ids) in page {
+                held.get_mut(&pid).expect("a faulted page").0.extend(&ids);
                 requests.entry(w).or_default().push((pid, ids));
             }
         }
@@ -1031,11 +1062,9 @@ impl NodeState {
     /// push-wrote, or the notice arrived while its twin was open), asked
     /// of their creator, who always holds its own diffs, one request per
     /// creator.
-    pub fn missing_by_creator<'a>(
-        pages: impl IntoIterator<Item = (PageId, &'a [IntervalId], &'a PageDiffs)>,
-    ) -> FaultRequests {
+    fn missing_by_creator(pages: &FaultPages) -> FaultRequests {
         let mut requests: BTreeMap<usize, Vec<(PageId, Vec<IntervalId>)>> = BTreeMap::new();
-        for (pid, wanted, got) in pages {
+        for (&pid, (wanted, got)) in pages {
             let mut page: BTreeMap<usize, Vec<IntervalId>> = BTreeMap::new();
             for id in wanted {
                 if !got.iter().any(|(g, _)| g == id) {
@@ -1047,6 +1076,121 @@ impl NodeState {
             }
         }
         requests.into_iter().collect()
+    }
+
+    /// The request half of a read fault on `pids`: an application fault
+    /// with `subscribe`, else a GC validation. Returns the fault and the
+    /// sends of its first pass ([`NodeState::fault_pass`]); with none,
+    /// the fault is over.
+    pub fn fault_request(
+        &mut self,
+        pids: &[PageId],
+        subscribe: bool,
+    ) -> (Fault, Vec<(usize, Msg)>) {
+        let pages = pids.iter().map(|&pid| (pid, false)).collect();
+        let mut fault = Fault::default();
+        (fault.pages, fault.subscribe) = (pages, subscribe);
+        let sends = self.fault_pass(&mut fault);
+        (fault, sends)
+    }
+
+    /// The reply half of a fault: take a `DiffRep`, or a `PageRep` and
+    /// install its copy. The reply that completes a round returns the
+    /// next sends: the ids the replies lacked, asked of their creators
+    /// ([`NodeState::missing_by_creator`]), or else the next pass's.
+    pub fn on_fault_reply(&mut self, fault: &mut Fault, msg: Msg) -> Vec<(usize, Msg)> {
+        match msg {
+            Msg::DiffRep { pages } => {
+                for (pid, diffs) in pages {
+                    match fault.by_page.get_mut(&pid) {
+                        Some((_, got)) => got.extend(diffs),
+                        None => fault
+                            .siblings
+                            .extend(diffs.into_iter().map(|(id, d)| (pid, id, d))),
+                    }
+                }
+            }
+            Msg::PageRep { page, epoch, bytes } => {
+                let range = self.page_range(page);
+                self.mem[range].copy_from_slice(&bytes);
+                let meta = &mut self.pages[page];
+                (meta.epoch, meta.base_lost) = (epoch, false);
+                self.count(TmkOp::PageFetches, 1);
+            }
+            other => panic!("expected DiffRep/PageRep, got {}", other.kind()),
+        }
+        fault.owed -= 1;
+        if fault.owed > 0 {
+            return Vec::new();
+        }
+        let round = Self::missing_by_creator(&fault.by_page);
+        if round.is_empty() {
+            return self.fault_pass(fault);
+        }
+        self.count(TmkOp::DiffRefetches, round.len() as u64);
+        fault.owed = round.len();
+        round
+            .into_iter()
+            .map(|(w, pages)| (w, Msg::DiffReq { pages }))
+            .collect()
+    }
+
+    /// End the fault's pass, if one is open: hold the siblings' diffs and
+    /// apply each page's whole set. Then the next pass: a `PageReq` to
+    /// the owner of each page whose base a GC dropped, subscribed, the
+    /// [`NodeState::fault_requests`] of each with unapplied notices,
+    /// subscribed, and each other page made readable. A pass whose diffs
+    /// are all held ends at once, and one with nothing to do ends the
+    /// fault, counting its read faults.
+    fn fault_pass(&mut self, fault: &mut Fault) -> Vec<(usize, Msg)> {
+        loop {
+            self.hold(std::mem::take(&mut fault.siblings));
+            for (pid, (_, got)) in std::mem::take(&mut fault.by_page) {
+                fault.applied.push((pid, got.len()));
+                self.apply_fetched(pid, got);
+            }
+            self.sync_alloc();
+            let (mut sends, mut fetch) = (Vec::new(), Vec::new());
+            for (pid, faulted) in &mut fault.pages {
+                let (pid, meta) = (*pid, &self.pages[*pid]);
+                if meta.base_lost {
+                    debug_assert_ne!(meta.owner, self.id, "owner never full-fetches");
+                    sends.push((meta.owner, Msg::PageReq { page: pid }));
+                } else if !meta.unapplied.is_empty() {
+                    fetch.push(pid);
+                } else {
+                    // Readable again, write-enabled if an open twin
+                    // survived (the multiple-writer case).
+                    if !meta.readable() {
+                        let twin = meta.twin.is_some();
+                        self.pages[pid].state = if twin {
+                            PageState::Write
+                        } else {
+                            PageState::ReadOnly
+                        };
+                    }
+                    continue;
+                }
+                if fault.subscribe {
+                    self.subscribe(pid);
+                }
+                *faulted = true;
+            }
+            let (by_page, requests) = self.fault_requests(&fetch, fault.subscribe);
+            fault.by_page = by_page;
+            sends.extend(
+                requests
+                    .into_iter()
+                    .map(|(w, pages)| (w, Msg::DiffReq { pages })),
+            );
+            fault.owed = sends.len();
+            if fault.owed == 0 && fault.by_page.is_empty() {
+                self.count(TmkOp::ReadFaults, fault.faulted().count() as u64);
+            }
+            if fault.owed > 0 || fault.by_page.is_empty() {
+                return sends;
+            }
+        }
     }
 
     /// Apply the fetched diffs of `pid` in happens-before (linear-extension)
@@ -1098,19 +1242,6 @@ impl NodeState {
         }
     }
 
-    /// Finish a fault once nothing is missing: make the page readable
-    /// again (write-enabled if an open twin survives — the multiple-writer
-    /// case).
-    pub fn finish_fault(&mut self, pid: PageId) {
-        let meta = &mut self.pages[pid];
-        debug_assert!(meta.unapplied.is_empty());
-        meta.state = if meta.twin.is_some() {
-            PageState::Write
-        } else {
-            PageState::ReadOnly
-        };
-    }
-
     /// Prepare `pid` for writing: materialize any pending diff, create the
     /// open-interval twin, and mark the page dirty. The page must already
     /// be readable.
@@ -1134,7 +1265,7 @@ impl NodeState {
             return;
         }
         debug_assert!(
-            !self.needs_full_fetch(pid),
+            !meta.base_lost,
             "push-write to a GC-stale page must fault first"
         );
         if meta.twin.is_some() {
@@ -1188,23 +1319,6 @@ impl NodeState {
         self.charge(self.cfg.twin_ns); // one page copy
         self.count(TmkOp::PageServes, 1);
         (self.gc_epoch, Arc::from(&self.mem[range]))
-    }
-
-    /// Install a full page copy received from its owner.
-    pub fn install_page(&mut self, pid: PageId, epoch: u32, bytes: &[u8]) {
-        let range = self.page_range(pid);
-        self.mem[range].copy_from_slice(bytes);
-        let meta = &mut self.pages[pid];
-        meta.epoch = epoch;
-        meta.base_lost = false;
-        self.count(TmkOp::PageFetches, 1);
-    }
-
-    /// Whether `pid` needs a full-copy fetch before diffs can be applied
-    /// (its notices were dropped at a GC, so no diff chain can repair the
-    /// local copy).
-    pub fn needs_full_fetch(&self, pid: PageId) -> bool {
-        self.pages[pid].base_lost
     }
 
     // ---------------------------------------------------------------
@@ -1550,12 +1664,13 @@ mod tests {
     }
 
     /// A cluster of `NodeState`s driven by direct calls in place of the
-    /// application threads' messages; locks, barriers, forks and diff
-    /// requests run through the real request, manager or server, and
+    /// application threads' messages; locks, barriers, forks, faults and
+    /// GC rounds run through the real request, manager or server, and
     /// reply halves.
     struct World {
         nodes: Vec<NodeState>,
-        /// Fault with the per-writer requests: the domination oracle.
+        /// Answer each fault round with the per-writer requests: the
+        /// domination oracle.
         per_writer: bool,
         /// Strip the diffs attached to barrier arrivals and lock releases,
         /// and the sibling pages of diff requests, in transit: the
@@ -1611,152 +1726,129 @@ mod tests {
             *bytes += msg.wire_bytes() as u64;
         }
 
-        /// Node `f` makes `pids` readable as `Tmk::fault_pages_inner`
-        /// does, pass by pass: a `PageReq` to the owner of each page whose
-        /// base is lost, one request per writer built by
-        /// `NodeState::fault_requests` for what the other pages do not
-        /// hold (siblings with `subscribe`), each served by its
-        /// addressee's `on_request`, creator re-requests for short
-        /// replies, then the siblings' diffs held and one apply of each
-        /// page's whole set, held diffs included. A full-copied page's
-        /// diffs are the next pass's. An application fault subscribes its
-        /// pages, a GC validation does not.
+        /// Node `f` makes `pids` readable through the production fault
+        /// halves, `NodeState::fault_request` and `on_fault_reply`, each
+        /// request answered by its addressee ([`World::ask`]). Each
+        /// foreign id a request names goes to a writer one of whose
+        /// notices here dominates it, a GC validation names no sibling,
+        /// each sibling's diffs are held, and each page's whole set is
+        /// applied at once. With `strip`, siblings are stripped from the
+        /// requests in transit; with `per_writer`, the first reply of each
+        /// round carries the diffs of one request to every writer of the
+        /// round's pages ([`per_writer_requests`]), and the rest nothing:
+        /// the oracle.
         fn fault(&mut self, f: usize, pids: &[PageId], subscribe: bool) {
-            let nodes = &mut self.nodes;
-            let mut sent = None;
-            loop {
-                let (mut full, mut fetch) = (Vec::new(), Vec::new());
-                for &pid in pids {
-                    if nodes[f].needs_full_fetch(pid) {
-                        full.push(pid);
-                    } else if !nodes[f].pages[pid].unapplied.is_empty() {
-                        fetch.push(pid);
-                    } else {
-                        if !nodes[f].pages[pid].readable() {
-                            nodes[f].finish_fault(pid);
-                        }
+            let unapplied = |&pid: &PageId| (pid, self.nodes[f].pages[pid].unapplied.len());
+            let mut planned: Vec<_> = pids.iter().map(unapplied).filter(|p| p.1 > 0).collect();
+            let (mut fault, mut sends) = self.nodes[f].fault_request(pids, subscribe);
+            let (mut requests, mut siblings) = (0, Vec::new());
+            while !fault.done() {
+                let (mut round, mut named) = (std::mem::take(&mut sends), Vec::new());
+                for (w, msg) in &mut round {
+                    let Msg::DiffReq { pages } = msg else {
                         continue;
-                    }
-                    if subscribe {
-                        nodes[f].subscribe(pid);
-                    }
-                }
-                if full.is_empty() && fetch.is_empty() {
-                    break;
-                }
-                let mut out = Vec::new();
-                for page in full {
-                    let owner = nodes[f].pages[page].owner;
-                    let req = Msg::PageReq { page };
-                    Self::note(&mut self.tally, &req);
-                    crate::service::on_request(&mut nodes[owner], f, req, 0, &mut out);
-                    out.iter().for_each(|(_, m)| Self::note(&mut self.tally, m));
-                    let Some((to, Msg::PageRep { page, epoch, bytes })) = out.pop() else {
-                        panic!("a PageReq is answered by a PageRep")
                     };
-                    assert!(to == f && out.is_empty(), "one reply, to the asker");
-                    nodes[f].install_page(page, epoch, &bytes);
-                }
-                if fetch.is_empty() {
-                    continue;
-                }
-                let (held, mut round) = if self.per_writer {
-                    let held = fetch.iter().map(|&pid| (pid, Vec::new())).collect();
-                    (held, per_writer_requests(&nodes[f], &fetch))
-                } else {
-                    nodes[f].fault_requests(&fetch, subscribe)
-                };
-                // Every foreign id goes to a writer one of whose notices
-                // here dominates it (held ids taken out after), for a
-                // faulted page and a sibling alike.
-                let log = &nodes[f].interval_log;
-                for (w, pages) in round.iter().filter(|_| !self.per_writer) {
-                    for (pid, ids) in pages {
-                        let plan = nodes[f].fault_plan(*pid);
-                        let all = plan
-                            .iter()
-                            .find(|(k, _)| k == w)
-                            .map_or(&[][..], |(_, a)| a);
-                        let foreign = ids.iter().filter(|id| id.node as usize != *w);
-                        assert!(
-                            foreign.clone().all(|id| all.contains(id)),
-                            "{ids:?} of {pid} to {w}"
-                        );
-                        let mine = all.iter().filter(|id| id.node as usize == *w);
-                        for id in foreign {
-                            let mut dominators = mine.clone().map(|m| &log[&(m.node, m.seq)]);
-                            assert!(
-                                dominators.any(|m| m.dominates(*id)),
-                                "{id:?} of {pid} sent to {w}"
-                            );
-                        }
-                        if !fetch.contains(pid) {
-                            assert!(subscribe, "a GC validation names no sibling");
-                        }
+                    if !self.per_writer {
+                        self.assert_dominated(f, *w, pages);
                     }
-                }
-                if self.strip {
-                    for (_, pages) in &mut round {
-                        pages.retain(|(pid, _)| fetch.contains(pid));
+                    let sibling = pages.iter().any(|(pid, _)| !pids.contains(pid));
+                    assert!(subscribe || !sibling, "a GC validation names no sibling");
+                    if self.strip {
+                        pages.retain(|(pid, _)| pids.contains(pid));
                     }
+                    named.extend(pages.iter().map(|(pid, _)| *pid));
                 }
-                let mut by_page: BTreeMap<PageId, (Vec<IntervalId>, PageDiffs)> = held
-                    .into_iter()
-                    .map(|(pid, held)| (pid, (Vec::new(), held)))
-                    .collect();
-                for (_, pages) in &round {
-                    for (pid, ids) in pages {
-                        if let Some((wanted, _)) = by_page.get_mut(pid) {
-                            wanted.extend(ids);
-                        }
-                    }
-                }
-                let mut siblings = Vec::new();
-                let requests = sent.get_or_insert(0);
-                while !round.is_empty() {
-                    for (w, pages) in round {
-                        assert_ne!(w, f, "a node never asks itself");
-                        *requests += 1;
-                        let asked: Vec<PageId> = pages.iter().map(|(pid, _)| *pid).collect();
-                        let req = Msg::DiffReq { pages };
-                        Self::note(&mut self.tally, &req);
-                        crate::service::on_request(&mut nodes[w], f, req, 0, &mut out);
-                        out.iter().for_each(|(_, m)| Self::note(&mut self.tally, m));
-                        let Some((to, Msg::DiffRep { pages })) = out.pop() else {
-                            panic!("a DiffReq is answered by a DiffRep")
+                let mut merged = Vec::new();
+                if self.per_writer {
+                    named.sort();
+                    named.dedup();
+                    for (w, pages) in per_writer_requests(&self.nodes[f], &named) {
+                        requests += 1;
+                        let Msg::DiffRep { pages } = self.ask(f, (w, Msg::DiffReq { pages }))
+                        else {
+                            unreachable!("a DiffReq is answered by a DiffRep")
                         };
-                        assert!(to == f && out.is_empty(), "one reply, to the asker");
-                        let answered: Vec<PageId> = pages.iter().map(|(pid, _)| *pid).collect();
-                        assert_eq!(answered, asked, "pages in request order");
-                        for (pid, diffs) in pages {
-                            match by_page.get_mut(&pid) {
-                                Some((_, got)) => got.extend(diffs),
-                                None => {
-                                    siblings.extend(diffs.into_iter().map(|(id, d)| (pid, id, d)))
-                                }
-                            }
-                        }
+                        merged.extend(pages);
                     }
-                    round = NodeState::missing_by_creator(
-                        by_page
-                            .iter()
-                            .map(|(&pid, (wanted, got))| (pid, &wanted[..], got)),
-                    );
                 }
-                nodes[f].hold(siblings);
-                for (pid, (_, got)) in by_page {
-                    // Nothing partial: the page's whole set, each diff once.
-                    let mut ids: Vec<IntervalId> = got.iter().map(|(id, _)| *id).collect();
-                    let mut planned: Vec<IntervalId> =
-                        nodes[f].pages[pid].unapplied.iter().map(|r| r.id).collect();
-                    ids.sort();
-                    planned.sort();
-                    assert_eq!(ids, planned, "applied set != planned set");
-                    nodes[f].apply_fetched(pid, got);
-                    assert!(nodes[f].pages[pid].unapplied.is_empty());
+                for send in round {
+                    let reply = match send {
+                        (_, Msg::DiffReq { .. }) if self.per_writer => Msg::DiffRep {
+                            pages: std::mem::take(&mut merged),
+                        },
+                        send => {
+                            requests += usize::from(send.1.kind() == "diff_req");
+                            self.ask(f, send)
+                        }
+                    };
+                    if let Msg::DiffRep { pages } = &reply {
+                        let theirs = pages.iter().filter(|(pid, _)| !pids.contains(pid));
+                        siblings.extend(theirs.cloned());
+                    }
+                    sends = self.nodes[f].on_fault_reply(&mut fault, reply);
                 }
             }
-            self.requests.extend(sent);
+            for (q, diffs) in siblings {
+                for (id, diff) in diffs {
+                    let held = self.nodes[f].pages[q].diffs.get(&id);
+                    assert!(held.is_some_and(|d| Arc::ptr_eq(d, &diff)), "{id:?} of {q}");
+                }
+            }
+            // Nothing partial: each page's whole set, each diff once.
+            let mut applied = fault.applied.clone();
+            applied.sort();
+            planned.sort();
+            assert_eq!(applied, planned, "applied set != planned set");
+            if !applied.is_empty() {
+                self.requests.push(requests);
+            }
+        }
+
+        /// Every foreign id node `f` asks `w` for on `pages` goes to a
+        /// writer one of whose notices here dominates it (held ids taken
+        /// out after), for a faulted page and a sibling alike.
+        fn assert_dominated(&self, f: usize, w: usize, pages: &[(PageId, Vec<IntervalId>)]) {
+            let log = &self.nodes[f].interval_log;
+            for (pid, ids) in pages {
+                let plan = self.nodes[f].fault_plan(*pid);
+                let all = plan
+                    .iter()
+                    .find(|(k, _)| *k == w)
+                    .map_or(&[][..], |(_, a)| a);
+                let foreign = ids.iter().filter(|id| id.node as usize != w);
+                assert!(
+                    foreign.clone().all(|id| all.contains(id)),
+                    "{ids:?} of {pid} to {w}"
+                );
+                let mine = all.iter().filter(|id| id.node as usize == w);
+                for id in foreign {
+                    let mut dominators = mine.clone().map(|m| &log[&(m.node, m.seq)]);
+                    assert!(
+                        dominators.any(|m| m.dominates(*id)),
+                        "{id:?} of {pid} sent to {w}"
+                    );
+                }
+            }
+        }
+
+        /// Node `f`'s request to `dst`, handed to `dst`'s `on_request`:
+        /// its one reply, to `f`, a `DiffRep` answering page by page in
+        /// request order.
+        fn ask(&mut self, f: usize, (dst, msg): (usize, Msg)) -> Msg {
+            assert_ne!(dst, f, "a node never asks itself");
+            let asked: Vec<PageId> = match &msg {
+                Msg::DiffReq { pages } => pages.iter().map(|(pid, _)| *pid).collect(),
+                _ => Vec::new(),
+            };
+            let mut out = self.serve(f, (dst, msg));
+            let Some((to, reply)) = out.pop() else {
+                panic!("a request is answered")
+            };
+            assert!(to == f && out.is_empty(), "one reply, to the asker");
+            if let Msg::DiffRep { pages } = &reply {
+                assert!(pages.iter().map(|(pid, _)| *pid).eq(asked), "request order");
+            }
+            reply
         }
 
         /// Node `to` receives every notice node `from` holds that `to`
@@ -2002,7 +2094,7 @@ mod tests {
                 1 => self.write(k, pid, 16 * (k + 1) + off, val),
                 // The same without fetching (GC-stale pages fault first).
                 2 => {
-                    if self.nodes[k].needs_full_fetch(pid) {
+                    if self.nodes[k].pages[pid].base_lost {
                         self.fault(k, &[pid], true);
                     }
                     self.nodes[k].start_write_push(pid);
@@ -2264,8 +2356,10 @@ mod tests {
         st.pages[3].base_lost = true;
         st.pages[4].unapplied.clear();
         st.pages[4].state = PageState::ReadOnly;
-        let ids = |held: Vec<(PageId, PageDiffs)>| -> Vec<(PageId, usize)> {
-            held.into_iter().map(|(pid, d)| (pid, d.len())).collect()
+        let ids = |held: FaultPages| -> Vec<(PageId, usize)> {
+            held.into_iter()
+                .map(|(pid, (_, d))| (pid, d.len()))
+                .collect()
         };
 
         // A fault on page 0 asks node 0 for interval 1, and for page 1, a
@@ -2343,16 +2437,17 @@ mod tests {
         );
         // Page 0 asked for c, b and a and got b; page 2 asked for a and
         // got nothing: one request per creator, for both pages.
-        let (got, none) = (vec![(b, d.clone())], vec![]);
-        let short = [(0, &[c, b, a][..], &got), (2, &[a][..], &none)];
+        let got = vec![(b, d.clone())];
+        let short = BTreeMap::from([(0, (vec![c, b, a], got.clone())), (2, (vec![a], vec![]))]);
         assert_eq!(
-            NodeState::missing_by_creator(short),
+            NodeState::missing_by_creator(&short),
             vec![
                 (0, vec![(0, vec![a]), (2, vec![a])]),
                 (1, vec![(0, vec![c])])
             ]
         );
-        assert!(NodeState::missing_by_creator([(0, &[b][..], &got)]).is_empty());
+        let whole = BTreeMap::from([(0, (vec![b], got))]);
+        assert!(NodeState::missing_by_creator(&whole).is_empty());
     }
 
     #[test]
@@ -2360,23 +2455,23 @@ mod tests {
         // Node 0 writes; node 1 applies it, writes on top, and is asked
         // for both: it serves its own diff and the retained one. Node 2's
         // interval it never saw is left out, not a panic.
-        let mut a = mk(0, 3);
-        touch_write(&mut a, 0, 10, 1);
-        a.close_interval();
-        let mut b = mk(1, 3);
-        b.apply_bundle(0, &a.bundle_for(&VectorClock::zero(3)));
-        let ids: Vec<IntervalId> = b.pages[0].unapplied.iter().map(|r| r.id).collect();
-        let fetched = a.serve_diffs(0, &ids);
-        b.apply_fetched(0, fetched);
-        b.finish_fault(0);
+        let mut w = World::new(3, false, false, 1, false);
+        w.write(0, 0, 10, 1);
+        w.nodes[0].close_interval();
+        w.deliver(0, 1, true);
+        w.fault(1, &[0], true);
+        let [a, b, _] = &mut w.nodes[..] else {
+            unreachable!("three nodes")
+        };
+        let foreign = IntervalId { node: 0, seq: 1 };
         assert_eq!(
             b.metrics.op(TmkOp::DiffBytesRetained).get(),
-            b.pages[0].diffs[&ids[0]].wire_bytes() as u64
+            b.pages[0].diffs[&foreign].wire_bytes() as u64
         );
         assert_eq!(b.diff_store_bytes, 0, "retained diffs are not GC storage");
-        touch_write(&mut b, 0, 20, 2);
+        touch_write(b, 0, 20, 2);
         b.close_interval();
-        let (own, foreign) = (IntervalId { node: 1, seq: 1 }, ids[0]);
+        let own = IntervalId { node: 1, seq: 1 };
         let unseen = IntervalId { node: 2, seq: 1 };
         let served = b.serve_diffs(0, &[own, foreign, unseen]);
         let served_ids: Vec<IntervalId> = served.iter().map(|(id, _)| *id).collect();
@@ -2393,43 +2488,32 @@ mod tests {
 
     #[test]
     fn fetch_apply_roundtrip_between_nodes() {
-        let mut writer = mk(0, 2);
-        touch_write(&mut writer, 0, 100, 0xEE);
-        writer.close_interval();
-        let bundle = writer.bundle_for(&VectorClock::zero(2));
-
-        let mut reader = mk(1, 2);
-        reader.apply_bundle(0, &bundle);
-        let plan = reader.fault_plan(0);
-        assert_eq!(plan.len(), 1);
-        let (node, ids) = &plan[0];
-        assert_eq!(*node, 0);
-        let fetched = writer.serve_diffs(0, ids);
-        reader.apply_fetched(0, fetched);
-        reader.finish_fault(0);
+        let mut w = World::new(2, false, false, 1, false);
+        w.write(0, 0, 100, 0xEE);
+        w.nodes[0].close_interval();
+        w.deliver(0, 1, true);
+        let id = IntervalId { node: 0, seq: 1 };
+        assert_eq!(w.nodes[1].fault_plan(0), [(0, vec![id])]);
+        w.fault(1, &[0], true);
+        let reader = &w.nodes[1];
         assert_eq!(reader.pages[0].state, PageState::ReadOnly);
-        let r = reader.page_range(0);
-        assert_eq!(reader.mem[r][100], 0xEE);
+        assert_eq!(reader.mem[reader.page_range(0)][100], 0xEE);
     }
 
     #[test]
     fn multiple_writer_false_sharing_preserves_local_writes() {
         // Node 0 and node 1 write disjoint halves of page 0 concurrently.
-        let mut a = mk(0, 2);
-        let mut b = mk(1, 2);
-        touch_write(&mut a, 0, 10, 1);
-        touch_write(&mut b, 0, 2000, 2);
-        a.close_interval();
-        let bundle_a = a.bundle_for(&VectorClock::zero(2));
-        // b receives a's notice while its own twin is open.
-        b.apply_bundle(0, &bundle_a);
-        assert_eq!(b.pages[0].state, PageState::Invalid);
-        assert!(b.pages[0].twin.is_some(), "open twin survives invalidation");
-        // b faults: fetches a's diff and applies it over its own copy.
-        let plan = b.fault_plan(0);
-        let fetched = a.serve_diffs(0, &plan[0].1);
-        b.apply_fetched(0, fetched);
-        b.finish_fault(0);
+        let mut w = World::new(2, false, false, 1, false);
+        w.write(0, 0, 10, 1);
+        w.write(1, 0, 2000, 2);
+        w.nodes[0].close_interval();
+        // Node 1 receives node 0's notice while its own twin is open.
+        w.deliver(0, 1, false);
+        assert_eq!(w.nodes[1].pages[0].state, PageState::Invalid);
+        assert!(w.nodes[1].pages[0].twin.is_some(), "open twin survives");
+        // It faults: fetches node 0's diff and applies it over its copy.
+        w.fault(1, &[0], true);
+        let b = &mut w.nodes[1];
         assert_eq!(b.pages[0].state, PageState::Write, "write twin restored");
         let r = b.page_range(0);
         assert_eq!(b.mem[r.clone()][10], 1, "remote write visible");
@@ -2498,8 +2582,8 @@ mod tests {
         assert_eq!(st.pages[0].epoch, 1);
         assert!(st.pages[0].readable());
         assert!(st.pages[1].unapplied.is_empty());
-        assert!(st.needs_full_fetch(1), "dropped notices => base lost");
-        assert!(!st.needs_full_fetch(0));
+        assert!(st.pages[1].base_lost, "dropped notices => base lost");
+        assert!(!st.pages[0].base_lost);
         assert!(st.interval_log.is_empty());
     }
 
@@ -2529,7 +2613,7 @@ mod tests {
             !st.interval_log.contains_key(&(0, 1)),
             "covered log entry dropped"
         );
-        assert!(!st.needs_full_fetch(0), "base valid as of snapshot");
+        assert!(!st.pages[0].base_lost, "base valid as of snapshot");
         assert_eq!(st.pages[0].epoch, 1);
     }
 
