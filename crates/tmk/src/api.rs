@@ -608,19 +608,10 @@ impl Tmk {
     }
 
     fn flush_inner(&mut self) {
-        let me = self.id;
-        let bundles: Vec<_> = {
-            let mut st = self.state.lock();
-            st.close_interval();
-            st.count(TmkOp::Flushes, 1);
-            (0..self.n)
-                .filter(|&p| p != me)
-                .map(|p| (p, st.release_to(p)))
-                .collect()
-        };
-        let expected = bundles.len();
-        for (peer, bundle) in bundles {
-            self.ep.send(peer, Msg::FlushNotice { bundle });
+        let notices = self.state.lock().flush_request();
+        let expected = notices.len();
+        for (peer, notice) in notices {
+            self.ep.send(peer, notice);
         }
         for _ in 0..expected {
             let d = self.reply();

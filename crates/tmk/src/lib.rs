@@ -62,6 +62,8 @@ mod service;
 mod state;
 mod stats;
 mod system;
+#[cfg(test)]
+mod world;
 
 pub use addr::{AllocTable, PageId, RegionId, RegionInfo};
 pub use api::{NodeTransaction, Tmk};

@@ -790,6 +790,20 @@ impl NodeState {
         (self.manager_of(SyncId::Lock(lock)), msg)
     }
 
+    /// The request half of an OpenMP `flush`: close the interval and send
+    /// every other node the notices it is not known to hold, each one
+    /// acked (`FlushAck`).
+    pub fn flush_request(&mut self) -> Vec<(usize, Msg)> {
+        self.close_interval();
+        self.count(TmkOp::Flushes, 1);
+        let (me, mut notices) = (self.id, Vec::new());
+        for p in (0..self.n).filter(|&p| p != me) {
+            let bundle = self.release_to(p);
+            notices.push((p, Msg::FlushNotice { bundle }));
+        }
+        notices
+    }
+
     /// The request half of arriving at barrier episode `epoch`: close the
     /// interval and send the barrier manager, node 0, a
     /// [`NodeState::release`] of our intervals since the last arrival,
@@ -944,7 +958,7 @@ impl NodeState {
     /// diff, before it wrote. A lock chain over a page thus costs one
     /// request, while truly concurrent writers (false sharing between two
     /// barriers) are all asked in the same round.
-    fn fault_plan(&self, pid: PageId) -> FaultPlan {
+    pub(crate) fn fault_plan(&self, pid: PageId) -> FaultPlan {
         let mut notices: Vec<&NoticeRec> = self.pages[pid].unapplied.iter().collect();
         // A dominating interval has a strictly larger timestamp sum, so in
         // descending order every notice meets its maximal dominators first.
@@ -1441,15 +1455,7 @@ impl NodeState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn mk(id: usize, nodes: usize) -> NodeState {
-        let cfg = TmkConfig::fast_test(nodes);
-        let alloc = AllocTable::new(cfg.page_shift());
-        let _ = alloc.alloc(4 * cfg.page_size); // pages 0..=3
-        let mut st = NodeState::new(id, cfg, alloc, VirtualClock::new(), Default::default());
-        st.sync_alloc();
-        st
-    }
+    use crate::world::{Strip, World};
 
     fn touch_write(st: &mut NodeState, pid: PageId, off: usize, val: u8) {
         // Simulate the accessor path: readable -> writable -> write.
@@ -1463,7 +1469,7 @@ mod tests {
 
     #[test]
     fn empty_release_closes_no_interval() {
-        let mut st = mk(0, 2);
+        let mut st = World::node(0, 2);
         st.close_interval();
         assert_eq!(st.vc.0[0], 0);
         assert!(st.interval_log.is_empty());
@@ -1471,7 +1477,7 @@ mod tests {
 
     #[test]
     fn close_interval_parks_twin_and_logs() {
-        let mut st = mk(0, 2);
+        let mut st = World::node(0, 2);
         touch_write(&mut st, 0, 10, 7);
         assert_eq!(st.pages[0].state, PageState::Write);
         st.close_interval();
@@ -1484,7 +1490,7 @@ mod tests {
 
     #[test]
     fn rewrite_after_close_materializes_pending_diff() {
-        let mut st = mk(0, 2);
+        let mut st = World::node(0, 2);
         touch_write(&mut st, 0, 10, 7);
         st.close_interval();
         touch_write(&mut st, 0, 20, 9); // second interval twin
@@ -1497,7 +1503,7 @@ mod tests {
 
     #[test]
     fn push_write_after_mid_interval_invalidate_keeps_the_open_twin() {
-        let mut st = mk(0, 2);
+        let mut st = World::node(0, 2);
         touch_write(&mut st, 0, 10, 7); // A, under the interval's twin
         let rec = NoticeRec {
             id: IntervalId { node: 1, seq: 1 },
@@ -1529,7 +1535,7 @@ mod tests {
 
     #[test]
     fn serve_diffs_materializes_lazily() {
-        let mut st = mk(0, 2);
+        let mut st = World::node(0, 2);
         touch_write(&mut st, 1, 0, 3);
         st.close_interval();
         assert_eq!(st.metrics.op(TmkOp::DiffsCreated).get(), 0);
@@ -1541,7 +1547,7 @@ mod tests {
 
     #[test]
     fn bundle_for_filters_by_receiver_knowledge() {
-        let mut st = mk(0, 3);
+        let mut st = World::node(0, 3);
         touch_write(&mut st, 0, 0, 1);
         st.close_interval();
         touch_write(&mut st, 1, 0, 2);
@@ -1564,7 +1570,7 @@ mod tests {
             ops in proptest::collection::vec(0u32..1_000_000, 0..80),
             clocks in proptest::collection::vec(0u32..1_000_000, 6 * 8),
         ) {
-            let mut st = mk(id % nodes, nodes);
+            let mut st = World::node(id % nodes, nodes);
             for &op in &ops {
                 let (kind, arg) = (op % 4, op / 4);
                 match kind {
@@ -1646,485 +1652,44 @@ mod tests {
         }
     }
 
-    /// The fault requests before domination, kept as the differential
-    /// oracle: one request to every writer with an unapplied notice on
-    /// one of `pids`, and no siblings.
-    fn per_writer_requests(st: &NodeState, pids: &[PageId]) -> FaultRequests {
-        let mut by_node: BTreeMap<usize, Vec<(PageId, Vec<IntervalId>)>> = BTreeMap::new();
-        for &pid in pids {
-            let mut page: BTreeMap<usize, Vec<IntervalId>> = BTreeMap::new();
-            for rec in &st.pages[pid].unapplied {
-                page.entry(rec.id.node as usize).or_default().push(rec.id);
-            }
-            for (node, ids) in page {
-                by_node.entry(node).or_default().push((pid, ids));
-            }
-        }
-        by_node.into_iter().collect()
-    }
-
-    /// A cluster of `NodeState`s driven by direct calls in place of the
-    /// application threads' messages; locks, barriers, forks, faults and
-    /// GC rounds run through the real request, manager or server, and
-    /// reply halves.
-    struct World {
-        nodes: Vec<NodeState>,
-        /// Answer each fault round with the per-writer requests: the
-        /// domination oracle.
-        per_writer: bool,
-        /// Strip the diffs attached to barrier arrivals and lock releases,
-        /// and the sibling pages of diff requests, in transit: the
-        /// pure-invalidate, page-by-page oracle.
-        strip: bool,
-        /// A barrier or join whose `arg` is a multiple of this runs a GC
-        /// round (a join's at the fork).
-        gc_every: u32,
-        /// Arrivals carry reduction partials, drawn from the barrier's
-        /// `arg`; every departure must deliver them to node 0 by
-        /// `(site, node)`, and to no other node.
-        partials: bool,
-        /// The step menu has a region boundary: a join, the master alone,
-        /// and a fork ([`World::region`]).
-        regions: bool,
-        /// Next barrier episode.
-        epoch: u32,
-        /// `DiffReq` messages sent, one entry per fault.
-        requests: Vec<usize>,
-        /// The page bytes every read returned, in order.
-        reads: Vec<Vec<u8>>,
-        /// Every message sent, self-sends included, as `(msgs, wire
-        /// bytes)` by kind.
-        tally: BTreeMap<&'static str, (u64, u64)>,
-    }
-
-    impl World {
-        fn new(n: usize, per_writer: bool, strip: bool, gc_every: u32, partials: bool) -> Self {
-            World {
-                nodes: (0..n).map(|id| mk(id, n)).collect(),
-                per_writer,
-                strip,
-                gc_every,
-                partials,
-                regions: false,
-                epoch: 0,
-                requests: Vec::new(),
-                reads: Vec::new(),
-                tally: BTreeMap::new(),
-            }
-        }
-
-        /// The same world with region boundaries in its step menu.
-        fn with_regions(mut self) -> Self {
-            self.regions = true;
-            self
-        }
-
-        /// Count `msg` in the tally.
-        fn note(tally: &mut BTreeMap<&'static str, (u64, u64)>, msg: &Msg) {
-            let (msgs, bytes) = tally.entry(msg.kind()).or_default();
-            *msgs += 1;
-            *bytes += msg.wire_bytes() as u64;
-        }
-
-        /// Node `f` makes `pids` readable through the production fault
-        /// halves, `NodeState::fault_request` and `on_fault_reply`, each
-        /// request answered by its addressee ([`World::ask`]). Each
-        /// foreign id a request names goes to a writer one of whose
-        /// notices here dominates it, a GC validation names no sibling,
-        /// each sibling's diffs are held, and each page's whole set is
-        /// applied at once. With `strip`, siblings are stripped from the
-        /// requests in transit; with `per_writer`, the first reply of each
-        /// round carries the diffs of one request to every writer of the
-        /// round's pages ([`per_writer_requests`]), and the rest nothing:
-        /// the oracle.
-        fn fault(&mut self, f: usize, pids: &[PageId], subscribe: bool) {
-            let unapplied = |&pid: &PageId| (pid, self.nodes[f].pages[pid].unapplied.len());
-            let mut planned: Vec<_> = pids.iter().map(unapplied).filter(|p| p.1 > 0).collect();
-            let (mut fault, mut sends) = self.nodes[f].fault_request(pids, subscribe);
-            let (mut requests, mut siblings) = (0, Vec::new());
-            while !fault.done() {
-                let (mut round, mut named) = (std::mem::take(&mut sends), Vec::new());
-                for (w, msg) in &mut round {
-                    let Msg::DiffReq { pages } = msg else {
-                        continue;
-                    };
-                    if !self.per_writer {
-                        self.assert_dominated(f, *w, pages);
-                    }
-                    let sibling = pages.iter().any(|(pid, _)| !pids.contains(pid));
-                    assert!(subscribe || !sibling, "a GC validation names no sibling");
-                    if self.strip {
-                        pages.retain(|(pid, _)| pids.contains(pid));
-                    }
-                    named.extend(pages.iter().map(|(pid, _)| *pid));
-                }
-                let mut merged = Vec::new();
-                if self.per_writer {
-                    named.sort();
-                    named.dedup();
-                    for (w, pages) in per_writer_requests(&self.nodes[f], &named) {
-                        requests += 1;
-                        let Msg::DiffRep { pages } = self.ask(f, (w, Msg::DiffReq { pages }))
-                        else {
-                            unreachable!("a DiffReq is answered by a DiffRep")
-                        };
-                        merged.extend(pages);
-                    }
-                }
-                for send in round {
-                    let reply = match send {
-                        (_, Msg::DiffReq { .. }) if self.per_writer => Msg::DiffRep {
-                            pages: std::mem::take(&mut merged),
-                        },
-                        send => {
-                            requests += usize::from(send.1.kind() == "diff_req");
-                            self.ask(f, send)
-                        }
-                    };
-                    if let Msg::DiffRep { pages } = &reply {
-                        let theirs = pages.iter().filter(|(pid, _)| !pids.contains(pid));
-                        siblings.extend(theirs.cloned());
-                    }
-                    sends = self.nodes[f].on_fault_reply(&mut fault, reply);
-                }
-            }
-            for (q, diffs) in siblings {
-                for (id, diff) in diffs {
-                    let held = self.nodes[f].pages[q].diffs.get(&id);
-                    assert!(held.is_some_and(|d| Arc::ptr_eq(d, &diff)), "{id:?} of {q}");
-                }
-            }
-            // Nothing partial: each page's whole set, each diff once.
-            let mut applied = fault.applied.clone();
-            applied.sort();
-            planned.sort();
-            assert_eq!(applied, planned, "applied set != planned set");
-            if !applied.is_empty() {
-                self.requests.push(requests);
-            }
-        }
-
-        /// Every foreign id node `f` asks `w` for on `pages` goes to a
-        /// writer one of whose notices here dominates it (held ids taken
-        /// out after), for a faulted page and a sibling alike.
-        fn assert_dominated(&self, f: usize, w: usize, pages: &[(PageId, Vec<IntervalId>)]) {
-            let log = &self.nodes[f].interval_log;
-            for (pid, ids) in pages {
-                let plan = self.nodes[f].fault_plan(*pid);
-                let all = plan
-                    .iter()
-                    .find(|(k, _)| *k == w)
-                    .map_or(&[][..], |(_, a)| a);
-                let foreign = ids.iter().filter(|id| id.node as usize != w);
-                assert!(
-                    foreign.clone().all(|id| all.contains(id)),
-                    "{ids:?} of {pid} to {w}"
-                );
-                let mine = all.iter().filter(|id| id.node as usize == w);
-                for id in foreign {
-                    let mut dominators = mine.clone().map(|m| &log[&(m.node, m.seq)]);
-                    assert!(
-                        dominators.any(|m| m.dominates(*id)),
-                        "{id:?} of {pid} sent to {w}"
-                    );
-                }
-            }
-        }
-
-        /// Node `f`'s request to `dst`, handed to `dst`'s `on_request`:
-        /// its one reply, to `f`, a `DiffRep` answering page by page in
-        /// request order.
-        fn ask(&mut self, f: usize, (dst, msg): (usize, Msg)) -> Msg {
-            assert_ne!(dst, f, "a node never asks itself");
-            let asked: Vec<PageId> = match &msg {
-                Msg::DiffReq { pages } => pages.iter().map(|(pid, _)| *pid).collect(),
-                _ => Vec::new(),
-            };
-            let mut out = self.serve(f, (dst, msg));
-            let Some((to, reply)) = out.pop() else {
-                panic!("a request is answered")
-            };
-            assert!(to == f && out.is_empty(), "one reply, to the asker");
-            if let Msg::DiffRep { pages } = &reply {
-                assert!(pages.iter().map(|(pid, _)| *pid).eq(asked), "request order");
-            }
-            reply
-        }
-
-        /// Node `to` receives every notice node `from` holds that `to`
-        /// lacks: acquired by its application thread (a grant) or only
-        /// applied by its service thread (a release reaching a manager, a
-        /// flush notice).
-        fn deliver(&mut self, from: usize, to: usize, acquire: bool) {
-            let b = self.nodes[from].bundle_for(&self.nodes[to].processed_vc);
-            if acquire {
-                self.nodes[to].acquire(from, &b);
-            } else {
-                self.nodes[to].apply_bundle(from, &b);
-            }
-        }
-
-        /// Hand `msg` from `src` to its manager `mgr`'s handler, attached
-        /// diffs stripped in transit if the world strips them: what the
-        /// manager sends.
-        fn serve(&mut self, src: usize, (mgr, mut msg): (usize, Msg)) -> Vec<(usize, Msg)> {
-            Self::note(&mut self.tally, &msg);
-            if self.strip {
-                if let Msg::BarrierArrive { rel, .. }
-                | Msg::LockRelease { rel, .. }
-                | Msg::CondWait { rel, .. } = &mut msg
-                {
-                    rel.updates.clear();
-                }
-            }
-            let mut out = Vec::new();
-            crate::service::on_request(&mut self.nodes[mgr], src, msg, 0, &mut out);
-            out.iter().for_each(|(_, m)| Self::note(&mut self.tally, m));
-            out
-        }
-
-        /// Take `grants` (one of `lock`, to a node that asked for it).
-        fn take_grants(&mut self, lock: u32, grants: Vec<(usize, Msg)>) {
-            let mgr = self.nodes[0].manager_of(SyncId::Lock(lock));
-            for (k, grant) in grants {
-                self.nodes[k].on_grant(SyncId::Lock(lock), mgr, grant);
-            }
-        }
-
-        /// Node `k` acquires `lock`, which is free.
-        fn acquire(&mut self, k: usize, lock: u32) {
-            let req = self.nodes[k].wait_request(SyncId::Lock(lock));
-            let grants = self.serve(k, req);
-            assert_eq!(grants.len(), 1, "a free lock is granted at once");
-            self.take_grants(lock, grants);
-        }
-
-        /// Node `k` releases `lock`, or with `cond` waits on it; a queued
-        /// node takes the grant.
-        fn release(&mut self, k: usize, lock: u32, cond: Option<u32>) {
-            let rel = self.nodes[k].signal_request(SyncId::Lock(lock), cond);
-            let grants = self.serve(k, rel);
-            self.take_grants(lock, grants);
-        }
-
-        fn write(&mut self, k: usize, pid: PageId, off: usize, val: u8) {
-            if !self.nodes[k].pages[pid].readable() {
-                self.fault(k, &[pid], true);
-            }
-            self.nodes[k].start_write(pid);
-            let r = self.nodes[k].page_range(pid);
-            self.nodes[k].mem[r][off] = val;
-        }
-
-        /// Every node arrives at the next episode, a region's join with
-        /// `join`, the last arrival starting at `first`, and the manager's
-        /// departures are taken. With `partials`, node `k` first
-        /// contributes up to two partials to sites 0 to 2, as bits of
-        /// `arg` pick, and they must reach node 0 alone, by `(site, node)`.
-        /// Returns the GC snapshots the departures gave.
-        fn episode(&mut self, first: usize, gc: bool, arg: u32, join: bool) -> Vec<VectorClock> {
-            let n = self.nodes.len();
-            let epoch = self.epoch;
-            self.epoch += 1;
-            self.nodes[0].cfg.gc_every_barrier = gc;
-            let mut want = Vec::new();
-            let mut out = Vec::new();
-            for k in (0..n).map(|i| (first + i) % n) {
-                if self.partials {
-                    let bits = arg.rotate_right(5 * k as u32);
-                    for j in 0..bits % 3 {
-                        let site = (bits >> (2 + 2 * j)) % 3;
-                        let bytes = vec![k as u8, epoch as u8, j as u8];
-                        self.nodes[k].partials.push((site, bytes.clone()));
-                        want.push((site, k, bytes));
-                    }
-                }
-                let arrive = self.nodes[k].arrive_request(epoch, join);
-                out.extend(self.serve(k, arrive));
-            }
-            let departs: Vec<usize> = out.iter().map(|(k, _)| *k).collect();
-            if join {
-                assert_eq!(departs, [0], "a join departs the master alone");
-            } else {
-                assert_eq!(departs.len(), n, "the last arrival releases everyone");
-            }
-            let mut snapshots = Vec::new();
-            for (k, depart) in out {
-                snapshots.extend(self.nodes[k].on_depart(epoch, 0, depart));
-            }
-            want.sort_by_key(|&(site, node, _)| (site, node));
-            assert_eq!(std::mem::take(&mut self.nodes[0].gathered), want);
-            for node in &self.nodes {
-                assert!(node.partials.is_empty() && node.gathered.is_empty());
-            }
-            snapshots
-        }
-
-        /// A barrier: an episode, and the GC round it calls, if any.
-        fn barrier(&mut self, first: usize, gc: bool, arg: u32) {
-            let snapshots = self.episode(first, gc, arg, false);
-            self.gc_round(snapshots);
-        }
-
-        /// A region boundary: every node join-arrives and only the master
-        /// departs, with no GC round yet; the master alone reads both
-        /// pages and writes its slot of `pid`; then it forks, and each
-        /// slave takes its fork, its departure from the join, with the
-        /// join's riders. A GC round the join called runs then, on every
-        /// node, from one snapshot.
-        fn region(
-            &mut self,
-            first: usize,
-            gc: bool,
-            arg: u32,
-            (pid, off, val): (PageId, usize, u8),
-        ) {
-            let n = self.nodes.len();
-            let snapshots = self.episode(first, gc, arg, true);
-            assert!(snapshots.is_empty(), "a join's GC round waits for the fork");
-            assert_eq!(self.nodes[0].mgr.gc_in_progress, gc);
-            for page in [0, 1] {
-                if !self.nodes[0].pages[page].readable() {
-                    self.fault(0, &[page], true);
-                }
-                let r = self.nodes[0].page_range(page);
-                self.reads.push(self.nodes[0].mem[r].to_vec());
-            }
-            self.write(0, pid, 16 + off, val);
-            let region = Region {
-                f: Arc::new(|_| {}),
-                payload_bytes: 0,
-            };
-            let (forks, master) = self.nodes[0].fork_request(&region);
-            assert!(!self.nodes[0].mgr.riders.contains_key(&SyncId::Barrier));
-            let mut snapshots: Vec<VectorClock> = master.into_iter().collect();
-            assert_eq!(forks.len(), n - 1, "one fork a slave");
-            for (k, fork) in forks {
-                Self::note(&mut self.tally, &fork);
-                let Msg::Fork { acq, gc, .. } = fork else {
-                    panic!("expected a fork, got {}", fork.kind())
-                };
-                snapshots.extend(self.nodes[k].on_fork(0, acq, gc));
-            }
-            self.gc_round(snapshots);
-        }
-
-        /// A GC round from `snapshots`, one a node or none: every node
-        /// holds the one snapshot as its processed clock and computes the
-        /// same owners, the owners validate their pages and send the
-        /// manager `GcDone`, and on the last one's `GcComplete` every node
-        /// drops what the snapshot covers.
-        fn gc_round(&mut self, snapshots: Vec<VectorClock>) {
-            let n = self.nodes.len();
-            let Some(upto) = snapshots.first().cloned() else {
-                return;
-            };
-            assert_eq!(snapshots, vec![upto.clone(); n], "one snapshot for all");
-            let owners = self.nodes[0].compute_gc_owners(&upto);
-            let epoch = self.epoch - 1;
-            let mut completes = Vec::new();
-            for k in 0..n {
-                assert_eq!(self.nodes[k].processed_vc, upto);
-                assert_eq!(self.nodes[k].compute_gc_owners(&upto), owners);
-                let mine: Vec<PageId> = owners
-                    .iter()
-                    .filter(|&(_, &o)| o == k)
-                    .map(|(&p, _)| p)
-                    .collect();
-                self.fault(k, &mine, false);
-                completes.extend(self.serve(k, (0, Msg::GcDone { epoch })));
-            }
-            assert!(!self.nodes[0].mgr.gc_in_progress, "the round is over");
-            let order = completes.iter().map(|(k, _)| *k);
-            assert!(order.eq((0..n).rev()), "the last done completes all");
-            for (k, done) in completes {
-                assert!(matches!(done, Msg::GcComplete { epoch: e } if e == epoch));
-                self.nodes[k].apply_gc_complete(&owners, &upto);
-            }
-        }
-
-        /// One step of a data-race-free program over pages 0 and 1: bytes
-        /// 0..16 of a page are written only under lock 0, bytes 96..112
-        /// only under lock 1, bytes `16 * (k + 1)..` only by node `k`.
-        fn step(&mut self, op: u32) {
-            let n = self.nodes.len();
-            let kinds = if self.regions { 7 } else { 6 };
-            let (kind, arg) = (op % kinds, op / kinds);
-            let k = arg as usize % n;
-            let pid = (arg as usize / n) % 2;
-            let (off, val) = ((arg >> 4) as usize % 16, (arg >> 8) as u8 | 1);
-            match kind {
-                // Lock-protected writes: acquire, validate, write, release.
-                0 => match (arg >> 10) % 4 {
-                    // Under lock 0 or lock 1.
-                    0 | 1 => {
-                        let lock = (arg >> 10) % 2;
-                        self.acquire(k, lock);
-                        self.write(k, pid, 96 * lock as usize + off, val);
-                        self.release(k, lock, None);
-                    }
-                    // Under both, nested: the fault subscribes lock 1.
-                    2 => {
-                        self.acquire(k, 0);
-                        self.acquire(k, 1);
-                        self.write(k, pid, off, val);
-                        self.write(k, pid, 96 + off, val);
-                        self.release(k, 1, None);
-                        self.release(k, 0, None);
-                    }
-                    // A condition wait: `k` writes and waits; `j` takes the
-                    // lock, writes the other page, signals and releases,
-                    // which grants the lock back to `k`, who writes again.
-                    _ => {
-                        let j = (k + 1) % n;
-                        self.acquire(k, 0);
-                        self.write(k, pid, off, val);
-                        self.release(k, 0, Some(0));
-                        self.acquire(j, 0);
-                        self.write(j, 1 - pid, off, val);
-                        let (mgr, signal) = self.nodes[j].notify_request(0, 0, false);
-                        assert!(self.serve(j, (mgr, signal)).is_empty());
-                        self.release(j, 0, None);
-                        assert_eq!(self.nodes[k].held_locks, [0], "the grant came back");
-                        self.write(k, pid, (off + 1) % 16, val);
-                        self.release(k, 0, None);
-                    }
-                },
-                // A write to the node's own slot, interval left open.
-                1 => self.write(k, pid, 16 * (k + 1) + off, val),
-                // The same without fetching (GC-stale pages fault first).
-                2 => {
-                    if self.nodes[k].pages[pid].base_lost {
-                        self.fault(k, &[pid], true);
-                    }
-                    self.nodes[k].start_write_push(pid);
-                    let r = self.nodes[k].page_range(pid);
-                    self.nodes[k].mem[r][16 * (k + 1) + off] = val;
-                }
-                // Notices arriving mid-interval, open twins and all.
-                3 => self.deliver((k + 1 + off % (n - 1)) % n, k, val % 4 == 1),
-                4 => {
-                    if !self.nodes[k].pages[pid].readable() {
-                        self.fault(k, &[pid], true);
-                    }
-                    let r = self.nodes[k].page_range(pid);
-                    self.reads.push(self.nodes[k].mem[r].to_vec());
-                }
-                5 => self.barrier(k, arg % self.gc_every == 0, arg),
-                _ => self.region(k, arg % self.gc_every == 0, arg, (pid, off, val)),
-            }
-        }
-    }
-
     /// Nodes in the domination proptest: with four, a faulting node can
     /// see two concurrent writers plus a third whose notice only one of
     /// them dominates — the case a wrong target choice shows up in.
     const WORLD: usize = 4;
 
+    /// `n` nodes whose step menu has region boundaries, GC at every
+    /// `gc_every`-th barrier or join.
+    fn regions(n: usize, gc_every: u32) -> World {
+        World {
+            gc_every,
+            regions: true,
+            ..World::new(n)
+        }
+    }
+
+    /// `world` after 200 steps from a seeded LCG, and each node's vt, cpu
+    /// and diff storage, then the faults that sent requests and their
+    /// `DiffReq`s, as `"ends | faults/sent"`.
+    fn fixed_program(mut world: World, seed: u64) -> (World, String) {
+        let mut x = seed;
+        for _ in 0..200 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            world.step((x >> 33) as u32 % 1_000_000);
+        }
+        let ends = world.nodes.iter().map(|st| {
+            let (vt, cpu, diffs) = (st.clock.now(), st.clock.cpu_now(), st.diff_store_bytes);
+            format!("{vt}/{cpu}/{diffs}")
+        });
+        let ends = ends.collect::<Vec<_>>().join(" ");
+        let (faults, sent) = (world.requests.len(), world.requests.iter().sum::<usize>());
+        (world, format!("{ends} | {faults}/{sent}"))
+    }
+
     /// Run `ops` on `new` and `old` side by side: identical page bytes,
     /// states and notices after every step, the same reads and faults,
     /// and never more requests in a fault of `new`. With the same
-    /// transit, also the same diff storage.
+    /// transit, also the same diff storage: serving a sibling
+    /// materializes its writer's diffs.
     fn differential(mut new: World, mut old: World, ops: &[u32]) {
         for &op in ops {
             new.step(op);
@@ -2153,15 +1718,16 @@ mod tests {
     // chains, concurrent slot writes, push-writes, mid-interval notices,
     // region boundaries and GC on every third barrier or join, updates
     // stripped from both: no own-diff panic, and every fault applies its
-    // page's whole set at once (`World::fault`).
+    // page's whole set at once (`World::fault`). The dominated side keeps
+    // its siblings, so each must be held under its own page.
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig { cases: 300, ..Default::default() })]
         #[test]
         fn dominated_fetch_matches_the_per_writer_plan(
             ops in proptest::collection::vec(0u32..1_000_000, 0..120),
         ) {
-            let new = World::new(WORLD, false, true, 3, true).with_regions();
-            let old = World::new(WORLD, true, true, 3, false).with_regions();
+            let new = World { strip: Strip::Updates, partials: true, ..regions(WORLD, 3) };
+            let old = World { per_writer: true, strip: Strip::UpdatesAndSiblings, ..regions(WORLD, 3) };
             differential(new, old, &ops);
         }
     }
@@ -2184,8 +1750,8 @@ mod tests {
             ops in proptest::collection::vec(0u32..1_000_000, 0..160),
         ) {
             let gc_every = 1 + 2 * every_third;
-            let new = World::new(n, false, false, gc_every, true).with_regions();
-            let old = World::new(n, false, true, gc_every, false).with_regions();
+            let new = World { partials: true, ..regions(n, gc_every) };
+            let old = World { strip: Strip::UpdatesAndSiblings, ..regions(n, gc_every) };
             differential(new, old, &ops);
         }
     }
@@ -2220,24 +1786,19 @@ mod tests {
         ];
         for (i, want) in want.into_iter().enumerate() {
             let (n, gc_every) = (2 + i % 3, [1, 3][i / 3]);
-            let mut world = World::new(n, false, false, gc_every, true);
-            let mut x = i as u64;
-            for _ in 0..200 {
-                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                world.step((x >> 33) as u32 % 1_000_000);
-            }
-            let kinds: Vec<&str> = world.tally.keys().copied().collect();
+            let world = World {
+                gc_every,
+                partials: true,
+                ..World::new(n)
+            };
+            let (world, ends) = fixed_program(world, i as u64);
+            let tally = world.tally(false);
+            let kinds: Vec<&str> = tally.keys().copied().collect();
             let all = "barrier_arrive barrier_depart cond_signal cond_wait diff_rep diff_req \
                        gc_complete gc_done lock_acq lock_grant lock_rel page_rep page_req";
             assert_eq!(kinds.join(" "), all);
-            let tally = world.tally.values().map(|(m, b)| format!("{m}/{b}"));
-            let ends = world.nodes.iter().map(|st| {
-                let (vt, cpu, diffs) = (st.clock.now(), st.clock.cpu_now(), st.diff_store_bytes);
-                format!("{vt}/{cpu}/{diffs}")
-            });
-            let (tally, ends) = (tally.collect::<Vec<_>>(), ends.collect::<Vec<_>>());
-            let (faults, sent) = (world.requests.len(), world.requests.iter().sum::<usize>());
-            let got = format!("{} | {} | {faults}/{sent}", tally.join(" "), ends.join(" "));
+            let tally: Vec<_> = tally.values().map(|(m, b)| format!("{m}/{b}")).collect();
+            let got = format!("{} | {ends}", tally.join(" "));
             assert_eq!(got, want, "{n} nodes, GC every {gc_every}");
         }
     }
@@ -2263,32 +1824,25 @@ mod tests {
         ];
         for (i, want) in want.into_iter().enumerate() {
             let (n, gc_every) = (3 + i, [1, 3][i]);
-            let mut world = World::new(n, false, false, gc_every, true).with_regions();
-            let mut x = 7 + i as u64;
-            for _ in 0..200 {
-                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                world.step((x >> 33) as u32 % 1_000_000);
-            }
-            let tally = world.tally.iter().map(|(k, (m, b))| format!("{k} {m}/{b}"));
-            let ends = world.nodes.iter().map(|st| {
-                let (vt, cpu, diffs) = (st.clock.now(), st.clock.cpu_now(), st.diff_store_bytes);
-                format!("{vt}/{cpu}/{diffs}")
-            });
-            let (tally, ends) = (tally.collect::<Vec<_>>(), ends.collect::<Vec<_>>());
-            let (faults, sent) = (world.requests.len(), world.requests.iter().sum::<usize>());
+            let world = World {
+                partials: true,
+                ..regions(n, gc_every)
+            };
+            let (world, ends) = fixed_program(world, 7 + i as u64);
+            let tally = world.tally(false);
+            let tally: Vec<_> = tally
+                .iter()
+                .map(|(k, (m, b))| format!("{k} {m}/{b}"))
+                .collect();
             let gc = world.nodes[0].gc_epoch;
-            let got = format!(
-                "{} | {} | {faults}/{sent} | gc {gc}",
-                tally.join(" "),
-                ends.join(" ")
-            );
+            let got = format!("{} | {ends} | gc {gc}", tally.join(" "));
             assert_eq!(got, want, "{n} nodes, GC every {gc_every}");
         }
     }
 
     #[test]
     fn reset_drops_unsent_and_gathered_partials() {
-        let mut st = mk(0, 2);
+        let mut st = World::node(0, 2);
         st.partials.push((1, vec![1]));
         st.gathered.push((2, 1, vec![2]));
         st.reset();
@@ -2302,12 +1856,12 @@ mod tests {
 
     #[test]
     fn apply_bundle_invalidates_and_merges() {
-        let mut writer = mk(0, 2);
+        let mut writer = World::node(0, 2);
         touch_write(&mut writer, 2, 5, 42);
         writer.close_interval();
         let bundle = writer.bundle_for(&VectorClock::zero(2));
 
-        let mut reader = mk(1, 2);
+        let mut reader = World::node(1, 2);
         reader.pages[2].state = PageState::ReadOnly; // previously read
         reader.apply_bundle(0, &bundle);
         assert_eq!(reader.pages[2].state, PageState::Invalid);
@@ -2347,7 +1901,7 @@ mod tests {
         // Node 0's interval 1 wrote pages 0 to 4, and its interval 2 page
         // 1 again; node 1 acquired interval 1, then wrote page 2. Node 3
         // lost page 3's base at a GC and has read page 4 already.
-        let mut st = mk(3, 4);
+        let mut st = World::node(3, 4);
         let _ = st.alloc.alloc(st.cfg.page_size);
         st.sync_alloc();
         let a = notice_on(&mut st, &[0, 1, 2, 3, 4], 0, 1, &[1, 0, 0, 0]);
@@ -2398,7 +1952,7 @@ mod tests {
     #[test]
     fn fault_plan_groups_by_writer() {
         // Two concurrent writers: each is asked, in one round, for its own.
-        let mut st = mk(2, 3);
+        let mut st = World::node(2, 3);
         let a1 = notice(&mut st, 0, 0, 1, &[1, 0, 0]);
         let b1 = notice(&mut st, 0, 1, 1, &[0, 1, 0]);
         let a2 = notice(&mut st, 0, 0, 2, &[2, 0, 0]);
@@ -2410,7 +1964,7 @@ mod tests {
     fn fault_plan_asks_only_the_dominating_writer() {
         // A lock chain 0 -> 1 -> 3 over page 0, plus node 1's older write:
         // node 3's interval dominates all of them, so it alone is asked.
-        let mut st = mk(4, 5);
+        let mut st = World::node(4, 5);
         let a = notice(&mut st, 0, 0, 1, &[1, 0, 0, 0, 0]);
         let b1 = notice(&mut st, 0, 1, 1, &[0, 1, 0, 0, 0]);
         let b2 = notice(&mut st, 0, 1, 2, &[1, 2, 0, 0, 0]);
@@ -2455,7 +2009,7 @@ mod tests {
         // Node 0 writes; node 1 applies it, writes on top, and is asked
         // for both: it serves its own diff and the retained one. Node 2's
         // interval it never saw is left out, not a panic.
-        let mut w = World::new(3, false, false, 1, false);
+        let mut w = World::new(3);
         w.write(0, 0, 10, 1);
         w.nodes[0].close_interval();
         w.deliver(0, 1, true);
@@ -2482,13 +2036,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "asked for its own diff")]
     fn serve_diffs_panics_on_a_missing_own_diff() {
-        let mut st = mk(0, 2);
+        let mut st = World::node(0, 2);
         st.serve_diffs(0, &[IntervalId { node: 0, seq: 7 }]);
     }
 
     #[test]
     fn fetch_apply_roundtrip_between_nodes() {
-        let mut w = World::new(2, false, false, 1, false);
+        let mut w = World::new(2);
         w.write(0, 0, 100, 0xEE);
         w.nodes[0].close_interval();
         w.deliver(0, 1, true);
@@ -2503,7 +2057,7 @@ mod tests {
     #[test]
     fn multiple_writer_false_sharing_preserves_local_writes() {
         // Node 0 and node 1 write disjoint halves of page 0 concurrently.
-        let mut w = World::new(2, false, false, 1, false);
+        let mut w = World::new(2);
         w.write(0, 0, 10, 1);
         w.write(1, 0, 2000, 2);
         w.nodes[0].close_interval();
@@ -2535,7 +2089,7 @@ mod tests {
 
     #[test]
     fn gc_owner_is_last_writer_in_linear_order() {
-        let mut st = mk(0, 3);
+        let mut st = World::node(0, 3);
         st.interval_log.insert((0, 1), info(&[1, 0, 0], vec![0, 1]));
         st.interval_log.insert((1, 1), info(&[2, 1, 2], vec![0]));
         st.interval_log.insert((2, 1), info(&[1, 1, 1], vec![1]));
@@ -2550,7 +2104,7 @@ mod tests {
         // into the log while the GC is still in flight; the owner map must
         // come out as if only snapshot-covered intervals existed, or nodes
         // would disagree about post-GC page owners.
-        let mut st = mk(0, 3);
+        let mut st = World::node(0, 3);
         st.interval_log.insert((0, 1), info(&[1, 0, 0], vec![0]));
         st.interval_log.insert((1, 1), info(&[1, 1, 0], vec![0]));
         // Premature: node 2's interval 1 arrived after the snapshot.
@@ -2566,7 +2120,7 @@ mod tests {
 
     #[test]
     fn gc_complete_rebases_pages() {
-        let mut st = mk(1, 2);
+        let mut st = World::node(1, 2);
         // Page 0: we have a valid copy — stays valid at the new epoch.
         st.pages[0].state = PageState::ReadOnly;
         // Page 1: unapplied notices — must be dropped and refetched later.
@@ -2589,7 +2143,7 @@ mod tests {
 
     #[test]
     fn gc_complete_preserves_post_snapshot_state() {
-        let mut st = mk(1, 2);
+        let mut st = World::node(1, 2);
         // Page 0 is valid as of the snapshot, but node 0's *next* interval
         // (seq 2, past the snapshot) has already invalidated it — the race
         // a barrier manager's service thread creates during the GC.
