@@ -1657,16 +1657,6 @@ mod tests {
     /// them dominates — the case a wrong target choice shows up in.
     const WORLD: usize = 4;
 
-    /// `n` nodes whose step menu has region boundaries, GC at every
-    /// `gc_every`-th barrier or join.
-    fn regions(n: usize, gc_every: u32) -> World {
-        World {
-            gc_every,
-            regions: true,
-            ..World::new(n)
-        }
-    }
-
     /// `world` after 200 steps from a seeded LCG, and each node's vt, cpu
     /// and diff storage, then the faults that sent requests and their
     /// `DiffReq`s, as `"ends | faults/sent"`.
@@ -1726,8 +1716,9 @@ mod tests {
         fn dominated_fetch_matches_the_per_writer_plan(
             ops in proptest::collection::vec(0u32..1_000_000, 0..120),
         ) {
-            let new = World { strip: Strip::Updates, partials: true, ..regions(WORLD, 3) };
-            let old = World { per_writer: true, strip: Strip::UpdatesAndSiblings, ..regions(WORLD, 3) };
+            let world = || World { regions: true, gc_every: 3, ..World::new(WORLD) };
+            let new = World { strip: Strip::Updates, partials: true, ..world() };
+            let old = World { per_writer: true, strip: Strip::UpdatesAndSiblings, ..world() };
             differential(new, old, &ops);
         }
     }
@@ -1750,8 +1741,9 @@ mod tests {
             ops in proptest::collection::vec(0u32..1_000_000, 0..160),
         ) {
             let gc_every = 1 + 2 * every_third;
-            let new = World { partials: true, ..regions(n, gc_every) };
-            let old = World { strip: Strip::UpdatesAndSiblings, ..regions(n, gc_every) };
+            let world = || World { regions: true, gc_every, ..World::new(n) };
+            let new = World { partials: true, ..world() };
+            let old = World { strip: Strip::UpdatesAndSiblings, ..world() };
             differential(new, old, &ops);
         }
     }
@@ -1825,8 +1817,10 @@ mod tests {
         for (i, want) in want.into_iter().enumerate() {
             let (n, gc_every) = (3 + i, [1, 3][i]);
             let world = World {
+                gc_every,
                 partials: true,
-                ..regions(n, gc_every)
+                regions: true,
+                ..World::new(n)
             };
             let (world, ends) = fixed_program(world, 7 + i as u64);
             let tally = world.tally(false);

@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// A fault round's sends: `(dst, kind)`.
-pub(crate) type Sends = Vec<(usize, &'static str)>;
+type Sends = Vec<(usize, &'static str)>;
 
 /// What the world strips from a message as it leaves its node: the
 /// pure-invalidate, page-by-page oracles.
@@ -38,7 +38,7 @@ pub(crate) struct World {
     /// Each node's replies, grants and forks: `(src, msg)`.
     pub inbox: Vec<VecDeque<(usize, Msg)>>,
     /// Every message sent, in order: `(src, dst, kind, wire bytes)`.
-    pub log: Vec<(usize, usize, &'static str, u64)>,
+    pub log: Vec<(usize, usize, &'static str, usize)>,
     /// Answer fault rounds with the per-writer requests: the oracle.
     pub per_writer: bool,
     pub strip: Strip,
@@ -91,8 +91,7 @@ impl World {
                 rel.updates.clear();
             }
         }
-        self.log
-            .push((src, dst, msg.kind(), msg.wire_bytes() as u64));
+        self.log.push((src, dst, msg.kind(), msg.wire_bytes()));
         match msg {
             Msg::Fork { .. } => self.inbox[dst].push_back((src, msg)),
             msg => self.wire.push_back((src, dst, msg)),
@@ -119,8 +118,7 @@ impl World {
                 }
             }
             for (to, reply) in out.drain(..) {
-                self.log
-                    .push((dst, to, reply.kind(), reply.wire_bytes() as u64));
+                self.log.push((dst, to, reply.kind(), reply.wire_bytes()));
                 self.inbox[to].push_back((dst, reply));
             }
         }
@@ -132,7 +130,7 @@ impl World {
         let mut tally = BTreeMap::new();
         for &(_, _, kind, bytes) in self.log.iter().filter(|e| !remote || e.0 != e.1) {
             let (msgs, sum): &mut (u64, u64) = tally.entry(kind).or_default();
-            (*msgs, *sum) = (*msgs + 1, *sum + bytes);
+            (*msgs, *sum) = (*msgs + 1, *sum + bytes as u64);
         }
         tally
     }
@@ -177,7 +175,11 @@ impl World {
                 self.send(f, (w, Msg::DiffReq { pages }));
             }
             self.pump();
-            let mut replies: Vec<Msg> = self.inbox[f].drain(..).map(|(_, m)| m).collect();
+            // The round's replies; what else waits for `f` stays.
+            let data = |(_, m): &(_, Msg)| matches!(m, Msg::DiffRep { .. } | Msg::PageRep { .. });
+            let (replies, rest): (VecDeque<_>, _) = self.inbox[f].drain(..).partition(data);
+            self.inbox[f] = rest;
+            let mut replies: Vec<Msg> = replies.into_iter().map(|(_, m)| m).collect();
             // The oracle's requests went out last: their diffs, merged,
             // answer the round's first `DiffReq`, and the others none.
             let oracle = replies.split_off(replies.len() - asked).into_iter();
@@ -263,14 +265,21 @@ impl World {
     }
 
     /// Node `k` acquires `obj`, a lock or a semaphore: whether it was
-    /// granted at once. A queued request is granted at a release.
+    /// granted at once, the manager sending `k` one grant and nothing
+    /// else. A queued request, answered by nothing, is granted at a
+    /// release.
     pub fn acquire(&mut self, k: usize, obj: SyncId) -> bool {
         let req = self.nodes[k].wait_request(obj);
         self.send(k, req);
-        self.pump();
-        let granted = !self.inbox[k].is_empty();
+        let asked = self.log.len();
         self.take_grants();
-        granted
+        let sent: Vec<_> = self.log[asked..].iter().map(|e| (e.1, e.2)).collect();
+        let grant = match obj {
+            SyncId::Sema(_) => "sema_grant",
+            _ => "lock_grant",
+        };
+        assert!(sent.is_empty() || sent == [(k, grant)], "{sent:?}");
+        !sent.is_empty()
     }
 
     /// Node `k` releases `obj`, or with `cond` waits on lock `obj`; a
@@ -489,7 +498,7 @@ impl World {
 /// The fault requests before domination, kept as the differential
 /// oracle: one request to every writer with an unapplied notice on
 /// one of `pids`, and no siblings.
-pub(crate) fn per_writer_requests(st: &NodeState, pids: &BTreeSet<PageId>) -> FaultRequests {
+fn per_writer_requests(st: &NodeState, pids: &BTreeSet<PageId>) -> FaultRequests {
     let mut by_node: BTreeMap<usize, Vec<(PageId, Vec<IntervalId>)>> = BTreeMap::new();
     for &pid in pids {
         for rec in &st.pages[pid].unapplied {
