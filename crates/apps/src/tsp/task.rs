@@ -5,8 +5,8 @@
 //! ([`super::shared`]). This version makes each partially evaluated tour
 //! an OpenMP *task*: a subtour (≤ 16 cities) packs exactly into the
 //! 32-byte [`TaskArgs`] block, so the whole tour pool lives implicitly in
-//! the per-node DSM deques and moves between workstations as ordinary
-//! deque-page diffs when stolen. Only the current best length remains
+//! the per-node task deques and moves between workstations inside steal
+//! replies. Only the current best length remains
 //! centralized, updated under a named critical section; pruning reads it
 //! without the lock — a stale (older, higher) bound is admissible and
 //! merely prunes less.

@@ -3,10 +3,10 @@
 //!
 //! Both variants run on the *same* tasking runtime
 //! ([`nomp::Env::task_scope`]); only the scheduling policy differs, so the
-//! comparison isolates the data structure: one shared deque on node 0
+//! comparison isolates the data structure: one shared DSM deque on node 0
 //! (every remote operation pays a lock transfer to node 0's manager)
 //! against per-node deques where local operations are message-free and
-//! only steals cross the wire.
+//! a steal is one request and one reply.
 
 use crate::fmt::{f2, print_table, secs};
 use nomp::{OmpConfig, TaskSched, TmkStats};

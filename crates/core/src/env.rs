@@ -18,6 +18,8 @@ pub struct Env<'t> {
     pub(crate) t: &'t mut Tmk,
     pub(crate) cfg: OmpConfig,
     loop_seq: u32,
+    /// Task scopes opened in the job so far: the last one's number.
+    task_scopes: u32,
 }
 
 impl Deref for Env<'_> {
@@ -40,6 +42,7 @@ impl<'t> Env<'t> {
             t,
             cfg,
             loop_seq: 0,
+            task_scopes: 0,
         }
     }
 }
@@ -91,6 +94,14 @@ impl Env<'_> {
     fn next_runtime_lock(&mut self) -> u32 {
         self.loop_seq = self.loop_seq.wrapping_add(1);
         RUNTIME_LOCK_BASE + (self.loop_seq & 0x0fff)
+    }
+
+    /// The number of a new task scope: every node keys the scope's deque
+    /// by it, numbered from 1 in the job (the nodes' deques are cleared
+    /// at each job's reset).
+    pub(crate) fn open_task_scope(&mut self) -> u32 {
+        self.task_scopes += 1;
+        self.task_scopes
     }
 
     /// A fresh runtime-internal lock id for layers built on top of the

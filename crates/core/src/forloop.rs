@@ -69,8 +69,7 @@ pub enum LoopShared {
 
 /// Reserved lock-id range for affinity partition locks; the id of node
 /// `k`'s lock is constructed so its *manager is node `k`*
-/// (`manager_of(id) = id % n`), making home-partition claims message-free
-/// exactly like the tasking runtime's owner-managed deque locks.
+/// (`manager_of(id) = id % n`), making home-partition claims message-free.
 const AFFINITY_LOCK_BASE: u32 = 0xF400_0000;
 
 fn affinity_lock(n: usize, site: u32, k: usize) -> u32 {

@@ -28,8 +28,9 @@
 //! | *proposed* condition variables | [`OmpThread::cond_wait`]/[`cond_signal`](OmpThread::cond_signal)/[`cond_broadcast`](OmpThread::cond_broadcast) — `cond_wait` is `n × 1` only |
 //!
 //! Beyond the paper, the runtime adds a distributed **tasking** subsystem
-//! ([`Env::task_scope`]): per-node task deques in DSM space with
-//! cross-node work stealing and condvar-based termination — the construct
+//! ([`Env::task_scope`]): per-node task deques in each node's DSM state
+//! with cross-node work stealing by message and condvar-based
+//! termination — the construct
 //! that extends the system to irregular workloads (see [`tasking`]'s
 //! module docs and the `task_ablation` bench) — and **SMP-cluster
 //! execution**: `nodes × threads_per_node` topologies

@@ -1,56 +1,57 @@
-//! Distributed OpenMP tasking: `task` / `taskwait` / `single` over the DSM
-//! with cross-node work stealing.
+//! Distributed OpenMP tasking: `task` / `taskwait` / `single` with
+//! cross-node work stealing.
 //!
 //! The loop constructs of the SC'98 paper cover regular parallelism; its
 //! only irregular-parallelism story is the hand-rolled Figure-4 task queue.
 //! Modern cluster-OpenMP work (arXiv 2207.05677, arXiv 2205.10656) makes
-//! *tasking* the construct that scales irregular workloads across nodes.
-//! This module provides that substrate on top of the existing DSM
-//! primitives — no new protocol messages are needed:
+//! *tasking* the construct that scales irregular workloads across nodes,
+//! schedules tasks by runtime messages, and ships a task with its data in
+//! one transfer. This module follows both:
 //!
 //! * **Task representation.** A task is the scope's executor function
 //!   (shipped once with the region fork, exactly like the paper's outlined
-//!   region bodies) plus a 32-byte POD argument block ([`TaskArgs`]) that
-//!   lives in DSM space. Moving a task between nodes is therefore ordinary
-//!   shared-memory traffic: a deque-page diff carries the arguments.
-//! * **Per-node deques.** Every workstation owns a ring-buffer deque in
-//!   its own page-aligned DSM region, guarded by a lock whose *manager is
-//!   the owning node* (`deque_lock`), so local push/pop/complete are
-//!   message-free; a remote steal costs the usual small constant number of
-//!   messages (lock transfer + deque-page diff).
-//! * **Work stealing.** The owner pushes and pops LIFO (locality); thieves
-//!   take the oldest task FIFO from the other end. Victim sweeps are
-//!   **load-aware**: the thief orders victims by their published backlog
-//!   (an unlocked read of each deque's header page, which faults when a
-//!   write notice invalidated it) divided by the victim's current
-//!   effective speed — the deque that
-//!   will take longest to drain is raided first — with ties broken by a
+//!   region bodies) plus a 32-byte POD argument block ([`TaskArgs`]).
+//! * **Per-node deques.** Every workstation's deque lives in its own DSM
+//!   node state (`tmk`'s task deque, DESIGN.md §2i), under the state lock
+//!   its application and service threads share: local push, pop and
+//!   completion take no lock, write no DSM page and send nothing. On SMP
+//!   topologies a node's local threads share it.
+//! * **Work stealing.** The owner pushes and pops LIFO (locality); a thief
+//!   takes the oldest task FIFO with one `steal_req` and one `steal_rep`.
+//!   The reply carries the task, the backlog it left, the victim's
+//!   counters, and the write notices the thief lacks: a push closes the
+//!   spawner's interval first, so the thief sees everything written
+//!   before it, as a lock grant would show it. Victim sweeps are
+//!   **load-aware**: the thief orders victims by the backlog their last
+//!   replies reported (a victim not yet asked ranks first) divided by
+//!   the victim's current effective speed — the deque that will take
+//!   longest to drain is raided first — with ties broken by a
 //!   per-thief, per-sweep rotating offset so concurrent thieves do not
 //!   convoy on one victim. [`TaskSched::Centralized`] funnels everything
-//!   through node 0's deque instead — the Figure-4 baseline the bench
-//!   ablation compares against.
+//!   through one DSM queue on node 0 under a lock instead — the paper's
+//!   Figure-4 structure, which the bench ablation compares against.
 //! * **Termination without busy-waiting.** Idle workers park on a
 //!   condition variable under a termination lock (the paper's proposed
 //!   §3.2.3 primitive). Before parking, a worker marks every deque it
-//!   found empty with a *hungry* flag — written under that deque's own
-//!   lock, so the next push to that deque (which acquires the same lock)
-//!   reliably observes it and signals the condvar. A `wakeups` generation
-//!   counter under the termination lock closes the signal/wait race. The
-//!   scope terminates when all `p` workers are parked: every deque was
-//!   seen empty under its lock after the last push, so no task can remain
-//!   (the Figure-4 `nwait` argument, distributed).
+//!   found empty with a *hungry* flag: a marked steal request sets it at
+//!   the victim, serialised with the victim's pushes under its state
+//!   lock, so the next push to that deque reliably observes it and
+//!   signals the condvar. A `wakeups` generation counter under the
+//!   termination lock closes the signal/wait race. The scope terminates
+//!   when all `p` workers are parked: every deque was seen empty after
+//!   the last push to it, so no task can remain (the Figure-4 `nwait`
+//!   argument, distributed).
 //! * **Counters.** Spawn/execute/steal/overflow events are surfaced
 //!   through [`tmk::TmkStats`]; steals also appear in the per-kind message
-//!   statistics of `now_net` as ordinary lock/diff traffic.
+//!   statistics of `now_net` as `steal_req`/`steal_rep`.
 
 use crate::env::Env;
 use crate::thread::OmpThread;
 use std::sync::Arc;
-use tmk::SharedVec;
+use tmk::{SharedVec, Taken, TaskCounts};
 
-/// POD argument block of one task (32 bytes, lives in a deque slot in DSM
-/// space). Encode whatever the task body needs: indices, packed ranges,
-/// pool slots. Unused words are zero.
+/// POD argument block of one task (32 bytes). Encode whatever the task
+/// body needs: indices, packed ranges, pool slots. Unused words are zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TaskArgs {
     /// First argument word.
@@ -67,6 +68,14 @@ impl TaskArgs {
     /// Arguments with the remaining words zero.
     pub fn ab(a: u64, b: u64) -> Self {
         TaskArgs { a, b, c: 0, d: 0 }
+    }
+
+    fn words(self) -> tmk::Task {
+        [self.a, self.b, self.c, self.d]
+    }
+
+    fn from_words([a, b, c, d]: tmk::Task) -> Self {
+        TaskArgs { a, b, c, d }
     }
 }
 
@@ -86,8 +95,8 @@ pub enum TaskSched {
 pub struct TaskScopeConfig {
     /// Scheduling policy.
     pub sched: TaskSched,
-    /// Ring-buffer slots per deque. A full deque executes further spawns
-    /// inline (OpenMP "undeferred" semantics) and counts an overflow.
+    /// Slots per deque. A full deque executes further spawns inline
+    /// (OpenMP "undeferred" semantics) and counts an overflow.
     pub deque_capacity: usize,
     /// Modeled firstprivate-environment size added to the scope's fork
     /// message (see [`Env::parallel_sized`]); used by directive
@@ -105,13 +114,14 @@ impl Default for TaskScopeConfig {
     }
 }
 
-// Deque header layout (u64 words at the start of each deque region).
-const HDR_HEAD: usize = 0; // steal end (monotonic)
-const HDR_TAIL: usize = 1; // owner end (monotonic)
-const HDR_HUNGRY: usize = 2; // a would-be sleeper saw this deque empty
-const HDR_SPAWNED: usize = 3; // tasks pushed into this deque
-const HDR_COMPLETED: usize = 4; // tasks completed by this deque's owner
-const HDR_WAITING: usize = 5; // summed depths of chains suspended in taskwait here
+// The centralized queue's header (u64 words at the start of its region),
+// then a ring of slots.
+const HDR_HEAD: usize = 0; // take end (monotonic)
+const HDR_TAIL: usize = 1; // push end (monotonic)
+const HDR_HUNGRY: usize = 2; // a would-be sleeper saw the queue empty
+const HDR_SPAWNED: usize = 3; // tasks pushed
+const HDR_COMPLETED: usize = 4; // tasks completed
+const HDR_WAITING: usize = 5; // summed depths of chains suspended in taskwait
 const HDR_WORDS: usize = 6;
 const SLOT_WORDS: usize = 4;
 
@@ -122,12 +132,11 @@ const TERM_WAKEUPS: usize = 2;
 const TERM_WORDS: usize = 3;
 const TERM_CV: u32 = 0;
 
-/// Lock guarding node `k`'s deque, chosen so its manager *is* node `k`
-/// (`manager_of(id) = id % n`): the owner's push/pop/complete never touch
-/// the wire, a thief pays one lock transfer.
-fn deque_lock(n: usize, k: usize) -> u32 {
+/// The lock guarding the centralized queue, managed by node 0, where
+/// the queue lives.
+fn central_lock(n: usize) -> u32 {
     const BASE: u32 = 0xF800_0000;
-    BASE - (BASE % n as u32) + k as u32
+    BASE - (BASE % n as u32)
 }
 
 /// The scope-wide termination lock (managed by node 0).
@@ -136,14 +145,21 @@ fn term_lock(n: usize) -> u32 {
     BASE - (BASE % n as u32)
 }
 
+/// Where a scope's tasks live.
+#[derive(Clone, Copy)]
+enum Queues {
+    /// Each node's deque in its node state, stolen from by message.
+    Steal,
+    /// The paper's DSM queue on node 0, under [`central_lock`].
+    Central(SharedVec<u64>),
+}
+
 /// Shared handles of one task scope (plain copyable descriptors).
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 struct TaskRt {
-    /// One deque region per **node** (page-disjoint: no false sharing
-    /// between deques). On SMP topologies a node's local threads share
-    /// its deque — local push/pop/steal stay message-free and only
-    /// cross-node steals touch the wire.
-    deques: Vec<SharedVec<u64>>,
+    /// The scope's number in its job: keys every node's deque.
+    scope: u32,
+    queues: Queues,
     /// `[idle, done, wakeups]` under the termination lock. `idle` counts
     /// parked *nodes* (a node parks when all of its local threads are
     /// idle and one of them — the node's agent — enters the DSM-level
@@ -152,17 +168,6 @@ struct TaskRt {
     cap: usize,
     /// Number of nodes (deques), not threads.
     n: usize,
-    sched: TaskSched,
-}
-
-impl TaskRt {
-    /// The deque a thread on `node` pushes to and pops from first.
-    fn home(&self, node: usize) -> usize {
-        match self.sched {
-            TaskSched::WorkSteal => node,
-            TaskSched::Centralized => 0,
-        }
-    }
 }
 
 /// The scope's task executor, shipped once at fork time.
@@ -184,16 +189,19 @@ pub struct TaskScope<'a, 't> {
     /// [`TaskScope::taskwait`] subtracts this from the global deficit —
     /// the caller's own chain cannot complete while it waits.
     depth: u64,
-    /// How much of `depth` this thread has already published to
-    /// `HDR_WAITING` — the sum of the deltas of its enclosing, currently
-    /// suspended `taskwait`s. A nested wait publishes only the frames the
-    /// outer waits have not, or the chain would be double-counted and the
-    /// quiescence condition unreachable.
+    /// How much of `depth` this thread has already published to its home
+    /// deque's `waiting` counter — the sum of the deltas of its
+    /// enclosing, currently suspended `taskwait`s. A nested wait
+    /// publishes only the frames the outer waits have not, or the chain
+    /// would be double-counted and the quiescence condition unreachable.
     published: u64,
     /// Sweeps performed so far: rotates the victim-order tie-break so a
     /// thief does not start every sweep at the same offset (and different
     /// thieves start at different offsets), breaking steal convoys.
     sweeps: u64,
+    /// Each victim's backlog as its last steal reply reported it (`None`:
+    /// not asked yet in this scope).
+    hints: Vec<Option<u64>>,
     /// Set when this worker was just signalled out of the parked state: a
     /// single push only ever wakes one sleeper (it clears the hungry flag
     /// for the burst that follows), so the woken worker re-propagates —
@@ -242,89 +250,94 @@ impl std::ops::DerefMut for TaskScope<'_, '_> {
     }
 }
 
-/// The locked half of a dequeue, shared by every sweep: check the ring
-/// invariants, pop from the right end, or — when the deque is empty —
-/// optionally mark it hungry and/or accumulate its counters. Must run
-/// under deque `k`'s lock.
-fn take_locked(
-    th: &mut OmpThread<'_>,
-    dq: &SharedVec<u64>,
-    k: usize,
-    cap: u64,
-    owner_end: bool,
-    mark: bool,
-    counters: Option<&mut (u64, u64, u64)>,
-) -> Option<(TaskArgs, u64)> {
+/// A take from the centralized queue `dq` (at most `cap` tasks) under
+/// its lock: check the ring invariants, take the oldest task, or — when
+/// the queue is empty — optionally mark it hungry; with the counters.
+fn take_central(th: &mut OmpThread<'_>, dq: &SharedVec<u64>, cap: u64, mark: bool) -> Taken {
     let head = th.read(dq, HDR_HEAD);
     let tail = th.read(dq, HDR_TAIL);
     assert!(
         tail >= head && tail - head <= cap,
-        "take: corrupt deque {k}: head={head} tail={tail}"
+        "take: corrupt queue: head={head} tail={tail}"
     );
+    let counts = TaskCounts {
+        spawned: th.read(dq, HDR_SPAWNED),
+        completed: th.read(dq, HDR_COMPLETED),
+        waiting: th.read(dq, HDR_WAITING),
+    };
     if tail == head {
         if mark {
             th.write(dq, HDR_HUNGRY, 1);
         }
-        if let Some((spawned, completed, waiting)) = counters {
-            *spawned += th.read(dq, HDR_SPAWNED);
-            *completed += th.read(dq, HDR_COMPLETED);
-            *waiting += th.read(dq, HDR_WAITING);
-        }
+        return Taken {
+            task: None,
+            backlog: 0,
+            counts,
+        };
+    }
+    th.write(dq, HDR_HEAD, head + 1);
+    let slot = HDR_WORDS + (head % cap) as usize * SLOT_WORDS;
+    let w = th.read_slice(dq, slot..slot + SLOT_WORDS);
+    Taken {
+        task: Some([w[0], w[1], w[2], w[3]]),
+        backlog: tail - head - 1,
+        counts,
+    }
+}
+
+/// A push onto the centralized queue `dq` under its lock, as
+/// [`tmk::Tmk::task_push`] answers for a node's deque.
+fn push_central(
+    th: &mut OmpThread<'_>,
+    dq: &SharedVec<u64>,
+    cap: u64,
+    task: tmk::Task,
+) -> Option<bool> {
+    let head = th.read(dq, HDR_HEAD);
+    let tail = th.read(dq, HDR_TAIL);
+    assert!(
+        tail >= head && tail - head <= cap,
+        "push: corrupt queue: head={head} tail={tail}"
+    );
+    if tail - head >= cap {
         return None;
     }
-    let idx = if owner_end {
-        th.write(dq, HDR_TAIL, tail - 1);
-        tail - 1
-    } else {
-        th.write(dq, HDR_HEAD, head + 1);
-        head
-    };
-    let slot = HDR_WORDS + (idx % cap) as usize * SLOT_WORDS;
-    let w = th.read_slice(dq, slot..slot + SLOT_WORDS);
-    let remaining = tail - head - 1;
-    Some((
-        TaskArgs {
-            a: w[0],
-            b: w[1],
-            c: w[2],
-            d: w[3],
-        },
-        remaining,
-    ))
+    let slot = HDR_WORDS + (tail % cap) as usize * SLOT_WORDS;
+    th.write_slice(dq, slot, &task);
+    th.write(dq, HDR_TAIL, tail + 1);
+    let spawned = th.read(dq, HDR_SPAWNED);
+    th.write(dq, HDR_SPAWNED, spawned + 1);
+    let hungry = th.read(dq, HDR_HUNGRY) != 0;
+    if hungry {
+        th.write(dq, HDR_HUNGRY, 0);
+    }
+    Some(hungry)
+}
+
+/// Add `delta` to counter `word` of the centralized queue `dq` under its
+/// lock.
+fn bump_central(th: &mut OmpThread<'_>, dq: &SharedVec<u64>, word: usize, delta: i64) {
+    let lock = central_lock(th.nprocs());
+    th.critical(lock, |th| {
+        let v = th.read(dq, word);
+        th.write(dq, word, v.wrapping_add_signed(delta));
+    });
 }
 
 impl TaskScope<'_, '_> {
     /// `!$omp task`: spawn the scope's task body with `args`. The task is
-    /// pushed onto this node's deque (node 0's under
+    /// pushed onto this node's deque (node 0's queue under
     /// [`TaskSched::Centralized`]) and may be executed by any workstation.
     /// If the deque is full the task runs inline instead (undeferred).
     pub fn task(&mut self, args: TaskArgs) {
-        let home = self.rt.home(self.node);
-        let dq = self.rt.deques[home];
-        let lock = deque_lock(self.rt.n, home);
-        let cap = self.rt.cap as u64;
-        let (pushed, was_hungry) = self.th.critical(lock, |th| {
-            let head = th.read(&dq, HDR_HEAD);
-            let tail = th.read(&dq, HDR_TAIL);
-            assert!(
-                tail >= head && tail - head <= cap,
-                "push: corrupt deque {home}: head={head} tail={tail}"
-            );
-            if tail - head >= cap {
-                return (false, false);
-            }
-            let slot = HDR_WORDS + (tail % cap) as usize * SLOT_WORDS;
-            th.write_slice(&dq, slot, &[args.a, args.b, args.c, args.d]);
-            th.write(&dq, HDR_TAIL, tail + 1);
-            let spawned = th.read(&dq, HDR_SPAWNED);
-            th.write(&dq, HDR_SPAWNED, spawned + 1);
-            let hungry = th.read(&dq, HDR_HUNGRY);
-            if hungry != 0 {
-                th.write(&dq, HDR_HUNGRY, 0);
-            }
-            (true, hungry != 0)
-        });
-        if !pushed {
+        let (scope, cap) = (self.rt.scope, self.rt.cap);
+        let pushed = match self.rt.queues {
+            Queues::Steal => self.th.task_push(scope, args.words(), cap),
+            Queues::Central(dq) => self.th.critical(central_lock(self.rt.n), |th| {
+                push_central(th, &dq, cap as u64, args.words())
+            }),
+        };
+        let Some(was_hungry) = pushed else {
             // Deque full: run undeferred. Spawn/complete counters are
             // skipped on purpose — the task is finished before this spawn
             // returns, so quiescence accounting never sees it (`counted:
@@ -335,7 +348,7 @@ impl TaskScope<'_, '_> {
             self.th.trace_instant(tmk::EventKind::TaskSpawn, 0, 1);
             self.run_task(args, false, false);
             return;
-        }
+        };
         self.th.count_op(tmk::TmkOp::TasksSpawned, 1);
         self.th.trace_instant(tmk::EventKind::TaskSpawn, 0, 0);
         // Recruit help: bump the local wake generation unconditionally (a
@@ -355,13 +368,14 @@ impl TaskScope<'_, '_> {
     /// task spawned in the scope so far — transitively — has completed.
     /// Quiescence is detected with the four-counter double sweep (two
     /// consecutive clean sweeps observing identical spawn/complete totals
-    /// with spawned == completed), each counter read under its deque's
-    /// lock so the totals ride the release→acquire edges of the protocol.
+    /// with spawned == completed). A victim's counters come in its steal
+    /// reply, with the notices of every completion they count, so the
+    /// waiter has acquired the writes of the tasks it waited for.
     ///
     /// The waiter *helps* (it keeps executing available tasks) and polls
     /// the counters between helps; unlike scope termination it does not
     /// park on the condvar, so a taskwait spanning a long remote task
-    /// pays recurring lock-sweep traffic. Parking waiters on completion
+    /// pays recurring sweep traffic. Parking waiters on completion
     /// events would need a completion→signal edge the protocol does not
     /// have yet; left as future work.
     pub fn taskwait(&mut self) {
@@ -370,16 +384,15 @@ impl TaskScope<'_, '_> {
         // deficit bottoms out at the *sum* of the suspended chains (no
         // single waiter's own depth), so each waiter must know about the
         // others to recognize quiescence.
-        let home = self.rt.home(self.node);
         let delta = self.depth - self.published;
-        self.adjust_waiting(home, delta as i64);
+        self.adjust_waiting(delta as i64);
         self.published += delta;
         loop {
             while self.run_one() {}
-            let Some((s1, c1, w1)) = self.counter_sweep() else {
+            let Some(first) = self.counter_sweep() else {
                 continue;
             };
-            let Some((s2, c2, w2)) = self.counter_sweep() else {
+            let Some(second) = self.counter_sweep() else {
                 continue;
             };
             // Monotone counters equal across both sweeps pin S and C over
@@ -388,7 +401,7 @@ impl TaskScope<'_, '_> {
             // suspended depths means the only unfinished tasks are chains
             // parked in taskwait — including this one — which by
             // definition have nothing left to wait for.
-            if s1 == s2 && c1 == c2 && w1 == w2 && s1 - c1 == w1 {
+            if first == second && first.spawned - first.completed == first.waiting {
                 break;
             }
             // Tasks are in flight on other nodes; yield the host CPU while
@@ -396,21 +409,18 @@ impl TaskScope<'_, '_> {
             self.th.spin_hint();
         }
         self.published -= delta;
-        self.adjust_waiting(home, -(delta as i64));
+        self.adjust_waiting(-(delta as i64));
     }
 
-    /// Add `delta` to deque `k`'s suspended-waiter depth sum (under its
-    /// lock, so sweeps observe it consistently with the counters).
-    fn adjust_waiting(&mut self, k: usize, delta: i64) {
+    /// Add `delta` to the home deque's suspended-waiter depth sum.
+    fn adjust_waiting(&mut self, delta: i64) {
         if delta == 0 {
             return;
         }
-        let dq = self.rt.deques[k];
-        let lock = deque_lock(self.rt.n, k);
-        self.th.critical(lock, |th| {
-            let w = th.read(&dq, HDR_WAITING);
-            th.write(&dq, HDR_WAITING, w.wrapping_add_signed(delta));
-        });
+        match self.rt.queues {
+            Queues::Steal => self.th.task_wait(self.rt.scope, delta),
+            Queues::Central(dq) => bump_central(self.th, &dq, HDR_WAITING, delta),
+        }
     }
 
     /// `!$omp single` (master-executes variant) — valid in the init phase
@@ -423,52 +433,90 @@ impl TaskScope<'_, '_> {
         self.th.barrier();
     }
 
-    /// Whether taking from deque `k` counts as a steal: crossing to
-    /// another *node's* deque (only meaningful under work stealing; the
-    /// centralized queue has no steal notion, and a sibling thread of the
-    /// same workstation taking from the shared node deque is message-free
-    /// local scheduling, not a steal).
-    fn is_steal(&self, k: usize) -> bool {
-        self.rt.sched == TaskSched::WorkSteal && k != self.node
-    }
-
     /// Pop (own deque) or steal one task and execute it; `false` when no
     /// work was found anywhere.
     fn run_one(&mut self) -> bool {
-        if let Some((k, args)) = self.hunt(false) {
-            self.execute_taken(k, args);
-            true
-        } else {
-            false
+        match self.sweep(false) {
+            Ok((stolen, args)) => {
+                self.execute_taken(stolen, args);
+                true
+            }
+            Err(_) => false,
         }
     }
 
-    /// Execute a task just taken from deque `k` and count its completion
-    /// against this thread's home deque.
-    fn execute_taken(&mut self, k: usize, args: TaskArgs) {
-        let stolen = self.is_steal(k);
+    /// Execute a task just taken (`stolen` from another node) and count
+    /// its completion against this thread's home deque.
+    fn execute_taken(&mut self, stolen: bool, args: TaskArgs) {
         self.run_task(args, stolen, true);
-        self.complete(self.rt.home(self.node));
+        match self.rt.queues {
+            Queues::Steal => self.th.task_complete(self.rt.scope),
+            Queues::Central(dq) => bump_central(self.th, &dq, HDR_COMPLETED, 1),
+        }
     }
 
-    /// Take one task from deque `k` under its lock. The owner takes the
-    /// newest task (LIFO), a thief the oldest (FIFO). With `mark`, an
-    /// empty deque is flagged hungry so the next push signals a sleeper.
-    /// A freshly woken worker that takes a task leaving more behind
-    /// propagates the wake-up to the next sleeper (see `woke`).
-    fn take_from(&mut self, k: usize, mark: bool) -> Option<TaskArgs> {
-        if self.is_steal(k) {
-            self.th.count_op(tmk::TmkOp::StealAttempts, 1);
+    /// The home take: this node's deque (the owner's end), or the
+    /// centralized queue under its lock.
+    fn take_home(&mut self, mark: bool) -> Taken {
+        match self.rt.queues {
+            Queues::Steal => self.th.task_take(self.rt.scope, mark),
+            Queues::Central(dq) => {
+                let cap = self.rt.cap as u64;
+                let lock = central_lock(self.rt.n);
+                self.th
+                    .critical(lock, |th| take_central(th, &dq, cap, mark))
+            }
         }
-        let dq = self.rt.deques[k];
-        let lock = deque_lock(self.rt.n, k);
-        let cap = self.rt.cap as u64;
-        let owner_end = k == self.rt.home(self.node) && self.rt.sched == TaskSched::WorkSteal;
-        let (args, remaining) = self.th.critical(lock, |th| {
-            take_locked(th, &dq, k, cap, owner_end, mark, None)
-        })?;
-        self.propagate_wake(remaining);
-        Some(args)
+    }
+
+    /// One steal request to `victim`; its reply's backlog becomes the
+    /// victim's hint.
+    fn steal(&mut self, victim: usize, mark: bool) -> Taken {
+        self.th.count_op(tmk::TmkOp::StealAttempts, 1);
+        let taken = self.th.steal(victim, self.rt.scope, mark);
+        self.hints[victim] = Some(taken.backlog);
+        taken
+    }
+
+    /// One sweep over the deques — home first (message-free when local
+    /// work exists; victim scoring is skipped entirely), then the
+    /// backlog-ordered victims — stopping at the first task found:
+    /// whether it was stolen, and the task. With `mark`, every deque
+    /// found empty is flagged hungry (the pre-sleep pass). A sweep that
+    /// finds nothing returns the counters summed over every deque. A
+    /// freshly woken worker whose take left more behind propagates the
+    /// wake-up to the next sleeper (see `woke`).
+    fn sweep(&mut self, mark: bool) -> Result<(bool, TaskArgs), TaskCounts> {
+        let mut totals = TaskCounts::default();
+        let mut take = (false, self.take_home(mark));
+        let mut victims = Vec::new().into_iter();
+        if take.1.task.is_none() {
+            victims = self.victim_sweep().into_iter();
+        }
+        loop {
+            let (stolen, taken) = take;
+            totals += taken.counts;
+            if let Some(task) = taken.task {
+                self.propagate_wake(taken.backlog);
+                return Ok((stolen, TaskArgs::from_words(task)));
+            }
+            let Some(k) = victims.next() else {
+                return Err(totals);
+            };
+            take = (true, self.steal(k, mark));
+        }
+    }
+
+    /// [`TaskScope::sweep`] for `taskwait`: `None` (and the task executed)
+    /// if work was found, else the summed counters.
+    fn counter_sweep(&mut self) -> Option<TaskCounts> {
+        match self.sweep(false) {
+            Ok((stolen, args)) => {
+                self.execute_taken(stolen, args);
+                None
+            }
+            Err(totals) => Some(totals),
+        }
     }
 
     /// If this worker was just signalled awake and its take left more
@@ -521,17 +569,6 @@ impl TaskScope<'_, '_> {
         }
     }
 
-    /// Count one completion against deque `k` (the executor's home — a
-    /// local, message-free lock tenure under work stealing).
-    fn complete(&mut self, k: usize) {
-        let dq = self.rt.deques[k];
-        let lock = deque_lock(self.rt.n, k);
-        self.th.critical(lock, |th| {
-            let c = th.read(&dq, HDR_COMPLETED);
-            th.write(&dq, HDR_COMPLETED, c + 1);
-        });
-    }
-
     /// Signal one parked worker (push saw a hungry flag). The `wakeups`
     /// generation counter makes the signal un-losable: a sleeper that has
     /// not yet reached `cond_wait` re-checks the counter under the same
@@ -548,94 +585,26 @@ impl TaskScope<'_, '_> {
         });
     }
 
-    /// The victims of one sweep, ordered by descending published backlog
-    /// over effective speed (unlocked reads of each deque's header),
-    /// rotation breaking ties. Computed only after the
-    /// home take came up empty, so the message-free local-work fast path
-    /// never pays for victim scoring. Each call advances the rotation.
+    /// The victims of one sweep, ordered by descending backlog hint over
+    /// effective speed, a victim not asked yet first and rotation
+    /// breaking ties. Computed only after the home take came up empty,
+    /// so the message-free local-work fast path never pays for victim
+    /// scoring. Reads no page and sends nothing: the hints are what the
+    /// steal replies reported. Each call advances the rotation.
     fn victim_sweep(&mut self) -> Vec<usize> {
         let n = self.rt.n;
-        if self.rt.sched == TaskSched::Centralized || n <= 1 {
+        if matches!(self.rt.queues, Queues::Central(_)) || n <= 1 {
             return Vec::new();
         }
         self.sweeps = self.sweeps.wrapping_add(1);
         let rotor = self.sweeps.wrapping_add(self.me as u64);
-        let mut est = vec![0.0f64; n];
+        let mut est = vec![f64::INFINITY; n];
         for (k, e) in est.iter_mut().enumerate() {
-            if k == self.node {
-                continue;
+            if let Some(backlog) = self.hints[k].filter(|_| k != self.node) {
+                *e = backlog as f64 / self.th.node_speed(k).max(1e-6);
             }
-            // Unlocked reads of the victim's deque header, possibly stale;
-            // good enough to rank victims, and the actual take re-checks
-            // under the lock. Not free: once an acquire has delivered a
-            // write notice for the header page, the read faults and asks
-            // the writer for its diff. On `fib(12)` (4 nodes) these reads
-            // took ≈ 50–56 read faults per job sending ≈ 52–60 `diff_req`,
-            // ≈ 105–120 messages with the replies, when a job sent ≈ 900;
-            // since its leaves' `critical` rides the join, a job sends
-            // ≈ 300 and asks for 45–55 diffs in all.
-            let dq = self.rt.deques[k];
-            let head = self.th.read(&dq, HDR_HEAD);
-            let tail = self.th.read(&dq, HDR_TAIL);
-            let backlog = tail.saturating_sub(head) as f64;
-            *e = backlog / self.th.node_speed(k).max(1e-6);
         }
         victim_order(n, self.node, rotor, |k| est[k])
-    }
-
-    /// One sweep over all deques (home first, then scored victims)
-    /// reading the spawn/complete/waiting counters under each deque's
-    /// lock. Returns `None` (and executes the task) if work was found
-    /// instead.
-    fn counter_sweep(&mut self) -> Option<(u64, u64, u64)> {
-        let mut totals = (0u64, 0u64, 0u64);
-        let home = self.rt.home(self.node);
-        if let Some((args, remaining)) = self.counter_take(home, &mut totals) {
-            self.propagate_wake(remaining);
-            self.execute_taken(home, args);
-            return None;
-        }
-        for k in self.victim_sweep() {
-            if let Some((args, remaining)) = self.counter_take(k, &mut totals) {
-                self.propagate_wake(remaining);
-                self.execute_taken(k, args);
-                return None;
-            }
-        }
-        Some(totals)
-    }
-
-    /// The locked take-or-accumulate step of [`TaskScope::counter_sweep`]
-    /// for one deque.
-    fn counter_take(&mut self, k: usize, totals: &mut (u64, u64, u64)) -> Option<(TaskArgs, u64)> {
-        if self.is_steal(k) {
-            self.th.count_op(tmk::TmkOp::StealAttempts, 1);
-        }
-        let dq = self.rt.deques[k];
-        let lock = deque_lock(self.rt.n, k);
-        let owner_end = k == self.rt.home(self.node) && self.rt.sched == TaskSched::WorkSteal;
-        let cap = self.rt.cap as u64;
-        self.th.critical(lock, |th| {
-            take_locked(th, &dq, k, cap, owner_end, false, Some(totals))
-        })
-    }
-
-    /// Sweep all deques looking for work — home first (message-free when
-    /// local work exists; victim scoring is skipped entirely), then the
-    /// backlog-ordered victims. With `mark`, flag every deque found empty
-    /// as hungry (the pre-sleep pass). Returns the source deque alongside
-    /// the task.
-    fn hunt(&mut self, mark: bool) -> Option<(usize, TaskArgs)> {
-        let home = self.rt.home(self.node);
-        if let Some(args) = self.take_from(home, mark) {
-            return Some((home, args));
-        }
-        for k in self.victim_sweep() {
-            if let Some(args) = self.take_from(k, mark) {
-                return Some((k, args));
-            }
-        }
-        None
     }
 
     /// The scheduler loop every thread runs after the init phase: execute
@@ -674,13 +643,14 @@ impl TaskScope<'_, '_> {
             // --- DSM level (the node's agent; every thread on n×1) ---
             // Announce intent to sleep, then do the marking sweep: a push
             // that lands after our empty observation of a deque sees the
-            // hungry flag under that deque's lock and will signal.
+            // hungry flag (set under the same state or queue lock as the
+            // push) and will signal.
             let w0 = self.th.critical(tlock, |th| {
                 let idle = th.read(&term, TERM_IDLE);
                 th.write(&term, TERM_IDLE, idle + 1);
                 th.read(&term, TERM_WAKEUPS)
             });
-            if let Some((k, args)) = self.hunt(true) {
+            if let Ok((stolen, args)) = self.sweep(true) {
                 self.th.critical(tlock, |th| {
                     let idle = th.read(&term, TERM_IDLE);
                     th.write(&term, TERM_IDLE, idle - 1);
@@ -688,7 +658,7 @@ impl TaskScope<'_, '_> {
                 if let Some(tm) = team {
                     tm.task_leave_idle();
                 }
-                self.execute_taken(k, args);
+                self.execute_taken(stolen, args);
                 continue;
             }
             // Park (or finish).
@@ -751,8 +721,9 @@ impl Env<'_> {
     /// joins the scope.
     ///
     /// `body` is shipped once at fork time (like any region body); the
-    /// per-task [`TaskArgs`] travel through DSM deques, so task movement
-    /// is fully accounted as shared-memory traffic.
+    /// per-task [`TaskArgs`] travel in steal replies (through the DSM
+    /// queue under [`TaskSched::Centralized`]), so task movement is fully
+    /// accounted as wire traffic.
     pub fn task_scope<I, F>(&mut self, cfg: TaskScopeConfig, init: I, body: F)
     where
         I: Fn(&mut TaskScope<'_, '_>) + Send + Sync + 'static,
@@ -774,19 +745,21 @@ impl Env<'_> {
     {
         // One deque per *node*: an SMP node's local threads share it
         // (message-free local scheduling); only cross-node steals pay
-        // protocol traffic.
+        // protocol traffic. The centralized queue is one DSM region.
         let n = self.num_nodes();
         let cap = cfg.deque_capacity.max(1);
-        let deques: Vec<SharedVec<u64>> = (0..n)
-            .map(|_| self.t.malloc_vec::<u64>(HDR_WORDS + cap * SLOT_WORDS))
-            .collect();
-        let term = self.t.malloc_vec::<u64>(TERM_WORDS);
+        let queues = match cfg.sched {
+            TaskSched::WorkSteal => Queues::Steal,
+            TaskSched::Centralized => {
+                Queues::Central(self.t.malloc_vec::<u64>(HDR_WORDS + cap * SLOT_WORDS))
+            }
+        };
         let rt = TaskRt {
-            deques,
-            term,
+            scope: self.open_task_scope(),
+            queues,
+            term: self.t.malloc_vec::<u64>(TERM_WORDS),
             cap,
             n,
-            sched: cfg.sched,
         };
         let body: TaskBody = Arc::new(body);
         let init = Arc::new(init);
@@ -795,13 +768,14 @@ impl Env<'_> {
             let node = th.node_id();
             let mut scope = TaskScope {
                 th,
-                rt: rt.clone(),
+                rt,
                 body: body.clone(),
                 me,
                 node,
                 depth: 0,
                 published: 0,
                 sweeps: 0,
+                hints: vec![None; rt.n],
                 woke: false,
             };
             init(&mut scope);
@@ -893,8 +867,13 @@ mod tests {
     #[test]
     fn stealing_actually_happens() {
         // One root task spawning a chain of children: with stealing, other
-        // nodes pick tasks off node 0's deque.
-        let out = run(OmpConfig::fast_test(4), |omp| {
+        // nodes pick tasks off node 0's deque. Node 0's own pops are
+        // message-free and can drain the deque before a thief's request
+        // is served, so node 0 holds each task until another node ran
+        // one: the race is decided by what the test is about, not by
+        // host speed.
+        let thief_ran = Arc::new(AtomicBool::new(false));
+        let out = run(OmpConfig::fast_test(4), move |omp| {
             let hits = omp.malloc_vec::<u64>(4);
             omp.task_scope(
                 TaskScopeConfig::default(),
@@ -909,8 +888,11 @@ mod tests {
                     let me = s.thread_num();
                     let v = s.read(&hits, me);
                     s.write(&hits, me, v + 1);
-                    // Burn a little so thieves have time to engage.
-                    std::hint::black_box((0..500u64).sum::<u64>());
+                    if me == 0 {
+                        yield_until(|| thief_ran.load(Ordering::SeqCst));
+                    } else {
+                        thief_ran.store(true, Ordering::SeqCst);
+                    }
                 },
             );
             omp.read_slice(&hits, 0..4)
@@ -1219,22 +1201,9 @@ mod tests {
     #[test]
     fn deque_and_term_locks_are_disjoint() {
         for n in [1usize, 2, 3, 8, 16] {
-            let mut ids: Vec<u32> = (0..n).map(|k| deque_lock(n, k)).collect();
-            ids.push(term_lock(n));
-            let unique: std::collections::HashSet<u32> = ids.iter().copied().collect();
-            assert_eq!(unique.len(), ids.len(), "lock collision at n={n}");
-            for k in 0..n {
-                assert_eq!(
-                    deque_lock(n, k) as usize % n,
-                    k,
-                    "manager must be the owner"
-                );
-            }
-            assert_eq!(
-                term_lock(n) as usize % n,
-                0,
-                "termination lock managed by node 0"
-            );
+            assert_ne!(central_lock(n), term_lock(n), "lock collision at n={n}");
+            assert_eq!(central_lock(n) as usize % n, 0, "queue lock on node 0");
+            assert_eq!(term_lock(n) as usize % n, 0, "termination lock on node 0");
         }
     }
 }

@@ -85,6 +85,9 @@ pub enum EventKind {
     Flush,
     /// Barrier-time garbage collection of consistency metadata.
     Gc,
+    /// Steal from another node's task deque: request → reply (`a` =
+    /// victim).
+    StealWait,
     /// Job-boundary reset protocol step.
     Reset,
     /// SMP team fork/join bracketing a node's parallel region.
@@ -126,6 +129,7 @@ impl EventKind {
             EventKind::CondSignal => "cond signal",
             EventKind::Flush => "flush",
             EventKind::Gc => "gc",
+            EventKind::StealWait => "steal wait",
             EventKind::Reset => "reset",
             EventKind::TeamFork => "team fork",
             EventKind::Idle => "idle",
@@ -155,6 +159,7 @@ impl EventKind {
             | EventKind::CondSignal
             | EventKind::Flush
             | EventKind::Gc
+            | EventKind::StealWait
             | EventKind::Reset
             | EventKind::TeamFork => Category::Protocol,
             EventKind::Idle => Category::Idle,
@@ -545,11 +550,14 @@ pub struct ChunkClaimStat {
 pub struct MsgKindStat {
     /// Wire kind name (e.g. `DiffReq`).
     pub kind: String,
-    /// Messages sent.
+    /// Messages sent to another node.
     pub sends: u64,
-    /// Messages received (charged on arrival).
+    /// Messages a node sent itself: free on the network, so left out of
+    /// `sends`, `recvs` and `bytes`, which then match the job's traffic.
+    pub local: u64,
+    /// Messages received from another node (charged on arrival).
     pub recvs: u64,
-    /// Payload bytes sent.
+    /// Payload bytes sent to another node.
     pub bytes: u64,
     /// Virtual time of the first send/recv.
     pub first_ns: u64,
@@ -645,27 +653,38 @@ impl Profile {
                         }),
                     },
                     EventKind::MsgSend | EventKind::MsgRecv => {
+                        // A self-send is one local count; its receipt is
+                        // not counted again.
                         let is_send = e.kind == EventKind::MsgSend;
-                        match msgs.iter_mut().find(|m| m.kind == e.tag) {
-                            Some(m) => {
-                                if is_send {
-                                    m.sends += 1;
-                                    m.bytes += e.b;
-                                } else {
-                                    m.recvs += 1;
-                                }
-                                m.first_ns = m.first_ns.min(e.t0);
-                                m.last_ns = m.last_ns.max(e.t0);
-                            }
-                            None => msgs.push(MsgKindStat {
-                                kind: e.tag.to_string(),
-                                sends: if is_send { 1 } else { 0 },
-                                recvs: if is_send { 0 } else { 1 },
-                                bytes: if is_send { e.b } else { 0 },
-                                first_ns: e.t0,
-                                last_ns: e.t0,
-                            }),
+                        let local = e.a == node as u64;
+                        if local && !is_send {
+                            continue;
                         }
+                        let m = match msgs.iter().position(|m| m.kind == e.tag) {
+                            Some(i) => &mut msgs[i],
+                            None => {
+                                msgs.push(MsgKindStat {
+                                    kind: e.tag.to_string(),
+                                    sends: 0,
+                                    local: 0,
+                                    recvs: 0,
+                                    bytes: 0,
+                                    first_ns: e.t0,
+                                    last_ns: e.t0,
+                                });
+                                msgs.last_mut().expect("just pushed")
+                            }
+                        };
+                        match (is_send, local) {
+                            (true, true) => m.local += 1,
+                            (true, false) => {
+                                m.sends += 1;
+                                m.bytes += e.b;
+                            }
+                            (false, _) => m.recvs += 1,
+                        }
+                        m.first_ns = m.first_ns.min(e.t0);
+                        m.last_ns = m.last_ns.max(e.t0);
                     }
                     _ => {}
                 }
@@ -674,7 +693,7 @@ impl Profile {
         faults.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
         faults.truncate(10);
         claims.sort_by_key(|c| c.site);
-        msgs.sort_by_key(|m| std::cmp::Reverse(m.sends + m.recvs));
+        msgs.sort_by_key(|m| std::cmp::Reverse(m.sends + m.local + m.recvs));
         Profile {
             total_ns: total,
             nodes,
@@ -728,9 +747,13 @@ impl Profile {
             );
         }
         for m in &self.messages {
+            let local = match m.local {
+                0 => String::new(),
+                n => format!(" (+{n} local)"),
+            };
             let _ = writeln!(
                 out,
-                "  msg {:<14} {:>6} sent / {:>6} recv, {:>10} B, {:.3}..{:.3} s",
+                "  msg {:<14} {:>6} sent{local} / {:>6} recv, {:>10} B, {:.3}..{:.3} s",
                 m.kind,
                 m.sends,
                 m.recvs,
@@ -917,6 +940,40 @@ mod tests {
         let rendered = p.render();
         assert!(rendered.contains("node"));
         assert!(rendered.contains("loop site 0x9"));
+    }
+
+    #[test]
+    fn a_self_send_is_counted_local_and_not_sent() {
+        let msg = |kind, node: usize, peer: u64, bytes| TraceEvent {
+            tag: "lock_grant",
+            ..ev(
+                kind,
+                SERVICE_LANE,
+                10 * node as u64,
+                10 * node as u64,
+                peer,
+                bytes,
+            )
+        };
+        // Node 0 grants itself once and node 1 once, which receives it.
+        let trace = Trace {
+            nodes: 2,
+            threads_per_node: 1,
+            total_ns: 100,
+            events: vec![
+                vec![
+                    msg(EventKind::MsgSend, 0, 0, 40),
+                    msg(EventKind::MsgRecv, 0, 0, 40),
+                    msg(EventKind::MsgSend, 0, 1, 60),
+                ],
+                vec![msg(EventKind::MsgRecv, 1, 0, 60)],
+            ],
+            dropped: vec![0, 0],
+        };
+        let p = Profile::from_trace(&trace);
+        let m = &p.messages[0];
+        assert_eq!((m.sends, m.local, m.recvs, m.bytes), (1, 1, 1, 60));
+        assert!(p.render().contains("1 sent (+1 local) /      1 recv"));
     }
 
     #[test]

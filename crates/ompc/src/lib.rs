@@ -38,7 +38,7 @@
 //! | `#pragma omp barrier` | DSM barrier (context-checked over the call graph) |
 //! | `#pragma omp single` | thread 0 executes + implied barrier |
 //! | `#pragma omp task` | body outlined; ≤[`MAX_TASK_CAPTURES`] referenced privates packed into the 32-byte [`nomp::TaskArgs`] descriptor; regions from which tasks are reachable run as work-stealing task scopes (others fork as plain regions) |
-//! | `#pragma omp taskwait` | [`nomp::TaskScope::taskwait`] (four-counter quiescence) |
+//! | `#pragma omp taskwait` | [`nomp::TaskScope::taskwait`] (four-counter quiescence; each node's counters ride its steal reply with the notices of the completions they count) |
 //! | `int` declarations | value truncated on store (C semantics); `%` is integer modulo |
 //!
 //! Context rules are enforced over the *call graph*, not just lexically:

@@ -597,6 +597,59 @@ impl Tmk {
     }
 
     // ------------------------------------------------------------------
+    // Task deques (the tasking runtime's work stealing, DESIGN.md §2i)
+    // ------------------------------------------------------------------
+
+    /// Run `f` on this node's state as a valid-page access runs: under
+    /// one state lock, on the compute meter and outside the node gate,
+    /// charging an SMP lane the intra-node access cost. No message.
+    fn task_local<R>(&mut self, f: impl FnOnce(&mut NodeState) -> R) -> R {
+        let r = f(&mut self.state.lock());
+        self.lane_advance(self.smp_access_ns);
+        r
+    }
+
+    /// Push `task` onto this node's deque of task scope `scope` (at most
+    /// `cap` queued), closing the open interval first so a thief sees
+    /// what was written before the push. `None` when the deque is full;
+    /// else whether the push found the deque hungry (a sweep marked it
+    /// empty before parking), so a sleeper must be woken.
+    pub fn task_push(&mut self, scope: u32, task: crate::Task, cap: usize) -> Option<bool> {
+        self.task_local(|st| st.task_push(scope, task, cap))
+    }
+
+    /// Take the newest task of this node's deque of `scope`; with
+    /// `mark`, flag an empty deque hungry.
+    pub fn task_take(&mut self, scope: u32, mark: bool) -> crate::Taken {
+        self.task_local(|st| st.task_take(scope, mark))
+    }
+
+    /// Count a task completed by this node in `scope` (closing the open
+    /// interval, so a steal reply reporting it carries the task's writes).
+    pub fn task_complete(&mut self, scope: u32) {
+        self.task_local(|st| st.task_complete(scope));
+    }
+
+    /// Add `delta` to this node's summed `taskwait` depths in `scope`.
+    pub fn task_wait(&mut self, scope: u32, delta: i64) {
+        self.task_local(|st| st.task_wait(scope, delta));
+    }
+
+    /// Steal the oldest task of `victim`'s deque of `scope`: one
+    /// `StealReq` and one `StealRep`, whose notices this node acquires.
+    /// With `mark`, an empty deque is flagged hungry at the victim.
+    pub fn steal(&mut self, victim: usize, scope: u32, mark: bool) -> crate::Taken {
+        let mut taken = crate::Taken::default();
+        self.traced_op(OpLat::Steal, victim as u64, |s| {
+            let (dst, req) = s.state.lock().steal_request(victim, scope, mark);
+            s.ep.send(dst, req);
+            let d = s.reply();
+            taken = s.state.lock().on_steal(d.src, d.msg);
+        });
+        taken
+    }
+
+    // ------------------------------------------------------------------
     // Flush (original OpenMP synchronization the paper replaces)
     // ------------------------------------------------------------------
 

@@ -28,6 +28,10 @@
 //! * **Diff garbage collection** — at barriers, when cached diff storage
 //!   grows past a threshold, page copies are validated by their last
 //!   writers and become new base copies.
+//! * **Task deques** — the OpenMP tasking runtime's work-stealing deques
+//!   live in each node's state, not in DSM pages: a steal is one request
+//!   and one reply, which carries the task and the notices the thief
+//!   lacks ([`Tmk::steal`]).
 //!
 //! ## Example
 //!
@@ -62,6 +66,7 @@ mod service;
 mod state;
 mod stats;
 mod system;
+mod tasks;
 #[cfg(test)]
 mod world;
 
@@ -80,3 +85,4 @@ pub use now_trace::{EventKind, Profile, Trace, TraceConfig, TraceEvent};
 pub use page::PageState;
 pub use stats::{TmkOp, TmkStats};
 pub use system::{run_system, RunOutcome, System, SystemDown};
+pub use tasks::{Taken, Task, TaskCounts};

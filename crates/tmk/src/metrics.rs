@@ -77,6 +77,7 @@ op_lats! {
     (CondWait, "cond_wait", CondWait, "A condition-variable wait, release to wakeup."),
     (Flush, "flush", Flush, "An OpenMP flush round."),
     (Gc, "gc", Gc, "A diff garbage-collection round (inside a barrier)."),
+    (Steal, "steal", StealWait, "A steal from another node's task deque, request to reply."),
 }
 
 /// One node's lifetime metrics block. Shared (`Arc`) between the

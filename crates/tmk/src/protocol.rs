@@ -8,6 +8,7 @@
 use crate::addr::PageId;
 use crate::diff::Diff;
 use crate::interval::{IntervalId, NoticeBundle, VectorClock};
+use crate::tasks::Taken;
 use now_net::Wire;
 use std::sync::Arc;
 
@@ -251,6 +252,27 @@ pub enum Msg {
     },
     /// Acknowledgment of a flush notice.
     FlushAck,
+    /// A thief asks a victim for the oldest task of its deque (the
+    /// thief is the sender).
+    StealReq {
+        /// The task scope the thief is in.
+        scope: u32,
+        /// Thief's processed clock (the reply's bundle filter, as for a
+        /// lock acquire).
+        vc: VectorClock,
+        /// An empty deque is flagged hungry: the thief is about to park,
+        /// and the next push must wake a sleeper.
+        mark: bool,
+    },
+    /// The victim's answer to [`Msg::StealReq`].
+    StealRep {
+        /// The task taken, if any, the backlog it left, and the deque's
+        /// counters.
+        taken: Taken,
+        /// The notices the thief lacks, as a lock grant gives them: with
+        /// the push's interval, everything the spawner wrote before it.
+        bundle: NoticeBundle,
+    },
     /// Master ships a parallel-region body to a slave (Tmk_fork). The
     /// fork is also the slave's deferred departure from the last join.
     Fork {
@@ -368,6 +390,13 @@ impl Wire for Msg {
             Msg::CondWait { rel, .. } => 16 + rel.wire_bytes(),
             Msg::CondSignal { .. } | Msg::CondBroadcast { .. } => 12,
             Msg::FlushNotice { bundle } => 4 + bundle.wire_bytes(),
+            // A 4-byte scope id and the mark.
+            Msg::StealReq { vc, .. } => 8 + vc.wire_bytes(),
+            // A flag, the task's 32 bytes when there is one, the backlog
+            // and the three counters.
+            Msg::StealRep { taken, bundle } => {
+                1 + taken.task.map_or(0, |_| 32) + 8 + 24 + bundle.wire_bytes()
+            }
             Msg::FlushAck => 4,
             // The GC flag travels in the modeled fork header.
             Msg::Fork { region, acq, .. } => region.payload_bytes + acq.wire_bytes(),
@@ -399,6 +428,8 @@ impl Wire for Msg {
         (CondBroadcast, "cond_broadcast"),
         (FlushNotice, "flush_notice"),
         (FlushAck, "flush_ack"),
+        (StealReq, "steal_req"),
+        (StealRep, "steal_rep"),
         (Fork, "fork"),
         (GcDone, "gc_done"),
         (GcComplete, "gc_complete"),
@@ -556,6 +587,28 @@ mod tests {
         let bare = grant(vec![], vec![]).wire_bytes();
         assert_eq!(bare, 8 + empty.wire_bytes());
         assert_eq!(grant(vec![1, 2, 5], updates).wire_bytes(), bare + riders);
+    }
+
+    #[test]
+    fn a_steal_reply_grows_by_its_task_and_its_bundle() {
+        let vc = VectorClock::zero(4);
+        let req = Msg::StealReq {
+            scope: 1,
+            vc: vc.clone(),
+            mark: true,
+        };
+        assert_eq!(req.wire_bytes(), 8 + vc.wire_bytes());
+        let rep = |task, bundle: NoticeBundle| Msg::StealRep {
+            taken: Taken {
+                task,
+                ..Default::default()
+            },
+            bundle,
+        };
+        let empty = NoticeBundle::empty(vc.clone());
+        let bare = rep(None, empty.clone()).wire_bytes();
+        assert_eq!(bare, 33 + empty.wire_bytes());
+        assert_eq!(rep(Some([0; 4]), empty).wire_bytes(), bare + 32);
     }
 
     #[test]

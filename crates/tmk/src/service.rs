@@ -65,6 +65,7 @@ pub fn service_loop(
             | Msg::SemaAck { .. }
             | Msg::SemaGrant { .. }
             | Msg::FlushAck
+            | Msg::StealRep { .. }
             | Msg::ResetDone
             | Msg::SyncAck
             | Msg::GcComplete { .. } => {
@@ -206,6 +207,10 @@ pub(crate) fn on_request(
         Msg::FlushNotice { bundle } => {
             st.apply_bundle(src, &bundle);
             out.push((src, Msg::FlushAck));
+        }
+        Msg::StealReq { scope, vc, mark } => {
+            let rep = st.serve_steal(src, scope, &vc, mark);
+            out.push((src, rep));
         }
         Msg::GcDone { epoch } => {
             debug_assert_eq!(st.id, 0, "GC coordinator is node 0");
@@ -848,6 +853,12 @@ mod tests {
         );
         let flush = Msg::FlushNotice { bundle: bundle() };
         assert_eq!(serve(&mut m, 3, flush), [(3, "flush_ack")]);
+        let steal = Msg::StealReq {
+            scope: 1,
+            vc: VectorClock::zero(4),
+            mark: false,
+        };
+        assert_eq!(serve(&mut m, 2, steal), [(2, "steal_rep")]);
         assert_eq!(serve(&mut m, 0, Msg::SyncReq), [(0, "sync_ack")]);
         assert!(!m.in_service, "in service only while handling");
     }

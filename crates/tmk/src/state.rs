@@ -331,6 +331,8 @@ pub struct NodeState {
     pub gathered: Vec<Gathered>,
     /// Manager-role state.
     pub mgr: ManagerState,
+    /// The task deque of the tasking runtime's work stealing.
+    pub tasks: crate::tasks::TaskDeque,
     /// Cluster-lifetime metrics block (survives job-boundary resets);
     /// holds the node's protocol event counters ([`NodeState::count`]).
     pub metrics: Arc<NodeMetrics>,
@@ -373,6 +375,7 @@ impl NodeState {
             partials: Vec::new(),
             gathered: Vec::new(),
             mgr: ManagerState::default(),
+            tasks: Default::default(),
             metrics,
             in_service: false,
         }
@@ -380,9 +383,10 @@ impl NodeState {
 
     /// Wipe everything back to the just-built state (warm-cluster job
     /// boundary): pages, twins, diffs, vector clocks, interval logs,
-    /// and manager queues. The shared allocation table and virtual clock
-    /// are reset separately by the cluster reset protocol; the event
-    /// counters live in the lifetime metrics block and are never reset.
+    /// manager queues and the task deque. The shared allocation table
+    /// and virtual clock are reset separately by the cluster reset
+    /// protocol; the event counters live in the lifetime metrics block
+    /// and are never reset.
     pub fn reset(&mut self) {
         *self = NodeState::new(
             self.id,

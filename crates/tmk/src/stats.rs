@@ -182,30 +182,30 @@ mod tests {
             )
         );
         let lats: Vec<_> = OpLat::ALL.iter().map(|op| op.name()).collect();
-        assert_eq!(OpLat::COUNT, 9);
+        assert_eq!(OpLat::COUNT, 10);
         assert_eq!(
             lats,
             pinned(
                 "page_fault barrier lock_acquire lock_release sema_signal sema_wait \
-                 cond_wait flush gc"
+                 cond_wait flush gc steal"
             )
         );
         let kinds = <Msg as Wire>::kinds();
-        assert_eq!(kinds.len(), 26);
+        assert_eq!(kinds.len(), 28);
         assert_eq!(
             kinds,
             pinned(
                 "diff_req diff_rep page_req page_rep lock_acq lock_rel lock_grant \
                  barrier_arrive barrier_depart sema_signal sema_ack sema_wait sema_grant \
-                 cond_wait cond_signal cond_broadcast flush_notice flush_ack fork gc_done \
-                 gc_complete reset_req reset_done sync_req sync_ack shutdown"
+                 cond_wait cond_signal cond_broadcast flush_notice flush_ack steal_req \
+                 steal_rep fork gc_done gc_complete reset_req reset_done sync_req sync_ack shutdown"
             )
         );
         // A row's position is its slot in the per-kind traffic metrics.
         for (m, id) in [
             (Msg::PageReq { page: 1 }, 2),
             (Msg::FlushAck, 17),
-            (Msg::Shutdown, 25),
+            (Msg::Shutdown, 27),
         ] {
             assert_eq!((m.kind_id(), m.kind()), (id, kinds[id]));
         }

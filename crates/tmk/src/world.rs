@@ -99,28 +99,36 @@ impl World {
     }
 
     /// Handle every request in flight, in send order; what each handler
-    /// sends waits in the inboxes. A data request is answered once, to
-    /// its asker, a `DiffRep` page by page in request order.
+    /// sends waits in the inboxes.
     pub fn pump(&mut self) {
+        while !self.wire.is_empty() {
+            self.handle(0);
+        }
+    }
+
+    /// Handle the `i`-th request in flight, whichever the explorer picks
+    /// to be delivered next; what its handler sends waits in the inboxes.
+    /// A data request is answered once, to its asker, a `DiffRep` page by
+    /// page in request order.
+    pub fn handle(&mut self, i: usize) {
+        let (src, dst, msg) = self.wire.remove(i).expect("a request in flight");
+        let asked: Option<Vec<PageId>> = match &msg {
+            Msg::DiffReq { pages } => Some(pages.iter().map(|(pid, _)| *pid).collect()),
+            Msg::PageReq { .. } | Msg::StealReq { .. } => Some(Vec::new()),
+            _ => None,
+        };
         let mut out = Vec::new();
-        while let Some((src, dst, msg)) = self.wire.pop_front() {
-            let asked: Option<Vec<PageId>> = match &msg {
-                Msg::DiffReq { pages } => Some(pages.iter().map(|(pid, _)| *pid).collect()),
-                Msg::PageReq { .. } => Some(Vec::new()),
-                _ => None,
-            };
-            on_request(&mut self.nodes[dst], src, msg, 0, &mut out);
-            if let Some(asked) = asked {
-                let one = matches!(&out[..], [(to, _)] if *to == src && src != dst);
-                assert!(one, "one reply, to the asker");
-                if let [(_, Msg::DiffRep { pages })] = &out[..] {
-                    assert!(pages.iter().map(|(pid, _)| *pid).eq(asked), "request order");
-                }
+        on_request(&mut self.nodes[dst], src, msg, 0, &mut out);
+        if let Some(asked) = asked {
+            let one = matches!(&out[..], [(to, _)] if *to == src && src != dst);
+            assert!(one, "one reply, to the asker");
+            if let [(_, Msg::DiffRep { pages })] = &out[..] {
+                assert!(pages.iter().map(|(pid, _)| *pid).eq(asked), "request order");
             }
-            for (to, reply) in out.drain(..) {
-                self.log.push((dst, to, reply.kind(), reply.wire_bytes()));
-                self.inbox[to].push_back((dst, reply));
-            }
+        }
+        for (to, reply) in out {
+            self.log.push((dst, to, reply.kind(), reply.wire_bytes()));
+            self.inbox[to].push_back((dst, reply));
         }
     }
 
@@ -663,6 +671,122 @@ mod tests {
             pages
         });
         assert_eq!(threaded, free);
+    }
+
+    /// One step of the steal arm's program: node 0 pushes its task, or
+    /// node 1's marked `StealReq` or node 2's unmarked one is delivered.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum StealStep {
+        Push,
+        Deliver(usize),
+    }
+
+    /// Every order of `steps`.
+    fn orders(steps: &[StealStep]) -> Vec<Vec<StealStep>> {
+        if steps.is_empty() {
+            return vec![Vec::new()];
+        }
+        let mut all = Vec::new();
+        for (i, &first) in steps.iter().enumerate() {
+            let mut rest = steps.to_vec();
+            rest.remove(i);
+            for mut order in orders(&rest) {
+                order.insert(0, first);
+                all.push(order);
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn a_push_and_two_steals_in_every_delivery_order() {
+        const SCOPE: u32 = 1;
+        const TASK: crate::Task = [7, 0, 0, 0];
+        let steps = [
+            StealStep::Push,
+            StealStep::Deliver(1),
+            StealStep::Deliver(2),
+        ];
+        let all = orders(&steps);
+        assert_eq!(all.len(), 6);
+        for order in all {
+            // Node 0 writes byte 5 of the page it will push a task about;
+            // nodes 1 and 2 ask it for a task at once, node 1 about to
+            // park (marked).
+            let mut w = World::new(3);
+            w.write(0, PAGE, 5, 42);
+            for thief in [1, 2] {
+                let req = w.nodes[thief].steal_request(0, SCOPE, thief == 1);
+                w.send(thief, req);
+            }
+            let mut pushed = None;
+            for &step in &order {
+                let hungry = w.nodes[0].tasks.hungry;
+                match step {
+                    StealStep::Push => {
+                        let was = w.nodes[0].task_push(SCOPE, TASK, 4);
+                        assert_eq!(was, Some(hungry), "{order:?}: the push clears the mark");
+                        assert!(!w.nodes[0].tasks.hungry);
+                        pushed = Some(w.nodes[0].next_seq - 1);
+                    }
+                    StealStep::Deliver(thief) => {
+                        // The explorer's choice: the thief's request,
+                        // wherever it waits on the wire.
+                        let at = w.wire.iter().position(|(src, _, _)| *src == thief);
+                        w.handle(at.expect("the thief's request is in flight"));
+                        let Some((_, Msg::StealRep { taken, .. })) = w.inbox[thief].back() else {
+                            panic!("{order:?}: node {thief} expected a steal reply")
+                        };
+                        // Only a marked empty answer sets the flag.
+                        let marked_empty = thief == 1 && taken.task.is_none();
+                        let want = hungry || marked_empty;
+                        assert_eq!(w.nodes[0].tasks.hungry, want, "{order:?}");
+                    }
+                }
+            }
+            let seq = pushed.expect("the push ran");
+            assert_eq!(seq, 1, "the push closed the open interval");
+            let mut takers = Vec::new();
+            for thief in [1, 2] {
+                let (src, rep) = w.inbox[thief].pop_front().expect("one reply each");
+                if let Some(task) = w.nodes[thief].on_steal(src, rep).task {
+                    assert_eq!(task, TASK);
+                    takers.push(thief);
+                }
+            }
+            if let Some(task) = w.nodes[0].task_take(SCOPE, false).task {
+                assert_eq!(task, TASK);
+                takers.push(0);
+            }
+            assert_eq!(takers.len(), 1, "{order:?}: the task is taken once");
+            // The winner acquired the push's interval: its read of the
+            // page fetches node 0's byte.
+            let winner = takers[0];
+            assert!(w.nodes[winner].acquired.covers(0, seq), "{order:?}");
+            assert_eq!(w.read(winner, PAGE)[5], 42, "{order:?}");
+            let sent = w.tally(true);
+            assert_eq!(sent["steal_req"].0, 2, "{order:?}");
+            assert_eq!(sent["steal_rep"].0, 2, "{order:?}");
+            assert!(!sent.keys().any(|k| k.starts_with("lock")), "{order:?}");
+        }
+    }
+
+    #[test]
+    fn a_steal_reply_carries_the_writes_of_the_completions_it_counts() {
+        // Node 1 runs a task that writes byte 9 and counts it completed;
+        // node 0's taskwait sweep then asks node 1 for its counters. The
+        // reply that counts the completion must carry the task's write.
+        let mut w = World::new(2);
+        w.write(1, PAGE, 9, 5);
+        w.nodes[1].task_complete(1);
+        let req = w.nodes[0].steal_request(1, 1, false);
+        w.send(0, req);
+        w.pump();
+        let (src, rep) = w.inbox[0].pop_front().expect("a steal reply");
+        let taken = w.nodes[0].on_steal(src, rep);
+        assert_eq!((taken.task, taken.counts.completed), (None, 1));
+        assert!(w.nodes[0].acquired.covers(1, 1), "the task's interval");
+        assert_eq!(w.read(0, PAGE)[9], 5);
     }
 
     #[test]

@@ -37,7 +37,7 @@ fn main() {
             );
         }
     }
-    println!("\nPer-node deques make spawn/pop message-free (the deque lock's");
-    println!("manager is its owner); idle nodes steal with a small constant");
-    println!("number of messages; idle workers park on a condition variable.");
+    println!("\nPer-node deques in each node's state make spawn/pop message-free;");
+    println!("an idle node steals with one request and one reply, which carries");
+    println!("the task; idle workers park on a condition variable.");
 }
