@@ -30,6 +30,13 @@
 //!   convoy on one victim. [`TaskSched::Centralized`] funnels everything
 //!   through one DSM queue on node 0 under a lock instead — the paper's
 //!   Figure-4 structure, which the bench ablation compares against.
+//! * **Pacing.** The simulator serves a steal request when the victim's
+//!   service thread runs, in host time, and an owner's local pop costs
+//!   it almost no host time. So an owner holds a local take while a
+//!   thief on another node is in a sweep that began early enough, in
+//!   virtual time, for its request to arrive first, until that sweep
+//!   ends (off the meter, so the wait models no time). Without this a
+//!   spawner drains a small tree before any request reaches it.
 //! * **Termination without busy-waiting.** Idle workers park on a
 //!   condition variable under a termination lock (the paper's proposed
 //!   §3.2.3 primitive). Before parking, a worker marks every deque it
@@ -47,7 +54,9 @@
 
 use crate::env::Env;
 use crate::thread::OmpThread;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use tmk::{SharedVec, Taken, TaskCounts};
 
 /// POD argument block of one task (32 bytes). Encode whatever the task
@@ -145,6 +154,49 @@ fn term_lock(n: usize) -> u32 {
     BASE - (BASE % n as u32)
 }
 
+/// How long an owner holds its local take for one thief's sweep before it
+/// gives up on that sweep: a thief stalled behind something the owner's
+/// task holds must not stall the owner too.
+const PACE_LIMIT: Duration = Duration::from_millis(50);
+
+/// [`Sweeps::since`] of a thread that is not in a steal sweep.
+const RESTING: u64 = u64::MAX;
+
+/// The thieves' steal sweeps, which every owner's local take is paced
+/// against (DESIGN.md §2i). One slot per thread of the scope, shared by
+/// the simulated nodes' host threads: it orders host time and is no
+/// protocol state.
+struct Sweeps {
+    /// The virtual time the thread's current steal sweep began:
+    /// [`RESTING`] outside one, 0 until the thread first sweeps.
+    since: Vec<AtomicU64>,
+    /// Sweeps the thread has ended.
+    ended: Vec<AtomicU64>,
+}
+
+impl Sweeps {
+    fn new(threads: usize) -> Self {
+        Sweeps {
+            since: (0..threads).map(|_| AtomicU64::new(0)).collect(),
+            ended: (0..threads).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// Thread `t` found its home deque empty at virtual time `vt` and
+    /// asks the victims.
+    fn begin(&self, t: usize, vt: u64) {
+        self.since[t].store(vt, Ordering::SeqCst);
+    }
+
+    /// Thread `t` is not sweeping: it took a task, found none anywhere,
+    /// or is about to take from its home deque.
+    fn rest(&self, t: usize) {
+        if self.since[t].swap(RESTING, Ordering::SeqCst) != RESTING {
+            self.ended[t].fetch_add(1, Ordering::SeqCst);
+        }
+    }
+}
+
 /// Where a scope's tasks live.
 #[derive(Clone, Copy)]
 enum Queues {
@@ -168,6 +220,11 @@ struct TaskRt {
     cap: usize,
     /// Number of nodes (deques), not threads.
     n: usize,
+    /// Application threads per node.
+    tpn: usize,
+    /// The network's one-way latency: a steal request sent at virtual
+    /// time `t` reaches its victim no earlier than `t + latency_ns`.
+    latency_ns: u64,
 }
 
 /// The scope's task executor, shipped once at fork time.
@@ -202,6 +259,11 @@ pub struct TaskScope<'a, 't> {
     /// Each victim's backlog as its last steal reply reported it (`None`:
     /// not asked yet in this scope).
     hints: Vec<Option<u64>>,
+    /// Every thread's steal sweeps, shared by the scope's threads.
+    sweeping: Arc<Sweeps>,
+    /// Per thread: the sweep (its [`Sweeps::ended`] count) this thread's
+    /// local take gave up waiting for, so it never waits on it again.
+    gave_up: Vec<Option<u64>>,
     /// Set when this worker was just signalled out of the parked state: a
     /// single push only ever wakes one sleeper (it clears the hungry flag
     /// for the burst that follows), so the woken worker re-propagates —
@@ -388,11 +450,11 @@ impl TaskScope<'_, '_> {
         self.adjust_waiting(delta as i64);
         self.published += delta;
         loop {
-            while self.run_one() {}
-            let Some(first) = self.counter_sweep() else {
+            while self.help().is_none() {}
+            let Some(first) = self.help() else {
                 continue;
             };
-            let Some(second) = self.counter_sweep() else {
+            let Some(second) = self.help() else {
                 continue;
             };
             // Monotone counters equal across both sweeps pin S and C over
@@ -433,18 +495,6 @@ impl TaskScope<'_, '_> {
         self.th.barrier();
     }
 
-    /// Pop (own deque) or steal one task and execute it; `false` when no
-    /// work was found anywhere.
-    fn run_one(&mut self) -> bool {
-        match self.sweep(false) {
-            Ok((stolen, args)) => {
-                self.execute_taken(stolen, args);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
     /// Execute a task just taken (`stolen` from another node) and count
     /// its completion against this thread's home deque.
     fn execute_taken(&mut self, stolen: bool, args: TaskArgs) {
@@ -459,7 +509,10 @@ impl TaskScope<'_, '_> {
     /// centralized queue under its lock.
     fn take_home(&mut self, mark: bool) -> Taken {
         match self.rt.queues {
-            Queues::Steal => self.th.task_take(self.rt.scope, mark),
+            Queues::Steal => {
+                self.pace();
+                self.th.task_take(self.rt.scope, mark)
+            }
             Queues::Central(dq) => {
                 let cap = self.rt.cap as u64;
                 let lock = central_lock(self.rt.n);
@@ -467,6 +520,47 @@ impl TaskScope<'_, '_> {
                     .critical(lock, |th| take_central(th, &dq, cap, mark))
             }
         }
+    }
+
+    /// Hold a local take while a thief on another node is in a sweep that
+    /// began early enough, in virtual time, for its request to reach this
+    /// node first: wait, off the meter, until that sweep ends. A local
+    /// take costs the owner no message and almost no host time, while a
+    /// steal costs a thief host round trips that model far less virtual
+    /// time than the owner's tasks take, so without this the owner would
+    /// drain its deque ahead of requests that reach it first in virtual
+    /// time. Only a deque that holds tasks is held back, and never
+    /// longer than [`PACE_LIMIT`] for one sweep.
+    fn pace(&mut self) {
+        let sweeps = &self.sweeping;
+        let waits: Vec<(usize, u64, u64)> = (0..sweeps.since.len())
+            .filter(|&t| t / self.rt.tpn != self.node)
+            .filter_map(|t| {
+                let ended = sweeps.ended[t].load(Ordering::SeqCst);
+                let since = sweeps.since[t].load(Ordering::SeqCst);
+                (since != RESTING && self.gave_up[t] != Some(ended)).then_some((t, since, ended))
+            })
+            .collect();
+        if waits.is_empty() || self.th.task_backlog(self.rt.scope) == 0 {
+            return;
+        }
+        let latency = self.rt.latency_ns;
+        let gave_up = &mut self.gave_up;
+        self.th.off_meter(|vt| {
+            let deadline = Instant::now() + PACE_LIMIT;
+            for (t, since, ended) in waits {
+                if since.saturating_add(latency) > vt {
+                    continue;
+                }
+                while sweeps.ended[t].load(Ordering::SeqCst) == ended {
+                    if Instant::now() >= deadline {
+                        gave_up[t] = Some(ended);
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+            }
+        });
     }
 
     /// One steal request to `victim`; its reply's backlog becomes the
@@ -488,28 +582,35 @@ impl TaskScope<'_, '_> {
     /// wake-up to the next sleeper (see `woke`).
     fn sweep(&mut self, mark: bool) -> Result<(bool, TaskArgs), TaskCounts> {
         let mut totals = TaskCounts::default();
+        self.sweeping.rest(self.me);
         let mut take = (false, self.take_home(mark));
         let mut victims = Vec::new().into_iter();
         if take.1.task.is_none() {
             victims = self.victim_sweep().into_iter();
+            if victims.len() > 0 {
+                self.sweeping.begin(self.me, self.th.trace_now());
+            }
         }
         loop {
             let (stolen, taken) = take;
             totals += taken.counts;
             if let Some(task) = taken.task {
+                self.sweeping.rest(self.me);
                 self.propagate_wake(taken.backlog);
                 return Ok((stolen, TaskArgs::from_words(task)));
             }
             let Some(k) = victims.next() else {
+                self.sweeping.rest(self.me);
                 return Err(totals);
             };
             take = (true, self.steal(k, mark));
         }
     }
 
-    /// [`TaskScope::sweep`] for `taskwait`: `None` (and the task executed)
-    /// if work was found, else the summed counters.
-    fn counter_sweep(&mut self) -> Option<TaskCounts> {
+    /// Pop (own deque) or steal one task and execute it: `None` if work
+    /// was found, else the counters summed over every deque (what
+    /// `taskwait` tests for quiescence).
+    fn help(&mut self) -> Option<TaskCounts> {
         match self.sweep(false) {
             Ok((stolen, args)) => {
                 self.execute_taken(stolen, args);
@@ -632,7 +733,7 @@ impl TaskScope<'_, '_> {
             // the idle attempt below into a retry.
             let gen0 = team.map(|tm| tm.task_gen());
             // Drain everything reachable.
-            while self.run_one() {}
+            while self.help().is_none() {}
             if let (Some(tm), Some(gen0)) = (team, gen0) {
                 match tm.task_enter_idle(gen0) {
                     smp::IdleOutcome::Done => return,
@@ -760,7 +861,11 @@ impl Env<'_> {
             term: self.t.malloc_vec::<u64>(TERM_WORDS),
             cap,
             n,
+            tpn: self.threads_per_node(),
+            latency_ns: self.cfg.tmk.net.latency_ns,
         };
+        let threads = self.num_threads();
+        let sweeping = Arc::new(Sweeps::new(threads));
         let body: TaskBody = Arc::new(body);
         let init = Arc::new(init);
         self.parallel_sized(cfg.fork_payload_bytes, move |th| {
@@ -776,6 +881,8 @@ impl Env<'_> {
                 published: 0,
                 sweeps: 0,
                 hints: vec![None; rt.n],
+                sweeping: sweeping.clone(),
+                gave_up: vec![None; threads],
                 woke: false,
             };
             init(&mut scope);
@@ -867,13 +974,8 @@ mod tests {
     #[test]
     fn stealing_actually_happens() {
         // One root task spawning a chain of children: with stealing, other
-        // nodes pick tasks off node 0's deque. Node 0's own pops are
-        // message-free and can drain the deque before a thief's request
-        // is served, so node 0 holds each task until another node ran
-        // one: the race is decided by what the test is about, not by
-        // host speed.
-        let thief_ran = Arc::new(AtomicBool::new(false));
-        let out = run(OmpConfig::fast_test(4), move |omp| {
+        // nodes pick tasks off node 0's deque.
+        let out = run(OmpConfig::fast_test(4), |omp| {
             let hits = omp.malloc_vec::<u64>(4);
             omp.task_scope(
                 TaskScopeConfig::default(),
@@ -888,11 +990,8 @@ mod tests {
                     let me = s.thread_num();
                     let v = s.read(&hits, me);
                     s.write(&hits, me, v + 1);
-                    if me == 0 {
-                        yield_until(|| thief_ran.load(Ordering::SeqCst));
-                    } else {
-                        thief_ran.store(true, Ordering::SeqCst);
-                    }
+                    // Burn a little so thieves have time to engage.
+                    std::hint::black_box((0..500u64).sum::<u64>());
                 },
             );
             omp.read_slice(&hits, 0..4)

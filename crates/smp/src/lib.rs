@@ -97,7 +97,16 @@ struct BarState {
 
 #[derive(Default)]
 struct ParkState {
+    /// Local threads counted idle: the parked ones not yet handed a wake,
+    /// and the agent.
     idle: usize,
+    /// Tickets handed to parking threads, in parking order.
+    parked: u64,
+    /// Tickets below this were handed a wake. A wake takes its thread out
+    /// of `idle` at once, so a sibling that goes idle before the woken
+    /// thread runs cannot count it idle and become a second agent, and a
+    /// thread that parks later cannot take the wake in its place.
+    woken: u64,
     gen: u64,
     done: bool,
 }
@@ -327,13 +336,19 @@ impl Team {
         self.park.lock().unwrap_or_else(|e| e.into_inner()).gen
     }
 
-    /// Signal local work: bump the generation and wake one parked local
-    /// thread (called after a local task push, or by the node agent when
-    /// a remote steal brought back more work than one thread's worth).
+    /// Signal local work: bump the generation and wake the longest-parked
+    /// local thread, if any (called after a local task push, or by the
+    /// node agent when a remote steal brought back more work than one
+    /// thread's worth).
     pub fn task_wake(&self) {
         let mut p = self.park.lock().unwrap_or_else(|e| e.into_inner());
         p.gen = p.gen.wrapping_add(1);
-        self.park_cv.notify_one();
+        if p.woken < p.parked {
+            p.woken += 1;
+            p.idle -= 1;
+            // Every waiter re-checks its ticket; only the woken one leaves.
+            self.park_cv.notify_all();
+        }
     }
 
     /// Whether any local thread is currently idle (parked or agent).
@@ -359,16 +374,16 @@ impl Team {
         if p.idle == self.cfg.threads_per_node {
             return IdleOutcome::Agent;
         }
-        let sleep_gen = p.gen;
+        let ticket = p.parked;
+        p.parked += 1;
         let backoff = Backoff::new();
-        while !p.done && p.gen == sleep_gen {
+        while !p.done && ticket >= p.woken {
             self.check_poison();
             p = backoff.snooze_or_wait(&self.park, &self.park_cv, p, None);
         }
         if p.done {
             return IdleOutcome::Done;
         }
-        p.idle -= 1;
         IdleOutcome::Retry
     }
 
@@ -542,6 +557,40 @@ mod tests {
         assert_eq!(team.task_enter_idle(g), IdleOutcome::Agent);
         team.task_done();
         assert_eq!(sleeper.join().unwrap(), IdleOutcome::Done);
+    }
+
+    #[test]
+    fn a_woken_thread_is_not_counted_idle_before_it_runs() {
+        // Two local threads. The sibling parks and a push wakes it; this
+        // thread then goes idle at once, likely before the sibling runs.
+        // Whichever order the host picks, exactly one of the two becomes
+        // the agent: the wake took the sibling out of the idle count, and
+        // this thread cannot take the sibling's wake if it parks first.
+        let team = Arc::new(Team::new(SmpConfig::fast_test(2)));
+        let t2 = team.clone();
+        let sibling = std::thread::spawn(move || {
+            let first = t2.task_enter_idle(t2.task_gen());
+            let second = t2.task_enter_idle(t2.task_gen());
+            if second == IdleOutcome::Agent {
+                t2.task_done();
+            }
+            (first, second)
+        });
+        while !team.task_has_idle() {
+            std::thread::yield_now();
+        }
+        team.task_wake();
+        let mine = team.task_enter_idle(team.task_gen());
+        if mine == IdleOutcome::Agent {
+            team.task_done();
+        }
+        let (first, second) = sibling.join().unwrap();
+        assert_eq!(first, IdleOutcome::Retry, "the push woke the sibling");
+        let agents = [second, mine]
+            .iter()
+            .filter(|&&o| o == IdleOutcome::Agent)
+            .count();
+        assert_eq!(agents, 1, "sibling {second:?}, this thread {mine:?}");
     }
 
     #[test]

@@ -207,6 +207,23 @@ impl Tmk {
         r
     }
 
+    /// Charge outstanding compute, then run `f` on this thread's virtual
+    /// time, off the meter and outside the node gate: a host-time wait
+    /// that models no virtual time and performs no protocol operation.
+    pub fn off_meter<T>(&mut self, f: impl FnOnce(u64) -> T) -> T {
+        match &mut self.lane {
+            Some(lane) => {
+                self.meter.charge_lane(lane);
+            }
+            None => {
+                self.meter.charge(&self.clock);
+            }
+        }
+        let r = f(self.thread_vt());
+        self.meter.restart();
+        r
+    }
+
     /// This thread's virtual frontier without metering (trace stamps
     /// only — reads the lane or node clock, never advances either).
     #[inline]
@@ -622,6 +639,11 @@ impl Tmk {
     /// `mark`, flag an empty deque hungry.
     pub fn task_take(&mut self, scope: u32, mark: bool) -> crate::Taken {
         self.task_local(|st| st.task_take(scope, mark))
+    }
+
+    /// Tasks queued in this node's deque of `scope`.
+    pub fn task_backlog(&mut self, scope: u32) -> u64 {
+        self.task_local(|st| st.task_backlog(scope))
     }
 
     /// Count a task completed by this node in `scope` (closing the open

@@ -95,6 +95,15 @@ impl TaskDeque {
         Some(std::mem::take(&mut dq.hungry))
     }
 
+    /// Tasks queued in this deque of `scope` (0 if another is open).
+    fn backlog(&self, scope: u32) -> u64 {
+        if scope == self.scope {
+            self.tasks.len() as u64
+        } else {
+            0
+        }
+    }
+
     /// Take the newest task (the owner, LIFO for locality) or the oldest
     /// (a thief, FIFO); with `mark`, flag an empty deque hungry.
     fn take(&mut self, scope: u32, owner: bool, mark: bool) -> Taken {
@@ -128,6 +137,11 @@ impl NodeState {
     /// with `mark`, an empty deque is flagged hungry.
     pub fn task_take(&mut self, scope: u32, mark: bool) -> Taken {
         self.tasks.take(scope, true, mark)
+    }
+
+    /// Tasks queued in this node's deque of `scope`.
+    pub fn task_backlog(&self, scope: u32) -> u64 {
+        self.tasks.backlog(scope)
     }
 
     /// Count one task completed by this node. Closes the open interval
