@@ -17,7 +17,7 @@ use now_apps::{qsort, tsp};
 pub struct TaskRun {
     /// The usual timing/traffic record.
     pub report: Report,
-    /// DSM + tasking counters (spawns, steals, overflows, condvar waits).
+    /// DSM + tasking counters (spawns, steals, overflows, parks).
     pub stats: TmkStats,
 }
 

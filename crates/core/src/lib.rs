@@ -29,8 +29,8 @@
 //!
 //! Beyond the paper, the runtime adds a distributed **tasking** subsystem
 //! ([`Env::task_scope`]): per-node task deques in each node's DSM state
-//! with cross-node work stealing by message and condvar-based
-//! termination — the construct
+//! with cross-node work stealing and termination by message — the
+//! construct
 //! that extends the system to irregular workloads (see [`tasking`]'s
 //! module docs and the `task_ablation` bench) — and **SMP-cluster
 //! execution**: `nodes × threads_per_node` topologies

@@ -37,17 +37,18 @@
 //!   virtual time, for its request to arrive first, until that sweep
 //!   ends (off the meter, so the wait models no time). Without this a
 //!   spawner drains a small tree before any request reaches it.
-//! * **Termination without busy-waiting.** Idle workers park on a
-//!   condition variable under a termination lock (the paper's proposed
-//!   §3.2.3 primitive). Before parking, a worker marks every deque it
-//!   found empty with a *hungry* flag: a marked steal request sets it at
-//!   the victim, serialised with the victim's pushes under its state
-//!   lock, so the next push to that deque reliably observes it and
-//!   signals the condvar. A `wakeups` generation counter under the
-//!   termination lock closes the signal/wait race. The scope terminates
-//!   when all `p` workers are parked: every deque was seen empty after
-//!   the last push to it, so no task can remain (the Figure-4 `nwait`
-//!   argument, distributed).
+//! * **Termination by message.** An idle worker parks at node 0 with one
+//!   `term_idle` and waits for its answer: woken, or the scope is over.
+//!   The scheduler's sweeps mark every deque they find empty with a
+//!   *hungry* flag (a marked steal request sets it at the victim,
+//!   serialised with the victim's pushes under its state lock), so the
+//!   sweep that finds nothing is the marking sweep, and a push that
+//!   clears a flag sends node 0 one `term_wake`, which wakes the oldest
+//!   parked worker or, with none parked, is dropped. The scope is over
+//!   when all `p` nodes are parked: a parked node's deque is empty and
+//!   stays so (only its owner pushes), and the pusher of a dropped wake
+//!   is running, so it runs its task or loses it to a thief (the
+//!   Figure-4 `nwait` argument, kept by node 0 instead of a DSM word).
 //! * **Counters.** Spawn/execute/steal/overflow events are surfaced
 //!   through [`tmk::TmkStats`]; steals also appear in the per-kind message
 //!   statistics of `now_net` as `steal_req`/`steal_rep`.
@@ -134,23 +135,10 @@ const HDR_WAITING: usize = 5; // summed depths of chains suspended in taskwait
 const HDR_WORDS: usize = 6;
 const SLOT_WORDS: usize = 4;
 
-// Termination region layout.
-const TERM_IDLE: usize = 0;
-const TERM_DONE: usize = 1;
-const TERM_WAKEUPS: usize = 2;
-const TERM_WORDS: usize = 3;
-const TERM_CV: u32 = 0;
-
 /// The lock guarding the centralized queue, managed by node 0, where
 /// the queue lives.
 fn central_lock(n: usize) -> u32 {
     const BASE: u32 = 0xF800_0000;
-    BASE - (BASE % n as u32)
-}
-
-/// The scope-wide termination lock (managed by node 0).
-fn term_lock(n: usize) -> u32 {
-    const BASE: u32 = 0xF810_0000;
     BASE - (BASE % n as u32)
 }
 
@@ -209,14 +197,10 @@ enum Queues {
 /// Shared handles of one task scope (plain copyable descriptors).
 #[derive(Clone, Copy)]
 struct TaskRt {
-    /// The scope's number in its job: keys every node's deque.
+    /// The scope's number in its job: keys every node's deque and node
+    /// 0's termination state.
     scope: u32,
     queues: Queues,
-    /// `[idle, done, wakeups]` under the termination lock. `idle` counts
-    /// parked *nodes* (a node parks when all of its local threads are
-    /// idle and one of them — the node's agent — enters the DSM-level
-    /// termination protocol).
-    term: SharedVec<u64>,
     cap: usize,
     /// Number of nodes (deques), not threads.
     n: usize,
@@ -264,9 +248,9 @@ pub struct TaskScope<'a, 't> {
     /// Per thread: the sweep (its [`Sweeps::ended`] count) this thread's
     /// local take gave up waiting for, so it never waits on it again.
     gave_up: Vec<Option<u64>>,
-    /// Set when this worker was just signalled out of the parked state: a
-    /// single push only ever wakes one sleeper (it clears the hungry flag
-    /// for the burst that follows), so the woken worker re-propagates —
+    /// Set when this worker was just woken out of its park: a single
+    /// push only ever wakes one sleeper (it clears the hungry flag for
+    /// the burst that follows), so the woken worker re-propagates —
     /// after taking a task that left more behind, it wakes the next
     /// sleeper, cascading until the burst is matched with workers.
     woke: bool,
@@ -416,13 +400,13 @@ impl TaskScope<'_, '_> {
         // Recruit help: bump the local wake generation unconditionally (a
         // sibling mid-sweep must observe the push or it would park over
         // available work) — a shared-memory wake, message-free. Then, if
-        // a pre-sleep sweep marked this deque hungry, wake a parked node
-        // agent through the DSM condvar.
+        // a scheduler sweep marked this deque hungry, ask node 0 to wake
+        // a parked node.
         if let Some((team, _)) = self.th.smp_team() {
             team.task_wake();
         }
         if was_hungry {
-            self.wake_one();
+            self.th.term_wake(self.rt.scope);
         }
     }
 
@@ -435,10 +419,10 @@ impl TaskScope<'_, '_> {
     /// waiter has acquired the writes of the tasks it waited for.
     ///
     /// The waiter *helps* (it keeps executing available tasks) and polls
-    /// the counters between helps; unlike scope termination it does not
-    /// park on the condvar, so a taskwait spanning a long remote task
+    /// the counters between helps, with unmarked sweeps; unlike an idle
+    /// worker it does not park, so a taskwait spanning a long remote task
     /// pays recurring sweep traffic. Parking waiters on completion
-    /// events would need a completion→signal edge the protocol does not
+    /// events would need a completion→wake edge the protocol does not
     /// have yet; left as future work.
     pub fn taskwait(&mut self) {
         // Publish this chain's suspended depth on the home deque: with
@@ -450,11 +434,11 @@ impl TaskScope<'_, '_> {
         self.adjust_waiting(delta as i64);
         self.published += delta;
         loop {
-            while self.help().is_none() {}
-            let Some(first) = self.help() else {
+            while self.help(false).is_none() {}
+            let Some(first) = self.help(false) else {
                 continue;
             };
-            let Some(second) = self.help() else {
+            let Some(second) = self.help(false) else {
                 continue;
             };
             // Monotone counters equal across both sweeps pin S and C over
@@ -576,7 +560,7 @@ impl TaskScope<'_, '_> {
     /// work exists; victim scoring is skipped entirely), then the
     /// backlog-ordered victims — stopping at the first task found:
     /// whether it was stolen, and the task. With `mark`, every deque
-    /// found empty is flagged hungry (the pre-sleep pass). A sweep that
+    /// found empty is flagged hungry (the scheduler's sweeps). A sweep that
     /// finds nothing returns the counters summed over every deque. A
     /// freshly woken worker whose take left more behind propagates the
     /// wake-up to the next sleeper (see `woke`).
@@ -609,9 +593,9 @@ impl TaskScope<'_, '_> {
 
     /// Pop (own deque) or steal one task and execute it: `None` if work
     /// was found, else the counters summed over every deque (what
-    /// `taskwait` tests for quiescence).
-    fn help(&mut self) -> Option<TaskCounts> {
-        match self.sweep(false) {
+    /// `taskwait` tests for quiescence). `mark` as for [`Self::sweep`].
+    fn help(&mut self, mark: bool) -> Option<TaskCounts> {
+        match self.sweep(mark) {
             Ok((stolen, args)) => {
                 self.execute_taken(stolen, args);
                 None
@@ -620,11 +604,11 @@ impl TaskScope<'_, '_> {
         }
     }
 
-    /// If this worker was just signalled awake and its take left more
-    /// tasks behind, pass the signal on to the next sleeper (a push only
-    /// ever wakes one worker, so bursts are matched with workers by this
+    /// If this worker was just woken and its take left more tasks
+    /// behind, pass the wake on to the next sleeper (a push only ever
+    /// wakes one worker, so bursts are matched with workers by this
     /// cascade). Parked local siblings are recruited first (shared-memory
-    /// wake), then the next parked node agent over the wire.
+    /// wake), then the next parked node over the wire.
     fn propagate_wake(&mut self, remaining: u64) {
         if self.woke {
             self.woke = false;
@@ -632,7 +616,7 @@ impl TaskScope<'_, '_> {
                 if let Some((team, _)) = self.th.smp_team() {
                     team.task_wake();
                 }
-                self.wake_one();
+                self.th.term_wake(self.rt.scope);
             }
         }
     }
@@ -670,22 +654,6 @@ impl TaskScope<'_, '_> {
         }
     }
 
-    /// Signal one parked worker (push saw a hungry flag). The `wakeups`
-    /// generation counter makes the signal un-losable: a sleeper that has
-    /// not yet reached `cond_wait` re-checks the counter under the same
-    /// lock and retries its sweep instead of parking.
-    fn wake_one(&mut self) {
-        let term = self.rt.term;
-        let lock = term_lock(self.rt.n);
-        self.th.critical(lock, |th| {
-            if th.read(&term, TERM_DONE) == 0 && th.read(&term, TERM_IDLE) > 0 {
-                let w = th.read(&term, TERM_WAKEUPS);
-                th.write(&term, TERM_WAKEUPS, w + 1);
-                th.cond_signal(lock, TERM_CV);
-            }
-        });
-    }
-
     /// The victims of one sweep, ordered by descending backlog hint over
     /// effective speed, a victim not asked yet first and rotation
     /// breaking ties. Computed only after the home take came up empty,
@@ -712,28 +680,44 @@ impl TaskScope<'_, '_> {
     /// until the scope is globally quiescent, parking instead of
     /// busy-waiting while no work is available.
     ///
+    /// Every work-stealing sweep of the drain marks the deques it finds
+    /// empty, so the sweep that finds nothing anywhere has marked them
+    /// all and the worker parks at once: no idle announcement and no
+    /// second sweep come before a park. A push that lands on a marked
+    /// deque after its sweep wakes a parked node. The centralized queue
+    /// is one take, not a sweep: it drains unmarked and one marked take
+    /// precedes a park.
+    ///
     /// **Two-level termination** on SMP topologies: a thread that finds
     /// nothing goes *locally* idle first. All but the last of a node's
     /// threads park on the team's host condvar (woken by a local push —
     /// shared-memory, message-free). The last thread to idle becomes the
-    /// node's **agent** and runs the DSM-level protocol below with
-    /// `TERM_IDLE` counting parked *nodes* — so the paper-era distributed
-    /// termination detection is paid once per node, not once per thread.
-    /// While an agent is parked in the DSM condvar its siblings are all
-    /// locally parked, so no local thread can need the node's (held)
-    /// operation gate — the hierarchy is deadlock-free by construction.
+    /// node's **agent** and parks at node 0 ([`tmk::Tmk::term_idle`]),
+    /// which counts parked *nodes* — so the distributed termination
+    /// detection is paid once per node, not once per thread. While an
+    /// agent is parked its siblings are all locally parked, so no local
+    /// thread can need the node's (held) operation gate — the hierarchy
+    /// is deadlock-free by construction.
     fn scheduler(&mut self) {
-        let term = self.rt.term;
-        let tlock = term_lock(self.rt.n);
-        let p = self.rt.n as u64;
         let team = self.th.smp_team().map(|(team, _)| team);
         loop {
             // Sample the local wake generation *before* sweeping: a local
             // push landing after an empty observation bumps it and turns
             // the idle attempt below into a retry.
             let gen0 = team.map(|tm| tm.task_gen());
-            // Drain everything reachable.
-            while self.help().is_none() {}
+            // Drain everything reachable. Work-stealing sweeps mark the
+            // deques they find empty, so the one that finds nothing has
+            // marked them all. The centralized queue drains unmarked and
+            // is marked by one more take, which often finds what a pusher
+            // is still spawning (DESIGN.md §2i).
+            let central = matches!(self.rt.queues, Queues::Central(_));
+            while self.help(!central).is_none() {}
+            if central {
+                if let Ok((stolen, args)) = self.sweep(true) {
+                    self.execute_taken(stolen, args);
+                    continue;
+                }
+            }
             if let (Some(tm), Some(gen0)) = (team, gen0) {
                 match tm.task_enter_idle(gen0) {
                     smp::IdleOutcome::Done => return,
@@ -741,60 +725,8 @@ impl TaskScope<'_, '_> {
                     smp::IdleOutcome::Agent => {}
                 }
             }
-            // --- DSM level (the node's agent; every thread on n×1) ---
-            // Announce intent to sleep, then do the marking sweep: a push
-            // that lands after our empty observation of a deque sees the
-            // hungry flag (set under the same state or queue lock as the
-            // push) and will signal.
-            let w0 = self.th.critical(tlock, |th| {
-                let idle = th.read(&term, TERM_IDLE);
-                th.write(&term, TERM_IDLE, idle + 1);
-                th.read(&term, TERM_WAKEUPS)
-            });
-            if let Ok((stolen, args)) = self.sweep(true) {
-                self.th.critical(tlock, |th| {
-                    let idle = th.read(&term, TERM_IDLE);
-                    th.write(&term, TERM_IDLE, idle - 1);
-                });
-                if let Some(tm) = team {
-                    tm.task_leave_idle();
-                }
-                self.execute_taken(stolen, args);
-                continue;
-            }
-            // Park (or finish).
-            let mut woke = false;
-            let done = self.th.critical(tlock, |th| {
-                if th.read(&term, TERM_DONE) == 1 {
-                    return true;
-                }
-                if th.read(&term, TERM_WAKEUPS) != w0 {
-                    // A push raced our sweep: retry instead of parking.
-                    let idle = th.read(&term, TERM_IDLE);
-                    th.write(&term, TERM_IDLE, idle - 1);
-                    woke = true;
-                    return false;
-                }
-                if th.read(&term, TERM_IDLE) == p {
-                    // Every node swept its view clean and parked: any task
-                    // pushed before the last sweep of its deque was
-                    // consumed, so the scope is quiescent.
-                    th.write(&term, TERM_DONE, 1);
-                    th.cond_broadcast(tlock, TERM_CV);
-                    return true;
-                }
-                // Agent-only park: every sibling of this node is locally
-                // parked, so holding the gate across the wait is safe.
-                th.cond_wait_agent(tlock, TERM_CV);
-                let finished = th.read(&term, TERM_DONE) == 1;
-                if !finished {
-                    let idle = th.read(&term, TERM_IDLE);
-                    th.write(&term, TERM_IDLE, idle - 1);
-                    woke = true;
-                }
-                finished
-            });
-            if done {
+            // --- Cluster level (the node's agent; every thread on n×1) ---
+            if self.th.term_idle(self.rt.scope) {
                 if let Some(tm) = team {
                     // Release the locally parked siblings for good.
                     tm.task_done();
@@ -804,9 +736,7 @@ impl TaskScope<'_, '_> {
             if let Some(tm) = team {
                 tm.task_leave_idle();
             }
-            if woke {
-                self.woke = true;
-            }
+            self.woke = true;
         }
     }
 }
@@ -858,7 +788,6 @@ impl Env<'_> {
         let rt = TaskRt {
             scope: self.open_task_scope(),
             queues,
-            term: self.t.malloc_vec::<u64>(TERM_WORDS),
             cap,
             n,
             tpn: self.threads_per_node(),
@@ -1009,11 +938,11 @@ mod tests {
     }
 
     #[test]
-    fn termination_uses_condvar_not_spinning() {
+    fn termination_parks_starved_workers_not_spinning() {
         // A serial chain: at most one task is runnable at any moment, so
         // on 4 nodes three workers are starved for the whole run — they
-        // must park on the termination condvar (never busy-wait) and be
-        // signalled back when a push finds their hungry flag.
+        // must park at node 0 (never busy-wait) and be woken when a push
+        // finds their hungry flag.
         let out = run(OmpConfig::fast_test(4), |omp| {
             let count = omp.malloc_scalar::<u64>(0);
             omp.task_scope(
@@ -1035,10 +964,7 @@ mod tests {
             count.get(omp)
         });
         assert_eq!(out.result, 301, "every chain link ran exactly once");
-        assert!(
-            out.dsm.cond_waits > 0,
-            "starved workers must park on the condvar"
-        );
+        assert!(out.dsm.parks > 0, "starved workers must park");
     }
 
     #[test]
@@ -1298,11 +1224,9 @@ mod tests {
     }
 
     #[test]
-    fn deque_and_term_locks_are_disjoint() {
+    fn the_central_queue_lock_is_managed_by_node_0() {
         for n in [1usize, 2, 3, 8, 16] {
-            assert_ne!(central_lock(n), term_lock(n), "lock collision at n={n}");
             assert_eq!(central_lock(n) as usize % n, 0, "queue lock on node 0");
-            assert_eq!(term_lock(n) as usize % n, 0, "termination lock on node 0");
         }
     }
 }

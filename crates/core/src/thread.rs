@@ -246,9 +246,7 @@ impl<'t> OmpThread<'t> {
     /// On SMP topologies (`threads_per_node > 1`): a parked waiter holds
     /// the node's protocol gate, so a sibling thread signaling it (or
     /// doing any DSM operation) would deadlock the node. The paper's
-    /// condition-variable directive is an `n × 1` feature; the tasking
-    /// runtime's internal use is safe only because a node's agent parks
-    /// exclusively when every sibling is already parked.
+    /// condition-variable directive is an `n × 1` feature.
     pub fn cond_wait(&mut self, lock: u32, cond: u32) {
         assert!(
             self.smp.is_none(),
@@ -256,14 +254,6 @@ impl<'t> OmpThread<'t> {
              a parked waiter holds the node's protocol gate and would deadlock \
              its sibling threads"
         );
-        self.t.cond_wait(lock, cond);
-    }
-
-    /// Scheduler-internal `cond_wait` without the SMP-team guard: legal
-    /// only when the caller can prove no sibling thread will need the
-    /// node's protocol gate while it is parked (the tasking termination
-    /// agent, which parks only after every sibling is locally parked).
-    pub(crate) fn cond_wait_agent(&mut self, lock: u32, cond: u32) {
         self.t.cond_wait(lock, cond);
     }
 

@@ -49,7 +49,8 @@ pub enum Category {
     Barrier,
     /// Time inside the DSM protocol (faults, diffs, locks, flushes, …).
     Protocol,
-    /// Time parked with no work (slave nodes between jobs).
+    /// Time parked with no work (slave nodes between jobs, a task
+    /// scope's idle workers).
     Idle,
     /// Zero-width marker; never contributes time.
     Marker,
@@ -88,6 +89,9 @@ pub enum EventKind {
     /// Steal from another node's task deque: request → reply (`a` =
     /// victim).
     StealWait,
+    /// An idle task worker parked at node 0: idle → woken or scope over
+    /// (`a` = task scope).
+    Park,
     /// Job-boundary reset protocol step.
     Reset,
     /// SMP team fork/join bracketing a node's parallel region.
@@ -130,6 +134,7 @@ impl EventKind {
             EventKind::Flush => "flush",
             EventKind::Gc => "gc",
             EventKind::StealWait => "steal wait",
+            EventKind::Park => "park",
             EventKind::Reset => "reset",
             EventKind::TeamFork => "team fork",
             EventKind::Idle => "idle",
@@ -162,7 +167,7 @@ impl EventKind {
             | EventKind::StealWait
             | EventKind::Reset
             | EventKind::TeamFork => Category::Protocol,
-            EventKind::Idle => Category::Idle,
+            EventKind::Idle | EventKind::Park => Category::Idle,
             EventKind::Fork
             | EventKind::ChunkClaim
             | EventKind::TaskSpawn

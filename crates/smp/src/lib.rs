@@ -153,7 +153,7 @@ pub enum Arrival {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IdleOutcome {
     /// Every local thread is idle: the caller becomes the node's agent
-    /// in the DSM-level termination protocol.
+    /// in the cluster-level termination protocol.
     Agent,
     /// A local push (or wake) raced the caller's empty sweep — hunt again.
     Retry,
@@ -358,7 +358,7 @@ impl Team {
 
     /// A worker found no work anywhere (its sweep started at generation
     /// `gen0`): go locally idle. The last thread to idle becomes the
-    /// node's **agent** in the DSM-level termination protocol and stays
+    /// node's **agent** in the cluster-level termination protocol and stays
     /// counted; other threads park on the host condvar until a wake or
     /// scope termination.
     pub fn task_enter_idle(&self, gen0: u64) -> IdleOutcome {

@@ -671,6 +671,29 @@ impl Tmk {
         taken
     }
 
+    /// Park this node's idle task worker at node 0 until a push wakes it
+    /// (`false`) or every node is parked and `scope` is over (`true`):
+    /// one `TermIdle` and one `TermGo`, free when this is node 0.
+    pub fn term_idle(&mut self, scope: u32) -> bool {
+        let mut done = false;
+        self.traced_op(OpLat::Park, scope as u64, |s| {
+            s.ep.send(0, Msg::TermIdle { scope });
+            let d = s.reply();
+            let Msg::TermGo { done: over } = d.msg else {
+                panic!("expected TermGo, got {}", d.msg.kind())
+            };
+            done = over;
+        });
+        self.count_op(TmkOp::Parks, 1);
+        done
+    }
+
+    /// A push cleared a hungry flag in `scope`: ask node 0 to wake its
+    /// oldest parked worker. One message, no reply.
+    pub fn term_wake(&mut self, scope: u32) {
+        self.metered(|s| s.on_wire(|s| s.ep.send(0, Msg::TermWake { scope })));
+    }
+
     // ------------------------------------------------------------------
     // Flush (original OpenMP synchronization the paper replaces)
     // ------------------------------------------------------------------

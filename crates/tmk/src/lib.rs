@@ -31,7 +31,8 @@
 //! * **Task deques** — the OpenMP tasking runtime's work-stealing deques
 //!   live in each node's state, not in DSM pages: a steal is one request
 //!   and one reply, which carries the task and the notices the thief
-//!   lacks ([`Tmk::steal`]).
+//!   lacks ([`Tmk::steal`]). An idle worker parks at node 0 by message
+//!   until a push wakes it or every node is parked ([`Tmk::term_idle`]).
 //!
 //! ## Example
 //!

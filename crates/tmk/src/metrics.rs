@@ -78,6 +78,7 @@ op_lats! {
     (Flush, "flush", Flush, "An OpenMP flush round."),
     (Gc, "gc", Gc, "A diff garbage-collection round (inside a barrier)."),
     (Steal, "steal", StealWait, "A steal from another node's task deque, request to reply."),
+    (Park, "park", Park, "An idle task worker's park at node 0, until woken or the scope ends."),
 }
 
 /// One node's lifetime metrics block. Shared (`Arc`) between the

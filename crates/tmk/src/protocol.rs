@@ -273,6 +273,25 @@ pub enum Msg {
         /// the push's interval, everything the spawner wrote before it.
         bundle: NoticeBundle,
     },
+    /// An idle node's task worker parks at node 0, which answers with
+    /// [`Msg::TermGo`] once a push wakes it or every node is parked (the
+    /// parked node is the sender).
+    TermIdle {
+        /// The task scope the worker is in.
+        scope: u32,
+    },
+    /// A push cleared a hungry flag: node 0 wakes its oldest parked
+    /// worker of the scope, or drops the wake when none is parked.
+    TermWake {
+        /// The task scope of the push.
+        scope: u32,
+    },
+    /// Node 0's answer to [`Msg::TermIdle`].
+    TermGo {
+        /// Every node is parked: the scope is over. Else a push woke
+        /// the worker.
+        done: bool,
+    },
     /// Master ships a parallel-region body to a slave (Tmk_fork). The
     /// fork is also the slave's deferred departure from the last join.
     Fork {
@@ -397,6 +416,9 @@ impl Wire for Msg {
             Msg::StealRep { taken, bundle } => {
                 1 + taken.task.map_or(0, |_| 32) + 8 + 24 + bundle.wire_bytes()
             }
+            // A 4-byte scope id; the answer is its flag.
+            Msg::TermIdle { .. } | Msg::TermWake { .. } => 4,
+            Msg::TermGo { .. } => 1,
             Msg::FlushAck => 4,
             // The GC flag travels in the modeled fork header.
             Msg::Fork { region, acq, .. } => region.payload_bytes + acq.wire_bytes(),
@@ -430,6 +452,9 @@ impl Wire for Msg {
         (FlushAck, "flush_ack"),
         (StealReq, "steal_req"),
         (StealRep, "steal_rep"),
+        (TermIdle, "term_idle"),
+        (TermWake, "term_wake"),
+        (TermGo, "term_go"),
         (Fork, "fork"),
         (GcDone, "gc_done"),
         (GcComplete, "gc_complete"),

@@ -66,6 +66,7 @@ pub fn service_loop(
             | Msg::SemaGrant { .. }
             | Msg::FlushAck
             | Msg::StealRep { .. }
+            | Msg::TermGo { .. }
             | Msg::ResetDone
             | Msg::SyncAck
             | Msg::GcComplete { .. } => {
@@ -212,6 +213,8 @@ pub(crate) fn on_request(
             let rep = st.serve_steal(src, scope, &vc, mark);
             out.push((src, rep));
         }
+        Msg::TermIdle { scope } => st.serve_term_idle(src, scope, out),
+        Msg::TermWake { scope } => st.serve_term_wake(scope, out),
         Msg::GcDone { epoch } => {
             debug_assert_eq!(st.id, 0, "GC coordinator is node 0");
             st.mgr.gc_done += 1;

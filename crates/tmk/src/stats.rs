@@ -115,6 +115,8 @@ tmk_ops! {
     (DiffBytesAttached, diff_bytes_attached, "Wire bytes of own diffs attached to barrier arrivals \
      and lock releases for pages other nodes subscribe to (the manager forwards them to those \
      nodes)."),
+    (Parks, parks, "Idle task workers parked at node 0 until a push woke them or the task \
+     scope ended (one per node agent's park)."),
 }
 
 #[cfg(test)]
@@ -169,7 +171,7 @@ mod tests {
             labels.split_whitespace().collect()
         }
         let ops: Vec<_> = TmkOp::ALL.iter().map(|op| op.name()).collect();
-        assert_eq!(TmkOp::COUNT, 30);
+        assert_eq!(TmkOp::COUNT, 31);
         assert_eq!(
             ops,
             pinned(
@@ -178,34 +180,35 @@ mod tests {
                  lock_acquires lock_acquires_local sema_signals sema_waits cond_waits \
                  cond_signals cond_broadcasts flushes forks gc_runs push_writes \
                  tasks_spawned tasks_executed tasks_stolen steal_attempts task_overflows \
-                 loop_steals diff_refetches diff_bytes_retained diff_bytes_attached"
+                 loop_steals diff_refetches diff_bytes_retained diff_bytes_attached parks"
             )
         );
         let lats: Vec<_> = OpLat::ALL.iter().map(|op| op.name()).collect();
-        assert_eq!(OpLat::COUNT, 10);
+        assert_eq!(OpLat::COUNT, 11);
         assert_eq!(
             lats,
             pinned(
                 "page_fault barrier lock_acquire lock_release sema_signal sema_wait \
-                 cond_wait flush gc steal"
+                 cond_wait flush gc steal park"
             )
         );
         let kinds = <Msg as Wire>::kinds();
-        assert_eq!(kinds.len(), 28);
+        assert_eq!(kinds.len(), 31);
         assert_eq!(
             kinds,
             pinned(
                 "diff_req diff_rep page_req page_rep lock_acq lock_rel lock_grant \
                  barrier_arrive barrier_depart sema_signal sema_ack sema_wait sema_grant \
                  cond_wait cond_signal cond_broadcast flush_notice flush_ack steal_req \
-                 steal_rep fork gc_done gc_complete reset_req reset_done sync_req sync_ack shutdown"
+                 steal_rep term_idle term_wake term_go fork gc_done gc_complete reset_req \
+                 reset_done sync_req sync_ack shutdown"
             )
         );
         // A row's position is its slot in the per-kind traffic metrics.
         for (m, id) in [
             (Msg::PageReq { page: 1 }, 2),
             (Msg::FlushAck, 17),
-            (Msg::Shutdown, 27),
+            (Msg::Shutdown, 30),
         ] {
             assert_eq!((m.kind_id(), m.kind()), (id, kinds[id]));
         }

@@ -9,6 +9,13 @@
 //! and the notices the thief lacks, so it sees everything the spawner
 //! wrote before the push. A push closes the open interval first, which
 //! puts those writes into a notice the reply can carry.
+//!
+//! Node 0's deque also keeps the scope's termination state: the idle
+//! workers parked there by [`Msg::TermIdle`], in arrival order, and
+//! whether the scope is over. A push that clears a hungry flag sends one
+//! [`Msg::TermWake`], which node 0 answers by waking its oldest parked
+//! worker ([`Msg::TermGo`]), or drops when none is parked; when all `n`
+//! nodes are parked, every one of them gets `TermGo { done: true }`.
 
 use crate::interval::VectorClock;
 use crate::protocol::Msg;
@@ -61,6 +68,11 @@ pub struct TaskDeque {
     /// sleeper's sweep): the next push clears it and wakes one sleeper.
     pub hungry: bool,
     counts: TaskCounts,
+    /// Node 0 only: the nodes whose idle worker is parked here, oldest
+    /// first.
+    parked: VecDeque<usize>,
+    /// Node 0 only: every node parked, and the scope is over.
+    done: bool,
 }
 
 impl TaskDeque {
@@ -174,6 +186,37 @@ impl NodeState {
         let taken = self.tasks.take(scope, false, mark);
         let bundle = self.grant_to(thief, vc);
         Msg::StealRep { taken, bundle }
+    }
+
+    /// Node 0's half of an idle worker's park: park `src` in `scope`;
+    /// once all `n` nodes are parked the scope is over, and each of them
+    /// is told so, oldest first.
+    pub fn serve_term_idle(&mut self, src: usize, scope: u32, out: &mut Vec<(usize, Msg)>) {
+        debug_assert_eq!(self.id, 0, "idle workers park at node 0");
+        let dq = self.tasks.open(scope);
+        if dq.done {
+            out.push((src, Msg::TermGo { done: true }));
+            return;
+        }
+        dq.parked.push_back(src);
+        if dq.parked.len() == self.n {
+            dq.done = true;
+            out.extend(dq.parked.drain(..).map(|k| (k, Msg::TermGo { done: true })));
+        }
+    }
+
+    /// Node 0's half of a wake: wake the oldest parked worker of
+    /// `scope`. With none parked the wake is dropped and leaves nothing
+    /// behind: its pusher is running, so its task runs or is stolen.
+    pub fn serve_term_wake(&mut self, scope: u32, out: &mut Vec<(usize, Msg)>) {
+        debug_assert_eq!(self.id, 0, "idle workers park at node 0");
+        let dq = self.tasks.open(scope);
+        if dq.done {
+            return;
+        }
+        if let Some(k) = dq.parked.pop_front() {
+            out.push((k, Msg::TermGo { done: false }));
+        }
     }
 
     /// The reply half of a steal: acquire the reply's notices and return

@@ -789,6 +789,91 @@ mod tests {
         assert_eq!(w.read(0, PAGE)[9], 5);
     }
 
+    /// Replay the termination arm's program on 3 nodes, delivering the
+    /// `i`-th request in flight for each `i` of `choices`: every node's
+    /// idle worker parks at node 0 and node 2 sends one wake; a woken
+    /// node parks again. Checks each answer against a model of node 0's
+    /// parked list and returns the requests still in flight.
+    fn term_replay(choices: &[usize]) -> usize {
+        const SCOPE: u32 = 1;
+        let mut w = World::new(3);
+        for k in 0..3 {
+            w.send(k, (0, Msg::TermIdle { scope: SCOPE }));
+        }
+        w.send(2, (0, Msg::TermWake { scope: SCOPE }));
+        let (mut parked, mut done) = (VecDeque::new(), false);
+        let mut finished = [0; 3];
+        for &i in choices {
+            let (src, _, msg) = &w.wire[i];
+            let (src, idle) = (*src, matches!(msg, Msg::TermIdle { .. }));
+            w.handle(i);
+            let mut sent = Vec::new();
+            for (k, inbox) in w.inbox.iter_mut().enumerate() {
+                for (from, msg) in inbox.drain(..) {
+                    assert_eq!(from, 0, "{choices:?}: only node 0 answers");
+                    let Msg::TermGo { done } = msg else {
+                        panic!("{choices:?}: expected TermGo, got {}", msg.kind())
+                    };
+                    sent.push((k, done));
+                }
+            }
+            let mut want: Vec<(usize, bool)> = if done {
+                // Nothing follows the end of the scope.
+                Vec::new()
+            } else if idle {
+                parked.push_back(src);
+                if parked.len() == 3 {
+                    done = true;
+                    parked.drain(..).map(|k| (k, true)).collect()
+                } else {
+                    Vec::new()
+                }
+            } else {
+                // A wake with none parked is dropped, with no credit; else
+                // it wakes the oldest parked node.
+                parked.pop_front().map(|k| (k, false)).into_iter().collect()
+            };
+            want.sort_unstable();
+            assert_eq!(sent, want, "{choices:?}");
+            for (k, over) in sent {
+                if over {
+                    finished[k] += 1;
+                } else {
+                    w.send(k, (0, Msg::TermIdle { scope: SCOPE }));
+                }
+            }
+        }
+        if w.wire.is_empty() {
+            assert!(done, "{choices:?}: the scope ended");
+            assert_eq!(finished, [1; 3], "{choices:?}: each node told once");
+            let sent = w.tally(true);
+            assert_eq!(sent["term_idle"].0, sent["term_go"].0, "{choices:?}");
+        }
+        w.wire.len()
+    }
+
+    #[test]
+    fn three_parks_and_a_wake_in_every_delivery_order() {
+        fn explore(choices: &mut Vec<usize>, leaves: &mut usize) {
+            let in_flight = term_replay(choices);
+            if in_flight == 0 {
+                *leaves += 1;
+            }
+            for i in 0..in_flight {
+                choices.push(i);
+                explore(choices, leaves);
+                choices.pop();
+            }
+        }
+        let mut leaves = 0;
+        explore(&mut Vec::new(), &mut leaves);
+        // The wake before any park (3! orders of the parks after it) or
+        // after all three (3!); after one park (3 first parks, then 3!
+        // orders of the other two and the woken node's second); after
+        // two (3 × 2 first parks, then 2 orders of the last two).
+        assert_eq!(leaves, 6 + 6 + 3 * 6 + 6 * 2);
+    }
+
     #[test]
     fn a_full_copy_then_a_diff_runs_without_threads_as_with_them() {
         // Two nodes, GC at every barrier: node 1 writes byte 3, a

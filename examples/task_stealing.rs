@@ -39,5 +39,5 @@ fn main() {
     }
     println!("\nPer-node deques in each node's state make spawn/pop message-free;");
     println!("an idle node steals with one request and one reply, which carries");
-    println!("the task; idle workers park on a condition variable.");
+    println!("the task; an idle node parks at node 0 until a push wakes it.");
 }

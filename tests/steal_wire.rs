@@ -71,14 +71,20 @@ fn fib12_steals_by_message_and_takes_no_deque_lock() {
                 e.a
             );
         }
-        // No deque page is left to fetch. Each diff fetched follows an
-        // acquire whose notice came without its diff: a termination-lock
-        // grant (a node's first reads of the termination region, before
-        // its fault subscribed the page to the lock's grants), or a steal
-        // of the root task, which reads the global `n`.
+        // Termination takes no lock either: an idle node parks at node 0
+        // by message, and every park gets exactly one answer.
+        assert_eq!(out.dsm.lock_acquires, 0, "{nodes}x{tpn}");
+        assert_eq!(
+            sent(&out, "term_idle"),
+            sent(&out, "term_go"),
+            "{nodes}x{tpn}"
+        );
+        // No deque or termination page is left to fetch. Each diff
+        // fetched follows a steal whose notice came without its diff: a
+        // steal of the root task, which reads the global `n`.
         let fetched = sent(&out, "diff_req");
-        let acquires = out.dsm.lock_acquires + out.dsm.tasks_stolen;
-        assert!(fetched <= acquires, "{nodes}x{tpn}: {fetched} diff_req");
+        let stolen = out.dsm.tasks_stolen;
+        assert!(fetched <= stolen, "{nodes}x{tpn}: {fetched} diff_req");
     }
 }
 
