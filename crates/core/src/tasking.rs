@@ -634,20 +634,17 @@ impl TaskScope<'_, '_> {
         if counted {
             self.depth += 1;
         }
-        let tracing = self.th.trace_on();
-        let t0 = if tracing { self.th.trace_now() } else { 0 };
+        // Both ends are charged reads (`off_meter`), so the span holds the
+        // body's compute rather than leaving it to a later span.
+        let t0 = self.th.trace_on().then(|| self.th.off_meter(|vt| vt));
         let body = self.body.clone();
         body(self, args);
-        if tracing {
+        if let Some(t0) = t0 {
+            let t1 = self.th.off_meter(|vt| vt);
             // A Marker-category span: task bodies are application compute
             // in the profile, but the track shows task boundaries.
-            self.th.trace_span(
-                tmk::EventKind::TaskExec,
-                t0,
-                self.th.trace_now(),
-                self.depth,
-                stolen as u64,
-            );
+            let (kind, stolen) = (tmk::EventKind::TaskExec, stolen as u64);
+            self.th.trace_span(kind, t0, t1, self.depth, stolen);
         }
         if counted {
             self.depth -= 1;

@@ -55,10 +55,11 @@ pub struct Release {
     /// The releaser's new intervals + clock.
     pub bundle: NoticeBundle,
     /// The pages the releaser subscribes to under the object (it took a
-    /// read fault on them), ascending.
+    /// read fault on them or, under the barrier, twinned them), ascending.
     pub subscribed: Vec<PageId>,
     /// The releaser's diffs of the pages its last acquire published, for
-    /// the intervals this release closes.
+    /// the intervals this release closes; at a job's first barrier also
+    /// those of the pages it subscribes to, since its fork.
     pub updates: Vec<Update>,
 }
 

@@ -345,6 +345,9 @@ fn release_barrier(st: &mut NodeState, epoch: u32, out: &mut Vec<(usize, Msg)>) 
         arrivals.iter().all(|a| a.join == join),
         "a join is every node's"
     );
+    // Deterministic order: descending node id, manager (node 0) last, so
+    // the departures' diffs are in one order whatever the arrivals' was.
+    arrivals.sort_by_key(|a| std::cmp::Reverse(a.node));
     let mut riders = Riders::default();
     for a in &mut arrivals {
         riders.subscribe(a.node, std::mem::take(&mut a.rel.subscribed));
@@ -359,8 +362,6 @@ fn release_barrier(st: &mut NodeState, epoch: u32, out: &mut Vec<(usize, Msg)>) 
     // sit at or after every arrival.
     st.clock
         .service_raise_to(std::mem::take(&mut st.mgr.barrier_last_arrive_vt));
-    // Deterministic order: descending node id, manager (node 0) last.
-    arrivals.sort_by_key(|a| std::cmp::Reverse(a.node));
     // The arrivals' notices are applied only now, with the manager's own
     // application thread parked in the barrier: applied as each arrived,
     // they would invalidate its pages mid-episode, and whether it then

@@ -210,11 +210,13 @@ impl Riders {
 /// A sync object's riders as one node sees them.
 #[derive(Debug, Default)]
 pub struct Subscription {
-    /// The pages this node took a read fault on under the object: every
-    /// one for the barrier, and for a lock those taken while it was the
-    /// one acquired last of those held. Sticky; a page is dropped at a
-    /// release when the diffs the last acquire delivered for it are still
-    /// held, meaning the page went unread.
+    /// The pages this node subscribes to under the object: for the
+    /// barrier every one it took a read fault on or twinned
+    /// ([`NodeState::start_write`]), and for a lock those it took a read
+    /// fault on while that lock was the one acquired last of those held.
+    /// Sticky; a page is dropped at a release when the diffs the last
+    /// acquire delivered for it are still held, meaning the page went
+    /// unread, and at once when a GC validation applies them.
     pub subscribed: BTreeSet<PageId>,
     /// The pages the other nodes subscribe to, as the last acquire
     /// published them (ascending): the next release attaches its diffs
@@ -322,6 +324,10 @@ pub struct NodeState {
     /// Our last interval closed at or before the last arrival: later
     /// ones are the next arrival's to attach.
     pub arrived_seq: u32,
+    /// Until the job's first arrival at a barrier that is not a join, our
+    /// last interval closed at or before the last fork: that arrival also
+    /// attaches our later diffs of every page we subscribe to.
+    pub speculate: Option<u32>,
     /// Reduction partials contributed since the last arrival, which
     /// carries them to the barrier manager.
     pub partials: Vec<Partial>,
@@ -372,6 +378,7 @@ impl NodeState {
             held_locks: Vec::new(),
             subs: HashMap::new(),
             arrived_seq: 0,
+            speculate: Some(0),
             partials: Vec::new(),
             gathered: Vec::new(),
             mgr: ManagerState::default(),
@@ -662,11 +669,11 @@ impl NodeState {
         let msg = match (obj, cond) {
             (SyncId::Lock(lock), None) => Msg::LockRelease {
                 lock,
-                rel: self.release(obj, first),
+                rel: self.release(obj, first, None),
             },
             (SyncId::Lock(lock), Some(cond)) => {
                 self.count(TmkOp::CondWaits, 1);
-                let rel = self.release(obj, first);
+                let rel = self.release(obj, first, None);
                 Msg::CondWait { lock, cond, rel }
             }
             (SyncId::Sema(sema), None) => {
@@ -685,23 +692,28 @@ impl NodeState {
     /// subscriptions under `obj` less each page whose diffs the last
     /// acquire delivered are still held (it went unread since, and is
     /// delivered nothing more), and our diffs of the pages that acquire
-    /// published, their pending twins materialized.
-    fn release(&mut self, obj: SyncId, first: u32) -> Release {
+    /// published, their pending twins materialized. With `speculate`,
+    /// also our diffs of the intervals after that seq for every page we
+    /// subscribe to.
+    fn release(&mut self, obj: SyncId, first: u32, speculate: Option<u32>) -> Release {
         let sub = self.subs.entry(obj).or_default();
         for (pid, id) in std::mem::take(&mut sub.delivered) {
             if self.pages[pid].held().any(|(h, _)| h == id) {
                 sub.subscribed.remove(&pid);
             }
         }
-        let subscribed = sub.subscribed.iter().copied().collect();
+        let subscribed: Vec<PageId> = sub.subscribed.iter().copied().collect();
         let published = std::mem::take(&mut sub.published);
-        let me = self.id as u32;
+        let (me, since) = (self.id as u32, speculate.map_or(u32::MAX, |s| s + 1));
+        let attach = |seq: u32, pid: &PageId| {
+            (seq >= first && published.binary_search(pid).is_ok())
+                || (seq >= since && subscribed.binary_search(pid).is_ok())
+        };
         let written: Vec<(PageId, IntervalId)> = self
             .interval_log
-            .range((me, first)..=(me, u32::MAX))
+            .range((me, first.min(since))..=(me, u32::MAX))
             .flat_map(|(&(node, seq), info)| {
-                let pages = info.pages.iter();
-                let pages = pages.filter(|pid| published.binary_search(pid).is_ok());
+                let pages = info.pages.iter().filter(move |pid| attach(seq, pid));
                 pages.map(move |&pid| (pid, IntervalId { node, seq }))
             })
             .collect();
@@ -759,6 +771,20 @@ impl NodeState {
         }
     }
 
+    /// A GC validation applies `got` to `pid`: a delivered diff among
+    /// them is no read, so it ends the page's subscription as a release
+    /// that found it still held would. (The owner validates pages its
+    /// application may never read, and its reads of them then hit.)
+    fn unsubscribe_validated(&mut self, pid: PageId, got: &PageDiffs) {
+        let validated = |&(p, id): &(PageId, IntervalId)| p == pid && got.iter().any(|d| d.0 == id);
+        for sub in self.subs.values_mut() {
+            if sub.delivered.iter().any(validated) {
+                sub.delivered.retain(|d| !validated(d));
+                sub.subscribed.remove(&pid);
+            }
+        }
+    }
+
     /// Hold each delivered diff whose notice its page holds unapplied, in
     /// the page's `diffs` map: nothing is applied and the page stays
     /// invalid until a fault applies it with the rest of the page's set.
@@ -812,13 +838,15 @@ impl NodeState {
     /// interval and send the barrier manager, node 0, a
     /// [`NodeState::release`] of our intervals since the last arrival,
     /// our diff storage as the attach left it, and the reduction partials
-    /// contributed since the last arrival. With `join`, the episode is a
-    /// region's join, which a slave completes here: its departure is the
-    /// next fork ([`NodeState::on_fork`]).
+    /// contributed since the last arrival. The job's first arrival that
+    /// is not a join also attaches on speculation (see `speculate`). With
+    /// `join`, the episode is a region's join, which a slave completes
+    /// here: its departure is the next fork ([`NodeState::on_fork`]).
     pub fn arrive_request(&mut self, epoch: u32, join: bool) -> (usize, Msg) {
         self.close_interval();
         let first = std::mem::replace(&mut self.arrived_seq, self.next_seq - 1) + 1;
-        let rel = self.release(SyncId::Barrier, first);
+        let speculate = if join { None } else { self.speculate.take() };
+        let rel = self.release(SyncId::Barrier, first, speculate);
         let mgr = self.manager_of(SyncId::Barrier);
         if join && self.id != mgr {
             self.count(TmkOp::Barriers, 1);
@@ -868,6 +896,7 @@ impl NodeState {
     /// bundle carries.
     pub fn fork_request(&mut self, region: &Region) -> (Vec<(usize, Msg)>, Option<VectorClock>) {
         self.close_interval();
+        self.forked();
         self.count(TmkOp::Forks, 1);
         let mut riders = self.mgr.riders.remove(&SyncId::Barrier).unwrap_or_default();
         let (gc, me) = (self.mgr.gc_in_progress, self.id);
@@ -890,7 +919,18 @@ impl NodeState {
     pub fn on_fork(&mut self, src: usize, acq: Acquire, gc: bool) -> Option<VectorClock> {
         let upto = gc.then(|| acq.bundle.pvc.clone());
         self.take_acquire(SyncId::Barrier, src, acq);
+        self.forked();
         upto
+    }
+
+    /// A fork, either half: until the job's first speculative arrival,
+    /// its intervals start after our last one so far. The master's
+    /// sequential section then stays off that arrival: each slave that
+    /// reads its writes fetched them after this fork.
+    fn forked(&mut self) {
+        if let Some(seq) = &mut self.speculate {
+            *seq = self.next_seq - 1;
+        }
     }
 
     // ---------------------------------------------------------------
@@ -1164,6 +1204,9 @@ impl NodeState {
         loop {
             self.hold(std::mem::take(&mut fault.siblings));
             for (pid, (_, got)) in std::mem::take(&mut fault.by_page) {
+                if !fault.subscribe {
+                    self.unsubscribe_validated(pid, &got);
+                }
                 fault.applied.push((pid, got.len()));
                 self.apply_fetched(pid, got);
             }
@@ -1261,13 +1304,16 @@ impl NodeState {
     }
 
     /// Prepare `pid` for writing: materialize any pending diff, create the
-    /// open-interval twin, and mark the page dirty. The page must already
-    /// be readable.
+    /// open-interval twin, mark the page dirty, and subscribe it to
+    /// barrier updates, as a read fault does: a page's writers are likely
+    /// readers of each other's writes. The page must already be readable.
     pub fn start_write(&mut self, pid: PageId) {
         debug_assert!(self.pages[pid].readable());
         if self.pages[pid].state == PageState::Write {
             return;
         }
+        let sub = self.subs.entry(SyncId::Barrier).or_default();
+        sub.subscribed.insert(pid);
         self.twin_page(pid, PageState::Write);
     }
 
@@ -1761,24 +1807,26 @@ mod tests {
     // `DiffReq`s. A refactor of the riders or of the fault must leave
     // every number as it is. Full copies and GC rounds go through
     // `PageReq` and `GcDone`, so a page serve is charged to its owner's
-    // service clock, as in a threaded run.
+    // service clock, as in a threaded run. Re-recorded when a twin began
+    // to subscribe its page, the first barrier to attach on speculation
+    // and a GC validation to end a subscription (DESIGN.md §2b).
     #[test]
     fn fixed_programs_keep_their_pinned_traffic_and_clocks() {
         // 2, 3 and 4 nodes with GC at every barrier, then at every third.
         let want = [
-            "64/6020 64/5768 13/156 13/997 23/1026 23/544 64/512 64/512 52/1040 65/2750 \
-             52/3149 29/119248 29/348 | 1001/260/0 859/240/13 | 34/23",
-            "96/9003 96/12699 13/156 13/1174 19/857 19/488 96/768 96/768 51/1224 64/3795 \
-             51/3983 50/205600 50/600 | 826/170/0 617/180/13 760/240/0 | 43/19",
-            "144/13677 144/19925 11/132 11/1154 16/963 16/484 144/1152 144/1152 50/1400 \
-             61/4309 50/4644 66/271392 66/792 | 450/170/35 513/140/0 450/170/0 617/220/52 \
-             | 35/16",
-            "68/5862 68/5365 9/108 9/729 21/851 21/492 20/160 20/160 45/900 54/2154 45/2769 \
-             15/61680 15/180 | 802/160/141 990/160/106 | 41/21",
-            "108/9170 108/10278 8/96 8/816 46/2181 46/1220 42/336 42/336 46/1104 54/2801 \
-             46/3954 35/143920 35/420 | 409/100/0 544/160/0 884/250/0 | 53/46",
-            "120/10622 120/13493 4/48 4/475 56/3240 56/1604 28/224 28/224 46/1288 50/3383 \
-             46/4585 22/90464 22/264 | 394/40/0 358/60/13 396/40/13 453/210/53 | 65/56",
+            "64/6095 64/5801 13/156 13/997 24/1064 24/564 64/512 64/512 52/1040 65/2750 \
+             52/3149 29/119248 29/348 | 971/270/0 859/240/13 | 34/24",
+            "96/9006 96/12259 13/156 13/1174 22/928 22/536 96/768 96/768 51/1224 64/3795 \
+             51/3983 50/205600 50/600 | 836/180/0 607/180/13 780/220/0 | 43/22",
+            "144/13762 144/19738 11/132 11/1154 18/1025 18/524 144/1152 144/1152 50/1400 \
+             61/4309 50/4644 66/271392 66/792 | 450/170/35 523/140/0 450/170/0 657/220/52 | \
+             35/18",
+            "68/5913 68/5416 9/108 9/729 21/842 21/492 20/160 20/160 45/900 54/2154 45/2769 \
+             15/61680 15/180 | 792/170/141 1020/150/106 | 41/21",
+            "108/9302 108/10370 8/96 8/816 43/2112 43/1160 42/336 42/336 46/1104 54/2801 \
+             46/3954 35/143920 35/420 | 439/70/0 554/150/0 884/240/0 | 53/43",
+            "120/10765 120/13896 4/48 4/475 50/2849 50/1416 28/224 28/224 46/1288 50/3383 \
+             46/4585 22/90464 22/264 | 404/30/0 358/60/13 416/20/13 473/190/53 | 65/50",
         ];
         for (i, want) in want.into_iter().enumerate() {
             let (n, gc_every) = (2 + i % 3, [1, 3][i / 3]);
@@ -1803,20 +1851,21 @@ mod tests {
     // from a seeded LCG on 3 and 4 nodes, GC at every barrier or join and
     // at every third, pinned as the test above, each kind named: recorded
     // when the join became one-way, and again when `World` began to fault
-    // as production does (the comment above).
+    // as production does and when twins began to subscribe (the comment
+    // above).
     #[test]
     fn fixed_programs_with_regions_keep_their_pinned_traffic_and_clocks() {
         let want = [
-            "barrier_arrive 177/13148 barrier_depart 119/10456 cond_signal 10/120 \
-             cond_wait 10/862 diff_rep 14/555 diff_req 14/328 fork 58/5964 \
+            "barrier_arrive 177/13079 barrier_depart 119/10385 cond_signal 10/120 \
+             cond_wait 10/862 diff_rep 14/555 diff_req 14/328 fork 58/5817 \
              gc_complete 177/1416 gc_done 177/1416 lock_acq 46/1104 lock_grant 56/2944 \
              lock_rel 46/3629 page_rep 58/238496 page_req 58/696 \
              | 895/330/0 548/130/0 587/200/0 | 36/14 | gc 59",
-            "barrier_arrive 216/17678 barrier_depart 138/15713 cond_signal 8/96 \
-             cond_wait 8/852 diff_rep 47/2338 diff_req 47/1292 fork 78/8907 \
+            "barrier_arrive 216/17721 barrier_depart 138/15830 cond_signal 8/96 \
+             cond_wait 8/852 diff_rep 46/2330 diff_req 46/1280 fork 78/8911 \
              gc_complete 72/576 gc_done 72/576 lock_acq 48/1344 lock_grant 56/3733 \
              lock_rel 48/4630 page_rep 50/205600 page_req 50/600 \
-             | 946/290/39 449/120/22 486/100/0 460/100/0 | 77/47 | gc 18",
+             | 946/290/39 449/120/22 486/100/0 470/100/0 | 77/46 | gc 18",
         ];
         for (i, want) in want.into_iter().enumerate() {
             let (n, gc_every) = (3 + i, [1, 3][i]);

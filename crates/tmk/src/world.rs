@@ -619,15 +619,17 @@ mod tests {
         );
         let (free, bytes, clocks) = first;
         let (sent, stats, pages) = &free;
-        // The second reads' three faults send nothing: each finds the
-        // other writers' diffs held, delivered by barrier 2. The join
-        // departs node 0 alone: 3 barriers and the join send 2 arrivals
-        // each, the 3 barriers 2 departures each.
+        // The chain's second and third holders fetch once each. No later
+        // fault sends anything: the chain's twins subscribed the page, so
+        // barrier 1 trades every writer's diff on speculation, and barrier
+        // 3 the second writes. The join departs node 0 alone: 3 barriers
+        // and the join send 2 arrivals each, the 3 barriers 2 departures
+        // each.
         let want = [
             ("barrier_arrive", 8),
             ("barrier_depart", 6),
-            ("diff_rep", 4),
-            ("diff_req", 4),
+            ("diff_rep", 2),
+            ("diff_req", 2),
             ("lock_acq", 2),
             ("lock_grant", 2),
             ("lock_rel", 2),
@@ -645,8 +647,11 @@ mod tests {
         // recorded: a refactor of the riders leaves them as they are. The
         // two-way join's slave departures were 37 B each (a 9 B header,
         // an empty 24 B bundle and one published page): 492 − 2 × 37 =
-        // 418.
-        assert_eq!(bytes, [590, 418, 158, 96, 48, 124, 145]);
+        // 418. Barrier 1's speculation then moved 42 B of diffs onto the
+        // arrivals and 84 B onto the departures, and took 79 B and 48 B
+        // off `diff_rep` and `diff_req`: 590, 418, 158, 96 → 632, 502, 79,
+        // 48.
+        assert_eq!(bytes, [632, 502, 79, 48, 48, 124, 145]);
         assert_eq!(clocks, [(34, 10), (34, 10), (44, 0)]);
 
         let cfg = TmkConfig::deterministic(N);
@@ -682,7 +687,7 @@ mod tests {
     }
 
     /// Every order of `steps`.
-    fn orders(steps: &[StealStep]) -> Vec<Vec<StealStep>> {
+    fn orders<T: Copy>(steps: &[T]) -> Vec<Vec<T>> {
         if steps.is_empty() {
             return vec![Vec::new()];
         }
@@ -768,6 +773,56 @@ mod tests {
             assert_eq!(sent["steal_req"].0, 2, "{order:?}");
             assert_eq!(sent["steal_rep"].0, 2, "{order:?}");
             assert!(!sent.keys().any(|k| k.starts_with("lock")), "{order:?}");
+        }
+    }
+
+    #[test]
+    fn a_first_barrier_departs_alike_in_every_arrival_order() {
+        // Each of 3 nodes twins its slot of page 0, which subscribes the
+        // page, and node 1 page 1 too, which nobody else subscribes to.
+        // The first barrier's arrivals attach those diffs on speculation.
+        // In every order the manager takes them, the departures are the
+        // same: each carries the other two writers' diffs of page 0 and
+        // none of page 1, and every read after them sends nothing.
+        let mut seen: Option<Vec<String>> = None;
+        for order in orders(&[0, 1, 2]) {
+            let mut w = World::new(N);
+            for k in 0..N {
+                w.write(k, PAGE, 16 * (k + 1), k as u8 + 1);
+            }
+            w.write(1, 1, 0, 9);
+            for k in 0..N {
+                let arrive = w.nodes[k].arrive_request(0, false);
+                w.send(k, arrive);
+            }
+            for &k in &order {
+                let at = w.wire.iter().position(|(src, _, _)| *src == k);
+                w.handle(at.expect("the node's arrival is in flight"));
+            }
+            assert!(w.wire.is_empty(), "{order:?}");
+            let mut departs = Vec::new();
+            for k in 0..N {
+                let (src, depart) = w.inbox[k].pop_front().expect("a departure");
+                departs.push(format!("{depart:?}"));
+                let Msg::BarrierDepart { acq, .. } = &depart else {
+                    panic!("{order:?}: node {k} expected a departure")
+                };
+                let mut from: Vec<_> = acq.updates.iter().map(|u| (u.0, u.1.node)).collect();
+                from.sort();
+                let others = (0..N as u32).filter(|&j| j != k as u32).map(|j| (PAGE, j));
+                assert_eq!(from, others.collect::<Vec<_>>(), "{order:?}");
+                assert!(w.nodes[k].on_depart(0, src, depart).is_none());
+            }
+            match &seen {
+                Some(first) => assert_eq!(&departs, first, "{order:?}"),
+                None => seen = Some(departs),
+            }
+            for k in 0..N {
+                let rounds = w.fault(k, &[PAGE], true);
+                assert!(rounds.is_empty(), "{order:?}: node {k} sent {rounds:?}");
+            }
+            let page = w.read(0, PAGE).to_vec();
+            assert_eq!([page[16], page[32], page[48]], [1, 2, 3], "{order:?}");
         }
     }
 
@@ -915,8 +970,9 @@ mod tests {
         // Two nodes, semaphore 0 managed by node 0: node 1 waits, node 0
         // writes byte 0 and signals, which grants node 1 its notice; node
         // 1 fetches the diff to write byte 8, then flushes its interval
-        // to node 0. A barrier, both read the page (node 0 fetches node
-        // 1's diff), and the join.
+        // to node 0. A barrier, which carries node 1's diff to node 0 on
+        // speculation (both twinned the page, so both subscribe to it);
+        // both read the page, node 0 with no request, and the join.
         let mut w = World::new(2);
         assert!(!w.acquire(1, SEMA), "no signal yet: the wait queues");
         w.write(0, PAGE, 0, 1);
@@ -941,8 +997,8 @@ mod tests {
         let want = [
             ("barrier_arrive", 2),
             ("barrier_depart", 1),
-            ("diff_rep", 2),
-            ("diff_req", 2),
+            ("diff_rep", 1),
+            ("diff_req", 1),
             ("flush_ack", 1),
             ("flush_notice", 1),
             ("sema_grant", 1),

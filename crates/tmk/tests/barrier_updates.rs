@@ -1,7 +1,8 @@
 //! Updates ride the barrier: a node subscribes to the pages it takes read
-//! faults on, writers attach their diffs of those pages to the next
-//! arrival, and the departure hands them over, so a fault that finds
-//! every missing diff held sends no request.
+//! faults on or twins, writers attach their diffs of those pages to the
+//! next arrival, and the departure hands them over, so a fault that finds
+//! every missing diff held sends no request. A node's first barrier in a
+//! job attaches its diffs of the pages it subscribes to on speculation.
 //!
 //! The program is jacobi's period-2 pattern without its false sharing:
 //! two arrays of one page per node; each sweep reads the right
@@ -75,35 +76,46 @@ fn an_update_that_goes_unread_ends_its_subscription() {
     assert_eq!(short.dsm.read_faults, long.dsm.read_faults);
 }
 
-#[test]
-fn a_gc_validation_does_not_subscribe() {
-    // Both nodes write their half of one page in epoch 0, so the GC
-    // round of the first barrier has the owner, node 1, fetch node 0's
-    // half. Node 1's application never reads the page: node 0's later
-    // writes must not ride a barrier to it.
+/// Both nodes write their half of one page in epoch 0, which subscribes
+/// it on both; then `later` epochs in which node 0 alone writes its half
+/// again, with GC at every barrier or none.
+fn one_writer_after_two(later: u64, gc: bool) -> RunOutcome<()> {
     let mut cfg = TmkConfig::fast_test(2);
-    cfg.gc_every_barrier = true;
-    let out = run_system(cfg, |tmk| {
+    cfg.gc_every_barrier = gc;
+    run_system(cfg, move |tmk| {
         let v = tmk.malloc_vec::<u64>(PAGE);
         tmk.parallel(0, move |t| {
             let me = t.proc_id();
             let half = me * PAGE / 2..(me + 1) * PAGE / 2;
             t.view_mut(&v, half.clone(), |c| c.fill(1));
             t.barrier();
-            for e in 0..3 {
+            for e in 0..later {
                 if me == 0 {
                     t.view_mut(&v, half.clone(), |c| c.fill(e + 2));
                 }
                 t.barrier();
             }
         });
-    });
+    })
+}
+
+#[test]
+fn a_gc_validation_does_not_subscribe() {
+    // The first barrier trades both halves on speculation, and its GC
+    // round has the page's owner, node 1, apply node 0's delivered diff
+    // to validate the page. Node 1 never reads the page, so that is no
+    // read: its subscription ends, and node 0's later writes stop riding
+    // after one more epoch, as they do with GC off.
+    let bytes = |later, gc| one_writer_after_two(later, gc).dsm.diff_bytes_attached;
+    let gc = one_writer_after_two(3, true);
     assert!(
-        out.dsm.gc_runs > 0 && out.dsm.diffs_applied > 0,
+        gc.dsm.gc_runs > 0 && gc.dsm.diffs_applied > 0,
         "{:?}",
-        out.dsm
+        gc.dsm
     );
-    assert_eq!(out.dsm.diff_bytes_attached, 0, "{:?}", out.dsm);
+    assert_eq!(gc.dsm.diff_bytes_attached, bytes(8, true), "{:?}", gc.dsm);
+    assert_eq!(bytes(3, false), bytes(8, false));
+    assert!(bytes(0, true) < bytes(3, true));
 }
 
 #[test]
@@ -187,4 +199,113 @@ fn a_joins_riders_ride_the_next_fork() {
     assert_eq!(out.dsm.read_faults, 2, "{:?}", out.dsm);
     assert_eq!(diff_reqs(&out), 1, "{:?}", out.dsm);
     assert!(out.dsm.diff_bytes_attached > 0);
+}
+
+#[test]
+fn writers_of_one_page_trade_their_diffs_at_the_first_barrier() {
+    // Each node writes every fourth word of one page, so each twin
+    // subscribes the page and the first barrier attaches every writer's
+    // diff: each node's read after it faults and finds the other three
+    // diffs held.
+    let out = run_system(TmkConfig::fast_test(N), |tmk| {
+        let v = tmk.malloc_vec::<u64>(PAGE);
+        tmk.parallel(0, move |t| {
+            let me = t.proc_id();
+            t.view_mut(&v, 0..PAGE, |c| {
+                c.iter_mut()
+                    .skip(me)
+                    .step_by(N)
+                    .for_each(|x| *x = me as u64 + 1);
+            });
+            t.barrier();
+            let seen = t.read_slice(&v, 0..PAGE);
+            assert!(seen
+                .iter()
+                .enumerate()
+                .all(|(i, &x)| x == (i % N) as u64 + 1));
+        });
+    });
+    assert_eq!(out.dsm.read_faults, N as u64, "{:?}", out.dsm);
+    assert_eq!(diff_reqs(&out), 0, "{:?}", out.dsm);
+}
+
+#[test]
+fn a_jacobi_sweep_fetches_only_at_the_fork() {
+    // jacobi.omp's pattern: the master writes both arrays' end cells
+    // before the region, then each sweep reads the neighbours' cells of
+    // one array and writes the node's block of the other, which shares
+    // its page with one neighbour's, and the arrays swap every epoch.
+    // The fork's notices cost each slave one request, for every page of
+    // the master's sequential interval at once. Nothing else is fetched:
+    // the blocks' twins subscribe their shared pages, the first barrier
+    // trades them on speculation, and the read faults of the fork's
+    // requests subscribe the rest. (Each node checks its own block: the
+    // master's read of the others' after the region would fetch them.)
+    const BLOCK: usize = PAGE / 2;
+    const CELLS: usize = N * BLOCK;
+    const SWEEPS: usize = 6;
+    let step = |u: &[u64], i: usize| u[i - 1].wrapping_mul(3).wrapping_add(u[i + 1]);
+    let mut want = vec![0u64; CELLS];
+    (want[0], want[CELLS - 1]) = (1, 2);
+    for _ in 0..SWEEPS {
+        let next: Vec<u64> = (1..CELLS - 1).map(|i| step(&want, i)).collect();
+        want[1..CELLS - 1].copy_from_slice(&next);
+    }
+    let out = run_system(TmkConfig::fast_test(N), move |tmk| {
+        let (u, unew) = (tmk.malloc_vec::<u64>(CELLS), tmk.malloc_vec::<u64>(CELLS));
+        for v in [&u, &unew] {
+            tmk.write(v, 0, 1);
+            tmk.write(v, CELLS - 1, 2);
+        }
+        tmk.parallel(0, move |t| {
+            let me = t.proc_id();
+            let block = (me * BLOCK).max(1)..((me + 1) * BLOCK).min(CELLS - 1);
+            for _ in 0..SWEEPS {
+                let around = t.read_slice(&u, block.start - 1..block.end + 1);
+                let next: Vec<u64> = (1..around.len() - 1).map(|i| step(&around, i)).collect();
+                t.write_slice(&unew, block.start, &next);
+                t.barrier();
+                let mine = t.read_slice(&unew, block.clone());
+                t.write_slice(&u, block.start, &mine);
+                t.barrier();
+            }
+            assert_eq!(t.read_slice(&u, block.clone()), want[block]);
+        });
+    });
+    assert_eq!(diff_reqs(&out), (N - 1) as u64, "{:?}", out.dsm);
+    assert_eq!(out.dsm.diff_refetches, 0);
+}
+
+/// Node 0 twins its half of one page and node 1 writes its own half,
+/// with `push` as a push-write; a barrier, and both read the page.
+fn halves(push: bool) -> RunOutcome<()> {
+    run_system(TmkConfig::fast_test(2), move |tmk| {
+        let v = tmk.malloc_vec::<u64>(PAGE);
+        tmk.parallel(0, move |t| {
+            let me = t.proc_id();
+            let fill = vec![me as u64 + 1; PAGE / 2];
+            match (me, push) {
+                (1, true) => t.write_slice_push(&v, PAGE / 2, &fill),
+                _ => t.write_slice(&v, me * PAGE / 2, &fill),
+            }
+            t.barrier();
+            let seen = t.read_slice(&v, 0..PAGE);
+            assert!(seen
+                .iter()
+                .enumerate()
+                .all(|(i, &x)| x == (i / (PAGE / 2)) as u64 + 1));
+        });
+    })
+}
+
+#[test]
+fn a_push_write_subscribes_nothing() {
+    // Twinned, both halves ride the first barrier and nobody asks. Node
+    // 1's push-write subscribes nothing: it attaches nothing, node 0's
+    // diff is attached for nobody, and each node's read asks the other.
+    let (twin, push) = (halves(false), halves(true));
+    assert_eq!(diff_reqs(&twin), 0, "{:?}", twin.dsm);
+    assert_eq!(diff_reqs(&push), 2, "{:?}", push.dsm);
+    let attached = push.dsm.diff_bytes_attached;
+    assert_eq!(2 * attached, twin.dsm.diff_bytes_attached);
 }
