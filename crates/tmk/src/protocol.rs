@@ -58,8 +58,9 @@ pub struct Release {
     /// read fault on them or, under the barrier, twinned them), ascending.
     pub subscribed: Vec<PageId>,
     /// The releaser's diffs of the pages its last acquire published, for
-    /// the intervals this release closes; at a job's first barrier also
-    /// those of the pages it subscribes to, since its fork.
+    /// the intervals this release closes (the master's arrival leaves out
+    /// those before its fork, which attached them); at a job's first
+    /// barrier also those of the pages it subscribes to, since its fork.
     pub updates: Vec<Update>,
 }
 
@@ -71,7 +72,9 @@ pub struct Acquire {
     /// The pages the other nodes subscribe to under the object,
     /// ascending: the acquirer's next release attaches its diffs of them.
     pub published: Vec<PageId>,
-    /// Other writers' diffs of the acquirer's subscribed pages.
+    /// Other writers' diffs of the acquirer's subscribed pages. A fork's
+    /// include the master's of its sequential section, and a job's first
+    /// fork carries every one of those, on speculation.
     pub updates: Vec<Update>,
 }
 
@@ -300,7 +303,8 @@ pub enum Msg {
         region: Region,
         /// The acquire: the notices the slave lacks (the last join's and
         /// the master's sequential section's), and the last join's riders
-        /// for it, which its own departure would have carried.
+        /// for it, which its own departure would have carried, with the
+        /// master's sequential-section diffs among them.
         acq: Acquire,
         /// Run the GC round the last join started before the region,
         /// with the bundle's processed clock as the snapshot.

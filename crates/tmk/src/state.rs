@@ -321,8 +321,8 @@ pub struct NodeState {
     pub held_locks: Vec<u32>,
     /// This node's subscriptions: to the barrier, and by lock.
     pub subs: HashMap<SyncId, Subscription>,
-    /// Our last interval closed at or before the last arrival: later
-    /// ones are the next arrival's to attach.
+    /// Our last interval closed at or before the last arrival or, on the
+    /// master, fork: later ones are the next arrival's to attach.
     pub arrived_seq: u32,
     /// Until the job's first arrival at a barrier that is not a join, our
     /// last interval closed at or before the last fork: that arrival also
@@ -704,14 +704,27 @@ impl NodeState {
         }
         let subscribed: Vec<PageId> = sub.subscribed.iter().copied().collect();
         let published = std::mem::take(&mut sub.published);
-        let (me, since) = (self.id as u32, speculate.map_or(u32::MAX, |s| s + 1));
-        let attach = |seq: u32, pid: &PageId| {
+        let since = speculate.map_or(u32::MAX, |s| s + 1);
+        let updates = self.own_diffs(first.min(since), |seq, pid| {
             (seq >= first && published.binary_search(pid).is_ok())
                 || (seq >= since && subscribed.binary_search(pid).is_ok())
-        };
+        });
+        let bundle = self.release_to(self.manager_of(obj));
+        Release {
+            bundle,
+            subscribed,
+            updates,
+        }
+    }
+
+    /// Our diffs of the pages `attach(seq, page)` picks in our intervals
+    /// from seq `first` on, their pending twins materialized: what a
+    /// release or a fork attaches.
+    fn own_diffs(&mut self, first: u32, attach: impl Fn(u32, &PageId) -> bool) -> Vec<Update> {
+        let (me, attach) = (self.id as u32, &attach);
         let written: Vec<(PageId, IntervalId)> = self
             .interval_log
-            .range((me, first.min(since))..=(me, u32::MAX))
+            .range((me, first)..=(me, u32::MAX))
             .flat_map(|(&(node, seq), info)| {
                 let pages = info.pages.iter().filter(move |pid| attach(seq, pid));
                 pages.map(move |&pid| (pid, IntervalId { node, seq }))
@@ -726,12 +739,7 @@ impl NodeState {
             self.count(TmkOp::DiffBytesAttached, diff.wire_bytes() as u64);
             updates.push((pid, id, diff));
         }
-        let bundle = self.release_to(self.manager_of(obj));
-        Release {
-            bundle,
-            subscribed,
-            updates,
-        }
+        updates
     }
 
     /// The reply half of a lock acquire, semaphore wait or condition
@@ -885,25 +893,48 @@ impl NodeState {
     }
 
     /// The request half of forking `region` (the master's): close the
-    /// sequential section and build each slave's fork, its deferred
-    /// departure from the last join. Its acquire is a grant of the join's
-    /// riders ([`Riders::grant`], no bundle filter, as a departure) with
-    /// every notice the slave lacks: `apply_bundle` raised its known
-    /// clock to its arrival's, so that is the join's notices and the
-    /// sequential section's. With no join pending (a job's first fork)
-    /// the riders are empty. Also returns the GC snapshot clock when the
-    /// join started a GC round: our processed clock, which every fork's
-    /// bundle carries.
+    /// sequential section, release it, and build each slave's fork, its
+    /// deferred departure from the last join. Its acquire is a grant of
+    /// the join's riders ([`Riders::grant`], no bundle filter, as a
+    /// departure) with every notice the slave lacks: `apply_bundle`
+    /// raised its known clock to its arrival's, so that is the join's
+    /// notices and the sequential section's.
+    ///
+    /// The release attaches our diffs of the intervals closed since our
+    /// last arrival, which the next one then leaves out (`arrived_seq`):
+    /// after a join, those of the pages its arrivals published, kept in
+    /// the riders for their subscribers; at a job's first fork, with no
+    /// join and no subscription yet, every one, to every slave, on
+    /// speculation (a slave holds what its notices ask for, and a wrong
+    /// guess costs only bytes). A fork that runs the join's GC round
+    /// attaches nothing: the round drops those diffs. Also returns the
+    /// GC snapshot clock when the join started a GC round: our processed
+    /// clock, which every fork's bundle carries.
     pub fn fork_request(&mut self, region: &Region) -> (Vec<(usize, Msg)>, Option<VectorClock>) {
         self.close_interval();
         self.forked();
         self.count(TmkOp::Forks, 1);
-        let mut riders = self.mgr.riders.remove(&SyncId::Barrier).unwrap_or_default();
+        let first = std::mem::replace(&mut self.arrived_seq, self.next_seq - 1) + 1;
         let (gc, me) = (self.mgr.gc_in_progress, self.id);
+        let mut joined = self.mgr.riders.remove(&SyncId::Barrier);
+        let speculated = match &mut joined {
+            _ if gc => Vec::new(),
+            Some(riders) => {
+                let updates = self.own_diffs(first, |_, pid| {
+                    let mut others = riders.subscribed.iter().filter(|(&k, _)| k != me);
+                    others.any(|(_, pages)| pages.binary_search(pid).is_ok())
+                });
+                riders.attach(me, updates);
+                Vec::new()
+            }
+            None => self.own_diffs(first, |_, _| true),
+        };
+        let mut riders = joined.unwrap_or_default();
         let forks = (0..self.n)
             .filter(|&p| p != me)
             .map(|p| {
-                let acq = riders.grant(p, self.release_to(p), None);
+                let mut acq = riders.grant(p, self.release_to(p), None);
+                acq.updates.extend(speculated.iter().cloned());
                 let region = region.clone();
                 (p, Msg::Fork { region, acq, gc })
             })
@@ -925,8 +956,8 @@ impl NodeState {
 
     /// A fork, either half: until the job's first speculative arrival,
     /// its intervals start after our last one so far. The master's
-    /// sequential section then stays off that arrival: each slave that
-    /// reads its writes fetched them after this fork.
+    /// sequential section then stays off that arrival: the fork attached
+    /// it ([`NodeState::fork_request`]).
     fn forked(&mut self) {
         if let Some(seq) = &mut self.speculate {
             *seq = self.next_seq - 1;
@@ -1852,7 +1883,12 @@ mod tests {
     // at every third, pinned as the test above, each kind named: recorded
     // when the join became one-way, and again when `World` began to fault
     // as production does and when twins began to subscribe (the comment
-    // above).
+    // above). Every boundary joins first (`forked`), so each fork has a
+    // join's riders. Re-recorded when the fork began to attach the
+    // master's diffs of its sequential section: on 4 nodes one fault's
+    // request went, the arrivals and departures lost the diffs that now
+    // ride the forks, and the master's clock took the diffs it makes at
+    // the fork (3 nodes fork only into GC rounds, which attach nothing).
     #[test]
     fn fixed_programs_with_regions_keep_their_pinned_traffic_and_clocks() {
         let want = [
@@ -1861,11 +1897,11 @@ mod tests {
              gc_complete 177/1416 gc_done 177/1416 lock_acq 46/1104 lock_grant 56/2944 \
              lock_rel 46/3629 page_rep 58/238496 page_req 58/696 \
              | 895/330/0 548/130/0 587/200/0 | 36/14 | gc 59",
-            "barrier_arrive 216/17721 barrier_depart 138/15830 cond_signal 8/96 \
-             cond_wait 8/852 diff_rep 46/2330 diff_req 46/1280 fork 78/8911 \
+            "barrier_arrive 216/17354 barrier_depart 138/15386 cond_signal 8/96 \
+             cond_wait 8/852 diff_rep 45/2238 diff_req 45/1236 fork 78/9121 \
              gc_complete 72/576 gc_done 72/576 lock_acq 48/1344 lock_grant 56/3733 \
              lock_rel 48/4630 page_rep 50/205600 page_req 50/600 \
-             | 946/290/39 449/120/22 486/100/0 470/100/0 | 77/46 | gc 18",
+             | 996/240/39 449/120/22 486/100/0 470/100/0 | 77/45 | gc 18",
         ];
         for (i, want) in want.into_iter().enumerate() {
             let (n, gc_every) = (3 + i, [1, 3][i]);
@@ -1873,6 +1909,7 @@ mod tests {
                 gc_every,
                 partials: true,
                 regions: true,
+                forked: true,
                 ..World::new(n)
             };
             let (world, ends) = fixed_program(world, 7 + i as u64);

@@ -22,7 +22,8 @@ type Sends = Vec<(usize, &'static str)>;
 pub(crate) enum Strip {
     #[default]
     Nothing,
-    /// The diffs attached to arrivals, lock releases and condition waits.
+    /// The diffs attached to arrivals, lock releases, condition waits
+    /// and forks.
     Updates,
     /// Those, and the sibling pages of a fault's `DiffReq`s.
     UpdatesAndSiblings,
@@ -48,6 +49,8 @@ pub(crate) struct World {
     pub partials: bool,
     /// The step menu has a region boundary ([`World::region`]).
     pub regions: bool,
+    /// A region has been forked: the next boundary joins first.
+    pub forked: bool,
     /// Next barrier episode.
     pub epoch: u32,
     /// `DiffReq`s sent, one entry per fault that applied a diff.
@@ -83,12 +86,13 @@ impl World {
     /// Node `src` sends `msg` to `dst`: a fork to `dst`'s inbox, a request
     /// onto the wire, stripped as the world strips.
     pub fn send(&mut self, src: usize, (dst, mut msg): (usize, Msg)) {
-        if let Msg::BarrierArrive { rel, .. }
-        | Msg::LockRelease { rel, .. }
-        | Msg::CondWait { rel, .. } = &mut msg
-        {
-            if self.strip != Strip::Nothing {
-                rel.updates.clear();
+        if self.strip != Strip::Nothing {
+            match &mut msg {
+                Msg::BarrierArrive { rel, .. }
+                | Msg::LockRelease { rel, .. }
+                | Msg::CondWait { rel, .. } => rel.updates.clear(),
+                Msg::Fork { acq, .. } => acq.updates.clear(),
+                _ => {}
             }
         }
         self.log.push((src, dst, msg.kind(), msg.wire_bytes()));
@@ -372,11 +376,15 @@ impl World {
     /// A region boundary: the join departs the master alone, which reads
     /// both pages and writes its slot of `pid`, then forks; each slave
     /// takes its fork, its departure from the join with the join's
-    /// riders, and a GC round the join called runs then.
+    /// riders, and a GC round the join called runs then. Unless the
+    /// world starts `forked`, its first boundary has no join: its fork
+    /// is the job's first.
     fn region(&mut self, first: usize, gc: bool, arg: u32, (pid, off, val): (PageId, usize, u8)) {
         let n = self.nodes.len();
-        self.barrier(first, gc, arg, true);
-        assert_eq!(self.nodes[0].mgr.gc_in_progress, gc);
+        if std::mem::replace(&mut self.forked, true) {
+            self.barrier(first, gc, arg, true);
+            assert_eq!(self.nodes[0].mgr.gc_in_progress, gc);
+        }
         let bytes = [0, 1].map(|page| self.read(0, page).to_vec());
         self.reads.extend(bytes);
         self.write(0, pid, 16 + off, val);
@@ -823,6 +831,84 @@ mod tests {
             }
             let page = w.read(0, PAGE).to_vec();
             assert_eq!([page[16], page[32], page[48]], [1, 2, 3], "{order:?}");
+        }
+    }
+
+    /// One step of the first fork's program: a slave takes its fork, or
+    /// a node writes its slot of page 0 and arrives at the first
+    /// barrier, which the manager takes at once.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum ForkStep {
+        Fork(usize),
+        Arrive(usize),
+    }
+
+    #[test]
+    fn a_first_fork_and_arrivals_in_every_delivery_order() {
+        // The master writes its slot of page 0, then byte 0 of page 1, in
+        // two intervals of its sequential section and forks: the job's
+        // first fork, which attaches both diffs to each slave on
+        // speculation. In every order in which the slaves take their
+        // forks and the manager takes the first barrier's arrivals (a
+        // slave arrives after its fork), a slave's write faults and finds
+        // the master's diff held, and after the departures every node
+        // reads both pages with no request, each fault applying its
+        // planned set (`World::fault`). No departure carries a diff the
+        // fork did: the master's speculative arrival leaves them out.
+        use ForkStep::{Arrive, Fork};
+        let at = |order: &[ForkStep], step| order.iter().position(|&s| s == step);
+        let steps = [Fork(1), Fork(2), Arrive(0), Arrive(1), Arrive(2)];
+        let valid = |order: &Vec<ForkStep>| (1..N).all(|k| at(order, Fork(k)) < at(order, Arrive(k)));
+        let seq = |seq| IntervalId { node: 0, seq };
+        for order in orders(&steps).into_iter().filter(valid) {
+            let mut w = World::new(N);
+            w.write(0, PAGE, 16, 7);
+            w.nodes[0].close_interval();
+            w.write(0, 1, 0, 9);
+            let region = Region {
+                f: Arc::new(|_| {}),
+                payload_bytes: 0,
+            };
+            let (forks, gc) = w.nodes[0].fork_request(&region);
+            assert!(gc.is_none(), "a first fork runs no GC round");
+            forks.into_iter().for_each(|fork| w.send(0, fork));
+            let forked = [(PAGE, seq(1)), (1, seq(2))];
+            for &step in &order {
+                match step {
+                    Fork(k) => {
+                        let Some((src, Msg::Fork { acq, gc, .. })) = w.inbox[k].pop_front() else {
+                            panic!("{order:?}: node {k} expected a fork")
+                        };
+                        let ids: Vec<_> = acq.updates.iter().map(|u| (u.0, u.1)).collect();
+                        assert_eq!(ids, forked, "{order:?}");
+                        assert!(w.nodes[k].on_fork(src, acq, gc).is_none());
+                    }
+                    Arrive(k) => {
+                        w.write(k, PAGE, 16 * (k + 1), k as u8 + 1);
+                        let arrive = w.nodes[k].arrive_request(0, false);
+                        w.send(k, arrive);
+                        w.pump();
+                    }
+                }
+            }
+            for k in 0..N {
+                let (src, depart) = w.inbox[k].pop_front().expect("a departure");
+                let Msg::BarrierDepart { acq, .. } = &depart else {
+                    panic!("{order:?}: node {k} expected a departure")
+                };
+                let twice = acq.updates.iter().find(|u| forked.contains(&(u.0, u.1)));
+                assert!(twice.is_none(), "{order:?}: {twice:?} rode the fork");
+                assert!(w.nodes[k].on_depart(0, src, depart).is_none());
+            }
+            for k in 0..N {
+                let rounds = w.fault(k, &[PAGE, 1], true);
+                assert!(rounds.is_empty(), "{order:?}: node {k} sent {rounds:?}");
+                let page = w.read(k, PAGE).to_vec();
+                assert_eq!([page[16], page[32], page[48]], [1, 2, 3], "{order:?}");
+                assert_eq!(w.read(k, 1)[0], 9, "{order:?}");
+            }
+            let asked = w.log.iter().find(|e| e.2 == "diff_req");
+            assert!(asked.is_none(), "{order:?}: {asked:?}");
         }
     }
 

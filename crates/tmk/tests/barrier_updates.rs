@@ -3,6 +3,10 @@
 //! next arrival, and the departure hands them over, so a fault that finds
 //! every missing diff held sends no request. A node's first barrier in a
 //! job attaches its diffs of the pages it subscribes to on speculation.
+//! A fork is the master's release of its sequential section: after a
+//! join it attaches the master's diffs for the join's subscribers, and
+//! the job's first fork attaches them all, to every slave, on
+//! speculation.
 //!
 //! The program is jacobi's period-2 pattern without its false sharing:
 //! two arrays of one page per node; each sweep reads the right
@@ -171,13 +175,13 @@ fn a_sibling_diff_left_unread_keeps_the_subscription() {
 
 #[test]
 fn a_joins_riders_ride_the_next_fork() {
-    // The master writes word 0 of a page before region 1, so node 1's
-    // read of it there faults and asks the master: the one request. The
-    // fault subscribes the page, and the interior barrier publishes that
-    // to the master, whose write of word 1 after it is attached to its
-    // join arrival. The one-way join keeps the diff for node 1 and the
-    // next fork delivers it, so node 1's read in region 2 finds it held
-    // and asks nobody.
+    // The master writes word 0 of a page before region 1, and the job's
+    // first fork carries that diff on speculation: node 1's read of it
+    // there faults and finds it held. The fault subscribes the page, and
+    // the interior barrier publishes that to the master, whose write of
+    // word 1 after it is attached to its join arrival. The one-way join
+    // keeps the diff for node 1 and the next fork delivers it, so node
+    // 1's read in region 2 finds it held too, and nobody is asked.
     let out = run_system(TmkConfig::fast_test(2), |tmk| {
         let v = tmk.malloc_vec::<u64>(PAGE);
         tmk.write(&v, 0, 1);
@@ -197,8 +201,64 @@ fn a_joins_riders_ride_the_next_fork() {
         });
     });
     assert_eq!(out.dsm.read_faults, 2, "{:?}", out.dsm);
-    assert_eq!(diff_reqs(&out), 1, "{:?}", out.dsm);
+    assert_eq!(diff_reqs(&out), 0, "{:?}", out.dsm);
     assert!(out.dsm.diff_bytes_attached > 0);
+}
+
+/// Node 1 reads word 0 of a page in region 1, which subscribes it, and
+/// the master writes word 1 between the regions when `between`; node 1
+/// reads both words in region 2. GC at every barrier with `gc`: the join
+/// then starts a round that runs at the second fork.
+fn master_writes_between_regions(between: bool, gc: bool) -> RunOutcome<()> {
+    let mut cfg = TmkConfig::fast_test(2);
+    cfg.gc_every_barrier = gc;
+    run_system(cfg, move |tmk| {
+        let v = tmk.malloc_vec::<u64>(PAGE);
+        tmk.write(&v, 0, 1);
+        tmk.parallel(0, move |t| {
+            if t.proc_id() == 1 {
+                assert_eq!(t.read(&v, 0), 1);
+            }
+        });
+        if between {
+            tmk.write(&v, 1, 2);
+        }
+        tmk.parallel(0, move |t| {
+            if t.proc_id() == 1 {
+                assert_eq!(t.read_slice(&v, 0..2), [1, u64::from(between) * 2]);
+            }
+        });
+    })
+}
+
+#[test]
+fn a_later_fork_releases_the_sequential_section_to_its_subscribers() {
+    // Node 1's read in region 1 finds the first fork's speculative diff
+    // held and subscribes the page, which its join arrival reports. The
+    // second fork releases the master's write between the regions: it
+    // attaches the diff for node 1, whose read in region 2 finds it held.
+    let (quiet, wrote) = (
+        master_writes_between_regions(false, false),
+        master_writes_between_regions(true, false),
+    );
+    assert_eq!((quiet.dsm.read_faults, wrote.dsm.read_faults), (1, 2));
+    assert_eq!(diff_reqs(&quiet) + diff_reqs(&wrote), 0, "{:?}", wrote.dsm);
+    // Each of the master's diffs (one changed byte, 13 wire bytes) is
+    // attached once, at its fork: the master's next arrival leaves it out.
+    for out in [&quiet, &wrote] {
+        let once = 13 * out.dsm.diffs_created;
+        assert_eq!(out.dsm.diff_bytes_attached, once, "{:?}", out.dsm);
+    }
+    // A fork that runs the join's GC round attaches nothing: the round
+    // drops the master's diff, and node 1's read fetches the page.
+    let (quiet, wrote) = (
+        master_writes_between_regions(false, true),
+        master_writes_between_regions(true, true),
+    );
+    assert!(wrote.dsm.gc_runs > 0, "{:?}", wrote.dsm);
+    assert_eq!(wrote.dsm.diff_bytes_attached, quiet.dsm.diff_bytes_attached);
+    assert_eq!(diff_reqs(&wrote), 0, "{:?}", wrote.dsm);
+    assert_eq!(wrote.dsm.page_fetches, 1, "{:?}", wrote.dsm);
 }
 
 #[test]
@@ -230,17 +290,18 @@ fn writers_of_one_page_trade_their_diffs_at_the_first_barrier() {
 }
 
 #[test]
-fn a_jacobi_sweep_fetches_only_at_the_fork() {
+fn a_jacobi_sweep_fetches_nothing() {
     // jacobi.omp's pattern: the master writes both arrays' end cells
     // before the region, then each sweep reads the neighbours' cells of
     // one array and writes the node's block of the other, which shares
     // its page with one neighbour's, and the arrays swap every epoch.
-    // The fork's notices cost each slave one request, for every page of
-    // the master's sequential interval at once. Nothing else is fetched:
-    // the blocks' twins subscribe their shared pages, the first barrier
-    // trades them on speculation, and the read faults of the fork's
-    // requests subscribe the rest. (Each node checks its own block: the
-    // master's read of the others' after the region would fetch them.)
+    // Nothing is fetched. The job's first fork carries the master's
+    // diffs of its sequential interval to every slave on speculation.
+    // The blocks' twins subscribe their shared pages, the first barrier
+    // trades them on speculation, and the read faults that find the
+    // fork's diffs held subscribe the rest. (Each node checks its own
+    // block: the master's read of the others' after the region would
+    // fetch them.)
     const BLOCK: usize = PAGE / 2;
     const CELLS: usize = N * BLOCK;
     const SWEEPS: usize = 6;
@@ -272,7 +333,7 @@ fn a_jacobi_sweep_fetches_only_at_the_fork() {
             assert_eq!(t.read_slice(&u, block.clone()), want[block]);
         });
     });
-    assert_eq!(diff_reqs(&out), (N - 1) as u64, "{:?}", out.dsm);
+    assert_eq!(diff_reqs(&out), 0, "{:?}", out.dsm);
     assert_eq!(out.dsm.diff_refetches, 0);
 }
 

@@ -79,12 +79,11 @@ fn fib12_steals_by_message_and_takes_no_deque_lock() {
             sent(&out, "term_go"),
             "{nodes}x{tpn}"
         );
-        // No deque or termination page is left to fetch. Each diff
-        // fetched follows a steal whose notice came without its diff: a
-        // steal of the root task, which reads the global `n`.
+        // No deque or termination page is left to fetch, and a stolen
+        // root task's read of the global `n` finds its diff held: the
+        // job's first fork carried the master's sequential writes.
         let fetched = sent(&out, "diff_req");
-        let stolen = out.dsm.tasks_stolen;
-        assert!(fetched <= stolen, "{nodes}x{tpn}: {fetched} diff_req");
+        assert_eq!(fetched, 0, "{nodes}x{tpn}: {fetched} diff_req");
     }
 }
 
