@@ -7,26 +7,15 @@
 //! algorithm as OpenMP tasks (`omp_task!` per subarray): each node pushes
 //! children onto its own deque message-free, and idle nodes steal across
 //! the cluster — the construct modern cluster-OpenMP uses for irregular
-//! parallelism. [`nomp::TaskSched::Centralized`] reproduces the Figure-4
-//! structure inside the same runtime, which is what the bench ablation
-//! compares against.
+//! parallelism. The bench ablation compares the two.
 
 use super::{bubble_sort, partition, sorted_digest, QsortConfig};
 use crate::common::{Report, VersionKind};
-use nomp::{omp_task, OmpConfig, TaskArgs, TaskSched, TaskScopeConfig};
+use nomp::{omp_task, OmpConfig, TaskArgs, TaskScopeConfig};
 
-/// Run the task-runtime version under the given scheduling policy.
-pub fn run_task_sched(cfg: &QsortConfig, sys: OmpConfig, sched: TaskSched) -> Report {
-    run_task_stats(cfg, sys, sched).0
-}
-
-/// [`run_task_sched`], additionally returning the DSM/tasking counters
-/// (spawns, steals, overflows) for the bench ablation.
-pub fn run_task_stats(
-    cfg: &QsortConfig,
-    sys: OmpConfig,
-    sched: TaskSched,
-) -> (Report, nomp::TmkStats) {
+/// [`run_task`], additionally returning the DSM/tasking counters (spawns,
+/// steals, overflows) for the bench ablation.
+pub fn run_task_stats(cfg: &QsortConfig, sys: OmpConfig) -> (Report, nomp::TmkStats) {
     let cfg = *cfg;
     let nodes = sys.threads();
     let out = nomp::run(sys, move |omp| {
@@ -35,12 +24,8 @@ pub fn run_task_stats(
         let input = super::gen_input(&cfg);
         omp.write_slice(&data, 0, &input);
 
-        let scope_cfg = TaskScopeConfig {
-            sched,
-            ..Default::default()
-        };
         omp.task_scope(
-            scope_cfg,
+            TaskScopeConfig::default(),
             move |s| {
                 s.single(|s| omp_task!(s, TaskArgs::ab(0, n as u64)));
             },
@@ -74,7 +59,7 @@ pub fn run_task_stats(
 
 /// Run the task-runtime version with cross-node work stealing.
 pub fn run_task(cfg: &QsortConfig, sys: OmpConfig) -> Report {
-    run_task_sched(cfg, sys, TaskSched::WorkSteal)
+    run_task_stats(cfg, sys).0
 }
 
 #[cfg(test)]
@@ -89,13 +74,5 @@ mod tests {
             let r = run_task(&cfg, OmpConfig::fast_test(nodes));
             assert_eq!(r.checksum, seq.checksum, "{nodes} nodes");
         }
-    }
-
-    #[test]
-    fn centralized_mode_matches_too() {
-        let cfg = QsortConfig::test();
-        let seq = super::super::run_seq(&cfg, 1.0);
-        let r = run_task_sched(&cfg, OmpConfig::fast_test(3), TaskSched::Centralized);
-        assert_eq!(r.checksum, seq.checksum);
     }
 }

@@ -20,7 +20,7 @@ mod tmk_v;
 pub use mpi::run_mpi;
 pub use omp::run_omp;
 pub use seq::run_seq;
-pub use task::{run_task, run_task_sched, run_task_stats, MAX_TASK_CITIES};
+pub use task::{run_task, run_task_stats, MAX_TASK_CITIES};
 pub use tmk_v::run_tmk;
 
 use crate::common::Xorshift;

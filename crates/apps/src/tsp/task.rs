@@ -19,7 +19,7 @@
 
 use super::{expand, gen_distances, remaining, solve_exhaustive, Tour, TspConfig};
 use crate::common::{Report, VersionKind};
-use nomp::{omp_task, OmpConfig, OmpThread, TaskArgs, TaskSched, TaskScopeConfig};
+use nomp::{omp_task, OmpConfig, OmpThread, TaskArgs, TaskScopeConfig};
 
 /// Maximum city count encodable in one [`TaskArgs`] (16 path bytes).
 pub const MAX_TASK_CITIES: usize = 16;
@@ -68,18 +68,9 @@ fn offer_best(th: &mut OmpThread<'_>, best: tmk::SharedScalar<u32>, found: u32) 
     });
 }
 
-/// Run the task-runtime version under the given scheduling policy.
-pub fn run_task_sched(cfg: &TspConfig, sys: OmpConfig, sched: TaskSched) -> Report {
-    run_task_stats(cfg, sys, sched).0
-}
-
-/// [`run_task_sched`], additionally returning the DSM/tasking counters
-/// (spawns, steals, overflows) for the bench ablation.
-pub fn run_task_stats(
-    cfg: &TspConfig,
-    sys: OmpConfig,
-    sched: TaskSched,
-) -> (Report, nomp::TmkStats) {
+/// [`run_task`], additionally returning the DSM/tasking counters (spawns,
+/// steals, overflows) for the bench ablation.
+pub fn run_task_stats(cfg: &TspConfig, sys: OmpConfig) -> (Report, nomp::TmkStats) {
     assert!(
         cfg.n_cities <= MAX_TASK_CITIES,
         "task-based TSP packs tours into TaskArgs: at most {MAX_TASK_CITIES} cities"
@@ -91,13 +82,9 @@ pub fn run_task_stats(
         let n = cfg.n_cities;
         let best = omp.malloc_scalar::<u32>(u32::MAX);
 
-        let scope_cfg = TaskScopeConfig {
-            sched,
-            ..Default::default()
-        };
         let dist_cl = dist.clone();
         omp.task_scope(
-            scope_cfg,
+            TaskScopeConfig::default(),
             move |s| {
                 s.single(|s| {
                     let root = Tour {
@@ -147,7 +134,7 @@ pub fn run_task_stats(
 
 /// Run the task-runtime version with cross-node work stealing.
 pub fn run_task(cfg: &TspConfig, sys: OmpConfig) -> Report {
-    run_task_sched(cfg, sys, TaskSched::WorkSteal)
+    run_task_stats(cfg, sys).0
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 //! * [`ablation::pipeline_ablation`] — Figures 1 vs 3 (flush vs semaphores)
 //! * [`ablation::taskqueue_ablation`] — Figures 2 vs 4 (flush vs condvars)
 //! * [`ablation::page_size_ablation`], [`tables::scale_sweep`] — model ablations
-//! * [`tasking::tasking_ablation`] — centralized task queue vs cross-node
-//!   work stealing (the tasking-runtime extension)
+//! * [`tasking::tasking_ablation`] — the paper's Figure-4 task queue vs
+//!   cross-node work stealing (the tasking-runtime extension)
 //! * [`ompc::ompc_overhead`] — translated (`.omp` front-end) vs
 //!   hand-written kernel, the cost of the translation pipeline
 //! * [`smp::smp_topology_table`] — SMP-cluster topologies at equal total

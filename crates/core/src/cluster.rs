@@ -168,7 +168,6 @@ pub struct ClusterBuilder {
     load_model: Option<ClusterLoad>,
     schedule: Option<Schedule>,
     schedule_raw: Option<String>,
-    default_dynamic_chunk: Option<usize>,
     #[allow(clippy::type_complexity)]
     tweaks: Vec<Box<dyn Fn(&mut TmkConfig)>>,
 }
@@ -264,12 +263,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Default chunk size for `Schedule::Dynamic(0)` (default 16).
-    pub fn default_dynamic_chunk(mut self, chunk: usize) -> Self {
-        self.default_dynamic_chunk = Some(chunk);
-        self
-    }
-
     /// Free-form access to the remaining DSM cost-model knobs
     /// ([`TmkConfig`]: page size, twin/diff costs, GC policy, watchdog).
     /// Applied after everything else; the node count is pinned by the
@@ -308,9 +301,6 @@ impl ClusterBuilder {
             cfg.runtime_schedule = Schedule::parse(raw).map_err(NowError::InvalidSchedule)?;
         } else if let Some(s) = self.schedule {
             cfg.runtime_schedule = s;
-        }
-        if let Some(c) = self.default_dynamic_chunk {
-            cfg.default_dynamic_chunk = c;
         }
 
         // Event tracing (an explicit builder choice overrides the

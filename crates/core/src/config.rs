@@ -17,8 +17,6 @@ pub struct OmpConfig {
     pub tmk: TmkConfig,
     /// The intra-node (SMP) team size and cost model.
     pub smp: SmpConfig,
-    /// Default chunk size for `Schedule::Dynamic` when unspecified.
-    pub default_dynamic_chunk: usize,
     /// What `schedule(runtime)` resolves to (the `OMP_SCHEDULE`
     /// environment variable of a real runtime). A value of
     /// [`Schedule::Runtime`] itself falls back to [`Schedule::Static`].
@@ -38,7 +36,6 @@ impl OmpConfig {
         OmpConfig {
             tmk: TmkConfig::paper(nodes),
             smp: SmpConfig::paper(threads_per_node),
-            default_dynamic_chunk: 16,
             runtime_schedule: Schedule::Static,
         }
     }
@@ -54,7 +51,6 @@ impl OmpConfig {
         OmpConfig {
             tmk: TmkConfig::fast_test(nodes),
             smp: SmpConfig::fast_test(threads_per_node),
-            default_dynamic_chunk: 16,
             runtime_schedule: Schedule::Static,
         }
     }
@@ -90,7 +86,6 @@ impl From<TmkConfig> for OmpConfig {
         OmpConfig {
             tmk,
             smp: SmpConfig::paper(1),
-            default_dynamic_chunk: 16,
             runtime_schedule: Schedule::Static,
         }
     }

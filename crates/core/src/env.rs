@@ -215,11 +215,6 @@ impl Env<'_> {
         });
     }
 
-    /// The configured default chunk for `Schedule::Dynamic(0)`.
-    pub fn default_dynamic_chunk(&self) -> usize {
-        self.cfg.default_dynamic_chunk
-    }
-
     fn loop_shared_for(&mut self, sched: Schedule) -> Option<LoopShared> {
         match sched {
             Schedule::Dynamic(_) | Schedule::Guided(_) => {

@@ -32,7 +32,7 @@
 //! with cross-node work stealing and termination by message — the
 //! construct
 //! that extends the system to irregular workloads (see [`tasking`]'s
-//! module docs and the `task_ablation` bench) — and **SMP-cluster
+//! module docs and `paper_tables tasking`) — and **SMP-cluster
 //! execution**: `nodes × threads_per_node` topologies
 //! ([`OmpConfig::paper_smp`]) where each workstation hosts a team of
 //! threads sharing one DSM process and every synchronization construct
@@ -100,7 +100,7 @@ pub use env::{run, Env};
 pub use forloop::{LoopCursor, LoopPlan, LoopShared};
 pub use reduction::{RedOp, Reduce};
 pub use smp::SmpConfig;
-pub use tasking::{TaskArgs, TaskSched, TaskScope, TaskScopeConfig};
+pub use tasking::{TaskArgs, TaskScope, TaskScopeConfig};
 pub use thread::{critical_id, OmpThread};
 
 // Re-export the substrate types applications touch directly, including

@@ -27,9 +27,9 @@
 //!   the victim's current effective speed — the deque that will take
 //!   longest to drain is raided first — with ties broken by a
 //!   per-thief, per-sweep rotating offset so concurrent thieves do not
-//!   convoy on one victim. [`TaskSched::Centralized`] funnels everything
-//!   through one DSM queue on node 0 under a lock instead — the paper's
-//!   Figure-4 structure, which the bench ablation compares against.
+//!   convoy on one victim. The paper's own Figure-4 structure — one
+//!   shared queue under `critical` — is the applications' `run_omp`
+//!   programs, which the bench ablation compares against.
 //! * **Pacing.** The simulator serves a steal request when the victim's
 //!   service thread runs, in host time, and an owner's local pop costs
 //!   it almost no host time. So an owner holds a local take while a
@@ -58,7 +58,7 @@ use crate::thread::OmpThread;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tmk::{SharedVec, Taken, TaskCounts};
+use tmk::{Taken, TaskCounts};
 
 /// POD argument block of one task (32 bytes). Encode whatever the task
 /// body needs: indices, packed ranges, pool slots. Unused words are zero.
@@ -89,22 +89,9 @@ impl TaskArgs {
     }
 }
 
-/// How tasks are distributed among the workstations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskSched {
-    /// Per-node deques with cross-node work stealing (the default).
-    WorkSteal,
-    /// One shared queue on node 0 — the paper's Figure-4 structure, kept
-    /// as the ablation baseline. Every operation by another node pays a
-    /// remote lock transfer.
-    Centralized,
-}
-
 /// Configuration of one task scope.
 #[derive(Debug, Clone, Copy)]
 pub struct TaskScopeConfig {
-    /// Scheduling policy.
-    pub sched: TaskSched,
     /// Slots per deque. A full deque executes further spawns inline
     /// (OpenMP "undeferred" semantics) and counts an overflow.
     pub deque_capacity: usize,
@@ -117,29 +104,10 @@ pub struct TaskScopeConfig {
 impl Default for TaskScopeConfig {
     fn default() -> Self {
         TaskScopeConfig {
-            sched: TaskSched::WorkSteal,
             deque_capacity: 1024,
             fork_payload_bytes: 0,
         }
     }
-}
-
-// The centralized queue's header (u64 words at the start of its region),
-// then a ring of slots.
-const HDR_HEAD: usize = 0; // take end (monotonic)
-const HDR_TAIL: usize = 1; // push end (monotonic)
-const HDR_HUNGRY: usize = 2; // a would-be sleeper saw the queue empty
-const HDR_SPAWNED: usize = 3; // tasks pushed
-const HDR_COMPLETED: usize = 4; // tasks completed
-const HDR_WAITING: usize = 5; // summed depths of chains suspended in taskwait
-const HDR_WORDS: usize = 6;
-const SLOT_WORDS: usize = 4;
-
-/// The lock guarding the centralized queue, managed by node 0, where
-/// the queue lives.
-fn central_lock(n: usize) -> u32 {
-    const BASE: u32 = 0xF800_0000;
-    BASE - (BASE % n as u32)
 }
 
 /// How long an owner holds its local take for one thief's sweep before it
@@ -185,22 +153,12 @@ impl Sweeps {
     }
 }
 
-/// Where a scope's tasks live.
-#[derive(Clone, Copy)]
-enum Queues {
-    /// Each node's deque in its node state, stolen from by message.
-    Steal,
-    /// The paper's DSM queue on node 0, under [`central_lock`].
-    Central(SharedVec<u64>),
-}
-
 /// Shared handles of one task scope (plain copyable descriptors).
 #[derive(Clone, Copy)]
 struct TaskRt {
     /// The scope's number in its job: keys every node's deque and node
     /// 0's termination state.
     scope: u32,
-    queues: Queues,
     cap: usize,
     /// Number of nodes (deques), not threads.
     n: usize,
@@ -296,94 +254,14 @@ impl std::ops::DerefMut for TaskScope<'_, '_> {
     }
 }
 
-/// A take from the centralized queue `dq` (at most `cap` tasks) under
-/// its lock: check the ring invariants, take the oldest task, or — when
-/// the queue is empty — optionally mark it hungry; with the counters.
-fn take_central(th: &mut OmpThread<'_>, dq: &SharedVec<u64>, cap: u64, mark: bool) -> Taken {
-    let head = th.read(dq, HDR_HEAD);
-    let tail = th.read(dq, HDR_TAIL);
-    assert!(
-        tail >= head && tail - head <= cap,
-        "take: corrupt queue: head={head} tail={tail}"
-    );
-    let counts = TaskCounts {
-        spawned: th.read(dq, HDR_SPAWNED),
-        completed: th.read(dq, HDR_COMPLETED),
-        waiting: th.read(dq, HDR_WAITING),
-    };
-    if tail == head {
-        if mark {
-            th.write(dq, HDR_HUNGRY, 1);
-        }
-        return Taken {
-            task: None,
-            backlog: 0,
-            counts,
-        };
-    }
-    th.write(dq, HDR_HEAD, head + 1);
-    let slot = HDR_WORDS + (head % cap) as usize * SLOT_WORDS;
-    let w = th.read_slice(dq, slot..slot + SLOT_WORDS);
-    Taken {
-        task: Some([w[0], w[1], w[2], w[3]]),
-        backlog: tail - head - 1,
-        counts,
-    }
-}
-
-/// A push onto the centralized queue `dq` under its lock, as
-/// [`tmk::Tmk::task_push`] answers for a node's deque.
-fn push_central(
-    th: &mut OmpThread<'_>,
-    dq: &SharedVec<u64>,
-    cap: u64,
-    task: tmk::Task,
-) -> Option<bool> {
-    let head = th.read(dq, HDR_HEAD);
-    let tail = th.read(dq, HDR_TAIL);
-    assert!(
-        tail >= head && tail - head <= cap,
-        "push: corrupt queue: head={head} tail={tail}"
-    );
-    if tail - head >= cap {
-        return None;
-    }
-    let slot = HDR_WORDS + (tail % cap) as usize * SLOT_WORDS;
-    th.write_slice(dq, slot, &task);
-    th.write(dq, HDR_TAIL, tail + 1);
-    let spawned = th.read(dq, HDR_SPAWNED);
-    th.write(dq, HDR_SPAWNED, spawned + 1);
-    let hungry = th.read(dq, HDR_HUNGRY) != 0;
-    if hungry {
-        th.write(dq, HDR_HUNGRY, 0);
-    }
-    Some(hungry)
-}
-
-/// Add `delta` to counter `word` of the centralized queue `dq` under its
-/// lock.
-fn bump_central(th: &mut OmpThread<'_>, dq: &SharedVec<u64>, word: usize, delta: i64) {
-    let lock = central_lock(th.nprocs());
-    th.critical(lock, |th| {
-        let v = th.read(dq, word);
-        th.write(dq, word, v.wrapping_add_signed(delta));
-    });
-}
-
 impl TaskScope<'_, '_> {
     /// `!$omp task`: spawn the scope's task body with `args`. The task is
-    /// pushed onto this node's deque (node 0's queue under
-    /// [`TaskSched::Centralized`]) and may be executed by any workstation.
+    /// pushed onto this node's deque and may be executed by any
+    /// workstation.
     /// If the deque is full the task runs inline instead (undeferred).
     pub fn task(&mut self, args: TaskArgs) {
         let (scope, cap) = (self.rt.scope, self.rt.cap);
-        let pushed = match self.rt.queues {
-            Queues::Steal => self.th.task_push(scope, args.words(), cap),
-            Queues::Central(dq) => self.th.critical(central_lock(self.rt.n), |th| {
-                push_central(th, &dq, cap as u64, args.words())
-            }),
-        };
-        let Some(was_hungry) = pushed else {
+        let Some(was_hungry) = self.th.task_push(scope, args.words(), cap) else {
             // Deque full: run undeferred. Spawn/complete counters are
             // skipped on purpose — the task is finished before this spawn
             // returns, so quiescence accounting never sees it (`counted:
@@ -412,11 +290,14 @@ impl TaskScope<'_, '_> {
 
     /// `!$omp taskwait` (taskgroup-wide): help execute tasks until every
     /// task spawned in the scope so far — transitively — has completed.
-    /// Quiescence is detected with the four-counter double sweep (two
-    /// consecutive clean sweeps observing identical spawn/complete totals
-    /// with spawned == completed). A victim's counters come in its steal
-    /// reply, with the notices of every completion they count, so the
-    /// waiter has acquired the writes of the tasks it waited for.
+    /// Quiescence is detected with a double sweep: two consecutive clean
+    /// sweeps observe identical spawned/completed/waiting totals with
+    /// `spawned − completed == waiting`, i.e. every unfinished task is a
+    /// frame of a chain suspended in a taskwait, this one included. That
+    /// is what lets nested and concurrent waits return. A victim's
+    /// counters come in its steal reply, with the notices of every
+    /// completion they count, so the waiter has acquired the writes of
+    /// the tasks it waited for.
     ///
     /// The waiter *helps* (it keeps executing available tasks) and polls
     /// the counters between helps, with unmarked sweeps; unlike an idle
@@ -463,10 +344,7 @@ impl TaskScope<'_, '_> {
         if delta == 0 {
             return;
         }
-        match self.rt.queues {
-            Queues::Steal => self.th.task_wait(self.rt.scope, delta),
-            Queues::Central(dq) => bump_central(self.th, &dq, HDR_WAITING, delta),
-        }
+        self.th.task_wait(self.rt.scope, delta);
     }
 
     /// `!$omp single` (master-executes variant) — valid in the init phase
@@ -483,27 +361,13 @@ impl TaskScope<'_, '_> {
     /// its completion against this thread's home deque.
     fn execute_taken(&mut self, stolen: bool, args: TaskArgs) {
         self.run_task(args, stolen, true);
-        match self.rt.queues {
-            Queues::Steal => self.th.task_complete(self.rt.scope),
-            Queues::Central(dq) => bump_central(self.th, &dq, HDR_COMPLETED, 1),
-        }
+        self.th.task_complete(self.rt.scope);
     }
 
-    /// The home take: this node's deque (the owner's end), or the
-    /// centralized queue under its lock.
+    /// The home take: this node's deque, at the owner's end.
     fn take_home(&mut self, mark: bool) -> Taken {
-        match self.rt.queues {
-            Queues::Steal => {
-                self.pace();
-                self.th.task_take(self.rt.scope, mark)
-            }
-            Queues::Central(dq) => {
-                let cap = self.rt.cap as u64;
-                let lock = central_lock(self.rt.n);
-                self.th
-                    .critical(lock, |th| take_central(th, &dq, cap, mark))
-            }
-        }
+        self.pace();
+        self.th.task_take(self.rt.scope, mark)
     }
 
     /// Hold a local take while a thief on another node is in a sweep that
@@ -659,7 +523,7 @@ impl TaskScope<'_, '_> {
     /// steal replies reported. Each call advances the rotation.
     fn victim_sweep(&mut self) -> Vec<usize> {
         let n = self.rt.n;
-        if matches!(self.rt.queues, Queues::Central(_)) || n <= 1 {
+        if n <= 1 {
             return Vec::new();
         }
         self.sweeps = self.sweeps.wrapping_add(1);
@@ -681,9 +545,7 @@ impl TaskScope<'_, '_> {
     /// empty, so the sweep that finds nothing anywhere has marked them
     /// all and the worker parks at once: no idle announcement and no
     /// second sweep come before a park. A push that lands on a marked
-    /// deque after its sweep wakes a parked node. The centralized queue
-    /// is one take, not a sweep: it drains unmarked and one marked take
-    /// precedes a park.
+    /// deque after its sweep wakes a parked node.
     ///
     /// **Two-level termination** on SMP topologies: a thread that finds
     /// nothing goes *locally* idle first. All but the last of a node's
@@ -702,19 +564,10 @@ impl TaskScope<'_, '_> {
             // push landing after an empty observation bumps it and turns
             // the idle attempt below into a retry.
             let gen0 = team.map(|tm| tm.task_gen());
-            // Drain everything reachable. Work-stealing sweeps mark the
-            // deques they find empty, so the one that finds nothing has
-            // marked them all. The centralized queue drains unmarked and
-            // is marked by one more take, which often finds what a pusher
-            // is still spawning (DESIGN.md §2i).
-            let central = matches!(self.rt.queues, Queues::Central(_));
-            while self.help(!central).is_none() {}
-            if central {
-                if let Ok((stolen, args)) = self.sweep(true) {
-                    self.execute_taken(stolen, args);
-                    continue;
-                }
-            }
+            // Drain everything reachable. Sweeps mark the deques they
+            // find empty, so the one that finds nothing has marked them
+            // all.
+            while self.help(true).is_none() {}
             if let (Some(tm), Some(gen0)) = (team, gen0) {
                 match tm.task_enter_idle(gen0) {
                     smp::IdleOutcome::Done => return,
@@ -749,9 +602,8 @@ impl Env<'_> {
     /// joins the scope.
     ///
     /// `body` is shipped once at fork time (like any region body); the
-    /// per-task [`TaskArgs`] travel in steal replies (through the DSM
-    /// queue under [`TaskSched::Centralized`]), so task movement is fully
-    /// accounted as wire traffic.
+    /// per-task [`TaskArgs`] travel in steal replies, so task movement is
+    /// fully accounted as wire traffic.
     pub fn task_scope<I, F>(&mut self, cfg: TaskScopeConfig, init: I, body: F)
     where
         I: Fn(&mut TaskScope<'_, '_>) + Send + Sync + 'static,
@@ -773,20 +625,11 @@ impl Env<'_> {
     {
         // One deque per *node*: an SMP node's local threads share it
         // (message-free local scheduling); only cross-node steals pay
-        // protocol traffic. The centralized queue is one DSM region.
-        let n = self.num_nodes();
-        let cap = cfg.deque_capacity.max(1);
-        let queues = match cfg.sched {
-            TaskSched::WorkSteal => Queues::Steal,
-            TaskSched::Centralized => {
-                Queues::Central(self.t.malloc_vec::<u64>(HDR_WORDS + cap * SLOT_WORDS))
-            }
-        };
+        // protocol traffic.
         let rt = TaskRt {
             scope: self.open_task_scope(),
-            queues,
-            cap,
-            n,
+            cap: cfg.deque_capacity.max(1),
+            n: self.num_nodes(),
             tpn: self.threads_per_node(),
             latency_ns: self.cfg.tmk.net.latency_ns,
         };
@@ -838,17 +681,13 @@ mod tests {
         }
     }
 
-    fn fib_scope(nodes: usize, sched: TaskSched, n: u64) -> (u64, tmk::TmkStats) {
+    fn fib_scope(nodes: usize, n: u64) -> (u64, tmk::TmkStats) {
         // Naive task-recursive Fibonacci: every call spawns its two
         // children as tasks and accumulates leaves into a shared counter.
         let out = run(OmpConfig::fast_test(nodes), move |omp| {
             let acc = omp.malloc_scalar::<u64>(0);
-            let cfg = TaskScopeConfig {
-                sched,
-                ..Default::default()
-            };
             omp.task_scope(
-                cfg,
+                TaskScopeConfig::default(),
                 move |s| {
                     s.single(|s| s.task(TaskArgs::ab(n, 0)));
                 },
@@ -880,21 +719,11 @@ mod tests {
     #[test]
     fn fib_work_stealing_all_node_counts() {
         for nodes in [1usize, 2, 3, 4] {
-            let (got, stats) = fib_scope(nodes, TaskSched::WorkSteal, 10);
+            let (got, stats) = fib_scope(nodes, 10);
             assert_eq!(got, fib(10), "{nodes} nodes");
             assert!(stats.tasks_executed >= stats.tasks_spawned);
             assert!(stats.tasks_spawned > 100, "fib(10) spawns many tasks");
         }
-    }
-
-    #[test]
-    fn fib_centralized_matches() {
-        let (got, stats) = fib_scope(3, TaskSched::Centralized, 9);
-        assert_eq!(got, fib(9));
-        assert_eq!(
-            stats.tasks_stolen, 0,
-            "centralized mode never counts steals"
-        );
     }
 
     #[test]
@@ -1218,12 +1047,5 @@ mod tests {
             "steals must spread across victims, got {:?}",
             out.result
         );
-    }
-
-    #[test]
-    fn the_central_queue_lock_is_managed_by_node_0() {
-        for n in [1usize, 2, 3, 8, 16] {
-            assert_eq!(central_lock(n) as usize % n, 0, "queue lock on node 0");
-        }
     }
 }

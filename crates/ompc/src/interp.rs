@@ -298,12 +298,11 @@ pub(crate) fn run_master(code: &Arc<Code>, env: &mut Env<'_>, check_races: bool)
 pub(crate) fn fork_region(cx: &mut Icx<'_>, ex: &mut Exec<'_, '_, '_>, fp: usize, rid: usize) {
     let env = ex.env();
     let reg = &cx.code.l.regions[rid];
-    let default_chunk = env.default_dynamic_chunk();
     let loops: Vec<LoopRt> = reg
         .loops
         .iter()
         .map(|ls| {
-            let sched = env.resolve_schedule(to_schedule(*ls, default_chunk));
+            let sched = env.resolve_schedule(to_schedule(*ls));
             let shared = env.alloc_loop_shared(sched);
             (sched, shared)
         })
@@ -533,7 +532,10 @@ pub(crate) fn check_index(cx: &Icx<'_>, gid: u16, i: f64, len: usize, span: Span
     ii as usize
 }
 
-fn to_schedule(ls: LSched, default_dynamic: usize) -> Schedule {
+/// The chunk of a `schedule(dynamic)` clause that names none.
+const DEFAULT_DYNAMIC_CHUNK: usize = 16;
+
+fn to_schedule(ls: LSched) -> Schedule {
     match ls.kind {
         SchedKind::Static => {
             if ls.chunk == 0 {
@@ -543,7 +545,7 @@ fn to_schedule(ls: LSched, default_dynamic: usize) -> Schedule {
             }
         }
         SchedKind::Dynamic => Schedule::Dynamic(if ls.chunk == 0 {
-            default_dynamic
+            DEFAULT_DYNAMIC_CHUNK
         } else {
             ls.chunk
         }),

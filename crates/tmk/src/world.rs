@@ -858,7 +858,8 @@ mod tests {
         use ForkStep::{Arrive, Fork};
         let at = |order: &[ForkStep], step| order.iter().position(|&s| s == step);
         let steps = [Fork(1), Fork(2), Arrive(0), Arrive(1), Arrive(2)];
-        let valid = |order: &Vec<ForkStep>| (1..N).all(|k| at(order, Fork(k)) < at(order, Arrive(k)));
+        let valid =
+            |order: &Vec<ForkStep>| (1..N).all(|k| at(order, Fork(k)) < at(order, Arrive(k)));
         let seq = |seq| IntervalId { node: 0, seq };
         for order in orders(&steps).into_iter().filter(valid) {
             let mut w = World::new(N);

@@ -1,9 +1,8 @@
-//! The distributed tasking runtime in action: task-based QSORT with
-//! cross-node work stealing vs. the centralized Figure-4 queue.
+//! The distributed tasking runtime in action: QSORT on the paper's
+//! Figure-4 task queue vs. task-based QSORT with cross-node work stealing.
 //!
 //! Run with: `cargo run --release --example task_stealing`
 
-use openmp_now::nomp::TaskSched;
 use openmp_now::prelude::*;
 
 fn main() {
@@ -14,30 +13,36 @@ fn main() {
     };
     let seq = now_apps::qsort::run_seq(&cfg, 240.0);
     println!(
-        "Task-based QSORT, {} integers, bubble threshold {}:",
+        "QSORT, {} integers, bubble threshold {}:",
         cfg.n, cfg.bubble_threshold
     );
     println!("  sequential: {:.3} model-seconds\n", seq.vt_seconds());
     println!(
         "{:>5}  {:>10}  {:>9}  {:>8}  {:>8}  {:>7}",
-        "nodes", "sched", "time s", "speedup", "messages", "stolen"
+        "nodes", "version", "time s", "speedup", "messages", "stolen"
     );
     for nodes in [2usize, 4, 8] {
-        for sched in [TaskSched::Centralized, TaskSched::WorkSteal] {
-            let (r, stats) = now_apps::qsort::run_task_stats(&cfg, OmpConfig::paper(nodes), sched);
+        let fig4 = now_apps::qsort::run_omp(&cfg, OmpConfig::paper(nodes));
+        let (steal, stats) = now_apps::qsort::run_task_stats(&cfg, OmpConfig::paper(nodes));
+        for (version, r, stolen) in [
+            ("Figure-4", &fig4, "-".to_string()),
+            ("WorkSteal", &steal, stats.tasks_stolen.to_string()),
+        ] {
             assert_eq!(r.checksum, seq.checksum, "parallel sort must match");
             println!(
                 "{:>5}  {:>10}  {:>9.3}  {:>8.2}  {:>8}  {:>7}",
                 nodes,
-                format!("{sched:?}"),
+                version,
                 r.vt_seconds(),
                 r.speedup_vs(&seq),
                 r.msgs,
-                stats.tasks_stolen,
+                stolen,
             );
         }
     }
-    println!("\nPer-node deques in each node's state make spawn/pop message-free;");
-    println!("an idle node steals with one request and one reply, which carries");
-    println!("the task; an idle node parks at node 0 until a push wakes it.");
+    println!("\nThe Figure-4 program dequeues and enqueues in critical sections on");
+    println!("one shared queue. The task runtime keeps a deque per node, so");
+    println!("spawn/pop are message-free; an idle node steals with one request");
+    println!("and one reply, which carries the task, and parks at node 0 until a");
+    println!("push wakes it.");
 }

@@ -86,13 +86,11 @@ fn valid_builders_pass_validation() {
         .load_str("burst:40/10x3")
         .load_seed(7)
         .runtime_schedule_str("adaptive,8")
-        .default_dynamic_chunk(32)
         .validate()
         .expect("valid configuration");
     assert_eq!(cfg.tmk.nodes(), 4);
     assert_eq!(cfg.threads_per_node(), 2);
     assert_eq!(cfg.runtime_schedule, Schedule::Adaptive(8));
-    assert_eq!(cfg.default_dynamic_chunk, 32);
     assert!(!cfg.tmk.net.load.is_uniform());
 }
 

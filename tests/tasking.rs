@@ -1,9 +1,8 @@
 //! Cross-crate tests of the distributed tasking runtime: the task-based
 //! application variants must reproduce the sequential results on every
-//! cluster size, under both scheduling policies, with the tasking
-//! counters telling a coherent story.
+//! cluster size, with the tasking counters telling a coherent story.
 
-use nomp::{OmpConfig, TaskSched};
+use nomp::OmpConfig;
 use now_apps::{qsort, tsp};
 
 #[test]
@@ -11,10 +10,8 @@ fn qsort_task_checksums_match_seq_on_2_4_8_nodes() {
     let cfg = qsort::QsortConfig::test();
     let seq = qsort::run_seq(&cfg, 1.0);
     for nodes in [2usize, 4, 8] {
-        for sched in [TaskSched::WorkSteal, TaskSched::Centralized] {
-            let r = qsort::run_task_sched(&cfg, OmpConfig::fast_test(nodes), sched);
-            assert_eq!(r.checksum, seq.checksum, "qsort {sched:?} @ {nodes} nodes");
-        }
+        let r = qsort::run_task(&cfg, OmpConfig::fast_test(nodes));
+        assert_eq!(r.checksum, seq.checksum, "qsort @ {nodes} nodes");
     }
 }
 
@@ -23,17 +20,15 @@ fn tsp_task_checksums_match_seq_on_2_4_8_nodes() {
     let cfg = tsp::TspConfig::test();
     let seq = tsp::run_seq(&cfg, 1.0);
     for nodes in [2usize, 4, 8] {
-        for sched in [TaskSched::WorkSteal, TaskSched::Centralized] {
-            let r = tsp::run_task_sched(&cfg, OmpConfig::fast_test(nodes), sched);
-            assert_eq!(r.checksum, seq.checksum, "tsp {sched:?} @ {nodes} nodes");
-        }
+        let r = tsp::run_task(&cfg, OmpConfig::fast_test(nodes));
+        assert_eq!(r.checksum, seq.checksum, "tsp @ {nodes} nodes");
     }
 }
 
 #[test]
 fn task_counters_are_coherent() {
     let cfg = qsort::QsortConfig::test();
-    let (_, stats) = qsort::run_task_stats(&cfg, OmpConfig::fast_test(4), TaskSched::WorkSteal);
+    let (_, stats) = qsort::run_task_stats(&cfg, OmpConfig::fast_test(4));
     assert!(stats.tasks_spawned > 0, "tasks were spawned");
     assert_eq!(
         stats.tasks_executed, stats.tasks_spawned,
@@ -47,18 +42,12 @@ fn task_counters_are_coherent() {
 }
 
 #[test]
-fn centralized_mode_never_steals() {
-    let cfg = tsp::TspConfig::test();
-    let (_, stats) = tsp::run_task_stats(&cfg, OmpConfig::fast_test(3), TaskSched::Centralized);
-    assert_eq!(stats.tasks_stolen, 0);
-    assert_eq!(stats.steal_attempts, 0);
-    assert_eq!(stats.tasks_executed, stats.tasks_spawned);
-}
-
-#[test]
 fn tiny_pages_stress_the_deque_protocol() {
-    // 64-byte pages put deque header and slots on separate pages with
-    // maximal cross-node invalidation churn — the regime that exposed the
+    // The deques live in node state, not on pages, so 64-byte pages
+    // stress the steal traffic instead: every steal reply carries write
+    // notices for many tiny pages, and a stolen task faults on data pages
+    // it shares falsely with neighbouring subarrays, with maximal
+    // cross-node invalidation churn — the regime that exposed the
     // promise-clock consistency bug this runtime's development fixed.
     let cfg = qsort::QsortConfig {
         n: 2048,
