@@ -7,8 +7,8 @@
 //! variable), so every dequeue and enqueue pays a lock transfer when the
 //! lock was last held on another node. The task runtime
 //! ([`nomp::Env::task_scope`]) runs the same algorithm on per-node deques
-//! where local operations are message-free and a steal is one request
-//! and one reply.
+//! where local operations are message-free and a steal sweep is one
+//! chain of requests, forwarded from victim to victim, and one reply.
 
 use crate::fmt::{f2, print_table, secs};
 use nomp::{OmpConfig, TmkStats};

@@ -17,11 +17,16 @@
 //!   completion take no lock, write no DSM page and send nothing. On SMP
 //!   topologies a node's local threads share it.
 //! * **Work stealing.** The owner pushes and pops LIFO (locality); a thief
-//!   takes the oldest task FIFO with one `steal_req` and one `steal_rep`.
-//!   The reply carries the task, the backlog it left, the victim's
-//!   counters, and the write notices the thief lacks: a push closes the
-//!   spawner's interval first, so the thief sees everything written
-//!   before it, as a lock grant would show it. Victim sweeps are
+//!   takes the oldest task FIFO. A scheduler sweep is one chain: the
+//!   thief sends one `steal_req` naming its victims in order, a victim
+//!   with nothing to give forwards it to the next, and the victim that
+//!   finds a task, or the last, answers with one `steal_rep`, so asking
+//!   `k` victims costs `k + 1` messages. `taskwait`'s sweeps ask each
+//!   victim by a request of its own, whose reply carries that deque's
+//!   counters. A reply carries the task, the backlog it left, the
+//!   victim's counters, and the write notices the thief lacks: a push
+//!   closes the spawner's interval first, so the thief sees everything
+//!   written before it, as a lock grant would show it. Victim sweeps are
 //!   **load-aware**: the thief orders victims by the backlog their last
 //!   replies reported (a victim not yet asked ranks first) divided by
 //!   the victim's current effective speed — the deque that will take
@@ -39,12 +44,15 @@
 //!   spawner drains a small tree before any request reaches it.
 //! * **Termination by message.** An idle worker parks at node 0 with one
 //!   `term_idle` and waits for its answer: woken, or the scope is over.
-//!   The scheduler's sweeps mark every deque they find empty with a
-//!   *hungry* flag (a marked steal request sets it at the victim,
+//!   The scheduler's sweeps mark every remote deque they find empty with
+//!   a *hungry* flag (a marked steal request sets it at the victim,
 //!   serialised with the victim's pushes under its state lock), so the
 //!   sweep that finds nothing is the marking sweep, and a push that
 //!   clears a flag sends node 0 one `term_wake`, which wakes the oldest
-//!   parked worker or, with none parked, is dropped. The scope is over
+//!   parked worker or, with none parked, is dropped. An owner's take
+//!   never marks its own deque: its own push is never owed to it, a
+//!   remote node that parks marked the deque in its failed sweep, and a
+//!   local sibling is woken by the push itself. The scope is over
 //!   when all `p` nodes are parked: a parked node's deque is empty and
 //!   stays so (only its owner pushes), and the pusher of a dropped wake
 //!   is running, so it runs its task or loses it to a thief (the
@@ -364,10 +372,11 @@ impl TaskScope<'_, '_> {
         self.th.task_complete(self.rt.scope);
     }
 
-    /// The home take: this node's deque, at the owner's end.
-    fn take_home(&mut self, mark: bool) -> Taken {
+    /// The home take: this node's deque, at the owner's end. It never
+    /// marks the deque hungry: a node's own push is never owed to it.
+    fn take_home(&mut self) -> Taken {
         self.pace();
-        self.th.task_take(self.rt.scope, mark)
+        self.th.task_take(self.rt.scope)
     }
 
     /// Hold a local take while a thief on another node is in a sweep that
@@ -411,34 +420,48 @@ impl TaskScope<'_, '_> {
         });
     }
 
-    /// One steal request to `victim`; its reply's backlog becomes the
-    /// victim's hint.
-    fn steal(&mut self, victim: usize, mark: bool) -> Taken {
-        self.th.count_op(tmk::TmkOp::StealAttempts, 1);
-        let taken = self.th.steal(victim, self.rt.scope, mark);
-        self.hints[victim] = Some(taken.backlog);
+    /// One steal chain over `victims`, asked in order until one has a
+    /// task: every victim asked counts as an attempt, each one passed
+    /// over had nothing left, and the reply's backlog becomes the
+    /// answering victim's hint.
+    fn steal(&mut self, victims: &[usize], mark: bool) -> Taken {
+        let (answered, taken) = self.th.steal(victims, self.rt.scope, mark);
+        let asked = 1 + victims
+            .iter()
+            .position(|&k| k == answered)
+            .expect("a victim answers");
+        self.th.count_op(tmk::TmkOp::StealAttempts, asked as u64);
+        for &k in &victims[..asked - 1] {
+            self.hints[k] = Some(0);
+        }
+        self.hints[answered] = Some(taken.backlog);
         taken
     }
 
     /// One sweep over the deques — home first (message-free when local
     /// work exists; victim scoring is skipped entirely), then the
     /// backlog-ordered victims — stopping at the first task found:
-    /// whether it was stolen, and the task. With `mark`, every deque
-    /// found empty is flagged hungry (the scheduler's sweeps). A sweep that
-    /// finds nothing returns the counters summed over every deque. A
-    /// freshly woken worker whose take left more behind propagates the
-    /// wake-up to the next sleeper (see `woke`).
+    /// whether it was stolen, and the task. With `mark` (the scheduler's
+    /// sweeps), every remote deque found empty is flagged hungry and the
+    /// victims are asked by one chain. Without it (`taskwait`'s), each
+    /// victim gets a request of its own, whose reply carries its
+    /// counters and completion notices: a sweep that finds nothing
+    /// returns the counters summed over every deque. A freshly woken
+    /// worker whose take left more behind propagates the wake-up to the
+    /// next sleeper (see `woke`).
     fn sweep(&mut self, mark: bool) -> Result<(bool, TaskArgs), TaskCounts> {
         let mut totals = TaskCounts::default();
         self.sweeping.rest(self.me);
-        let mut take = (false, self.take_home(mark));
-        let mut victims = Vec::new().into_iter();
+        let mut take = (false, self.take_home());
+        let mut victims = Vec::new();
         if take.1.task.is_none() {
-            victims = self.victim_sweep().into_iter();
-            if victims.len() > 0 {
+            victims = self.victim_sweep();
+            if !victims.is_empty() {
                 self.sweeping.begin(self.me, self.th.trace_now());
             }
         }
+        let chain = if mark { victims.len().max(1) } else { 1 };
+        let mut chains = victims.chunks(chain);
         loop {
             let (stolen, taken) = take;
             totals += taken.counts;
@@ -447,11 +470,11 @@ impl TaskScope<'_, '_> {
                 self.propagate_wake(taken.backlog);
                 return Ok((stolen, TaskArgs::from_words(task)));
             }
-            let Some(k) = victims.next() else {
+            let Some(hops) = chains.next() else {
                 self.sweeping.rest(self.me);
                 return Err(totals);
             };
-            take = (true, self.steal(k, mark));
+            take = (true, self.steal(hops, mark));
         }
     }
 

@@ -635,10 +635,10 @@ impl Tmk {
         self.task_local(|st| st.task_push(scope, task, cap))
     }
 
-    /// Take the newest task of this node's deque of `scope`; with
-    /// `mark`, flag an empty deque hungry.
-    pub fn task_take(&mut self, scope: u32, mark: bool) -> crate::Taken {
-        self.task_local(|st| st.task_take(scope, mark))
+    /// Take the newest task of this node's deque of `scope`. The owner's
+    /// take never flags its deque hungry.
+    pub fn task_take(&mut self, scope: u32) -> crate::Taken {
+        self.task_local(|st| st.task_take(scope))
     }
 
     /// Tasks queued in this node's deque of `scope`.
@@ -657,18 +657,22 @@ impl Tmk {
         self.task_local(|st| st.task_wait(scope, delta));
     }
 
-    /// Steal the oldest task of `victim`'s deque of `scope`: one
-    /// `StealReq` and one `StealRep`, whose notices this node acquires.
-    /// With `mark`, an empty deque is flagged hungry at the victim.
-    pub fn steal(&mut self, victim: usize, scope: u32, mark: bool) -> crate::Taken {
-        let mut taken = crate::Taken::default();
-        self.traced_op(OpLat::Steal, victim as u64, |s| {
-            let (dst, req) = s.state.lock().steal_request(victim, scope, mark);
+    /// Steal the oldest task of the first of `victims`' deques of
+    /// `scope` that holds one, asking them in order by one chain: a
+    /// `StealReq` each victim that has nothing forwards to the next, and
+    /// one `StealRep`, whose notices this node acquires, from the victim
+    /// that found a task or else the last. With `mark`, an empty deque is
+    /// flagged hungry at each victim. Returns the victim that answered
+    /// and what its take found.
+    pub fn steal(&mut self, victims: &[usize], scope: u32, mark: bool) -> (usize, crate::Taken) {
+        let mut answer = (victims[0], crate::Taken::default());
+        self.traced_op(OpLat::Steal, victims[0] as u64, |s| {
+            let (dst, req) = s.state.lock().steal_request(victims, scope, mark);
             s.ep.send(dst, req);
             let d = s.reply();
-            taken = s.state.lock().on_steal(d.src, d.msg);
+            answer = (d.src, s.state.lock().on_steal(d.src, d.msg));
         });
-        taken
+        answer
     }
 
     /// Park this node's idle task worker at node 0 until a push wakes it

@@ -29,9 +29,10 @@
 //!   grows past a threshold, page copies are validated by their last
 //!   writers and become new base copies.
 //! * **Task deques** — the OpenMP tasking runtime's work-stealing deques
-//!   live in each node's state, not in DSM pages: a steal is one request
-//!   and one reply, which carries the task and the notices the thief
-//!   lacks ([`Tmk::steal`]). An idle worker parks at node 0 by message
+//!   live in each node's state, not in DSM pages: a steal sweep is one
+//!   chain of requests, each empty victim forwarding it to the next, and
+//!   one reply, which carries the task and the notices the thief lacks
+//!   ([`Tmk::steal`]). An idle worker parks at node 0 by message
 //!   until a push wakes it or every node is parked ([`Tmk::term_idle`]).
 //!
 //! ## Example

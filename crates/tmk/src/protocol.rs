@@ -256,8 +256,10 @@ pub enum Msg {
     },
     /// Acknowledgment of a flush notice.
     FlushAck,
-    /// A thief asks a victim for the oldest task of its deque (the
-    /// thief is the sender).
+    /// A thief asks a victim for the oldest task of its deque. A sweep
+    /// is one chain: a victim with nothing to give forwards the request
+    /// unchanged but for `rest` to the next victim and sends no reply;
+    /// the hop that finds a task, or the last hop, answers `thief`.
     StealReq {
         /// The task scope the thief is in.
         scope: u32,
@@ -267,6 +269,10 @@ pub enum Msg {
         /// An empty deque is flagged hungry: the thief is about to park,
         /// and the next push must wake a sleeper.
         mark: bool,
+        /// The node the answer goes to.
+        thief: u16,
+        /// The victims still to ask, in the thief's order.
+        rest: Vec<u16>,
     },
     /// The victim's answer to [`Msg::StealReq`].
     StealRep {
@@ -414,8 +420,9 @@ impl Wire for Msg {
             Msg::CondWait { rel, .. } => 16 + rel.wire_bytes(),
             Msg::CondSignal { .. } | Msg::CondBroadcast { .. } => 12,
             Msg::FlushNotice { bundle } => 4 + bundle.wire_bytes(),
-            // A 4-byte scope id and the mark.
-            Msg::StealReq { vc, .. } => 8 + vc.wire_bytes(),
+            // A 4-byte scope id and the mark, then 2 bytes for the thief
+            // and for each victim still to ask.
+            Msg::StealReq { vc, rest, .. } => 10 + 2 * rest.len() + vc.wire_bytes(),
             // A flag, the task's 32 bytes when there is one, the backlog
             // and the three counters.
             Msg::StealRep { taken, bundle } => {
@@ -622,12 +629,16 @@ mod tests {
     #[test]
     fn a_steal_reply_grows_by_its_task_and_its_bundle() {
         let vc = VectorClock::zero(4);
-        let req = Msg::StealReq {
+        let req = |rest: Vec<u16>| Msg::StealReq {
             scope: 1,
             vc: vc.clone(),
             mark: true,
+            thief: 0,
+            rest,
         };
-        assert_eq!(req.wire_bytes(), 8 + vc.wire_bytes());
+        let bare = req(vec![]).wire_bytes();
+        assert_eq!(bare, 10 + vc.wire_bytes());
+        assert_eq!(req(vec![2, 3]).wire_bytes(), bare + 4, "2 bytes a hop");
         let rep = |task, bundle: NoticeBundle| Msg::StealRep {
             taken: Taken {
                 task,

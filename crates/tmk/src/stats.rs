@@ -103,7 +103,8 @@ tmk_ops! {
     (TasksSpawned, tasks_spawned, "OpenMP tasks spawned into a deque (tasking layer)."),
     (TasksExecuted, tasks_executed, "OpenMP tasks executed (tasking layer; includes stolen + inline)."),
     (TasksStolen, tasks_stolen, "OpenMP tasks executed after being stolen from a remote deque."),
-    (StealAttempts, steal_attempts, "Remote-deque probes while hunting for work (hit or miss)."),
+    (StealAttempts, steal_attempts, "Remote deques asked while hunting for work (hit or miss): \
+     every victim a steal chain reached, whether it answered or forwarded the request."),
     (TaskOverflows, task_overflows, "Tasks executed inline because the local deque was full."),
     (LoopSteals, loop_steals, "Affinity-scheduled loop chunks taken from another node's home \
      partition (remote rebalancing after the taker ran dry)."),

@@ -3,21 +3,26 @@
 //!
 //! A node's deque lives in its [`NodeState`], under the state lock its
 //! application and service threads share, and never in DSM pages. The
-//! owner pushes, pops and counts completions with no message; a thief
-//! sends one [`Msg::StealReq`] and gets one [`Msg::StealRep`], which
-//! carries the oldest task, what is left behind, the deque's counters,
-//! and the notices the thief lacks, so it sees everything the spawner
-//! wrote before the push. A push closes the open interval first, which
-//! puts those writes into a notice the reply can carry.
+//! owner pushes, pops and counts completions with no message. A thief's
+//! sweep is one chain of [`Msg::StealReq`]s: each victim with nothing
+//! to give forwards the request to the next one it names, and the hop
+//! that finds a task, or the last hop, answers the thief with one
+//! [`Msg::StealRep`]. The reply carries the oldest task, what is left
+//! behind, the deque's counters, and the notices the thief lacks, so it
+//! sees everything the spawner wrote before the push. A push closes the
+//! open interval first, which puts those writes into a notice the reply
+//! can carry. A hop that forwards sends the thief nothing, so it owes
+//! it no notice: nothing it took went to the thief.
 //!
-//! Node 0's deque also keeps the scope's termination state: the idle
-//! workers parked there by [`Msg::TermIdle`], in arrival order, and
-//! whether the scope is over. A push that clears a hungry flag sends one
-//! [`Msg::TermWake`], which node 0 answers by waking its oldest parked
-//! worker ([`Msg::TermGo`]), or drops when none is parked; when all `n`
-//! nodes are parked, every one of them gets `TermGo { done: true }`.
+//! Only a thief's empty take marks a deque hungry, never the owner's:
+//! a node's own push is never owed to that node. Node 0's deque also
+//! keeps the scope's termination state: the idle workers parked there
+//! by [`Msg::TermIdle`], in arrival order, and whether the scope is
+//! over. A push that clears a hungry flag sends one [`Msg::TermWake`],
+//! which node 0 answers by waking its oldest parked worker
+//! ([`Msg::TermGo`]), or drops when none is parked; when all `n` nodes
+//! are parked, every one of them gets `TermGo { done: true }`.
 
-use crate::interval::VectorClock;
 use crate::protocol::Msg;
 use crate::state::NodeState;
 use std::collections::VecDeque;
@@ -57,6 +62,16 @@ pub struct Taken {
     pub counts: TaskCounts,
 }
 
+/// Who takes from a deque.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Taker {
+    /// The owner: the newest task, LIFO for locality. It never marks.
+    Owner,
+    /// A thief: the oldest task, FIFO. With `mark`, an empty deque is
+    /// flagged hungry.
+    Thief { mark: bool },
+}
+
 /// A node's deque for the task scope it has open. Scopes are numbered
 /// from 1 within a job; the deque of a newer one replaces the last.
 #[derive(Debug, Default)]
@@ -64,8 +79,9 @@ pub struct TaskDeque {
     /// The scope the deque belongs to (0: none yet).
     scope: u32,
     tasks: VecDeque<Task>,
-    /// An empty take with `mark` saw the deque empty (a would-be
-    /// sleeper's sweep): the next push clears it and wakes one sleeper.
+    /// A thief's empty take with `mark` saw the deque empty (a
+    /// would-be sleeper's sweep): the next push clears it and wakes one
+    /// sleeper.
     pub hungry: bool,
     counts: TaskCounts,
     /// Node 0 only: the nodes whose idle worker is parked here, oldest
@@ -116,16 +132,14 @@ impl TaskDeque {
         }
     }
 
-    /// Take the newest task (the owner, LIFO for locality) or the oldest
-    /// (a thief, FIFO); with `mark`, flag an empty deque hungry.
-    fn take(&mut self, scope: u32, owner: bool, mark: bool) -> Taken {
+    /// Take a task of `scope` as `who` takes ([`Taker`]).
+    fn take(&mut self, scope: u32, who: Taker) -> Taken {
         let dq = self.open(scope);
-        let task = if owner {
-            dq.tasks.pop_back()
-        } else {
-            dq.tasks.pop_front()
+        let task = match who {
+            Taker::Owner => dq.tasks.pop_back(),
+            Taker::Thief { .. } => dq.tasks.pop_front(),
         };
-        dq.hungry |= mark && task.is_none();
+        dq.hungry |= who == Taker::Thief { mark: true } && task.is_none();
         Taken {
             task,
             backlog: dq.tasks.len() as u64,
@@ -145,10 +159,10 @@ impl NodeState {
         self.tasks.push(scope, task, cap)
     }
 
-    /// The owner's take from this node's deque of `scope` ([`Taken`]);
-    /// with `mark`, an empty deque is flagged hungry.
-    pub fn task_take(&mut self, scope: u32, mark: bool) -> Taken {
-        self.tasks.take(scope, true, mark)
+    /// The owner's take from this node's deque of `scope` ([`Taken`]).
+    /// It never marks the deque hungry.
+    pub fn task_take(&mut self, scope: u32) -> Taken {
+        self.tasks.take(scope, Taker::Owner)
     }
 
     /// Tasks queued in this node's deque of `scope`.
@@ -171,21 +185,50 @@ impl NodeState {
         counts.waiting = counts.waiting.wrapping_add_signed(delta);
     }
 
-    /// The request half of a steal from `victim`'s deque of `scope`:
-    /// with our processed clock (the reply's filter) and `mark`.
-    pub fn steal_request(&self, victim: usize, scope: u32, mark: bool) -> (usize, Msg) {
-        debug_assert_ne!(victim, self.id, "a node does not steal from itself");
-        let vc = self.processed_vc.clone();
-        (victim, Msg::StealReq { scope, vc, mark })
+    /// The request half of a steal sweep over `victims`' deques of
+    /// `scope`, asked in order by one chain: with our processed clock
+    /// (the reply's filter) and `mark`, sent to the first victim.
+    pub fn steal_request(&self, victims: &[usize], scope: u32, mark: bool) -> (usize, Msg) {
+        let (&first, rest) = victims.split_first().expect("a victim to ask");
+        debug_assert!(
+            !victims.contains(&self.id),
+            "a node does not steal from itself"
+        );
+        let wire = |k: usize| u16::try_from(k).expect("a node id fits its 2 wire bytes");
+        let req = Msg::StealReq {
+            scope,
+            vc: self.processed_vc.clone(),
+            mark,
+            thief: wire(self.id),
+            rest: rest.iter().map(|&k| wire(k)).collect(),
+        };
+        (first, req)
     }
 
-    /// The victim's half: take the oldest task of `scope` for `thief`,
-    /// whose request reported clock `vc` and `mark`, and reply with it
-    /// and the notices the thief lacks.
-    pub fn serve_steal(&mut self, thief: usize, scope: u32, vc: &VectorClock, mark: bool) -> Msg {
-        let taken = self.tasks.take(scope, false, mark);
+    /// A victim's half of a [`Msg::StealReq`]: take the oldest task of
+    /// its scope for its thief, marking an empty deque under its `mark`.
+    /// With nothing taken and victims still to ask, forward the same
+    /// request to the next one and answer nothing; else answer the
+    /// thief with the take and the notices it lacks.
+    pub fn serve_steal(&mut self, mut req: Msg) -> (usize, Msg) {
+        let Msg::StealReq {
+            scope,
+            vc,
+            mark,
+            thief,
+            rest,
+        } = &mut req
+        else {
+            panic!("expected StealReq, got {}", now_net::Wire::kind(&req))
+        };
+        let taken = self.tasks.take(*scope, Taker::Thief { mark: *mark });
+        if taken.task.is_none() && !rest.is_empty() {
+            let next = rest.remove(0) as usize;
+            return (next, req);
+        }
+        let thief = *thief as usize;
         let bundle = self.grant_to(thief, vc);
-        Msg::StealRep { taken, bundle }
+        (thief, Msg::StealRep { taken, bundle })
     }
 
     /// Node 0's half of an idle worker's park: park `src` in `scope`;
@@ -220,7 +263,7 @@ impl NodeState {
     }
 
     /// The reply half of a steal: acquire the reply's notices and return
-    /// what the take found.
+    /// what the answering victim `src`'s take found.
     pub fn on_steal(&mut self, src: usize, msg: Msg) -> Taken {
         let Msg::StealRep { taken, bundle } = msg else {
             panic!("expected StealRep, got {}", now_net::Wire::kind(&msg))
@@ -240,9 +283,9 @@ mod tests {
         for a in 1..=3 {
             assert_eq!(dq.push(1, [a, 0, 0, 0], 8), Some(false));
         }
-        let owner = dq.take(1, true, false);
+        let owner = dq.take(1, Taker::Owner);
         assert_eq!((owner.task, owner.backlog), (Some([3, 0, 0, 0]), 2));
-        let thief = dq.take(1, false, false);
+        let thief = dq.take(1, Taker::Thief { mark: false });
         assert_eq!((thief.task, thief.backlog), (Some([1, 0, 0, 0]), 1));
         let counts = TaskCounts {
             spawned: 3,
@@ -256,11 +299,13 @@ mod tests {
         let mut dq = TaskDeque::default();
         assert_eq!(dq.push(1, [0; 4], 1), Some(false));
         assert_eq!(dq.push(1, [0; 4], 1), None, "full");
-        assert!(dq.take(1, false, true).task.is_some());
+        assert!(dq.take(1, Taker::Thief { mark: true }).task.is_some());
         assert!(!dq.hungry, "a take that found a task marks nothing");
-        assert!(dq.take(1, false, false).task.is_none());
+        assert!(dq.take(1, Taker::Thief { mark: false }).task.is_none());
         assert!(!dq.hungry, "an unmarked empty take marks nothing");
-        assert!(dq.take(1, true, true).task.is_none());
+        assert!(dq.take(1, Taker::Owner).task.is_none());
+        assert!(!dq.hungry, "the owner's empty take marks nothing");
+        assert!(dq.take(1, Taker::Thief { mark: true }).task.is_none());
         assert!(dq.hungry);
         assert_eq!(dq.push(1, [0; 4], 1), Some(true), "the push clears it");
         assert!(!dq.hungry);
@@ -272,7 +317,7 @@ mod tests {
         assert_eq!(dq.push(1, [0; 4], 4), Some(false));
         // A thief already in scope 2 asks before this node opened it:
         // the answer is empty and the mark survives the opening push.
-        let taken = dq.take(2, false, true);
+        let taken = dq.take(2, Taker::Thief { mark: true });
         assert_eq!(taken, Taken::default());
         assert_eq!((dq.scope, dq.hungry), (2, true));
         assert_eq!(dq.push(2, [0; 4], 4), Some(true));

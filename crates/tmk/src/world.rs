@@ -111,14 +111,20 @@ impl World {
     }
 
     /// Handle the `i`-th request in flight, whichever the explorer picks
-    /// to be delivered next; what its handler sends waits in the inboxes.
-    /// A data request is answered once, to its asker, a `DiffRep` page by
-    /// page in request order.
+    /// to be delivered next; what its handler sends waits in the inboxes,
+    /// but a forwarded `StealReq` goes back on the wire. A data request
+    /// is answered once, to its asker, a `DiffRep` page by page in
+    /// request order; a `StealReq` yields one message, a `StealRep` to
+    /// its thief or the request to the next victim it names.
     pub fn handle(&mut self, i: usize) {
         let (src, dst, msg) = self.wire.remove(i).expect("a request in flight");
         let asked: Option<Vec<PageId>> = match &msg {
             Msg::DiffReq { pages } => Some(pages.iter().map(|(pid, _)| *pid).collect()),
-            Msg::PageReq { .. } | Msg::StealReq { .. } => Some(Vec::new()),
+            Msg::PageReq { .. } => Some(Vec::new()),
+            _ => None,
+        };
+        let chain = match &msg {
+            Msg::StealReq { thief, rest, .. } => Some((*thief as usize, rest.first().copied())),
             _ => None,
         };
         let mut out = Vec::new();
@@ -130,9 +136,24 @@ impl World {
                 assert!(pages.iter().map(|(pid, _)| *pid).eq(asked), "request order");
             }
         }
-        for (to, reply) in out {
-            self.log.push((dst, to, reply.kind(), reply.wire_bytes()));
-            self.inbox[to].push_back((dst, reply));
+        if let Some((thief, next)) = chain {
+            let one = match &out[..] {
+                [(to, Msg::StealRep { .. })] => *to == thief,
+                [(to, Msg::StealReq { .. })] => Some(*to as u16) == next,
+                _ => false,
+            };
+            assert!(
+                one && thief != dst,
+                "one answer to the thief, or one forward"
+            );
+        }
+        for (to, msg) in out {
+            if let Msg::StealReq { .. } = msg {
+                self.send(dst, (to, msg));
+                continue;
+            }
+            self.log.push((dst, to, msg.kind(), msg.wire_bytes()));
+            self.inbox[to].push_back((dst, msg));
         }
     }
 
@@ -729,7 +750,7 @@ mod tests {
             let mut w = World::new(3);
             w.write(0, PAGE, 5, 42);
             for thief in [1, 2] {
-                let req = w.nodes[thief].steal_request(0, SCOPE, thief == 1);
+                let req = w.nodes[thief].steal_request(&[0], SCOPE, thief == 1);
                 w.send(thief, req);
             }
             let mut pushed = None;
@@ -767,7 +788,7 @@ mod tests {
                     takers.push(thief);
                 }
             }
-            if let Some(task) = w.nodes[0].task_take(SCOPE, false).task {
+            if let Some(task) = w.nodes[0].task_take(SCOPE).task {
                 assert_eq!(task, TASK);
                 takers.push(0);
             }
@@ -781,6 +802,118 @@ mod tests {
             assert_eq!(sent["steal_req"].0, 2, "{order:?}");
             assert_eq!(sent["steal_rep"].0, 2, "{order:?}");
             assert!(!sent.keys().any(|k| k.starts_with("lock")), "{order:?}");
+        }
+    }
+
+    /// One step of the chain arm's program: node 0 pushes its task, the
+    /// chain's request is delivered to its next hop, or the direct
+    /// thief's request to node 0.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    enum ChainStep {
+        Push,
+        Hop,
+        Direct,
+    }
+
+    #[test]
+    fn a_chain_and_a_direct_steal_in_every_delivery_order() {
+        const SCOPE: u32 = 1;
+        const TASK: crate::Task = [7, 0, 0, 0];
+        const CHAIN: usize = 1;
+        const DIRECT: usize = 2;
+        let mut all = orders(&[
+            ChainStep::Push,
+            ChainStep::Hop,
+            ChainStep::Hop,
+            ChainStep::Direct,
+        ]);
+        all.sort();
+        all.dedup();
+        assert_eq!(all.len(), 12);
+        for (order, mark) in all.iter().flat_map(|o| [(o, false), (o, true)]) {
+            // Node 0 writes byte 5 of the page it will push a task about,
+            // and node 2 a page of its own, so a grant from it would
+            // raise what it knows node 1 holds. Node 1 sweeps node 2,
+            // whose deque stays empty, then node 0, by one chain; node 2
+            // asks node 0 directly, unmarked.
+            let mut w = World::new(3);
+            w.write(0, PAGE, 5, 42);
+            w.write(DIRECT, 1, 0, 9);
+            w.nodes[DIRECT].close_interval();
+            let req = w.nodes[CHAIN].steal_request(&[DIRECT, 0], SCOPE, mark);
+            w.send(CHAIN, req);
+            let req = w.nodes[DIRECT].steal_request(&[0], SCOPE, false);
+            w.send(DIRECT, req);
+            let mut pushed = None;
+            let mut hops = 0;
+            for &step in order {
+                let hungry = w.nodes[0].tasks.hungry;
+                let thief = match step {
+                    ChainStep::Push => {
+                        let was = w.nodes[0].task_push(SCOPE, TASK, 4);
+                        assert_eq!(was, Some(hungry), "{order:?}: the push clears the mark");
+                        pushed = Some(w.nodes[0].next_seq - 1);
+                        continue;
+                    }
+                    ChainStep::Hop => CHAIN,
+                    ChainStep::Direct => DIRECT,
+                };
+                // The explorer's choice: the thief's request, wherever
+                // it waits on the wire.
+                let at = w.wire.iter().position(
+                    |(_, _, m)| matches!(m, Msg::StealReq { thief: t, .. } if *t as usize == thief),
+                );
+                let at = at.expect("the thief's request is in flight");
+                let at_node = w.wire[at].1;
+                let known = w.nodes[at_node].known_vc.clone();
+                let before = w.log.len();
+                w.handle(at);
+                let sent: Vec<_> = w.log[before..].iter().map(|e| (e.0, e.1, e.2)).collect();
+                if at_node == DIRECT {
+                    // The empty hop forwards once, marks only under the
+                    // chain's mark, and owes the thief no notice.
+                    hops += 1;
+                    assert_eq!(sent, [(DIRECT, 0, "steal_req")], "{order:?}");
+                    assert_eq!(w.nodes[DIRECT].tasks.hungry, mark, "{order:?}");
+                    assert_eq!(w.nodes[DIRECT].known_vc, known, "{order:?}");
+                    continue;
+                }
+                assert_eq!(sent, [(0, thief, "steal_rep")], "{order:?}");
+                let Some((_, Msg::StealRep { taken, .. })) = w.inbox[thief].back() else {
+                    panic!("{order:?}: node {thief} expected a steal reply")
+                };
+                let marked_empty = thief == CHAIN && mark && taken.task.is_none();
+                assert_eq!(w.nodes[0].tasks.hungry, hungry || marked_empty, "{order:?}");
+            }
+            assert_eq!(hops, 1, "{order:?}: the empty hop forwards exactly once");
+            let seq = pushed.expect("the push ran");
+            let mut takers = Vec::new();
+            for thief in [CHAIN, DIRECT] {
+                assert_eq!(
+                    w.inbox[thief].len(),
+                    1,
+                    "{order:?}: one reply to node {thief}"
+                );
+                let (src, rep) = w.inbox[thief].pop_front().unwrap();
+                assert_eq!(src, 0, "{order:?}: node 0 answers");
+                if let Some(task) = w.nodes[thief].on_steal(src, rep).task {
+                    assert_eq!(task, TASK);
+                    takers.push(thief);
+                }
+            }
+            if let Some(task) = w.nodes[0].task_take(SCOPE).task {
+                assert_eq!(task, TASK);
+                takers.push(0);
+            }
+            assert_eq!(takers.len(), 1, "{order:?}: the task is taken once");
+            let winner = takers[0];
+            assert!(w.nodes[winner].acquired.covers(0, seq), "{order:?}");
+            assert_eq!(w.read(winner, PAGE)[5], 42, "{order:?}");
+            let sent = w.tally(true);
+            // The chain asked 2 victims with 3 messages, the direct
+            // steal 1 with 2.
+            assert_eq!(sent["steal_req"].0, 3, "{order:?}");
+            assert_eq!(sent["steal_rep"].0, 2, "{order:?}");
         }
     }
 
@@ -921,7 +1054,7 @@ mod tests {
         let mut w = World::new(2);
         w.write(1, PAGE, 9, 5);
         w.nodes[1].task_complete(1);
-        let req = w.nodes[0].steal_request(1, 1, false);
+        let req = w.nodes[0].steal_request(&[1], 1, false);
         w.send(0, req);
         w.pump();
         let (src, rep) = w.inbox[0].pop_front().expect("a steal reply");
