@@ -569,6 +569,13 @@ fn analyze_region(
 
     let accs = std::mem::take(&mut w.accs);
     pair_lints(p, &accs, w.lints);
+    // A plain region defers its barriers, so its join absorbs a dead one
+    // (DESIGN.md §2j); a task region runs each where it stands.
+    let cost = if r.uses_tasks {
+        "it still costs a full round of sync traffic"
+    } else {
+        "the join absorbs it, but it is dead code"
+    };
     for &(bseq, bspan) in &w.barriers {
         let live = accs.iter().any(|a| a.task.is_none() && a.seq > bseq)
             || w.spawn_seqs.iter().any(|&s| s > bseq);
@@ -577,8 +584,10 @@ fn analyze_region(
                 Lint::new(
                     LintCode::DeadSync,
                     bspan,
-                    "barrier orders no shared access: nothing after it in this region \
-                     touches shared data (it still costs a full round of sync traffic)",
+                    format!(
+                        "barrier orders no shared access: nothing after it in this region \
+                         touches shared data ({cost})"
+                    ),
                 )
                 .with_related(r.span, "in the parallel region starting here".to_string()),
             );

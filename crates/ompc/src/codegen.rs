@@ -21,8 +21,8 @@
 use crate::ast::{BinOp, UnOp};
 use crate::diag::Span;
 use crate::interp::{
-    accumulate, check_index, combine_red, fmt_val, fork_region, mon_barrier, note_access, Exec,
-    Flow, GSlot, Icx, MAX_CALL_DEPTH,
+    accumulate, check_index, combine_red, fmt_val, fork_region, mon_barrier, note_access, settle,
+    Exec, Flow, GSlot, Icx, MAX_CALL_DEPTH,
 };
 use crate::ir::*;
 use nomp::{LoopCursor, LoopPlan, RedOp, Reduce, TaskArgs};
@@ -57,7 +57,7 @@ pub(crate) struct Code {
 impl std::panic::RefUnwindSafe for Code {}
 
 pub(crate) fn compile(l: LProgram) -> Code {
-    let cg = Codegen { l: &l };
+    let cg = Codegen { l: &l, level: None };
     let globals = l
         .globals
         .iter()
@@ -67,7 +67,15 @@ pub(crate) fn compile(l: LProgram) -> Code {
         })
         .collect();
     let funcs = l.funcs.iter().map(|f| cg.block(&f.body)).collect();
-    let regions = l.regions.iter().map(|r| cg.block(&r.body)).collect();
+    let regions = (l.regions.iter())
+        .map(|r| {
+            // A task region's body is only its scope's init phase: the
+            // tasks, which no walk of that body sees, run on any thread
+            // at a `taskwait` and after it. Its barriers stay put.
+            let level = (!r.uses_tasks).then(|| written_by(&l, &r.body));
+            Codegen { l: &l, level }.block(&r.body)
+        })
+        .collect();
     let tasks = l.tasks.iter().map(|t| cg.block(&t.body)).collect();
     Code {
         l,
@@ -238,13 +246,28 @@ struct WsSite {
     reds: Vec<RedSite>,
     barrier_after: bool,
     reset_after: bool,
+    /// A plain region's level: the loop's barriers are deferred.
+    defer: bool,
 }
 
 struct Codegen<'l> {
     l: &'l LProgram,
+    /// Compiling the region-level statements of a plain region: the
+    /// globals the region writes ([`written_by`]). Its barriers are
+    /// deferred, and a statement that [`needs`] one settles it first.
+    level: Option<Vec<bool>>,
 }
 
-impl Codegen<'_> {
+impl<'l> Codegen<'l> {
+    /// The code nested in a construct: a worksharing loop's, `single`'s
+    /// or `critical`'s body runs where barriers are not deferred.
+    fn plain(&self) -> Codegen<'l> {
+        Codegen {
+            l: self.l,
+            level: None,
+        }
+    }
+
     fn block(&self, stmts: &[LStmt]) -> StmtFn {
         let mut stmts: Vec<StmtFn> = stmts.iter().map(|s| self.stmt(s)).collect();
         match stmts.len() {
@@ -262,6 +285,17 @@ impl Codegen<'_> {
     }
 
     fn stmt(&self, s: &LStmt) -> StmtFn {
+        let f = self.unsettled(s);
+        match &self.level {
+            Some(written) if needs(s, written) => stmt(move |cx, ex, fp| {
+                settle(cx, ex);
+                f(cx, ex, fp)
+            }),
+            _ => f,
+        }
+    }
+
+    fn unsettled(&self, s: &LStmt) -> StmtFn {
         match s {
             LStmt::SetLocal {
                 slot, trunc, val, ..
@@ -332,7 +366,20 @@ impl Codegen<'_> {
                 })
             }
             LStmt::While { cond, body } => {
+                let settles = self.level.as_ref().is_some_and(|w| reads(cond, w));
                 let (cond, body) = (self.expr(cond).into_fn(), self.block(body));
+                if settles {
+                    // The body's barrier settles before the next test.
+                    return stmt(move |cx, ex, fp| loop {
+                        settle(cx, ex);
+                        if cond(cx, ex, fp) == 0.0 {
+                            return Flow::Normal;
+                        }
+                        if let ret @ Flow::Ret(_) = body(cx, ex, fp) {
+                            return ret;
+                        }
+                    });
+                }
                 stmt(move |cx, ex, fp| {
                     while cond(cx, ex, fp) != 0.0 {
                         if let ret @ Flow::Ret(_) = body(cx, ex, fp) {
@@ -388,10 +435,11 @@ impl Codegen<'_> {
                     var: w.var as usize,
                     lo: self.expr(&w.lo).into_fn(),
                     hi: self.expr(&w.hi).into_fn(),
-                    body: self.block(&w.body),
+                    body: self.plain().block(&w.body),
                     reds: w.reds.clone(),
                     barrier_after: w.barrier_after,
                     reset_after: w.reset_after,
+                    defer: self.level.is_some(),
                 };
                 stmt(move |cx, ex, fp| {
                     ws_for(cx, ex, fp, &site);
@@ -399,20 +447,20 @@ impl Codegen<'_> {
                 })
             }
             LStmt::Single { body, .. } => {
-                let body = self.block(body);
+                let (body, defer) = (self.plain().block(body), self.level.is_some());
                 stmt(move |cx, ex, fp| {
                     if ex.thread_id() == 0 {
                         let flow = body(cx, ex, fp);
                         debug_assert!(matches!(flow, Flow::Normal));
                     }
                     // Implied barrier (two-level on SMP topologies).
-                    mon_barrier(cx, ex);
+                    barrier(cx, ex, defer);
                     Flow::Normal
                 })
             }
             LStmt::Critical { lock, body, .. } => {
                 let (lock, ups) = (*lock, crate::accum::lowered(self.l, body));
-                let body = self.block(body);
+                let body = self.plain().block(body);
                 if let Some(ups) = ups {
                     return self.accumulating(lock, body, ups);
                 }
@@ -440,10 +488,13 @@ impl Codegen<'_> {
                     Flow::Normal
                 })
             }
-            LStmt::Barrier(_) => stmt(|cx, ex, _| {
-                mon_barrier(cx, ex);
-                Flow::Normal
-            }),
+            LStmt::Barrier(_) => {
+                let defer = self.level.is_some();
+                stmt(move |cx, ex, _| {
+                    barrier(cx, ex, defer);
+                    Flow::Normal
+                })
+            }
             LStmt::Task { site } => {
                 let site = *site as u64;
                 let caps: Vec<usize> = self.l.tasks[site as usize]
@@ -696,7 +747,7 @@ fn ws_for(cx: &mut Icx<'_>, ex: &mut Exec<'_, '_, '_>, fp: usize, w: &WsSite) {
     }
     if w.barrier_after {
         // The implied end-of-worksharing barrier (two-level on SMP).
-        mon_barrier(cx, ex);
+        barrier(cx, ex, w.defer);
     }
     if w.reset_after {
         if let Some(sh) = shared {
@@ -705,10 +756,84 @@ fn ws_for(cx: &mut Icx<'_>, ex: &mut Exec<'_, '_, '_>, fp: usize, w: &WsSite) {
             // no thread can re-enter early. (Adaptive rate history and
             // affinity partition identity survive the reset — that is
             // the cross-execution history those policies exploit.)
+            settle(cx, ex);
             if ex.thread_id() == 0 {
                 sh.reset(ex.tmk());
             }
-            mon_barrier(cx, ex);
+            barrier(cx, ex, w.defer);
         }
     }
+}
+
+/// A barrier, explicit or implied: at a plain region's level it is left
+/// pending for [`settle`], and one already pending orders the same
+/// accesses (DESIGN.md §2j); anywhere else it runs here.
+fn barrier(cx: &mut Icx<'_>, ex: &mut Exec<'_, '_, '_>, defer: bool) {
+    if defer {
+        cx.pending = true;
+    } else {
+        mon_barrier(cx, ex);
+    }
+}
+
+/// The globals the statements of a plain region write, by index: every
+/// global if the region calls a function, which may write any of them.
+/// An interior loop's reduction writes its variable.
+fn written_by(l: &LProgram, body: &[LStmt]) -> Vec<bool> {
+    let mut written = vec![false; l.globals.len()];
+    let mut calls = false;
+    visit_stmts(body, &mut |s| {
+        match s {
+            LStmt::SetGlobal { gid, .. } | LStmt::SetElem { gid, .. } => {
+                written[*gid as usize] = true;
+            }
+            LStmt::WsFor(w) => (w.reds.iter()).for_each(|r| written[r.site.gid as usize] = true),
+            _ => {}
+        }
+        let call = |e: &LExpr| matches!(e, LExpr::Call(..)).then_some(true);
+        calls = calls || s.exprs().any(|e| e.any(&call));
+    });
+    if calls {
+        written.fill(true);
+    }
+    written
+}
+
+/// Must a barrier still pending run before region-level statement `s`?
+/// Yes if `s`, counting its condition and nested blocks, writes a
+/// global, reads one the region writes, calls a function, spawns,
+/// prints or reads the clock, or is a construct of its own. Every other
+/// statement touches only the thread's private slots and globals no
+/// thread of the region writes, which a barrier does not order.
+fn needs(s: &LStmt, written: &[bool]) -> bool {
+    match s {
+        LStmt::SetGlobal { .. }
+        | LStmt::SetElem { .. }
+        | LStmt::Print(_)
+        | LStmt::Parallel { .. }
+        | LStmt::WsFor(_)
+        | LStmt::Single { .. }
+        | LStmt::Critical { .. }
+        | LStmt::Task { .. }
+        | LStmt::Taskwait => true,
+        LStmt::SetLocal { .. }
+        | LStmt::If { .. }
+        | LStmt::While { .. }
+        | LStmt::Return(_)
+        | LStmt::Expr(_)
+        | LStmt::Barrier(_) => {
+            s.exprs().any(|e| reads(e, written)) || s.blocks().flatten().any(|s| needs(s, written))
+        }
+    }
+}
+
+/// Does evaluating `e` read a global the region writes, call a function
+/// or read the clock?
+fn reads(e: &LExpr, written: &[bool]) -> bool {
+    e.any(&|e| match e {
+        LExpr::Global(gid, _) => Some(written[*gid as usize]),
+        LExpr::Elem(gid, ..) if written[*gid as usize] => Some(true),
+        LExpr::Call(..) | LExpr::Builtin(Builtin::Wtime, _) => Some(true),
+        _ => None,
+    })
 }

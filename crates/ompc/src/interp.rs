@@ -146,6 +146,10 @@ pub(crate) struct Icx<'x> {
     pub depth: u32,
     /// Dynamic happens-before race monitor (`Compiled::check_races`).
     pub mon: Option<Arc<Monitor>>,
+    /// A plain region's barrier that has not run yet: the first
+    /// region-level statement that needs it runs it ([`settle`]), and
+    /// the join absorbs it if none does (DESIGN.md §2j).
+    pub pending: bool,
 }
 
 /// A context's call stack: its own zeroed frame at the bottom, and room
@@ -183,6 +187,14 @@ pub(crate) fn mon_barrier(cx: &Icx<'_>, ex: &mut Exec<'_, '_, '_>) {
     ex.th().barrier();
     if let Some(m) = &cx.mon {
         m.barrier_depart(ex.thread_id());
+    }
+}
+
+/// Run the pending barrier, if any: every thread of the team reaches
+/// the same region-level statement with the same flag (DESIGN.md §2j).
+pub(crate) fn settle(cx: &mut Icx<'_>, ex: &mut Exec<'_, '_, '_>) {
+    if std::mem::take(&mut cx.pending) {
+        mon_barrier(cx, ex);
     }
 }
 
@@ -228,6 +240,7 @@ pub(crate) fn run_master(code: &Arc<Code>, env: &mut Env<'_>, check_races: bool)
                 stack: Vec::new(),
                 depth: 0,
                 mon: mon.clone(),
+                pending: false,
             };
             e(&mut cx, &mut Exec::Master(env), 0)
         });
@@ -264,6 +277,7 @@ pub(crate) fn run_master(code: &Arc<Code>, env: &mut Env<'_>, check_races: bool)
         stack: new_stack(prog.funcs[prog.main_fn].frame),
         depth: 0,
         mon: mon.clone(),
+        pending: false,
     };
     let ret = match code.funcs[prog.main_fn](&mut cx, &mut Exec::Master(env), 0) {
         Flow::Ret(v) => v,
@@ -383,9 +397,12 @@ fn run_region_thread(
         stack: frame,
         depth: 0,
         mon: mon.clone(),
+        pending: false,
     };
     let flow = code.regions[rid](&mut cx, ex, 0);
     debug_assert!(matches!(flow, Flow::Normal), "return escaped a region");
+    // A barrier still pending here orders nothing the join does not: each
+    // slave's join arrival is a release the next fork acquires.
     for red in &reg.reds {
         contribute_red(ex, red.site, cx.stack[red.slot as usize]);
     }
@@ -417,6 +434,7 @@ fn run_task_site(
         stack: frame,
         depth: 0,
         mon: mon.clone(),
+        pending: false,
     };
     let flow = code.tasks[args.a as usize](&mut cx, ex, 0);
     debug_assert!(matches!(flow, Flow::Normal), "return escaped a task");

@@ -11,6 +11,8 @@
 use nomp::{Cluster, OmpConfig, RunReport, Schedule};
 use now_bench::smp::native_reference;
 use ompc::ProgramOutput;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 /// Compile once and run as a job through the `Cluster` session API (the
 /// path every one-shot shim funnels into).
@@ -262,4 +264,145 @@ fn runner_cli_analyzer_flags_parse() {
     assert!(e.contains("json"), "{e}");
     let e = RunnerArgs::parse(&["--races".into()]).expect_err("unknown flag");
     assert!(e.contains("--deny-races"), "{e}");
+}
+
+/// Remote messages sent of one kind.
+fn sent(r: &RunReport<ProgramOutput>, kind: &str) -> u64 {
+    r.net.kind(kind).map_or(0, |k| k.send_msgs)
+}
+
+/// Every kind that sent a remote message, with its count.
+fn traffic(r: &RunReport<ProgramOutput>) -> Vec<(&'static str, u64)> {
+    (r.net.per_kind.iter())
+        .filter(|k| k.send_msgs > 0)
+        .map(|k| (k.kind, k.send_msgs))
+        .collect()
+}
+
+/// Run `f` on a thread of its own, failing if it takes over `limit`: a
+/// barrier that some thread of a team skips hangs the others.
+fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let run = std::thread::spawn(move || tx.send(f()).expect("watchdog listening"));
+    match rx.recv_timeout(limit) {
+        Ok(v) => v,
+        Err(RecvTimeoutError::Timeout) => panic!("still running after {limit:?}: a team hung"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(run.join().expect_err("the run sent nothing"))
+        }
+    }
+}
+
+/// A plain region's barrier runs at the first region-level statement
+/// that needs it, and the join absorbs one that none needs (DESIGN.md
+/// §2j). `barrier_phases.omp`'s second loop ends its region, so its
+/// barrier round goes: 24 msgs before, 18 now.
+#[test]
+fn the_join_absorbs_the_barrier_of_a_regions_last_loop() {
+    let src = include_str!("../examples/omp/clean/barrier_phases.omp");
+    let out = run_omp(src, OmpConfig::fast_test(4));
+    let b: Vec<f64> = (0..32).map(|j| j as f64 * 3.0).collect();
+    assert_eq!(out.result.arrays["b"], b);
+    assert_eq!(out.msgs(), 18, "{:?}", traffic(&out));
+    assert_eq!(sent(&out, "barrier_depart"), 3, "the first loop's round");
+}
+
+/// `dead_barrier.omp`: the loop's barrier and the explicit one after it
+/// are one pending barrier, and the join absorbs it; 6 departures before.
+#[test]
+fn a_dead_barrier_sends_no_departure() {
+    let src = include_str!("../examples/omp/racy/dead_barrier.omp");
+    let out = run_omp(src, OmpConfig::fast_test(4));
+    let a: Vec<f64> = (0..32).map(|i| i as f64 * 2.0).collect();
+    assert_eq!(out.result.arrays["a"], a);
+    assert_eq!(sent(&out, "barrier_depart"), 0, "{:?}", traffic(&out));
+    assert_eq!(sent(&out, "barrier_arrive"), 3, "the join's arrivals");
+}
+
+/// A task region's barriers stay where they are: its body is only the
+/// task scope's init phase, and the tasks no walk of that body sees run
+/// on any thread. `fib.omp`'s `single` keeps its implied barrier round
+/// before the join.
+#[test]
+fn a_task_regions_barrier_is_not_deferred() {
+    let out = run_omp(FIB, OmpConfig::fast_test(4));
+    assert_eq!(out.result.scalars["count"], fib(16) as f64);
+    assert_eq!(sent(&out, "barrier_arrive"), 6, "{:?}", traffic(&out));
+    assert_eq!(sent(&out, "barrier_depart"), 3, "{:?}", traffic(&out));
+}
+
+/// Every kind of settle point in one region: a `while` whose condition
+/// reads `phase`, which the `single` in its body writes; two barriers
+/// back to back before a read of what other threads wrote; and a write
+/// by thread 0 alone after the region's last loop, which reads that
+/// loop's writes by the other threads.
+const SETTLE: &str = "double a[64];\n\
+    double b[64];\n\
+    double seen[8];\n\
+    double total;\n\
+    int phase;\n\
+    int main() {\n\
+      #pragma omp parallel\n\
+      {\n\
+        int t = omp_get_thread_num();\n\
+        while (phase < 3) {\n\
+          #pragma omp for schedule(static)\n\
+          for (int i = 0; i < 64; i = i + 1) { a[i] = a[i] + (phase + 1) * i; }\n\
+          #pragma omp single\n\
+          { phase = phase + 1; }\n\
+        }\n\
+        #pragma omp barrier\n\
+        #pragma omp barrier\n\
+        double v = a[63 - t];\n\
+        seen[t] = v + phase;\n\
+        #pragma omp for schedule(static)\n\
+        for (int i = 0; i < 64; i = i + 1) { b[i] = a[i] * 2.0; }\n\
+        if (t == 0) { total = b[63] + b[0]; }\n\
+      }\n\
+      return 0;\n\
+    }";
+
+#[test]
+fn deferred_barriers_settle_where_a_statement_needs_them() {
+    for (nodes, tpn) in [(2, 1), (4, 1), (2, 2)] {
+        let out = within(Duration::from_secs(60), move || {
+            run_omp(SETTLE, OmpConfig::fast_test_smp(nodes, tpn))
+        });
+        let threads = nodes * tpn;
+        let a: Vec<f64> = (0..64).map(|i| 6.0 * i as f64).collect();
+        let b: Vec<f64> = a.iter().map(|v| v * 2.0).collect();
+        let seen: Vec<f64> = (0..8)
+            .map(|t| {
+                if t < threads {
+                    6.0 * (63 - t) as f64 + 3.0
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let at = format!("{nodes}x{tpn}");
+        assert_eq!(out.result.arrays["a"], a, "{at}");
+        assert_eq!(out.result.arrays["b"], b, "{at}");
+        assert_eq!(out.result.arrays["seen"], seen, "{at}");
+        assert_eq!(out.result.scalars["total"], 756.0, "{at}");
+        assert_eq!(out.result.scalars["phase"], 3.0, "{at}");
+        // Per slave: 8 barrier rounds and the join. Each pass of the
+        // `while` runs two, the loop's (settled by the `single`) and the
+        // `single`'s (settled by the next test of `phase`); the
+        // back-to-back pair runs one, and so does the last loop. Run
+        // where they stand, the barriers sent one round more, the pair's
+        // second, and the same diff traffic.
+        let s = nodes as u64 - 1;
+        let diffs = if nodes == 4 { 18 } else { 4 };
+        let want = vec![
+            ("barrier_arrive", 9 * s),
+            ("barrier_depart", 8 * s),
+            ("diff_rep", diffs),
+            ("diff_req", diffs),
+            ("fork", s),
+        ];
+        let mut got = traffic(&out);
+        got.sort();
+        assert_eq!(got, want, "{at}");
+    }
 }
