@@ -110,12 +110,13 @@ impl World {
         }
     }
 
-    /// Handle the `i`-th request in flight, whichever the explorer picks
-    /// to be delivered next; what its handler sends waits in the inboxes,
-    /// but a forwarded `StealReq` goes back on the wire. A data request
-    /// is answered once, to its asker, a `DiffRep` page by page in
-    /// request order; a `StealReq` yields one message, a `StealRep` to
-    /// its thief or the request to the next victim it names.
+    /// Handle the `i`-th request in flight ([`World::pump`] the oldest,
+    /// [`World::explore`] the one it chose); what its handler sends waits
+    /// in the inboxes, but a forwarded `StealReq` goes back on the wire.
+    /// A data request is answered once, to its asker, a `DiffRep` page
+    /// by page in request order; a `StealReq` yields one message, a
+    /// `StealRep` to its thief or the request to the next victim it
+    /// names.
     pub fn handle(&mut self, i: usize) {
         let (src, dst, msg) = self.wire.remove(i).expect("a request in flight");
         let asked: Option<Vec<PageId>> = match &msg {
@@ -530,6 +531,74 @@ impl World {
             _ => self.region(k, arg % self.gc_every == 0, arg, (pid, off, val)),
         }
     }
+
+    /// Every run of `walk`, depth-first: at each state the explorer
+    /// chooses which request in flight [`World::handle`] delivers next,
+    /// or which node takes its next enabled program step. Each prefix of
+    /// choices is replayed from a clone of `walk` and [`Walk::start`]'s
+    /// world; no state is hashed, so no run is pruned. Returns each
+    /// complete run's final state; a failed check names its run's choices.
+    pub fn explore<W: Walk>(walk: &W) -> Vec<W> {
+        fn from<W: Walk>(walk: &W, prefix: &[Choice]) -> Vec<W> {
+            let trail = Trail(prefix);
+            let mut run = walk.clone();
+            let mut w = run.start();
+            for &choice in prefix {
+                match choice {
+                    Choice::Deliver(i) => run.deliver(&mut w, i),
+                    Choice::Step(k) => run.step(&mut w, k),
+                }
+            }
+            let steps = (0..w.nodes.len()).filter(|&k| run.ready(&w, k));
+            let delivers = (0..w.wire.len()).map(Choice::Deliver);
+            let choices: Vec<_> = delivers.chain(steps.map(Choice::Step)).collect();
+            if choices.is_empty() {
+                run.leaf(w);
+                return vec![run];
+            }
+            drop(trail);
+            let next = |choice| from(walk, &[prefix, &[choice]].concat());
+            choices.into_iter().flat_map(next).collect()
+        }
+        from(walk, &[])
+    }
+}
+
+/// A choice of [`World::explore`]: a request in flight, or a node's step.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Choice {
+    Deliver(usize),
+    Step(usize),
+}
+
+/// A program [`World::explore`] walks. Its value is a run's own state
+/// (models, program counters), cloned from the start for each run.
+pub(crate) trait Walk: Clone {
+    /// The world a run starts from, with its first requests in flight.
+    fn start(&self) -> World;
+    /// Whether node `k`'s next program step is enabled.
+    fn ready(&self, _: &World, _k: usize) -> bool {
+        false
+    }
+    /// Node `k` takes its next program step.
+    fn step(&mut self, _: &mut World, _k: usize) {}
+    /// Deliver the `i`-th request in flight, and check what it did.
+    fn deliver(&mut self, w: &mut World, i: usize) {
+        w.handle(i);
+    }
+    /// Check a complete run: nothing in flight and no step enabled.
+    fn leaf(&mut self, w: World);
+}
+
+/// A run's choices, printed if a check panics while it replays.
+struct Trail<'a>(&'a [Choice]);
+
+impl Drop for Trail<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("in the run {:?}", self.0);
+        }
+    }
 }
 
 /// The fault requests before domination, kept as the differential
@@ -707,226 +776,146 @@ mod tests {
         assert_eq!(threaded, free);
     }
 
-    /// One step of the steal arm's program: node 0 pushes its task, or
-    /// node 1's marked `StealReq` or node 2's unmarked one is delivered.
-    #[derive(Clone, Copy, Debug, PartialEq)]
-    enum StealStep {
-        Push,
-        Deliver(usize),
+    /// The task scope of the task-arm walks.
+    const SCOPE: u32 = 1;
+    /// Their one task.
+    const TASK: crate::Task = [7, 0, 0, 0];
+
+    /// Node `thief` sends its sweep of `victims`.
+    fn steal(w: &mut World, thief: usize, victims: &[usize], mark: bool) {
+        let req = w.nodes[thief].steal_request(victims, SCOPE, mark);
+        w.send(thief, req);
     }
 
-    /// Every order of `steps`.
-    fn orders<T: Copy>(steps: &[T]) -> Vec<Vec<T>> {
-        if steps.is_empty() {
-            return vec![Vec::new()];
-        }
-        let mut all = Vec::new();
-        for (i, &first) in steps.iter().enumerate() {
-            let mut rest = steps.to_vec();
-            rest.remove(i);
-            for mut order in orders(&rest) {
-                order.insert(0, first);
-                all.push(order);
+    /// Node `k`'s idle worker parks at node 0.
+    fn park(w: &mut World, k: usize) {
+        w.send(k, (0, Msg::TermIdle { scope: SCOPE }));
+    }
+
+    /// The steal arm's walk on 3 nodes. Node 0 writes byte 5 of the page
+    /// its one program step pushes a task about (`pushed`, the push's
+    /// interval). Without a `chain`, nodes 1 and 2 ask node 0 for a task
+    /// at once, node 1 about to park (marked). With one, node 2 writes a
+    /// page of its own, so a grant from it would raise what it knows node
+    /// 1 holds; node 1 sweeps node 2, whose deque stays empty, then node
+    /// 0, by one chain marked as `chain` says, and node 2 asks node 0
+    /// directly, unmarked.
+    #[derive(Clone, Default)]
+    struct Steals {
+        chain: Option<bool>,
+        pushed: Option<u32>,
+    }
+
+    impl Walk for Steals {
+        fn start(&self) -> World {
+            let mut w = World::new(3);
+            w.write(0, PAGE, 5, 42);
+            if self.chain.is_some() {
+                w.write(2, 1, 0, 9);
+                w.nodes[2].close_interval();
             }
+            let first: &[usize] = if self.chain.is_some() { &[2, 0] } else { &[0] };
+            steal(&mut w, 1, first, self.chain.unwrap_or(true));
+            steal(&mut w, 2, &[0], false);
+            w
         }
-        all
+
+        fn ready(&self, _: &World, k: usize) -> bool {
+            k == 0 && self.pushed.is_none()
+        }
+
+        fn step(&mut self, w: &mut World, _: usize) {
+            let hungry = w.nodes[0].tasks.hungry;
+            let was = w.nodes[0].task_push(SCOPE, TASK, 4);
+            assert_eq!(was, Some(hungry), "the push clears the mark");
+            assert!(!w.nodes[0].tasks.hungry);
+            self.pushed = Some(w.nodes[0].next_seq - 1);
+        }
+
+        fn deliver(&mut self, w: &mut World, i: usize) {
+            let (_, at, Msg::StealReq { thief, mark, .. }) = w.wire[i] else {
+                unreachable!("only steals are in flight")
+            };
+            let (thief, hungry) = (thief as usize, w.nodes[at].tasks.hungry);
+            let (known, before) = (w.nodes[at].known_vc.clone(), w.log.len());
+            w.handle(i);
+            let sent: Vec<_> = w.log[before..].iter().map(|e| (e.0, e.1, e.2)).collect();
+            if at != 0 {
+                // The empty hop forwards once, marks only under the
+                // chain's mark, and owes the thief no notice.
+                assert_eq!(sent, [(at, 0, "steal_req")]);
+                assert_eq!(w.nodes[at].tasks.hungry, mark);
+                assert_eq!(w.nodes[at].known_vc, known);
+                return;
+            }
+            assert_eq!(sent, [(0, thief, "steal_rep")]);
+            let Some((_, Msg::StealRep { taken, .. })) = w.inbox[thief].back() else {
+                panic!("node {thief} expected a steal reply")
+            };
+            // Only a marked empty answer sets the flag.
+            let marked_empty = mark && taken.task.is_none();
+            assert_eq!(w.nodes[0].tasks.hungry, hungry || marked_empty);
+        }
+
+        fn leaf(&mut self, mut w: World) {
+            assert_eq!(self.pushed, Some(1), "the push closed the open interval");
+            let mut takers = Vec::new();
+            for thief in [1, 2] {
+                assert_eq!(w.inbox[thief].len(), 1, "one reply to node {thief}");
+                let (src, rep) = w.inbox[thief].pop_front().unwrap();
+                assert_eq!(src, 0, "node 0 answers");
+                takers.extend(w.nodes[thief].on_steal(src, rep).task.map(|t| (thief, t)));
+            }
+            takers.extend(w.nodes[0].task_take(SCOPE).task.map(|t| (0, t)));
+            let [(winner, TASK)] = takers[..] else {
+                panic!("the task is taken once: {takers:?}")
+            };
+            // The winner acquired the push's interval: its read of the
+            // page fetches node 0's byte.
+            assert!(w.nodes[winner].acquired.covers(0, 1));
+            assert_eq!(w.read(winner, PAGE)[5], 42);
+            // A chain asks 2 victims with 3 messages, the empty hop
+            // forwarding once; a direct steal asks 1 with 2.
+            let chained = usize::from(self.chain.is_some());
+            let hop = |e: &(usize, usize, &str, usize)| (e.0, e.1, e.2) == (2, 0, "steal_req");
+            assert_eq!(w.log.iter().filter(|e| hop(e)).count(), 1 + chained);
+            let sent = w.tally(true);
+            assert_eq!(sent["steal_req"].0, 2 + chained as u64);
+            assert_eq!(sent["steal_rep"].0, 2);
+            assert!(!sent.keys().any(|k| k.starts_with("lock")));
+        }
     }
 
     #[test]
     fn a_push_and_two_steals_in_every_delivery_order() {
-        const SCOPE: u32 = 1;
-        const TASK: crate::Task = [7, 0, 0, 0];
-        let steps = [
-            StealStep::Push,
-            StealStep::Deliver(1),
-            StealStep::Deliver(2),
-        ];
-        let all = orders(&steps);
-        assert_eq!(all.len(), 6);
-        for order in all {
-            // Node 0 writes byte 5 of the page it will push a task about;
-            // nodes 1 and 2 ask it for a task at once, node 1 about to
-            // park (marked).
-            let mut w = World::new(3);
-            w.write(0, PAGE, 5, 42);
-            for thief in [1, 2] {
-                let req = w.nodes[thief].steal_request(&[0], SCOPE, thief == 1);
-                w.send(thief, req);
-            }
-            let mut pushed = None;
-            for &step in &order {
-                let hungry = w.nodes[0].tasks.hungry;
-                match step {
-                    StealStep::Push => {
-                        let was = w.nodes[0].task_push(SCOPE, TASK, 4);
-                        assert_eq!(was, Some(hungry), "{order:?}: the push clears the mark");
-                        assert!(!w.nodes[0].tasks.hungry);
-                        pushed = Some(w.nodes[0].next_seq - 1);
-                    }
-                    StealStep::Deliver(thief) => {
-                        // The explorer's choice: the thief's request,
-                        // wherever it waits on the wire.
-                        let at = w.wire.iter().position(|(src, _, _)| *src == thief);
-                        w.handle(at.expect("the thief's request is in flight"));
-                        let Some((_, Msg::StealRep { taken, .. })) = w.inbox[thief].back() else {
-                            panic!("{order:?}: node {thief} expected a steal reply")
-                        };
-                        // Only a marked empty answer sets the flag.
-                        let marked_empty = thief == 1 && taken.task.is_none();
-                        let want = hungry || marked_empty;
-                        assert_eq!(w.nodes[0].tasks.hungry, want, "{order:?}");
-                    }
-                }
-            }
-            let seq = pushed.expect("the push ran");
-            assert_eq!(seq, 1, "the push closed the open interval");
-            let mut takers = Vec::new();
-            for thief in [1, 2] {
-                let (src, rep) = w.inbox[thief].pop_front().expect("one reply each");
-                if let Some(task) = w.nodes[thief].on_steal(src, rep).task {
-                    assert_eq!(task, TASK);
-                    takers.push(thief);
-                }
-            }
-            if let Some(task) = w.nodes[0].task_take(SCOPE).task {
-                assert_eq!(task, TASK);
-                takers.push(0);
-            }
-            assert_eq!(takers.len(), 1, "{order:?}: the task is taken once");
-            // The winner acquired the push's interval: its read of the
-            // page fetches node 0's byte.
-            let winner = takers[0];
-            assert!(w.nodes[winner].acquired.covers(0, seq), "{order:?}");
-            assert_eq!(w.read(winner, PAGE)[5], 42, "{order:?}");
-            let sent = w.tally(true);
-            assert_eq!(sent["steal_req"].0, 2, "{order:?}");
-            assert_eq!(sent["steal_rep"].0, 2, "{order:?}");
-            assert!(!sent.keys().any(|k| k.starts_with("lock")), "{order:?}");
-        }
-    }
-
-    /// One step of the chain arm's program: node 0 pushes its task, the
-    /// chain's request is delivered to its next hop, or the direct
-    /// thief's request to node 0.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-    enum ChainStep {
-        Push,
-        Hop,
-        Direct,
+        assert_eq!(World::explore(&Steals::default()).len(), 6);
     }
 
     #[test]
     fn a_chain_and_a_direct_steal_in_every_delivery_order() {
-        const SCOPE: u32 = 1;
-        const TASK: crate::Task = [7, 0, 0, 0];
-        const CHAIN: usize = 1;
-        const DIRECT: usize = 2;
-        let mut all = orders(&[
-            ChainStep::Push,
-            ChainStep::Hop,
-            ChainStep::Hop,
-            ChainStep::Direct,
-        ]);
-        all.sort();
-        all.dedup();
-        assert_eq!(all.len(), 12);
-        for (order, mark) in all.iter().flat_map(|o| [(o, false), (o, true)]) {
-            // Node 0 writes byte 5 of the page it will push a task about,
-            // and node 2 a page of its own, so a grant from it would
-            // raise what it knows node 1 holds. Node 1 sweeps node 2,
-            // whose deque stays empty, then node 0, by one chain; node 2
-            // asks node 0 directly, unmarked.
-            let mut w = World::new(3);
-            w.write(0, PAGE, 5, 42);
-            w.write(DIRECT, 1, 0, 9);
-            w.nodes[DIRECT].close_interval();
-            let req = w.nodes[CHAIN].steal_request(&[DIRECT, 0], SCOPE, mark);
-            w.send(CHAIN, req);
-            let req = w.nodes[DIRECT].steal_request(&[0], SCOPE, false);
-            w.send(DIRECT, req);
-            let mut pushed = None;
-            let mut hops = 0;
-            for &step in order {
-                let hungry = w.nodes[0].tasks.hungry;
-                let thief = match step {
-                    ChainStep::Push => {
-                        let was = w.nodes[0].task_push(SCOPE, TASK, 4);
-                        assert_eq!(was, Some(hungry), "{order:?}: the push clears the mark");
-                        pushed = Some(w.nodes[0].next_seq - 1);
-                        continue;
-                    }
-                    ChainStep::Hop => CHAIN,
-                    ChainStep::Direct => DIRECT,
-                };
-                // The explorer's choice: the thief's request, wherever
-                // it waits on the wire.
-                let at = w.wire.iter().position(
-                    |(_, _, m)| matches!(m, Msg::StealReq { thief: t, .. } if *t as usize == thief),
-                );
-                let at = at.expect("the thief's request is in flight");
-                let at_node = w.wire[at].1;
-                let known = w.nodes[at_node].known_vc.clone();
-                let before = w.log.len();
-                w.handle(at);
-                let sent: Vec<_> = w.log[before..].iter().map(|e| (e.0, e.1, e.2)).collect();
-                if at_node == DIRECT {
-                    // The empty hop forwards once, marks only under the
-                    // chain's mark, and owes the thief no notice.
-                    hops += 1;
-                    assert_eq!(sent, [(DIRECT, 0, "steal_req")], "{order:?}");
-                    assert_eq!(w.nodes[DIRECT].tasks.hungry, mark, "{order:?}");
-                    assert_eq!(w.nodes[DIRECT].known_vc, known, "{order:?}");
-                    continue;
-                }
-                assert_eq!(sent, [(0, thief, "steal_rep")], "{order:?}");
-                let Some((_, Msg::StealRep { taken, .. })) = w.inbox[thief].back() else {
-                    panic!("{order:?}: node {thief} expected a steal reply")
-                };
-                let marked_empty = thief == CHAIN && mark && taken.task.is_none();
-                assert_eq!(w.nodes[0].tasks.hungry, hungry || marked_empty, "{order:?}");
-            }
-            assert_eq!(hops, 1, "{order:?}: the empty hop forwards exactly once");
-            let seq = pushed.expect("the push ran");
-            let mut takers = Vec::new();
-            for thief in [CHAIN, DIRECT] {
-                assert_eq!(
-                    w.inbox[thief].len(),
-                    1,
-                    "{order:?}: one reply to node {thief}"
-                );
-                let (src, rep) = w.inbox[thief].pop_front().unwrap();
-                assert_eq!(src, 0, "{order:?}: node 0 answers");
-                if let Some(task) = w.nodes[thief].on_steal(src, rep).task {
-                    assert_eq!(task, TASK);
-                    takers.push(thief);
-                }
-            }
-            if let Some(task) = w.nodes[0].task_take(SCOPE).task {
-                assert_eq!(task, TASK);
-                takers.push(0);
-            }
-            assert_eq!(takers.len(), 1, "{order:?}: the task is taken once");
-            let winner = takers[0];
-            assert!(w.nodes[winner].acquired.covers(0, seq), "{order:?}");
-            assert_eq!(w.read(winner, PAGE)[5], 42, "{order:?}");
-            let sent = w.tally(true);
-            // The chain asked 2 victims with 3 messages, the direct
-            // steal 1 with 2.
-            assert_eq!(sent["steal_req"].0, 3, "{order:?}");
-            assert_eq!(sent["steal_rep"].0, 2, "{order:?}");
-        }
+        // The push, the chain's two hops and the direct steal: 4! / 2
+        // orders under each mark.
+        let walk = |mark| Steals {
+            chain: Some(mark),
+            pushed: None,
+        };
+        let runs = [false, true].map(|mark| World::explore(&walk(mark)).len());
+        assert_eq!(runs, [12, 12]);
     }
 
-    #[test]
-    fn a_first_barrier_departs_alike_in_every_arrival_order() {
-        // Each of 3 nodes twins its slot of page 0, which subscribes the
-        // page, and node 1 page 1 too, which nobody else subscribes to.
-        // The first barrier's arrivals attach those diffs on speculation.
-        // In every order the manager takes them, the departures are the
-        // same: each carries the other two writers' diffs of page 0 and
-        // none of page 1, and every read after them sends nothing.
-        let mut seen: Option<Vec<String>> = None;
-        for order in orders(&[0, 1, 2]) {
+    /// The first barrier's walk: each of 3 nodes twins its slot of page
+    /// 0, which subscribes the page, and node 1 page 1 too, which nobody
+    /// else subscribes to. The arrivals in flight attach those diffs on
+    /// speculation. Each departure (`departs`, printed) carries the other
+    /// two writers' diffs of page 0 and none of page 1, and every read
+    /// after them sends nothing.
+    #[derive(Clone, Default)]
+    struct FirstBarrier {
+        departs: Vec<String>,
+    }
+
+    impl Walk for FirstBarrier {
+        fn start(&self) -> World {
             let mut w = World::new(N);
             for k in 0..N {
                 w.write(k, PAGE, 16 * (k + 1), k as u8 + 1);
@@ -936,65 +925,62 @@ mod tests {
                 let arrive = w.nodes[k].arrive_request(0, false);
                 w.send(k, arrive);
             }
-            for &k in &order {
-                let at = w.wire.iter().position(|(src, _, _)| *src == k);
-                w.handle(at.expect("the node's arrival is in flight"));
-            }
-            assert!(w.wire.is_empty(), "{order:?}");
-            let mut departs = Vec::new();
+            w
+        }
+
+        fn leaf(&mut self, mut w: World) {
             for k in 0..N {
                 let (src, depart) = w.inbox[k].pop_front().expect("a departure");
-                departs.push(format!("{depart:?}"));
+                self.departs.push(format!("{depart:?}"));
                 let Msg::BarrierDepart { acq, .. } = &depart else {
-                    panic!("{order:?}: node {k} expected a departure")
+                    panic!("node {k} expected a departure")
                 };
                 let mut from: Vec<_> = acq.updates.iter().map(|u| (u.0, u.1.node)).collect();
                 from.sort();
                 let others = (0..N as u32).filter(|&j| j != k as u32).map(|j| (PAGE, j));
-                assert_eq!(from, others.collect::<Vec<_>>(), "{order:?}");
+                assert_eq!(from, others.collect::<Vec<_>>());
                 assert!(w.nodes[k].on_depart(0, src, depart).is_none());
-            }
-            match &seen {
-                Some(first) => assert_eq!(&departs, first, "{order:?}"),
-                None => seen = Some(departs),
             }
             for k in 0..N {
                 let rounds = w.fault(k, &[PAGE], true);
-                assert!(rounds.is_empty(), "{order:?}: node {k} sent {rounds:?}");
+                assert!(rounds.is_empty(), "node {k} sent {rounds:?}");
             }
-            let page = w.read(0, PAGE).to_vec();
-            assert_eq!([page[16], page[32], page[48]], [1, 2, 3], "{order:?}");
+            let page = w.read(0, PAGE);
+            assert_eq!([page[16], page[32], page[48]], [1, 2, 3]);
         }
     }
 
-    /// One step of the first fork's program: a slave takes its fork, or
-    /// a node writes its slot of page 0 and arrives at the first
-    /// barrier, which the manager takes at once.
-    #[derive(Clone, Copy, Debug, PartialEq)]
-    enum ForkStep {
-        Fork(usize),
-        Arrive(usize),
+    #[test]
+    fn a_first_barrier_departs_alike_in_every_arrival_order() {
+        let runs = World::explore(&FirstBarrier::default());
+        assert_eq!(runs.len(), 6);
+        for run in &runs {
+            assert_eq!(run.departs, runs[0].departs, "alike in every order");
+        }
     }
 
-    #[test]
-    fn a_first_fork_and_arrivals_in_every_delivery_order() {
-        // The master writes its slot of page 0, then byte 0 of page 1, in
-        // two intervals of its sequential section and forks: the job's
-        // first fork, which attaches both diffs to each slave on
-        // speculation. In every order in which the slaves take their
-        // forks and the manager takes the first barrier's arrivals (a
-        // slave arrives after its fork), a slave's write faults and finds
-        // the master's diff held, and after the departures every node
-        // reads both pages with no request, each fault applying its
-        // planned set (`World::fault`). No departure carries a diff the
-        // fork did: the master's speculative arrival leaves them out.
-        use ForkStep::{Arrive, Fork};
-        let at = |order: &[ForkStep], step| order.iter().position(|&s| s == step);
-        let steps = [Fork(1), Fork(2), Arrive(0), Arrive(1), Arrive(2)];
-        let valid =
-            |order: &Vec<ForkStep>| (1..N).all(|k| at(order, Fork(k)) < at(order, Arrive(k)));
-        let seq = |seq| IntervalId { node: 0, seq };
-        for order in orders(&steps).into_iter().filter(valid) {
+    /// The master's two intervals that its first fork carries.
+    const FORKED: [(PageId, IntervalId); 2] = [
+        (PAGE, IntervalId { node: 0, seq: 1 }),
+        (1, IntervalId { node: 0, seq: 2 }),
+    ];
+
+    /// The first fork's walk: the master writes its slot of page 0, then
+    /// byte 0 of page 1, in two intervals of its sequential section and
+    /// forks: the job's first fork, which attaches both diffs to each
+    /// slave on speculation. A slave's program takes its fork, then
+    /// writes its slot of page 0 and arrives at the first barrier; the
+    /// master's only arrives (each node's steps taken). In every order of
+    /// those steps and of the arrivals' deliveries, a slave's write
+    /// faults and finds the master's diff held, and after the departures
+    /// every node reads both pages with no request, each fault applying
+    /// its planned set (`World::fault`). No departure carries a diff the
+    /// fork did: the master's speculative arrival leaves them out.
+    #[derive(Clone)]
+    struct FirstFork([usize; N]);
+
+    impl Walk for FirstFork {
+        fn start(&self) -> World {
             let mut w = World::new(N);
             w.write(0, PAGE, 16, 7);
             w.nodes[0].close_interval();
@@ -1006,44 +992,56 @@ mod tests {
             let (forks, gc) = w.nodes[0].fork_request(&region);
             assert!(gc.is_none(), "a first fork runs no GC round");
             forks.into_iter().for_each(|fork| w.send(0, fork));
-            let forked = [(PAGE, seq(1)), (1, seq(2))];
-            for &step in &order {
-                match step {
-                    Fork(k) => {
-                        let Some((src, Msg::Fork { acq, gc, .. })) = w.inbox[k].pop_front() else {
-                            panic!("{order:?}: node {k} expected a fork")
-                        };
-                        let ids: Vec<_> = acq.updates.iter().map(|u| (u.0, u.1)).collect();
-                        assert_eq!(ids, forked, "{order:?}");
-                        assert!(w.nodes[k].on_fork(src, acq, gc).is_none());
-                    }
-                    Arrive(k) => {
-                        w.write(k, PAGE, 16 * (k + 1), k as u8 + 1);
-                        let arrive = w.nodes[k].arrive_request(0, false);
-                        w.send(k, arrive);
-                        w.pump();
-                    }
-                }
+            w
+        }
+
+        fn ready(&self, _: &World, k: usize) -> bool {
+            self.0[k] < 2
+        }
+
+        fn step(&mut self, w: &mut World, k: usize) {
+            self.0[k] += 1;
+            if self.0[k] == 1 {
+                let Some((src, Msg::Fork { acq, gc, .. })) = w.inbox[k].pop_front() else {
+                    panic!("node {k} expected a fork")
+                };
+                let ids: Vec<_> = acq.updates.iter().map(|u| (u.0, u.1)).collect();
+                assert_eq!(ids, FORKED);
+                assert!(w.nodes[k].on_fork(src, acq, gc).is_none());
+                return;
             }
+            w.write(k, PAGE, 16 * (k + 1), k as u8 + 1);
+            let arrive = w.nodes[k].arrive_request(0, false);
+            w.send(k, arrive);
+        }
+
+        fn leaf(&mut self, mut w: World) {
             for k in 0..N {
                 let (src, depart) = w.inbox[k].pop_front().expect("a departure");
                 let Msg::BarrierDepart { acq, .. } = &depart else {
-                    panic!("{order:?}: node {k} expected a departure")
+                    panic!("node {k} expected a departure")
                 };
-                let twice = acq.updates.iter().find(|u| forked.contains(&(u.0, u.1)));
-                assert!(twice.is_none(), "{order:?}: {twice:?} rode the fork");
+                let twice = acq.updates.iter().find(|u| FORKED.contains(&(u.0, u.1)));
+                assert!(twice.is_none(), "{twice:?} rode the fork");
                 assert!(w.nodes[k].on_depart(0, src, depart).is_none());
             }
             for k in 0..N {
                 let rounds = w.fault(k, &[PAGE, 1], true);
-                assert!(rounds.is_empty(), "{order:?}: node {k} sent {rounds:?}");
+                assert!(rounds.is_empty(), "node {k} sent {rounds:?}");
                 let page = w.read(k, PAGE).to_vec();
-                assert_eq!([page[16], page[32], page[48]], [1, 2, 3], "{order:?}");
-                assert_eq!(w.read(k, 1)[0], 9, "{order:?}");
+                assert_eq!([page[16], page[32], page[48]], [1, 2, 3]);
+                assert_eq!(w.read(k, 1)[0], 9);
             }
             let asked = w.log.iter().find(|e| e.2 == "diff_req");
-            assert!(asked.is_none(), "{order:?}: {asked:?}");
+            assert!(asked.is_none(), "{asked:?}");
         }
+    }
+
+    #[test]
+    fn a_first_fork_and_arrivals_in_every_delivery_order() {
+        // A slave's fork, arrival and its delivery, twice, and the
+        // master's arrival and its delivery: 8! / (3! 3! 2!) orders.
+        assert_eq!(World::explore(&FirstFork([1, 0, 0])).len(), 560);
     }
 
     #[test]
@@ -1054,8 +1052,7 @@ mod tests {
         let mut w = World::new(2);
         w.write(1, PAGE, 9, 5);
         w.nodes[1].task_complete(1);
-        let req = w.nodes[0].steal_request(&[1], 1, false);
-        w.send(0, req);
+        steal(&mut w, 0, &[1], false);
         w.pump();
         let (src, rep) = w.inbox[0].pop_front().expect("a steal reply");
         let taken = w.nodes[0].on_steal(src, rep);
@@ -1064,89 +1061,88 @@ mod tests {
         assert_eq!(w.read(0, PAGE)[9], 5);
     }
 
-    /// Replay the termination arm's program on 3 nodes, delivering the
-    /// `i`-th request in flight for each `i` of `choices`: every node's
-    /// idle worker parks at node 0 and node 2 sends one wake; a woken
-    /// node parks again. Checks each answer against a model of node 0's
-    /// parked list and returns the requests still in flight.
-    fn term_replay(choices: &[usize]) -> usize {
-        const SCOPE: u32 = 1;
-        let mut w = World::new(3);
-        for k in 0..3 {
-            w.send(k, (0, Msg::TermIdle { scope: SCOPE }));
+    /// The termination arm's walk on 3 nodes: every node's idle worker
+    /// parks at node 0 and node 2 sends one wake, all in flight at the
+    /// start; a woken node's next step parks it again. A model of node
+    /// 0's state checks each park and wake delivered: the nodes `parked`,
+    /// oldest first, whether the scope is `done`, the nodes `told` so,
+    /// and those `woken` and not parked again.
+    #[derive(Clone, Default)]
+    struct Parks {
+        parked: VecDeque<usize>,
+        done: bool,
+        told: Vec<usize>,
+        woken: Vec<usize>,
+    }
+
+    impl Walk for Parks {
+        fn start(&self) -> World {
+            let mut w = World::new(3);
+            (0..3).for_each(|k| park(&mut w, k));
+            w.send(2, (0, Msg::TermWake { scope: SCOPE }));
+            w
         }
-        w.send(2, (0, Msg::TermWake { scope: SCOPE }));
-        let (mut parked, mut done) = (VecDeque::new(), false);
-        let mut finished = [0; 3];
-        for &i in choices {
+
+        fn ready(&self, _: &World, k: usize) -> bool {
+            self.woken.contains(&k)
+        }
+
+        fn step(&mut self, w: &mut World, k: usize) {
+            self.woken.retain(|&j| j != k);
+            park(w, k);
+        }
+
+        fn deliver(&mut self, w: &mut World, i: usize) {
             let (src, _, msg) = &w.wire[i];
             let (src, idle) = (*src, matches!(msg, Msg::TermIdle { .. }));
             w.handle(i);
             let mut sent = Vec::new();
             for (k, inbox) in w.inbox.iter_mut().enumerate() {
-                for (from, msg) in inbox.drain(..) {
-                    assert_eq!(from, 0, "{choices:?}: only node 0 answers");
-                    let Msg::TermGo { done } = msg else {
-                        panic!("{choices:?}: expected TermGo, got {}", msg.kind())
-                    };
+                if let Some(&(from, Msg::TermGo { done })) = inbox.back() {
+                    assert_eq!(from, 0, "only node 0 answers");
+                    inbox.pop_back();
                     sent.push((k, done));
                 }
             }
-            let mut want: Vec<(usize, bool)> = if done {
-                // Nothing follows the end of the scope.
-                Vec::new()
-            } else if idle {
-                parked.push_back(src);
-                if parked.len() == 3 {
-                    done = true;
-                    parked.drain(..).map(|k| (k, true)).collect()
-                } else {
-                    Vec::new()
+            // A park parks its node, and the last one ends the scope. A
+            // wake with none parked is dropped, with no credit; else it
+            // wakes the oldest parked node. Nothing follows the end.
+            let mut want = Vec::new();
+            if idle && !self.done {
+                self.parked.push_back(src);
+                self.done = self.parked.len() == w.nodes.len();
+                if self.done {
+                    want = self.parked.drain(..).map(|k| (k, true)).collect();
                 }
-            } else {
-                // A wake with none parked is dropped, with no credit; else
-                // it wakes the oldest parked node.
-                parked.pop_front().map(|k| (k, false)).into_iter().collect()
-            };
-            want.sort_unstable();
-            assert_eq!(sent, want, "{choices:?}");
-            for (k, over) in sent {
-                if over {
-                    finished[k] += 1;
-                } else {
-                    w.send(k, (0, Msg::TermIdle { scope: SCOPE }));
-                }
+            } else if !self.done {
+                want.extend(self.parked.pop_front().map(|k| (k, false)));
             }
+            want.sort_unstable();
+            assert_eq!(sent, want);
+            self.told.extend(sent.iter().filter(|s| s.1).map(|s| s.0));
+            self.woken.extend(sent.iter().filter(|s| !s.1).map(|s| s.0));
         }
-        if w.wire.is_empty() {
-            assert!(done, "{choices:?}: the scope ended");
-            assert_eq!(finished, [1; 3], "{choices:?}: each node told once");
+
+        fn leaf(&mut self, w: World) {
+            assert!(self.done, "the scope ended");
+            let once = self.told.iter().copied().eq(0..w.nodes.len());
+            assert!(once, "each node told once: {:?}", self.told);
+            let answered = w.inbox.iter().all(VecDeque::is_empty);
+            assert!(answered, "only TermGo answers, and each is taken");
             let sent = w.tally(true);
-            assert_eq!(sent["term_idle"].0, sent["term_go"].0, "{choices:?}");
+            assert_eq!(sent["term_idle"].0, sent["term_go"].0);
         }
-        w.wire.len()
     }
 
     #[test]
     fn three_parks_and_a_wake_in_every_delivery_order() {
-        fn explore(choices: &mut Vec<usize>, leaves: &mut usize) {
-            let in_flight = term_replay(choices);
-            if in_flight == 0 {
-                *leaves += 1;
-            }
-            for i in 0..in_flight {
-                choices.push(i);
-                explore(choices, leaves);
-                choices.pop();
-            }
-        }
-        let mut leaves = 0;
-        explore(&mut Vec::new(), &mut leaves);
         // The wake before any park (3! orders of the parks after it) or
-        // after all three (3!); after one park (3 first parks, then 3!
-        // orders of the other two and the woken node's second); after
-        // two (3 × 2 first parks, then 2 orders of the last two).
-        assert_eq!(leaves, 6 + 6 + 3 * 6 + 6 * 2);
+        // after all three (3!); after one park (3 first parks, then 4! / 2
+        // orders of the other two and the woken node's step and second
+        // park); after two (3 × 2 first parks, then 3 orders of the last
+        // park and the woken node's step and second park).
+        let runs = World::explore(&Parks::default()).len();
+        assert_eq!(runs, 6 + 6 + 3 * 12 + 6 * 3);
     }
 
     #[test]
