@@ -1066,13 +1066,14 @@ mod tests {
     /// start; a woken node's next step parks it again. A model of node
     /// 0's state checks each park and wake delivered: the nodes `parked`,
     /// oldest first, whether the scope is `done`, the nodes `told` so,
-    /// and those `woken` and not parked again.
+    /// those `woken` and not parked again, and the wakes `dropped`.
     #[derive(Clone, Default)]
     struct Parks {
         parked: VecDeque<usize>,
         done: bool,
         told: Vec<usize>,
         woken: Vec<usize>,
+        dropped: usize,
     }
 
     impl Walk for Parks {
@@ -1115,6 +1116,7 @@ mod tests {
                     want = self.parked.drain(..).map(|k| (k, true)).collect();
                 }
             } else if !self.done {
+                self.dropped += usize::from(self.parked.is_empty());
                 want.extend(self.parked.pop_front().map(|k| (k, false)));
             }
             want.sort_unstable();
@@ -1143,6 +1145,107 @@ mod tests {
         // park and the woken node's step and second park).
         let runs = World::explore(&Parks::default()).len();
         assert_eq!(runs, 6 + 6 + 3 * 12 + 6 * 3);
+    }
+
+    /// The dropped wake's walk on 2 nodes (DESIGN.md §8): node 1's marked
+    /// steal of node 0 is in flight. Node 0's program pushes the task,
+    /// which sends node 0 a `TermWake` if it cleared the mark, then takes
+    /// the task if it is still there and parks. Node 1 takes its steal
+    /// reply: with the task it steals again, without it parks. A woken
+    /// node 1 steals again; a woken node 0 parks again (its sweep of node
+    /// 1, whose deque stays empty, is left out). The run keeps node 0's
+    /// `steps` taken, the nodes that took the task, and whether node 1
+    /// parked after a dropped wake while node 0's deque held the task,
+    /// unmarked (`stranded`).
+    #[derive(Clone, Default)]
+    struct DroppedWake {
+        term: Parks,
+        steps: usize,
+        takers: Vec<usize>,
+        stranded: bool,
+    }
+
+    impl Walk for DroppedWake {
+        fn start(&self) -> World {
+            let mut w = World::new(2);
+            steal(&mut w, 1, &[0], true);
+            w
+        }
+
+        fn ready(&self, w: &World, k: usize) -> bool {
+            let next = if k == 0 {
+                self.steps < 2
+            } else {
+                !w.inbox[1].is_empty()
+            };
+            next || self.term.woken.contains(&k)
+        }
+
+        fn step(&mut self, w: &mut World, k: usize) {
+            let woken = self.term.woken.contains(&k);
+            self.term.woken.retain(|&j| j != k);
+            match (k, woken) {
+                (0, true) => park(w, 0),
+                (0, false) => {
+                    self.steps += 1;
+                    if self.steps == 1 {
+                        if w.nodes[0].task_push(SCOPE, TASK, 4) == Some(true) {
+                            w.send(0, (0, Msg::TermWake { scope: SCOPE }));
+                        }
+                        return;
+                    }
+                    if w.nodes[0].task_take(SCOPE).task.is_some() {
+                        self.takers.push(0);
+                    }
+                    park(w, 0);
+                }
+                (_, true) => steal(w, 1, &[0], true),
+                (_, false) => {
+                    let (src, rep) = w.inbox[1].pop_front().expect("a steal reply");
+                    if w.nodes[1].on_steal(src, rep).task.is_some() {
+                        self.takers.push(1);
+                        steal(w, 1, &[0], true);
+                    } else {
+                        park(w, 1);
+                    }
+                }
+            }
+        }
+
+        fn deliver(&mut self, w: &mut World, i: usize) {
+            let (src, _, msg) = &w.wire[i];
+            if let Msg::StealReq { .. } = msg {
+                return w.handle(i);
+            }
+            let parks = *src == 1 && matches!(msg, Msg::TermIdle { .. });
+            self.term.deliver(w, i);
+            let queued = w.nodes[0].task_backlog(SCOPE) == 1 && !w.nodes[0].tasks.hungry;
+            self.stranded |= parks && self.term.dropped > 0 && queued;
+        }
+
+        fn leaf(&mut self, w: World) {
+            assert_eq!(self.takers.len(), 1, "the task is taken exactly once");
+            if self.stranded {
+                assert_eq!(self.takers, [0], "node 0 runs the task itself");
+            }
+            self.term.leaf(w);
+        }
+    }
+
+    #[test]
+    fn a_steal_a_push_and_its_wake_in_every_delivery_order() {
+        let runs = World::explore(&DroppedWake::default());
+        assert_eq!(runs.len(), 170);
+        // Node 0 drops the wake in the 21 runs in which the steal reaches
+        // node 0 before the push, so the push clears the mark, and the
+        // wake reaches node 0 before either node's park. In 3 of them
+        // (the orders of node 1's reply, the push and the wake's delivery)
+        // node 1's park then reaches node 0 before node 0 takes the task:
+        // node 1 sleeps until the scope ends while the task waits in node
+        // 0's unmarked deque.
+        let drops = runs.iter().filter(|run| run.term.dropped > 0).count();
+        let stranded = runs.iter().filter(|run| run.stranded).count();
+        assert_eq!((drops, stranded), (21, 3));
     }
 
     #[test]
