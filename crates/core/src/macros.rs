@@ -98,8 +98,8 @@ macro_rules! omp_task {
     };
 }
 
-/// `!$omp taskwait` — help execute until every task spawned so far in the
-/// scope (transitively) has completed.
+/// `!$omp taskwait` — wait until every child the current task spawned so
+/// far has completed (not their descendants).
 #[macro_export]
 macro_rules! omp_taskwait {
     ($scope:expr) => {

@@ -1,72 +1,46 @@
 //! Distributed OpenMP tasking: `task` / `taskwait` / `single` with
-//! cross-node work stealing.
+//! cross-node work stealing (DESIGN.md §2i has the protocol and why).
 //!
 //! The loop constructs of the SC'98 paper cover regular parallelism; its
-//! only irregular-parallelism story is the hand-rolled Figure-4 task queue.
+//! only irregular-parallelism story is the hand-rolled Figure-4 task queue,
+//! which the applications' `run_omp` programs keep as the bench baseline.
 //! Modern cluster-OpenMP work (arXiv 2207.05677, arXiv 2205.10656) makes
 //! *tasking* the construct that scales irregular workloads across nodes,
 //! schedules tasks by runtime messages, and ships a task with its data in
 //! one transfer. This module follows both:
 //!
-//! * **Task representation.** A task is the scope's executor function
-//!   (shipped once with the region fork, exactly like the paper's outlined
-//!   region bodies) plus a 32-byte POD argument block ([`TaskArgs`]).
-//! * **Per-node deques.** Every workstation's deque lives in its own DSM
-//!   node state (`tmk`'s task deque, DESIGN.md §2i), under the state lock
-//!   its application and service threads share: local push, pop and
-//!   completion take no lock, write no DSM page and send nothing. On SMP
-//!   topologies a node's local threads share it.
-//! * **Work stealing.** The owner pushes and pops LIFO (locality); a thief
-//!   takes the oldest task FIFO. A scheduler sweep is one chain: the
-//!   thief sends one `steal_req` naming its victims in order, a victim
-//!   with nothing to give forwards it to the next, and the victim that
-//!   finds a task, or the last, answers with one `steal_rep`, so asking
-//!   `k` victims costs `k + 1` messages. `taskwait`'s sweeps ask each
-//!   victim by a request of its own, whose reply carries that deque's
-//!   counters. A reply carries the task, the backlog it left, the
-//!   victim's counters, and the write notices the thief lacks: a push
-//!   closes the spawner's interval first, so the thief sees everything
-//!   written before it, as a lock grant would show it. Victim sweeps are
-//!   **load-aware**: the thief orders victims by the backlog their last
-//!   replies reported (a victim not yet asked ranks first) divided by
-//!   the victim's current effective speed — the deque that will take
-//!   longest to drain is raided first — with ties broken by a
-//!   per-thief, per-sweep rotating offset so concurrent thieves do not
-//!   convoy on one victim. The paper's own Figure-4 structure — one
-//!   shared queue under `critical` — is the applications' `run_omp`
-//!   programs, which the bench ablation compares against.
-//! * **Pacing.** The simulator serves a steal request when the victim's
-//!   service thread runs, in host time, and an owner's local pop costs
-//!   it almost no host time. So an owner holds a local take while a
-//!   thief on another node is in a sweep that began early enough, in
-//!   virtual time, for its request to arrive first, until that sweep
-//!   ends (off the meter, so the wait models no time). Without this a
-//!   spawner drains a small tree before any request reaches it.
-//! * **Termination by message.** An idle worker parks at node 0 with one
-//!   `term_idle` and waits for its answer: woken, or the scope is over.
-//!   The scheduler's sweeps mark every remote deque they find empty with
-//!   a *hungry* flag (a marked steal request sets it at the victim,
-//!   serialised with the victim's pushes under its state lock), so the
-//!   sweep that finds nothing is the marking sweep, and a push that
-//!   clears a flag sends node 0 one `term_wake`, which wakes the oldest
-//!   parked worker or, with none parked, is dropped. An owner's take
-//!   never marks its own deque: its own push is never owed to it, a
-//!   remote node that parks marked the deque in its failed sweep, and a
-//!   local sibling is woken by the push itself. The scope is over
-//!   when all `p` nodes are parked: a parked node's deque is empty and
-//!   stays so (only its owner pushes), and the pusher of a dropped wake
-//!   is running, so it runs its task or loses it to a thief (the
-//!   Figure-4 `nwait` argument, kept by node 0 instead of a DSM word).
+//! * **Tasks.** A task is the scope's executor function, shipped once
+//!   with the region fork, plus a 32-byte POD argument block
+//!   ([`TaskArgs`]).
+//! * **Per-node deques** in each node's DSM state (`tmk`'s task deque),
+//!   shared by an SMP node's threads: a local push, pop or completion
+//!   takes no lock, writes no page and sends nothing.
+//! * **Work stealing.** The owner takes LIFO, a thief FIFO. A sweep is
+//!   one `steal_req` chain through the victims, ordered by the backlog
+//!   their last replies reported over their speed, and one `steal_rep`
+//!   with the task and the notices of what its spawner wrote. Every
+//!   remote deque a sweep finds empty is marked hungry.
+//! * **`taskwait` waits for the task's children.** The waiter runs its
+//!   own children still on its home deque and never steals (OpenMP's
+//!   tied tasks: every wait is on a subtree). Then it joins each thief
+//!   of a child by one `task_join`, answered by one `task_done` with
+//!   the children's writes. A stolen child whose parent never waits
+//!   sends nothing.
+//! * **Pacing.** An owner holds a local take, off the meter, while a
+//!   thief's sweep that could reach it first in virtual time is still
+//!   running: host time would otherwise let it drain a small tree first.
+//! * **Termination by message.** An idle worker parks at node 0
+//!   (`term_idle`); a push onto a hungry deque sends one `term_wake`;
+//!   the scope is over when every node is parked.
 //! * **Counters.** Spawn/execute/steal/overflow events are surfaced
-//!   through [`tmk::TmkStats`]; steals also appear in the per-kind message
-//!   statistics of `now_net` as `steal_req`/`steal_rep`.
+//!   through [`tmk::TmkStats`], and the messages by kind in `now_net`.
 
 use crate::env::Env;
 use crate::thread::OmpThread;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tmk::{Taken, TaskCounts};
+use tmk::Taken;
 
 /// POD argument block of one task (32 bytes). Encode whatever the task
 /// body needs: indices, packed ranges, pool slots. Unused words are zero.
@@ -191,20 +165,13 @@ pub struct TaskScope<'a, 't> {
     me: usize,
     /// This thread's workstation (its home deque under work stealing).
     node: usize,
-    /// Number of *deque-borne* task frames on this thread's stack (inline
-    /// overflow frames are excluded: they never touch the counters).
-    /// [`TaskScope::taskwait`] subtracts this from the global deficit —
-    /// the caller's own chain cannot complete while it waits.
-    depth: u64,
-    /// How much of `depth` this thread has already published to its home
-    /// deque's `waiting` counter — the sum of the deltas of its
-    /// enclosing, currently suspended `taskwait`s. A nested wait
-    /// publishes only the frames the outer waits have not, or the chain
-    /// would be double-counted and the quiescence condition unreachable.
-    published: u64,
-    /// Sweeps performed so far: rotates the victim-order tie-break so a
-    /// thief does not start every sweep at the same offset (and different
-    /// thieves start at different offsets), breaking steal convoys.
+    /// The frame of the task this thread runs: its number on this node,
+    /// whose children its `taskwait` waits for.
+    frame: u32,
+    /// Frames this thread has opened, which numbers the next.
+    frames: u32,
+    /// Sweeps performed so far: rotates the victim-order tie-break,
+    /// breaking steal convoys.
     sweeps: u64,
     /// Each victim's backlog as its last steal reply reported it (`None`:
     /// not asked yet in this scope).
@@ -214,21 +181,16 @@ pub struct TaskScope<'a, 't> {
     /// Per thread: the sweep (its [`Sweeps::ended`] count) this thread's
     /// local take gave up waiting for, so it never waits on it again.
     gave_up: Vec<Option<u64>>,
-    /// Set when this worker was just woken out of its park: a single
-    /// push only ever wakes one sleeper (it clears the hungry flag for
-    /// the burst that follows), so the woken worker re-propagates —
-    /// after taking a task that left more behind, it wakes the next
-    /// sleeper, cascading until the burst is matched with workers.
+    /// Set when this worker was just woken out of its park: a push wakes
+    /// one sleeper only, so a woken worker whose take left more behind
+    /// wakes the next (`propagate_wake`).
     woke: bool,
 }
 
-/// Victim visit order for one sweep (the home deque is always tried
-/// first, before this order is even computed): every other deque sorted
-/// by descending score (estimated backlog over effective speed — raid
-/// the deque that will take longest to drain), with ties broken by a
-/// round-robin rotation of `rotor` so concurrent thieves (and
-/// consecutive sweeps of one thief) start at different victims instead
-/// of convoying on the first non-empty deque.
+/// Victim visit order for one sweep: every deque but `home`, by
+/// descending score (backlog over effective speed: the one that will
+/// take longest to drain first), ties broken by a rotation of `rotor` so
+/// concurrent thieves do not convoy on one victim.
 fn victim_order(n: usize, home: usize, rotor: u64, score: impl Fn(usize) -> f64) -> Vec<usize> {
     if n <= 1 {
         return Vec::new();
@@ -269,25 +231,20 @@ impl TaskScope<'_, '_> {
     /// If the deque is full the task runs inline instead (undeferred).
     pub fn task(&mut self, args: TaskArgs) {
         let (scope, cap) = (self.rt.scope, self.rt.cap);
-        let Some(was_hungry) = self.th.task_push(scope, args.words(), cap) else {
-            // Deque full: run undeferred. Spawn/complete counters are
-            // skipped on purpose — the task is finished before this spawn
-            // returns, so quiescence accounting never sees it (`counted:
-            // false` keeps it out of the depth bookkeeping too).
+        let Some(was_hungry) = self.th.task_push(scope, args.words(), self.frame, cap) else {
+            // Deque full: run undeferred. The task is finished before this
+            // spawn returns, so its frame never counts it.
             self.th.count_op(tmk::TmkOp::TasksSpawned, 1);
             self.th.count_op(tmk::TmkOp::TaskOverflows, 1);
             // b = 1 marks a deque-overflow spawn (ran undeferred).
             self.th.trace_instant(tmk::EventKind::TaskSpawn, 0, 1);
-            self.run_task(args, false, false);
+            self.run_task(args, false);
             return;
         };
         self.th.count_op(tmk::TmkOp::TasksSpawned, 1);
         self.th.trace_instant(tmk::EventKind::TaskSpawn, 0, 0);
-        // Recruit help: bump the local wake generation unconditionally (a
-        // sibling mid-sweep must observe the push or it would park over
-        // available work) — a shared-memory wake, message-free. Then, if
-        // a scheduler sweep marked this deque hungry, ask node 0 to wake
-        // a parked node.
+        // Recruit help: always wake a local sibling (one mid-sweep must see
+        // the push), and a parked node if a sweep marked the deque hungry.
         if let Some((team, _)) = self.th.smp_team() {
             team.task_wake();
         }
@@ -296,63 +253,20 @@ impl TaskScope<'_, '_> {
         }
     }
 
-    /// `!$omp taskwait` (taskgroup-wide): help execute tasks until every
-    /// task spawned in the scope so far — transitively — has completed.
-    /// Quiescence is detected with a double sweep: two consecutive clean
-    /// sweeps observe identical spawned/completed/waiting totals with
-    /// `spawned − completed == waiting`, i.e. every unfinished task is a
-    /// frame of a chain suspended in a taskwait, this one included. That
-    /// is what lets nested and concurrent waits return. A victim's
-    /// counters come in its steal reply, with the notices of every
-    /// completion they count, so the waiter has acquired the writes of
-    /// the tasks it waited for.
-    ///
-    /// The waiter *helps* (it keeps executing available tasks) and polls
-    /// the counters between helps, with unmarked sweeps; unlike an idle
-    /// worker it does not park, so a taskwait spanning a long remote task
-    /// pays recurring sweep traffic. Parking waiters on completion
-    /// events would need a completion→wake edge the protocol does not
-    /// have yet; left as future work.
+    /// `!$omp taskwait`: wait until every child this task spawned so far
+    /// has completed. The waiter runs its children still on the home
+    /// deque, newest first, and never steals, so no two waits can wait on
+    /// each other; [`tmk::Tmk::task_join`] then joins the children other
+    /// threads run, with their writes.
     pub fn taskwait(&mut self) {
-        // Publish this chain's suspended depth on the home deque: with
-        // several threads suspended in taskwait at once, the global
-        // deficit bottoms out at the *sum* of the suspended chains (no
-        // single waiter's own depth), so each waiter must know about the
-        // others to recognize quiescence.
-        let delta = self.depth - self.published;
-        self.adjust_waiting(delta as i64);
-        self.published += delta;
+        let (scope, frame) = (self.rt.scope, self.frame);
         loop {
-            while self.help(false).is_none() {}
-            let Some(first) = self.help(false) else {
-                continue;
+            self.pace();
+            let Some((task, _)) = self.th.task_take(scope, Some(frame)).task else {
+                return self.th.task_join(scope, frame);
             };
-            let Some(second) = self.help(false) else {
-                continue;
-            };
-            // Monotone counters equal across both sweeps pin S and C over
-            // the whole interval (and W unchanged pins the waiter set), so
-            // the deficit is exact; a deficit of exactly the summed
-            // suspended depths means the only unfinished tasks are chains
-            // parked in taskwait — including this one — which by
-            // definition have nothing left to wait for.
-            if first == second && first.spawned - first.completed == first.waiting {
-                break;
-            }
-            // Tasks are in flight on other nodes; yield the host CPU while
-            // they finish (the waiter keeps helping, so this is bounded).
-            self.th.spin_hint();
+            self.execute_taken((self.node, frame), false, TaskArgs::from_words(task));
         }
-        self.published -= delta;
-        self.adjust_waiting(-(delta as i64));
-    }
-
-    /// Add `delta` to the home deque's suspended-waiter depth sum.
-    fn adjust_waiting(&mut self, delta: i64) {
-        if delta == 0 {
-            return;
-        }
-        self.th.task_wait(self.rt.scope, delta);
     }
 
     /// `!$omp single` (master-executes variant) — valid in the init phase
@@ -365,29 +279,17 @@ impl TaskScope<'_, '_> {
         self.th.barrier();
     }
 
-    /// Execute a task just taken (`stolen` from another node) and count
-    /// its completion against this thread's home deque.
-    fn execute_taken(&mut self, stolen: bool, args: TaskArgs) {
-        self.run_task(args, stolen, true);
-        self.th.task_complete(self.rt.scope);
-    }
-
-    /// The home take: this node's deque, at the owner's end. It never
-    /// marks the deque hungry: a node's own push is never owed to it.
-    fn take_home(&mut self) -> Taken {
-        self.pace();
-        self.th.task_take(self.rt.scope)
+    /// Execute a task just taken (`stolen` from another node), a child
+    /// of `parent`'s frame `(node, frame)`, and count its completion.
+    fn execute_taken(&mut self, parent: (usize, u32), stolen: bool, args: TaskArgs) {
+        self.run_task(args, stolen);
+        self.th.task_complete(self.rt.scope, parent);
     }
 
     /// Hold a local take while a thief on another node is in a sweep that
     /// began early enough, in virtual time, for its request to reach this
-    /// node first: wait, off the meter, until that sweep ends. A local
-    /// take costs the owner no message and almost no host time, while a
-    /// steal costs a thief host round trips that model far less virtual
-    /// time than the owner's tasks take, so without this the owner would
-    /// drain its deque ahead of requests that reach it first in virtual
-    /// time. Only a deque that holds tasks is held back, and never
-    /// longer than [`PACE_LIMIT`] for one sweep.
+    /// node first: wait, off the meter, until that sweep ends, or at most
+    /// [`PACE_LIMIT`]. Only a deque that holds tasks is held back.
     fn pace(&mut self) {
         let sweeps = &self.sweeping;
         let waits: Vec<(usize, u64, u64)> = (0..sweeps.since.len())
@@ -420,12 +322,11 @@ impl TaskScope<'_, '_> {
         });
     }
 
-    /// One steal chain over `victims`, asked in order until one has a
-    /// task: every victim asked counts as an attempt, each one passed
-    /// over had nothing left, and the reply's backlog becomes the
-    /// answering victim's hint.
-    fn steal(&mut self, victims: &[usize], mark: bool) -> Taken {
-        let (answered, taken) = self.th.steal(victims, self.rt.scope, mark);
+    /// One steal chain over `victims`: every victim asked counts as an
+    /// attempt and gets a backlog hint, 0 if passed over. Returns the
+    /// answering victim and its take.
+    fn steal(&mut self, victims: &[usize]) -> (usize, Taken) {
+        let (answered, taken) = self.th.steal(victims, self.rt.scope);
         let asked = 1 + victims
             .iter()
             .position(|&k| k == answered)
@@ -435,67 +336,38 @@ impl TaskScope<'_, '_> {
             self.hints[k] = Some(0);
         }
         self.hints[answered] = Some(taken.backlog);
-        taken
+        (answered, taken)
     }
 
-    /// One sweep over the deques — home first (message-free when local
-    /// work exists; victim scoring is skipped entirely), then the
-    /// backlog-ordered victims — stopping at the first task found:
-    /// whether it was stolen, and the task. With `mark` (the scheduler's
-    /// sweeps), every remote deque found empty is flagged hungry and the
-    /// victims are asked by one chain. Without it (`taskwait`'s), each
-    /// victim gets a request of its own, whose reply carries its
-    /// counters and completion notices: a sweep that finds nothing
-    /// returns the counters summed over every deque. A freshly woken
-    /// worker whose take left more behind propagates the wake-up to the
-    /// next sleeper (see `woke`).
-    fn sweep(&mut self, mark: bool) -> Result<(bool, TaskArgs), TaskCounts> {
-        let mut totals = TaskCounts::default();
+    /// Take one task and execute it; `false` if none was found. The home
+    /// deque comes first, message-free, and never marks; then one chain
+    /// over the backlog-ordered victims, which marks every remote deque
+    /// it finds empty.
+    fn help(&mut self) -> bool {
         self.sweeping.rest(self.me);
-        let mut take = (false, self.take_home());
-        let mut victims = Vec::new();
-        if take.1.task.is_none() {
-            victims = self.victim_sweep();
+        self.pace();
+        let mut taken = (self.node, self.th.task_take(self.rt.scope, None));
+        if taken.1.task.is_none() {
+            let victims = self.victim_sweep();
             if !victims.is_empty() {
                 self.sweeping.begin(self.me, self.th.trace_now());
-            }
-        }
-        let chain = if mark { victims.len().max(1) } else { 1 };
-        let mut chains = victims.chunks(chain);
-        loop {
-            let (stolen, taken) = take;
-            totals += taken.counts;
-            if let Some(task) = taken.task {
+                taken = self.steal(&victims);
                 self.sweeping.rest(self.me);
-                self.propagate_wake(taken.backlog);
-                return Ok((stolen, TaskArgs::from_words(task)));
             }
-            let Some(hops) = chains.next() else {
-                self.sweeping.rest(self.me);
-                return Err(totals);
-            };
-            take = (true, self.steal(hops, mark));
         }
-    }
-
-    /// Pop (own deque) or steal one task and execute it: `None` if work
-    /// was found, else the counters summed over every deque (what
-    /// `taskwait` tests for quiescence). `mark` as for [`Self::sweep`].
-    fn help(&mut self, mark: bool) -> Option<TaskCounts> {
-        match self.sweep(mark) {
-            Ok((stolen, args)) => {
-                self.execute_taken(stolen, args);
-                None
-            }
-            Err(totals) => Some(totals),
-        }
+        let (from, Taken { task, backlog }) = taken;
+        let Some((task, frame)) = task else {
+            return false;
+        };
+        self.propagate_wake(backlog);
+        let stolen = from != self.node;
+        self.execute_taken((from, frame), stolen, TaskArgs::from_words(task));
+        true
     }
 
     /// If this worker was just woken and its take left more tasks
-    /// behind, pass the wake on to the next sleeper (a push only ever
-    /// wakes one worker, so bursts are matched with workers by this
-    /// cascade). Parked local siblings are recruited first (shared-memory
-    /// wake), then the next parked node over the wire.
+    /// behind, pass the wake on: to a parked local sibling, and to the
+    /// next parked node.
     fn propagate_wake(&mut self, remaining: u64) {
         if self.woke {
             self.woke = false;
@@ -508,42 +380,42 @@ impl TaskScope<'_, '_> {
         }
     }
 
-    /// Execute one task body. `counted` marks deque-borne tasks (tracked
-    /// by the spawn/complete counters and the depth bookkeeping).
-    fn run_task(&mut self, args: TaskArgs, stolen: bool, counted: bool) {
+    /// Execute one task body in a frame of its own.
+    fn run_task(&mut self, args: TaskArgs, stolen: bool) {
         self.th.count_op(tmk::TmkOp::TasksExecuted, 1);
         if stolen {
             self.th.count_op(tmk::TmkOp::TasksStolen, 1);
-        }
-        if stolen {
             self.th.trace_instant(tmk::EventKind::TaskSteal, 0, 0);
-        }
-        if counted {
-            self.depth += 1;
         }
         // Both ends are charged reads (`off_meter`), so the span holds the
         // body's compute rather than leaving it to a later span.
         let t0 = self.th.trace_on().then(|| self.th.off_meter(|vt| vt));
+        let frame = self.open_frame();
+        let parent = std::mem::replace(&mut self.frame, frame);
         let body = self.body.clone();
         body(self, args);
+        self.frame = parent;
         if let Some(t0) = t0 {
             let t1 = self.th.off_meter(|vt| vt);
             // A Marker-category span: task bodies are application compute
             // in the profile, but the track shows task boundaries.
-            let (kind, stolen) = (tmk::EventKind::TaskExec, stolen as u64);
-            self.th.trace_span(kind, t0, t1, self.depth, stolen);
-        }
-        if counted {
-            self.depth -= 1;
+            let kind = tmk::EventKind::TaskExec;
+            self.th.trace_span(kind, t0, t1, stolen as u64, 0);
         }
     }
 
-    /// The victims of one sweep, ordered by descending backlog hint over
-    /// effective speed, a victim not asked yet first and rotation
-    /// breaking ties. Computed only after the home take came up empty,
-    /// so the message-free local-work fast path never pays for victim
-    /// scoring. Reads no page and sends nothing: the hints are what the
-    /// steal replies reported. Each call advances the rotation.
+    /// A new frame number, unique on this node: each of the node's
+    /// threads numbers its own frames in its own residue class.
+    fn open_frame(&mut self) -> u32 {
+        self.frames += 1;
+        let tpn = self.rt.tpn as u32;
+        assert!(self.frames < u32::MAX / tpn, "frame numbers fit u32");
+        self.frames * tpn + (self.me % self.rt.tpn) as u32
+    }
+
+    /// The victims of one sweep ([`victim_order`]) by the backlog hints
+    /// the steal replies reported, a victim not asked yet first. Each
+    /// call advances the rotation.
     fn victim_sweep(&mut self) -> Vec<usize> {
         let n = self.rt.n;
         if n <= 1 {
@@ -561,25 +433,14 @@ impl TaskScope<'_, '_> {
     }
 
     /// The scheduler loop every thread runs after the init phase: execute
-    /// until the scope is globally quiescent, parking instead of
-    /// busy-waiting while no work is available.
+    /// until the scope is globally quiescent, parking while no work is
+    /// available. The sweep that finds nothing has marked every deque,
+    /// so the worker parks at once.
     ///
-    /// Every work-stealing sweep of the drain marks the deques it finds
-    /// empty, so the sweep that finds nothing anywhere has marked them
-    /// all and the worker parks at once: no idle announcement and no
-    /// second sweep come before a park. A push that lands on a marked
-    /// deque after its sweep wakes a parked node.
-    ///
-    /// **Two-level termination** on SMP topologies: a thread that finds
-    /// nothing goes *locally* idle first. All but the last of a node's
-    /// threads park on the team's host condvar (woken by a local push —
-    /// shared-memory, message-free). The last thread to idle becomes the
-    /// node's **agent** and parks at node 0 ([`tmk::Tmk::term_idle`]),
-    /// which counts parked *nodes* — so the distributed termination
-    /// detection is paid once per node, not once per thread. While an
-    /// agent is parked its siblings are all locally parked, so no local
-    /// thread can need the node's (held) operation gate — the hierarchy
-    /// is deadlock-free by construction.
+    /// **Two-level termination** on SMP topologies: all but the last of
+    /// a node's idle threads park on the team's host condvar (woken by a
+    /// local push); the last becomes the node's **agent** and parks at
+    /// node 0 ([`tmk::Tmk::term_idle`]), which counts parked *nodes*.
     fn scheduler(&mut self) {
         let team = self.th.smp_team().map(|(team, _)| team);
         loop {
@@ -587,10 +448,7 @@ impl TaskScope<'_, '_> {
             // push landing after an empty observation bumps it and turns
             // the idle attempt below into a retry.
             let gen0 = team.map(|tm| tm.task_gen());
-            // Drain everything reachable. Sweeps mark the deques they
-            // find empty, so the one that finds nothing has marked them
-            // all.
-            while self.help(true).is_none() {}
+            while self.help() {}
             if let (Some(tm), Some(gen0)) = (team, gen0) {
                 match tm.task_enter_idle(gen0) {
                     smp::IdleOutcome::Done => return,
@@ -669,14 +527,16 @@ impl Env<'_> {
                 body: body.clone(),
                 me,
                 node,
-                depth: 0,
-                published: 0,
+                frame: 0,
+                frames: 0,
                 sweeps: 0,
                 hints: vec![None; rt.n],
                 sweeping: sweeping.clone(),
                 gave_up: vec![None; threads],
                 woke: false,
             };
+            // The thread's implicit task has a frame of its own too.
+            scope.frame = scope.open_frame();
             init(&mut scope);
             scope.scheduler();
             then(&mut scope);
@@ -891,9 +751,9 @@ mod tests {
     #[test]
     fn concurrent_taskwaits_on_different_nodes_both_return() {
         // Two sibling tasks fan out children and taskwait concurrently
-        // (canonical divide-and-conquer). Each waiter must account for
-        // the *other* suspended chain's depth, or neither ever observes
-        // its own deficit and both spin forever.
+        // (canonical divide-and-conquer). Each waits for its own
+        // children only: the other waiter's unfinished children must
+        // not hold it, wherever they run.
         let out = run(OmpConfig::fast_test(4), |omp| {
             let data = omp.malloc_vec::<u64>(2 * 16);
             let sums = omp.malloc_vec::<u64>(2);
@@ -931,12 +791,12 @@ mod tests {
 
     #[test]
     fn nested_taskwait_single_node_terminates() {
-        // Task X spawns Y and taskwaits; while helping, X executes Y,
+        // Task X spawns Y and taskwaits; X runs its child Y itself,
         // which spawns a leaf and taskwaits *nested* on the same thread.
-        // The inner wait must publish only the frames the outer wait has
-        // not, or the waiting sum overshoots the true deficit and both
-        // waits spin forever (the 1-node case makes the schedule
-        // deterministic: one thread runs the whole chain).
+        // Each wait counts its own frame's children, so the inner one
+        // returns once the leaf is done and the outer once Y is (the
+        // 1-node case makes the schedule deterministic: one thread runs
+        // the whole chain).
         let out = run(OmpConfig::fast_test(1), |omp| {
             let log = omp.malloc_vec::<u64>(3);
             omp.task_scope(

@@ -16,6 +16,7 @@ use crate::metrics::{NodeMetrics, OpLat};
 use crate::protocol::{Msg, Region};
 use crate::state::{NodeState, SyncId};
 use crate::stats::TmkOp;
+use crate::tasks::{Taken, Task};
 use crossbeam::channel::Receiver;
 use crossbeam::utils::Backoff;
 use now_net::Wire as _;
@@ -626,19 +627,17 @@ impl Tmk {
         r
     }
 
-    /// Push `task` onto this node's deque of task scope `scope` (at most
-    /// `cap` queued), closing the open interval first so a thief sees
-    /// what was written before the push. `None` when the deque is full;
-    /// else whether the push found the deque hungry (a sweep marked it
-    /// empty before parking), so a sleeper must be woken.
-    pub fn task_push(&mut self, scope: u32, task: crate::Task, cap: usize) -> Option<bool> {
-        self.task_local(|st| st.task_push(scope, task, cap))
+    /// Push `task`, a child of this node's `frame`, onto this node's
+    /// deque of `scope` (`NodeState::task_push`): `None` when full, else
+    /// whether the push found the deque hungry, so a sleeper must wake.
+    pub fn task_push(&mut self, scope: u32, task: Task, frame: u32, cap: usize) -> Option<bool> {
+        self.task_local(|st| st.task_push(scope, task, frame, cap))
     }
 
-    /// Take the newest task of this node's deque of `scope`. The owner's
-    /// take never flags its deque hungry.
-    pub fn task_take(&mut self, scope: u32) -> crate::Taken {
-        self.task_local(|st| st.task_take(scope))
+    /// Take the newest task of this node's deque of `scope`, or with
+    /// `frame` the newest child of that frame; it never marks the deque.
+    pub fn task_take(&mut self, scope: u32, frame: Option<u32>) -> Taken {
+        self.task_local(|st| st.task_take(scope, frame))
     }
 
     /// Tasks queued in this node's deque of `scope`.
@@ -646,28 +645,56 @@ impl Tmk {
         self.task_local(|st| st.task_backlog(scope))
     }
 
-    /// Count a task completed by this node in `scope` (closing the open
-    /// interval, so a steal reply reporting it carries the task's writes).
-    pub fn task_complete(&mut self, scope: u32) {
-        self.task_local(|st| st.task_complete(scope));
+    /// Count a task this thread completed in `scope`, a child of frame
+    /// `parent` = `(node, frame)`, and send the `TaskDone` of a join it
+    /// was the last child for (`NodeState::task_complete`).
+    pub fn task_complete(&mut self, scope: u32, parent: (usize, u32)) {
+        let vt = self.off_meter(|vt| vt);
+        if let Some((dst, done)) = self.task_local(|st| st.task_complete(scope, parent, vt)) {
+            self.metered(|s| s.on_wire(|s| s.ep.send(dst, done)));
+        }
     }
 
-    /// Add `delta` to this node's summed `taskwait` depths in `scope`.
-    pub fn task_wait(&mut self, scope: u32, delta: i64) {
-        self.task_local(|st| st.task_wait(scope, delta));
+    /// `taskwait`'s join of this node's `frame` in `scope`: wait for the
+    /// children local threads run, join each thief, and wait for the
+    /// `TaskDone`s this node's service thread acquires; off the meter and
+    /// outside the node gate, so a sibling can finish a child or answer a
+    /// join. The thread then adopts the time the last child was done.
+    pub fn task_join(&mut self, scope: u32, frame: u32) {
+        let joins = self.task_await(|st| st.task_join(scope, frame));
+        if !joins.is_empty() {
+            self.metered(|s| s.on_wire(|s| joins.into_iter().for_each(|(k, m)| s.ep.send(k, m))));
+        }
+        let done_vt = self.task_await(|st| st.task_joined(frame));
+        self.lane_raise(done_vt);
+        if self.lane.is_none() {
+            self.clock.raise_to(done_vt);
+        }
+    }
+
+    /// Poll `f` on this node's state, off the meter and outside the node
+    /// gate, until it answers, under the watchdog's deadline.
+    fn task_await<T>(&mut self, mut f: impl FnMut(&mut NodeState) -> Option<T>) -> T {
+        let (state, limit, t0) = (self.state.clone(), self.watchdog, std::time::Instant::now());
+        let answer = self.off_meter(|_| loop {
+            let answer = f(&mut state.lock());
+            if answer.is_some() || limit.is_some_and(|limit| t0.elapsed() > limit) {
+                return answer;
+            }
+            std::thread::yield_now();
+        });
+        answer.unwrap_or_else(|| self.watchdog_abort(limit.expect("a deadline")))
     }
 
     /// Steal the oldest task of the first of `victims`' deques of
-    /// `scope` that holds one, asking them in order by one chain: a
-    /// `StealReq` each victim that has nothing forwards to the next, and
-    /// one `StealRep`, whose notices this node acquires, from the victim
-    /// that found a task or else the last. With `mark`, an empty deque is
-    /// flagged hungry at each victim. Returns the victim that answered
-    /// and what its take found.
-    pub fn steal(&mut self, victims: &[usize], scope: u32, mark: bool) -> (usize, crate::Taken) {
-        let mut answer = (victims[0], crate::Taken::default());
+    /// `scope` that holds one, by one chain of `StealReq`s, each victim
+    /// with nothing marking its deque and forwarding it to the next, and
+    /// one `StealRep`, acquired here: the victim that answered, and what
+    /// its take found.
+    pub fn steal(&mut self, victims: &[usize], scope: u32) -> (usize, Taken) {
+        let mut answer = (victims[0], Taken::default());
         self.traced_op(OpLat::Steal, victims[0] as u64, |s| {
-            let (dst, req) = s.state.lock().steal_request(victims, scope, mark);
+            let (dst, req) = s.state.lock().steal_request(victims, scope);
             s.ep.send(dst, req);
             let d = s.reply();
             answer = (d.src, s.state.lock().on_steal(d.src, d.msg));

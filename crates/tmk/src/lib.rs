@@ -34,6 +34,9 @@
 //!   one reply, which carries the task and the notices the thief lacks
 //!   ([`Tmk::steal`]). An idle worker parks at node 0 by message
 //!   until a push wakes it or every node is parked ([`Tmk::term_idle`]).
+//!   A `taskwait` joins the thieves of its task's children, each by one
+//!   request and one answer with the children's writes
+//!   ([`Tmk::task_join`]).
 //!
 //! ## Example
 //!
@@ -87,4 +90,4 @@ pub use now_trace::{EventKind, Profile, Trace, TraceConfig, TraceEvent};
 pub use page::PageState;
 pub use stats::{TmkOp, TmkStats};
 pub use system::{run_system, RunOutcome, System, SystemDown};
-pub use tasks::{Taken, Task, TaskCounts};
+pub use tasks::{Taken, Task};

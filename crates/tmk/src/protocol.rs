@@ -256,19 +256,16 @@ pub enum Msg {
     },
     /// Acknowledgment of a flush notice.
     FlushAck,
-    /// A thief asks a victim for the oldest task of its deque. A sweep
-    /// is one chain: a victim with nothing to give forwards the request
-    /// unchanged but for `rest` to the next victim and sends no reply;
-    /// the hop that finds a task, or the last hop, answers `thief`.
+    /// A thief asks a victim for the oldest task of its deque. A sweep is
+    /// one chain: a victim with nothing to give flags its deque hungry
+    /// and forwards the request, but for `rest` unchanged, to the next
+    /// victim; the hop that finds a task, or the last hop, answers.
     StealReq {
         /// The task scope the thief is in.
         scope: u32,
         /// Thief's processed clock (the reply's bundle filter, as for a
         /// lock acquire).
         vc: VectorClock,
-        /// An empty deque is flagged hungry: the thief is about to park,
-        /// and the next push must wake a sleeper.
-        mark: bool,
         /// The node the answer goes to.
         thief: u16,
         /// The victims still to ask, in the thief's order.
@@ -276,11 +273,29 @@ pub enum Msg {
     },
     /// The victim's answer to [`Msg::StealReq`].
     StealRep {
-        /// The task taken, if any, the backlog it left, and the deque's
-        /// counters.
+        /// The task taken, if any, with its parent's frame, and the
+        /// backlog it left.
         taken: Taken,
         /// The notices the thief lacks, as a lock grant gives them: with
         /// the push's interval, everything the spawner wrote before it.
+        bundle: NoticeBundle,
+    },
+    /// A `taskwait` with no child left on its node joins a thief, which
+    /// answers with [`Msg::TaskDone`] once the children it stole are done.
+    TaskJoin {
+        /// The waiting task's scope, and its frame on the waiter's node.
+        frame: (u32, u32),
+        /// The frame's children the thief stole since its last join.
+        stolen: u64,
+        /// Waiter's processed clock (the answer's bundle filter).
+        vc: VectorClock,
+    },
+    /// A thief's answer to [`Msg::TaskJoin`], served by the waiter's
+    /// service thread.
+    TaskDone {
+        /// The joined frame, as the join named it.
+        frame: (u32, u32),
+        /// The notices the waiter lacks, with the children's writes.
         bundle: NoticeBundle,
     },
     /// An idle node's task worker parks at node 0, which answers with
@@ -420,14 +435,17 @@ impl Wire for Msg {
             Msg::CondWait { rel, .. } => 16 + rel.wire_bytes(),
             Msg::CondSignal { .. } | Msg::CondBroadcast { .. } => 12,
             Msg::FlushNotice { bundle } => 4 + bundle.wire_bytes(),
-            // A 4-byte scope id and the mark, then 2 bytes for the thief
-            // and for each victim still to ask.
-            Msg::StealReq { vc, rest, .. } => 10 + 2 * rest.len() + vc.wire_bytes(),
-            // A flag, the task's 32 bytes when there is one, the backlog
-            // and the three counters.
+            // A 4-byte scope id, then 2 bytes for the thief and for each
+            // victim still to ask.
+            Msg::StealReq { vc, rest, .. } => 9 + 2 * rest.len() + vc.wire_bytes(),
+            // A flag, the task's 32 bytes and its 4-byte frame when there
+            // is one, and the backlog.
             Msg::StealRep { taken, bundle } => {
-                1 + taken.task.map_or(0, |_| 32) + 8 + 24 + bundle.wire_bytes()
+                1 + taken.task.map_or(0, |_| 36) + 8 + bundle.wire_bytes()
             }
+            // The 4-byte scope and frame ids, and the child count.
+            Msg::TaskJoin { vc, .. } => 16 + vc.wire_bytes(),
+            Msg::TaskDone { bundle, .. } => 8 + bundle.wire_bytes(),
             // A 4-byte scope id; the answer is its flag.
             Msg::TermIdle { .. } | Msg::TermWake { .. } => 4,
             Msg::TermGo { .. } => 1,
@@ -464,6 +482,8 @@ impl Wire for Msg {
         (FlushAck, "flush_ack"),
         (StealReq, "steal_req"),
         (StealRep, "steal_rep"),
+        (TaskJoin, "task_join"),
+        (TaskDone, "task_done"),
         (TermIdle, "term_idle"),
         (TermWake, "term_wake"),
         (TermGo, "term_go"),
@@ -632,12 +652,11 @@ mod tests {
         let req = |rest: Vec<u16>| Msg::StealReq {
             scope: 1,
             vc: vc.clone(),
-            mark: true,
             thief: 0,
             rest,
         };
         let bare = req(vec![]).wire_bytes();
-        assert_eq!(bare, 10 + vc.wire_bytes());
+        assert_eq!(bare, 9 + vc.wire_bytes());
         assert_eq!(req(vec![2, 3]).wire_bytes(), bare + 4, "2 bytes a hop");
         let rep = |task, bundle: NoticeBundle| Msg::StealRep {
             taken: Taken {
@@ -648,8 +667,21 @@ mod tests {
         };
         let empty = NoticeBundle::empty(vc.clone());
         let bare = rep(None, empty.clone()).wire_bytes();
-        assert_eq!(bare, 33 + empty.wire_bytes());
-        assert_eq!(rep(Some([0; 4]), empty).wire_bytes(), bare + 32);
+        assert_eq!(bare, 9 + empty.wire_bytes());
+        let task = Some(([0; 4], 1));
+        assert_eq!(rep(task, empty.clone()).wire_bytes(), bare + 36);
+        // A join names its frame and child count; its answer is a bundle.
+        let join = Msg::TaskJoin {
+            frame: (1, 2),
+            stolen: 3,
+            vc: vc.clone(),
+        };
+        assert_eq!(join.wire_bytes(), 16 + vc.wire_bytes());
+        let done = Msg::TaskDone {
+            frame: (1, 2),
+            bundle: empty.clone(),
+        };
+        assert_eq!(done.wire_bytes(), 8 + empty.wire_bytes());
     }
 
     #[test]

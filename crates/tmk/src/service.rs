@@ -210,6 +210,8 @@ pub(crate) fn on_request(
             out.push((src, Msg::FlushAck));
         }
         Msg::StealReq { .. } => out.push(st.serve_steal(msg)),
+        Msg::TaskJoin { .. } => out.extend(st.serve_task_join(src, msg)),
+        Msg::TaskDone { .. } => st.on_task_done(src, msg, arrival_vt),
         Msg::TermIdle { scope } => st.serve_term_idle(src, scope, out),
         Msg::TermWake { scope } => st.serve_term_wake(scope, out),
         Msg::GcDone { epoch } => {
@@ -856,17 +858,17 @@ mod tests {
         assert_eq!(serve(&mut m, 3, flush), [(3, "flush_ack")]);
         // A steal is answered to its thief: by the last hop of its
         // chain, or by the first hop that finds a task. An empty hop
-        // with victims left forwards the chain and answers nothing.
+        // with victims left forwards the chain and answers nothing; an
+        // empty hop marks the deque, which the next push clears.
         let steal = |rest: Vec<u16>| Msg::StealReq {
             scope: 1,
             vc: VectorClock::zero(4),
-            mark: false,
             thief: 2,
             rest,
         };
         assert_eq!(serve(&mut m, 2, steal(vec![])), [(2, "steal_rep")]);
         assert_eq!(serve(&mut m, 1, steal(vec![3])), [(3, "steal_req")]);
-        assert_eq!(m.task_push(1, [0; 4], 4), Some(false));
+        assert_eq!(m.task_push(1, [0; 4], 0, 4), Some(true));
         assert_eq!(serve(&mut m, 1, steal(vec![3])), [(2, "steal_rep")]);
         assert_eq!(serve(&mut m, 0, Msg::SyncReq), [(0, "sync_ack")]);
         assert!(!m.in_service, "in service only while handling");

@@ -194,22 +194,22 @@ mod tests {
             )
         );
         let kinds = <Msg as Wire>::kinds();
-        assert_eq!(kinds.len(), 31);
+        assert_eq!(kinds.len(), 33);
         assert_eq!(
             kinds,
             pinned(
                 "diff_req diff_rep page_req page_rep lock_acq lock_rel lock_grant \
                  barrier_arrive barrier_depart sema_signal sema_ack sema_wait sema_grant \
                  cond_wait cond_signal cond_broadcast flush_notice flush_ack steal_req \
-                 steal_rep term_idle term_wake term_go fork gc_done gc_complete reset_req \
-                 reset_done sync_req sync_ack shutdown"
+                 steal_rep task_join task_done term_idle term_wake term_go fork gc_done \
+                 gc_complete reset_req reset_done sync_req sync_ack shutdown"
             )
         );
         // A row's position is its slot in the per-kind traffic metrics.
         for (m, id) in [
             (Msg::PageReq { page: 1 }, 2),
             (Msg::FlushAck, 17),
-            (Msg::Shutdown, 30),
+            (Msg::Shutdown, 32),
         ] {
             assert_eq!((m.kind_id(), m.kind()), (id, kinds[id]));
         }

@@ -1,4 +1,4 @@
-//! Per-node task deques of the OpenMP tasking runtime's work stealing
+//! Per-node task deques and task frames of the OpenMP tasking runtime
 //! (DESIGN.md §2i).
 //!
 //! A node's deque lives in its [`NodeState`], under the state lock its
@@ -7,12 +7,18 @@
 //! sweep is one chain of [`Msg::StealReq`]s: each victim with nothing
 //! to give forwards the request to the next one it names, and the hop
 //! that finds a task, or the last hop, answers the thief with one
-//! [`Msg::StealRep`]. The reply carries the oldest task, what is left
-//! behind, the deque's counters, and the notices the thief lacks, so it
-//! sees everything the spawner wrote before the push. A push closes the
-//! open interval first, which puts those writes into a notice the reply
-//! can carry. A hop that forwards sends the thief nothing, so it owes
-//! it no notice: nothing it took went to the thief.
+//! [`Msg::StealRep`]. The reply carries the oldest task, its parent's
+//! frame, what is left behind, and the notices the thief lacks: a push
+//! closes the open interval first, so they hold everything the spawner
+//! wrote before it. A hop that forwards owes the thief no notice.
+//!
+//! A `taskwait` waits for the waiting task's children only. Each queued
+//! task carries its parent's *frame*, a number on the parent's node,
+//! whose record counts the children still there and, per thief, those
+//! it stole. With none left there, the waiter sends each thief one
+//! [`Msg::TaskJoin`], which the thief answers with one [`Msg::TaskDone`]
+//! carrying the children's writes, once it has completed them. A stolen
+//! child whose parent never waits sends nothing.
 //!
 //! Only a thief's empty take marks a deque hungry, never the owner's:
 //! a node's own push is never owed to that node. Node 0's deque also
@@ -23,69 +29,71 @@
 //! ([`Msg::TermGo`]), or drops when none is parked; when all `n` nodes
 //! are parked, every one of them gets `TermGo { done: true }`.
 
+use crate::interval::VectorClock;
 use crate::protocol::Msg;
 use crate::state::NodeState;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// One task's argument words.
 pub type Task = [u64; 4];
 
-/// A deque's counters, as the quiescence test of `taskwait` sums them
-/// over every node.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TaskCounts {
-    /// Tasks pushed into the deque. A task in flight in a steal reply
-    /// is spawned and not completed.
-    pub spawned: u64,
-    /// Tasks this node completed.
-    pub completed: u64,
-    /// Summed depths of the task chains suspended in `taskwait` here.
-    pub waiting: u64,
-}
-
-impl std::ops::AddAssign for TaskCounts {
-    fn add_assign(&mut self, other: TaskCounts) {
-        self.spawned += other.spawned;
-        self.completed += other.completed;
-        self.waiting += other.waiting;
-    }
-}
-
 /// What one take found.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Taken {
-    /// The task taken, if the deque held one.
-    pub task: Option<Task>,
+    /// The task taken, if the deque held one, and its parent's frame.
+    pub task: Option<(Task, u32)>,
     /// Tasks left in the deque: a thief's hint for ranking victims.
     pub backlog: u64,
-    /// The deque's counters after the take.
-    pub counts: TaskCounts,
 }
 
 /// Who takes from a deque.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Taker {
-    /// The owner: the newest task, LIFO for locality. It never marks.
-    Owner,
-    /// A thief: the oldest task, FIFO. With `mark`, an empty deque is
-    /// flagged hungry.
-    Thief { mark: bool },
+    /// The owner: the newest task, or a waiter's frame's newest child.
+    Owner(Option<u32>),
+    /// A thief: the oldest task, FIFO. An empty deque is flagged hungry.
+    Thief,
 }
 
-/// A node's deque for the task scope it has open. Scopes are numbered
-/// from 1 within a job; the deque of a newer one replaces the last.
+/// One task's children, on its node: what its `taskwait` waits for.
+#[derive(Debug, Default)]
+struct Frame {
+    /// Children queued here or running on a local thread.
+    local: u64,
+    /// Children stolen since the last join, by thief.
+    stolen: BTreeMap<usize, u64>,
+    /// Joins sent and not answered yet.
+    owed: usize,
+    /// When the last child done here completed or answer arrived.
+    done_vt: u64,
+}
+
+/// A thief's record of another node's frame whose children it stole:
+/// how many it completed since the frame's last join, and a join that
+/// came before they were (its child count and the waiter's clock).
+#[derive(Debug, Default)]
+struct Stolen {
+    done: u64,
+    join: Option<(u64, VectorClock)>,
+}
+
+/// A node's deque and task frames for the task scope it has open.
+/// Scopes are numbered from 1 in a job; a newer one replaces the last.
 #[derive(Debug, Default)]
 pub struct TaskDeque {
     /// The scope the deque belongs to (0: none yet).
     scope: u32,
-    tasks: VecDeque<Task>,
-    /// A thief's empty take with `mark` saw the deque empty (a
-    /// would-be sleeper's sweep): the next push clears it and wakes one
-    /// sleeper.
+    /// Queued tasks with their parents' frames.
+    tasks: VecDeque<(Task, u32)>,
+    /// A thief's empty take saw the deque empty (a would-be sleeper's
+    /// sweep): the next push clears it and wakes one sleeper.
     pub hungry: bool,
-    counts: TaskCounts,
-    /// Node 0 only: the nodes whose idle worker is parked here, oldest
-    /// first.
+    /// The frames of this node's tasks that have children, by number.
+    frames: HashMap<u32, Frame>,
+    /// The frames of other nodes' tasks whose children this node stole,
+    /// by parent node and frame.
+    stolen: HashMap<(usize, u32), Stolen>,
+    /// Node 0 only: the nodes whose idle worker is parked here, oldest first.
     parked: VecDeque<usize>,
     /// Node 0 only: every node parked, and the scope is over.
     done: bool,
@@ -111,15 +119,22 @@ impl TaskDeque {
         self
     }
 
-    /// Push `task` at the owner's end unless `cap` tasks are queued.
-    /// `None` when full; else whether the push cleared a hungry flag.
-    fn push(&mut self, scope: u32, task: Task, cap: usize) -> Option<bool> {
+    /// The record of this node's `frame` in `scope`, which has children.
+    fn frame(&mut self, scope: u32, frame: u32) -> &mut Frame {
+        let frames = &mut self.open(scope).frames;
+        frames.get_mut(&frame).expect("a frame with children")
+    }
+
+    /// Push `task`, a child of `frame`, at the owner's end unless `cap`
+    /// tasks are queued. `None` when full; else whether the push cleared
+    /// a hungry flag.
+    fn push(&mut self, scope: u32, task: Task, frame: u32, cap: usize) -> Option<bool> {
         let dq = self.open(scope);
         if dq.tasks.len() >= cap {
             return None;
         }
-        dq.tasks.push_back(task);
-        dq.counts.spawned += 1;
+        dq.tasks.push_back((task, frame));
+        dq.frames.entry(frame).or_default().local += 1;
         Some(std::mem::take(&mut dq.hungry))
     }
 
@@ -136,33 +151,35 @@ impl TaskDeque {
     fn take(&mut self, scope: u32, who: Taker) -> Taken {
         let dq = self.open(scope);
         let task = match who {
-            Taker::Owner => dq.tasks.pop_back(),
-            Taker::Thief { .. } => dq.tasks.pop_front(),
+            Taker::Owner(None) => dq.tasks.pop_back(),
+            Taker::Owner(Some(frame)) => {
+                let newest = dq.tasks.iter().rposition(|&(_, f)| f == frame);
+                newest.and_then(|i| dq.tasks.remove(i))
+            }
+            Taker::Thief => dq.tasks.pop_front(),
         };
-        dq.hungry |= who == Taker::Thief { mark: true } && task.is_none();
+        dq.hungry |= who == Taker::Thief && task.is_none();
         Taken {
             task,
             backlog: dq.tasks.len() as u64,
-            counts: dq.counts,
         }
     }
 }
 
 impl NodeState {
-    /// Push `task` onto this node's deque of `scope` (at most `cap`
-    /// queued): close the open interval, so a thief's reply carries the
-    /// notices of what was written before the push, then enqueue. `None`
-    /// when the deque is full; else whether a hungry flag was cleared,
-    /// meaning a sleeper must be woken.
-    pub fn task_push(&mut self, scope: u32, task: Task, cap: usize) -> Option<bool> {
+    /// Push `task`, a child of this node's `frame`, onto this node's
+    /// deque of `scope` (at most `cap` queued), closing the open interval
+    /// first so a thief's reply carries what was written before the push.
+    /// `None` when full; else whether a hungry flag was cleared.
+    pub fn task_push(&mut self, scope: u32, task: Task, frame: u32, cap: usize) -> Option<bool> {
         self.close_interval();
-        self.tasks.push(scope, task, cap)
+        self.tasks.push(scope, task, frame, cap)
     }
 
-    /// The owner's take from this node's deque of `scope` ([`Taken`]).
-    /// It never marks the deque hungry.
-    pub fn task_take(&mut self, scope: u32) -> Taken {
-        self.tasks.take(scope, Taker::Owner)
+    /// The owner's take from this node's deque of `scope`: the newest
+    /// task, or with `frame` the newest child of that frame. Never marks.
+    pub fn task_take(&mut self, scope: u32, frame: Option<u32>) -> Taken {
+        self.tasks.take(scope, Taker::Owner(frame))
     }
 
     /// Tasks queued in this node's deque of `scope`.
@@ -170,25 +187,96 @@ impl NodeState {
         self.tasks.backlog(scope)
     }
 
-    /// Count one task completed by this node. Closes the open interval
-    /// first, so a reply that reports the completion carries the notices
-    /// of the task's writes (what a `taskwait` acquires).
-    pub fn task_complete(&mut self, scope: u32) {
+    /// A task, a child of `frame` on node `parent`, completed here at
+    /// virtual time `vt`. Closes the open interval first, so an answer to
+    /// the frame's join carries the task's writes: the [`Msg::TaskDone`]
+    /// to send when the child is the last one a waiting join counts.
+    pub fn task_complete(
+        &mut self,
+        scope: u32,
+        (parent, frame): (usize, u32),
+        vt: u64,
+    ) -> Option<(usize, Msg)> {
         self.close_interval();
-        self.tasks.open(scope).counts.completed += 1;
+        if parent != self.id {
+            let stolen = &mut self.tasks.open(scope).stolen;
+            stolen.entry((parent, frame)).or_default().done += 1;
+            return self.answer_join(parent, (scope, frame));
+        }
+        let f = self.tasks.frame(scope, frame);
+        (f.local, f.done_vt) = (f.local - 1, f.done_vt.max(vt));
+        None
     }
 
-    /// Add `delta` to the suspended depths summed in this node's
-    /// `waiting` counter of `scope`.
-    pub fn task_wait(&mut self, scope: u32, delta: i64) {
-        let counts = &mut self.tasks.open(scope).counts;
-        counts.waiting = counts.waiting.wrapping_add_signed(delta);
+    /// The waiter's joins of its `frame` of `scope`: `None` while a child
+    /// is still here; else a [`Msg::TaskJoin`] to each thief since the
+    /// last join, naming how many it stole.
+    pub fn task_join(&mut self, scope: u32, frame: u32) -> Option<Vec<(usize, Msg)>> {
+        let Some(f) = self.tasks.open(scope).frames.get_mut(&frame) else {
+            return Some(Vec::new());
+        };
+        if f.local > 0 {
+            return None;
+        }
+        f.owed += f.stolen.len();
+        let (frame, vc) = ((scope, frame), &self.processed_vc);
+        let join = |stolen| Msg::TaskJoin {
+            frame,
+            stolen,
+            vc: vc.clone(),
+        };
+        let thieves = std::mem::take(&mut f.stolen).into_iter();
+        Some(thieves.map(|(k, stolen)| (k, join(stolen))).collect())
+    }
+
+    /// When the last child of the open scope's `frame` was done, once
+    /// every join is answered.
+    pub fn task_joined(&self, frame: u32) -> Option<u64> {
+        match self.tasks.frames.get(&frame) {
+            Some(f) if f.owed > 0 => None,
+            f => Some(f.map_or(0, |f| f.done_vt)),
+        }
+    }
+
+    /// A thief's half of a [`Msg::TaskJoin`] from `waiter`: answer it at
+    /// once if its children are done here, else keep it.
+    pub fn serve_task_join(&mut self, waiter: usize, join: Msg) -> Option<(usize, Msg)> {
+        let Msg::TaskJoin { frame, stolen, vc } = join else {
+            panic!("expected TaskJoin, got {}", now_net::Wire::kind(&join))
+        };
+        let rec = self.tasks.open(frame.0).stolen.entry((waiter, frame.1));
+        rec.or_default().join = Some((stolen, vc));
+        self.answer_join(waiter, frame)
+    }
+
+    /// Answer `waiter`'s join of its `frame` once every child it counts
+    /// is done here, with the notices the waiter lacks, as a grant.
+    fn answer_join(&mut self, waiter: usize, frame: (u32, u32)) -> Option<(usize, Msg)> {
+        let stolen = &mut self.tasks.open(frame.0).stolen;
+        let rec = stolen.get(&(waiter, frame.1))?;
+        rec.join
+            .as_ref()
+            .filter(|(children, _)| *children <= rec.done)?;
+        let (_, vc) = stolen.remove(&(waiter, frame.1))?.join?;
+        let bundle = self.grant_to(waiter, &vc);
+        Some((waiter, Msg::TaskDone { frame, bundle }))
+    }
+
+    /// The waiter's service-thread half of a [`Msg::TaskDone`] from
+    /// `thief`, arrived at `arrival_vt`: acquire it for the waiter.
+    pub fn on_task_done(&mut self, thief: usize, done: Msg, arrival_vt: u64) {
+        let Msg::TaskDone { frame, bundle } = done else {
+            panic!("expected TaskDone, got {}", now_net::Wire::kind(&done))
+        };
+        self.acquire(thief, &bundle);
+        let f = self.tasks.frame(frame.0, frame.1);
+        (f.owed, f.done_vt) = (f.owed - 1, f.done_vt.max(arrival_vt));
     }
 
     /// The request half of a steal sweep over `victims`' deques of
     /// `scope`, asked in order by one chain: with our processed clock
-    /// (the reply's filter) and `mark`, sent to the first victim.
-    pub fn steal_request(&self, victims: &[usize], scope: u32, mark: bool) -> (usize, Msg) {
+    /// (the reply's filter), sent to the first victim.
+    pub fn steal_request(&self, victims: &[usize], scope: u32) -> (usize, Msg) {
         let (&first, rest) = victims.split_first().expect("a victim to ask");
         debug_assert!(
             !victims.contains(&self.id),
@@ -198,7 +286,6 @@ impl NodeState {
         let req = Msg::StealReq {
             scope,
             vc: self.processed_vc.clone(),
-            mark,
             thief: wire(self.id),
             rest: rest.iter().map(|&k| wire(k)).collect(),
         };
@@ -206,27 +293,31 @@ impl NodeState {
     }
 
     /// A victim's half of a [`Msg::StealReq`]: take the oldest task of
-    /// its scope for its thief, marking an empty deque under its `mark`.
-    /// With nothing taken and victims still to ask, forward the same
-    /// request to the next one and answer nothing; else answer the
-    /// thief with the take and the notices it lacks.
+    /// its scope for its thief, marking an empty deque, and count it
+    /// stolen in its parent's frame. With nothing taken and victims
+    /// still to ask, forward the same request to the next one and answer
+    /// nothing; else answer the thief with the take and the notices it
+    /// lacks.
     pub fn serve_steal(&mut self, mut req: Msg) -> (usize, Msg) {
         let Msg::StealReq {
             scope,
             vc,
-            mark,
             thief,
             rest,
         } = &mut req
         else {
             panic!("expected StealReq, got {}", now_net::Wire::kind(&req))
         };
-        let taken = self.tasks.take(*scope, Taker::Thief { mark: *mark });
-        if taken.task.is_none() && !rest.is_empty() {
+        let taken = self.tasks.take(*scope, Taker::Thief);
+        let thief = *thief as usize;
+        if let Some((_, frame)) = taken.task {
+            let f = self.tasks.frame(*scope, frame);
+            f.local -= 1;
+            *f.stolen.entry(thief).or_default() += 1;
+        } else if !rest.is_empty() {
             let next = rest.remove(0) as usize;
             return (next, req);
         }
-        let thief = *thief as usize;
         let bundle = self.grant_to(thief, vc);
         (thief, Msg::StealRep { taken, bundle })
     }
@@ -281,46 +372,60 @@ mod tests {
     fn the_owner_pops_newest_and_a_thief_takes_oldest() {
         let mut dq = TaskDeque::default();
         for a in 1..=3 {
-            assert_eq!(dq.push(1, [a, 0, 0, 0], 8), Some(false));
+            assert_eq!(dq.push(1, [a, 0, 0, 0], 9, 8), Some(false));
         }
-        let owner = dq.take(1, Taker::Owner);
-        assert_eq!((owner.task, owner.backlog), (Some([3, 0, 0, 0]), 2));
-        let thief = dq.take(1, Taker::Thief { mark: false });
-        assert_eq!((thief.task, thief.backlog), (Some([1, 0, 0, 0]), 1));
-        let counts = TaskCounts {
-            spawned: 3,
-            ..Default::default()
-        };
-        assert_eq!(thief.counts, counts, "a taken task is not completed");
+        let owner = dq.take(1, Taker::Owner(None));
+        assert_eq!((owner.task, owner.backlog), (Some(([3, 0, 0, 0], 9)), 2));
+        let thief = dq.take(1, Taker::Thief);
+        assert_eq!((thief.task, thief.backlog), (Some(([1, 0, 0, 0], 9)), 1));
+    }
+
+    #[test]
+    fn a_waiter_takes_only_the_newest_child_of_its_frame() {
+        let mut dq = TaskDeque::default();
+        for (a, frame) in [(1, 5), (2, 6), (3, 5), (4, 6)] {
+            assert_eq!(dq.push(1, [a, 0, 0, 0], frame, 8), Some(false));
+        }
+        assert_eq!(dq.frames[&5].local, 2);
+        let child = dq.take(1, Taker::Owner(Some(5)));
+        assert_eq!((child.task, child.backlog), (Some(([3, 0, 0, 0], 5)), 3));
+        assert_eq!(
+            dq.take(1, Taker::Owner(Some(5))).task,
+            Some(([1, 0, 0, 0], 5))
+        );
+        assert_eq!(
+            dq.take(1, Taker::Owner(Some(5))).task,
+            None,
+            "frame 5 has none left"
+        );
+        assert_eq!(dq.take(1, Taker::Owner(None)).task, Some(([4, 0, 0, 0], 6)));
     }
 
     #[test]
     fn a_full_deque_refuses_and_a_marked_empty_take_makes_it_hungry() {
         let mut dq = TaskDeque::default();
-        assert_eq!(dq.push(1, [0; 4], 1), Some(false));
-        assert_eq!(dq.push(1, [0; 4], 1), None, "full");
-        assert!(dq.take(1, Taker::Thief { mark: true }).task.is_some());
+        assert_eq!(dq.push(1, [0; 4], 0, 1), Some(false));
+        assert_eq!(dq.push(1, [0; 4], 0, 1), None, "full");
+        assert!(dq.take(1, Taker::Thief).task.is_some());
         assert!(!dq.hungry, "a take that found a task marks nothing");
-        assert!(dq.take(1, Taker::Thief { mark: false }).task.is_none());
-        assert!(!dq.hungry, "an unmarked empty take marks nothing");
-        assert!(dq.take(1, Taker::Owner).task.is_none());
+        assert!(dq.take(1, Taker::Owner(None)).task.is_none());
         assert!(!dq.hungry, "the owner's empty take marks nothing");
-        assert!(dq.take(1, Taker::Thief { mark: true }).task.is_none());
+        assert!(dq.take(1, Taker::Thief).task.is_none());
         assert!(dq.hungry);
-        assert_eq!(dq.push(1, [0; 4], 1), Some(true), "the push clears it");
+        assert_eq!(dq.push(1, [0; 4], 0, 1), Some(true), "the push clears it");
         assert!(!dq.hungry);
     }
 
     #[test]
     fn a_request_for_an_unopened_scope_opens_it_and_keeps_its_mark() {
         let mut dq = TaskDeque::default();
-        assert_eq!(dq.push(1, [0; 4], 4), Some(false));
+        assert_eq!(dq.push(1, [0; 4], 0, 4), Some(false));
         // A thief already in scope 2 asks before this node opened it:
         // the answer is empty and the mark survives the opening push.
-        let taken = dq.take(2, Taker::Thief { mark: true });
+        let taken = dq.take(2, Taker::Thief);
         assert_eq!(taken, Taken::default());
         assert_eq!((dq.scope, dq.hungry), (2, true));
-        assert_eq!(dq.push(2, [0; 4], 4), Some(true));
+        assert_eq!(dq.push(2, [0; 4], 0, 4), Some(true));
     }
 
     #[test]

@@ -112,11 +112,12 @@ impl World {
 
     /// Handle the `i`-th request in flight ([`World::pump`] the oldest,
     /// [`World::explore`] the one it chose); what its handler sends waits
-    /// in the inboxes, but a forwarded `StealReq` goes back on the wire.
-    /// A data request is answered once, to its asker, a `DiffRep` page
-    /// by page in request order; a `StealReq` yields one message, a
-    /// `StealRep` to its thief or the request to the next victim it
-    /// names.
+    /// in the inboxes, but a forwarded `StealReq` and a `TaskDone`, which
+    /// its waiter's service thread serves, go back on the wire. A data
+    /// request is answered once, to its asker, a `DiffRep` page by page
+    /// in request order; a `StealReq` yields one message, a `StealRep`
+    /// to its thief or the request to the next victim it names; a
+    /// `TaskJoin` at most one `TaskDone`, to its waiter.
     pub fn handle(&mut self, i: usize) {
         let (src, dst, msg) = self.wire.remove(i).expect("a request in flight");
         let asked: Option<Vec<PageId>> = match &msg {
@@ -128,6 +129,7 @@ impl World {
             Msg::StealReq { thief, rest, .. } => Some((*thief as usize, rest.first().copied())),
             _ => None,
         };
+        let join = matches!(msg, Msg::TaskJoin { .. });
         let mut out = Vec::new();
         on_request(&mut self.nodes[dst], src, msg, 0, &mut out);
         if let Some(asked) = asked {
@@ -148,8 +150,15 @@ impl World {
                 "one answer to the thief, or one forward"
             );
         }
+        if join {
+            let one = matches!(&out[..], [(to, Msg::TaskDone { .. })] if *to == src);
+            assert!(
+                out.is_empty() || one,
+                "a join is kept, or answered to its waiter"
+            );
+        }
         for (to, msg) in out {
-            if let Msg::StealReq { .. } = msg {
+            if let Msg::StealReq { .. } | Msg::TaskDone { .. } = msg {
                 self.send(dst, (to, msg));
                 continue;
             }
@@ -780,10 +789,12 @@ mod tests {
     const SCOPE: u32 = 1;
     /// Their one task.
     const TASK: crate::Task = [7, 0, 0, 0];
+    /// The frame of node 0 that pushes it.
+    const FRAME: u32 = 3;
 
     /// Node `thief` sends its sweep of `victims`.
-    fn steal(w: &mut World, thief: usize, victims: &[usize], mark: bool) {
-        let req = w.nodes[thief].steal_request(victims, SCOPE, mark);
+    fn steal(w: &mut World, thief: usize, victims: &[usize]) {
+        let req = w.nodes[thief].steal_request(victims, SCOPE);
         w.send(thief, req);
     }
 
@@ -795,14 +806,13 @@ mod tests {
     /// The steal arm's walk on 3 nodes. Node 0 writes byte 5 of the page
     /// its one program step pushes a task about (`pushed`, the push's
     /// interval). Without a `chain`, nodes 1 and 2 ask node 0 for a task
-    /// at once, node 1 about to park (marked). With one, node 2 writes a
-    /// page of its own, so a grant from it would raise what it knows node
-    /// 1 holds; node 1 sweeps node 2, whose deque stays empty, then node
-    /// 0, by one chain marked as `chain` says, and node 2 asks node 0
-    /// directly, unmarked.
+    /// at once. With one, node 2 writes a page of its own, so a grant
+    /// from it would raise what it knows node 1 holds; node 1 sweeps
+    /// node 2, whose deque stays empty, then node 0, by one chain, and
+    /// node 2 asks node 0 directly.
     #[derive(Clone, Default)]
     struct Steals {
-        chain: Option<bool>,
+        chain: bool,
         pushed: Option<u32>,
     }
 
@@ -810,13 +820,13 @@ mod tests {
         fn start(&self) -> World {
             let mut w = World::new(3);
             w.write(0, PAGE, 5, 42);
-            if self.chain.is_some() {
+            if self.chain {
                 w.write(2, 1, 0, 9);
                 w.nodes[2].close_interval();
             }
-            let first: &[usize] = if self.chain.is_some() { &[2, 0] } else { &[0] };
-            steal(&mut w, 1, first, self.chain.unwrap_or(true));
-            steal(&mut w, 2, &[0], false);
+            let first: &[usize] = if self.chain { &[2, 0] } else { &[0] };
+            steal(&mut w, 1, first);
+            steal(&mut w, 2, &[0]);
             w
         }
 
@@ -826,14 +836,14 @@ mod tests {
 
         fn step(&mut self, w: &mut World, _: usize) {
             let hungry = w.nodes[0].tasks.hungry;
-            let was = w.nodes[0].task_push(SCOPE, TASK, 4);
+            let was = w.nodes[0].task_push(SCOPE, TASK, FRAME, 4);
             assert_eq!(was, Some(hungry), "the push clears the mark");
             assert!(!w.nodes[0].tasks.hungry);
             self.pushed = Some(w.nodes[0].next_seq - 1);
         }
 
         fn deliver(&mut self, w: &mut World, i: usize) {
-            let (_, at, Msg::StealReq { thief, mark, .. }) = w.wire[i] else {
+            let (_, at, Msg::StealReq { thief, .. }) = w.wire[i] else {
                 unreachable!("only steals are in flight")
             };
             let (thief, hungry) = (thief as usize, w.nodes[at].tasks.hungry);
@@ -841,10 +851,10 @@ mod tests {
             w.handle(i);
             let sent: Vec<_> = w.log[before..].iter().map(|e| (e.0, e.1, e.2)).collect();
             if at != 0 {
-                // The empty hop forwards once, marks only under the
-                // chain's mark, and owes the thief no notice.
+                // The empty hop forwards once, marks its deque, and owes
+                // the thief no notice.
                 assert_eq!(sent, [(at, 0, "steal_req")]);
-                assert_eq!(w.nodes[at].tasks.hungry, mark);
+                assert!(w.nodes[at].tasks.hungry);
                 assert_eq!(w.nodes[at].known_vc, known);
                 return;
             }
@@ -852,9 +862,9 @@ mod tests {
             let Some((_, Msg::StealRep { taken, .. })) = w.inbox[thief].back() else {
                 panic!("node {thief} expected a steal reply")
             };
-            // Only a marked empty answer sets the flag.
-            let marked_empty = mark && taken.task.is_none();
-            assert_eq!(w.nodes[0].tasks.hungry, hungry || marked_empty);
+            // Only an empty answer sets the flag.
+            let empty = taken.task.is_none();
+            assert_eq!(w.nodes[0].tasks.hungry, hungry || empty);
         }
 
         fn leaf(&mut self, mut w: World) {
@@ -866,8 +876,8 @@ mod tests {
                 assert_eq!(src, 0, "node 0 answers");
                 takers.extend(w.nodes[thief].on_steal(src, rep).task.map(|t| (thief, t)));
             }
-            takers.extend(w.nodes[0].task_take(SCOPE).task.map(|t| (0, t)));
-            let [(winner, TASK)] = takers[..] else {
+            takers.extend(w.nodes[0].task_take(SCOPE, None).task.map(|t| (0, t)));
+            let [(winner, (TASK, FRAME))] = takers[..] else {
                 panic!("the task is taken once: {takers:?}")
             };
             // The winner acquired the push's interval: its read of the
@@ -876,7 +886,7 @@ mod tests {
             assert_eq!(w.read(winner, PAGE)[5], 42);
             // A chain asks 2 victims with 3 messages, the empty hop
             // forwarding once; a direct steal asks 1 with 2.
-            let chained = usize::from(self.chain.is_some());
+            let chained = usize::from(self.chain);
             let hop = |e: &(usize, usize, &str, usize)| (e.0, e.1, e.2) == (2, 0, "steal_req");
             assert_eq!(w.log.iter().filter(|e| hop(e)).count(), 1 + chained);
             let sent = w.tally(true);
@@ -894,13 +904,12 @@ mod tests {
     #[test]
     fn a_chain_and_a_direct_steal_in_every_delivery_order() {
         // The push, the chain's two hops and the direct steal: 4! / 2
-        // orders under each mark.
-        let walk = |mark| Steals {
-            chain: Some(mark),
+        // orders.
+        let walk = Steals {
+            chain: true,
             pushed: None,
         };
-        let runs = [false, true].map(|mark| World::explore(&walk(mark)).len());
-        assert_eq!(runs, [12, 12]);
+        assert_eq!(World::explore(&walk).len(), 12);
     }
 
     /// The first barrier's walk: each of 3 nodes twins its slot of page
@@ -1045,20 +1054,166 @@ mod tests {
     }
 
     #[test]
-    fn a_steal_reply_carries_the_writes_of_the_completions_it_counts() {
-        // Node 1 runs a task that writes byte 9 and counts it completed;
-        // node 0's taskwait sweep then asks node 1 for its counters. The
-        // reply that counts the completion must carry the task's write.
+    fn a_task_done_carries_the_writes_of_the_children_it_joins() {
+        // Node 1 steals a child of node 0's frame, writes byte 9 and
+        // completes it, which sends nothing: no join waits for it. Node
+        // 0's taskwait then joins node 1, whose answer must carry the
+        // child's write.
         let mut w = World::new(2);
-        w.write(1, PAGE, 9, 5);
-        w.nodes[1].task_complete(1);
-        steal(&mut w, 0, &[1], false);
+        assert_eq!(w.nodes[0].task_push(SCOPE, TASK, FRAME, 4), Some(false));
+        steal(&mut w, 1, &[0]);
         w.pump();
-        let (src, rep) = w.inbox[0].pop_front().expect("a steal reply");
-        let taken = w.nodes[0].on_steal(src, rep);
-        assert_eq!((taken.task, taken.counts.completed), (None, 1));
-        assert!(w.nodes[0].acquired.covers(1, 1), "the task's interval");
+        let (src, rep) = w.inbox[1].pop_front().expect("a steal reply");
+        let taken = w.nodes[1].on_steal(src, rep);
+        assert_eq!(taken.task, Some((TASK, FRAME)));
+        w.write(1, PAGE, 9, 5);
+        assert!(w.nodes[1].task_complete(SCOPE, (0, FRAME), 0).is_none());
+        let joins = w.nodes[0].task_join(SCOPE, FRAME).expect("no child here");
+        joins.into_iter().for_each(|join| w.send(0, join));
+        assert_eq!(w.nodes[0].task_joined(FRAME), None, "the join is owed");
+        w.pump();
+        assert_eq!(w.nodes[0].task_joined(FRAME), Some(0));
+        assert!(w.nodes[0].acquired.covers(1, 1), "the child's interval");
         assert_eq!(w.read(0, PAGE)[9], 5);
+        let sent = w.tally(true);
+        assert_eq!((sent["task_join"].0, sent["task_done"].0), (1, 1));
+    }
+
+    /// The join arm's walk on 3 nodes (DESIGN.md §2i): node 0's task,
+    /// frame `FRAME`, has pushed two children, and nodes 1 and 2 each
+    /// have a steal of node 0 in flight. Node 0's one program step is
+    /// its taskwait: it runs its children still queued and sends each
+    /// thief its join. A thief's step takes its steal reply and, with a
+    /// child, writes its byte of the page and completes the child. The
+    /// run keeps, per node, whether it stole a child, the interval its
+    /// completion closed, and whether its join reached it; and the joins
+    /// that reached a thief before its child completed (`kept`).
+    #[derive(Clone, Default)]
+    struct Joins {
+        waited: bool,
+        stole: [bool; 3],
+        completed: [Option<u32>; 3],
+        joined: [bool; 3],
+        kept: usize,
+    }
+
+    impl Joins {
+        /// The waiter is released only once every stolen child
+        /// completed.
+        fn check(&self, w: &World) {
+            if self.waited && w.nodes[0].task_joined(FRAME).is_some() {
+                for k in 1..3 {
+                    assert!(!self.stole[k] || self.completed[k].is_some(), "node {k}");
+                }
+            }
+        }
+    }
+
+    impl Walk for Joins {
+        fn start(&self) -> World {
+            let mut w = World::new(3);
+            for a in [1, 2] {
+                assert!(w.nodes[0].task_push(SCOPE, [a; 4], FRAME, 4).is_some());
+            }
+            steal(&mut w, 1, &[0]);
+            steal(&mut w, 2, &[0]);
+            w
+        }
+
+        fn ready(&self, w: &World, k: usize) -> bool {
+            if k == 0 {
+                !self.waited
+            } else {
+                !w.inbox[k].is_empty()
+            }
+        }
+
+        fn step(&mut self, w: &mut World, k: usize) {
+            if k == 0 {
+                self.waited = true;
+                while let Some((_, frame)) = w.nodes[0].task_take(SCOPE, Some(FRAME)).task {
+                    assert!(w.nodes[0].task_complete(SCOPE, (0, frame), 0).is_none());
+                }
+                let joins = w.nodes[0].task_join(SCOPE, FRAME).expect("no child here");
+                let mut thieves: Vec<_> = joins.iter().map(|j| j.0).collect();
+                thieves.sort_unstable();
+                let stole: Vec<_> = (1..3).filter(|&k| self.stole[k]).collect();
+                assert_eq!(thieves, stole, "one join to each thief");
+                joins.into_iter().for_each(|join| w.send(0, join));
+            } else {
+                let (src, rep) = w.inbox[k].pop_front().expect("a steal reply");
+                if let Some((_, frame)) = w.nodes[k].on_steal(src, rep).task {
+                    w.write(k, PAGE, 16 * k, k as u8);
+                    let done = w.nodes[k].task_complete(SCOPE, (0, frame), 0);
+                    self.completed[k] = Some(w.nodes[k].next_seq - 1);
+                    // The completion answers the join that waits for it.
+                    assert_eq!(done.is_some(), self.joined[k]);
+                    done.into_iter().for_each(|done| w.send(k, done));
+                }
+            }
+            self.check(w);
+        }
+
+        fn deliver(&mut self, w: &mut World, i: usize) {
+            let (src, at) = (w.wire[i].0, w.wire[i].1);
+            let kind = w.wire[i].2.kind();
+            let before = w.log.len();
+            w.handle(i);
+            let sent: Vec<_> = w.log[before..].iter().map(|e| (e.0, e.1, e.2)).collect();
+            match kind {
+                "steal_req" => {
+                    let rep = w.inbox[src].back();
+                    let got = matches!(rep, Some((_, Msg::StealRep { taken, .. })) if taken.task.is_some());
+                    self.stole[src] = got;
+                }
+                "task_join" => {
+                    // A join for a child already done is answered at once.
+                    self.joined[at] = true;
+                    let done = self.completed[at].is_some();
+                    self.kept += usize::from(!done);
+                    let at_once = [(at, 0, "task_done")];
+                    assert_eq!(sent, if done { &at_once[..] } else { &[] });
+                }
+                _ => assert!(self.completed[src].is_some(), "an answer after its child"),
+            }
+            self.check(w);
+        }
+
+        fn leaf(&mut self, mut w: World) {
+            assert!(self.waited);
+            assert_eq!(
+                w.nodes[0].task_joined(FRAME),
+                Some(0),
+                "the waiter is released"
+            );
+            // It holds each stolen child's interval, with its byte.
+            for k in 1..3 {
+                if let Some(seq) = self.completed[k] {
+                    assert!(w.nodes[0].acquired.covers(k, seq), "node {k}'s child");
+                    assert_eq!(w.read(0, PAGE)[16 * k], k as u8);
+                }
+            }
+            // Each join gets exactly one answer.
+            let sent = w.tally(true);
+            let count = |kind| sent.get(kind).map_or(0, |e| e.0);
+            let thieves = self.completed.iter().flatten().count() as u64;
+            assert_eq!((count("task_join"), count("task_done")), (thieves, thieves));
+        }
+    }
+
+    #[test]
+    fn a_stolen_childs_completion_its_join_and_a_steal_in_every_order() {
+        let runs = World::explore(&Joins::default());
+        // By the number of children stolen: none when node 0's taskwait
+        // runs before either steal reaches it, one when it runs between
+        // them, two when it runs after both.
+        let thieves = |r: &Joins| r.stole.iter().filter(|&&s| s).count();
+        let by_thieves = [0, 1, 2].map(|n| runs.iter().filter(|r| thieves(r) == n).count());
+        assert_eq!(by_thieves, [6, 52, 316]);
+        // Both answers are walked: a join that waits for its child, and
+        // one whose child is already done.
+        let kept = runs.iter().filter(|r| r.kept > 0).count();
+        assert_eq!(kept, 200);
     }
 
     /// The termination arm's walk on 3 nodes: every node's idle worker
@@ -1168,7 +1323,7 @@ mod tests {
     impl Walk for DroppedWake {
         fn start(&self) -> World {
             let mut w = World::new(2);
-            steal(&mut w, 1, &[0], true);
+            steal(&mut w, 1, &[0]);
             w
         }
 
@@ -1189,22 +1344,22 @@ mod tests {
                 (0, false) => {
                     self.steps += 1;
                     if self.steps == 1 {
-                        if w.nodes[0].task_push(SCOPE, TASK, 4) == Some(true) {
+                        if w.nodes[0].task_push(SCOPE, TASK, FRAME, 4) == Some(true) {
                             w.send(0, (0, Msg::TermWake { scope: SCOPE }));
                         }
                         return;
                     }
-                    if w.nodes[0].task_take(SCOPE).task.is_some() {
+                    if w.nodes[0].task_take(SCOPE, None).task.is_some() {
                         self.takers.push(0);
                     }
                     park(w, 0);
                 }
-                (_, true) => steal(w, 1, &[0], true),
+                (_, true) => steal(w, 1, &[0]),
                 (_, false) => {
                     let (src, rep) = w.inbox[1].pop_front().expect("a steal reply");
                     if w.nodes[1].on_steal(src, rep).task.is_some() {
                         self.takers.push(1);
-                        steal(w, 1, &[0], true);
+                        steal(w, 1, &[0]);
                     } else {
                         park(w, 1);
                     }

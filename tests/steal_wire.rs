@@ -2,8 +2,8 @@
 //! stealing each node's task deque lives in its DSM node state, not in
 //! DSM pages, and a victim with nothing to give forwards the thief's
 //! request to the next victim (DESIGN.md §2i). These tests pin what the
-//! task-tree program sends by kind, and check that a stolen task sees
-//! what its spawner wrote before the push.
+//! task-tree program sends by kind (no join without a `taskwait`), and
+//! check that a stolen task sees what its spawner wrote before the push.
 
 use nomp::{Cluster, OmpConfig, RunReport, TaskArgs, TaskScopeConfig, TraceConfig};
 use ompc::ProgramOutput;
@@ -59,6 +59,11 @@ fn fib12_steals_by_message_and_takes_no_deque_lock() {
         let (req, rep) = (sent(&out, "steal_req"), sent(&out, "steal_rep"));
         assert_eq!(req, out.dsm.steal_attempts, "{nodes}x{tpn}");
         assert!(rep <= req, "{nodes}x{tpn}: {rep} replies to {req} requests");
+        // fib has no `taskwait`, so a stolen child's completion sends
+        // nothing: only a waiting parent joins its thieves.
+        for kind in ["task_join", "task_done"] {
+            assert_eq!(sent(&out, kind), 0, "{nodes}x{tpn}: {kind}");
+        }
         // No lock message on a deque lock: no lock wait or release on
         // one of their ids.
         let trace = out.trace.as_ref().expect("tracing armed");
