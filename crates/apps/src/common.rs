@@ -93,15 +93,6 @@ pub fn max_rel_err(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Assert two f64 slices agree to `tol` relative error.
-pub fn assert_close(a: &[f64], b: &[f64], tol: f64, what: &str) {
-    let err = max_rel_err(a, b);
-    assert!(
-        err <= tol,
-        "{what}: max relative error {err:.3e} exceeds {tol:.1e}"
-    );
-}
-
 /// A digest of an f64 array that is stable across run-to-run but captures
 /// the whole content (order-sensitive weighted sum).
 pub fn digest_f64(xs: &[f64]) -> f64 {
@@ -147,16 +138,6 @@ impl Xorshift {
     pub fn next_below(&mut self, bound: u32) -> u32 {
         (self.next_u64() % bound as u64) as u32
     }
-}
-
-/// Contiguous block partition of `0..total` over `p` workers (same split
-/// as OpenMP `schedule(static)`); used by the hand-coded Tmk and MPI
-/// versions.
-pub fn block_range(total: usize, p: usize, tid: usize) -> std::ops::Range<usize> {
-    let per = total / p;
-    let rem = total % p;
-    let lo = tid * per + tid.min(rem);
-    lo..lo + per + usize::from(tid < rem)
 }
 
 #[cfg(test)]

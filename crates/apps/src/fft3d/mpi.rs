@@ -3,7 +3,8 @@
 use super::complex::C64;
 use super::fft1d::FftPlan;
 use super::{checksum_digest, checksum_points, evolution_tables, seq::fft_plane, FftConfig};
-use crate::common::{block_range, Report, VersionKind};
+use crate::common::{Report, VersionKind};
+use nomp::Schedule;
 use nowmpi::MpiConfig;
 
 /// Run the message-passing version on `sys.ranks()` workstations.
@@ -15,8 +16,8 @@ pub fn run_mpi(cfg: &FftConfig, sys: MpiConfig) -> Report {
         cfg.check_divisible(p);
         let (nx, ny, nz) = (cfg.nx, cfg.ny, cfg.nz);
         let (zsl, xsl) = (nz / p, nx / p);
-        let zr = block_range(nz, p, r);
-        let xr = block_range(nx, p, r);
+        let zr = Schedule::static_block(nz, p, r);
+        let xr = Schedule::static_block(nx, p, r);
         let plan_x = FftPlan::new(nx);
         let plan_y = FftPlan::new(ny);
         let plan_z = FftPlan::new(nz);
@@ -37,7 +38,7 @@ pub fn run_mpi(cfg: &FftConfig, sys: MpiConfig) -> Report {
         let blk = zsl * ny * xsl;
         let mut sendbuf = vec![C64::zero(); blk * p];
         for dst in 0..p {
-            let dxr = block_range(nx, p, dst);
+            let dxr = Schedule::static_block(nx, p, dst);
             let out = &mut sendbuf[dst * blk..(dst + 1) * blk];
             let mut k = 0;
             for lz in 0..zsl {
@@ -51,7 +52,7 @@ pub fn run_mpi(cfg: &FftConfig, sys: MpiConfig) -> Report {
         let recvbuf = mpi.alltoall(&sendbuf);
         let mut v = vec![C64::zero(); xsl * ny * nz];
         for src in 0..p {
-            let szr = block_range(nz, p, src);
+            let szr = Schedule::static_block(nz, p, src);
             let inb = &recvbuf[src * blk..(src + 1) * blk];
             let mut k = 0;
             for lz in 0..zsl {
@@ -87,7 +88,7 @@ pub fn run_mpi(cfg: &FftConfig, sys: MpiConfig) -> Report {
             }
             // Inverse transpose: pack per-destination z-blocks.
             for dst in 0..p {
-                let dzr = block_range(nz, p, dst);
+                let dzr = Schedule::static_block(nz, p, dst);
                 let out = &mut sendbuf[dst * blk..(dst + 1) * blk];
                 let mut k = 0;
                 for dx in 0..xsl {
@@ -102,7 +103,7 @@ pub fn run_mpi(cfg: &FftConfig, sys: MpiConfig) -> Report {
             // Unpack into the local z-slab A2[z_local][y][x_global].
             let mut a2 = vec![C64::zero(); zsl * ny * nx];
             for src in 0..p {
-                let sxr = block_range(nx, p, src);
+                let sxr = Schedule::static_block(nx, p, src);
                 let inb = &back[src * blk..(src + 1) * blk];
                 let mut k = 0;
                 for dx in 0..xsl {

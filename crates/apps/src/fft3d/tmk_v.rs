@@ -11,7 +11,8 @@ use super::fft1d::FftPlan;
 use super::{
     a_idx, b_idx, checksum_digest, checksum_points, evolution_tables, seq::fft_plane, FftConfig,
 };
-use crate::common::{block_range, Report, VersionKind};
+use crate::common::{Report, VersionKind};
+use nomp::Schedule;
 use tmk::TmkConfig;
 
 /// Run the hand-coded DSM version on `sys.nodes()` workstations.
@@ -29,8 +30,8 @@ pub fn run_tmk(cfg: &FftConfig, sys: TmkConfig) -> Report {
 
         tmk.parallel(0, move |t| {
             let (me, p) = (t.proc_id(), t.nprocs());
-            let zr = block_range(nz, p, me);
-            let xr = block_range(nx, p, me);
+            let zr = Schedule::static_block(nz, p, me);
+            let xr = Schedule::static_block(nx, p, me);
             let plan_x = FftPlan::new(nx);
             let plan_y = FftPlan::new(ny);
             let plan_z = FftPlan::new(nz);

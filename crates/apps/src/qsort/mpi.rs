@@ -3,7 +3,8 @@
 //! use the same quicksort/bubble kernels as the shared-memory versions.
 
 use super::{gen_input, quicksort, sorted_digest, QsortConfig};
-use crate::common::{block_range, Report, VersionKind};
+use crate::common::{Report, VersionKind};
+use nomp::Schedule;
 use nowmpi::MpiConfig;
 
 const TAG_PART: i32 = 31;
@@ -18,7 +19,7 @@ pub fn run_mpi(cfg: &QsortConfig, sys: MpiConfig) -> Report {
         let n = cfg.n;
         // Everyone derives the same deterministic input, keeps its block.
         let input = gen_input(&cfg);
-        let myr = block_range(n, p, r);
+        let myr = Schedule::static_block(n, p, r);
         let mut local: Vec<i32> = input[myr].to_vec();
         drop(input);
         // Phase 1: local sort.

@@ -2,7 +2,8 @@
 //! boundary planes exchanged with explicit messages.
 
 use super::{dim_order, flux_digest, octants, sweep_block, SweepConfig};
-use crate::common::{block_range, Report, VersionKind};
+use crate::common::{Report, VersionKind};
+use nomp::Schedule;
 use nowmpi::MpiConfig;
 
 const TAG_FLUX: i32 = 60;
@@ -19,7 +20,7 @@ pub fn run_mpi(cfg: &SweepConfig, sys: MpiConfig) -> Report {
     let nodes = sys.ranks();
     let out = nowmpi::run_mpi(sys, move |mpi| {
         let (me, p) = (mpi.rank(), mpi.size());
-        let my_ys = block_range(cfg.ny, p, me);
+        let my_ys = Schedule::static_block(cfg.ny, p, me);
         let my_ny = my_ys.len();
         let (nx, nz, n_ang) = (cfg.nx, cfg.nz, cfg.n_ang);
         let elen = n_ang * nx * nz;
@@ -41,7 +42,7 @@ pub fn run_mpi(cfg: &SweepConfig, sys: MpiConfig) -> Report {
                 };
                 psix.fill(0.0);
                 for b in 0..cfg.x_blocks {
-                    let br = block_range(nx, cfg.x_blocks, b);
+                    let br = Schedule::static_block(nx, cfg.x_blocks, b);
                     let xr = &xs[br];
                     let (xlo, xhi) = (
                         *xr.iter().min().expect("blk"),
@@ -81,7 +82,7 @@ pub fn run_mpi(cfg: &SweepConfig, sys: MpiConfig) -> Report {
         if me == 0 {
             for src in 1..p {
                 let rows: Vec<f64> = mpi.recv(src, TAG_FLUX);
-                let yr = block_range(cfg.ny, p, src);
+                let yr = Schedule::static_block(cfg.ny, p, src);
                 let lo = cfg.idx(0, yr.start, 0);
                 flux[lo..lo + rows.len()].copy_from_slice(&rows);
             }

@@ -2,7 +2,7 @@
 //! hand-coded Tmk versions — they differ in the runtime layer driving it).
 
 use super::{dim_order, octants, sweep_block, SweepConfig};
-use crate::common::block_range;
+use nomp::Schedule;
 use tmk::{SharedVec, Tmk};
 
 /// Semaphore id for the +y pipeline edge `k` (between workers k, k+1).
@@ -25,7 +25,7 @@ pub fn edge_len(cfg: &SweepConfig) -> usize {
 /// shared scalar-flux field, written once at the end (owner-computes).
 pub fn dsm_worker(t: &mut Tmk, cfg: &SweepConfig, flux_sv: SharedVec<f64>, iface: SharedVec<f64>) {
     let (me, p) = (t.proc_id(), t.nprocs());
-    let my_ys = block_range(cfg.ny, p, me);
+    let my_ys = Schedule::static_block(cfg.ny, p, me);
     let my_ny = my_ys.len();
     let elen = edge_len(cfg);
     let (nx, nz, n_ang) = (cfg.nx, cfg.nz, cfg.n_ang);
@@ -55,7 +55,7 @@ pub fn dsm_worker(t: &mut Tmk, cfg: &SweepConfig, flux_sv: SharedVec<f64>, iface
             };
             psix.fill(0.0);
             for b in 0..cfg.x_blocks {
-                let br = block_range(nx, cfg.x_blocks, b);
+                let br = Schedule::static_block(nx, cfg.x_blocks, b);
                 let xr = &xs[br];
                 let (xlo, xhi) = (
                     *xr.iter().min().expect("block"),

@@ -1,7 +1,8 @@
 //! Sequential Sweep3D baseline.
 
 use super::{dim_order, flux_digest, octants, sweep_block, SweepConfig};
-use crate::common::{block_range, time_sequential, Report, VersionKind};
+use crate::common::{time_sequential, Report, VersionKind};
+use nomp::Schedule;
 
 /// Full sequential sweep; returns the scalar flux field.
 pub fn compute_seq(cfg: &SweepConfig) -> Vec<f64> {
@@ -16,7 +17,7 @@ pub fn compute_seq(cfg: &SweepConfig) -> Vec<f64> {
             // Same x-blocking as the parallel versions (identical cell
             // visit order; see mod tests).
             for b in 0..cfg.x_blocks {
-                let br = block_range(cfg.nx, cfg.x_blocks, b);
+                let br = Schedule::static_block(cfg.nx, cfg.x_blocks, b);
                 let xr = &xs[br];
                 sweep_block(cfg, oct, xr, ys, &mut psix, None, None, &mut flux);
             }

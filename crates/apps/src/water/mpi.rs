@@ -4,7 +4,8 @@
 //! block, allreduce energies.
 
 use super::{water_checksum, Molecule, WaterConfig};
-use crate::common::{block_range, Report, VersionKind};
+use crate::common::{Report, VersionKind};
+use nomp::Schedule;
 use nowmpi::MpiConfig;
 
 /// Positions of one molecule's three sites.
@@ -17,7 +18,7 @@ pub fn run_mpi(cfg: &WaterConfig, sys: MpiConfig) -> Report {
     let out = nowmpi::run_mpi(sys, move |mpi| {
         let (r, p) = (mpi.rank(), mpi.size());
         let n = cfg.n_mol;
-        let block = block_range(n, p, r);
+        let block = Schedule::static_block(n, p, r);
         // Everyone derives the same deterministic initial state and keeps
         // only its own block's full records.
         let all_init = super::init_molecules(&cfg);

@@ -2,7 +2,8 @@
 //! phases per time step.
 
 use super::{water_checksum, Molecule, WaterConfig};
-use crate::common::{block_range, Report, VersionKind};
+use crate::common::{Report, VersionKind};
+use nomp::Schedule;
 use tmk::TmkConfig;
 
 /// Run the hand-coded DSM version.
@@ -19,7 +20,7 @@ pub fn run_tmk(cfg: &WaterConfig, sys: TmkConfig) -> Report {
 
         tmk.parallel(0, move |t| {
             let (me, p) = (t.proc_id(), t.nprocs());
-            let block = block_range(n, p, me);
+            let block = Schedule::static_block(n, p, me);
             for step in 0..cfg.steps {
                 // Predict own block, then synchronize.
                 t.view_mut(&mols, block.clone(), |b| super::predict_block(b, cfg.dt));

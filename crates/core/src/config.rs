@@ -91,6 +91,11 @@ impl From<TmkConfig> for OmpConfig {
     }
 }
 
+/// The largest chunk [`Schedule::parse`] accepts: the bound `ompc`'s
+/// `schedule(kind, chunk)` clause applies, far below where chunk
+/// arithmetic could wrap.
+const MAX_CHUNK: usize = 1_000_000_000;
+
 /// Loop scheduling policies for `parallel for`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
@@ -146,7 +151,7 @@ impl Schedule {
     /// of `static`, `dynamic`, `guided`, `adaptive`, `affinity`,
     /// `runtime`, `auto` (mapped to static). Whitespace around tokens is
     /// ignored; a chunk of 0 is legal and normalized to 1 by the loop
-    /// planner.
+    /// planner, and a chunk above 1 000 000 000 is rejected.
     ///
     /// ```
     /// use nomp::Schedule;
@@ -162,9 +167,15 @@ impl Schedule {
             None => None,
             Some(c) => {
                 let c = c.trim();
-                Some(c.parse::<usize>().map_err(|_| {
+                let chunk = c.parse::<usize>().map_err(|_| {
                     format!("invalid schedule chunk `{c}` in `{s}` (expected an unsigned integer)")
-                })?)
+                })?;
+                if chunk > MAX_CHUNK {
+                    return Err(format!(
+                        "schedule chunk `{c}` in `{s}` is above {MAX_CHUNK}"
+                    ));
+                }
+                Some(chunk)
             }
         };
         if let Some(extra) = parts.next() {
@@ -320,6 +331,26 @@ mod tests {
         ] {
             let e = Schedule::parse(bad).unwrap_err();
             assert!(!e.is_empty(), "{bad:?} must produce a message");
+        }
+    }
+
+    #[test]
+    fn schedule_parse_rejects_chunks_above_the_bound() {
+        // `OMP_SCHEDULE` is outside input: a chunk near `usize::MAX`
+        // must be an error, not a plan whose chunk arithmetic wraps.
+        assert_eq!(
+            Schedule::parse("static,1000000000").unwrap(),
+            Schedule::StaticChunk(1_000_000_000)
+        );
+        for bad in [
+            "static,1000000001",
+            "static,9223372036854775808",
+            "dynamic,18446744073709551615",
+            "guided,1000000001",
+            "adaptive,4000000000",
+        ] {
+            let e = Schedule::parse(bad).unwrap_err();
+            assert!(e.contains("above 1000000000"), "{bad:?}: {e}");
         }
     }
 

@@ -104,12 +104,6 @@ impl Env<'_> {
         self.task_scopes
     }
 
-    /// A fresh runtime-internal lock id for layers built on top of the
-    /// runtime (directive front-ends allocating reduction locks).
-    pub fn alloc_runtime_lock(&mut self) -> u32 {
-        self.next_runtime_lock()
-    }
-
     /// Substitute [`Schedule::Runtime`] with the configured
     /// [`OmpConfig::runtime_schedule`] (itself defaulting to static if it
     /// degenerately points back at `Runtime`).
@@ -129,7 +123,34 @@ impl Env<'_> {
     /// partition descriptors of affinity. Master-side hook for directive
     /// front-ends; `sched` should already be resolved.
     pub fn alloc_loop_shared(&mut self, sched: Schedule) -> Option<LoopShared> {
-        self.loop_shared_for(sched)
+        match sched {
+            Schedule::Dynamic(_) | Schedule::Guided(_) => {
+                let counter = self.t.malloc_scalar::<u64>(0);
+                let lock = self.next_runtime_lock();
+                Some(LoopShared::Counter { counter, lock })
+            }
+            Schedule::Adaptive(_) => {
+                // `[next, rate per node…]` — rates ride the page the
+                // claim already holds, so publishing them is free.
+                let n = self.t.nprocs();
+                let state = self.t.malloc_vec::<u64>(1 + n);
+                let lock = self.next_runtime_lock();
+                Some(LoopShared::Adaptive { state, lock })
+            }
+            Schedule::Affinity => {
+                // One page-disjoint `[init, next, end]` descriptor per
+                // node (the allocator never shares pages across regions),
+                // each under a lock managed by its home node.
+                let n = self.t.nprocs();
+                let parts = (0..n)
+                    .map(|_| self.t.malloc_vec::<u64>(crate::forloop::AFF_WORDS))
+                    .collect();
+                self.loop_seq = self.loop_seq.wrapping_add(1);
+                let site = self.loop_seq & 0x3ff;
+                Some(LoopShared::Affinity { parts, site })
+            }
+            _ => None,
+        }
     }
 
     /// Build a [`LoopPlan`] for `range` under `sched` (resolving
@@ -139,7 +160,7 @@ impl Env<'_> {
     /// [`LoopPlan::next_chunk`] or [`LoopPlan::run`].
     pub fn plan_loop(&mut self, sched: Schedule, range: Range<usize>) -> LoopPlan {
         let sched = self.resolve_schedule(sched);
-        let shared = self.loop_shared_for(sched);
+        let shared = self.alloc_loop_shared(sched);
         LoopPlan::new(sched, range, shared)
     }
 
@@ -213,37 +234,6 @@ impl Env<'_> {
                 body(th, r)
             });
         });
-    }
-
-    fn loop_shared_for(&mut self, sched: Schedule) -> Option<LoopShared> {
-        match sched {
-            Schedule::Dynamic(_) | Schedule::Guided(_) => {
-                let counter = self.t.malloc_scalar::<u64>(0);
-                let lock = self.next_runtime_lock();
-                Some(LoopShared::Counter { counter, lock })
-            }
-            Schedule::Adaptive(_) => {
-                // `[next, rate per node…]` — rates ride the page the
-                // claim already holds, so publishing them is free.
-                let n = self.t.nprocs();
-                let state = self.t.malloc_vec::<u64>(1 + n);
-                let lock = self.next_runtime_lock();
-                Some(LoopShared::Adaptive { state, lock })
-            }
-            Schedule::Affinity => {
-                // One page-disjoint `[init, next, end]` descriptor per
-                // node (the allocator never shares pages across regions),
-                // each under a lock managed by its home node.
-                let n = self.t.nprocs();
-                let parts = (0..n)
-                    .map(|_| self.t.malloc_vec::<u64>(crate::forloop::AFF_WORDS))
-                    .collect();
-                self.loop_seq = self.loop_seq.wrapping_add(1);
-                let site = self.loop_seq & 0x3ff;
-                Some(LoopShared::Affinity { parts, site })
-            }
-            _ => None,
-        }
     }
 
     /// `!$omp parallel do reduction(op:acc)`: every thread reduces into a

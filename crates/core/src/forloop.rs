@@ -1,13 +1,20 @@
 //! Work-sharing loop drivers: how `parallel do` iterations reach threads.
 //!
-//! Static policies are pure arithmetic (no traffic). Dynamic and guided
-//! policies draw chunks from a shared counter protected by a runtime lock;
-//! on software DSM every grab is a lock transfer plus a page fetch, which
-//! is why the paper's applications all use static partitioning — the cost
-//! difference is measurable with the `sync_ablation` bench.
+//! Static policies are pure arithmetic (no traffic). Every other policy
+//! takes one claim path: a *node-level* claim on the loop's DSM state,
+//! then one split step that hands the node's threads `ceil(len / tpn)`
+//! of it at a time (dynamic: its chunk) through an [`smp::ChunkBuf`].
+//! On an SMP node the buffer is the team's, so claim traffic scales with
+//! nodes, not threads; on `n × 1` it is the cursor's own, and the
+//! one-thread team takes each claim whole. On software DSM every claim
+//! is a lock transfer plus a page fetch, which is why the paper's
+//! applications all use static partitioning — the cost difference is
+//! measurable with the `sync_ablation` bench.
 //!
-//! Two policies target *heterogeneous and loaded* NOWs, where static
-//! partitioning collapses:
+//! Dynamic and guided claim from a shared counter under a runtime lock
+//! (`chunk × tpn` iterations, or `remaining / 2 nodes`). Two policies
+//! target *heterogeneous and loaded* NOWs, where static partitioning
+//! collapses:
 //!
 //! * [`Schedule::Adaptive`] — factoring-style shrinking batches re-sized
 //!   by observed per-node throughput. Each node publishes its measured
@@ -96,66 +103,27 @@ const RATE_CAP: u64 = 1_000_000_000_000;
 /// inside the region either with [`LoopPlan::run`] or chunk by chunk with
 /// [`LoopPlan::next_chunk`].
 #[derive(Clone)]
-pub struct LoopPlan(Plan);
-
-#[derive(Clone)]
-enum Plan {
-    /// Contiguous block per thread.
-    Static { start: usize, end: usize },
-    /// Round-robin chunks.
-    StaticChunk {
-        start: usize,
-        end: usize,
-        chunk: usize,
-    },
-    /// Shared-counter chunking.
-    Shared {
-        start: usize,
-        end: usize,
-        counter: SharedScalar<u64>,
-        lock: u32,
-        policy: SharedPolicy,
-    },
-    /// Throughput-weighted factoring.
-    Adaptive {
-        start: usize,
-        end: usize,
-        state: SharedVec<u64>,
-        lock: u32,
-        min: usize,
-    },
-    /// Per-node home partitions with steal-on-dry rebalancing.
-    Affinity {
-        start: usize,
-        end: usize,
-        parts: Vec<SharedVec<u64>>,
-        site: u32,
-    },
+pub struct LoopPlan {
+    range: Range<usize>,
+    /// Resolved, with its chunk normalised to at least 1.
+    sched: Schedule,
+    /// `None` exactly for the static policies.
+    shared: Option<LoopShared>,
 }
 
-#[derive(Clone, Copy)]
-enum SharedPolicy {
-    Dynamic { chunk: usize },
-    Guided { min_chunk: usize },
-}
-
-/// Per-thread progress through a [`LoopPlan`]'s static chunk sequence
-/// (dynamic policies keep their progress in the shared counter instead),
-/// plus the per-thread throughput observation the adaptive policy feeds
-/// back into its claims.
+/// Per-thread progress through a [`LoopPlan`]: the position in a static
+/// chunk sequence, or the chunk buffer node-level claims are split
+/// through.
 #[derive(Default)]
 pub struct LoopCursor {
     pos: usize,
     started: bool,
-    /// SMP topologies: cached handle to the node's chunk buffer for this
+    /// SMP topologies: cached handle to the team's chunk buffer for this
     /// loop site, so the hot sub-chunk take skips the team's site map.
     site: Option<smp::SharedChunkBuf>,
-    /// Adaptive (`n × 1`): virtual instant the previous chunk was handed
-    /// out and its length — the next claim turns them into an observed
-    /// rate. (SMP topologies keep the node-level observation in the
-    /// team's [`smp::ChunkBuf`] instead.)
-    claim_vt: u64,
-    claim_len: u64,
+    /// `n × 1`: the one thread's own chunk buffer, which also carries the
+    /// adaptive observation from one claim to the next.
+    buf: smp::ChunkBuf,
 }
 
 impl LoopCursor {
@@ -217,76 +185,43 @@ impl LoopPlan {
     /// this. `sched` must already be resolved: [`Schedule::Runtime`] is
     /// substituted by [`Env::resolve_schedule`](crate::Env::resolve_schedule).
     pub fn new(sched: Schedule, range: Range<usize>, shared: Option<LoopShared>) -> Self {
-        fn counter_of(shared: Option<LoopShared>, kind: &str) -> (SharedScalar<u64>, u32) {
-            match shared {
-                Some(LoopShared::Counter { counter, lock }) => (counter, lock),
-                _ => panic!("{kind} schedule needs a shared counter"),
-            }
-        }
-        LoopPlan(match sched {
-            Schedule::Static => Plan::Static {
-                start: range.start,
-                end: range.end,
-            },
-            Schedule::StaticChunk(c) => Plan::StaticChunk {
-                start: range.start,
-                end: range.end,
-                chunk: c.max(1),
-            },
-            Schedule::Dynamic(c) => {
-                let (counter, lock) = counter_of(shared, "dynamic");
-                Plan::Shared {
-                    start: range.start,
-                    end: range.end,
-                    counter,
-                    lock,
-                    policy: SharedPolicy::Dynamic { chunk: c.max(1) },
-                }
-            }
-            Schedule::Guided(m) => {
-                let (counter, lock) = counter_of(shared, "guided");
-                Plan::Shared {
-                    start: range.start,
-                    end: range.end,
-                    counter,
-                    lock,
-                    policy: SharedPolicy::Guided {
-                        min_chunk: m.max(1),
-                    },
-                }
-            }
-            Schedule::Adaptive(m) => match shared {
-                Some(LoopShared::Adaptive { state, lock }) => Plan::Adaptive {
-                    start: range.start,
-                    end: range.end,
-                    state,
-                    lock,
-                    min: m.max(1),
-                },
-                _ => panic!("adaptive schedule needs shared rate state"),
-            },
-            Schedule::Affinity => match shared {
-                Some(LoopShared::Affinity { parts, site }) => Plan::Affinity {
-                    start: range.start,
-                    end: range.end,
-                    parts,
-                    site,
-                },
-                _ => panic!("affinity schedule needs shared partition state"),
-            },
-            Schedule::Runtime => {
+        use LoopShared as S;
+        let shared = match (sched, shared) {
+            (Schedule::Static | Schedule::StaticChunk(_), _) => None,
+            (Schedule::Dynamic(_) | Schedule::Guided(_), Some(s @ S::Counter { .. }))
+            | (Schedule::Adaptive(_), Some(s @ S::Adaptive { .. }))
+            | (Schedule::Affinity, Some(s @ S::Affinity { .. })) => Some(s),
+            (Schedule::Dynamic(_), _) => panic!("dynamic schedule needs a shared counter"),
+            (Schedule::Guided(_), _) => panic!("guided schedule needs a shared counter"),
+            (Schedule::Adaptive(_), _) => panic!("adaptive schedule needs shared rate state"),
+            (Schedule::Affinity, _) => panic!("affinity schedule needs shared partition state"),
+            (Schedule::Runtime, _) => {
                 panic!("Schedule::Runtime must be resolved first (see Env::resolve_schedule)")
             }
-        })
+        };
+        let sched = match sched {
+            Schedule::StaticChunk(c) => Schedule::StaticChunk(c.max(1)),
+            Schedule::Dynamic(c) => Schedule::Dynamic(c.max(1)),
+            Schedule::Guided(c) => Schedule::Guided(c.max(1)),
+            Schedule::Adaptive(c) => Schedule::Adaptive(c.max(1)),
+            s => s,
+        };
+        LoopPlan {
+            range,
+            sched,
+            shared,
+        }
     }
 
     /// This loop's trace/profile site id: the shared lock (or affinity
     /// site) for dynamic policies, 0 for the traffic-free static ones.
     fn site_id(&self) -> u64 {
-        match &self.0 {
-            Plan::Static { .. } | Plan::StaticChunk { .. } => 0,
-            Plan::Shared { lock, .. } | Plan::Adaptive { lock, .. } => *lock as u64,
-            Plan::Affinity { site, .. } => *site as u64,
+        match &self.shared {
+            None => 0,
+            Some(LoopShared::Counter { lock, .. } | LoopShared::Adaptive { lock, .. }) => {
+                *lock as u64
+            }
+            Some(LoopShared::Affinity { site, .. }) => *site as u64,
         }
     }
 
@@ -316,201 +251,104 @@ impl LoopPlan {
         cursor: &mut LoopCursor,
     ) -> Option<Range<usize>> {
         let (tid, p) = (th.thread_num(), th.num_threads());
-        match &self.0 {
-            Plan::Static { start, end } => {
-                if cursor.started {
-                    return None;
-                }
-                cursor.started = true;
-                let total = end - start;
-                let b = Schedule::static_block(total, p, tid);
-                if b.is_empty() {
-                    None
-                } else {
-                    Some(start + b.start..start + b.end)
-                }
-            }
-            Plan::StaticChunk { start, end, chunk } => {
+        let start = self.range.start;
+        let total = self.range.len();
+        let shared = match (&self.shared, self.sched) {
+            (None, Schedule::StaticChunk(chunk)) => {
                 if !cursor.started {
                     cursor.started = true;
-                    cursor.pos = tid * chunk;
+                    cursor.pos = tid.saturating_mul(chunk);
                 }
-                let total = end - start;
                 if cursor.pos >= total {
                     return None;
                 }
                 let lo = cursor.pos;
-                let hi = (lo + chunk).min(total);
-                cursor.pos += p * chunk;
-                Some(start + lo..start + hi)
+                let hi = lo.saturating_add(chunk).min(total);
+                cursor.pos = lo.saturating_add(p.saturating_mul(chunk));
+                return Some(start + lo..start + hi);
             }
-            Plan::Shared {
-                start,
-                end,
-                counter,
-                lock,
-                policy,
-            } => {
-                let total = (end - start) as u64;
-                if let Some((team, tpn)) = th.smp_team() {
-                    // Two-level scheduling: one thread grabs a *node-level*
-                    // chunk from the DSM counter (tpn× the per-thread
-                    // chunk) and the team subdivides it through the node's
-                    // message-free chunk buffer — DSM grab traffic scales
-                    // with nodes, not threads.
-                    let nodes = th.nprocs() as u64;
-                    let site = cursor
-                        .site
-                        .get_or_insert_with(|| team.loop_site(*lock))
-                        .clone();
-                    let mut buf = site.lock();
-                    th.lane_advance(team.cfg().local_lock_ns);
-                    if buf.lo >= buf.hi {
-                        let claim = th.critical(*lock, |th| {
-                            let cur = counter.get(th);
-                            if cur >= total {
-                                return None;
-                            }
-                            let remaining = total - cur;
-                            let len = match policy {
-                                SharedPolicy::Dynamic { chunk } => {
-                                    ((*chunk).max(1) as u64 * tpn as u64).min(remaining)
-                                }
-                                SharedPolicy::Guided { min_chunk } => (remaining / (2 * nodes))
-                                    .max((*min_chunk).max(1) as u64)
-                                    .min(remaining),
-                            };
-                            counter.set(th, cur + len);
-                            Some((cur, len))
-                        });
-                        let (cur, len) = claim?;
-                        buf.lo = cur as usize;
-                        buf.hi = (cur + len) as usize;
-                        buf.take = match policy {
-                            SharedPolicy::Dynamic { chunk } => (*chunk).max(1),
-                            SharedPolicy::Guided { .. } => (len as usize).div_ceil(tpn).max(1),
-                        };
-                    }
-                    let lo = buf.lo;
-                    let hi = (lo + buf.take.max(1)).min(buf.hi);
-                    buf.lo = hi;
-                    return Some(start + lo..start + hi);
-                }
-                let claim = th.critical(*lock, |th| {
-                    let cur = counter.get(th);
-                    if cur >= total {
-                        return None;
-                    }
-                    let remaining = total - cur;
-                    let len = match policy {
-                        SharedPolicy::Dynamic { chunk } => (*chunk as u64).min(remaining),
-                        SharedPolicy::Guided { min_chunk } => (remaining / (2 * p as u64))
-                            .max(*min_chunk as u64)
-                            .min(remaining),
-                    };
-                    counter.set(th, cur + len);
-                    Some((cur, len))
-                });
-                claim.map(|(cur, len)| {
-                    let lo = start + cur as usize;
-                    lo..lo + len as usize
-                })
-            }
-            Plan::Adaptive {
-                start,
-                end,
-                state,
-                lock,
-                min,
-            } => {
-                let total = (end - start) as u64;
-                let nodes = th.nprocs();
-                let me = th.node_id();
-                let min = *min as u64;
-                if let Some((team, tpn)) = th.smp_team() {
-                    // Node-level claims subdivided through the team
-                    // buffer; the observation (and thus the published
-                    // rate) is node-level, so it reflects the whole
-                    // team's throughput.
-                    let site = cursor
-                        .site
-                        .get_or_insert_with(|| team.loop_site(*lock))
-                        .clone();
-                    let now = th.now_ns();
-                    let mut buf = site.lock();
-                    th.lane_advance(team.cfg().local_lock_ns);
-                    if buf.lo >= buf.hi {
-                        // `claim_vt` was stamped by whichever sibling did
-                        // the previous refill on *its* lane; if this
-                        // thread's lane still lags behind it, the elapsed
-                        // time is unknowable — skip the observation
-                        // rather than publish a near-infinite rate.
-                        let obs = (buf.claim_len > 0 && now > buf.claim_vt)
-                            .then(|| observed_rate(buf.claim_len, now - buf.claim_vt));
-                        let floor = min.saturating_mul(tpn as u64);
-                        let claim = adaptive_claim(th, state, *lock, total, nodes, me, floor, obs);
-                        let (cur, len) = claim?;
-                        buf.lo = cur as usize;
-                        buf.hi = (cur + len) as usize;
-                        buf.take = (len as usize).div_ceil(tpn).max(1);
-                        buf.claim_vt = th.now_ns();
-                        buf.claim_len = len;
-                    }
-                    let lo = buf.lo;
-                    let hi = (lo + buf.take.max(1)).min(buf.hi);
-                    buf.lo = hi;
-                    return Some(start + lo..start + hi);
-                }
-                let now = th.now_ns();
-                // As in the SMP branch: a chunk whose elapsed virtual
-                // time rounds to zero yields no usable rate — skip the
-                // observation rather than publish a near-infinite one.
-                let obs = (cursor.claim_len > 0 && now > cursor.claim_vt)
-                    .then(|| observed_rate(cursor.claim_len, now - cursor.claim_vt));
-                let (cur, len) = adaptive_claim(th, state, *lock, total, nodes, me, min, obs)?;
-                cursor.claim_vt = th.now_ns();
-                cursor.claim_len = len;
-                let lo = start + cur as usize;
-                Some(lo..lo + len as usize)
-            }
-            Plan::Affinity {
-                start,
-                end,
-                parts,
-                site,
-            } => {
-                let total = (end - start) as u64;
-                if total == 0 {
+            (None, _) => {
+                if cursor.started {
                     return None;
                 }
-                if let Some((team, tpn)) = th.smp_team() {
-                    // The node's local threads share the node's home
-                    // partition through the team chunk buffer; only the
-                    // node-level refill touches the partition locks.
-                    let n = th.nprocs();
-                    let key = affinity_lock(n, *site, 0);
-                    let buf_site = cursor
-                        .site
-                        .get_or_insert_with(|| team.loop_site(key))
-                        .clone();
-                    let mut buf = buf_site.lock();
-                    th.lane_advance(team.cfg().local_lock_ns);
-                    if buf.lo >= buf.hi {
-                        let (lo, len) = affinity_claim(th, parts, *site, total)?;
-                        buf.lo = lo as usize;
-                        buf.hi = (lo + len) as usize;
-                        buf.take = (len as usize).div_ceil(tpn).max(1);
-                    }
-                    let lo = buf.lo;
-                    let hi = (lo + buf.take.max(1)).min(buf.hi);
-                    buf.lo = hi;
-                    return Some(start + lo..start + hi);
-                }
-                let (lo, len) = affinity_claim(th, parts, *site, total)?;
-                let lo = start + lo as usize;
-                Some(lo..lo + len as usize)
+                cursor.started = true;
+                let b = Schedule::static_block(total, p, tid);
+                return (!b.is_empty()).then(|| start + b.start..start + b.end);
             }
+            (Some(shared), _) => shared,
+        };
+        let total = total as u64;
+        let smp = th.smp_team();
+        let tpn = smp.map_or(1, |(_, tpn)| tpn);
+        let key = match shared {
+            LoopShared::Counter { lock, .. } | LoopShared::Adaptive { lock, .. } => *lock,
+            LoopShared::Affinity { .. } if total == 0 => return None,
+            LoopShared::Affinity { site, .. } => affinity_lock(th.nprocs(), *site, 0),
+        };
+        // The split step's buffer: the team's on an SMP node (only the
+        // refill touches the DSM), the cursor's own on `n × 1`.
+        let site = smp.map(|(team, _)| {
+            cursor
+                .site
+                .get_or_insert_with(|| team.loop_site(key))
+                .clone()
+        });
+        // Adaptive reads the clock before it waits for the buffer, so the
+        // wait is no part of the throughput it observes.
+        let now = match shared {
+            LoopShared::Adaptive { .. } => th.now_ns(),
+            _ => 0,
+        };
+        let mut guard = site.as_ref().map(|s| s.lock());
+        let buf = match guard.as_deref_mut() {
+            Some(buf) => buf,
+            None => &mut cursor.buf,
+        };
+        if let Some((team, _)) = smp {
+            th.lane_advance(team.cfg().local_lock_ns);
         }
+        if buf.lo >= buf.hi {
+            let (lo, len) = match (shared, self.sched) {
+                (LoopShared::Counter { counter, lock }, Schedule::Dynamic(chunk)) => {
+                    let len = (chunk as u64).saturating_mul(tpn as u64);
+                    counter_claim(th, counter, *lock, total, |_| len)?
+                }
+                (LoopShared::Counter { counter, lock }, Schedule::Guided(min)) => {
+                    let nodes = th.nprocs() as u64;
+                    counter_claim(th, counter, *lock, total, |rem| {
+                        (rem / (2 * nodes)).max(min as u64)
+                    })?
+                }
+                (LoopShared::Adaptive { state, lock }, Schedule::Adaptive(min)) => {
+                    // `claim_vt` was stamped by whichever sibling did the
+                    // previous refill on *its* lane; if this thread's lane
+                    // still lags behind it, or the chunk's elapsed time
+                    // rounds to zero, there is no usable rate — skip the
+                    // observation rather than publish a near-infinite one.
+                    let obs = (buf.claim_len > 0 && now > buf.claim_vt)
+                        .then(|| observed_rate(buf.claim_len, now - buf.claim_vt));
+                    let floor = (min as u64).saturating_mul(tpn as u64);
+                    let claim = adaptive_claim(th, state, *lock, total, floor, obs)?;
+                    buf.claim_vt = th.now_ns();
+                    buf.claim_len = claim.1;
+                    claim
+                }
+                (LoopShared::Affinity { parts, site }, _) => {
+                    affinity_claim(th, parts, *site, total)?
+                }
+                _ => unreachable!("LoopPlan::new pairs each schedule with its state"),
+            };
+            buf.lo = lo as usize;
+            buf.hi = (lo + len) as usize;
+            buf.take = match self.sched {
+                Schedule::Dynamic(chunk) => chunk,
+                _ => (len as usize).div_ceil(tpn),
+            };
+        }
+        let lo = buf.lo;
+        let hi = lo.saturating_add(buf.take).min(buf.hi);
+        buf.lo = hi;
+        Some(start + lo..start + hi)
     }
 
     /// Drive `body` over this thread's chunks.
@@ -526,19 +364,39 @@ impl LoopPlan {
     }
 }
 
+/// One dynamic/guided claim under the loop lock: `len(remaining)`
+/// iterations (at most the remaining ones) from the shared counter.
+fn counter_claim(
+    th: &mut OmpThread<'_>,
+    counter: &SharedScalar<u64>,
+    lock: u32,
+    total: u64,
+    len: impl FnOnce(u64) -> u64,
+) -> Option<(u64, u64)> {
+    th.critical(lock, |th| {
+        let cur = counter.get(th);
+        if cur >= total {
+            return None;
+        }
+        let remaining = total - cur;
+        let len = len(remaining).min(remaining);
+        counter.set(th, cur + len);
+        Some((cur, len))
+    })
+}
+
 /// One adaptive claim under the loop lock: publish the caller's observed
-/// rate, then take the throughput-weighted factoring batch.
-#[allow(clippy::too_many_arguments)]
+/// rate, then take the throughput-weighted factoring batch (at least
+/// `floor` iterations).
 fn adaptive_claim(
     th: &mut OmpThread<'_>,
     state: &SharedVec<u64>,
     lock: u32,
     total: u64,
-    nodes: usize,
-    me: usize,
-    min: u64,
+    floor: u64,
     obs: Option<u64>,
 ) -> Option<(u64, u64)> {
+    let (nodes, me) = (th.nprocs(), th.node_id());
     th.critical(lock, |th| {
         let cur = th.read(state, 0);
         if cur >= total {
@@ -550,7 +408,7 @@ fn adaptive_claim(
         let rates = th.read_slice(state, 1..1 + nodes);
         let remaining = total - cur;
         let len = adaptive_len(remaining, rates[me], &rates)
-            .max(min.max(1))
+            .max(floor.max(1))
             .min(remaining);
         th.write(state, 0, cur + len);
         Some((cur, len))
@@ -664,6 +522,59 @@ mod tests {
             omp.read_slice(&hits, 0..n)
         });
         out.result
+    }
+
+    /// The lengths of the chunks `sched` hands out over `0..n` on
+    /// `1 × tpn`, in iteration order (checked to tile `0..n` exactly).
+    /// Compute is unmetered, so adaptive's observed rates are modeled.
+    fn claimed_lens(sched: Schedule, n: usize, tpn: usize) -> Vec<usize> {
+        let mut cfg = OmpConfig::fast_test_smp(1, tpn);
+        cfg.tmk.net.compute_scale = 0.0;
+        let got = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let sink = got.clone();
+        run(cfg, move |omp| {
+            omp.parallel_for_chunks(sched, 0..n, move |_, r| sink.lock().unwrap().push(r));
+        });
+        let mut got = got.lock().unwrap().clone();
+        got.sort_by_key(|r| r.start);
+        let mut next = 0;
+        for r in &got {
+            assert_eq!(r.start, next, "{sched:?} 1x{tpn}: {got:?}");
+            next = r.end;
+        }
+        assert_eq!(next, n, "{sched:?} 1x{tpn}: {got:?}");
+        got.iter().map(|r| r.len()).collect()
+    }
+
+    #[test]
+    fn non_static_schedules_hand_out_pinned_chunks() {
+        // A one-thread node claims and runs whole node-level chunks; a
+        // two-thread team splits each claim `ceil(len / 2)` (dynamic: by
+        // the chunk), so the 1x2 tail reads 3, 1 and not 2, 2.
+        let dynamic: Vec<usize> = [vec![3; 33], vec![1]].concat();
+        for (sched, tpn, want) in [
+            (Schedule::Dynamic(3), 1, dynamic.clone()),
+            (Schedule::Guided(3), 1, vec![50, 25, 12, 6, 3, 3, 1]),
+            (
+                Schedule::Adaptive(3),
+                1,
+                vec![25, 18, 14, 10, 8, 6, 4, 3, 3, 3, 3, 3],
+            ),
+            (Schedule::Affinity, 1, vec![50, 25, 13, 6, 3, 2, 1]),
+            (Schedule::Dynamic(3), 2, dynamic),
+            (
+                Schedule::Guided(3),
+                2,
+                vec![25, 25, 13, 12, 6, 6, 3, 3, 2, 1, 2, 1, 1],
+            ),
+            (
+                Schedule::Affinity,
+                2,
+                vec![25, 25, 13, 12, 7, 6, 3, 3, 2, 1, 1, 1, 1],
+            ),
+        ] {
+            assert_eq!(claimed_lens(sched, 100, tpn), want, "{sched:?} 1x{tpn}");
+        }
     }
 
     #[test]

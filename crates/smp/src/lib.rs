@@ -117,7 +117,8 @@ pub type SharedChunkBuf = Arc<Mutex<ChunkBuf>>;
 
 /// Node-level buffer of one work-shared loop's iterations: the node
 /// grabs chunks from the DSM counter at node granularity and local
-/// threads subdivide them here, message-free.
+/// threads subdivide them here, message-free. (With one thread per node
+/// the loop cursor keeps a buffer of its own.)
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ChunkBuf {
     /// First iteration still buffered on this node.

@@ -923,11 +923,6 @@ impl Tmk {
         }
     }
 
-    /// Whether this handle runs in SMP mode (a lane is attached).
-    pub fn smp_active(&self) -> bool {
-        self.lane.is_some()
-    }
-
     /// Count a protocol event (for runtime layers built on top of the
     /// DSM — e.g. the OpenMP tasking scheduler — that surface their own
     /// event counters through [`crate::TmkStats`]): a relaxed add on the

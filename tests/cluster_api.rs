@@ -59,6 +59,10 @@ fn every_builder_validation_failure_has_a_variant() {
             matches!(e, NowError::InvalidSchedule(_))
         }),
         (
+            Cluster::builder().runtime_schedule_str("static,9223372036854775808"),
+            |e| matches!(e, NowError::InvalidSchedule(_)),
+        ),
+        (
             Cluster::builder().nodes(2).tmk(|t| t.page_size = 100),
             |e| matches!(e, NowError::InvalidConfig(_)),
         ),
